@@ -30,6 +30,10 @@ EXIT_REJECTED = 1
 EXIT_INPUT = 2
 EXIT_DISCREPANCY = 3
 
+# Largest table --samples: sample_directions scans a square of candidates
+# whose side grows with the count, so the count is capped.
+MAX_SAMPLES = 100
+
 
 class InputError(Exception):
     """Malformed document or argument; maps to exit code 2."""
@@ -70,7 +74,9 @@ def parse_packing_doc(doc: dict) -> PointPacking:
         raise InputError('packing document needs "ring": "gaussian"|"eisenstein"')
     if "basis" in doc:
         basis = doc["basis"]
-        if len(basis) != 2 or any(len(row) != 2 for row in basis):
+        if not (
+            isinstance(basis, list) and len(basis) == 2 and all(map(_is_pair, basis))
+        ):
             raise InputError('"basis" must be two generator vectors')
         gens = [(_fraction(row[0]), _fraction(row[1])) for row in basis]
         try:
@@ -80,11 +86,11 @@ def parse_packing_doc(doc: dict) -> PointPacking:
     else:
         base = Lattice.ring_lattice(ring)
     shifts_doc = doc.get("shifts")
-    if not shifts_doc:
+    if not isinstance(shifts_doc, list) or not shifts_doc:
         raise InputError('packing document needs a non-empty "shifts" list')
     shifts = []
     for entry in shifts_doc:
-        if len(entry) != 2:
+        if not _is_pair(entry):
             raise InputError(f"shift {entry!r} must be a coordinate pair")
         shifts.append(FieldElem(ring, _fraction(entry[0]), _fraction(entry[1])))
     try:
@@ -97,29 +103,44 @@ def parse_similarity_doc(doc: dict, ring: str) -> Similarity:
     ring = doc.get("ring", ring)
     if ring not in (GAUSSIAN, EISENSTEIN):
         raise InputError(f"bad similarity ring {ring!r}")
-    z = doc.get("z")
-    if not isinstance(z, list) or len(z) != 2:
-        raise InputError('similarity document needs "z": [a, b]')
-    try:
-        elem = RingElem(ring, int(z[0]), int(z[1]))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad z: {exc}") from None
+    elem = _ring_elem(doc, ring, "similarity")
     scale = _fraction(doc.get("scale", "1"))
     w = elem.to_field().scale(scale)
     if w.is_zero():
         raise InputError("similarity multiplier is zero")
-    return Similarity(w, bool(doc.get("conj", False)))
+    return Similarity(w, _conj_flag(doc))
 
 
 def parse_direction_doc(doc: dict, ring: str) -> Direction:
-    ring = doc.get("ring", ring)
-    z = doc.get("z")
-    if not isinstance(z, list) or len(z) != 2:
-        raise InputError('direction document needs "z": [a, b]')
+    elem = _ring_elem(doc, doc.get("ring", ring), "direction")
     try:
-        return Direction(RingElem(ring, int(z[0]), int(z[1])), bool(doc.get("conj", False)))
+        return Direction(elem, _conj_flag(doc))
     except ValueError as exc:
         raise InputError(str(exc)) from None
+
+
+def _is_pair(entry) -> bool:
+    return isinstance(entry, list) and len(entry) == 2
+
+
+def _ring_elem(doc: dict, ring: str, kind: str) -> RingElem:
+    """The element "z": [a, b] of a similarity or direction document."""
+    z = doc.get("z")
+    if not _is_pair(z) or not all(
+        isinstance(c, int) and not isinstance(c, bool) for c in z
+    ):
+        raise InputError(f'{kind} document needs "z": [a, b] with JSON integers')
+    try:
+        return RingElem(ring, z[0], z[1])
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _conj_flag(doc: dict) -> bool:
+    conj = doc.get("conj", False)
+    if not isinstance(conj, bool):
+        raise InputError('"conj" must be a JSON boolean (true or false)')
+    return conj
 
 
 def _load_packing(args) -> PointPacking:
@@ -290,6 +311,8 @@ def table_rows(
 def run_table(args) -> int:
     if args.name not in TABLE_SPECS:
         raise InputError(f"unknown table {args.name!r}; choose t1..t5")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise InputError(f"--samples must be between 1 and {MAX_SAMPLES}")
     explicit = None
     if args.z:
         _, _, ring = TABLE_SPECS[args.name]
@@ -480,7 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("table", help="reproduce a published table as CSV")
     p.add_argument("name", help="t1, t2, t3, t4, or t5")
-    p.add_argument("--samples", type=int, default=2, help="directions per class")
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=2,
+        help=f"directions per class, 1 to {MAX_SAMPLES}",
+    )
     p.add_argument("--z", action="append", help="explicit direction a,b (repeatable)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="write output to a file instead of stdout")

@@ -3,8 +3,16 @@
 The decision engine follows the component-counting characterization: a
 similarity s with image lattice sΓ maps the packing into itself exactly
 when every component image meets n = [sΓ : Γ ∩ sΓ] components, recorded in
-the correspondence set τ.  Scaling-factor sets of packings over full ring
-lattices are computed by a residue sweep over candidate rationals p/q.
+the correspondence set τ.
+
+Scaling-factor sets of packings over full ring lattices are solved per
+denominator q rather than tested per candidate.  For β = (p/q)|z| with
+gcd(p, q) = 1, the sum lattice Γ + sΓ = (1/q)·gcd(q, z)·R and n depend on q
+and z only, so p drops out of everything but the pair conditions
+s(x_k) - x_j ∈ Γ + sΓ, and each of those is a linear congruence in p.  The
+accepted numerators form residue classes modulo the lcm of q and the orders
+of the images (z/q)·x_k in Q(u)/(Γ + sΓ), which divide the lcm of the
+shift denominators; the classes are then folded to their smallest modulus.
 """
 
 from __future__ import annotations
@@ -153,13 +161,19 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
 
 def _sweep_direction(
     packing: PointPacking, d: Direction
-) -> list[tuple[int, int, dict[int, SimilarityReport]]]:
-    """Accepted residues per admissible q for β = (p/q)|z| candidates.
+) -> list[tuple[int, int, dict[int, tuple[tuple[int, int], ...]]]]:
+    """Accepted residues of p, with their τ, per admissible q for β = (p/q)|z|.
 
-    Sweeps q with q²/|gcd(z,q)|² ≤ m and, for each q, a full residue system
-    of p modulo M = q·|z|²·lcm(shift denominators); acceptance and τ are
-    periodic in p with period dividing M, so each tested residue labels its
-    whole class.
+    For gcd(p, q) = 1 the sum lattice S = Γ + sΓ = (1/q)·gcd(q, z)·R and
+    n = [S : Γ] do not depend on p, so both come once per q from the trial
+    map x ↦ (z/q)·x, and q is skipped when n > m.  Since s(x_k) = p·a_k with
+    a_k = (z/q)·x_k (or (z/q)·conj(x_k)), each pair condition p·a_k - x_j ∈ S
+    is a linear congruence in p: empty, or one residue modulo the order o_k
+    of a_k in Q(u)/S.  A residue r mod L = lcm(q, o_1, …, o_m) coprime to q
+    is accepted when every k meets exactly n components.  Scaling by
+    q/gcd(q, z) carries S onto R, so o_k is the order of (z/gcd(q, z))·x_k
+    in Q(u)/R; it divides the denominators of x_k, and the work per q does
+    not grow with N(z).
     """
     gamma = packing.lattice
     if not gamma.is_ring_lattice():
@@ -168,38 +182,71 @@ def _sweep_direction(
             "check_similarity per candidate scaling factor instead"
         )
     m = packing.m
-    norm_z = d.norm()
-    lcm_shift = 1
-    for x in packing.shifts:
-        lcm_shift = math.lcm(lcm_shift, x.a.denominator, x.b.denominator)
-
     out = []
-    q_max = math.isqrt(m * norm_z)
-    for q in range(1, q_max + 1):
+    for q in range(1, math.isqrt(m * d.norm()) + 1):
         trial = d.similarity(Fraction(1, q))
-        img = trial.image_lattice(gamma)
-        inter = lattices.intersect(gamma, img)
-        n = lattices.integer_index(inter, img)
+        total = lattices.add(gamma, trial.image_lattice(gamma))
+        n = lattices.integer_index(gamma, total)
         if n > m:
             continue
-        modulus = q * norm_z * lcm_shift
-        accepted: dict[int, SimilarityReport] = {}
+        targets = [total.coords_of(x_j) for x_j in packing.shifts]
+        conditions: list[tuple[int, dict[int, list[int]]]] = []
+        for x_k in packing.shifts:
+            a_k = total.coords_of(trial.apply(x_k))
+            o_k = math.lcm(a_k[0].denominator, a_k[1].denominator)
+            by_residue: dict[int, list[int]] = {}
+            for j, x_j in enumerate(targets):
+                r = _congruence_residue(a_k, x_j, o_k)
+                if r is not None:
+                    by_residue.setdefault(r, []).append(j)
+            conditions.append((o_k, by_residue))
+        modulus = math.lcm(q, *(o_k for o_k, _ in conditions))
+        accepted: dict[int, tuple[tuple[int, int], ...]] = {}
         for r in range(modulus):
             if math.gcd(r, q) != 1:
                 continue
-            p = r if r != 0 else modulus
-            report = check_similarity(packing, d.similarity(Fraction(p, q)))
-            if report.accepted:
-                accepted[r] = report
+            tau: list[tuple[int, int]] = []
+            for k, (o_k, by_residue) in enumerate(conditions):
+                js = by_residue.get(r % o_k, ())
+                if len(js) != n:
+                    break
+                tau.extend((k, j) for j in js)
+            else:
+                accepted[r] = tuple(tau)
         out.append((q, modulus, accepted))
     return out
+
+
+def _congruence_residue(
+    a: lattices.Vec, x: lattices.Vec, order: int
+) -> int | None:
+    """The residue p mod order with p·a ≡ x (mod Z²), or None when none does.
+
+    order is the lcm of the denominators of a, so p·a takes order distinct
+    values mod Z² and at most one residue solves both coordinates.
+    """
+    residue, step = 0, 1  # the solutions so far are residue + step·Z
+    for a_i, x_i in zip(a, x):
+        target = x_i * order
+        if target.denominator != 1:
+            return None
+        coeff = int(a_i * order)
+        # (residue + step·t)·coeff ≡ target (mod order), solved for t.
+        c, e = coeff * step, int(target) - coeff * residue
+        g = math.gcd(c, order)
+        if e % g:
+            return None
+        period = order // g
+        t = (e // g) * pow(c // g, -1, period) % period
+        residue, step = residue + step * t, step * period
+    return residue % order
 
 
 def scal_set_packing(packing: PointPacking, d: Direction) -> ScalSet:
     """The full set Scal(L, R) for a packing over a ring lattice.
 
     Residue classes are merged to the smallest modulus that still matches
-    the sweep, which restores the compact union-of-classes form.
+    the solve, which restores the compact union-of-classes form.
     """
     classes: list[ResidueClass] = []
     for q, modulus, accepted in _sweep_direction(packing, d):
@@ -220,8 +267,8 @@ def scal_classes_by_tau(
     rows = []
     for q, modulus, accepted in _sweep_direction(packing, d):
         by_tau: dict[tuple[tuple[int, int], ...], set[int]] = {}
-        for r, report in accepted.items():
-            by_tau.setdefault(report.tau, set()).add(r)
+        for r, tau in accepted.items():
+            by_tau.setdefault(tau, set()).add(r)
         for tau, residues in by_tau.items():
             mod, folded = _minimal_modulus(residues, modulus, q)
             rows.append((ResidueClass(q=q, modulus=mod, residues=folded), tau))
@@ -235,7 +282,7 @@ def _minimal_modulus(
     """Smallest divisor of modulus expressing the accepted residues.
 
     Residues r with gcd(r, q) ≠ 1 are unconstrained (they belong to other
-    q sweeps), so consistency is only required on the coprime ones.
+    denominators q), so consistency is only required on the coprime ones.
     """
     universe = [r for r in range(modulus) if math.gcd(r, q) == 1]
     for div in sorted(d for d in range(1, modulus + 1) if modulus % d == 0):
@@ -439,7 +486,7 @@ def inverse_probe(packing: PointPacking, s: Similarity) -> bool | None:
     Informational only: group closure of the similarity isometries under
     inverses is an open question, so nothing is asserted from this.
     Returns None when the generating lattice is not a ring lattice (the
-    exact sweep is unavailable there).
+    exact solve is unavailable there).
     """
     _, d = sim.decompose(s)
     if d.conjugate:

@@ -4,18 +4,22 @@ import json
 
 import pytest
 
+from simiso import oracle
 from simiso.cli import (
     EXIT_DISCREPANCY,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REJECTED,
+    MAX_SAMPLES,
     InputError,
     main,
+    parse_direction_doc,
     parse_packing_doc,
     parse_similarity_doc,
 )
 from simiso.presets import preset
-from simiso.rings import EISENSTEIN, GAUSSIAN
+from simiso.rings import EISENSTEIN, GAUSSIAN, RingElem
+from simiso.similarity import Direction
 
 
 HEX_DOC = json.dumps(
@@ -57,6 +61,46 @@ class TestDocuments:
     def test_similarity_zero_z(self):
         with pytest.raises(InputError):
             parse_similarity_doc({"z": [0, 0], "scale": "1"}, EISENSTEIN)
+
+    @pytest.mark.parametrize("conj", ["false", "true", 0, 1, None, []])
+    def test_conj_must_be_boolean(self, conj):
+        doc = {"z": [1, 1], "scale": "2", "conj": conj}
+        with pytest.raises(InputError):
+            parse_similarity_doc(doc, EISENSTEIN)
+        with pytest.raises(InputError):
+            parse_direction_doc(doc, EISENSTEIN)
+
+    @pytest.mark.parametrize("z", [[1.7, 1], [1, 1.0], [True, 0], ["1", "1"], [1, None]])
+    def test_z_entries_must_be_integers(self, z):
+        with pytest.raises(InputError):
+            parse_similarity_doc({"z": z, "scale": "1"}, EISENSTEIN)
+        with pytest.raises(InputError):
+            parse_direction_doc({"z": z}, EISENSTEIN)
+
+    def test_direction_doc(self):
+        d = parse_direction_doc({"z": [2, 1], "conj": True}, EISENSTEIN)
+        assert d == Direction(RingElem(EISENSTEIN, 2, 1), True)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"ring": "gaussian", "shifts": [0]},
+            {"ring": "gaussian", "shifts": 5},
+            {"ring": "gaussian", "shifts": "ab"},
+            {"ring": "gaussian", "shifts": [["0", "0", "0"]]},
+            {"ring": "gaussian", "basis": 5, "shifts": [["0", "0"]]},
+            {"ring": "gaussian", "basis": [["1", "0"], ["0"]], "shifts": [["0", "0"]]},
+            {"ring": "gaussian", "basis": [["1", "0"], 7], "shifts": [["0", "0"]]},
+            {"ring": "gaussian", "basis": "ab", "shifts": [["0", "0"]]},
+        ],
+    )
+    def test_malformed_packing_shapes(self, doc, capsys):
+        with pytest.raises(InputError):
+            parse_packing_doc(doc)
+        rc = main(["analyze", json.dumps(doc), "--similarity", '{"z":[1,0]}'])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestAnalyze:
@@ -103,6 +147,17 @@ class TestAnalyze:
         rc = main(["analyze", "--preset", "hex", "--similarity", '{"z":[1,1'])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "similarity",
+        ['{"z":[1,1],"scale":"2","conj":"false"}', '{"z":[1.7,1],"scale":"2"}'],
+    )
+    def test_coerced_fields_are_input_errors(self, similarity, capsys):
+        rc = main(["analyze", "--preset", "hex", "--similarity", similarity])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_inline_packing_document(self, capsys):
         rc = main(["analyze", HEX_DOC, "--similarity", '{"z":[1,1],"scale":"2"}'])
         assert rc == EXIT_OK
@@ -126,6 +181,18 @@ class TestTable:
 
     def test_bad_direction(self):
         assert main(["table", "t1", "--z", "2,4"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("samples", ["-1", "0", str(MAX_SAMPLES + 1)])
+    def test_samples_out_of_range(self, samples, capsys):
+        assert main(["table", "t2", "--samples", samples]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(MAX_SAMPLES) in captured.err
+
+    @pytest.mark.parametrize("samples", [1, MAX_SAMPLES])
+    def test_samples_at_the_bounds(self, samples, capsys):
+        assert main(["table", "t2", "--samples", str(samples)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len({line.split(",")[2] for line in lines[1:]}) == 3 * samples
 
     def test_deterministic(self, capsys):
         main(["table", "t3", "--samples", "2"])
@@ -159,6 +226,24 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["bruteforce"] == ["2", "3", "5", "6", "8", "9"]
         assert doc["engine"] == doc["bruteforce"]
+
+    @pytest.mark.parametrize(
+        "name, z, conj", [("hex", (9, 2), False), ("hex-shifted", (9, 1), True)]
+    )
+    def test_direction_sweep_large_norm(self, name, z, conj, capsys):
+        packing = preset(name)
+        d = Direction(RingElem(packing.ring, *z), conj)
+        assert d.norm() >= 50
+        direction = json.dumps({"z": list(z), "conj": conj})
+        rc = main(
+            ["verify", "--preset", name, "--direction", direction,
+             "--p-bound", "12", "--q-bound", "2"]
+        )
+        assert rc == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        brute = oracle.scal_set_bruteforce(packing, d, 12, 2)
+        assert doc["engine"] == doc["bruteforce"] == sorted(str(r) for r in brute)
+        assert 0 < len(brute) < 12
 
     def test_nonring_direction_sweep(self, capsys):
         rc = main(

@@ -6,13 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simiso import lattices as lat, packings as pk, similarity as sim
 from simiso.lattices import Lattice
 from simiso.packings import PointPacking, UnsupportedLatticeError
 from simiso.presets import preset
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
-from simiso.similarity import Direction, Similarity
+from simiso.similarity import Direction, ResidueClass, ScalSet, Similarity
 
 F = Fraction
 
@@ -219,6 +221,134 @@ class TestScalSetPacking:
                 report = pk.check_similarity(packing, d.similarity(F(p, q)))
                 if report.accepted:
                     assert report.n == 1
+
+
+def _reference_sweep(packing, d):
+    """The residue sweep the congruence solve replaced: check_similarity on
+    every residue p mod q·N(z)·lcm(shift denominators), for each q."""
+    gamma = packing.lattice
+    m = packing.m
+    norm_z = d.norm()
+    lcm_shift = 1
+    for x in packing.shifts:
+        lcm_shift = math.lcm(lcm_shift, x.a.denominator, x.b.denominator)
+    out = []
+    for q in range(1, math.isqrt(m * norm_z) + 1):
+        img = d.similarity(F(1, q)).image_lattice(gamma)
+        n = lat.integer_index(lat.intersect(gamma, img), img)
+        if n > m:
+            continue
+        modulus = q * norm_z * lcm_shift
+        accepted = {}
+        for r in range(modulus):
+            if math.gcd(r, q) != 1:
+                continue
+            p = r if r != 0 else modulus
+            report = pk.check_similarity(packing, d.similarity(F(p, q)))
+            if report.accepted:
+                accepted[r] = report.tau
+        out.append((q, modulus, accepted))
+    return out
+
+
+def _reference_minimal_modulus(accepted, modulus, q):
+    universe = [r for r in range(modulus) if math.gcd(r, q) == 1]
+    for div in sorted(d for d in range(1, modulus + 1) if modulus % d == 0):
+        folded = {r % div for r in accepted}
+        if all((r % div in folded) == (r in accepted) for r in universe):
+            return div, frozenset(folded)
+    return modulus, frozenset(accepted)
+
+
+def _reference_scal(packing, d):
+    sweep = _reference_sweep(packing, d)
+    classes = []
+    for q, modulus, accepted in sweep:
+        if accepted:
+            mod, residues = _reference_minimal_modulus(set(accepted), modulus, q)
+            classes.append(ResidueClass(q, mod, residues))
+    rows = []
+    for q, modulus, accepted in sweep:
+        by_tau = {}
+        for r, tau in accepted.items():
+            by_tau.setdefault(tau, set()).add(r)
+        for tau, residues in by_tau.items():
+            mod, folded = _reference_minimal_modulus(residues, modulus, q)
+            rows.append((ResidueClass(q, mod, folded), tau))
+    rows.sort(key=lambda rt: (rt[0].q, rt[0].modulus, min(rt[0].residues)))
+    return ScalSet(d, tuple(classes)), rows
+
+
+# The reference sweep makes about m·N(z)²·lcm/2 decisions, so examples are
+# bounded by N(z)·lcm·m to keep the property test near ten seconds.  With
+# m ≤ 4 every accepted class has q = 1; a separate case covers q > 1.
+SWEEP_BUDGET = 60
+
+
+@st.composite
+def ring_packings_with_directions(draw):
+    """A packing over Z[i] or Z[ω] with m ≤ 4 shifts whose coordinates have
+    denominators ≤ 12, and a rotation or reflection direction."""
+    ring = draw(st.sampled_from((GAUSSIAN, EISENSTEIN)))
+    den = draw(st.integers(1, 12))
+    m = draw(st.integers(1, min(4, den * den, SWEEP_BUDGET // den)))
+    coord = st.integers(0, den - 1).map(lambda t: F(t, den))
+    pairs = draw(st.lists(st.tuples(coord, coord), min_size=m, max_size=m, unique=True))
+    shifts = tuple(FieldElem(ring, a, b) for a, b in pairs)
+    lcm = math.lcm(*(c.denominator for x in shifts for c in (x.a, x.b)))
+    bound = math.isqrt(SWEEP_BUDGET // (lcm * m))
+    z = draw(
+        st.tuples(st.integers(-bound, bound), st.integers(-bound, bound))
+        .map(lambda ab: RingElem(ring, *ab))
+        .filter(lambda z: math.gcd(z.a, z.b) == 1)
+        .filter(lambda z: z.norm() * lcm * m <= SWEEP_BUDGET)
+    )
+    packing = PointPacking(Lattice.ring_lattice(ring), shifts)
+    return packing, Direction(z, draw(st.booleans()))
+
+
+class TestCongruenceSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(ring_packings_with_directions())
+    def test_matches_reference_sweep(self, case):
+        packing, d = case
+        scal, rows = _reference_scal(packing, d)
+        assert pk.scal_set_packing(packing, d) == scal
+        assert pk.scal_classes_by_tau(packing, d) == rows
+
+    def test_presets_match_reference_sweep(self):
+        for name, ring in (("rect12", GAUSSIAN), ("hex", EISENSTEIN), ("hex-shifted", EISENSTEIN)):
+            packing = preset(name)
+            for a, b in ((1, 0), (1, 1), (2, 1), (3, -1)):
+                for conjugate in (False, True):
+                    d = Direction(RingElem(ring, a, b), conjugate)
+                    scal, rows = _reference_scal(packing, d)
+                    assert pk.scal_set_packing(packing, d) == scal
+                    assert pk.scal_classes_by_tau(packing, d) == rows
+
+    def test_reflection_with_denominator_five(self):
+        # L = ((2+i)/5)·Z[i] as five cosets of Z[i]; x ↦ (p/5)(3+4i)·conj(x)
+        # maps it into itself with n = 5, a class with q > 1 that needs m ≥ 5.
+        shifts = tuple(FieldElem(GAUSSIAN, F(2 * k % 5, 5), F(k, 5)) for k in range(5))
+        packing = PointPacking(Lattice.ring_lattice(GAUSSIAN), shifts)
+        d = Direction(RingElem(GAUSSIAN, 3, 4), True)
+        rows = pk.scal_classes_by_tau(packing, d)
+        assert [(c.q, c.modulus, len(tau)) for c, tau in rows] == [(1, 1, 5), (5, 1, 25)]
+        scal = pk.scal_set_packing(packing, d)
+        for q in (1, 2, 5, 10):
+            for p in range(1, 16):
+                if math.gcd(p, q) == 1:
+                    accepted = pk.check_similarity(packing, d.similarity(F(p, q))).accepted
+                    assert scal.contains_ratio(F(p, q)) == accepted, (p, q)
+
+    def test_congruence_residue(self):
+        # p·(1/3, 2/3) ≡ (2/3, 1/3) mod Z² at p ≡ 2 (mod 3) only.
+        assert pk._congruence_residue((F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)), 3) == 2
+        assert pk._congruence_residue((F(1, 3), F(2, 3)), (F(1, 3), F(1, 3)), 3) is None
+        assert pk._congruence_residue((F(1, 2), F(0)), (F(1, 3), F(0)), 2) is None
+        # Coordinates of different orders: p·(1/4, 1/6) ≡ (3/4, 1/2) at p ≡ 3 mod 12.
+        assert pk._congruence_residue((F(1, 4), F(1, 6)), (F(3, 4), F(1, 2)), 12) == 3
+        assert pk._congruence_residue((F(0), F(0)), (F(0), F(0)), 1) == 0
 
 
 class TestProposition41Witness:
