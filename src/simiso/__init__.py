@@ -16,7 +16,6 @@ from .similarity import Direction, ScalSet, Similarity, compose, decompose
 from .packings import (
     PointPacking,
     SimilarityReport,
-    UnsupportedLatticeError,
     check_corollaries,
     check_similarity,
     scal_set_packing,
@@ -30,7 +29,6 @@ __all__ = [
     "RingElem",
     "RingMismatchError",
     "DegenerateLatticeError",
-    "UnsupportedLatticeError",
     "Lattice",
     "Direction",
     "ScalSet",

@@ -33,6 +33,11 @@ EXIT_DISCREPANCY = 3
 # Largest table --samples: sample_directions scans a square of candidates
 # whose side grows with the count, so the count is capped.
 MAX_SAMPLES = 100
+# Largest verify --random and --p-bound/--q-bound: each runs the oracle.
+MAX_RANDOM = 10_000
+MAX_BOUND = 100
+# Longest rational text; exponents are refused, as Fraction expands them.
+MAX_RATIONAL_CHARS = 40
 
 
 class InputError(Exception):
@@ -44,10 +49,19 @@ class InputError(Exception):
 
 
 def _fraction(text) -> Fraction:
+    text = str(text)
+    if len(text) > MAX_RATIONAL_CHARS or "e" in text.lower():
+        raise InputError(f"bad rational {text[:MAX_RATIONAL_CHARS]!r}: "
+                         f"no exponent and at most {MAX_RATIONAL_CHARS} characters")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {text!r}: {exc}") from None
+
+
+def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise InputError(f"{flag} must be between {lo} and {hi}")
 
 
 def _load_doc(source: str) -> dict:
@@ -311,8 +325,7 @@ def table_rows(
 def run_table(args) -> int:
     if args.name not in TABLE_SPECS:
         raise InputError(f"unknown table {args.name!r}; choose t1..t5")
-    if not 1 <= args.samples <= MAX_SAMPLES:
-        raise InputError(f"--samples must be between 1 and {MAX_SAMPLES}")
+    _check_range("--samples", args.samples, 1, MAX_SAMPLES)
     explicit = None
     if args.z:
         _, _, ring = TABLE_SPECS[args.name]
@@ -377,6 +390,9 @@ def run_render(args) -> int:
 
 
 def run_verify(args) -> int:
+    _check_range("--random", args.random, 0, MAX_RANDOM)
+    _check_range("--p-bound", args.p_bound, 1, MAX_BOUND)
+    _check_range("--q-bound", args.q_bound, 1, MAX_BOUND)
     if args.random:
         return _verify_random(args)
     packing = _load_packing(args)
@@ -409,21 +425,15 @@ def _verify_similarity(packing: PointPacking, args) -> int:
 
 def _verify_direction(packing: PointPacking, args) -> int:
     d = parse_direction_doc(_load_doc(args.direction), packing.ring)
+    # Engine first: a packing over the lift cap exits 2 before the oracle runs.
+    full = packings.scal_set_packing(packing, d)
+    engine = {
+        Fraction(p, q)
+        for q in range(1, args.q_bound + 1)
+        for p in range(1, args.p_bound + 1)
+        if math.gcd(p, q) == 1 and full.contains_ratio(Fraction(p, q))
+    }
     brute = oracle.scal_set_bruteforce(packing, d, args.p_bound, args.q_bound)
-    engine: set[Fraction] = set()
-    if packing.lattice.is_ring_lattice():
-        full = packings.scal_set_packing(packing, d)
-        for q in range(1, args.q_bound + 1):
-            for p in range(1, args.p_bound + 1):
-                if math.gcd(p, q) == 1 and full.contains_ratio(Fraction(p, q)):
-                    engine.add(Fraction(p, q))
-    else:
-        for q in range(1, args.q_bound + 1):
-            for p in range(1, args.p_bound + 1):
-                if math.gcd(p, q) != 1:
-                    continue
-                if packings.check_similarity(packing, d.similarity(Fraction(p, q))).accepted:
-                    engine.add(Fraction(p, q))
     doc = {
         "direction": str(d),
         "bounds": {"p": args.p_bound, "q": args.q_bound},
@@ -530,9 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_packing_args(p)
     p.add_argument("--similarity", help="similarity document")
     p.add_argument("--direction", help="direction document for a set sweep")
-    p.add_argument("--p-bound", type=int, default=9)
-    p.add_argument("--q-bound", type=int, default=1)
-    p.add_argument("--random", type=int, default=0, help="randomized sweep size")
+    p.add_argument("--p-bound", type=int, default=9, help=f"1 to {MAX_BOUND}")
+    p.add_argument("--q-bound", type=int, default=1, help=f"1 to {MAX_BOUND}")
+    p.add_argument("--random", type=int, default=0, help=f"sweep size, up to {MAX_RANDOM}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=run_verify)
 

@@ -90,11 +90,6 @@ class Lattice:
         return cls(ring, Fraction(h00, d), Fraction(h01, d), Fraction(h11, d))
 
     @classmethod
-    def from_basis(cls, ring: str, basis: list[list[Fraction]]) -> Lattice:
-        """Basis given as two generator vectors [[x1, y1], [x2, y2]]."""
-        return cls.from_generators(ring, [tuple(v) for v in basis])
-
-    @classmethod
     def ring_lattice(cls, ring: str) -> Lattice:
         """The full ring Z[i] or Z[ω] (identity basis)."""
         return cls(ring, Fraction(1), Fraction(0), Fraction(1))
@@ -153,10 +148,6 @@ class Lattice:
     def __str__(self) -> str:
         g1, g2 = self.generators()
         return f"<{g1}, {g2}>"
-
-
-def contains(lattice: Lattice, x: FieldElem) -> bool:
-    return lattice.contains(x)
 
 
 def index(sub: Lattice, sup: Lattice) -> Fraction:
@@ -258,12 +249,14 @@ def coset_intersection_point(
         lead = (s * x0 + t * x, g, axpy(t, (s * p0[0], s * p0[1]), p))
         c0, c1 = y // g, -(y0 // g)
         rest.append((c0 * x0 + c1 * x, axpy(c1, (c0 * p0[0], c0 * p0[1]), p)))
-    assert lead is not None, "full-rank lattices always give a pivot"
+    if lead is None:
+        raise DegenerateLatticeError("generators span at most a line")
     kx, kp = 0, zero
     for x, p in rest:
         g, s, t = _xgcd(kx, x)
         kx, kp = g, axpy(t, (s * kp[0], s * kp[1]), p)
-    assert kx != 0
+    if kx == 0:
+        raise DegenerateLatticeError("generators span at most a line")
 
     x0, y0, p0 = lead
     if ty % y0 != 0:

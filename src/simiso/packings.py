@@ -5,14 +5,13 @@ similarity s with image lattice sΓ maps the packing into itself exactly
 when every component image meets n = [sΓ : Γ ∩ sΓ] components, recorded in
 the correspondence set τ.
 
-Scaling-factor sets of packings over full ring lattices are solved per
-denominator q rather than tested per candidate.  For β = (p/q)|z| with
-gcd(p, q) = 1, the sum lattice Γ + sΓ = (1/q)·gcd(q, z)·R and n depend on q
-and z only, so p drops out of everything but the pair conditions
-s(x_k) - x_j ∈ Γ + sΓ, and each of those is a linear congruence in p.  The
-accepted numerators form residue classes modulo the lcm of q and the orders
-of the images (z/q)·x_k in Q(u)/(Γ + sΓ), which divide the lcm of the
-shift denominators; the classes are then folded to their smallest modulus.
+Scaling-factor sets are solved per denominator q over the ring lattice R,
+to which every packing is first lifted.  For β = (p/q)|z| with gcd(p, q) = 1,
+R + sR = (1/q)·gcd(q, z)·R and n depend on q and z only, so each pair
+condition s(x_k) - x_j ∈ R + sR is a linear congruence in p.  The accepted
+numerators form residue classes modulo the lcm of q and the orders of the
+images (z/q)·x_k in Q(u)/(R + sR), which divide the lcm of the shift
+denominators; the classes are then folded to their smallest modulus.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from .rings import FieldElem
 from .similarity import Direction, ResidueClass, ScalSet, Similarity
 
 
-class UnsupportedLatticeError(ValueError):
-    """Raised when a whole-set computation needs a full ring lattice."""
+# Largest component count of a lifted packing; the Scal solve is quadratic in it.
+MAX_LIFTED_COMPONENTS = 64
 
 
 @dataclass(frozen=True)
@@ -159,14 +158,42 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
     )
 
 
+def lift_to_ring(packing: PointPacking) -> PointPacking:
+    """The point set scaled by 1/c, as the components (x_k + r)/c over R.
+
+    c is the least positive rational with c·R ⊆ Γ and r runs over Γ/c·R.
+    Similarities commute with the scaling, so s(L) ⊆ L holds exactly when it
+    holds for the lift.  Raises ValueError above MAX_LIFTED_COMPONENTS.
+    """
+    gamma = packing.lattice
+    if gamma.is_ring_lattice():
+        return packing
+    gens = [gamma.b00, gamma.b11] + ([abs(gamma.det / gamma.b01)] if gamma.b01 else [])
+    c = Fraction(
+        math.lcm(*(g.numerator for g in gens)), math.gcd(*(g.denominator for g in gens))
+    )
+    sub = Lattice(gamma.ring, c, Fraction(0), c)
+    m = packing.m * lattices.integer_index(sub, gamma)
+    if m > MAX_LIFTED_COMPONENTS:
+        raise ValueError(f"the packing lifts to {m} components over the ring "
+                         f"lattice; at most {MAX_LIFTED_COMPONENTS} are supported")
+    reps = lattices.quotient_representatives(sub, gamma)
+    shifts = tuple((x + r).scale(1 / c) for x in packing.shifts for r in reps)
+    return PointPacking(Lattice.ring_lattice(gamma.ring), shifts)
+
+
 def _sweep_direction(
     packing: PointPacking, d: Direction
 ) -> list[tuple[int, int, dict[int, tuple[tuple[int, int], ...]]]]:
     """Accepted residues of p, with their τ, per admissible q for β = (p/q)|z|.
 
-    For gcd(p, q) = 1 the sum lattice S = Γ + sΓ = (1/q)·gcd(q, z)·R and
-    n = [S : Γ] do not depend on p, so both come once per q from the trial
-    map x ↦ (z/q)·x, and q is skipped when n > m.  Since s(x_k) = p·a_k with
+    τ indexes the components of the lift to R.  s(L) ⊆ L implies sᵏ(L) ⊆ L,
+    and n of sᵏ is unbounded while its multiplier keeps a denominator, as z
+    is primitive.  So rotations admit only q = 1 and reflections, with
+    s² = p²N(z)/q², only q with q² | N(z).  For gcd(p, q) = 1 the sum
+    lattice S = R + sR = (1/q)·gcd(q, z)·R and n = [S : R] do not depend on
+    p, so both come once per q from the trial map x ↦ (z/q)·x, and q is
+    skipped when n > m.  Since s(x_k) = p·a_k with
     a_k = (z/q)·x_k (or (z/q)·conj(x_k)), each pair condition p·a_k - x_j ∈ S
     is a linear congruence in p: empty, or one residue modulo the order o_k
     of a_k in Q(u)/S.  A residue r mod L = lcm(q, o_1, …, o_m) coprime to q
@@ -175,15 +202,14 @@ def _sweep_direction(
     in Q(u)/R; it divides the denominators of x_k, and the work per q does
     not grow with N(z).
     """
+    packing = lift_to_ring(packing)
     gamma = packing.lattice
-    if not gamma.is_ring_lattice():
-        raise UnsupportedLatticeError(
-            "whole-set computation needs the full ring lattice; use "
-            "check_similarity per candidate scaling factor instead"
-        )
     m = packing.m
+    multiple = d.norm() if d.conjugate else 1  # every admissible q² divides it
     out = []
-    for q in range(1, math.isqrt(m * d.norm()) + 1):
+    for q in range(1, math.isqrt(multiple) + 1):
+        if multiple % (q * q):
+            continue
         trial = d.similarity(Fraction(1, q))
         total = lattices.add(gamma, trial.image_lattice(gamma))
         n = lattices.integer_index(gamma, total)
@@ -243,7 +269,7 @@ def _congruence_residue(
 
 
 def scal_set_packing(packing: PointPacking, d: Direction) -> ScalSet:
-    """The full set Scal(L, R) for a packing over a ring lattice.
+    """The full set Scal(L, R) for a packing over any rational lattice.
 
     Residue classes are merged to the smallest modulus that still matches
     the solve, which restores the compact union-of-classes form.
@@ -262,7 +288,9 @@ def scal_classes_by_tau(
     """Scal(L, R) split into maximal classes of constant τ.
 
     This is the shape of the published tables: one line per scaling-factor
-    class together with the component correspondences it produces.
+    class together with the component correspondences it produces.  τ
+    indexes the components of lift_to_ring(packing), which are the packing's
+    own when Γ is the ring lattice.
     """
     rows = []
     for q, modulus, accepted in _sweep_direction(packing, d):
@@ -380,7 +408,8 @@ def reduce(packing: PointPacking) -> PointPacking:
 
 def _assert_same_point_set(packing: PointPacking, reduced: PointPacking) -> None:
     factor = lattices.integer_index(packing.lattice, reduced.lattice)
-    assert reduced.m * factor == packing.m, "component count mismatch"
+    if reduced.m * factor != packing.m:
+        raise RuntimeError("component count mismatch")
     reps = lattices.quotient_representatives(packing.lattice, reduced.lattice)
     covered = []
     for x in reduced.shifts:
@@ -391,14 +420,11 @@ def _assert_same_point_set(packing: PointPacking, reduced: PointPacking) -> None
                 for k, x_k in enumerate(packing.shifts)
                 if packing.lattice.contains(point - x_k)
             ]
-            assert len(matches) == 1, "reduced packing is not the same point set"
+            if len(matches) != 1:
+                raise RuntimeError("reduced packing is not the same point set")
             covered.append(matches[0])
-    assert sorted(covered) == list(range(packing.m))
-
-
-def shift(packing: PointPacking, x: FieldElem) -> PointPacking:
-    """The shifted packing x + L (rotation about -x moved to the origin)."""
-    return packing.translated(x)
+    if sorted(covered) != list(range(packing.m)):
+        raise RuntimeError("reduced packing misses a component")
 
 
 @dataclass(frozen=True)
@@ -423,16 +449,12 @@ class ClosureDiagnostics:
 
 
 def closure_check(
-    packing: PointPacking,
-    pairs: list[tuple[Similarity, Similarity]],
-    sample_bound: int = 6,
+    packing: PointPacking, pairs: list[tuple[Similarity, Similarity]]
 ) -> ClosureDiagnostics:
     """Check closure under composition on sampled accepted pairs.
 
     Every sampled similarity must be individually accepted.  The monoid
-    hypothesis is decided exactly through scal_set_packing when the
-    generating lattice is the full ring, and by bounded sampling of
-    β = (p/q)|z| otherwise.
+    hypothesis is decided exactly through scal_set_packing.
     """
     results = []
     directions: list[Direction] = []
@@ -447,53 +469,37 @@ def closure_check(
         ok = check_similarity(packing, composed).accepted
         results.append(PairClosureResult(ok, composed))
 
-    hypo = []
-    for d in directions:
-        hypo.append((d, _scal_subset_of_lattice_scal(packing, d, sample_bound)))
+    hypo = [(d, _scal_subset_of_lattice_scal(packing, d)) for d in directions]
     return ClosureDiagnostics(tuple(results), tuple(hypo))
 
 
-def _scal_subset_of_lattice_scal(
-    packing: PointPacking, d: Direction, sample_bound: int
-) -> bool:
-    gamma = packing.lattice
-    den_ratio = sim.denominator(gamma, d)
-    if gamma.is_ring_lattice():
-        full = scal_set_packing(packing, d)
-        for c in full.classes:
-            if c.q != 1:
-                return False
-            for r in c.residues:
-                p = r if r != 0 else c.modulus
-                if Fraction(p) % den_ratio != 0:
-                    return False
-        return True
-    for q in range(1, sample_bound + 1):
-        for p in range(1, sample_bound + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            ratio = Fraction(p, q)
-            if not check_similarity(packing, d.similarity(ratio)).accepted:
-                continue
-            if ratio % den_ratio != 0:
-                return False
+def _scal_subset_of_lattice_scal(packing: PointPacking, d: Direction) -> bool:
+    """Whether every class of Scal(L, R) lies in Scal(Γ, R) = (a/b)·Z.
+
+    p/q in lowest terms lies there exactly when q | b and a' = a/gcd(a, b/q)
+    divides p; a' is coprime to q, so it divides every p ≡ r (mod M) coprime
+    to q exactly when it divides gcd(r, M).
+    """
+    den = sim.denominator(packing.lattice, d)
+    a, b = den.numerator, den.denominator
+    for c in scal_set_packing(packing, d).classes:
+        if b % c.q:
+            return False
+        step = a // math.gcd(a, b // c.q)
+        if any(math.gcd(r, c.modulus) % step for r in c.residues):
+            return False
     return True
 
 
-def inverse_probe(packing: PointPacking, s: Similarity) -> bool | None:
+def inverse_probe(packing: PointPacking, s: Similarity) -> bool:
     """Whether the inverse isometry admits any scaling factor for L.
 
     Informational only: group closure of the similarity isometries under
     inverses is an open question, so nothing is asserted from this.
-    Returns None when the generating lattice is not a ring lattice (the
-    exact solve is unavailable there).
     """
     _, d = sim.decompose(s)
     if d.conjugate:
         inverse_dir = d  # reflections are involutions
     else:
         inverse_dir = Direction(d.z.conj(), False)
-    try:
-        return not scal_set_packing(packing, inverse_dir).is_empty()
-    except UnsupportedLatticeError:
-        return None
+    return not scal_set_packing(packing, inverse_dir).is_empty()

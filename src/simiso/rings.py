@@ -228,7 +228,8 @@ def canonical_associate(z: RingElem) -> RingElem:
         good = [c for u in units(z.ring) if (c := z * u).a > 0 and c.b >= 0]
     else:
         good = [c for u in units(z.ring) if (c := z * u).a > 0 and 0 <= c.b < c.a]
-    assert len(good) == 1, (z, good)
+    if len(good) != 1:
+        raise RuntimeError(f"{z} has {len(good)} canonical associates")
     return good[0]
 
 
@@ -242,7 +243,8 @@ def ring_divmod(x: RingElem, y: RingElem) -> tuple[RingElem, RingElem]:
     qb = math.floor(t.b + Fraction(1, 2))
     q = RingElem(x.ring, qa, qb)
     r = x - q * y
-    assert r.norm() < y.norm()
+    if r.norm() >= y.norm():
+        raise RuntimeError(f"remainder {r} of {x} by {y} is not smaller")
     return q, r
 
 
@@ -278,11 +280,6 @@ def content_and_primitive(z: RingElem) -> tuple[int, RingElem]:
         raise ValueError("zero has no primitive part")
     c = math.gcd(z.a, z.b)
     return c, RingElem(z.ring, z.a // c, z.b // c)
-
-
-def conj(x: FieldElem) -> FieldElem:
-    """Complex conjugation expressed in ring coordinates."""
-    return x.conj()
 
 
 def mul_matrix(w: FieldElem) -> tuple[Fraction, Fraction, Fraction, Fraction]:

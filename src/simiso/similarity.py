@@ -244,9 +244,3 @@ def _den_ratio_classes(ratio: Fraction) -> tuple[ResidueClass, ...]:
 def scal_lattice(lattice: Lattice, d: Direction) -> ScalSet:
     """Scal(Γ, R) = den(Γ, R)·Z, as residue classes of ratios of |z|."""
     return ScalSet(d, _den_ratio_classes(denominator(lattice, d)))
-
-
-def in_scal_rational(lattice: Lattice, d: Direction, ratio: Fraction | int) -> bool:
-    """β = ratio·|z| ∈ scal(Γ, R) = den(Γ, R)·Q*, i.e. any nonzero ratio."""
-    del lattice, d
-    return Fraction(ratio) != 0

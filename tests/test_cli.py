@@ -4,14 +4,18 @@ import json
 
 import pytest
 
-from simiso import oracle
+from simiso import cli, oracle
 from simiso.cli import (
     EXIT_DISCREPANCY,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REJECTED,
+    MAX_BOUND,
+    MAX_RANDOM,
+    MAX_RATIONAL_CHARS,
     MAX_SAMPLES,
     InputError,
+    _fraction,
     main,
     parse_direction_doc,
     parse_packing_doc,
@@ -101,6 +105,31 @@ class TestDocuments:
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_rational_text_length_cap(self):
+        assert _fraction("0" * (MAX_RATIONAL_CHARS - 1) + "2") == 2
+        with pytest.raises(InputError):
+            _fraction("0" * MAX_RATIONAL_CHARS + "2")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"2e0"}'],
+            ["analyze", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":1e300}'],
+            ["analyze", '{"ring":"gaussian","basis":[["1e2","0"],["0","1"]],'
+             '"shifts":[["0","0"]]}', "--similarity", '{"z":[1,0]}'],
+            ["analyze", '{"ring":"gaussian","shifts":[["0","1E-1"]]}',
+             "--similarity", '{"z":[1,0]}'],
+            ["render", "--preset", "hex", "--packing-only", "--window=-1e1,0,1,1"],
+            ["analyze", "--preset", "hex", "--similarity",
+             json.dumps({"z": [1, 1], "scale": "1" * (MAX_RATIONAL_CHARS + 1)})],
+        ],
+    )
+    def test_exponents_and_long_rationals_exit_2(self, argv, capsys):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestAnalyze:
@@ -260,6 +289,58 @@ class TestVerify:
             ]
         )
         assert rc == EXIT_OK
+
+    def test_lift_over_the_cap_exits_2(self, capsys):
+        doc = json.dumps(
+            {"ring": "gaussian", "basis": [["1000", "0"], ["0", "1"]], "shifts": [["0", "0"]]}
+        )
+        rc = main(["verify", doc, "--direction", '{"z":[0,1]}'])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--random", "-5"],
+            [f"--random={MAX_RANDOM + 1}"],
+            ["--p-bound=0"],
+            [f"--p-bound={MAX_BOUND + 1}"],
+            ["--q-bound=-1"],
+            [f"--q-bound={MAX_BOUND + 1}"],
+        ],
+    )
+    def test_counts_and_bounds_out_of_range(self, argv, capsys):
+        rc = main(["verify", "--preset", "hex", "--direction", '{"z":[1,1]}', *argv])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("random", 0),
+            ("random", MAX_RANDOM),
+            ("p_bound", 1),
+            ("p_bound", MAX_BOUND),
+            ("q_bound", 1),
+            ("q_bound", MAX_BOUND),
+        ],
+    )
+    def test_counts_and_bounds_at_the_ends(self, flag, value, monkeypatch):
+        # The sweeps themselves are stubbed: at the upper ends they would run
+        # the brute-force oracle thousands of times.
+        seen = []
+        monkeypatch.setattr(cli, "_verify_random", lambda args: seen.append(args) or EXIT_OK)
+        monkeypatch.setattr(
+            cli, "_verify_direction", lambda packing, args: seen.append(args) or EXIT_OK
+        )
+        option = "--" + flag.replace("_", "-")
+        rc = main(["verify", "--preset", "hex", "--direction", '{"z":[1,1]}', f"{option}={value}"])
+        assert rc == EXIT_OK
+        assert getattr(seen[0], flag) == value
 
     def test_random_sweep(self, capsys):
         rc = main(["verify", "--random", "25", "--seed", "3"])

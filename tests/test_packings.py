@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from simiso import lattices as lat, packings as pk, similarity as sim
 from simiso.lattices import Lattice
-from simiso.packings import PointPacking, UnsupportedLatticeError
+from simiso.packings import PointPacking
 from simiso.presets import preset
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction, ResidueClass, ScalSet, Similarity
@@ -177,9 +177,10 @@ class TestScalSetPacking:
         ss = pk.scal_set_packing(packing, Direction(RingElem(EISENSTEIN, 2, 1)))
         assert ss.is_empty()
 
-    def test_requires_ring_lattice(self):
-        with pytest.raises(UnsupportedLatticeError):
-            pk.scal_set_packing(preset("ex34"), Direction(RingElem(GAUSSIAN, 0, 1)))
+    def test_ex34_quarter_turn_scal_is_z(self):
+        # Z[i] written over {3a+bi}: Scal along i is Z, though den(Γ, R) = 3.
+        ss = pk.scal_set_packing(preset("ex34"), Direction(RingElem(GAUSSIAN, 0, 1)))
+        assert ss.display() == "Z"
 
     def test_membership_matches_engine(self):
         # Spot-check ratios inside and outside the returned classes against
@@ -260,8 +261,7 @@ def _reference_minimal_modulus(accepted, modulus, q):
     return modulus, frozenset(accepted)
 
 
-def _reference_scal(packing, d):
-    sweep = _reference_sweep(packing, d)
+def _reference_scal(sweep, d):
     classes = []
     for q, modulus, accepted in sweep:
         if accepted:
@@ -277,6 +277,17 @@ def _reference_scal(packing, d):
             rows.append((ResidueClass(q, mod, folded), tau))
     rows.sort(key=lambda rt: (rt[0].q, rt[0].modulus, min(rt[0].residues)))
     return ScalSet(d, tuple(classes)), rows
+
+
+def _assert_matches_reference(packing, d):
+    """The solve equals the reference sweep, and every q the solve skips
+    (all q > 1 for rotations, q² ∤ N(z) for reflections) accepts nothing."""
+    sweep = _reference_sweep(packing, d)
+    scal, rows = _reference_scal(sweep, d)
+    assert pk.scal_set_packing(packing, d) == scal
+    assert pk.scal_classes_by_tau(packing, d) == rows
+    solved = {q for q, _, _ in pk._sweep_direction(packing, d)}
+    assert all(not accepted for q, _, accepted in sweep if q not in solved)
 
 
 # The reference sweep makes about m·N(z)²·lcm/2 decisions, so examples are
@@ -311,20 +322,14 @@ class TestCongruenceSolve:
     @settings(max_examples=200, deadline=None)
     @given(ring_packings_with_directions())
     def test_matches_reference_sweep(self, case):
-        packing, d = case
-        scal, rows = _reference_scal(packing, d)
-        assert pk.scal_set_packing(packing, d) == scal
-        assert pk.scal_classes_by_tau(packing, d) == rows
+        _assert_matches_reference(*case)
 
     def test_presets_match_reference_sweep(self):
         for name, ring in (("rect12", GAUSSIAN), ("hex", EISENSTEIN), ("hex-shifted", EISENSTEIN)):
             packing = preset(name)
             for a, b in ((1, 0), (1, 1), (2, 1), (3, -1)):
                 for conjugate in (False, True):
-                    d = Direction(RingElem(ring, a, b), conjugate)
-                    scal, rows = _reference_scal(packing, d)
-                    assert pk.scal_set_packing(packing, d) == scal
-                    assert pk.scal_classes_by_tau(packing, d) == rows
+                    _assert_matches_reference(packing, Direction(RingElem(ring, a, b), conjugate))
 
     def test_reflection_with_denominator_five(self):
         # L = ((2+i)/5)·Z[i] as five cosets of Z[i]; x ↦ (p/5)(3+4i)·conj(x)
@@ -349,6 +354,89 @@ class TestCongruenceSolve:
         # Coordinates of different orders: p·(1/4, 1/6) ≡ (3/4, 1/2) at p ≡ 3 mod 12.
         assert pk._congruence_residue((F(1, 4), F(1, 6)), (F(3, 4), F(1, 2)), 12) == 3
         assert pk._congruence_residue((F(0), F(0)), (F(0), F(0)), 1) == 0
+
+
+@st.composite
+def sheared_packings_with_directions(draw):
+    """A packing with m ≤ 3 shifts of denominator ≤ 3 over (1/den)·H, where
+    H ⊆ Z² is a sheared sublattice of index 2–4 and den ≤ 3, and a rotation
+    or reflection direction."""
+    ring = draw(st.sampled_from((GAUSSIAN, EISENSTEIN)))
+    index = draw(st.integers(2, 4))
+    h00 = draw(st.sampled_from([h for h in range(1, index + 1) if index % h == 0]))
+    h01 = draw(st.integers(0, h00 - 1))
+    den = draw(st.integers(1, 3))
+    gamma = Lattice.from_generators(
+        ring, [(F(h00, den), F(0)), (F(h01, den), F(index // h00, den))]
+    )
+    shift_den = draw(st.integers(1, 3))
+    coord = st.integers(0, 2 * shift_den - 1).map(lambda t: F(t, shift_den))
+    shifts: list[FieldElem] = []
+    for a, b in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=3)):
+        x = FieldElem(ring, a, b)
+        if not any(gamma.contains(x - y) for y in shifts):
+            shifts.append(x)
+    z = draw(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        .map(lambda ab: RingElem(ring, *ab))
+        .filter(lambda z: math.gcd(z.a, z.b) == 1)
+    )
+    return PointPacking(gamma, tuple(shifts)), Direction(z, draw(st.booleans()))
+
+
+def _ratios(p_bound, q_bound):
+    return [
+        F(p, q)
+        for q in range(1, q_bound + 1)
+        for p in range(1, p_bound + 1)
+        if math.gcd(p, q) == 1
+    ]
+
+
+class TestLift:
+    @settings(max_examples=100, deadline=None)
+    @given(sheared_packings_with_directions())
+    def test_scal_matches_check_similarity_unlifted(self, case):
+        packing, d = case
+        scal = pk.scal_set_packing(packing, d)
+        for ratio in _ratios(12, 4):
+            accepted = pk.check_similarity(packing, d.similarity(ratio)).accepted
+            assert scal.contains_ratio(ratio) == accepted, ratio
+
+    @settings(max_examples=50, deadline=None)
+    @given(sheared_packings_with_directions())
+    def test_scal_matches_oracle(self, case):
+        from simiso import oracle as orc
+
+        packing, d = case
+        scal = pk.scal_set_packing(packing, d)
+        engine = {r for r in _ratios(4, 2) if scal.contains_ratio(r)}
+        assert engine == orc.scal_set_bruteforce(packing, d, 4, 2)
+
+    def test_ring_lattice_packing_is_its_own_lift(self):
+        packing = preset("hex")
+        assert pk.lift_to_ring(packing) is packing
+
+    def test_ex34_lifts_to_nine_thirds(self):
+        from simiso import oracle as orc
+
+        packing = preset("ex34")
+        lifted = pk.lift_to_ring(packing)
+        assert lifted.m == 9 and lifted.lattice == Lattice.ring_lattice(GAUSSIAN)
+        window = (F(-4), F(-3), F(5), F(4))
+        scaled = [x.scale(3) for x in orc.points_in_window(lifted, [c / 3 for c in window])]
+        assert sorted(scaled, key=lambda x: (x.a, x.b)) == orc.points_in_window(packing, window)
+
+    @pytest.mark.parametrize("width", [pk.MAX_LIFTED_COMPONENTS, pk.MAX_LIFTED_COMPONENTS + 1])
+    def test_lift_cap(self, width):
+        # Γ = {width·a + b·u} needs c = width, so the lift has width components.
+        gamma = Lattice.from_generators(GAUSSIAN, [(F(width), F(0)), (F(0), F(1))])
+        packing = PointPacking(gamma, (FieldElem.zero(GAUSSIAN),))
+        if width > pk.MAX_LIFTED_COMPONENTS:
+            with pytest.raises(ValueError, match=f"{width} components"):
+                pk.lift_to_ring(packing)
+        else:
+            assert pk.lift_to_ring(packing).m == width
 
 
 class TestProposition41Witness:
@@ -454,7 +542,7 @@ class TestPeriodsReduce:
 class TestShift:
     def test_hexagonal_shift(self):
         packing = preset("hex")
-        shifted = pk.shift(packing, HEX_SHIFT)
+        shifted = packing.translated(HEX_SHIFT)
         assert shifted.shifts[0] == HEX_SHIFT
         # (4+2ω)/3 normalizes to the congruent representative (1+2ω)/3.
         second = shifted.shifts[1]
@@ -465,11 +553,11 @@ class TestShift:
 
     def test_zero_shift(self):
         packing = preset("rect12")
-        assert pk.shift(packing, FieldElem.zero(GAUSSIAN)) == packing
+        assert packing.translated(FieldElem.zero(GAUSSIAN)) == packing
 
     def test_lattice_period_shift(self):
         packing = preset("rect12")
-        assert pk.shift(packing, fe(GAUSSIAN, 2, -1)) == packing
+        assert packing.translated(fe(GAUSSIAN, 2, -1)) == packing
 
 
 class TestClosure:
@@ -504,7 +592,20 @@ class TestClosure:
         with pytest.raises(ValueError):
             pk.closure_check(packing, [(simw(EISENSTEIN, 1, 1), simw(EISENSTEIN, 3, 0))])
 
+    def test_reflection_over_ideal_sublattice(self):
+        # Γ = (2+i)·Z[i] with m = 1 and x ↦ (p/q)(3+4i)·conj(x): den(Γ, R) = 1/5
+        # and Scal(L, R) = Scal(Γ, R) = (1/5)·Z·|z|, with a class at q = 5.
+        gamma = Lattice.from_generators(GAUSSIAN, [(F(2), F(1)), (F(-1), F(2))])
+        packing = PointPacking(gamma, (FieldElem.zero(GAUSSIAN),))
+        d = Direction(RingElem(GAUSSIAN, 3, 4), True)
+        assert sim.denominator(gamma, d) == F(1, 5)
+        assert any(c.q == 5 for c in pk.scal_set_packing(packing, d).classes)
+        s = d.similarity(F(1, 5))
+        diag = pk.closure_check(packing, [(s, s)])
+        assert diag.all_compositions_accepted()
+        assert diag.hypothesis_holds()
+
     def test_inverse_probe(self):
         packing = preset("hex")
         assert pk.inverse_probe(packing, simw(EISENSTEIN, 2, 2)) is True
-        assert pk.inverse_probe(preset("ex34"), simw(GAUSSIAN, 0, 1)) is None
+        assert pk.inverse_probe(preset("ex34"), simw(GAUSSIAN, 0, 1)) is True

@@ -18,7 +18,6 @@ from simiso.similarity import (
     decompose,
     denominator,
     format_scale,
-    in_scal_rational,
     scal_lattice,
 )
 
@@ -191,11 +190,6 @@ class TestScalLattice:
         assert ss.contains_ratio(3) and ss.contains_ratio(-6)
         assert not ss.contains_ratio(1) and not ss.contains_ratio(2)
         assert ss.display() == "3Z"
-
-    def test_in_scal_rational(self):
-        d = Direction(RingElem(GAUSSIAN, 1, 2))
-        assert in_scal_rational(ZI, d, F(7, 3))
-        assert not in_scal_rational(ZI, d, 0)
 
     def test_scal_multiplicativity(self):
         # A member of Scal(Γ,R)·Scal(Γ,S) lies in Scal(Γ,RS).
