@@ -1,7 +1,10 @@
 """Command-line surface: analyze, table, render, verify, periods.
 
 Exit codes partition outcomes: 0 accepted/agreement, 1 rejected,
-2 input error, 3 engine/oracle discrepancy.  All output is deterministic
+2 input error, 3 engine/oracle discrepancy, 4 internal error (a one-line
+``error: internal: …`` on stderr, never a traceback).  A rejected
+``analyze`` document names the failing component and, under ``reached``,
+the components its image meets.  All output is deterministic
 for fixed inputs: canonical JSON key order, canonical rational and surd
 display, stable CSV and SVG bytes.
 """
@@ -29,6 +32,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT = 2
 EXIT_DISCREPANCY = 3
+EXIT_INTERNAL = 4
 
 # Largest table --samples: sample_directions scans a square of candidates
 # whose side grows with the count, so the count is capped.
@@ -38,6 +42,10 @@ MAX_RANDOM = 10_000
 MAX_BOUND = 100
 # Longest rational text; exponents are refused, as Fraction expands them.
 MAX_RATIONAL_CHARS = 40
+# Most shifts in a packing document; the work grows with their square.
+MAX_COMPONENTS = packings.MAX_LIFTED_COMPONENTS
+# Most circles render draws, estimated as window area · m / det Γ per packing.
+MAX_RENDER_POINTS = 100_000
 
 
 class InputError(Exception):
@@ -102,6 +110,8 @@ def parse_packing_doc(doc: dict) -> PointPacking:
     shifts_doc = doc.get("shifts")
     if not isinstance(shifts_doc, list) or not shifts_doc:
         raise InputError('packing document needs a non-empty "shifts" list')
+    if len(shifts_doc) > MAX_COMPONENTS:
+        raise InputError(f"a packing document has at most {MAX_COMPONENTS} shifts")
     shifts = []
     for entry in shifts_doc:
         if not _is_pair(entry):
@@ -227,6 +237,7 @@ def run_analyze(args) -> int:
         }
     else:
         doc["failing_component"] = report.failing_k
+        doc["reached"] = list(report.reached)
     _emit_json(doc, args.out)
     return EXIT_OK if report.accepted else EXIT_REJECTED
 
@@ -297,28 +308,13 @@ def table_rows(
             zs = sample_directions(ring, key, samples)
         for z in zs:
             d = Direction(z, conjugate)
-            tau_classes = packings.scal_classes_by_tau(packing, d)
-            if not tau_classes:
-                rows.append(
-                    {
-                        "table": name,
-                        "class": class_label(ring, key),
-                        "z": str(z),
-                        "scal": "∅",
-                        "tau": "∅",
-                    }
-                )
-                continue
-            for residue_class, tau in tau_classes:
-                rows.append(
-                    {
-                        "table": name,
-                        "class": class_label(ring, key),
-                        "z": str(z),
-                        "scal": ScalSet(d, (residue_class,)).display(symbolic=True),
-                        "tau": _tau_display(packing, tau),
-                    }
-                )
+            cells = [
+                (ScalSet(d, (c,)).display(symbolic=True), _tau_display(packing, tau))
+                for c, tau in packings.scal_classes_by_tau(packing, d)
+            ]
+            for scal, tau in cells or [("∅", "∅")]:
+                rows.append({"table": name, "class": class_label(ring, key),
+                             "z": str(z), "scal": scal, "tau": tau})
     return rows
 
 
@@ -372,15 +368,22 @@ def _parse_window(text: str):
 
 def run_render(args) -> int:
     packing = _load_packing(args)
-    window = _parse_window(args.window)
+    x0, y0, x1, y1 = window = _parse_window(args.window)
     s = None
     if not args.packing_only:
         if not args.similarity:
             raise InputError("render needs --similarity or --packing-only")
         s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
-        if not packings.check_similarity(packing, s).accepted:
-            sys.stderr.write("similarity rejected; use --packing-only to draw L\n")
-            return EXIT_REJECTED
+    # sΓ has det N(w)·det Γ and as many components as Γ.
+    circles = (x1 - x0) * (y1 - y0) * packing.m / packing.lattice.det
+    if s is not None:
+        circles += circles / s.scale_sq()
+    if circles > MAX_RENDER_POINTS:
+        raise InputError(f"window holds about {math.ceil(circles)} circles; "
+                         f"at most {MAX_RENDER_POINTS} are drawn")
+    if s is not None and not packings.check_similarity(packing, s).accepted:
+        sys.stderr.write("similarity rejected; use --packing-only to draw L\n")
+        return EXIT_REJECTED
     _write(render_svg(packing, s, window), args.out)
     return EXIT_OK
 
@@ -558,12 +561,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except (ValueError, ZeroDivisionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+    except Exception as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        sys.stderr.write(f"error: internal: {message}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -3,8 +3,11 @@
 A lattice is stored in a canonical Hermite-style form: upper-triangular
 basis with positive diagonal and reduced off-diagonal entry, so two equal
 lattices are syntactically equal.  Intersections go through the dual
-identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, sums through a column Hermite reduction;
-everything stays in exact rational arithmetic.
+identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, sums through a column Hermite reduction of
+integer columns (Cohen, GTM 138, §2.4).  SumLattice keeps one integer form
+of Γ₁ + Γ₂ for many coset problems: [Γ₁ + Γ₂ : Γ₁] is a ratio of its
+determinants, and each membership v ∈ Γ₁ + Γ₂, with a point of Γ₁ ∩ (v + Γ₂),
+costs two divisibility tests and no Fraction.
 """
 
 from __future__ import annotations
@@ -37,38 +40,44 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_columns(cols: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """Hermite form (h00, h01, h11) of the lattice spanned by integer columns.
+Column = tuple[int, int, int, int]
 
-    Result basis is ((h00, 0), (h01, h11)) with h00, h11 > 0 and
-    0 ≤ h01 < h00.  Raises DegenerateLatticeError on rank < 2.
+
+def _hnf_columns(cols: list[Column]) -> tuple[Column, Column]:
+    """Hermite form of the lattice spanned by integer columns (x, y, p, r).
+
+    Returns the basis columns (h00, 0, p, r) and (h01, h11, p, r) with
+    h00, h11 > 0 and 0 ≤ h01 < h00.  Elimination reads x and y only and
+    applies the same integer operations to the tails (p, r), so each result
+    tail records how its column combines the input tails.  Raises
+    DegenerateLatticeError on rank < 2.
     """
     lead = None  # single column with nonzero second coordinate
-    rest = []  # first coordinates of columns reduced to (x, 0)
-    for x, y in cols:
-        if x == 0 and y == 0:
-            continue
-        if y == 0:
-            rest.append(x)
+    rest = []  # columns reduced to (x, 0, p, r)
+    for col in cols:
+        if col[1] == 0:
+            rest.append(col)
             continue
         if lead is None:
-            lead = (x, y)
+            lead = col
             continue
-        x0, y0 = lead
+        (x0, y0, p0, r0), (x, y, p, r) = lead, col
         g, s, t = _xgcd(y0, y)
-        lead = (s * x0 + t * x, g)
-        rest.append((y // g) * x0 - (y0 // g) * x)
+        a, b = y // g, -(y0 // g)
+        rest.append((a * x0 + b * x, 0, a * p0 + b * p, a * r0 + b * r))
+        lead = (s * x0 + t * x, g, s * p0 + t * p, s * r0 + t * r)
     if lead is None:
         raise DegenerateLatticeError("generators span at most a line")
-    k = 0
-    for x in rest:
-        k = math.gcd(k, x)
-    if k == 0:
+    kx, kp, kr = 0, 0, 0
+    for x, _, p, r in rest:
+        if x:
+            kx, s, t = _xgcd(kx, x)
+            kp, kr = s * kp + t * p, s * kr + t * r
+    if kx == 0:
         raise DegenerateLatticeError("generators span at most a line")
-    x1, g = lead
-    if g < 0:
-        x1, g = -x1, -g
-    return k, x1 % k, g
+    x1, y1, p1, r1 = lead if lead[1] > 0 else (-c for c in lead)
+    c = x1 // kx
+    return (kx, 0, kp, kr), (x1 - c * kx, y1, p1 - c * kp, r1 - c * kr)
 
 
 @dataclass(frozen=True)
@@ -85,8 +94,8 @@ class Lattice:
         """Lattice spanned by the given rational coordinate pairs."""
         gens = [(Fraction(x), Fraction(y)) for x, y in generators]
         d = math.lcm(*(c.denominator for g in gens for c in g)) if gens else 1
-        cols = [(int(x * d), int(y * d)) for x, y in gens]
-        h00, h01, h11 = _hnf_columns(cols)
+        cols = [(int(x * d), int(y * d), 0, 0) for x, y in gens]
+        (h00, *_), (h01, h11, *_) = _hnf_columns(cols)
         return cls(ring, Fraction(h00, d), Fraction(h01, d), Fraction(h11, d))
 
     @classmethod
@@ -130,12 +139,15 @@ class Lattice:
         t0, t1 = self.coords_of(x)
         return self.point(t0 - math.floor(t0), t1 - math.floor(t1))
 
+    def mapped(self, m: tuple) -> Lattice:
+        """The lattice spanned by the basis under the 2×2 matrix m."""
+        m00, m01, m10, m11 = m
+        cols = ((self.b00, Fraction(0)), (self.b01, self.b11))
+        gens = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in cols]
+        return Lattice.from_generators(self.ring, gens)
+
     def conjugated(self) -> Lattice:
-        m00, m01, m10, m11 = conj_matrix(self.ring)
-        g = []
-        for x, y in ((self.b00, Fraction(0)), (self.b01, self.b11)):
-            g.append((m00 * x + m01 * y, m10 * x + m11 * y))
-        return Lattice.from_generators(self.ring, g)
+        return self.mapped(conj_matrix(self.ring))
 
     def dual(self) -> Lattice:
         """Dual lattice w.r.t. the standard pairing on coordinates."""
@@ -183,11 +195,7 @@ def scale_by(lattice: Lattice, w: FieldElem) -> Lattice:
         raise RingMismatchError("multiplier ring differs from lattice ring")
     if w.is_zero():
         raise DegenerateLatticeError("scaling a lattice by zero")
-    m00, m01, m10, m11 = mul_matrix(w)
-    gens = []
-    for x, y in ((lattice.b00, Fraction(0)), (lattice.b01, lattice.b11)):
-        gens.append((m00 * x + m01 * y, m10 * x + m11 * y))
-    return Lattice.from_generators(lattice.ring, gens)
+    return lattice.mapped(mul_matrix(w))
 
 
 def scaling_denominator(l1: Lattice, l2: Lattice) -> int:
@@ -209,63 +217,71 @@ def quotient_representatives(sub: Lattice, sup: Lattice) -> list[FieldElem]:
         t0, t1 = sup.coords_of(g)
         if t0.denominator != 1 or t1.denominator != 1:
             raise ValueError("quotient_representatives requires sub ⊆ sup")
-        k_cols.append((int(t0), int(t1)))
-    h00, _, h11 = _hnf_columns(k_cols)
+        k_cols.append((int(t0), int(t1), 0, 0))
+    (h00, *_), (_, h11, *_) = _hnf_columns(k_cols)
     return [sup.point(i, j) for i in range(h00) for j in range(h11)]
 
 
-def coset_intersection_point(
-    l1: Lattice, l2: Lattice, v: FieldElem
-) -> FieldElem | None:
-    """A point of Γ₁ ∩ (v + Γ₂), or None when v ∉ Γ₁ + Γ₂.
+def _times(c: Fraction, d: int) -> int:
+    """c·d for a multiple d of c's denominator, with no Fraction built."""
+    q, rem = divmod(d, c.denominator)
+    if rem:
+        raise RuntimeError(f"scale {d} does not clear the denominator of {c}")
+    return c.numerator * q
 
-    Solves B₁t + B₂t̃ = v over the integers, tracking the Γ₁-part of each
-    column combination so the solution point comes out directly.
+
+@dataclass(frozen=True)
+class SumLattice:
+    """Γ₁ + Γ₂ as one integer Hermite form, for many coset problems at once.
+
+    scale is a common denominator d of Γ₁, Γ₂ and the points to be solved.
+    The columns k = (h00, 0, …) and lead = (h01, h11, …) span d·(Γ₁ + Γ₂);
+    their last two entries are the coefficients, over Γ₁'s basis, of the
+    Γ₁-part of each column, so a solution names a point of Γ₁ directly.
     """
-    gens1 = [(g.a, g.b) for g in l1.generators()]
-    gens2 = [(g.a, g.b) for g in l2.generators()]
-    denoms = [c.denominator for g in gens1 + gens2 for c in g]
-    denoms += [v.a.denominator, v.b.denominator]
-    d = math.lcm(*denoms)
-    zero = (Fraction(0), Fraction(0))
-    cols = [(int(x * d), int(y * d), (x, y)) for x, y in gens1]
-    cols += [(int(x * d), int(y * d), zero) for x, y in gens2]
-    tx, ty = int(v.a * d), int(v.b * d)
 
-    def axpy(c, p1, p2):
-        return (p1[0] + c * p2[0], p1[1] + c * p2[1])
+    first: Lattice
+    scale: int
+    k: Column
+    lead: Column
 
-    lead = None
-    rest: list[tuple[int, tuple[Fraction, Fraction]]] = []
-    for x, y, p in cols:
-        if y == 0:
-            rest.append((x, p))
-            continue
-        if lead is None:
-            lead = (x, y, p)
-            continue
-        x0, y0, p0 = lead
-        g, s, t = _xgcd(y0, y)
-        lead = (s * x0 + t * x, g, axpy(t, (s * p0[0], s * p0[1]), p))
-        c0, c1 = y // g, -(y0 // g)
-        rest.append((c0 * x0 + c1 * x, axpy(c1, (c0 * p0[0], c0 * p0[1]), p)))
-    if lead is None:
-        raise DegenerateLatticeError("generators span at most a line")
-    kx, kp = 0, zero
-    for x, p in rest:
-        g, s, t = _xgcd(kx, x)
-        kx, kp = g, axpy(t, (s * kp[0], s * kp[1]), p)
-    if kx == 0:
-        raise DegenerateLatticeError("generators span at most a line")
+    @classmethod
+    def of(cls, l1: Lattice, l2: Lattice, points) -> SumLattice:
+        """The sum Γ₁ + Γ₂, scaled to clear the denominators of the points."""
+        if l1.ring != l2.ring:
+            raise RingMismatchError("sum of lattices over different rings")
+        coords = [l1.b00, l1.b01, l1.b11, l2.b00, l2.b01, l2.b11]
+        coords += [c for x in points for c in (x.a, x.b)]
+        d = math.lcm(*(c.denominator for c in coords))
+        # Columns in the order Γ₁'s basis, then Γ₂'s, which fixes the witness.
+        cols = [
+            (_times(l1.b00, d), 0, 1, 0),
+            (_times(l1.b01, d), _times(l1.b11, d), 0, 1),
+            (_times(l2.b00, d), 0, 0, 0),
+            (_times(l2.b01, d), _times(l2.b11, d), 0, 0),
+        ]
+        k, lead = _hnf_columns(cols)
+        return cls(l1, d, k, lead)
 
-    x0, y0, p0 = lead
-    if ty % y0 != 0:
-        return None
-    t_lead = ty // y0
-    remainder = tx - t_lead * x0
-    if remainder % kx != 0:
-        return None
-    t_k = remainder // kx
-    px = t_lead * p0[0] + t_k * kp[0]
-    py = t_lead * p0[1] + t_k * kp[1]
-    return FieldElem(l1.ring, px, py)
+    def index(self) -> int:
+        """[Γ₁ + Γ₂ : Γ₁] = det Γ₁ / det(Γ₁ + Γ₂), which is [Γ₂ : Γ₁ ∩ Γ₂]."""
+        l1, d = self.first, self.scale
+        return _times(l1.b00, d) * _times(l1.b11, d) // (self.k[0] * self.lead[1])
+
+    def scaled(self, x: FieldElem) -> tuple[int, int]:
+        """d·x as an integer pair; x must be one of the points given to of()."""
+        return _times(x.a, self.scale), _times(x.b, self.scale)
+
+    def solve(self, vx: int, vy: int) -> tuple[int, int] | None:
+        """Γ₁-coefficients of a point of Γ₁ ∩ (v + Γ₂) for d·v = (vx, vy),
+        or None when v ∉ Γ₁ + Γ₂."""
+        x1, y1, p0, p1 = self.lead
+        if vy % y1:
+            return None
+        t = vy // y1
+        r = vx - t * x1
+        kx, _, q0, q1 = self.k
+        if r % kx:
+            return None
+        u = r // kx
+        return t * p0 + u * q0, t * p1 + u * q1

@@ -3,7 +3,9 @@
 The decision engine follows the component-counting characterization: a
 similarity s with image lattice sΓ maps the packing into itself exactly
 when every component image meets n = [sΓ : Γ ∩ sΓ] components, recorded in
-the correspondence set τ.
+the correspondence set τ.  Each decision builds one integer Hermite form of
+Γ + sΓ, which gives n and every meeting s(x_k) - x_j ∈ Γ + sΓ; witness
+points are built only once the similarity is accepted.
 
 Scaling-factor sets are solved per denominator q over the ring lattice R,
 to which every packing is first lifted.  For β = (p/q)|z| with gcd(p, q) = 1,
@@ -82,7 +84,8 @@ class PointPacking:
 
 @dataclass(frozen=True)
 class SimilarityReport:
-    """Outcome of the component-counting test for one similarity."""
+    """Outcome of the component-counting test for one similarity; a
+    rejection names the first k with |J_k| < n and, in reached, its J_k."""
 
     accepted: bool
     n: int
@@ -90,27 +93,11 @@ class SimilarityReport:
     witness: tuple[tuple[int, int, FieldElem], ...]
     similarity: Similarity
     image_lattice: Lattice
-    intersection: Lattice
     failing_k: int | None = None
+    reached: tuple[int, ...] = ()
 
     def tau_pairs(self, packing: PointPacking) -> list[tuple[FieldElem, FieldElem]]:
         return [(packing.shifts[k], packing.shifts[j]) for k, j in self.tau]
-
-
-def component_intersection(
-    lattice: Lattice, x_k: FieldElem, x_j: FieldElem, s: Similarity
-) -> tuple[FieldElem, Lattice] | None:
-    """The coset s(x_k + Γ) ∩ (x_j + Γ), or None when the components miss.
-
-    A nonempty intersection is offset + (Γ ∩ sΓ) where offset lies in both
-    components; it exists iff s(x_k) - x_j ∈ Γ + sΓ.
-    """
-    img = s.image_lattice(lattice)
-    v = s.apply(x_k) - x_j
-    ell = lattices.coset_intersection_point(lattice, img, v)
-    if ell is None:
-        return None
-    return x_j + ell, lattices.intersect(lattice, img)
 
 
 def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
@@ -118,44 +105,31 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
 
     Accepted iff every index set J_k = {j : s(x_k) - x_j ∈ Γ + sΓ} has size
     exactly n = [sΓ : Γ ∩ sΓ].  |J_k| never exceeds n, so rejection reports
-    the first k with |J_k| < n.
+    the first k with |J_k| < n.  One integer Hermite form of Γ + sΓ serves
+    the whole decision: n = [Γ + sΓ : Γ] comes from its determinant, each of
+    the m² pair conditions is two divisibility tests, and the witness points
+    of s(x_k + Γ) ∩ (x_j + Γ) are built only for an accepted report.
     """
     gamma = packing.lattice
     img = s.image_lattice(gamma)
-    inter = lattices.intersect(gamma, img)
-    n = lattices.integer_index(inter, img)
-
-    tau: list[tuple[int, int]] = []
-    witness: list[tuple[int, int, FieldElem]] = []
-    failing_k = None
-    accepted = True
-    for k, x_k in enumerate(packing.shifts):
-        sx = s.apply(x_k)
-        hits = 0
-        for j, x_j in enumerate(packing.shifts):
-            v = sx - x_j
-            ell = lattices.coset_intersection_point(gamma, img, v)
-            if ell is None:
-                continue
-            hits += 1
-            tau.append((k, j))
-            witness.append((k, j, x_j + ell))
-        if hits != n:
-            accepted = False
-            failing_k = k
-            break
-    if not accepted:
-        tau, witness = [], []
-    return SimilarityReport(
-        accepted=accepted,
-        n=n,
-        tau=tuple(tau),
-        witness=tuple(witness),
-        similarity=s,
-        image_lattice=img,
-        intersection=inter,
-        failing_k=failing_k,
-    )
+    images = tuple(s.apply(x) for x in packing.shifts)
+    total = lattices.SumLattice.of(gamma, img, packing.shifts + images)
+    n = total.index()
+    targets = [total.scaled(x_j) for x_j in packing.shifts]
+    hits: list[tuple[int, int, tuple[int, int]]] = []  # k, j, Γ-coefficients
+    for k, image in enumerate(images):
+        ax, ay = total.scaled(image)
+        reached = []
+        for j, (bx, by) in enumerate(targets):
+            coeffs = total.solve(ax - bx, ay - by)
+            if coeffs is not None:
+                reached.append(j)
+                hits.append((k, j, coeffs))
+        if len(reached) != n:
+            return SimilarityReport(False, n, (), (), s, img, k, tuple(reached))
+    tau = tuple((k, j) for k, j, _ in hits)
+    witness = tuple((k, j, packing.shifts[j] + gamma.point(*t)) for k, j, t in hits)
+    return SimilarityReport(True, n, tau, witness, s, img)
 
 
 def lift_to_ring(packing: PointPacking) -> PointPacking:
@@ -193,10 +167,12 @@ def _sweep_direction(
     s² = p²N(z)/q², only q with q² | N(z).  For gcd(p, q) = 1 the sum
     lattice S = R + sR = (1/q)·gcd(q, z)·R and n = [S : R] do not depend on
     p, so both come once per q from the trial map x ↦ (z/q)·x, and q is
-    skipped when n > m.  Since s(x_k) = p·a_k with
-    a_k = (z/q)·x_k (or (z/q)·conj(x_k)), each pair condition p·a_k - x_j ∈ S
-    is a linear congruence in p: empty, or one residue modulo the order o_k
-    of a_k in Q(u)/S.  A residue r mod L = lcm(q, o_1, …, o_m) coprime to q
+    skipped when n > m.  For q² | N(z) every prime of q splits and z, being
+    primitive, is divisible by its full power at one prime above it, so
+    n = q²/N(gcd(q, z)) = q: only q ≤ m are tried, whatever N(z) is.
+    Since s(x_k) = p·a_k with a_k = (z/q)·x_k (or (z/q)·conj(x_k)), each
+    pair condition p·a_k - x_j ∈ S is a linear congruence in p: empty, or
+    one residue modulo the order o_k of a_k in Q(u)/S.  A residue r mod L = lcm(q, o_1, …, o_m) coprime to q
     is accepted when every k meets exactly n components.  Scaling by
     q/gcd(q, z) carries S onto R, so o_k is the order of (z/gcd(q, z))·x_k
     in Q(u)/R; it divides the denominators of x_k, and the work per q does
@@ -207,7 +183,7 @@ def _sweep_direction(
     m = packing.m
     multiple = d.norm() if d.conjugate else 1  # every admissible q² divides it
     out = []
-    for q in range(1, math.isqrt(multiple) + 1):
+    for q in range(1, min(math.isqrt(multiple), m) + 1):
         if multiple % (q * q):
             continue
         trial = d.similarity(Fraction(1, q))

@@ -1,6 +1,10 @@
 """CLI surface tests: exit codes, document parsing, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +12,14 @@ from simiso import cli, oracle
 from simiso.cli import (
     EXIT_DISCREPANCY,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REJECTED,
     MAX_BOUND,
+    MAX_COMPONENTS,
     MAX_RANDOM,
     MAX_RATIONAL_CHARS,
+    MAX_RENDER_POINTS,
     MAX_SAMPLES,
     InputError,
     _fraction,
@@ -165,6 +172,27 @@ class TestAnalyze:
         assert rc == EXIT_REJECTED
         doc = json.loads(capsys.readouterr().out)
         assert not doc["accepted"] and doc["failing_component"] == 1
+        assert doc["reached"] == []
+
+    def test_rejected_lists_reached_components(self, capsys):
+        # n = 2, but the image of Γ meets the component Γ alone.
+        rc = main(
+            ["analyze", "--preset", "rect12", "--similarity", '{"z":[1,1],"scale":"1/2"}']
+        )
+        assert rc == EXIT_REJECTED
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["n"], doc["failing_component"], doc["reached"]) == (2, 0, [0])
+
+    @pytest.mark.parametrize("m", [MAX_COMPONENTS, MAX_COMPONENTS + 1])
+    def test_component_cap(self, m, capsys):
+        doc = json.dumps({"ring": "gaussian", "shifts": [[f"{i}/4001", "0"] for i in range(m)]})
+        rc = main(["analyze", doc, "--similarity", '{"z":[1,0]}'])
+        captured = capsys.readouterr()
+        if m > MAX_COMPONENTS:
+            assert rc == EXIT_INPUT and captured.out == ""
+            assert captured.err == f"error: a packing document has at most {MAX_COMPONENTS} shifts\n"
+        else:
+            assert rc == EXIT_OK and json.loads(captured.out)["m"] == m
 
     def test_zero_multiplier_is_input_error(self, capsys):
         rc = main(
@@ -434,6 +462,30 @@ class TestRender:
         assert rc == EXIT_INPUT
 
 
+    @pytest.mark.parametrize(
+        "window, similarity, ok",
+        [
+            # hex: m = 2 over det 1, so 250·200 covers 100,000 circles.
+            ("0,0,250,200", None, True),
+            ("0,0,250,201", None, False),
+            # The image packing under w = 3 adds a ninth: 225·200·2·10/9.
+            ("0,0,225,200", '{"z":[1,0],"scale":"3"}', True),
+            ("0,0,225,201", '{"z":[1,0],"scale":"3"}', False),
+        ],
+    )
+    def test_circle_cap(self, window, similarity, ok, monkeypatch, capsys):
+        drawn = []
+        monkeypatch.setattr(cli, "render_svg", lambda *a: drawn.append(a) or "")
+        argv = ["render", "--preset", "hex", f"--window={window}"]
+        argv += ["--similarity", similarity] if similarity else ["--packing-only"]
+        rc = main(argv)
+        if ok:
+            assert rc == EXIT_OK and drawn
+        else:
+            assert rc == EXIT_INPUT and not drawn
+            assert str(MAX_RENDER_POINTS) in capsys.readouterr().err
+
+
 class TestPeriods:
     def test_checkerboard(self, capsys):
         rc = main(["periods", "--preset", "ex22"])
@@ -466,3 +518,46 @@ class TestJsonDeterminism:
         assert capsys.readouterr().out == first
         # 2+2i decomposes to β = 2√2 along 1+i.
         assert json.loads(first)["beta"] == "2·√2"
+
+
+class TestInternalErrors:
+    def test_internal_error_exits_4(self, monkeypatch, capsys):
+        def broken(packing, s):
+            raise RuntimeError("guard failed\nsecond line")
+
+        monkeypatch.setattr(cli.packings, "check_similarity", broken)
+        rc = main(["analyze", "--preset", "hex", "--similarity", '{"z":[1,1]}'])
+        assert rc == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: RuntimeError: guard failed second line\n"
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        # Huge N(z) along a reflection: the Scal solve tries q ≤ m only.
+        (["table", "t3", "--z", "1000000001,1"], EXIT_OK,
+         'den·Z,"{(0,0),((2+ω)/3,0)}"'),
+        (["analyze", json.dumps({"ring": "gaussian",
+                                 "shifts": [[f"{i}/4001", "0"] for i in range(65)]}),
+          "--similarity", '{"z":[1,0]}'], EXIT_INPUT, ""),
+        (["render", "--preset", "hex", "--packing-only",
+          "--window=-5000,-5000,5000,5000"], EXIT_INPUT, ""),
+    ],
+    ids=["huge-norm-reflection", "65-shifts", "giant-window"],
+)
+def test_hostile_inputs_finish(argv, code, out):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-m", "simiso.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == code
+    assert out in proc.stdout and "Traceback" not in proc.stderr
+    if code != EXIT_OK:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1

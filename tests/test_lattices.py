@@ -13,6 +13,7 @@ from simiso.rings import (
     GAUSSIAN,
     FieldElem,
     RingElem,
+    RingMismatchError,
     ring_gcd,
     ring_lcm,
 )
@@ -229,6 +230,8 @@ class TestDualAndQuotients:
 
 
 class TestCosetIntersection:
+    """The sum solve of SumLattice: one Hermite form of Γ₁ + Γ₂ per pair."""
+
     def test_solves_membership(self):
         rng = random.Random(3)
         for _ in range(40):
@@ -240,11 +243,46 @@ class TestCosetIntersection:
                 F(rng.randint(-10, 10), rng.randint(1, 4)),
                 F(rng.randint(-10, 10), rng.randint(1, 4)),
             )
-            ell = lat.coset_intersection_point(l1, l2, v)
-            total = lat.add(l1, l2)
-            if ell is None:
-                assert not total.contains(v)
+            total = lat.SumLattice.of(l1, l2, (v,))
+            coeffs = total.solve(*total.scaled(v))
+            if coeffs is None:
+                assert not lat.add(l1, l2).contains(v)
             else:
-                assert total.contains(v)
+                ell = total.first.point(*coeffs)
+                assert lat.add(l1, l2).contains(v)
                 assert l1.contains(ell)
                 assert l2.contains(ell - v)
+
+    def test_index_is_second_isomorphism(self):
+        # [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂], on ideals and on rational lattices.
+        rng = random.Random(5)
+        for _ in range(40):
+            ring = rng.choice((GAUSSIAN, EISENSTEIN))
+            l1 = Lattice.from_generators(ring, [
+                (F(rng.randint(1, 4), rng.randint(1, 3)), F(0)),
+                (F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(1, 4), rng.randint(1, 3))),
+            ])
+            l2 = mul_lattice(ring, rng.randint(-3, 3), rng.randint(1, 3), base=l1)
+            total = lat.SumLattice.of(l1, l2, ())
+            assert total.index() == lat.integer_index(l1, lat.add(l1, l2))
+            assert total.index() == lat.integer_index(lat.intersect(l1, l2), l2)
+
+    def test_columns_span_the_sum(self):
+        l1 = RECT31
+        l2 = mul_lattice(GAUSSIAN, 1, 2)
+        total = lat.SumLattice.of(l1, l2, ())
+        d = total.scale
+        h00, zero, *_ = total.k
+        h01, h11, *_ = total.lead
+        assert zero == 0 and h00 > 0 and h11 > 0 and 0 <= h01 < h00
+        assert Lattice(GAUSSIAN, F(h00, d), F(h01, d), F(h11, d)) == lat.add(l1, l2)
+
+    def test_point_outside_the_scale_refused(self):
+        total = lat.SumLattice.of(ZI, mul_lattice(GAUSSIAN, 1, 1), (fe(GAUSSIAN, F(1, 2), 0),))
+        assert total.scale == 2
+        with pytest.raises(RuntimeError):
+            total.scaled(fe(GAUSSIAN, F(1, 3), 0))
+
+    def test_different_rings_refused(self):
+        with pytest.raises(RingMismatchError):
+            lat.SumLattice.of(ZI, ZW, ())

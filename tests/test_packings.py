@@ -52,21 +52,29 @@ class TestPointPacking:
         assert not hexp.contains(FieldElem(EISENSTEIN, F(1, 3), F(2, 3)))
 
 
+def _meet(lattice, x_k, x_j, s):
+    """A point of s(x_k + Γ) ∩ (x_j + Γ) from the sum solve, or None."""
+    v = s.apply(x_k) - x_j
+    total = lat.SumLattice.of(lattice, s.image_lattice(lattice), (v,))
+    coeffs = total.solve(*total.scaled(v))
+    return None if coeffs is None else x_j + total.first.point(*coeffs)
+
+
 class TestComponentIntersection:
+    """s(x_k + Γ) ∩ (x_j + Γ) is empty or offset + (Γ ∩ sΓ)."""
+
     def test_sublattice_case(self):
         base = Lattice.ring_lattice(GAUSSIAN)
         zero = FieldElem.zero(GAUSSIAN)
-        got = pk.component_intersection(base, zero, zero, simw(GAUSSIAN, 1, 2))
-        assert got is not None
-        offset, lattice = got
+        s = simw(GAUSSIAN, 1, 2)
+        offset = _meet(base, zero, zero, s)
+        assert offset is not None
         assert base.contains(offset)
-        assert lattice == lat.scale_by(base, fe(GAUSSIAN, 1, 2))
+        assert lat.intersect(base, s.image_lattice(base)) == lat.scale_by(base, fe(GAUSSIAN, 1, 2))
 
     def test_incongruent_shifts_miss(self):
         base = Lattice.ring_lattice(EISENSTEIN)
-        got = pk.component_intersection(
-            base, HEX_SHIFT, FieldElem.zero(EISENSTEIN), simw(EISENSTEIN, 1, 0)
-        )
+        got = _meet(base, HEX_SHIFT, FieldElem.zero(EISENSTEIN), simw(EISENSTEIN, 1, 0))
         assert got is None
 
     def test_ex34_all_pairs_meet(self):
@@ -74,9 +82,8 @@ class TestComponentIntersection:
         s = simw(GAUSSIAN, 0, 1)
         for x_k in packing.shifts:
             for x_j in packing.shifts:
-                got = pk.component_intersection(packing.lattice, x_k, x_j, s)
-                assert got is not None
-                offset, inter = got
+                offset = _meet(packing.lattice, x_k, x_j, s)
+                assert offset is not None
                 # The offset witnesses a point of both components.
                 assert packing.lattice.contains(offset - x_j)
                 assert s.image_lattice(packing.lattice).contains(
@@ -92,8 +99,9 @@ class TestComponentIntersection:
         s = simw(GAUSSIAN, 2, 2)
         x_k = packing.shifts[1]
         x_j = packing.shifts[0]
-        offset, inter = pk.component_intersection(base, x_k, x_j, s)
+        offset = _meet(base, x_k, x_j, s)
         img = s.image_lattice(base)
+        inter = lat.intersect(base, img)
         for t0 in range(-2, 3):
             for t1 in range(-2, 3):
                 pt = offset + inter.point(t0, t1)
@@ -357,12 +365,12 @@ class TestCongruenceSolve:
 
 
 @st.composite
-def sheared_packings_with_directions(draw):
-    """A packing with m ≤ 3 shifts of denominator ≤ 3 over (1/den)·H, where
-    H ⊆ Z² is a sheared sublattice of index 2–4 and den ≤ 3, and a rotation
-    or reflection direction."""
+def sheared_packings_with_directions(draw, max_m=3, min_index=2):
+    """A packing with m ≤ max_m shifts of denominator ≤ 3 over (1/den)·H,
+    where H ⊆ Z² is a sheared sublattice of index min_index–4 and den ≤ 3,
+    and a rotation or reflection direction."""
     ring = draw(st.sampled_from((GAUSSIAN, EISENSTEIN)))
-    index = draw(st.integers(2, 4))
+    index = draw(st.integers(min_index, 4))
     h00 = draw(st.sampled_from([h for h in range(1, index + 1) if index % h == 0]))
     h01 = draw(st.integers(0, h00 - 1))
     den = draw(st.integers(1, 3))
@@ -372,7 +380,7 @@ def sheared_packings_with_directions(draw):
     shift_den = draw(st.integers(1, 3))
     coord = st.integers(0, 2 * shift_den - 1).map(lambda t: F(t, shift_den))
     shifts: list[FieldElem] = []
-    for a, b in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=3)):
+    for a, b in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=max_m)):
         x = FieldElem(ring, a, b)
         if not any(gamma.contains(x - y) for y in shifts):
             shifts.append(x)
@@ -437,6 +445,116 @@ class TestLift:
                 pk.lift_to_ring(packing)
         else:
             assert pk.lift_to_ring(packing).m == width
+
+
+def _reference_coset_point(l1, l2, v):
+    """The per-pair solve the sum form replaced: a point of Γ₁ ∩ (v + Γ₂), or
+    None when v ∉ Γ₁ + Γ₂, from a fresh Hermite form of Γ₁ + Γ₂ scaled by the
+    denominators of Γ₁, Γ₂ and v, tracking Γ₁-parts as Fraction pairs."""
+    gens1 = [(g.a, g.b) for g in l1.generators()]
+    gens2 = [(g.a, g.b) for g in l2.generators()]
+    denoms = [c.denominator for g in gens1 + gens2 for c in g]
+    denoms += [v.a.denominator, v.b.denominator]
+    d = math.lcm(*denoms)
+    zero = (F(0), F(0))
+    cols = [(int(x * d), int(y * d), (x, y)) for x, y in gens1]
+    cols += [(int(x * d), int(y * d), zero) for x, y in gens2]
+    tx, ty = int(v.a * d), int(v.b * d)
+
+    def axpy(c, p1, p2):
+        return (p1[0] + c * p2[0], p1[1] + c * p2[1])
+
+    lead = None
+    rest = []
+    for x, y, p in cols:
+        if y == 0:
+            rest.append((x, p))
+            continue
+        if lead is None:
+            lead = (x, y, p)
+            continue
+        x0, y0, p0 = lead
+        g, s, t = lat._xgcd(y0, y)
+        lead = (s * x0 + t * x, g, axpy(t, (s * p0[0], s * p0[1]), p))
+        c0, c1 = y // g, -(y0 // g)
+        rest.append((c0 * x0 + c1 * x, axpy(c1, (c0 * p0[0], c0 * p0[1]), p)))
+    kx, kp = 0, zero
+    for x, p in rest:
+        g, s, t = lat._xgcd(kx, x)
+        kx, kp = g, axpy(t, (s * kp[0], s * kp[1]), p)
+    x0, y0, p0 = lead
+    if ty % y0 != 0:
+        return None
+    t_lead = ty // y0
+    remainder = tx - t_lead * x0
+    if remainder % kx != 0:
+        return None
+    t_k = remainder // kx
+    return FieldElem(l1.ring, t_lead * p0[0] + t_k * kp[0], t_lead * p0[1] + t_k * kp[1])
+
+
+def _reference_check_similarity(packing, s):
+    """The per-pair decision: n = [sΓ : Γ ∩ sΓ] through intersect and one
+    coset solve per pair (k, j).  Returns (accepted, n, τ, witness,
+    failing_k, reached)."""
+    gamma = packing.lattice
+    img = s.image_lattice(gamma)
+    n = lat.integer_index(lat.intersect(gamma, img), img)
+    tau, witness = [], []
+    for k, x_k in enumerate(packing.shifts):
+        sx = s.apply(x_k)
+        reached = []
+        for j, x_j in enumerate(packing.shifts):
+            ell = _reference_coset_point(gamma, img, sx - x_j)
+            if ell is None:
+                continue
+            reached.append(j)
+            tau.append((k, j))
+            witness.append((k, j, x_j + ell))
+        if len(reached) != n:
+            return False, n, (), (), k, tuple(reached)
+    return True, n, tuple(tau), tuple(witness), None, ()
+
+
+@st.composite
+def packings_with_similarities(draw):
+    """A packing with m ≤ 4 over Z[i], Z[ω] or a sheared rational Γ of index
+    2–4 (see sheared_packings_with_directions), and a rotation or reflection
+    along its direction.  Half of the multipliers are random p/q·z with
+    p ≤ 6, q ≤ 3; the other half are lcm·den(Γ, R)·z, with lcm the shift
+    denominators, which Proposition 4.1 accepts."""
+    packing, d = draw(sheared_packings_with_directions(max_m=4, min_index=1))
+    if draw(st.booleans()):
+        lcm = math.lcm(*(c.denominator for x in packing.shifts for c in (x.a, x.b)))
+        ratio = lcm * sim.denominator(packing.lattice, d) * draw(st.integers(1, 2))
+    else:
+        ratio = F(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    return packing, d.similarity(ratio)
+
+
+class TestDecisionMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(packings_with_similarities())
+    def test_matches_per_pair_reference(self, case):
+        packing, s = case
+        report = pk.check_similarity(packing, s)
+        got = (report.accepted, report.n, report.tau, report.witness,
+               report.failing_k, report.reached)
+        assert got == _reference_check_similarity(packing, s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(packings_with_similarities())
+    def test_matches_oracle(self, case):
+        from simiso import oracle as orc
+
+        packing, s = case
+        assert pk.check_similarity(packing, s).accepted == orc.certify_subpacking(packing, s)[0]
+
+    def test_rejection_names_reached_components(self):
+        # rect12 under x ↦ ((1+i)/2)·x: n = 2, but s(Γ) meets Γ alone.
+        s = Similarity(FieldElem(GAUSSIAN, F(1, 2), F(1, 2)))
+        report = pk.check_similarity(preset("rect12"), s)
+        assert (report.accepted, report.n, report.failing_k, report.reached) == (False, 2, 0, (0,))
 
 
 class TestProposition41Witness:
