@@ -6,18 +6,24 @@ from .rings import (
     FieldElem,
     RingElem,
     RingMismatchError,
-    canonical_associate,
     content_and_primitive,
-    ring_gcd,
-    ring_lcm,
 )
 from .lattices import DegenerateLatticeError, Lattice
-from .similarity import Direction, ScalSet, Similarity, compose, decompose
+from .similarity import (
+    Direction,
+    ScalSet,
+    Similarity,
+    compose,
+    decompose,
+    scal_lattice,
+)
 from .packings import (
     PointPacking,
     SimilarityReport,
     check_corollaries,
     check_similarity,
+    closure_check,
+    inverse_probe,
     scal_set_packing,
 )
 from .presets import preset
@@ -35,14 +41,14 @@ __all__ = [
     "Similarity",
     "PointPacking",
     "SimilarityReport",
-    "canonical_associate",
     "content_and_primitive",
-    "ring_gcd",
-    "ring_lcm",
     "compose",
     "decompose",
+    "scal_lattice",
     "check_corollaries",
     "check_similarity",
+    "closure_check",
+    "inverse_probe",
     "scal_set_packing",
     "preset",
 ]

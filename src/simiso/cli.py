@@ -476,8 +476,8 @@ def _verify_random(args) -> int:
 
 def run_periods(args) -> int:
     packing = _load_packing(args)
-    maximal = packings.periods(packing)
     reduced = packings.reduce(packing)
+    maximal = reduced.lattice  # per(L)
     g1, g2 = maximal.generators()
     doc = {
         "periods_basis": [str(g1), str(g2)],

@@ -2,12 +2,13 @@
 
 A lattice is stored in a canonical Hermite-style form: upper-triangular
 basis with positive diagonal and reduced off-diagonal entry, so two equal
-lattices are syntactically equal.  Intersections go through the dual
-identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, sums through a column Hermite reduction of
-integer columns (Cohen, GTM 138, §2.4).  SumLattice keeps one integer form
-of Γ₁ + Γ₂ for many coset problems: [Γ₁ + Γ₂ : Γ₁] is a ratio of its
-determinants, and each membership v ∈ Γ₁ + Γ₂, with a point of Γ₁ ∩ (v + Γ₂),
-costs two divisibility tests and no Fraction.
+lattices are syntactically equal.  Every lattice built from generators, and
+so every sum Γ₁ + Γ₂ and image wΓ, comes from one column Hermite reduction
+of integer columns (Cohen, GTM 138, §2.4), and an index is a ratio of
+determinants; no dual lattice is formed.  SumLattice keeps one integer
+form of Γ₁ + Γ₂ for many coset problems: [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂]
+comes from its determinant, and each membership v ∈ Γ₁ + Γ₂, with a point
+of Γ₁ ∩ (v + Γ₂), costs two divisibility tests and no Fraction.
 """
 
 from __future__ import annotations
@@ -149,14 +150,6 @@ class Lattice:
     def conjugated(self) -> Lattice:
         return self.mapped(conj_matrix(self.ring))
 
-    def dual(self) -> Lattice:
-        """Dual lattice w.r.t. the standard pairing on coordinates."""
-        d = self.det
-        # (B⁻¹)ᵀ columns.
-        c1 = (self.b11 / d, -self.b01 / d)
-        c2 = (Fraction(0), self.b00 / d)
-        return Lattice.from_generators(self.ring, [c1, c2])
-
     def __str__(self) -> str:
         g1, g2 = self.generators()
         return f"<{g1}, {g2}>"
@@ -182,11 +175,6 @@ def add(l1: Lattice, l2: Lattice) -> Lattice:
         raise RingMismatchError("sum of lattices over different rings")
     gens = [(g.a, g.b) for g in l1.generators() + l2.generators()]
     return Lattice.from_generators(l1.ring, gens)
-
-
-def intersect(l1: Lattice, l2: Lattice) -> Lattice:
-    """The set intersection Γ₁ ∩ Γ₂ (full rank for rational bases)."""
-    return add(l1.dual(), l2.dual()).dual()
 
 
 def scale_by(lattice: Lattice, w: FieldElem) -> Lattice:

@@ -36,26 +36,27 @@ MAX_LIFTED_COMPONENTS = 64
 class PointPacking:
     """A finite union of shifted copies x_k + Γ of one generating lattice.
 
-    Shifts are normalized into the fundamental domain of Γ and must be
-    pairwise incongruent mod Γ.  A packing whose shifts include 0 models L;
-    one without models a shifted packing x + L.
+    Shifts are stored as their canonical representatives in the fundamental
+    domain of Γ, so two stored shifts are congruent mod Γ exactly when they
+    are equal; the given shifts must be pairwise incongruent.  A packing
+    whose shifts include 0 models L; one without models a shifted packing
+    x + L.
     """
 
     lattice: Lattice
     shifts: tuple[FieldElem, ...]
 
     def __post_init__(self):
-        normalized = tuple(self.lattice.reduce_point(x) for x in self.shifts)
-        object.__setattr__(self, "shifts", normalized)
-        for i in range(len(normalized)):
-            for j in range(i + 1, len(normalized)):
-                if self.lattice.contains(normalized[i] - normalized[j]):
-                    raise ValueError(
-                        f"shifts {self.shifts[i]} and {self.shifts[j]} are "
-                        "congruent mod the generating lattice"
-                    )
-        if not normalized:
+        if not self.shifts:
             raise ValueError("a packing needs at least one component")
+        given: dict[FieldElem, FieldElem] = {}  # canonical residue -> shift
+        for x in self.shifts:
+            r = self.lattice.reduce_point(x)
+            if r in given:
+                raise ValueError(f"shifts {given[r]} and {x} are congruent "
+                                 "mod the generating lattice")
+            given[r] = x
+        object.__setattr__(self, "shifts", tuple(given))
 
     @property
     def ring(self) -> str:
@@ -348,57 +349,45 @@ def check_corollaries(report: SimilarityReport, packing: PointPacking) -> Coroll
 
 
 def periods(packing: PointPacking) -> Lattice:
-    """The lattice per(L) of translations mapping the point set to itself."""
+    """The lattice per(L) of translations mapping the point set to itself.
+
+    A period t carries x_0 + Γ onto some x_j + Γ, so t ≡ x_j - x_0 (mod Γ)
+    and per(L) is Γ plus the m candidates x_j - x_0 that are periods.  A
+    candidate is one when every t + x_k reduces to a stored shift.
+    """
     gamma = packing.lattice
+    shifts = set(packing.shifts)
     gens = [(g.a, g.b) for g in gamma.generators()]
-    for j in range(packing.m):
-        for k in range(packing.m):
-            t = gamma.reduce_point(packing.shifts[j] - packing.shifts[k])
-            if t.is_zero():
-                continue
-            if _is_period(packing, t):
-                gens.append((t.a, t.b))
+    for x_j in packing.shifts[1:]:
+        t = x_j - packing.shifts[0]
+        if all(gamma.reduce_point(t + x_k) in shifts for x_k in packing.shifts):
+            gens.append((t.a, t.b))
     return Lattice.from_generators(gamma.ring, gens)
-
-
-def _is_period(packing: PointPacking, t: FieldElem) -> bool:
-    gamma = packing.lattice
-    return all(
-        any(gamma.contains(t + x_k - x_j) for x_j in packing.shifts)
-        for x_k in packing.shifts
-    )
 
 
 def reduce(packing: PointPacking) -> PointPacking:
     """Re-express the same point set over its maximal generating lattice."""
     maximal = periods(packing)
-    seen: list[FieldElem] = []
-    for x in packing.shifts:
-        r = maximal.reduce_point(x)
-        if r not in seen:
-            seen.append(r)
+    seen = dict.fromkeys(maximal.reduce_point(x) for x in packing.shifts)
     reduced = PointPacking(maximal, tuple(seen))
     _assert_same_point_set(packing, reduced)
     return reduced
 
 
 def _assert_same_point_set(packing: PointPacking, reduced: PointPacking) -> None:
-    factor = lattices.integer_index(packing.lattice, reduced.lattice)
+    gamma = packing.lattice
+    factor = lattices.integer_index(gamma, reduced.lattice)
     if reduced.m * factor != packing.m:
         raise RuntimeError("component count mismatch")
-    reps = lattices.quotient_representatives(packing.lattice, reduced.lattice)
+    index = {x_k: k for k, x_k in enumerate(packing.shifts)}
+    reps = lattices.quotient_representatives(gamma, reduced.lattice)
     covered = []
     for x in reduced.shifts:
         for rep in reps:
-            point = x + rep
-            matches = [
-                k
-                for k, x_k in enumerate(packing.shifts)
-                if packing.lattice.contains(point - x_k)
-            ]
-            if len(matches) != 1:
+            k = index.get(gamma.reduce_point(x + rep))
+            if k is None:
                 raise RuntimeError("reduced packing is not the same point set")
-            covered.append(matches[0])
+            covered.append(k)
     if sorted(covered) != list(range(packing.m)):
         raise RuntimeError("reduced packing misses a component")
 

@@ -6,6 +6,7 @@ check draws on, so they are built in rather than shipped as fixtures.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .lattices import Lattice
@@ -70,7 +71,9 @@ PRESETS = {
 }
 
 
+@functools.cache
 def preset(name: str) -> PointPacking:
+    """The named packing, built once; PointPacking is immutable."""
     try:
         return PRESETS[name]()
     except KeyError:

@@ -4,6 +4,11 @@ Elements are coordinate pairs over the basis {1, u}, where u = i for the
 Gaussian ring and u = ω = e^{2πi/3} for the Eisenstein ring.  RingElem has
 integer coordinates, FieldElem rational ones; both are immutable and all
 operations are pure.  No floating point appears anywhere.
+
+The module holds what the engine uses: addition, multiplication, norm and
+conjugation, the content of a ring element, and the matrices of
+multiplication and conjugation over {1, u}.  There is no Euclidean division:
+every gcd the engine needs comes from a closed form or a Hermite form.
 """
 
 from __future__ import annotations
@@ -60,19 +65,8 @@ class RingElem:
     def __post_init__(self):
         _check_ring(self.ring)
 
-    @classmethod
-    def zero(cls, ring: str) -> RingElem:
-        return cls(ring, 0, 0)
-
-    @classmethod
-    def one(cls, ring: str) -> RingElem:
-        return cls(ring, 1, 0)
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_unit(self) -> bool:
-        return self.norm() == 1
 
     def norm(self) -> int:
         """The number-theoretic norm |x|²; non-negative, multiplicative."""
@@ -131,10 +125,6 @@ class FieldElem:
     def zero(cls, ring: str) -> FieldElem:
         return cls(ring, Fraction(0), Fraction(0))
 
-    @classmethod
-    def one(cls, ring: str) -> FieldElem:
-        return cls(ring, Fraction(1), Fraction(0))
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -166,16 +156,6 @@ class FieldElem:
             return FieldElem(self.ring, a * c - b * d, a * d + b * c)
         return FieldElem(self.ring, a * c - b * d, a * d + b * c - b * d)
 
-    def inverse(self) -> FieldElem:
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        c = self.conj()
-        return FieldElem(self.ring, c.a / n, c.b / n)
-
-    def __truediv__(self, other: FieldElem) -> FieldElem:
-        return self * other.inverse()
-
     def scale(self, r: Fraction | int) -> FieldElem:
         r = Fraction(r)
         return FieldElem(self.ring, self.a * r, self.b * r)
@@ -184,14 +164,6 @@ class FieldElem:
         """Minimal positive n and ring element r with self = r / n."""
         n = math.lcm(self.a.denominator, self.b.denominator)
         return n, RingElem(self.ring, int(self.a * n), int(self.b * n))
-
-    def to_ring(self) -> RingElem:
-        if self.a.denominator != 1 or self.b.denominator != 1:
-            raise ValueError(f"{self} has non-integer coordinates")
-        return RingElem(self.ring, int(self.a), int(self.b))
-
-    def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
 
     def __str__(self) -> str:
         d = math.lcm(self.a.denominator, self.b.denominator)
@@ -202,76 +174,6 @@ class FieldElem:
         if na != 0 and nb != 0:
             return f"({core})/{d}"
         return f"{core}/{d}"
-
-
-def units(ring: str) -> tuple[RingElem, ...]:
-    """All units of the ring: 4 for Z[i], 6 for Z[ω]."""
-    _check_ring(ring)
-    if ring == GAUSSIAN:
-        coords = ((1, 0), (0, 1), (-1, 0), (0, -1))
-    else:
-        # ±1, ±ω, ±(1+ω); note 1+ω = -ω².
-        coords = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
-    return tuple(RingElem(ring, a, b) for a, b in coords)
-
-
-def canonical_associate(z: RingElem) -> RingElem:
-    """The canonical unit multiple of z, used to normalize gcd/lcm outputs.
-
-    For Z[i] it is the associate with a > 0 and b ≥ 0.  For Z[ω] that sector
-    spans two of the six associates, so the condition is sharpened to
-    a > 0 and 0 ≤ b < a, a half-open 60° sector hit exactly once.
-    """
-    if z.is_zero():
-        raise ValueError("zero has no canonical associate")
-    if z.ring == GAUSSIAN:
-        good = [c for u in units(z.ring) if (c := z * u).a > 0 and c.b >= 0]
-    else:
-        good = [c for u in units(z.ring) if (c := z * u).a > 0 and 0 <= c.b < c.a]
-    if len(good) != 1:
-        raise RuntimeError(f"{z} has {len(good)} canonical associates")
-    return good[0]
-
-
-def ring_divmod(x: RingElem, y: RingElem) -> tuple[RingElem, RingElem]:
-    """Euclidean division: q, r with x = q·y + r and norm(r) < norm(y)."""
-    _same_ring(x, y)
-    if y.is_zero():
-        raise ZeroDivisionError("ring division by zero")
-    t = x.to_field() / y.to_field()
-    qa = math.floor(t.a + Fraction(1, 2))
-    qb = math.floor(t.b + Fraction(1, 2))
-    q = RingElem(x.ring, qa, qb)
-    r = x - q * y
-    if r.norm() >= y.norm():
-        raise RuntimeError(f"remainder {r} of {x} by {y} is not smaller")
-    return q, r
-
-
-def ring_gcd(x: RingElem, y: RingElem) -> RingElem:
-    """Greatest common divisor, normalized to the canonical associate."""
-    _same_ring(x, y)
-    if x.is_zero() and y.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    while not y.is_zero():
-        _, r = ring_divmod(x, y)
-        x, y = y, r
-    return canonical_associate(x)
-
-
-def exact_div(x: RingElem, y: RingElem) -> RingElem:
-    """x / y, raising if y does not divide x exactly."""
-    q = x.to_field() / y.to_field()
-    return q.to_ring()
-
-
-def ring_lcm(x: RingElem, y: RingElem) -> RingElem:
-    """Least common multiple, normalized to the canonical associate."""
-    _same_ring(x, y)
-    if x.is_zero() or y.is_zero():
-        raise ValueError("lcm with a zero argument is undefined")
-    g = ring_gcd(x, y)
-    return canonical_associate(exact_div(x * y, g))
 
 
 def content_and_primitive(z: RingElem) -> tuple[int, RingElem]:

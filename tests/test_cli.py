@@ -59,6 +59,14 @@ class TestDocuments:
         with pytest.raises(InputError):
             parse_packing_doc(doc)
 
+    def test_congruent_shifts_named_as_given(self, capsys):
+        doc = {"ring": "gaussian", "shifts": [["1/2", "0"], ["-1/2", "3"]]}
+        rc = main(["analyze", json.dumps(doc), "--similarity", '{"z":[1,0]}'])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: shifts 1/2 and (-1+6i)/2 are congruent mod the generating lattice\n"
+        )
+
     def test_similarity_doc(self):
         s = parse_similarity_doc(
             {"z": [1, 2], "scale": "2/5", "conj": False}, GAUSSIAN
@@ -547,8 +555,12 @@ SRC = str(Path(cli.__file__).resolve().parents[1])
           "--similarity", '{"z":[1,0]}'], EXIT_INPUT, ""),
         (["render", "--preset", "hex", "--packing-only",
           "--window=-5000,-5000,5000,5000"], EXIT_INPUT, ""),
+        # 64 shifts i/64 that merge into one component: m candidate periods.
+        (["periods", json.dumps({"ring": "gaussian",
+                                 "shifts": [[f"{i}/64", "0"] for i in range(64)]})],
+         EXIT_OK, '"components_after": 1'),
     ],
-    ids=["huge-norm-reflection", "65-shifts", "giant-window"],
+    ids=["huge-norm-reflection", "65-shifts", "giant-window", "64-shift-periods"],
 )
 def test_hostile_inputs_finish(argv, code, out):
     env = {**os.environ, "PYTHONPATH": SRC}

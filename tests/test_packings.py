@@ -16,6 +16,8 @@ from simiso.presets import preset
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction, ResidueClass, ScalSet, Similarity
 
+from references import intersect
+
 F = Fraction
 
 
@@ -70,7 +72,7 @@ class TestComponentIntersection:
         offset = _meet(base, zero, zero, s)
         assert offset is not None
         assert base.contains(offset)
-        assert lat.intersect(base, s.image_lattice(base)) == lat.scale_by(base, fe(GAUSSIAN, 1, 2))
+        assert intersect(base, s.image_lattice(base)) == lat.scale_by(base, fe(GAUSSIAN, 1, 2))
 
     def test_incongruent_shifts_miss(self):
         base = Lattice.ring_lattice(EISENSTEIN)
@@ -101,7 +103,7 @@ class TestComponentIntersection:
         x_j = packing.shifts[0]
         offset = _meet(base, x_k, x_j, s)
         img = s.image_lattice(base)
-        inter = lat.intersect(base, img)
+        inter = intersect(base, img)
         for t0 in range(-2, 3):
             for t1 in range(-2, 3):
                 pt = offset + inter.point(t0, t1)
@@ -244,7 +246,7 @@ def _reference_sweep(packing, d):
     out = []
     for q in range(1, math.isqrt(m * norm_z) + 1):
         img = d.similarity(F(1, q)).image_lattice(gamma)
-        n = lat.integer_index(lat.intersect(gamma, img), img)
+        n = lat.integer_index(intersect(gamma, img), img)
         if n > m:
             continue
         modulus = q * norm_z * lcm_shift
@@ -499,7 +501,7 @@ def _reference_check_similarity(packing, s):
     failing_k, reached)."""
     gamma = packing.lattice
     img = s.image_lattice(gamma)
-    n = lat.integer_index(lat.intersect(gamma, img), img)
+    n = lat.integer_index(intersect(gamma, img), img)
     tau, witness = [], []
     for k, x_k in enumerate(packing.shifts):
         sx = s.apply(x_k)
@@ -655,6 +657,105 @@ class TestPeriodsReduce:
         )
         assert pk.periods(packing) == packing.lattice
         assert pk.reduce(packing).m == 1
+
+
+def _reference_periods(packing):
+    """per(L) by the pairwise test: Γ plus every difference x_j - x_k that
+    carries each component onto some component, with m² `contains` each."""
+    gamma = packing.lattice
+    gens = [(g.a, g.b) for g in gamma.generators()]
+    for j in range(packing.m):
+        for k in range(packing.m):
+            t = gamma.reduce_point(packing.shifts[j] - packing.shifts[k])
+            if t.is_zero():
+                continue
+            if _reference_is_period(packing, t):
+                gens.append((t.a, t.b))
+    return Lattice.from_generators(gamma.ring, gens)
+
+
+def _reference_is_period(packing, t):
+    gamma = packing.lattice
+    return all(
+        any(gamma.contains(t + x_k - x_j) for x_j in packing.shifts)
+        for x_k in packing.shifts
+    )
+
+
+def _reference_reduce(packing):
+    """The maximal lattice and the reduced shifts, in first-seen order."""
+    maximal = _reference_periods(packing)
+    seen = []
+    for x in packing.shifts:
+        r = maximal.reduce_point(x)
+        if r not in seen:
+            seen.append(r)
+    return maximal, tuple(seen)
+
+
+@st.composite
+def sheared_lattices(draw, min_index=1):
+    """(1/den)·H for a sheared sublattice H ⊆ Z² of index min_index–4, den ≤ 3."""
+    ring = draw(st.sampled_from((GAUSSIAN, EISENSTEIN)))
+    index = draw(st.integers(min_index, 4))
+    h00 = draw(st.sampled_from([h for h in range(1, index + 1) if index % h == 0]))
+    h01 = draw(st.integers(0, h00 - 1))
+    den = draw(st.integers(1, 3))
+    return Lattice.from_generators(
+        ring, [(F(h00, den), F(0)), (F(h01, den), F(index // h00, den))]
+    )
+
+
+_coords = st.tuples(st.integers(-6, 6), st.integers(1, 6)).map(lambda t: F(*t))
+
+
+@st.composite
+def reducible_packings(draw):
+    """A packing with m ≤ 6 over a sheared Γ.  Half the time its shifts are
+    whole orbits x + ⟨g⟩ of a point g of finite order mod Γ, so that g is a
+    period and reduce has something to merge."""
+    gamma = draw(sheared_lattices())
+    count = draw(st.integers(1, 6))
+    points = [gamma.point(*draw(st.tuples(_coords, _coords))) for _ in range(count)]
+    if draw(st.booleans()):
+        g = gamma.point(F(draw(st.integers(0, 3)), 4), F(draw(st.integers(0, 2)), 3))
+        orbit = []
+        for x in points:
+            y = x
+            while not any(gamma.contains(y - o) for o in orbit):
+                orbit.append(y)
+                y = y + g
+        points = orbit
+    shifts = []
+    for x in points:
+        if len(shifts) < 6 and not any(gamma.contains(x - y) for y in shifts):
+            shifts.append(x)
+    return PointPacking(gamma, tuple(shifts))
+
+
+class TestPeriodsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(reducible_packings())
+    def test_periods_and_reduce(self, packing):
+        maximal, shifts = _reference_reduce(packing)
+        assert pk.periods(packing) == maximal
+        reduced = pk.reduce(packing)
+        assert reduced.lattice == maximal
+        assert reduced.shifts == shifts
+
+    @settings(max_examples=300, deadline=None)
+    @given(sheared_lattices(), st.lists(st.tuples(_coords, _coords), min_size=1, max_size=6))
+    def test_rejects_exactly_congruent_pairs(self, gamma, coords):
+        shifts = tuple(FieldElem(gamma.ring, a, b) for a, b in coords)
+        congruent = any(
+            gamma.contains(x - y) for i, x in enumerate(shifts) for y in shifts[i + 1 :]
+        )
+        if congruent:
+            with pytest.raises(ValueError, match="congruent"):
+                PointPacking(gamma, shifts)
+        else:
+            packing = PointPacking(gamma, shifts)
+            assert packing.shifts == tuple(gamma.reduce_point(x) for x in shifts)
 
 
 class TestShift:

@@ -18,3 +18,28 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_every_public_function_is_reached():
+    # A public module-level function that nothing else in the package names
+    # and that simiso does not export has no caller: delete it or export it.
+    bodies = []  # every top-level statement of every module, with its file
+    for path in sorted(Path(simiso.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bodies += [(path.name, node) for node in tree.body]
+    names = [
+        {n.id if isinstance(n, ast.Name) else n.attr
+         for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+        for _, node in bodies
+    ]
+    unreached = [
+        f"{file}:{node.name}"
+        for file, node in bodies
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in simiso.__all__
+        and not any(
+            node.name in used for (_, other), used in zip(bodies, names) if other is not node
+        )
+    ]
+    assert unreached == []
