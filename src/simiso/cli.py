@@ -46,6 +46,8 @@ MAX_RATIONAL_CHARS = 40
 MAX_COMPONENTS = packings.MAX_LIFTED_COMPONENTS
 # Most circles render draws, estimated as window area · m / det Γ per packing.
 MAX_RENDER_POINTS = 100_000
+# Most points verify lets the oracle test, estimated by _oracle_points.
+MAX_ORACLE_POINTS = 100_000
 
 
 class InputError(Exception):
@@ -90,7 +92,15 @@ def _load_doc(source: str) -> dict:
     return doc
 
 
+def _check_keys(doc: dict, kind: str, keys: tuple[str, ...]) -> None:
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise InputError(f"unknown key {', '.join(map(repr, unknown))} in {kind} "
+                         f"document; expected {', '.join(keys)}")
+
+
 def parse_packing_doc(doc: dict) -> PointPacking:
+    _check_keys(doc, "packing", ("ring", "basis", "shifts"))
     ring = doc.get("ring")
     if ring not in (GAUSSIAN, EISENSTEIN):
         raise InputError('packing document needs "ring": "gaussian"|"eisenstein"')
@@ -124,9 +134,7 @@ def parse_packing_doc(doc: dict) -> PointPacking:
 
 
 def parse_similarity_doc(doc: dict, ring: str) -> Similarity:
-    ring = doc.get("ring", ring)
-    if ring not in (GAUSSIAN, EISENSTEIN):
-        raise InputError(f"bad similarity ring {ring!r}")
+    _check_keys(doc, "similarity", ("z", "scale", "conj"))
     elem = _ring_elem(doc, ring, "similarity")
     scale = _fraction(doc.get("scale", "1"))
     w = elem.to_field().scale(scale)
@@ -136,7 +144,8 @@ def parse_similarity_doc(doc: dict, ring: str) -> Similarity:
 
 
 def parse_direction_doc(doc: dict, ring: str) -> Direction:
-    elem = _ring_elem(doc, doc.get("ring", ring), "direction")
+    _check_keys(doc, "direction", ("z", "conj"))
+    elem = _ring_elem(doc, ring, "direction")
     try:
         return Direction(elem, _conj_flag(doc))
     except ValueError as exc:
@@ -406,8 +415,29 @@ def run_verify(args) -> int:
     raise InputError("verify needs --similarity, --direction, or --random")
 
 
+def _oracle_points(packing: PointPacking, s: Similarity) -> tuple[Fraction, int]:
+    """The points oracle.certify_subpacking tests for s, and D².
+
+    The oracle's common period is D·Γ ⊆ sΓ.  Certifying takes the
+    [sΓ : D·Γ] = D²/N(w) coset representatives of each of the m image
+    components and tests each against the m components, m²·D²/N(w) in all;
+    index_by_counting then tests about m·D² more.
+    """
+    gamma = packing.lattice
+    period = lattices.least_scale(s.image_lattice(gamma), gamma.generators()).numerator
+    return packing.m ** 2 * period ** 2 / s.scale_sq(), period ** 2
+
+
+def _check_oracle_budget(points: Fraction) -> None:
+    if points > MAX_ORACLE_POINTS:
+        raise InputError(f"the oracle would test about {math.ceil(points)} points; "
+                         f"at most {MAX_ORACLE_POINTS} are allowed")
+
+
 def _verify_similarity(packing: PointPacking, args) -> int:
     s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
+    certify, period_sq = _oracle_points(packing, s)
+    _check_oracle_budget(certify + packing.m * period_sq)
     report = packings.check_similarity(packing, s)
     contained, counterexample = oracle.certify_subpacking(packing, s)
     doc = {
@@ -430,12 +460,16 @@ def _verify_direction(packing: PointPacking, args) -> int:
     d = parse_direction_doc(_load_doc(args.direction), packing.ring)
     # Engine first: a packing over the lift cap exits 2 before the oracle runs.
     full = packings.scal_set_packing(packing, d)
-    engine = {
+    ratios = [
         Fraction(p, q)
         for q in range(1, args.q_bound + 1)
         for p in range(1, args.p_bound + 1)
-        if math.gcd(p, q) == 1 and full.contains_ratio(Fraction(p, q))
-    }
+        if math.gcd(p, q) == 1
+    ]
+    _check_oracle_budget(
+        sum(_oracle_points(packing, d.similarity(r))[0] for r in ratios)
+    )
+    engine = {r for r in ratios if full.contains_ratio(r)}
     brute = oracle.scal_set_bruteforce(packing, d, args.p_bound, args.q_bound)
     doc = {
         "direction": str(d),

@@ -5,10 +5,12 @@ basis with positive diagonal and reduced off-diagonal entry, so two equal
 lattices are syntactically equal.  Every lattice built from generators, and
 so every sum Γ₁ + Γ₂ and image wΓ, comes from one column Hermite reduction
 of integer columns (Cohen, GTM 138, §2.4), and an index is a ratio of
-determinants; no dual lattice is formed.  SumLattice keeps one integer
-form of Γ₁ + Γ₂ for many coset problems: [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂]
-comes from its determinant, and each membership v ∈ Γ₁ + Γ₂, with a point
-of Γ₁ ∩ (v + Γ₂), costs two divisibility tests and no Fraction.
+determinants; no dual lattice is formed.  least_scale answers every
+question r·X ⊆ Γ: the r that work are the multiples of one least r, read
+from the coordinates of X over Γ.  SumLattice keeps one integer form of
+Γ₁ + Γ₂ for many coset problems: [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] comes
+from its determinant, and each membership v ∈ Γ₁ + Γ₂, with a point of
+Γ₁ ∩ (v + Γ₂), costs two divisibility tests and no Fraction.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import FieldElem, RingMismatchError, conj_matrix, mul_matrix
+from .rings import FieldElem, RingMismatchError
 
 Vec = tuple[Fraction, Fraction]
 
@@ -128,9 +130,6 @@ class Lattice:
         t0, t1 = self.coords_of(x)
         return t0.denominator == 1 and t1.denominator == 1
 
-    def contains_lattice(self, other: Lattice) -> bool:
-        return all(self.contains(g) for g in other.generators())
-
     def point(self, t0: int | Fraction, t1: int | Fraction) -> FieldElem:
         t0, t1 = Fraction(t0), Fraction(t1)
         return FieldElem(self.ring, self.b00 * t0 + self.b01 * t1, self.b11 * t1)
@@ -139,16 +138,6 @@ class Lattice:
         """Representative of x modulo the lattice in the fundamental domain."""
         t0, t1 = self.coords_of(x)
         return self.point(t0 - math.floor(t0), t1 - math.floor(t1))
-
-    def mapped(self, m: tuple) -> Lattice:
-        """The lattice spanned by the basis under the 2×2 matrix m."""
-        m00, m01, m10, m11 = m
-        cols = ((self.b00, Fraction(0)), (self.b01, self.b11))
-        gens = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in cols]
-        return Lattice.from_generators(self.ring, gens)
-
-    def conjugated(self) -> Lattice:
-        return self.mapped(conj_matrix(self.ring))
 
     def __str__(self) -> str:
         g1, g2 = self.generators()
@@ -177,24 +166,18 @@ def add(l1: Lattice, l2: Lattice) -> Lattice:
     return Lattice.from_generators(l1.ring, gens)
 
 
-def scale_by(lattice: Lattice, w: FieldElem) -> Lattice:
-    """The image lattice w·Γ under multiplication by a field element."""
-    if w.ring != lattice.ring:
-        raise RingMismatchError("multiplier ring differs from lattice ring")
-    if w.is_zero():
-        raise DegenerateLatticeError("scaling a lattice by zero")
-    return lattice.mapped(mul_matrix(w))
+def least_scale(lattice: Lattice, points) -> Fraction:
+    """Least r > 0 with r·x in the lattice for every given point x.
 
-
-def scaling_denominator(l1: Lattice, l2: Lattice) -> int:
-    """Minimal positive integer D with D·Γ₁ ⊆ Γ₂."""
-    # Entries of B₂⁻¹·B₁; D is the lcm of their denominators.
-    entries = []
-    for x, y in ((l1.b00, Fraction(0)), (l1.b01, l1.b11)):
-        t1 = y / l2.b11
-        t0 = (x - l2.b01 * t1) / l2.b00
-        entries += [t0, t1]
-    return math.lcm(*(e.denominator for e in entries))
+    The r that work are exactly r·Z: with t_i the coordinates of the points
+    over the basis and D the lcm of their denominators, r = D / gcd(D·t_i).
+    """
+    coords = [t for x in points for t in lattice.coords_of(x)]
+    d = math.lcm(*(t.denominator for t in coords))
+    g = math.gcd(*(t.numerator * (d // t.denominator) for t in coords))
+    if g == 0:
+        raise ValueError("least_scale needs a nonzero point")
+    return Fraction(d, g)
 
 
 def quotient_representatives(sub: Lattice, sup: Lattice) -> list[FieldElem]:

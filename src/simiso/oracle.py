@@ -49,8 +49,8 @@ def points_in_window(packing: PointPacking, window: Window) -> list[FieldElem]:
 def _common_period(packing: PointPacking, s: Similarity) -> Lattice:
     """A lattice of periods shared by L and s(L): D·Γ with D·Γ ⊆ sΓ."""
     img = s.image_lattice(packing.lattice)
-    d = lattices.scaling_denominator(packing.lattice, img)
     base = packing.lattice
+    d = lattices.least_scale(img, base.generators()).numerator
     return Lattice(base.ring, d * base.b00, d * base.b01, d * base.b11)
 
 

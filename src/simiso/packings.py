@@ -18,6 +18,7 @@ denominators; the classes are then folded to their smallest modulus.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,10 +144,7 @@ def lift_to_ring(packing: PointPacking) -> PointPacking:
     gamma = packing.lattice
     if gamma.is_ring_lattice():
         return packing
-    gens = [gamma.b00, gamma.b11] + ([abs(gamma.det / gamma.b01)] if gamma.b01 else [])
-    c = Fraction(
-        math.lcm(*(g.numerator for g in gens)), math.gcd(*(g.denominator for g in gens))
-    )
+    c = lattices.least_scale(gamma, Lattice.ring_lattice(gamma.ring).generators())
     sub = Lattice(gamma.ring, c, Fraction(0), c)
     m = packing.m * lattices.integer_index(sub, gamma)
     if m > MAX_LIFTED_COMPONENTS:
@@ -173,11 +171,11 @@ def _sweep_direction(
     n = q²/N(gcd(q, z)) = q: only q ≤ m are tried, whatever N(z) is.
     Since s(x_k) = p·a_k with a_k = (z/q)·x_k (or (z/q)·conj(x_k)), each
     pair condition p·a_k - x_j ∈ S is a linear congruence in p: empty, or
-    one residue modulo the order o_k of a_k in Q(u)/S.  A residue r mod L = lcm(q, o_1, …, o_m) coprime to q
-    is accepted when every k meets exactly n components.  Scaling by
-    q/gcd(q, z) carries S onto R, so o_k is the order of (z/gcd(q, z))·x_k
-    in Q(u)/R; it divides the denominators of x_k, and the work per q does
-    not grow with N(z).
+    one residue modulo the order o_k of a_k in Q(u)/S.  A residue r mod
+    L = lcm(q, o_1, …, o_m) coprime to q is accepted when every k meets
+    exactly n components.  Scaling by q/gcd(q, z) carries S onto R, so o_k
+    is the order of (z/gcd(q, z))·x_k in Q(u)/R; it divides the
+    denominators of x_k, and the work per q does not grow with N(z).
     """
     packing = lift_to_ring(packing)
     gamma = packing.lattice
@@ -316,35 +314,28 @@ class CorollaryDiagnostics:
 def check_corollaries(report: SimilarityReport, packing: PointPacking) -> CorollaryDiagnostics:
     """Verify the structural consequences of an accepted similarity.
 
-    (i) for n ≥ 2 some pair of distinct shifts differs by a point of
-    (1/n)Γ; (ii) when βRΓ ⊆ Γ each component lands in exactly one
-    component; (iii) n·β is a lattice scaling factor.
+    With s = ratio·z and den = den(Γ, R), so that βRΓ ⊆ Γ exactly when
+    ratio/den ∈ Z: (i) for n ≥ 2 some pair of distinct shifts differs by a
+    point of (1/n)Γ; (ii) when ratio/den ∈ Z each component lands in exactly
+    one component; (iii) n·β is a lattice scaling factor, n·ratio/den ∈ Z.
     """
     if not report.accepted:
         raise ValueError("corollary checks need an accepted report")
     gamma = packing.lattice
-    s = report.similarity
     n = report.n
+    ratio, d = sim.decompose(report.similarity)
+    den = sim.denominator(gamma, d)
 
     pair_ok: bool | None = None
     if n >= 2:
-        nth = lattices.scale_by(gamma, FieldElem(gamma.ring, Fraction(1, n), Fraction(0)))
-        pair_ok = any(
-            nth.contains(packing.shifts[j] - packing.shifts[i])
-            for i in range(packing.m)
-            for j in range(packing.m)
-            if i != j
-        )
+        pair_ok = any(gamma.contains((x_j - x_i).scale(n))
+                      for x_i, x_j in itertools.permutations(packing.shifts, 2))
 
     singleton_ok: bool | None = None
-    if gamma.contains_lattice(report.image_lattice):
-        counts: dict[int, int] = {}
-        for k, _ in report.tau:
-            counts[k] = counts.get(k, 0) + 1
-        singleton_ok = all(c == 1 for c in counts.values()) and len(counts) == packing.m
+    if (ratio / den).denominator == 1:
+        singleton_ok = sorted(k for k, _ in report.tau) == list(range(packing.m))
 
-    scaled = Similarity(s.w.scale(n), s.conjugate)
-    n_beta_ok = gamma.contains_lattice(scaled.image_lattice(gamma))
+    n_beta_ok = (n * ratio / den).denominator == 1
     return CorollaryDiagnostics(pair_ok, singleton_ok, n_beta_ok)
 
 

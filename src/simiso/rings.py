@@ -6,9 +6,9 @@ integer coordinates, FieldElem rational ones; both are immutable and all
 operations are pure.  No floating point appears anywhere.
 
 The module holds what the engine uses: addition, multiplication, norm and
-conjugation, the content of a ring element, and the matrices of
-multiplication and conjugation over {1, u}.  There is no Euclidean division:
-every gcd the engine needs comes from a closed form or a Hermite form.
+conjugation, and the content of a ring element.  There is no Euclidean
+division: every gcd the engine needs comes from a closed form or a Hermite
+form.
 """
 
 from __future__ import annotations
@@ -183,18 +183,3 @@ def content_and_primitive(z: RingElem) -> tuple[int, RingElem]:
     c = math.gcd(z.a, z.b)
     return c, RingElem(z.ring, z.a // c, z.b // c)
 
-
-def mul_matrix(w: FieldElem) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Matrix (m00, m01, m10, m11) of multiplication by w over basis {1, u}."""
-    p, q = w.a, w.b
-    if w.ring == GAUSSIAN:
-        return p, -q, q, p
-    return p, -q, q, p - q
-
-
-def conj_matrix(ring: str) -> tuple[int, int, int, int]:
-    """Matrix of complex conjugation over basis {1, u}."""
-    _check_ring(ring)
-    if ring == GAUSSIAN:
-        return 1, 0, 0, -1
-    return 1, -1, 0, -1

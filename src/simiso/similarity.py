@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattices
-from .rings import (
-    FieldElem,
-    RingElem,
-    conj_matrix,
-    content_and_primitive,
-    mul_matrix,
-)
+from .rings import FieldElem, RingElem, content_and_primitive
 from .lattices import Lattice
 
 
@@ -42,8 +36,9 @@ class Similarity:
         return self.w * (x.conj() if self.conjugate else x)
 
     def image_lattice(self, lattice: Lattice) -> Lattice:
-        base = lattice.conjugated() if self.conjugate else lattice
-        return lattices.scale_by(base, self.w)
+        """sΓ, spanned by the images of Γ's two generators."""
+        images = [self.apply(g) for g in lattice.generators()]
+        return Lattice.from_generators(lattice.ring, [(y.a, y.b) for y in images])
 
     def scale_sq(self) -> Fraction:
         """β² as an exact rational."""
@@ -101,29 +96,12 @@ def compose(s2: Similarity, s1: Similarity) -> Similarity:
 def denominator(lattice: Lattice, d: Direction) -> Fraction:
     """den(Γ, R) as the rational r in den = r·|z|.
 
-    r is the least positive rational making r·B⁻¹·M_z·(M_conj)·B integral,
-    i.e. the least β = r|z| with βRΓ ⊆ Γ.  For full ring lattices r = 1.
+    r is the least positive rational with r·z(Γ) ⊆ Γ, where z(Γ) is Γ under
+    x ↦ z·x (or z·conj(x)): the least β = r|z| with βRΓ ⊆ Γ.  The r' with
+    r'·z(Γ) ⊆ Γ are exactly r·Z.  For full ring lattices r = 1.
     """
-    m = mul_matrix(d.z.to_field())
-    if d.conjugate:
-        c = conj_matrix(lattice.ring)
-        m = (
-            m[0] * c[0] + m[1] * c[2],
-            m[0] * c[1] + m[1] * c[3],
-            m[2] * c[0] + m[3] * c[2],
-            m[2] * c[1] + m[3] * c[3],
-        )
-    entries = []
-    for x, y in (
-        (m[0] * lattice.b00, m[2] * lattice.b00),
-        (m[0] * lattice.b01 + m[1] * lattice.b11, m[2] * lattice.b01 + m[3] * lattice.b11),
-    ):
-        t1 = Fraction(y) / lattice.b11
-        t0 = (Fraction(x) - lattice.b01 * t1) / lattice.b00
-        entries += [t0, t1]
-    big_d = math.lcm(*(e.denominator for e in entries))
-    g = math.gcd(*(int(e * big_d) for e in entries))
-    return Fraction(big_d, g)
+    unit = d.similarity(1)
+    return lattices.least_scale(lattice, [unit.apply(g) for g in lattice.generators()])
 
 
 @dataclass(frozen=True)

@@ -178,8 +178,8 @@ def test_criterion_5_square_over_rect31():
         assert set(report.tau) == {(k, j) for k in range(3) for j in range(3)}
         diag = pk.check_corollaries(report, packing)
         assert diag.all_pass() and diag.shift_pair_in_nth_lattice is True
-        third = lat.scale_by(packing.lattice, FieldElem(GAUSSIAN, F(1, 3), F(0)))
-        assert third.contains(packing.shifts[1] - packing.shifts[0])
+        # x_1 - x_0 lies in (1/3)Γ.
+        assert packing.lattice.contains((packing.shifts[1] - packing.shifts[0]).scale(3))
 
 
 def test_criterion_6_rect12_octagonal():

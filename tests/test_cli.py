@@ -28,6 +28,7 @@ from simiso.cli import (
     parse_packing_doc,
     parse_similarity_doc,
 )
+from simiso.packings import PointPacking
 from simiso.presets import preset
 from simiso.rings import EISENSTEIN, GAUSSIAN, RingElem
 from simiso.similarity import Direction
@@ -120,6 +121,26 @@ class TestDocuments:
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            # A misspelled basis and scale were once dropped: accepted, β = 1.
+            (["analyze", '{"ring":"gaussian","shifts":[["0","0"]],'
+              '"bases":[["2","0"],["0","1"]]}', "--similarity", '{"z":[1,0]}'], "bases"),
+            (["analyze", "--preset", "rect12", "--similarity",
+              '{"z":[1,0],"sclae":"1/2"}'], "sclae"),
+            (["verify", "--preset", "hex", "--direction",
+              '{"z":[1,1],"ring":"eisenstein"}'], "ring"),
+        ],
+        ids=["packing", "similarity", "direction"],
+    )
+    def test_unknown_keys_exit_2(self, argv, key, capsys):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown key ")
+        assert repr(key) in captured.err and captured.err.count("\n") == 1
 
     def test_rational_text_length_cap(self):
         assert _fraction("0" * (MAX_RATIONAL_CHARS - 1) + "2") == 2
@@ -378,6 +399,31 @@ class TestVerify:
         assert rc == EXIT_OK
         assert getattr(seen[0], flag) == value
 
+    def test_oracle_estimate_counts_certified_points(self, monkeypatch):
+        # An accepted s: certify_subpacking tests every representative, each
+        # against up to m components, so the estimate is m times the points.
+        packing = preset("hex")
+        s = parse_similarity_doc({"z": [1, 1], "scale": "2"}, EISENSTEIN)
+        tested = []
+        original = PointPacking.contains
+        monkeypatch.setattr(
+            PointPacking, "contains", lambda self, x: tested.append(x) or original(self, x)
+        )
+        assert oracle.certify_subpacking(packing, s)[0]
+        certify, _ = cli._oracle_points(packing, s)
+        assert certify == packing.m * len(tested)
+
+    def test_oracle_budget_bounds_the_estimate(self, monkeypatch, capsys):
+        argv = ["verify", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"2"}']
+        s = parse_similarity_doc({"z": [1, 1], "scale": "2"}, EISENSTEIN)
+        certify, period_sq = cli._oracle_points(preset("hex"), s)
+        points = certify + 2 * period_sq
+        monkeypatch.setattr(cli, "MAX_ORACLE_POINTS", points)
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(cli, "MAX_ORACLE_POINTS", points - 1)
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.endswith(f"at most {points - 1} are allowed\n")
+
     def test_random_sweep(self, capsys):
         rc = main(["verify", "--random", "25", "--seed", "3"])
         assert rc == EXIT_OK
@@ -542,6 +588,9 @@ class TestInternalErrors:
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
+SHIFTS_997 = json.dumps(
+    {"ring": "gaussian", "shifts": [[f"{i}/997", "0"] for i in range(64)]}
+)
 
 
 @pytest.mark.parametrize(
@@ -559,8 +608,15 @@ SRC = str(Path(cli.__file__).resolve().parents[1])
         (["periods", json.dumps({"ring": "gaussian",
                                  "shifts": [[f"{i}/64", "0"] for i in range(64)]})],
          EXIT_OK, '"components_after": 1'),
+        # The oracle would test about 6·10⁷ points, and about 8·10¹⁰ over the
+        # bounds: both are refused before it runs.
+        (["verify", SHIFTS_997, "--similarity", '{"z":[1,0],"scale":"997"}'],
+         EXIT_INPUT, ""),
+        (["verify", SHIFTS_997, "--direction", '{"z":[1,0]}',
+          "--p-bound", "100", "--q-bound", "100"], EXIT_INPUT, ""),
     ],
-    ids=["huge-norm-reflection", "65-shifts", "giant-window", "64-shift-periods"],
+    ids=["huge-norm-reflection", "65-shifts", "giant-window", "64-shift-periods",
+         "oracle-budget-similarity", "oracle-budget-direction"],
 )
 def test_hostile_inputs_finish(argv, code, out):
     env = {**os.environ, "PYTHONPATH": SRC}

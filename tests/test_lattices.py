@@ -15,8 +15,16 @@ from simiso.rings import (
     RingElem,
     RingMismatchError,
 )
+from simiso.similarity import Similarity
 
-from references import dual, intersect, ring_gcd, ring_lcm
+from references import (
+    contains_lattice,
+    dual,
+    intersect,
+    ring_gcd,
+    ring_lcm,
+    scaling_denominator,
+)
 
 F = Fraction
 
@@ -27,7 +35,7 @@ def fe(ring, a, b):
 
 def mul_lattice(ring, a, b, base=None):
     base = base or Lattice.ring_lattice(ring)
-    return lat.scale_by(base, fe(ring, a, b))
+    return Similarity(fe(ring, a, b)).image_lattice(base)
 
 
 ZI = Lattice.ring_lattice(GAUSSIAN)
@@ -89,7 +97,7 @@ class TestIndex:
         assert lat.index(mul_lattice(EISENSTEIN, 2, 0), ZW) == 4
 
     def test_rational_for_superlattice(self):
-        third = lat.scale_by(ZI, FieldElem(GAUSSIAN, F(1, 3), F(0)))
+        third = Similarity(FieldElem(GAUSSIAN, F(1, 3), F(0))).image_lattice(ZI)
         assert lat.index(third, ZI) == F(1, 9)
 
     def test_multiplicative_on_nested_triples(self):
@@ -129,7 +137,7 @@ class TestIntersect:
             l1 = mul_lattice(ring, rng.randint(1, 3), rng.randint(0, 2))
             l2 = mul_lattice(ring, rng.randint(1, 3), rng.randint(1, 3))
             inter = intersect(l1, l2)
-            assert l1.contains_lattice(inter) and l2.contains_lattice(inter)
+            assert contains_lattice(l1, inter) and contains_lattice(l2, inter)
             hits = 0
             for _ in range(500):
                 pt = l1.point(rng.randint(-8, 8), rng.randint(-8, 8))
@@ -153,36 +161,32 @@ class TestSum:
     def test_gcd_formula(self):
         # Γ + (pz/q)Γ = (gcd(z, q)/q)Γ with w = (2/5)(1+2i).
         w = FieldElem(GAUSSIAN, F(2, 5), F(4, 5))
-        total = lat.add(ZI, lat.scale_by(ZI, w))
+        total = lat.add(ZI, Similarity(w).image_lattice(ZI))
         d = ring_gcd(RingElem(GAUSSIAN, 1, 2), RingElem(GAUSSIAN, 5, 0))
-        expected = lat.scale_by(ZI, FieldElem(GAUSSIAN, F(d.a, 5), F(d.b, 5)))
+        expected = Similarity(FieldElem(GAUSSIAN, F(d.a, 5), F(d.b, 5))).image_lattice(ZI)
         assert total == expected
 
     def test_idempotent(self):
         assert lat.add(RECT31, RECT31) == RECT31
 
     def test_refinement(self):
-        third = lat.scale_by(ZW, FieldElem(EISENSTEIN, F(1, 3), F(0)))
+        third = Similarity(FieldElem(EISENSTEIN, F(1, 3), F(0))).image_lattice(ZW)
         assert lat.add(ZW, third) == third
 
 
 class TestScaleBy:
     def test_identity(self):
-        assert lat.scale_by(RECT31, fe(GAUSSIAN, 1, 0)) == RECT31
+        assert Similarity(fe(GAUSSIAN, 1, 0)).image_lattice(RECT31) == RECT31
 
     def test_similar_sublattice(self):
-        scaled = lat.scale_by(ZI, fe(GAUSSIAN, 1, 2))
-        assert ZI.contains_lattice(scaled)
+        scaled = Similarity(fe(GAUSSIAN, 1, 2)).image_lattice(ZI)
+        assert contains_lattice(ZI, scaled)
         assert lat.index(scaled, ZI) == 5
 
     def test_incommensurate_containment(self):
-        half = lat.scale_by(ZI, FieldElem(GAUSSIAN, F(1, 2), F(1)))
+        half = Similarity(FieldElem(GAUSSIAN, F(1, 2), F(1))).image_lattice(ZI)
         assert half.contains(FieldElem(GAUSSIAN, F(1, 2), F(1)))
-        assert not ZI.contains_lattice(half)
-
-    def test_zero_rejected(self):
-        with pytest.raises(DegenerateLatticeError):
-            lat.scale_by(ZI, FieldElem.zero(GAUSSIAN))
+        assert not contains_lattice(ZI, half)
 
     def test_n_formula(self):
         # index(wΓ, Γ ∩ wΓ) = q²/|gcd(z,q)|² for w = (p/q)z, over every
@@ -199,7 +203,7 @@ class TestScaleBy:
                             if math.gcd(p, q) != 1:
                                 continue
                             w = FieldElem(ring, F(p * a, q), F(p * b, q))
-                            img = lat.scale_by(base, w)
+                            img = Similarity(w).image_lattice(base)
                             inter = intersect(base, img)
                             n = lat.index(inter, img)
                             d = ring_gcd(z, RingElem(ring, q, 0))
@@ -221,12 +225,39 @@ class TestDualAndQuotients:
                 assert not sub.contains(r - s)
 
     def test_scaling_denominator(self):
+        # The least integer D with D·Γ₁ ⊆ Γ₂ is the numerator of the least
+        # rational scale, here and against the matrix reference.
         img = mul_lattice(GAUSSIAN, 1, 2)
-        d = lat.scaling_denominator(ZI, img)
-        assert d == 5
+        d = lat.least_scale(img, ZI.generators())
+        assert d == 5 == scaling_denominator(ZI, img)
         scaled = Lattice(GAUSSIAN, d * ZI.b00, d * ZI.b01, d * ZI.b11)
-        assert img.contains_lattice(scaled)
-        assert not img.contains_lattice(ZI)
+        assert contains_lattice(img, scaled)
+        assert not contains_lattice(img, ZI)
+
+
+class TestLeastScale:
+    def test_multiples_are_exactly_r_z(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            ring = rng.choice((GAUSSIAN, EISENSTEIN))
+            base = mul_lattice(ring, rng.randint(1, 4), rng.randint(0, 3))
+            points = [FieldElem(ring, F(rng.randint(-6, 6), rng.randint(1, 6)),
+                                F(rng.randint(-6, 6), rng.randint(1, 6)))
+                      for _ in range(rng.randint(1, 3))]
+            if all(x.is_zero() for x in points):
+                continue
+            r = lat.least_scale(base, points)
+            assert r > 0
+            # t = r·num/k fits exactly when num/k is an integer.
+            for k in range(1, 7):
+                for num in range(1, 3 * k + 1):
+                    t = r * F(num, k)
+                    fits = all(base.contains(x.scale(t)) for x in points)
+                    assert fits == (num % k == 0), (t, r)
+
+    def test_zero_points_refused(self):
+        with pytest.raises(ValueError):
+            lat.least_scale(ZI, [FieldElem.zero(GAUSSIAN)])
 
 
 class TestCosetIntersection:

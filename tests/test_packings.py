@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simiso import lattices as lat, packings as pk, similarity as sim
@@ -16,6 +16,7 @@ from simiso.presets import preset
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction, ResidueClass, ScalSet, Similarity
 
+import references as ref
 from references import intersect
 
 F = Fraction
@@ -72,7 +73,8 @@ class TestComponentIntersection:
         offset = _meet(base, zero, zero, s)
         assert offset is not None
         assert base.contains(offset)
-        assert intersect(base, s.image_lattice(base)) == lat.scale_by(base, fe(GAUSSIAN, 1, 2))
+        img = s.image_lattice(base)
+        assert intersect(base, img) == img
 
     def test_incongruent_shifts_miss(self):
         base = Lattice.ring_lattice(EISENSTEIN)
@@ -756,6 +758,92 @@ class TestPeriodsMatchReference:
         else:
             packing = PointPacking(gamma, shifts)
             assert packing.shifts == tuple(gamma.reduce_point(x) for x in shifts)
+
+
+@st.composite
+def lattices_with_similarities(draw):
+    """A sheared Γ of index 1–4 and a rotation or reflection (p/q)·z along a
+    primitive z, with p ≤ 6 and q ≤ 3."""
+    gamma = draw(sheared_lattices())
+    z = draw(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        .map(lambda ab: RingElem(gamma.ring, *ab))
+        .filter(lambda z: math.gcd(z.a, z.b) == 1)
+    )
+    d = Direction(z, draw(st.booleans()))
+    return gamma, d, d.similarity(F(draw(st.integers(1, 6)), draw(st.integers(1, 3))))
+
+
+class TestLatticeMapsMatchReference:
+    """Image lattices from mapped generators and every "r·Γ₁ ⊆ Γ₂" answer
+    from least_scale, against the 2×2 matrix routes they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattices_with_similarities())
+    def test_matches_matrix_reference(self, case):
+        from simiso import oracle as orc
+
+        gamma, d, s = case
+        img = s.image_lattice(gamma)
+        assert img == ref.image_lattice(s, gamma)
+        assert sim.denominator(gamma, d) == ref.denominator(gamma, d)
+
+        period = ref.scaling_denominator(gamma, img)
+        packing = PointPacking(gamma, (FieldElem.zero(gamma.ring),))
+        assert orc._common_period(packing, s) == Lattice(
+            gamma.ring, period * gamma.b00, period * gamma.b01, period * gamma.b11
+        )
+
+        c = ref.lift_scale(gamma)
+        sub = Lattice(gamma.ring, c, F(0), c)
+        reps = lat.quotient_representatives(sub, gamma)
+        expected = PointPacking(
+            Lattice.ring_lattice(gamma.ring), tuple(r.scale(1 / c) for r in reps)
+        )
+        assert pk.lift_to_ring(packing) == expected
+
+
+@st.composite
+def refined_packings_with_similarities(draw):
+    """The lattice (1/D)·R written over a sheared Γ ⊆ (1/D)·R, D the lcm of
+    Γ's denominators, and an integer multiple of a primitive direction.  The
+    similarity maps (1/D)·R into itself, so it is accepted, often with
+    n ≥ 2 and sΓ ⊄ Γ."""
+    gamma, d, _ = draw(lattices_with_similarities())
+    big_d = math.lcm(*(c.denominator for c in (gamma.b00, gamma.b01, gamma.b11)))
+    fine = Lattice(gamma.ring, F(1, big_d), F(0), F(1, big_d))
+    packing = PointPacking(gamma, tuple(lat.quotient_representatives(gamma, fine)))
+    return packing, d.similarity(draw(st.integers(1, 3)))
+
+
+class TestCorollariesMatchReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(packings_with_similarities(), refined_packings_with_similarities()))
+    def test_matches_containment_reference(self, case):
+        """The arithmetic corollary checks against the lattice containments
+        they replaced: (1/n)Γ, sΓ ⊆ Γ and n·sΓ ⊆ Γ built as lattices."""
+        packing, s = case
+        report = pk.check_similarity(packing, s)
+        assume(report.accepted)
+        gamma, n, ring = packing.lattice, report.n, packing.ring
+        pair = None
+        if n >= 2:
+            nth = ref.image_lattice(Similarity(FieldElem(ring, F(1, n), F(0))), gamma)
+            pair = any(
+                nth.contains(x_j - x_i)
+                for i, x_i in enumerate(packing.shifts)
+                for j, x_j in enumerate(packing.shifts)
+                if i != j
+            )
+        singleton = None
+        if ref.contains_lattice(gamma, ref.image_lattice(s, gamma)):
+            ks = [k for k, _ in report.tau]
+            singleton = sorted(ks) == list(range(packing.m))
+        scaled = Similarity(s.w.scale(n), s.conjugate)
+        n_beta = ref.contains_lattice(gamma, ref.image_lattice(scaled, gamma))
+        assert pk.check_corollaries(report, packing) == pk.CorollaryDiagnostics(
+            pair, singleton, n_beta
+        )
 
 
 class TestShift:

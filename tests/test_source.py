@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import simiso
@@ -43,3 +44,22 @@ def test_every_public_function_is_reached():
         )
     ]
     assert unreached == []
+
+
+def test_every_limit_is_documented():
+    # A module-level MAX_* constant is a limit a user can hit; README.md must
+    # name it next to its value.
+    readme = (Path(simiso.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    undocumented = []
+    for path in sorted(Path(simiso.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        undocumented += [
+            f"{path.name}:{target.id}"
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+            and target.id.startswith("MAX_")
+            and not re.search(rf"\b{target.id}\b", readme)
+        ]
+    assert undocumented == []
