@@ -59,7 +59,9 @@ class InputError(Exception):
 
 
 def _fraction(text) -> Fraction:
-    text = str(text)
+    if not isinstance(text, str):
+        raise InputError(f"bad rational {json.dumps(text)[:MAX_RATIONAL_CHARS]}: "
+                         'write it as a JSON string, such as "1/2"')
     if len(text) > MAX_RATIONAL_CHARS or "e" in text.lower():
         raise InputError(f"bad rational {text[:MAX_RATIONAL_CHARS]!r}: "
                          f"no exponent and at most {MAX_RATIONAL_CHARS} characters")
@@ -415,17 +417,21 @@ def run_verify(args) -> int:
     raise InputError("verify needs --similarity, --direction, or --random")
 
 
-def _oracle_points(packing: PointPacking, s: Similarity) -> tuple[Fraction, int]:
-    """The points oracle.certify_subpacking tests for s, and D².
+def _oracle_points(packing: PointPacking, d: Direction, ratios) -> tuple[Fraction, int]:
+    """The points oracle.certify_subpacking tests for each s = r·z over the
+    ratios r, and the sum of their D².
 
     The oracle's common period is D·Γ ⊆ sΓ.  Certifying takes the
     [sΓ : D·Γ] = D²/N(w) coset representatives of each of the m image
     components and tests each against the m components, m²·D²/N(w) in all;
-    index_by_counting then tests about m·D² more.
+    index_by_counting then tests about m·D² more.  As sΓ = r·z(Γ), D is the
+    numerator of r·r₀ for the least r₀ with r₀·Γ ⊆ z(Γ): one Hermite form.
     """
     gamma = packing.lattice
-    period = lattices.least_scale(s.image_lattice(gamma), gamma.generators()).numerator
-    return packing.m ** 2 * period ** 2 / s.scale_sq(), period ** 2
+    r0 = lattices.least_scale(d.similarity(1).image_lattice(gamma), gamma.generators())
+    periods = [((r * r0).numerator, r) for r in ratios]
+    certify = sum(packing.m ** 2 * p ** 2 / (r * r * d.norm()) for p, r in periods)
+    return certify, sum(p * p for p, _ in periods)
 
 
 def _check_oracle_budget(points: Fraction) -> None:
@@ -436,7 +442,8 @@ def _check_oracle_budget(points: Fraction) -> None:
 
 def _verify_similarity(packing: PointPacking, args) -> int:
     s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
-    certify, period_sq = _oracle_points(packing, s)
+    ratio, d = sim.decompose(s)
+    certify, period_sq = _oracle_points(packing, d, [ratio])
     _check_oracle_budget(certify + packing.m * period_sq)
     report = packings.check_similarity(packing, s)
     contained, counterexample = oracle.certify_subpacking(packing, s)
@@ -466,9 +473,7 @@ def _verify_direction(packing: PointPacking, args) -> int:
         for p in range(1, args.p_bound + 1)
         if math.gcd(p, q) == 1
     ]
-    _check_oracle_budget(
-        sum(_oracle_points(packing, d.similarity(r))[0] for r in ratios)
-    )
+    _check_oracle_budget(_oracle_points(packing, d, ratios)[0])
     engine = {r for r in ratios if full.contains_ratio(r)}
     brute = oracle.scal_set_bruteforce(packing, d, args.p_bound, args.q_bound)
     doc = {

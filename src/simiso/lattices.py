@@ -10,7 +10,9 @@ question r·X ⊆ Γ: the r that work are the multiples of one least r, read
 from the coordinates of X over Γ.  SumLattice keeps one integer form of
 Γ₁ + Γ₂ for many coset problems: [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] comes
 from its determinant, and each membership v ∈ Γ₁ + Γ₂, with a point of
-Γ₁ ∩ (v + Γ₂), costs two divisibility tests and no Fraction.
+Γ₁ ∩ (v + Γ₂), costs two divisibility tests and no Fraction.  The same form
+answers the Scal congruences: the p with p·a - x ∈ Γ₁ + Γ₂ are one residue
+class, solved on its two integer columns.
 """
 
 from __future__ import annotations
@@ -158,14 +160,6 @@ def integer_index(sub: Lattice, sup: Lattice) -> int:
     return int(n)
 
 
-def add(l1: Lattice, l2: Lattice) -> Lattice:
-    """The lattice Γ₁ + Γ₂ generated by the union."""
-    if l1.ring != l2.ring:
-        raise RingMismatchError("sum of lattices over different rings")
-    gens = [(g.a, g.b) for g in l1.generators() + l2.generators()]
-    return Lattice.from_generators(l1.ring, gens)
-
-
 def least_scale(lattice: Lattice, points) -> Fraction:
     """Least r > 0 with r·x in the lattice for every given point x.
 
@@ -256,3 +250,26 @@ class SumLattice:
             return None
         u = r // kx
         return t * p0 + u * q0, t * p1 + u * q1
+
+    def congruence(
+        self, a: tuple[int, int], x: tuple[int, int]
+    ) -> tuple[int, int] | None:
+        """(r, o) with p·a - x ∈ Γ₁ + Γ₂ exactly when p ≡ r (mod o), for d·a
+        and d·x given, or None when no p solves; o is the order of a.  First
+        y₁ | p·a_y - x_y, then k_x | p·a_x - x_x - t·x₁ for the quotient t."""
+        x1, y1, *_ = self.lead
+        kx = self.k[0]
+        g = math.gcd(a[1], y1)
+        if x[1] % g:
+            return None
+        step = y1 // g
+        p0 = x[1] // g * pow(a[1] // g, -1, step) % step
+        t0 = (p0 * a[1] - x[1]) // y1
+        c = step * a[0] - a[1] // g * x1
+        e = p0 * a[0] - x[0] - t0 * x1
+        h = math.gcd(c, kx)
+        if e % h:
+            return None
+        period = kx // h
+        u = -(e // h) * pow(c // h, -1, period) % period
+        return (p0 + step * u) % (step * period), step * period

@@ -3,7 +3,8 @@
 Nothing here uses the component-counting characterization: containment of
 s(L) in L is settled by sweeping one fundamental domain of a common period
 lattice, which is a finite, complete proof for periodic point sets.  All
-arithmetic is exact rational; there are no tolerances.
+arithmetic is exact rational; there are no tolerances.  It holds no window
+code: render enumerates the points of its figures itself.
 """
 
 from __future__ import annotations
@@ -18,32 +19,6 @@ from .lattices import Lattice
 from .packings import PointPacking
 from .rings import FieldElem, GAUSSIAN, RingElem
 from .similarity import Direction, Similarity
-
-Window = tuple[Fraction, Fraction, Fraction, Fraction]
-
-
-def points_in_window(packing: PointPacking, window: Window) -> list[FieldElem]:
-    """Exactly the points of the packing inside a half-open coordinate box.
-
-    The window (x0, y0, x1, y1) is read in ring-basis coordinates, i.e.
-    [x0, x1) × [y0, y1) over {1, u}.
-    """
-    x0, y0, x1, y1 = (Fraction(c) for c in window)
-    if x1 <= x0 or y1 <= y0:
-        raise ValueError("window must have positive area")
-    base = packing.lattice
-    out = []
-    for s in packing.shifts:
-        t1_lo = math.ceil((y0 - s.b) / base.b11)
-        t1_hi = math.ceil((y1 - s.b) / base.b11)  # exclusive
-        for t1 in range(t1_lo, t1_hi):
-            x_off = s.a + base.b01 * t1
-            t0_lo = math.ceil((x0 - x_off) / base.b00)
-            t0_hi = math.ceil((x1 - x_off) / base.b00)
-            for t0 in range(t0_lo, t0_hi):
-                out.append(base.point(t0, t1) + s)
-    out.sort(key=lambda p: (p.a, p.b))
-    return out
 
 
 def _common_period(packing: PointPacking, s: Similarity) -> Lattice:

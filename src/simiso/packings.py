@@ -73,12 +73,6 @@ class PointPacking:
     def translated(self, x: FieldElem) -> PointPacking:
         return PointPacking(self.lattice, tuple(s + x for s in self.shifts))
 
-    def image(self, s: Similarity) -> PointPacking:
-        """The packing s(L) over the image lattice sΓ."""
-        return PointPacking(
-            s.image_lattice(self.lattice), tuple(s.apply(x) for x in self.shifts)
-        )
-
     def __str__(self) -> str:
         comps = " ∪ ".join(f"({x}+Γ)" for x in self.shifts)
         return f"{comps} over Γ={self.lattice}"
@@ -165,14 +159,16 @@ def _sweep_direction(
     is primitive.  So rotations admit only q = 1 and reflections, with
     s² = p²N(z)/q², only q with q² | N(z).  For gcd(p, q) = 1 the sum
     lattice S = R + sR = (1/q)·gcd(q, z)·R and n = [S : R] do not depend on
-    p, so both come once per q from the trial map x ↦ (z/q)·x, and q is
-    skipped when n > m.  For q² | N(z) every prime of q splits and z, being
-    primitive, is divisible by its full power at one prime above it, so
-    n = q²/N(gcd(q, z)) = q: only q ≤ m are tried, whatever N(z) is.
+    p, so both come once per q from the trial map x ↦ (z/q)·x, in the one
+    integer Hermite form lattices.SumLattice that check_similarity builds,
+    and q is skipped when n > m.  For q² | N(z) every prime of q splits and
+    z, being primitive, is divisible by its full power at one prime above
+    it, so n = q²/N(gcd(q, z)) = q: only q ≤ m are tried, whatever N(z) is.
     Since s(x_k) = p·a_k with a_k = (z/q)·x_k (or (z/q)·conj(x_k)), each
     pair condition p·a_k - x_j ∈ S is a linear congruence in p: empty, or
-    one residue modulo the order o_k of a_k in Q(u)/S.  A residue r mod
-    L = lcm(q, o_1, …, o_m) coprime to q is accepted when every k meets
+    one residue modulo the order o_k of a_k in Q(u)/S, which
+    SumLattice.congruence solves on the integer columns of S.  A residue r
+    mod L = lcm(q, o_1, …, o_m) coprime to q is accepted when every k meets
     exactly n components.  Scaling by q/gcd(q, z) carries S onto R, so o_k
     is the order of (z/gcd(q, z))·x_k in Q(u)/R; it divides the
     denominators of x_k, and the work per q does not grow with N(z).
@@ -186,20 +182,23 @@ def _sweep_direction(
         if multiple % (q * q):
             continue
         trial = d.similarity(Fraction(1, q))
-        total = lattices.add(gamma, trial.image_lattice(gamma))
-        n = lattices.integer_index(gamma, total)
+        images = tuple(trial.apply(x_k) for x_k in packing.shifts)
+        total = lattices.SumLattice.of(
+            gamma, trial.image_lattice(gamma), packing.shifts + images
+        )
+        n = total.index()
         if n > m:
             continue
-        targets = [total.coords_of(x_j) for x_j in packing.shifts]
+        targets = [total.scaled(x_j) for x_j in packing.shifts]
         conditions: list[tuple[int, dict[int, list[int]]]] = []
-        for x_k in packing.shifts:
-            a_k = total.coords_of(trial.apply(x_k))
-            o_k = math.lcm(a_k[0].denominator, a_k[1].denominator)
+        for image in images:
+            a_k = total.scaled(image)
+            _, o_k = total.congruence(a_k, (0, 0))  # p = 0 always solves
             by_residue: dict[int, list[int]] = {}
             for j, x_j in enumerate(targets):
-                r = _congruence_residue(a_k, x_j, o_k)
-                if r is not None:
-                    by_residue.setdefault(r, []).append(j)
+                solved = total.congruence(a_k, x_j)
+                if solved is not None:
+                    by_residue.setdefault(solved[0], []).append(j)
             conditions.append((o_k, by_residue))
         modulus = math.lcm(q, *(o_k for o_k, _ in conditions))
         accepted: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -216,31 +215,6 @@ def _sweep_direction(
                 accepted[r] = tuple(tau)
         out.append((q, modulus, accepted))
     return out
-
-
-def _congruence_residue(
-    a: lattices.Vec, x: lattices.Vec, order: int
-) -> int | None:
-    """The residue p mod order with p·a ≡ x (mod Z²), or None when none does.
-
-    order is the lcm of the denominators of a, so p·a takes order distinct
-    values mod Z² and at most one residue solves both coordinates.
-    """
-    residue, step = 0, 1  # the solutions so far are residue + step·Z
-    for a_i, x_i in zip(a, x):
-        target = x_i * order
-        if target.denominator != 1:
-            return None
-        coeff = int(a_i * order)
-        # (residue + step·t)·coeff ≡ target (mod order), solved for t.
-        c, e = coeff * step, int(target) - coeff * residue
-        g = math.gcd(c, order)
-        if e % g:
-            return None
-        period = order // g
-        t = (e // g) * pow(c // g, -1, period) % period
-        residue, step = residue + step * t, step * period
-    return residue % order
 
 
 def scal_set_packing(packing: PointPacking, d: Direction) -> ScalSet:

@@ -2,7 +2,10 @@
 
 Colors follow the conventions of the source figures: the generating
 lattice component dark, other packing components gray, image components
-blue/yellow/green.  Byte output is fixed for fixed inputs.
+blue/yellow/green.  Byte output is fixed for fixed inputs.  Circles are
+enumerated as integer pairs over a common denominator d of the window, the
+shift and Γ, and become floats once, as a/d: int / int rounds correctly, so
+it equals float() of the reduced Fraction.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .oracle import Window, points_in_window
+from .lattices import Lattice
 from .packings import PointPacking
 from .rings import EISENSTEIN, FieldElem
 from .similarity import Similarity
@@ -20,13 +23,34 @@ IMAGE_COLORS = ("#2b6cb0", "#f2c12e", "#38a169", "#d97706")
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
+Window = tuple[Fraction, Fraction, Fraction, Fraction]
 
-def to_xy(p: FieldElem) -> tuple[float, float]:
-    """Cartesian image of a ring-coordinate point."""
-    a, b = float(p.a), float(p.b)
-    if p.ring == EISENSTEIN:
+
+def to_xy(ring: str, a: float, b: float) -> tuple[float, float]:
+    """Cartesian image of the point a + b·u."""
+    if ring == EISENSTEIN:
         return a - b / 2.0, b * _SQRT3_2
     return a, b
+
+
+def points_in_window(lattice: Lattice, shift: FieldElem, window: Window):
+    """The points of shift + Γ in the half-open box [x0, x1) × [y0, y1) of
+    ring coordinates, sorted, as float pairs (a/d, b/d) over {1, u}."""
+    x0, y0, x1, y1 = window
+    if x1 <= x0 or y1 <= y0:
+        raise ValueError("window must have positive area")
+    coords = (*window, shift.a, shift.b, lattice.b00, lattice.b01, lattice.b11)
+    d = math.lcm(*(c.denominator for c in coords))
+    x0, y0, x1, y1, sa, sb, b00, b01, b11 = (
+        c.numerator * (d // c.denominator) for c in coords
+    )
+    out = []
+    for t1 in range(-((sb - y0) // b11), -((sb - y1) // b11)):  # ceilings
+        a0, b = sa + b01 * t1, sb + b11 * t1
+        for t0 in range(-((a0 - x0) // b00), -((a0 - x1) // b00)):
+            out.append((a0 + b00 * t0, b))
+    out.sort()
+    return [(a / d, b / d) for a, b in out]
 
 
 def render_svg(
@@ -36,12 +60,9 @@ def render_svg(
     size: int = 640,
 ) -> str:
     """An SVG document showing the packing and, optionally, its image."""
-    x0, y0, x1, y1 = (Fraction(c) for c in window)
-    corners = [
-        to_xy(FieldElem(packing.ring, cx, cy))
-        for cx in (x0, x1)
-        for cy in (y0, y1)
-    ]
+    ring = packing.ring
+    x0, y0, x1, y1 = window
+    corners = [to_xy(ring, float(cx), float(cy)) for cx in (x0, x1) for cy in (y0, y1)]
     min_x = min(c[0] for c in corners)
     max_x = max(c[0] for c in corners)
     min_y = min(c[1] for c in corners)
@@ -52,12 +73,10 @@ def render_svg(
     scale = size / max(max_x - min_x, max_y - min_y)
     height = round((max_y - min_y) * scale)
 
-    def pix(p: FieldElem) -> tuple[str, str]:
-        x, y = to_xy(p)
-        return (
-            f"{(x - min_x) * scale:.2f}",
-            f"{(max_y - y) * scale:.2f}",
-        )
+    def circles(lattice: Lattice, shift: FieldElem, r: str) -> list[str]:
+        points = (to_xy(ring, *p) for p in points_in_window(lattice, shift, window))
+        return [f'<circle cx="{(x - min_x) * scale:.2f}" '
+                f'cy="{(max_y - y) * scale:.2f}" r="{r}"/>' for x, y in points]
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -68,27 +87,21 @@ def render_svg(
     ]
     legend: list[tuple[str, str]] = []
 
-    for k, shift_vec in enumerate(packing.shifts):
+    for k, x_k in enumerate(packing.shifts):
         color = PACKING_COLORS[k % len(PACKING_COLORS)]
-        component = PointPacking(packing.lattice, (shift_vec,))
         lines.append(f'<g fill="none" stroke="{color}" stroke-width="1.2">')
-        for p in points_in_window(component, (x0, y0, x1, y1)):
-            cx, cy = pix(p)
-            lines.append(f'<circle cx="{cx}" cy="{cy}" r="4.0"/>')
+        lines += circles(packing.lattice, x_k, "4.0")
         lines.append("</g>")
-        legend.append((color, f"{shift_vec}+Γ"))
+        legend.append((color, f"{x_k}+Γ"))
 
     if s is not None:
-        image = packing.image(s)
-        for k, shift_vec in enumerate(image.shifts):
+        image = s.image_lattice(packing.lattice)
+        for k, x_k in enumerate(packing.shifts):
             color = IMAGE_COLORS[k % len(IMAGE_COLORS)]
-            component = PointPacking(image.lattice, (shift_vec,))
             lines.append(f'<g fill="{color}">')
-            for p in points_in_window(component, (x0, y0, x1, y1)):
-                cx, cy = pix(p)
-                lines.append(f'<circle cx="{cx}" cy="{cy}" r="2.4"/>')
+            lines += circles(image, s.apply(x_k), "2.4")
             lines.append("</g>")
-            legend.append((color, f"image of {packing.shifts[k]}+Γ"))
+            legend.append((color, f"image of {x_k}+Γ"))
 
     ly = 16
     for color, label in legend:

@@ -1,13 +1,15 @@
 """Exact constructions the tests use as independent references.
 
-The engine no longer calls any of these: it reads n and every sum from one
-Hermite form, its gcds from closed forms, every image lattice from the
-images of two generators, and every "r·X ⊆ Γ" question from
-lattices.least_scale.  They stay here so that those routes can be checked
-against a different one: the intersection through the dual identity
-(Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the Euclidean algorithm in Z[i] and Z[ω], and 2×2
-matrices of multiplication and conjugation over {1, u}.  Results of the
-ring functions are fixed only up to a unit.
+The engine no longer calls any of these: it reads n, every sum and every
+Scal congruence from one integer Hermite form, its gcds from closed forms,
+every image lattice from the images of two generators, and every
+"r·X ⊆ Γ" question from lattices.least_scale; render enumerates its circles
+on integers.  They stay here so that those routes can be checked against a
+different one: the sum as a Fraction lattice, the congruences on Fraction
+coordinates, the window enumeration on Fraction points, the intersection
+through the dual identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the Euclidean algorithm
+in Z[i] and Z[ω], and 2×2 matrices of multiplication and conjugation over
+{1, u}.  Results of the ring functions are fixed only up to a unit.
 """
 
 import math
@@ -15,7 +17,15 @@ from fractions import Fraction
 
 from simiso import lattices as lat
 from simiso.lattices import Lattice
-from simiso.rings import GAUSSIAN, RingElem
+from simiso.rings import GAUSSIAN, RingElem, RingMismatchError
+
+
+def add(l1: Lattice, l2: Lattice) -> Lattice:
+    """The lattice Γ₁ + Γ₂ generated by the union."""
+    if l1.ring != l2.ring:
+        raise RingMismatchError("sum of lattices over different rings")
+    gens = [(g.a, g.b) for g in l1.generators() + l2.generators()]
+    return Lattice.from_generators(l1.ring, gens)
 
 
 def dual(lattice: Lattice) -> Lattice:
@@ -28,7 +38,7 @@ def dual(lattice: Lattice) -> Lattice:
 
 def intersect(l1: Lattice, l2: Lattice) -> Lattice:
     """The set intersection Γ₁ ∩ Γ₂ (full rank for rational bases)."""
-    return dual(lat.add(dual(l1), dual(l2)))
+    return dual(add(dual(l1), dual(l2)))
 
 
 def ring_divmod(x: RingElem, y: RingElem) -> tuple[RingElem, RingElem]:
@@ -138,3 +148,68 @@ def lift_scale(gamma):
 def contains_lattice(sup, sub):
     """Whether sub ⊆ sup, by testing both generators of sub."""
     return all(sup.contains(g) for g in sub.generators())
+
+
+def congruence_residue(a, x, order):
+    """The residue p mod order with p·a ≡ x (mod Z²), or None when none does.
+
+    order is the lcm of the denominators of a, so p·a takes order distinct
+    values mod Z² and at most one residue solves both coordinates.
+    """
+    residue, step = 0, 1  # the solutions so far are residue + step·Z
+    for a_i, x_i in zip(a, x):
+        target = x_i * order
+        if target.denominator != 1:
+            return None
+        coeff = int(a_i * order)
+        # (residue + step·t)·coeff ≡ target (mod order), solved for t.
+        c, e = coeff * step, int(target) - coeff * residue
+        g = math.gcd(c, order)
+        if e % g:
+            return None
+        period = order // g
+        t = (e // g) * pow(c // g, -1, period) % period
+        residue, step = residue + step * t, step * period
+    return residue % order
+
+
+def sweep_conditions(packing, trial):
+    """The per-q step of the Scal sweep on Fraction coordinates: n = [S : R]
+    for S = R + trial(R), and per k the order o_k of a_k = trial(x_k) in
+    Q(u)/S with the targets j of each residue of p mod o_k."""
+    gamma = packing.lattice
+    total = add(gamma, trial.image_lattice(gamma))
+    n = lat.integer_index(gamma, total)
+    targets = [total.coords_of(x_j) for x_j in packing.shifts]
+    conditions = []
+    for x_k in packing.shifts:
+        a_k = total.coords_of(trial.apply(x_k))
+        o_k = math.lcm(a_k[0].denominator, a_k[1].denominator)
+        by_residue = {}
+        for j, x_j in enumerate(targets):
+            r = congruence_residue(a_k, x_j, o_k)
+            if r is not None:
+                by_residue.setdefault(r, []).append(j)
+        conditions.append((o_k, by_residue))
+    return n, conditions
+
+
+def points_in_window(packing, window):
+    """Exactly the points of the packing inside a half-open coordinate box
+    [x0, x1) × [y0, y1) over {1, u}, as sorted Fraction points."""
+    x0, y0, x1, y1 = (Fraction(c) for c in window)
+    if x1 <= x0 or y1 <= y0:
+        raise ValueError("window must have positive area")
+    base = packing.lattice
+    out = []
+    for s in packing.shifts:
+        t1_lo = math.ceil((y0 - s.b) / base.b11)
+        t1_hi = math.ceil((y1 - s.b) / base.b11)  # exclusive
+        for t1 in range(t1_lo, t1_hi):
+            x_off = s.a + base.b01 * t1
+            t0_lo = math.ceil((x0 - x_off) / base.b00)
+            t0_hi = math.ceil((x1 - x_off) / base.b00)
+            for t0 in range(t0_lo, t0_hi):
+                out.append(base.point(t0, t1) + s)
+    out.sort(key=lambda p: (p.a, p.b))
+    return out

@@ -1,12 +1,17 @@
 """CLI surface tests: exit codes, document parsing, deterministic output."""
 
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simiso import cli, oracle
 from simiso.cli import (
@@ -28,9 +33,10 @@ from simiso.cli import (
     parse_packing_doc,
     parse_similarity_doc,
 )
+from simiso.lattices import Lattice, least_scale
 from simiso.packings import PointPacking
 from simiso.presets import preset
-from simiso.rings import EISENSTEIN, GAUSSIAN, RingElem
+from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction
 
 
@@ -141,6 +147,26 @@ class TestDocuments:
         assert captured.out == ""
         assert captured.err.startswith("error: unknown key ")
         assert repr(key) in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--preset", "hex", "--similarity",
+             '{"z":[1,1],"scale":0.30000000000000004}'],
+            ["analyze", '{"ring":"gaussian","basis":[[1,"0"],["0","1"]],"shifts":[["0","0"]]}',
+             "--similarity", '{"z":[1,0]}'],
+            ["analyze", '{"ring":"gaussian","shifts":[[0.5,0],["0","0"]]}',
+             "--similarity", '{"z":[1,0]}'],
+        ],
+        ids=["scale", "basis", "shift"],
+    )
+    def test_rationals_must_be_strings(self, argv, capsys):
+        # A JSON number would be read through its float text, or as an int.
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad rational ")
+        assert "JSON string" in captured.err and captured.err.count("\n") == 1
 
     def test_rational_text_length_cap(self):
         assert _fraction("0" * (MAX_RATIONAL_CHARS - 1) + "2") == 2
@@ -410,19 +436,40 @@ class TestVerify:
             PointPacking, "contains", lambda self, x: tested.append(x) or original(self, x)
         )
         assert oracle.certify_subpacking(packing, s)[0]
-        certify, _ = cli._oracle_points(packing, s)
+        certify, _ = cli._oracle_points(packing, Direction(RingElem(EISENSTEIN, 1, 1)), [F(2)])
         assert certify == packing.m * len(tested)
 
     def test_oracle_budget_bounds_the_estimate(self, monkeypatch, capsys):
         argv = ["verify", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"2"}']
         s = parse_similarity_doc({"z": [1, 1], "scale": "2"}, EISENSTEIN)
-        certify, period_sq = cli._oracle_points(preset("hex"), s)
+        d = Direction(RingElem(EISENSTEIN, 1, 1))
+        certify, period_sq = cli._oracle_points(preset("hex"), d, [F(2)])
         points = certify + 2 * period_sq
         monkeypatch.setattr(cli, "MAX_ORACLE_POINTS", points)
         assert main(argv) == EXIT_OK
         monkeypatch.setattr(cli, "MAX_ORACLE_POINTS", points - 1)
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err.endswith(f"at most {points - 1} are allowed\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from((GAUSSIAN, EISENSTEIN)),
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3), st.integers(1, 3)),
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda ab: math.gcd(*ab) == 1),
+        st.booleans(),
+    )
+    def test_direction_estimate_matches_per_ratio(self, ring, shape, z, conjugate):
+        # The closed form D(p/q) = numerator of (p/q)·r₀ against the estimate
+        # it replaced: one image lattice and one least_scale per ratio.
+        h00, h11, h01, den = shape
+        gamma = Lattice.from_generators(ring, [(F(h00, den), F(0)), (F(h01, den), F(h11, den))])
+        packing = PointPacking(gamma, (FieldElem.zero(ring), FieldElem(ring, F(1, 7), F(0))))
+        d = Direction(RingElem(ring, *z), conjugate)
+        for ratio in (F(p, q) for q in range(1, 6) for p in range(1, 8) if math.gcd(p, q) == 1):
+            s = d.similarity(ratio)
+            period = least_scale(s.image_lattice(gamma), gamma.generators()).numerator
+            expected = packing.m ** 2 * period ** 2 / s.scale_sq(), period ** 2
+            assert cli._oracle_points(packing, d, [ratio]) == expected
 
     def test_random_sweep(self, capsys):
         rc = main(["verify", "--random", "25", "--seed", "3"])
@@ -629,3 +676,25 @@ def test_hostile_inputs_finish(argv, code, out):
     if code != EXIT_OK:
         assert proc.stdout == "" and proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+
+
+README = Path(cli.__file__).resolve().parents[2] / "README.md"
+
+
+def _readme_commands():
+    """Every simiso command line of the README's sh blocks, continuations joined."""
+    blocks = README.read_text(encoding="utf-8").split("```sh\n")[1:]
+    text = "".join(block.split("```")[0] for block in blocks).replace("\\\n", " ")
+    return [line.strip() for line in text.splitlines() if line.startswith("simiso ")]
+
+
+@pytest.mark.parametrize(
+    "line", _readme_commands(), ids=lambda line: " ".join(shlex.split(line)[1:3])
+)
+def test_readme_commands_exit_0(line, tmp_path, monkeypatch):
+    # The file-based analyze line reads the README's own packing document.
+    monkeypatch.chdir(tmp_path)
+    doc = README.read_text(encoding="utf-8").split("```json\n")[1].split("```")[0]
+    (tmp_path / "packing.json").write_text(doc, encoding="utf-8")
+    (tmp_path / "similarity.json").write_text('{"z":[1,1],"scale":"2"}', encoding="utf-8")
+    assert main(shlex.split(line, comments=True)[1:]) == EXIT_OK

@@ -18,6 +18,7 @@ from simiso.rings import (
 from simiso.similarity import Similarity
 
 from references import (
+    add,
     contains_lattice,
     dual,
     intersect,
@@ -153,7 +154,7 @@ class TestIntersect:
             l1 = mul_lattice(ring, rng.randint(1, 4), rng.randint(0, 3))
             l2 = mul_lattice(ring, rng.randint(1, 4), rng.randint(1, 4))
             inter = intersect(l1, l2)
-            total = lat.add(l1, l2)
+            total = add(l1, l2)
             assert lat.index(inter, l2) == lat.index(l1, total)
 
 
@@ -161,17 +162,17 @@ class TestSum:
     def test_gcd_formula(self):
         # Γ + (pz/q)Γ = (gcd(z, q)/q)Γ with w = (2/5)(1+2i).
         w = FieldElem(GAUSSIAN, F(2, 5), F(4, 5))
-        total = lat.add(ZI, Similarity(w).image_lattice(ZI))
+        total = add(ZI, Similarity(w).image_lattice(ZI))
         d = ring_gcd(RingElem(GAUSSIAN, 1, 2), RingElem(GAUSSIAN, 5, 0))
         expected = Similarity(FieldElem(GAUSSIAN, F(d.a, 5), F(d.b, 5))).image_lattice(ZI)
         assert total == expected
 
     def test_idempotent(self):
-        assert lat.add(RECT31, RECT31) == RECT31
+        assert add(RECT31, RECT31) == RECT31
 
     def test_refinement(self):
         third = Similarity(FieldElem(EISENSTEIN, F(1, 3), F(0))).image_lattice(ZW)
-        assert lat.add(ZW, third) == third
+        assert add(ZW, third) == third
 
 
 class TestScaleBy:
@@ -277,10 +278,10 @@ class TestCosetIntersection:
             total = lat.SumLattice.of(l1, l2, (v,))
             coeffs = total.solve(*total.scaled(v))
             if coeffs is None:
-                assert not lat.add(l1, l2).contains(v)
+                assert not add(l1, l2).contains(v)
             else:
                 ell = total.first.point(*coeffs)
-                assert lat.add(l1, l2).contains(v)
+                assert add(l1, l2).contains(v)
                 assert l1.contains(ell)
                 assert l2.contains(ell - v)
 
@@ -295,7 +296,7 @@ class TestCosetIntersection:
             ])
             l2 = mul_lattice(ring, rng.randint(-3, 3), rng.randint(1, 3), base=l1)
             total = lat.SumLattice.of(l1, l2, ())
-            assert total.index() == lat.integer_index(l1, lat.add(l1, l2))
+            assert total.index() == lat.integer_index(l1, add(l1, l2))
             assert total.index() == lat.integer_index(intersect(l1, l2), l2)
 
     def test_columns_span_the_sum(self):
@@ -306,7 +307,7 @@ class TestCosetIntersection:
         h00, zero, *_ = total.k
         h01, h11, *_ = total.lead
         assert zero == 0 and h00 > 0 and h11 > 0 and 0 <= h01 < h00
-        assert Lattice(GAUSSIAN, F(h00, d), F(h01, d), F(h11, d)) == lat.add(l1, l2)
+        assert Lattice(GAUSSIAN, F(h00, d), F(h01, d), F(h11, d)) == add(l1, l2)
 
     def test_point_outside_the_scale_refused(self):
         total = lat.SumLattice.of(ZI, mul_lattice(GAUSSIAN, 1, 1), (fe(GAUSSIAN, F(1, 2), 0),))

@@ -1,17 +1,23 @@
-"""Brute-force verifier tests: window enumeration, containment
-certificates, density counting, and engine agreement."""
+"""Brute-force verifier tests: containment certificates, density counting,
+and engine agreement; and render's window enumeration against the oracle's
+old one."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simiso import oracle as orc, packings as pk
 from simiso.lattices import Lattice
 from simiso.packings import PointPacking
 from simiso.presets import preset
+from simiso.render import points_in_window
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction, Similarity
+
+import references as ref
 
 F = Fraction
 
@@ -27,23 +33,33 @@ def simw(ring, a, b, conjugate=False):
 WINDOW = (F(0), F(0), F(3), F(3))
 
 
+def window_points(packing, window):
+    """render's points of every component of the packing, in one sorted list."""
+    return sorted(p for x in packing.shifts for p in points_in_window(packing.lattice, x, window))
+
+
 class TestPointsInWindow:
+    """render.points_in_window, the one window enumeration left; the old
+    Fraction enumeration of the oracle is the reference."""
+
     def test_square_lattice(self):
-        packing = PointPacking(Lattice.ring_lattice(GAUSSIAN), (fe(GAUSSIAN, 0, 0),))
-        assert len(orc.points_in_window(packing, WINDOW)) == 9
+        assert len(points_in_window(Lattice.ring_lattice(GAUSSIAN), fe(GAUSSIAN, 0, 0), WINDOW)) == 9
 
     def test_hexagonal(self):
-        pts = orc.points_in_window(preset("hex"), WINDOW)
+        pts = window_points(preset("hex"), WINDOW)
         assert len(pts) == 18
 
     def test_shifted_hexagonal_omits_origin(self):
-        pts = orc.points_in_window(preset("hex-shifted"), WINDOW)
+        pts = window_points(preset("hex-shifted"), WINDOW)
         assert len(pts) == 18
-        assert all(not p.is_zero() for p in pts)
+        assert (0.0, 0.0) not in pts
 
     def test_points_really_belong(self):
         packing = preset("rect12")
-        for p in orc.points_in_window(packing, (F(-2), F(-2), F(2), F(2))):
+        window = (F(-2), F(-2), F(2), F(2))
+        expected = ref.points_in_window(packing, window)
+        assert window_points(packing, window) == sorted((float(p.a), float(p.b)) for p in expected)
+        for p in expected:
             assert packing.contains(p)
             assert -2 <= p.a < 2 and -2 <= p.b < 2
 
@@ -51,13 +67,31 @@ class TestPointsInWindow:
         # Count in a window of area A is m·A/det(B) up to boundary terms.
         packing = preset("ex34")
         for size in (6, 12, 24):
-            pts = orc.points_in_window(packing, (F(0), F(0), F(size), F(size)))
+            pts = window_points(packing, (F(0), F(0), F(size), F(size)))
             expected = packing.m * size * size / float(packing.lattice.det)
             assert abs(len(pts) - expected) <= 4 * size + 4
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            orc.points_in_window(preset("hex"), (F(0), F(0), F(0), F(3)))
+            points_in_window(Lattice.ring_lattice(EISENSTEIN), fe(EISENSTEIN, 0, 0), (F(0), F(0), F(0), F(3)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from((GAUSSIAN, EISENSTEIN)),
+        st.tuples(*[st.integers(1, 4)] * 2, st.integers(0, 3), st.integers(1, 3)),
+        st.tuples(*[st.fractions(-3, 3, max_denominator=7)] * 2),
+        st.tuples(*[st.fractions(-6, 6, max_denominator=5)] * 2),
+        st.tuples(*[st.fractions(F(1, 5), 6, max_denominator=5)] * 2),
+    )
+    def test_matches_reference(self, ring, shape, shift, corner, size):
+        # A sheared Γ = (1/den)·⟨(h00, 0), (h01, h11)⟩ and a window with
+        # rational, often negative, corners.
+        h00, h11, h01, den = shape
+        gamma = Lattice.from_generators(ring, [(F(h00, den), F(0)), (F(h01, den), F(h11, den))])
+        x = FieldElem(ring, *shift)
+        window = (*corner, corner[0] + size[0], corner[1] + size[1])
+        expected = ref.points_in_window(PointPacking(gamma, (x,)), window)
+        assert points_in_window(gamma, x, window) == [(float(p.a), float(p.b)) for p in expected]
 
 
 class TestCertifySubpacking:
@@ -77,7 +111,8 @@ class TestCertifySubpacking:
         # The counterexample is a genuine point of s(L) outside L.
         assert witness is not None
         assert not packing.contains(witness)
-        assert packing.image(s).contains(witness)
+        image = PointPacking(s.image_lattice(packing.lattice), tuple(map(s.apply, packing.shifts)))
+        assert image.contains(witness)
 
     def test_shifted_hexagonal_symmetry(self):
         ok, _ = orc.certify_subpacking(preset("hex-shifted"), simw(EISENSTEIN, 1, 1))

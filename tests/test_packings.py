@@ -330,6 +330,29 @@ def ring_packings_with_directions(draw):
     return packing, Direction(z, draw(st.booleans()))
 
 
+ZI = Lattice.ring_lattice(GAUSSIAN)
+
+
+@st.composite
+def lifted_packings_with_trials(draw):
+    """A packing over Z[i] or Z[ω] with m ≤ 6 shifts whose coordinates have
+    denominators ≤ 13, and the trial map x ↦ (z/q)·x or (z/q)·conj(x) of
+    the Scal sweep at an admissible q: 1, or q ≤ m with q² | N(z) for a
+    reflection.  Within m ≤ 6 the only such q > 1 is 5, for z ∈ Z[i] with
+    N(z) = 25 and m ≥ 5; half the examples take it."""
+    five = draw(st.booleans())
+    ring = GAUSSIAN if five else draw(st.sampled_from((GAUSSIAN, EISENSTEIN)))
+    coord = st.integers(1, 13).flatmap(lambda den: st.integers(0, den - 1).map(lambda t: F(t, den)))
+    pairs = draw(st.lists(st.tuples(coord, coord), min_size=5 if five else 1, max_size=6, unique=True))
+    packing = PointPacking(Lattice.ring_lattice(ring), tuple(FieldElem(ring, a, b) for a, b in pairs))
+    if five:
+        z, conjugate, q = draw(st.sampled_from(((3, 4), (4, 3), (-3, 4), (4, -3)))), True, 5
+    else:
+        small = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+        z, conjugate, q = draw(small.filter(lambda ab: math.gcd(*ab) == 1)), draw(st.booleans()), 1
+    return packing, Direction(RingElem(ring, *z), conjugate).similarity(F(1, q))
+
+
 class TestCongruenceSolve:
     @settings(max_examples=200, deadline=None)
     @given(ring_packings_with_directions())
@@ -359,13 +382,41 @@ class TestCongruenceSolve:
                     assert scal.contains_ratio(F(p, q)) == accepted, (p, q)
 
     def test_congruence_residue(self):
-        # p·(1/3, 2/3) ≡ (2/3, 1/3) mod Z² at p ≡ 2 (mod 3) only.
-        assert pk._congruence_residue((F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)), 3) == 2
-        assert pk._congruence_residue((F(1, 3), F(2, 3)), (F(1, 3), F(1, 3)), 3) is None
-        assert pk._congruence_residue((F(1, 2), F(0)), (F(1, 3), F(0)), 2) is None
+        def solve(sum_with, a, x):
+            points = (FieldElem(GAUSSIAN, *a), FieldElem(GAUSSIAN, *x))
+            total = lat.SumLattice.of(ZI, sum_with, points)
+            return total.congruence(*map(total.scaled, points))
+
+        # Over S = Z[i]: p·(1/3, 2/3) ≡ (2/3, 1/3) mod Z² at p ≡ 2 (mod 3) only.
+        assert solve(ZI, (F(1, 3), F(2, 3)), (F(2, 3), F(1, 3))) == (2, 3)
+        assert solve(ZI, (F(1, 3), F(2, 3)), (F(1, 3), F(1, 3))) is None
+        assert solve(ZI, (F(1, 2), F(0)), (F(1, 3), F(0))) is None
         # Coordinates of different orders: p·(1/4, 1/6) ≡ (3/4, 1/2) at p ≡ 3 mod 12.
-        assert pk._congruence_residue((F(1, 4), F(1, 6)), (F(3, 4), F(1, 2)), 12) == 3
-        assert pk._congruence_residue((F(0), F(0)), (F(0), F(0)), 1) == 0
+        assert solve(ZI, (F(1, 4), F(1, 6)), (F(3, 4), F(1, 2))) == (3, 12)
+        assert solve(ZI, (F(0), F(0)), (F(0), F(0))) == (0, 1)
+        # Over S = ((1+i)/2)·Z[i], spanned by 1 and (1+i)/2: (1+i)/4 has
+        # order 2, p·(1+i)/4 ≡ 3(1+i)/4 at p ≡ 1 (mod 2), and ≡ 1/2 never.
+        half = Similarity(FieldElem(GAUSSIAN, F(1, 2), F(1, 2))).image_lattice(ZI)
+        assert solve(half, (F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))) == (1, 2)
+        assert solve(half, (F(1, 4), F(1, 4)), (F(1, 2), F(0))) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(lifted_packings_with_trials())
+    def test_sum_lattice_congruence_matches_reference(self, case):
+        packing, trial = case
+        gamma = packing.lattice
+        images = tuple(trial.apply(x_k) for x_k in packing.shifts)
+        total = lat.SumLattice.of(gamma, trial.image_lattice(gamma), packing.shifts + images)
+        n, conditions = ref.sweep_conditions(packing, trial)
+        assert total.index() == n
+        for image, (o_k, by_residue) in zip(images, conditions):
+            a_k = total.scaled(image)
+            assert total.congruence(a_k, (0, 0)) == (0, o_k)
+            residue_of = {j: r for r, js in by_residue.items() for j in js}
+            for j, x_j in enumerate(packing.shifts):
+                solved = total.congruence(a_k, total.scaled(x_j))
+                expected = (residue_of[j], o_k) if j in residue_of else None
+                assert solved == expected
 
 
 @st.composite
@@ -430,14 +481,12 @@ class TestLift:
         assert pk.lift_to_ring(packing) is packing
 
     def test_ex34_lifts_to_nine_thirds(self):
-        from simiso import oracle as orc
-
         packing = preset("ex34")
         lifted = pk.lift_to_ring(packing)
         assert lifted.m == 9 and lifted.lattice == Lattice.ring_lattice(GAUSSIAN)
         window = (F(-4), F(-3), F(5), F(4))
-        scaled = [x.scale(3) for x in orc.points_in_window(lifted, [c / 3 for c in window])]
-        assert sorted(scaled, key=lambda x: (x.a, x.b)) == orc.points_in_window(packing, window)
+        scaled = [x.scale(3) for x in ref.points_in_window(lifted, [c / 3 for c in window])]
+        assert sorted(scaled, key=lambda x: (x.a, x.b)) == ref.points_in_window(packing, window)
 
     @pytest.mark.parametrize("width", [pk.MAX_LIFTED_COMPONENTS, pk.MAX_LIFTED_COMPONENTS + 1])
     def test_lift_cap(self, width):
