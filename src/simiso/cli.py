@@ -44,7 +44,7 @@ MAX_BOUND = 100
 MAX_RATIONAL_CHARS = 40
 # Most shifts in a packing document; the work grows with their square.
 MAX_COMPONENTS = packings.MAX_LIFTED_COMPONENTS
-# Most circles render draws, estimated as window area · m / det Γ per packing.
+# Most circles render draws, bounded per lattice drawn as rows × points per row.
 MAX_RENDER_POINTS = 100_000
 # Most points verify lets the oracle test, estimated by _oracle_points.
 MAX_ORACLE_POINTS = 100_000
@@ -87,7 +87,7 @@ def _load_doc(source: str) -> dict:
             raise InputError(f"cannot read {source}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
@@ -385,12 +385,12 @@ def run_render(args) -> int:
         if not args.similarity:
             raise InputError("render needs --similarity or --packing-only")
         s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
-    # sΓ has det N(w)·det Γ and as many components as Γ.
-    circles = (x1 - x0) * (y1 - y0) * packing.m / packing.lattice.det
-    if s is not None:
-        circles += circles / s.scale_sq()
+    # Each of m components walks its rows of Γ (and of sΓ) in the window.
+    drawn = [packing.lattice] + ([s.image_lattice(packing.lattice)] if s else [])
+    circles = sum(packing.m * ((y1 - y0) // g.b11 + 1) * ((x1 - x0) // g.b00 + 1)
+                  for g in drawn)
     if circles > MAX_RENDER_POINTS:
-        raise InputError(f"window holds about {math.ceil(circles)} circles; "
+        raise InputError(f"window takes up to {circles} circles; "
                          f"at most {MAX_RENDER_POINTS} are drawn")
     if s is not None and not packings.check_similarity(packing, s).accepted:
         sys.stderr.write("similarity rejected; use --packing-only to draw L\n")

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import FieldElem, RingMismatchError
+from .rings import FieldElem, RingMismatchError, over_denominator
 
 Vec = tuple[Fraction, Fraction]
 
@@ -97,9 +97,8 @@ class Lattice:
     @classmethod
     def from_generators(cls, ring: str, generators: list[Vec]) -> Lattice:
         """Lattice spanned by the given rational coordinate pairs."""
-        gens = [(Fraction(x), Fraction(y)) for x, y in generators]
-        d = math.lcm(*(c.denominator for g in gens for c in g)) if gens else 1
-        cols = [(int(x * d), int(y * d), 0, 0) for x, y in gens]
+        d, ints = over_denominator([Fraction(c) for g in generators for c in g])
+        cols = [(x, y, 0, 0) for x, y in zip(ints[::2], ints[1::2])]
         (h00, *_), (h01, h11, *_) = _hnf_columns(cols)
         return cls(ring, Fraction(h00, d), Fraction(h01, d), Fraction(h11, d))
 
@@ -166,9 +165,8 @@ def least_scale(lattice: Lattice, points) -> Fraction:
     The r that work are exactly r·Z: with t_i the coordinates of the points
     over the basis and D the lcm of their denominators, r = D / gcd(D·t_i).
     """
-    coords = [t for x in points for t in lattice.coords_of(x)]
-    d = math.lcm(*(t.denominator for t in coords))
-    g = math.gcd(*(t.numerator * (d // t.denominator) for t in coords))
+    d, ints = over_denominator([t for x in points for t in lattice.coords_of(x)])
+    g = math.gcd(*ints)
     if g == 0:
         raise ValueError("least_scale needs a nonzero point")
     return Fraction(d, g)
@@ -187,28 +185,21 @@ def quotient_representatives(sub: Lattice, sup: Lattice) -> list[FieldElem]:
     return [sup.point(i, j) for i in range(h00) for j in range(h11)]
 
 
-def _times(c: Fraction, d: int) -> int:
-    """c·d for a multiple d of c's denominator, with no Fraction built."""
-    q, rem = divmod(d, c.denominator)
-    if rem:
-        raise RuntimeError(f"scale {d} does not clear the denominator of {c}")
-    return c.numerator * q
-
-
 @dataclass(frozen=True)
 class SumLattice:
     """Γ₁ + Γ₂ as one integer Hermite form, for many coset problems at once.
 
-    scale is a common denominator d of Γ₁, Γ₂ and the points to be solved.
-    The columns k = (h00, 0, …) and lead = (h01, h11, …) span d·(Γ₁ + Γ₂);
-    their last two entries are the coefficients, over Γ₁'s basis, of the
-    Γ₁-part of each column, so a solution names a point of Γ₁ directly.
+    of() writes Γ₁, Γ₂ and the given points over one common denominator d:
+    points holds each d·x as an integer pair, in the order given, and det1
+    is det(d·Γ₁).  The columns k = (h00, 0, …) and lead = (h01, h11, …) span
+    d·(Γ₁ + Γ₂); their last two entries are the coefficients, over Γ₁'s
+    basis, of the Γ₁-part of each column, so a solution names a point of Γ₁.
     """
 
-    first: Lattice
-    scale: int
+    det1: int
     k: Column
     lead: Column
+    points: tuple[tuple[int, int], ...]
 
     @classmethod
     def of(cls, l1: Lattice, l2: Lattice, points) -> SumLattice:
@@ -217,25 +208,15 @@ class SumLattice:
             raise RingMismatchError("sum of lattices over different rings")
         coords = [l1.b00, l1.b01, l1.b11, l2.b00, l2.b01, l2.b11]
         coords += [c for x in points for c in (x.a, x.b)]
-        d = math.lcm(*(c.denominator for c in coords))
+        _, (a00, a01, a11, c00, c01, c11, *xy) = over_denominator(coords)
         # Columns in the order Γ₁'s basis, then Γ₂'s, which fixes the witness.
-        cols = [
-            (_times(l1.b00, d), 0, 1, 0),
-            (_times(l1.b01, d), _times(l1.b11, d), 0, 1),
-            (_times(l2.b00, d), 0, 0, 0),
-            (_times(l2.b01, d), _times(l2.b11, d), 0, 0),
-        ]
+        cols = [(a00, 0, 1, 0), (a01, a11, 0, 1), (c00, 0, 0, 0), (c01, c11, 0, 0)]
         k, lead = _hnf_columns(cols)
-        return cls(l1, d, k, lead)
+        return cls(a00 * a11, k, lead, tuple(zip(xy[::2], xy[1::2])))
 
     def index(self) -> int:
         """[Γ₁ + Γ₂ : Γ₁] = det Γ₁ / det(Γ₁ + Γ₂), which is [Γ₂ : Γ₁ ∩ Γ₂]."""
-        l1, d = self.first, self.scale
-        return _times(l1.b00, d) * _times(l1.b11, d) // (self.k[0] * self.lead[1])
-
-    def scaled(self, x: FieldElem) -> tuple[int, int]:
-        """d·x as an integer pair; x must be one of the points given to of()."""
-        return _times(x.a, self.scale), _times(x.b, self.scale)
+        return self.det1 // (self.k[0] * self.lead[1])
 
     def solve(self, vx: int, vy: int) -> tuple[int, int] | None:
         """Γ₁-coefficients of a point of Γ₁ ∩ (v + Γ₂) for d·v = (vx, vy),

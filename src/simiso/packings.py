@@ -10,10 +10,10 @@ points are built only once the similarity is accepted.
 Scaling-factor sets are solved per denominator q over the ring lattice R,
 to which every packing is first lifted.  For β = (p/q)|z| with gcd(p, q) = 1,
 R + sR = (1/q)·gcd(q, z)·R and n depend on q and z only, so each pair
-condition s(x_k) - x_j ∈ R + sR is a linear congruence in p.  The accepted
-numerators form residue classes modulo the lcm of q and the orders of the
-images (z/q)·x_k in Q(u)/(R + sR), which divide the lcm of the shift
-denominators; the classes are then folded to their smallest modulus.
+condition s(x_k) - x_j ∈ R + sR is a linear congruence in p.  The
+components' congruences are merged by the Chinese remainder theorem, which
+keeps τ with each residue, and the result is folded by its group of periods
+to its smallest modulus; neither step walks the residues of that modulus.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .similarity import Direction, ResidueClass, ScalSet, Similarity
 
 # Largest component count of a lifted packing; the Scal solve is quadratic in it.
 MAX_LIFTED_COMPONENTS = 64
+# Most residues the Scal solve keeps per q while it merges the congruences.
+MAX_SCAL_RESIDUES = 2_000
 
 
 @dataclass(frozen=True)
@@ -111,10 +113,9 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
     images = tuple(s.apply(x) for x in packing.shifts)
     total = lattices.SumLattice.of(gamma, img, packing.shifts + images)
     n = total.index()
-    targets = [total.scaled(x_j) for x_j in packing.shifts]
+    targets = total.points[:packing.m]
     hits: list[tuple[int, int, tuple[int, int]]] = []  # k, j, Γ-coefficients
-    for k, image in enumerate(images):
-        ax, ay = total.scaled(image)
+    for k, (ax, ay) in enumerate(total.points[packing.m:]):
         reached = []
         for j, (bx, by) in enumerate(targets):
             coeffs = total.solve(ax - bx, ay - by)
@@ -157,21 +158,24 @@ def _sweep_direction(
     τ indexes the components of the lift to R.  s(L) ⊆ L implies sᵏ(L) ⊆ L,
     and n of sᵏ is unbounded while its multiplier keeps a denominator, as z
     is primitive.  So rotations admit only q = 1 and reflections, with
-    s² = p²N(z)/q², only q with q² | N(z).  For gcd(p, q) = 1 the sum
-    lattice S = R + sR = (1/q)·gcd(q, z)·R and n = [S : R] do not depend on
-    p, so both come once per q from the trial map x ↦ (z/q)·x, in the one
-    integer Hermite form lattices.SumLattice that check_similarity builds,
-    and q is skipped when n > m.  For q² | N(z) every prime of q splits and
-    z, being primitive, is divisible by its full power at one prime above
-    it, so n = q²/N(gcd(q, z)) = q: only q ≤ m are tried, whatever N(z) is.
-    Since s(x_k) = p·a_k with a_k = (z/q)·x_k (or (z/q)·conj(x_k)), each
-    pair condition p·a_k - x_j ∈ S is a linear congruence in p: empty, or
-    one residue modulo the order o_k of a_k in Q(u)/S, which
-    SumLattice.congruence solves on the integer columns of S.  A residue r
-    mod L = lcm(q, o_1, …, o_m) coprime to q is accepted when every k meets
-    exactly n components.  Scaling by q/gcd(q, z) carries S onto R, so o_k
-    is the order of (z/gcd(q, z))·x_k in Q(u)/R; it divides the
-    denominators of x_k, and the work per q does not grow with N(z).
+    s² = p²N(z)/q², only q with q² | N(z).  There every prime of q splits
+    and z, being primitive, is divisible by its full power at one prime
+    above it, so n = q²/N(gcd(q, z)) = q: only q ≤ m are tried, whatever
+    N(z) is.  For gcd(p, q) = 1, S = R + sR = (1/q)·gcd(q, z)·R and
+    n = [S : R] do not depend on p, so both come once per q from the trial
+    map x ↦ (z/q)·x, in the SumLattice that check_similarity builds.  As
+    s(x_k) = p·a_k with a_k = (z/q)·x_k (or (z/q)·conj(x_k)), each pair
+    condition p·a_k - x_j ∈ S holds for no p or for one residue of p modulo
+    the order o_k of a_k in Q(u)/S (SumLattice.congruence).  Scaling by
+    q/gcd(q, z) carries S onto R, so o_k divides the denominators of x_k.
+
+    The accepted residues start as the units mod q with an empty τ.  Each k
+    keeps the residues mod o_k at which it meets exactly n components and
+    merges them in by CRT over non-coprime moduli (Cohen, GTM 138, §1.3.3),
+    extending τ by its pairs (k, j).  The result is every residue mod
+    L = lcm(q, o_1, …, o_m) prime to q at which each k meets n components,
+    at a cost bounded by the residues kept, not by L; ValueError above
+    MAX_SCAL_RESIDUES.
     """
     packing = lift_to_ring(packing)
     gamma = packing.lattice
@@ -183,36 +187,28 @@ def _sweep_direction(
             continue
         trial = d.similarity(Fraction(1, q))
         images = tuple(trial.apply(x_k) for x_k in packing.shifts)
-        total = lattices.SumLattice.of(
-            gamma, trial.image_lattice(gamma), packing.shifts + images
-        )
+        total = lattices.SumLattice.of(gamma, trial.image_lattice(gamma), packing.shifts + images)
         n = total.index()
-        if n > m:
-            continue
-        targets = [total.scaled(x_j) for x_j in packing.shifts]
-        conditions: list[tuple[int, dict[int, list[int]]]] = []
-        for image in images:
-            a_k = total.scaled(image)
+        modulus = q
+        accepted = {r: () for r in range(q) if math.gcd(r, q) == 1}
+        for k, a_k in enumerate(total.points[m:]):
             _, o_k = total.congruence(a_k, (0, 0))  # p = 0 always solves
-            by_residue: dict[int, list[int]] = {}
-            for j, x_j in enumerate(targets):
+            by_residue: dict[int, list[tuple[int, int]]] = {}  # s -> its (k, j)
+            for j, x_j in enumerate(total.points[:m]):
                 solved = total.congruence(a_k, x_j)
                 if solved is not None:
-                    by_residue.setdefault(solved[0], []).append(j)
-            conditions.append((o_k, by_residue))
-        modulus = math.lcm(q, *(o_k for o_k, _ in conditions))
-        accepted: dict[int, tuple[tuple[int, int], ...]] = {}
-        for r in range(modulus):
-            if math.gcd(r, q) != 1:
-                continue
-            tau: list[tuple[int, int]] = []
-            for k, (o_k, by_residue) in enumerate(conditions):
-                js = by_residue.get(r % o_k, ())
-                if len(js) != n:
-                    break
-                tau.extend((k, j) for j in js)
-            else:
-                accepted[r] = tuple(tau)
+                    by_residue.setdefault(solved[0], []).append((k, j))
+            meets = {s: tuple(kj) for s, kj in by_residue.items() if len(kj) == n}
+            g = math.gcd(modulus, o_k)
+            step = o_k // g
+            lift = pow(modulus // g, -1, step)  # r + modulus·t ≡ s (mod o_k)
+            accepted = {r + modulus * ((s - r) // g * lift % step): tau + pairs
+                        for r, tau in accepted.items() for s, pairs in meets.items()
+                        if (s - r) % g == 0}
+            modulus *= step
+            if len(accepted) > MAX_SCAL_RESIDUES:
+                raise ValueError(f"Scal along {d} at q = {q} needs more than "
+                                 f"{MAX_SCAL_RESIDUES} residues (packings.MAX_SCAL_RESIDUES)")
         out.append((q, modulus, accepted))
     return out
 
@@ -260,13 +256,28 @@ def _minimal_modulus(
 
     Residues r with gcd(r, q) ≠ 1 are unconstrained (they belong to other
     denominators q), so consistency is only required on the coprime ones.
+    The periods of the accepted set form a group h·Z, each a difference
+    a - a₀, so h is the last gcd(h, a - a₀) that is a period.  Units mod q
+    have no period prime to a prime ℓ | q, so ℓ | h; an ℓ with ℓ ∥ h is
+    dropped when every lift mod h prime to q of each folded residue is
+    accepted, each ℓ tested against the same h.  Only q is factored.
     """
-    universe = [r for r in range(modulus) if math.gcd(r, q) == 1]
-    for div in sorted(d for d in range(1, modulus + 1) if modulus % d == 0):
-        folded = {r % div for r in accepted}
-        if all((r % div in folded) == (r in accepted) for r in universe):
-            return div, frozenset(folded)
-    return modulus, frozenset(accepted)
+    a0 = next(iter(accepted))
+    h = modulus
+    for a in accepted:
+        t = math.gcd(h, a - a0)
+        if t < h and all((b + t) % modulus in accepted for b in accepted):
+            h = t
+    folded = {r % h for r in accepted}
+    drop = 1
+    for ell in range(2, q + 1):
+        rest = h // ell
+        if q % ell or rest % ell == 0 or any(ell % f == 0 for f in range(2, ell)):
+            continue
+        lifts = (c % rest + i * rest for c in folded for i in range(ell))
+        if all(x in folded for x in lifts if math.gcd(x, q) == 1):
+            drop *= ell
+    return h // drop, frozenset(r % (h // drop) for r in accepted)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .lattices import Lattice
 from .packings import PointPacking
-from .rings import EISENSTEIN, FieldElem
+from .rings import EISENSTEIN, FieldElem, over_denominator
 from .similarity import Similarity
 
 PACKING_COLORS = ("#1c1c1c", "#9e9e9e", "#c96b6b", "#7c5aa8")
@@ -40,10 +40,7 @@ def points_in_window(lattice: Lattice, shift: FieldElem, window: Window):
     if x1 <= x0 or y1 <= y0:
         raise ValueError("window must have positive area")
     coords = (*window, shift.a, shift.b, lattice.b00, lattice.b01, lattice.b11)
-    d = math.lcm(*(c.denominator for c in coords))
-    x0, y0, x1, y1, sa, sb, b00, b01, b11 = (
-        c.numerator * (d // c.denominator) for c in coords
-    )
+    d, (x0, y0, x1, y1, sa, sb, b00, b01, b11) = over_denominator(coords)
     out = []
     for t1 in range(-((sb - y0) // b11), -((sb - y1) // b11)):  # ceilings
         a0, b = sa + b01 * t1, sb + b11 * t1

@@ -162,18 +162,23 @@ class FieldElem:
 
     def clear_denominators(self) -> tuple[int, RingElem]:
         """Minimal positive n and ring element r with self = r / n."""
-        n = math.lcm(self.a.denominator, self.b.denominator)
-        return n, RingElem(self.ring, int(self.a * n), int(self.b * n))
+        n, (a, b) = over_denominator((self.a, self.b))
+        return n, RingElem(self.ring, a, b)
 
     def __str__(self) -> str:
-        d = math.lcm(self.a.denominator, self.b.denominator)
-        na, nb = int(self.a * d), int(self.b * d)
+        d, (na, nb) = over_denominator((self.a, self.b))
         core = _format_combo(na, nb, UNIT_SYMBOL[self.ring])
         if d == 1:
             return core
         if na != 0 and nb != 0:
             return f"({core})/{d}"
         return f"{core}/{d}"
+
+
+def over_denominator(values) -> tuple[int, list[int]]:
+    """The least common denominator d of the rationals, and each one times d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def content_and_primitive(z: RingElem) -> tuple[int, RingElem]:

@@ -4,18 +4,19 @@ The engine no longer calls any of these: it reads n, every sum and every
 Scal congruence from one integer Hermite form, its gcds from closed forms,
 every image lattice from the images of two generators, and every
 "r·X ⊆ Γ" question from lattices.least_scale; render enumerates its circles
-on integers.  They stay here so that those routes can be checked against a
-different one: the sum as a Fraction lattice, the congruences on Fraction
-coordinates, the window enumeration on Fraction points, the intersection
-through the dual identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the Euclidean algorithm
-in Z[i] and Z[ω], and 2×2 matrices of multiplication and conjugation over
-{1, u}.  Results of the ring functions are fixed only up to a unit.
+on integers; the Scal solve merges its congruences by CRT.  They stay here
+so that those routes can be checked against a different one: the sum as a
+Fraction lattice, the congruences on Fraction coordinates and the walk over
+every residue of their modulus, the window enumeration on Fraction points,
+the intersection through the dual identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the
+Euclidean algorithm in Z[i] and Z[ω], and 2×2 matrices of multiplication
+and conjugation over {1, u}.  Results of the ring functions are fixed only up to a unit.
 """
 
 import math
 from fractions import Fraction
 
-from simiso import lattices as lat
+from simiso import lattices as lat, packings as pk
 from simiso.lattices import Lattice
 from simiso.rings import GAUSSIAN, RingElem, RingMismatchError
 
@@ -192,6 +193,38 @@ def sweep_conditions(packing, trial):
                 by_residue.setdefault(r, []).append(j)
         conditions.append((o_k, by_residue))
     return n, conditions
+
+
+def sweep_direction(packing, d):
+    """The Scal solve by walking residues, as the engine did before it merged
+    the component congruences: for each admissible q with n ≤ m, every
+    residue r mod L = lcm(q, o_1, …, o_m) prime to q at which each component
+    k of the lift meets exactly n components, with its τ."""
+    packing = pk.lift_to_ring(packing)
+    m = packing.m
+    multiple = d.norm() if d.conjugate else 1
+    out = []
+    for q in range(1, min(math.isqrt(multiple), m) + 1):
+        if multiple % (q * q):
+            continue
+        n, conditions = sweep_conditions(packing, d.similarity(Fraction(1, q)))
+        if n > m:
+            continue
+        modulus = math.lcm(q, *(o_k for o_k, _ in conditions))
+        accepted = {}
+        for r in range(modulus):
+            if math.gcd(r, q) != 1:
+                continue
+            tau = []
+            for k, (o_k, by_residue) in enumerate(conditions):
+                js = by_residue.get(r % o_k, ())
+                if len(js) != n:
+                    break
+                tau.extend((k, j) for j in js)
+            else:
+                accepted[r] = tuple(tau)
+        out.append((q, modulus, accepted))
+    return out
 
 
 def points_in_window(packing, window):

@@ -1,16 +1,20 @@
 """CLI surface tests: exit codes, document parsing, deterministic output."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from simiso import cli, oracle
@@ -34,7 +38,7 @@ from simiso.cli import (
     parse_similarity_doc,
 )
 from simiso.lattices import Lattice, least_scale
-from simiso.packings import PointPacking
+from simiso.packings import MAX_SCAL_RESIDUES, PointPacking
 from simiso.presets import preset
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction
@@ -167,6 +171,16 @@ class TestDocuments:
         assert captured.out == ""
         assert captured.err.startswith("error: bad rational ")
         assert "JSON string" in captured.err and captured.err.count("\n") == 1
+
+    def test_deep_nesting_exits_2(self, capsys):
+        # json.loads raises RecursionError, not JSONDecodeError, past the
+        # interpreter's recursion limit.
+        doc = '{"ring":' + "[" * 100_000 + "]" * 100_000 + "}"
+        assert main(["analyze", doc, "--similarity", '{"z":[1,0]}']) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid JSON: ")
+        assert captured.err.count("\n") == 1
 
     def test_rational_text_length_cap(self):
         assert _fraction("0" * (MAX_RATIONAL_CHARS - 1) + "2") == 2
@@ -566,12 +580,14 @@ class TestRender:
     @pytest.mark.parametrize(
         "window, similarity, ok",
         [
-            # hex: m = 2 over det 1, so 250·200 covers 100,000 circles.
-            ("0,0,250,200", None, True),
-            ("0,0,250,201", None, False),
-            # The image packing under w = 3 adds a ninth: 225·200·2·10/9.
-            ("0,0,225,200", '{"z":[1,0],"scale":"3"}', True),
-            ("0,0,225,201", '{"z":[1,0],"scale":"3"}', False),
+            # hex: m = 2 over b00 = b11 = 1, so 2·(199 + 1)·(249 + 1) = 100,000.
+            ("0,0,249,199", None, True),
+            ("0,0,249,200", None, False),
+            ("0,0,250,199", None, False),
+            # The image lattice 3·Z[ω] adds 2·(⌊149/3⌋ + 1)·(⌊299/3⌋ + 1):
+            # 90,000 + 10,000.
+            ("0,0,299,149", '{"z":[1,0],"scale":"3"}', True),
+            ("0,0,299,150", '{"z":[1,0],"scale":"3"}', False),
         ],
     )
     def test_circle_cap(self, window, similarity, ok, monkeypatch, capsys):
@@ -585,6 +601,17 @@ class TestRender:
         else:
             assert rc == EXIT_INPUT and not drawn
             assert str(MAX_RENDER_POINTS) in capsys.readouterr().err
+
+    def test_dense_row_refused_before_enumeration(self, monkeypatch, capsys):
+        # Γ = ⟨10⁻³⁰, 10³⁰·u⟩ over an 8 × 8 window: its area · m / det Γ is 64,
+        # but the one row in the window holds 8·10³⁰ points of Γ.
+        drawn = []
+        monkeypatch.setattr(cli, "render_svg", lambda *a: drawn.append(a) or "")
+        doc = json.dumps({"ring": "gaussian", "basis": [[f"1/{10**30}", "0"], ["0", str(10**30)]],
+                          "shifts": [["0", "0"]]})
+        rc = main(["render", doc, "--packing-only", "--window=-4,-4,4,4"])
+        assert rc == EXIT_INPUT and not drawn
+        assert str(MAX_RENDER_POINTS) in capsys.readouterr().err
 
 
 class TestPeriods:
@@ -651,6 +678,11 @@ SHIFTS_997 = json.dumps(
           "--similarity", '{"z":[1,0]}'], EXIT_INPUT, ""),
         (["render", "--preset", "hex", "--packing-only",
           "--window=-5000,-5000,5000,5000"], EXIT_INPUT, ""),
+        # Γ = ⟨10³⁰, 10⁻³⁰·u⟩ has det 1, but 8·10³⁰ rows cross the window.
+        (["render", json.dumps({"ring": "gaussian",
+                                "basis": [[str(10**30), "0"], ["0", f"1/{10**30}"]],
+                                "shifts": [["0", "0"]]}),
+          "--packing-only", "--window=-4,-4,4,4"], EXIT_INPUT, ""),
         # 64 shifts i/64 that merge into one component: m candidate periods.
         (["periods", json.dumps({"ring": "gaussian",
                                  "shifts": [[f"{i}/64", "0"] for i in range(64)]})],
@@ -661,9 +693,14 @@ SHIFTS_997 = json.dumps(
          EXIT_INPUT, ""),
         (["verify", SHIFTS_997, "--direction", '{"z":[1,0]}',
           "--p-bound", "100", "--q-bound", "100"], EXIT_INPUT, ""),
+        # Scal classes modulo L = 1000003·999983 ≈ 10¹², merged by CRT.
+        (["verify", json.dumps({"ring": "gaussian", "shifts": [
+            ["0", "0"], ["1/1000003", "0"], ["1/999983", "0"]]}),
+          "--direction", '{"z":[1,0]}'], EXIT_OK, '"agree": true'),
     ],
-    ids=["huge-norm-reflection", "65-shifts", "giant-window", "64-shift-periods",
-         "oracle-budget-similarity", "oracle-budget-direction"],
+    ids=["huge-norm-reflection", "65-shifts", "giant-window", "skewed-basis-window",
+         "64-shift-periods",
+         "oracle-budget-similarity", "oracle-budget-direction", "scal-modulus-1e12"],
 )
 def test_hostile_inputs_finish(argv, code, out):
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -676,6 +713,19 @@ def test_hostile_inputs_finish(argv, code, out):
     if code != EXIT_OK:
         assert proc.stdout == "" and proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+
+
+def test_scal_residue_cap_exits_2():
+    # Shifts 0 and 1/p for the first 14 primes: 2¹⁴ Scal classes at q = 1.
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    doc = json.dumps({"ring": "gaussian", "shifts": [["0", "0"]] + [[f"1/{p}", "0"] for p in primes]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "simiso.cli", "verify", doc, "--direction", '{"z":[1,0]}'],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=10,
+    )
+    assert proc.returncode == EXIT_INPUT and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(MAX_SCAL_RESIDUES) in proc.stderr
 
 
 README = Path(cli.__file__).resolve().parents[2] / "README.md"
@@ -698,3 +748,99 @@ def test_readme_commands_exit_0(line, tmp_path, monkeypatch):
     (tmp_path / "packing.json").write_text(doc, encoding="utf-8")
     (tmp_path / "similarity.json").write_text('{"z":[1,1],"scale":"2"}', encoding="utf-8")
     assert main(shlex.split(line, comments=True)[1:]) == EXIT_OK
+
+
+# Flags of every subcommand, read from the parser itself.
+_SUBCOMMANDS = next(
+    a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+_FLAGS = {
+    name: sorted(o for act in sub._actions for o in act.option_strings
+                 if o.startswith("--") and o != "--help")
+    for name, sub in _SUBCOMMANDS.items()
+}
+_GOOD_RATIONALS = st.sampled_from(["0", "1", "-1", "1/2", "2/3", "-5/7", "1/13", "3", "0.25"])
+_RATIONALS = _GOOD_RATIONALS | st.sampled_from(["1/0", "x", "1e3", "", 1, 0.5, None])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_PAIR = st.lists(_GOOD_RATIONALS, min_size=2, max_size=2)
+_Z = st.lists(st.integers(-4, 4), min_size=2, max_size=2)
+# Well-formed documents, which may still be rejected (congruent shifts, z = 0).
+_PACKING = st.fixed_dictionaries(
+    {"ring": st.sampled_from([GAUSSIAN, EISENSTEIN]), "shifts": st.lists(_PAIR, min_size=1, max_size=3)},
+    optional={"basis": st.lists(_PAIR, min_size=2, max_size=2)},
+)
+_SIMILARITY = st.fixed_dictionaries({"z": _Z}, optional={"scale": _GOOD_RATIONALS, "conj": st.booleans()})
+_DIRECTION = st.fixed_dictionaries({"z": _Z}, optional={"conj": st.booleans()})
+# Malformed ones, and text that is no JSON object.
+_BAD = st.one_of(
+    st.fixed_dictionaries(
+        {"ring": st.sampled_from([GAUSSIAN, "cubic"]), "shifts": st.lists(st.lists(_RATIONALS, max_size=3), max_size=3)},
+        optional={"basis": st.lists(st.lists(_RATIONALS, max_size=3), max_size=3)},
+    ).map(json.dumps),
+    st.fixed_dictionaries({"z": _JSON}, optional={"scale": _RATIONALS, "conj": _JSON}).map(json.dumps),
+    st.dictionaries(st.sampled_from(["ring", "shifts", "basis", "z", "scale", "conj", "x"]),
+                    _JSON, max_size=4).map(json.dumps),
+    st.text(max_size=12).map(lambda t: "{" + t),
+    st.sampled_from(["packing.json", "missing.json", '{"ring":' + "[" * 100_000 + "]" * 100_000 + "}"]),
+)
+_COUNTS = st.sampled_from(["-1", "0", "1", "3", "100", "101", "x"])
+_VALUES = {
+    "--preset": st.sampled_from(sorted(cli.PRESETS) + ["nope"]),
+    "--similarity": _SIMILARITY.map(json.dumps) | _BAD,
+    "--direction": _DIRECTION.map(json.dumps) | _BAD,
+    "--window": st.sampled_from(["-3,-3,3,3", "0,0,1/2,5", "-1/3,0,2,2"])
+    | st.lists(st.sampled_from(["-3", "0", "1/2", "3", "x", "1e1", "500"]), min_size=3, max_size=5).map(",".join),
+    "--samples": _COUNTS,
+    "--z": st.sampled_from(["1,0", "2,1", "-3,2", "2,2", "0,0", "x", "1"]),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--p-bound": _COUNTS,
+    "--q-bound": _COUNTS,
+    "--random": st.sampled_from([-1, 0, 1, 5, MAX_RANDOM + 1]).map(str),
+    "--seed": st.sampled_from(["0", "7", "-2"]),
+}
+
+
+@st.composite
+def _argv(draw, out):
+    """A command line of one subcommand, with flags drawn from its own."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command == "table":
+        argv.append(draw(st.sampled_from(["t1", "t2", "t3", "t4", "t5", "t9"])))
+    elif draw(st.booleans()):
+        argv.append(draw(_PACKING.map(json.dumps) | _BAD))
+    flags = [flag for flag in _FLAGS[command] if draw(st.integers(0, 2))]
+    if draw(st.integers(0, 9)) == 0:
+        flags.insert(draw(st.integers(0, len(flags))), "--bogus")
+    for flag in flags:
+        if flag in ("--packing-only", "--bogus"):
+            argv.append(flag)
+        elif flag == "--out":
+            argv.append(f"--out={out}")
+        else:
+            argv.append(f"{flag}={draw(_VALUES[flag])}")
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzz_main(data, tmp_path, monkeypatch):
+    """Every command line exits 0–3 within 10 s with no traceback; 4 is a bug."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "packing.json").write_text(HEX_DOC, encoding="utf-8")
+    argv = data.draw(_argv(tmp_path / "out.txt"))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert time.perf_counter() - start < 10, argv
+    assert code in (EXIT_OK, EXIT_REJECTED, EXIT_INPUT, EXIT_DISCREPANCY), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -14,6 +14,7 @@ from simiso.rings import (
     FieldElem,
     RingElem,
     RingMismatchError,
+    over_denominator,
 )
 from simiso.similarity import Similarity
 
@@ -276,11 +277,11 @@ class TestCosetIntersection:
                 F(rng.randint(-10, 10), rng.randint(1, 4)),
             )
             total = lat.SumLattice.of(l1, l2, (v,))
-            coeffs = total.solve(*total.scaled(v))
+            coeffs = total.solve(*total.points[0])
             if coeffs is None:
                 assert not add(l1, l2).contains(v)
             else:
-                ell = total.first.point(*coeffs)
+                ell = l1.point(*coeffs)
                 assert add(l1, l2).contains(v)
                 assert l1.contains(ell)
                 assert l2.contains(ell - v)
@@ -303,17 +304,11 @@ class TestCosetIntersection:
         l1 = RECT31
         l2 = mul_lattice(GAUSSIAN, 1, 2)
         total = lat.SumLattice.of(l1, l2, ())
-        d = total.scale
+        d, _ = over_denominator([l1.b00, l1.b01, l1.b11, l2.b00, l2.b01, l2.b11])
         h00, zero, *_ = total.k
         h01, h11, *_ = total.lead
         assert zero == 0 and h00 > 0 and h11 > 0 and 0 <= h01 < h00
         assert Lattice(GAUSSIAN, F(h00, d), F(h01, d), F(h11, d)) == add(l1, l2)
-
-    def test_point_outside_the_scale_refused(self):
-        total = lat.SumLattice.of(ZI, mul_lattice(GAUSSIAN, 1, 1), (fe(GAUSSIAN, F(1, 2), 0),))
-        assert total.scale == 2
-        with pytest.raises(RuntimeError):
-            total.scaled(fe(GAUSSIAN, F(1, 3), 0))
 
     def test_different_rings_refused(self):
         with pytest.raises(RingMismatchError):

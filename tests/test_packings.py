@@ -59,8 +59,8 @@ def _meet(lattice, x_k, x_j, s):
     """A point of s(x_k + Γ) ∩ (x_j + Γ) from the sum solve, or None."""
     v = s.apply(x_k) - x_j
     total = lat.SumLattice.of(lattice, s.image_lattice(lattice), (v,))
-    coeffs = total.solve(*total.scaled(v))
-    return None if coeffs is None else x_j + total.first.point(*coeffs)
+    coeffs = total.solve(*total.points[0])
+    return None if coeffs is None else x_j + lattice.point(*coeffs)
 
 
 class TestComponentIntersection:
@@ -334,15 +334,15 @@ ZI = Lattice.ring_lattice(GAUSSIAN)
 
 
 @st.composite
-def lifted_packings_with_trials(draw):
+def lifted_packings_with_trials(draw, max_den=13):
     """A packing over Z[i] or Z[ω] with m ≤ 6 shifts whose coordinates have
-    denominators ≤ 13, and the trial map x ↦ (z/q)·x or (z/q)·conj(x) of
+    denominators ≤ max_den, and the trial map x ↦ (z/q)·x or (z/q)·conj(x) of
     the Scal sweep at an admissible q: 1, or q ≤ m with q² | N(z) for a
     reflection.  Within m ≤ 6 the only such q > 1 is 5, for z ∈ Z[i] with
     N(z) = 25 and m ≥ 5; half the examples take it."""
     five = draw(st.booleans())
     ring = GAUSSIAN if five else draw(st.sampled_from((GAUSSIAN, EISENSTEIN)))
-    coord = st.integers(1, 13).flatmap(lambda den: st.integers(0, den - 1).map(lambda t: F(t, den)))
+    coord = st.integers(1, max_den).flatmap(lambda den: st.integers(0, den - 1).map(lambda t: F(t, den)))
     pairs = draw(st.lists(st.tuples(coord, coord), min_size=5 if five else 1, max_size=6, unique=True))
     packing = PointPacking(Lattice.ring_lattice(ring), tuple(FieldElem(ring, a, b) for a, b in pairs))
     if five:
@@ -353,7 +353,70 @@ def lifted_packings_with_trials(draw):
     return packing, Direction(RingElem(ring, *z), conjugate).similarity(F(1, q))
 
 
+@st.composite
+def residue_sets(draw):
+    """(A, M, q): q ≤ 64, M ≤ 1,000 a multiple of q, and A a non-empty set
+    of residues mod M prime to q.  A is the units of a union of classes mod
+    a divisor of M, less up to three residues so that some sets do not fold."""
+    q = draw(st.integers(1, 64))
+    modulus = q * draw(st.integers(1, 1000 // q))
+    div = draw(st.sampled_from([e for e in range(1, modulus + 1) if modulus % e == 0]))
+    classes = draw(st.sets(st.integers(0, div - 1), min_size=1, max_size=6))
+    units = [r for r in range(modulus) if math.gcd(r, q) == 1 and r % div in classes]
+    assume(units)
+    dropped = draw(st.sets(st.sampled_from(units), max_size=3))
+    accepted = set(units) - dropped
+    assume(accepted)
+    return accepted, modulus, q
+
+
 class TestCongruenceSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(lifted_packings_with_trials(max_den=8))
+    def test_sweep_matches_residue_walk(self, case):
+        # Denominators ≤ 8 keep L ≤ 840, so the reference walks it quickly.
+        packing, trial = case
+        _, d = sim.decompose(trial)
+
+        def nonempty(sweep):
+            return {q: (modulus, accepted) for q, modulus, accepted in sweep if accepted}
+
+        assert nonempty(pk._sweep_direction(packing, d)) == nonempty(ref.sweep_direction(packing, d))
+
+    @settings(max_examples=300, deadline=None)
+    @given(residue_sets())
+    def test_minimal_modulus_matches_divisor_walk(self, case):
+        accepted, modulus, q = case
+        assert pk._minimal_modulus(accepted, modulus, q) == _reference_minimal_modulus(
+            accepted, modulus, q
+        )
+
+    def test_large_modulus_rows(self):
+        # Shift denominators 5–13 give L = lcm(5, 7, 8, 9, 11, 13) = 360,360,
+        # and each of the three non-zero shifts meets itself or 0 + Z[i].
+        shifts = ((0, 0), (F(1, 7), F(1, 8)), (F(1, 9), F(1, 11)), (F(1, 5), F(1, 13)))
+        packing = PointPacking(ZI, tuple(FieldElem(GAUSSIAN, a, b) for a, b in shifts))
+        rows = {
+            (1, 0): [
+                (0, ((0, 0), (1, 0), (2, 0), (3, 0))),
+                (1, ((0, 0), (1, 1), (2, 2), (3, 3))),
+                (70785, ((0, 0), (1, 1), (2, 0), (3, 0))),
+                (133056, ((0, 0), (1, 0), (2, 0), (3, 3))),
+                (156520, ((0, 0), (1, 0), (2, 2), (3, 0))),
+                (203841, ((0, 0), (1, 1), (2, 0), (3, 3))),
+                (227305, ((0, 0), (1, 1), (2, 2), (3, 0))),
+                (289576, ((0, 0), (1, 0), (2, 2), (3, 3))),
+            ],
+            (2, 1): [(0, ((0, 0), (1, 0), (2, 0), (3, 0)))],
+            (4, 1): [(0, ((0, 0), (1, 0), (2, 0), (3, 0)))],
+        }
+        for z, expected in rows.items():
+            d = Direction(RingElem(GAUSSIAN, *z))
+            got = pk.scal_classes_by_tau(packing, d)
+            assert got == [(ResidueClass(1, 360360, frozenset({r})), tau) for r, tau in expected]
+            residues = frozenset(r for r, _ in expected)
+            assert pk.scal_set_packing(packing, d).classes == (ResidueClass(1, 360360, residues),)
+
     @settings(max_examples=200, deadline=None)
     @given(ring_packings_with_directions())
     def test_matches_reference_sweep(self, case):
@@ -385,7 +448,7 @@ class TestCongruenceSolve:
         def solve(sum_with, a, x):
             points = (FieldElem(GAUSSIAN, *a), FieldElem(GAUSSIAN, *x))
             total = lat.SumLattice.of(ZI, sum_with, points)
-            return total.congruence(*map(total.scaled, points))
+            return total.congruence(*total.points)
 
         # Over S = Z[i]: p·(1/3, 2/3) ≡ (2/3, 1/3) mod Z² at p ≡ 2 (mod 3) only.
         assert solve(ZI, (F(1, 3), F(2, 3)), (F(2, 3), F(1, 3))) == (2, 3)
@@ -409,12 +472,12 @@ class TestCongruenceSolve:
         total = lat.SumLattice.of(gamma, trial.image_lattice(gamma), packing.shifts + images)
         n, conditions = ref.sweep_conditions(packing, trial)
         assert total.index() == n
-        for image, (o_k, by_residue) in zip(images, conditions):
-            a_k = total.scaled(image)
+        targets, scaled_images = total.points[:packing.m], total.points[packing.m:]
+        for a_k, (o_k, by_residue) in zip(scaled_images, conditions):
             assert total.congruence(a_k, (0, 0)) == (0, o_k)
             residue_of = {j: r for r, js in by_residue.items() for j in js}
-            for j, x_j in enumerate(packing.shifts):
-                solved = total.congruence(a_k, total.scaled(x_j))
+            for j, x_j in enumerate(targets):
+                solved = total.congruence(a_k, x_j)
                 expected = (residue_of[j], o_k) if j in residue_of else None
                 assert solved == expected
 
