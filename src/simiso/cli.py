@@ -25,7 +25,7 @@ from .lattices import Lattice
 from .packings import PointPacking
 from .presets import PRESETS, preset
 from .render import render_svg
-from .rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
+from .rings import EISENSTEIN, GAUSSIAN, FieldElem
 from .similarity import Direction, ScalSet, Similarity, format_scale
 
 EXIT_OK = 0
@@ -139,7 +139,7 @@ def parse_similarity_doc(doc: dict, ring: str) -> Similarity:
     _check_keys(doc, "similarity", ("z", "scale", "conj"))
     elem = _ring_elem(doc, ring, "similarity")
     scale = _fraction(doc.get("scale", "1"))
-    w = elem.to_field().scale(scale)
+    w = elem.scale(scale)
     if w.is_zero():
         raise InputError("similarity multiplier is zero")
     return Similarity(w, _conj_flag(doc))
@@ -158,15 +158,18 @@ def _is_pair(entry) -> bool:
     return isinstance(entry, list) and len(entry) == 2
 
 
-def _ring_elem(doc: dict, ring: str, kind: str) -> RingElem:
+def _ring_elem(doc: dict, ring: str, kind: str) -> FieldElem:
     """The element "z": [a, b] of a similarity or direction document."""
     z = doc.get("z")
     if not _is_pair(z) or not all(
         isinstance(c, int) and not isinstance(c, bool) for c in z
     ):
         raise InputError(f'{kind} document needs "z": [a, b] with JSON integers')
+    if any(abs(c) >= 10 ** MAX_RATIONAL_CHARS for c in z):
+        raise InputError(f'{kind} document "z" takes integers of at most '
+                         f"{MAX_RATIONAL_CHARS} digits")
     try:
-        return RingElem(ring, z[0], z[1])
+        return FieldElem(ring, z[0], z[1])
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -197,15 +200,13 @@ def _tau_display(packing: PointPacking, tau) -> str:
     return "{" + pairs + "}"
 
 
-def _beta_display(s: Similarity) -> str:
-    ratio, d = sim.decompose(s)
-    return format_scale(ratio, d.norm())
-
-
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -223,13 +224,14 @@ def run_analyze(args) -> int:
     s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
     report = packings.check_similarity(packing, s)
     ratio, d = sim.decompose(s)
+    den = sim.denominator(packing.lattice, d)
     doc = {
         "accepted": report.accepted,
         "n": report.n,
         "m": packing.m,
-        "beta": _beta_display(s),
+        "beta": format_scale(ratio, d.norm()),
         "direction": str(d),
-        "den_lattice": format_scale(sim.denominator(packing.lattice, d), d.norm()),
+        "den_lattice": format_scale(den, d.norm()),
     }
     if report.accepted:
         doc["tau"] = [
@@ -239,7 +241,7 @@ def run_analyze(args) -> int:
             {"component": k, "target": j, "offset": str(off)}
             for k, j, off in report.witness
         ]
-        cor = packings.check_corollaries(report, packing)
+        cor = packings.check_corollaries(report, packing, ratio, den)
         doc["corollaries"] = {
             "shift_pair_in_nth_lattice": cor.shift_pair_in_nth_lattice,
             "singleton_when_lattice_scaling": cor.singleton_when_lattice_scaling,
@@ -257,11 +259,11 @@ def run_analyze(args) -> int:
 # table
 
 
-def _gaussian_class(z: RingElem) -> tuple[int, int]:
+def _gaussian_class(z: FieldElem) -> tuple[int, int]:
     return z.a % 2, z.b % 2
 
 
-def _eisenstein_class(z: RingElem) -> int:
+def _eisenstein_class(z: FieldElem) -> int:
     return (z.a + z.b) % 3
 
 
@@ -283,7 +285,7 @@ def class_label(ring: str, key) -> str:
     return f"a+b≡{key} mod 3"
 
 
-def sample_directions(ring: str, key, count: int) -> list[RingElem]:
+def sample_directions(ring: str, key, count: int) -> list[FieldElem]:
     """The first `count` primitive z of a congruence class, ordered by
     (norm, a, b) over the sector a ≥ 1, b ≥ 0."""
     classify = _gaussian_class if ring == GAUSSIAN else _eisenstein_class
@@ -293,10 +295,10 @@ def sample_directions(ring: str, key, count: int) -> list[RingElem]:
         bound *= 2
         found = []
         candidates = [
-            RingElem(ring, a, b)
+            FieldElem(ring, a, b)
             for a in range(1, bound)
             for b in range(0, bound)
-            if math.gcd(a, b) == 1 and classify(RingElem(ring, a, b)) == key
+            if math.gcd(a, b) == 1 and classify(FieldElem(ring, a, b)) == key
         ]
         candidates.sort(key=lambda z: (z.norm(), z.a, z.b))
         found = candidates[:count]
@@ -304,7 +306,7 @@ def sample_directions(ring: str, key, count: int) -> list[RingElem]:
 
 
 def table_rows(
-    name: str, samples: int = 2, explicit: list[RingElem] | None = None
+    name: str, samples: int = 2, explicit: list[FieldElem] | None = None
 ) -> list[dict]:
     """Rows (class, z, scal, tau) reproducing the published tables."""
     preset_name, conjugate, ring = TABLE_SPECS[name]
@@ -338,11 +340,15 @@ def run_table(args) -> int:
         _, _, ring = TABLE_SPECS[args.name]
         explicit = []
         for text in args.z:
+            parts = text.split(",")
+            if any(len(part) > MAX_RATIONAL_CHARS for part in parts):
+                raise InputError(f"bad --z {text[:MAX_RATIONAL_CHARS]!r}: each part "
+                                 f"has at most {MAX_RATIONAL_CHARS} characters")
             try:
-                a, b = (int(part) for part in text.split(","))
+                a, b = (int(part) for part in parts)
             except ValueError:
                 raise InputError(f"bad --z {text!r}; expected a,b") from None
-            z = RingElem(ring, a, b)
+            z = FieldElem(ring, a, b)
             if z.is_zero() or math.gcd(a, b) != 1:
                 raise InputError(f"--z {text!r} is not a primitive direction")
             explicit.append(z)

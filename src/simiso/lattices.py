@@ -96,8 +96,8 @@ class Lattice:
 
     @classmethod
     def from_generators(cls, ring: str, generators: list[Vec]) -> Lattice:
-        """Lattice spanned by the given rational coordinate pairs."""
-        d, ints = over_denominator([Fraction(c) for g in generators for c in g])
+        """Lattice spanned by the given coordinate pairs of ints or Fractions."""
+        d, ints = over_denominator([c for g in generators for c in g])
         cols = [(x, y, 0, 0) for x, y in zip(ints[::2], ints[1::2])]
         (h00, *_), (h01, h11, *_) = _hnf_columns(cols)
         return cls(ring, Fraction(h00, d), Fraction(h01, d), Fraction(h11, d))
@@ -112,7 +112,7 @@ class Lattice:
         return self.b00 * self.b11
 
     def generators(self) -> tuple[FieldElem, FieldElem]:
-        g1 = FieldElem(self.ring, self.b00, Fraction(0))
+        g1 = FieldElem(self.ring, self.b00, 0)
         g2 = FieldElem(self.ring, self.b01, self.b11)
         return g1, g2
 
@@ -132,7 +132,6 @@ class Lattice:
         return t0.denominator == 1 and t1.denominator == 1
 
     def point(self, t0: int | Fraction, t1: int | Fraction) -> FieldElem:
-        t0, t1 = Fraction(t0), Fraction(t1)
         return FieldElem(self.ring, self.b00 * t0 + self.b01 * t1, self.b11 * t1)
 
     def reduce_point(self, x: FieldElem) -> FieldElem:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import lattices
 from .lattices import Lattice
 from .packings import PointPacking
-from .rings import FieldElem, GAUSSIAN, RingElem
+from .rings import FieldElem, GAUSSIAN
 from .similarity import Direction, Similarity
 
 
@@ -172,11 +172,11 @@ def random_case(
     return RandomCase(PointPacking(base, tuple(shifts)), s)
 
 
-def _random_primitive(rng: random.Random, ring: str, max_norm: int) -> RingElem:
+def _random_primitive(rng: random.Random, ring: str, max_norm: int) -> FieldElem:
     bound = math.isqrt(max_norm) + (1 if ring == GAUSSIAN else 2)
     while True:
         a = rng.randint(-bound, bound)
         b = rng.randint(-bound, bound)
-        e = RingElem(ring, a, b)
+        e = FieldElem(ring, a, b)
         if not e.is_zero() and e.norm() <= max_norm and math.gcd(a, b) == 1:
             return e

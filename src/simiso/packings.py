@@ -90,7 +90,6 @@ class SimilarityReport:
     tau: tuple[tuple[int, int], ...]
     witness: tuple[tuple[int, int, FieldElem], ...]
     similarity: Similarity
-    image_lattice: Lattice
     failing_k: int | None = None
     reached: tuple[int, ...] = ()
 
@@ -109,9 +108,8 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
     of s(x_k + Γ) ∩ (x_j + Γ) are built only for an accepted report.
     """
     gamma = packing.lattice
-    img = s.image_lattice(gamma)
     images = tuple(s.apply(x) for x in packing.shifts)
-    total = lattices.SumLattice.of(gamma, img, packing.shifts + images)
+    total = lattices.SumLattice.of(gamma, s.image_lattice(gamma), packing.shifts + images)
     n = total.index()
     targets = total.points[:packing.m]
     hits: list[tuple[int, int, tuple[int, int]]] = []  # k, j, Γ-coefficients
@@ -123,10 +121,10 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
                 reached.append(j)
                 hits.append((k, j, coeffs))
         if len(reached) != n:
-            return SimilarityReport(False, n, (), (), s, img, k, tuple(reached))
+            return SimilarityReport(False, n, (), (), s, k, tuple(reached))
     tau = tuple((k, j) for k, j, _ in hits)
     witness = tuple((k, j, packing.shifts[j] + gamma.point(*t)) for k, j, t in hits)
-    return SimilarityReport(True, n, tau, witness, s, img)
+    return SimilarityReport(True, n, tau, witness, s)
 
 
 def lift_to_ring(packing: PointPacking) -> PointPacking:
@@ -296,10 +294,13 @@ class CorollaryDiagnostics:
         ))
 
 
-def check_corollaries(report: SimilarityReport, packing: PointPacking) -> CorollaryDiagnostics:
+def check_corollaries(
+    report: SimilarityReport, packing: PointPacking, ratio: Fraction, den: Fraction
+) -> CorollaryDiagnostics:
     """Verify the structural consequences of an accepted similarity.
 
-    With s = ratio·z and den = den(Γ, R), so that βRΓ ⊆ Γ exactly when
+    The caller passes ratio, with s = ratio·z from decompose, and
+    den = den(Γ, R) from similarity.denominator, so that βRΓ ⊆ Γ exactly when
     ratio/den ∈ Z: (i) for n ≥ 2 some pair of distinct shifts differs by a
     point of (1/n)Γ; (ii) when ratio/den ∈ Z each component lands in exactly
     one component; (iii) n·β is a lattice scaling factor, n·ratio/den ∈ Z.
@@ -308,8 +309,6 @@ def check_corollaries(report: SimilarityReport, packing: PointPacking) -> Coroll
         raise ValueError("corollary checks need an accepted report")
     gamma = packing.lattice
     n = report.n
-    ratio, d = sim.decompose(report.similarity)
-    den = sim.denominator(gamma, d)
 
     pair_ok: bool | None = None
     if n >= 2:

@@ -21,7 +21,7 @@ def rect12() -> PointPacking:
     base = Lattice.ring_lattice(GAUSSIAN)
     return PointPacking(
         base,
-        (FieldElem.zero(GAUSSIAN), FieldElem(GAUSSIAN, F(1, 2), F(0))),
+        (FieldElem.zero(GAUSSIAN), FieldElem(GAUSSIAN, F(1, 2), 0)),
     )
 
 
@@ -42,13 +42,13 @@ def hexagonal_shifted() -> PointPacking:
 
 def square_over_rect31() -> PointPacking:
     """Z[i] viewed over the 3×1 rectangular lattice {3a+bi}, shifts 0, 1, 2."""
-    base = Lattice.from_generators(GAUSSIAN, [(F(3), F(0)), (F(0), F(1))])
+    base = Lattice.from_generators(GAUSSIAN, [(3, 0), (0, 1)])
     return PointPacking(
         base,
         (
             FieldElem.zero(GAUSSIAN),
-            FieldElem(GAUSSIAN, F(1), F(0)),
-            FieldElem(GAUSSIAN, F(2), F(0)),
+            FieldElem(GAUSSIAN, 1, 0),
+            FieldElem(GAUSSIAN, 2, 0),
         ),
     )
 

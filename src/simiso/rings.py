@@ -1,21 +1,24 @@
 """Exact arithmetic in the planar quadratic rings Z[i] and Z[ω].
 
 Elements are coordinate pairs over the basis {1, u}, where u = i for the
-Gaussian ring and u = ω = e^{2πi/3} for the Eisenstein ring.  RingElem has
-integer coordinates, FieldElem rational ones; both are immutable and all
-operations are pure.  No floating point appears anywhere.
+Gaussian ring and u = ω = e^{2πi/3} for the Eisenstein ring.  FieldElem is
+the one element type: its coordinates are exact, int or Fraction, and Python
+compares and hashes the two alike, so an element of the ring Z[u] is simply
+one with integer coordinates inside the field Q(u).  Elements are immutable
+and all operations are pure.  No floating point appears anywhere.
 
 The module holds what the engine uses: addition, multiplication, norm and
 conjugation, and the content of a ring element.  There is no Euclidean
 division: every gcd the engine needs comes from a closed form or a Hermite
-form.
+form.  RingElem remains as a second name of FieldElem for code written
+against the former integer class, such as the benchmark's workloads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 
 GAUSSIAN = "gaussian"
 EISENSTEIN = "eisenstein"
@@ -38,8 +41,8 @@ def _same_ring(x, y) -> None:
         raise RingMismatchError(f"cannot mix {x.ring} and {y.ring} elements")
 
 
-def _format_combo(a, b, sym: str) -> str:
-    # a + b*u with integer or rational a, b; omits zero terms.
+def _format_combo(a: int, b: int, sym: str) -> str:
+    # a + b*u with integer a, b; omits zero terms.
     if b == 0:
         return str(a)
     if b == 1:
@@ -55,80 +58,25 @@ def _format_combo(a, b, sym: str) -> str:
 
 
 @dataclass(frozen=True)
-class RingElem:
-    """An element a + b·u of Z[i] or Z[ω]."""
-
-    ring: str
-    a: int
-    b: int
-
-    def __post_init__(self):
-        _check_ring(self.ring)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def norm(self) -> int:
-        """The number-theoretic norm |x|²; non-negative, multiplicative."""
-        if self.ring == GAUSSIAN:
-            return self.a * self.a + self.b * self.b
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def conj(self) -> RingElem:
-        if self.ring == GAUSSIAN:
-            return RingElem(self.ring, self.a, -self.b)
-        # conj(ω) = ω² = -1-ω
-        return RingElem(self.ring, self.a - self.b, -self.b)
-
-    def __neg__(self) -> RingElem:
-        return RingElem(self.ring, -self.a, -self.b)
-
-    def __add__(self, other: RingElem) -> RingElem:
-        _same_ring(self, other)
-        return RingElem(self.ring, self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: RingElem) -> RingElem:
-        _same_ring(self, other)
-        return RingElem(self.ring, self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: RingElem) -> RingElem:
-        _same_ring(self, other)
-        a, b, c, d = self.a, self.b, other.a, other.b
-        if self.ring == GAUSSIAN:
-            return RingElem(self.ring, a * c - b * d, a * d + b * c)
-        # (a+bω)(c+dω) with ω² = -1-ω
-        return RingElem(self.ring, a * c - b * d, a * d + b * c - b * d)
-
-    def to_field(self) -> FieldElem:
-        return FieldElem(self.ring, Fraction(self.a), Fraction(self.b))
-
-    def __str__(self) -> str:
-        return _format_combo(self.a, self.b, UNIT_SYMBOL[self.ring])
-
-
-@dataclass(frozen=True)
 class FieldElem:
     """An element a + b·u of Q(i) or Q(ω); doubles as a point of the plane."""
 
     ring: str
-    a: Fraction
-    b: Fraction
+    a: Rational
+    b: Rational
 
     def __post_init__(self):
         _check_ring(self.ring)
-        # Normalize so equality and hashing see reduced Fractions even when
-        # callers pass ints.
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
 
     @classmethod
     def zero(cls, ring: str) -> FieldElem:
-        return cls(ring, Fraction(0), Fraction(0))
+        return cls(ring, 0, 0)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def norm(self) -> Fraction:
+    def norm(self) -> Rational:
+        """The number-theoretic norm |x|²; non-negative, multiplicative."""
         if self.ring == GAUSSIAN:
             return self.a * self.a + self.b * self.b
         return self.a * self.a - self.a * self.b + self.b * self.b
@@ -136,6 +84,7 @@ class FieldElem:
     def conj(self) -> FieldElem:
         if self.ring == GAUSSIAN:
             return FieldElem(self.ring, self.a, -self.b)
+        # conj(ω) = ω² = -1-ω
         return FieldElem(self.ring, self.a - self.b, -self.b)
 
     def __neg__(self) -> FieldElem:
@@ -154,16 +103,16 @@ class FieldElem:
         a, b, c, d = self.a, self.b, other.a, other.b
         if self.ring == GAUSSIAN:
             return FieldElem(self.ring, a * c - b * d, a * d + b * c)
+        # (a+bω)(c+dω) with ω² = -1-ω
         return FieldElem(self.ring, a * c - b * d, a * d + b * c - b * d)
 
-    def scale(self, r: Fraction | int) -> FieldElem:
-        r = Fraction(r)
+    def scale(self, r: Rational) -> FieldElem:
         return FieldElem(self.ring, self.a * r, self.b * r)
 
-    def clear_denominators(self) -> tuple[int, RingElem]:
-        """Minimal positive n and ring element r with self = r / n."""
+    def clear_denominators(self) -> tuple[int, FieldElem]:
+        """Minimal positive n and integral r with self = r / n."""
         n, (a, b) = over_denominator((self.a, self.b))
-        return n, RingElem(self.ring, a, b)
+        return n, FieldElem(self.ring, a, b)
 
     def __str__(self) -> str:
         d, (na, nb) = over_denominator((self.a, self.b))
@@ -175,16 +124,20 @@ class FieldElem:
         return f"{core}/{d}"
 
 
+# The former name of integral elements; perfbench/workloads.py imports it.
+RingElem = FieldElem
+
+
 def over_denominator(values) -> tuple[int, list[int]]:
     """The least common denominator d of the rationals, and each one times d."""
     d = math.lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def content_and_primitive(z: RingElem) -> tuple[int, RingElem]:
+def content_and_primitive(z: FieldElem) -> tuple[int, FieldElem]:
     """Split z ≠ 0 as c·z0 with c = gcd(a, b) > 0 and z0 primitive."""
     if z.is_zero():
         raise ValueError("zero has no primitive part")
     c = math.gcd(z.a, z.b)
-    return c, RingElem(z.ring, z.a // c, z.b // c)
+    return c, FieldElem(z.ring, z.a // c, z.b // c)
 

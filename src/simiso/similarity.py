@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattices
-from .rings import FieldElem, RingElem, content_and_primitive
+from .rings import FieldElem, content_and_primitive
 from .lattices import Lattice
 
 
@@ -55,7 +55,7 @@ class Direction:
     No unit normalization is applied: z and iz are distinct rotations.
     """
 
-    z: RingElem
+    z: FieldElem
     conjugate: bool = False
 
     def __post_init__(self):
@@ -73,7 +73,7 @@ class Direction:
 
     def similarity(self, ratio: Fraction | int) -> Similarity:
         """The similarity with β = ratio·|z| along this direction."""
-        return Similarity(self.z.to_field().scale(Fraction(ratio)), self.conjugate)
+        return Similarity(self.z.scale(ratio), self.conjugate)
 
     def __str__(self) -> str:
         base = f"({self.z})/|{self.z}|"
@@ -140,7 +140,6 @@ class ScalSet:
         return not self.classes
 
     def contains_ratio(self, ratio: Fraction | int) -> bool:
-        ratio = Fraction(ratio)
         return any(c.contains_ratio(ratio) for c in self.classes)
 
     def min_positive_ratio(self) -> Fraction | None:

@@ -104,7 +104,7 @@ def image_lattice(s, lattice):
 def denominator(lattice, d):
     """den(Γ, R) as r in den = r·|z|: the least positive rational making
     r·B⁻¹·M_z·(M_conj)·B integral."""
-    m = mul_matrix(d.z.to_field())
+    m = mul_matrix(d.z)
     if d.conjugate:
         c = conj_matrix(lattice.ring)
         m = (

@@ -176,7 +176,8 @@ def test_criterion_5_square_over_rect31():
         assert report.accepted and report.n == 3
         assert len(report.tau) == 9
         assert set(report.tau) == {(k, j) for k in range(3) for j in range(3)}
-        diag = pk.check_corollaries(report, packing)
+        ratio, d = sim.decompose(report.similarity)
+        diag = pk.check_corollaries(report, packing, ratio, sim.denominator(packing.lattice, d))
         assert diag.all_pass() and diag.shift_pair_in_nth_lattice is True
         # x_1 - x_0 lies in (1/3)Γ.
         assert packing.lattice.contains((packing.shifts[1] - packing.shifts[0]).scale(3))

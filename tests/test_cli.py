@@ -661,6 +661,49 @@ class TestInternalErrors:
         assert captured.err == "error: internal: RuntimeError: guard failed second line\n"
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_exits_2(where, tmp_path, capsys):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    assert main(["periods", "--preset", "hex", "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--preset", "hex", "--similarity",
+         json.dumps({"z": [10**MAX_RATIONAL_CHARS, 1]})],
+        ["analyze", "--preset", "hex", "--similarity", json.dumps({"z": [1, -(10**4000)]})],
+        ["verify", "--preset", "hex", "--direction",
+         json.dumps({"z": [-(10**MAX_RATIONAL_CHARS), 1]})],
+        ["table", "t2", "--z", f"{10**MAX_RATIONAL_CHARS},1"],
+        ["table", "t2", "--z", "1," + "0" * 4000 + "1"],
+    ],
+    ids=["analyze-41-digits", "analyze-4001-digits", "direction-41-digits",
+         "table-41-digits", "table-4002-chars"],
+)
+def test_z_digits_refused_before_the_engine(argv, monkeypatch, capsys):
+    def reached(*args):
+        raise RuntimeError("the engine ran")
+
+    for name in ("check_similarity", "scal_set_packing", "scal_classes_by_tau"):
+        monkeypatch.setattr(cli.packings, name, reached)
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert f"at most {MAX_RATIONAL_CHARS} " in captured.err
+
+
+def test_z_digits_at_the_bound_read():
+    big = 10**MAX_RATIONAL_CHARS - 1
+    assert parse_direction_doc({"z": [big, 1]}, EISENSTEIN).z == FieldElem(EISENSTEIN, big, 1)
+    s = parse_similarity_doc({"z": [-big, 1]}, GAUSSIAN)
+    assert s.w == FieldElem(GAUSSIAN, -big, 1)
+
+
 SRC = str(Path(cli.__file__).resolve().parents[1])
 SHIFTS_997 = json.dumps(
     {"ring": "gaussian", "shifts": [[f"{i}/997", "0"] for i in range(64)]}
@@ -806,7 +849,8 @@ _VALUES = {
 
 @st.composite
 def _argv(draw, out):
-    """A command line of one subcommand, with flags drawn from its own."""
+    """A command line of one subcommand, with flags drawn from its own and
+    --out drawn from the paths out."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command]
     if command == "table":
@@ -820,7 +864,7 @@ def _argv(draw, out):
         if flag in ("--packing-only", "--bogus"):
             argv.append(flag)
         elif flag == "--out":
-            argv.append(f"--out={out}")
+            argv.append(f"--out={draw(st.sampled_from(out))}")
         else:
             argv.append(f"{flag}={draw(_VALUES[flag])}")
     return argv
@@ -833,7 +877,7 @@ def test_fuzz_main(data, tmp_path, monkeypatch):
     """Every command line exits 0–3 within 10 s with no traceback; 4 is a bug."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "packing.json").write_text(HEX_DOC, encoding="utf-8")
-    argv = data.draw(_argv(tmp_path / "out.txt"))
+    argv = data.draw(_argv([tmp_path / "out.txt", tmp_path, tmp_path / "missing" / "x"]))
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

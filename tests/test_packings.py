@@ -714,11 +714,17 @@ class TestInversionSymmetry:
                     assert pk.check_similarity(packing, neg).accepted
 
 
+def corollaries(report, packing):
+    """check_corollaries given the ratio and den(Γ, R) of the report's similarity."""
+    ratio, d = sim.decompose(report.similarity)
+    return pk.check_corollaries(report, packing, ratio, sim.denominator(packing.lattice, d))
+
+
 class TestCorollaries:
     def test_ex34(self):
         packing = preset("ex34")
         report = pk.check_similarity(packing, simw(GAUSSIAN, 0, 1))
-        diag = pk.check_corollaries(report, packing)
+        diag = corollaries(report, packing)
         assert diag.shift_pair_in_nth_lattice is True
         assert diag.singleton_when_lattice_scaling is None  # β ∉ Scal(Γ,R)
         assert diag.n_beta_in_lattice_scal is True
@@ -727,7 +733,7 @@ class TestCorollaries:
     def test_hexagonal_vacuous_pair_check(self):
         packing = preset("hex")
         report = pk.check_similarity(packing, simw(EISENSTEIN, 2, 2))
-        diag = pk.check_corollaries(report, packing)
+        diag = corollaries(report, packing)
         assert diag.shift_pair_in_nth_lattice is None  # n = 1
         assert diag.singleton_when_lattice_scaling is True
         assert diag.all_pass()
@@ -735,13 +741,13 @@ class TestCorollaries:
     def test_identity(self):
         packing = preset("rect12")
         report = pk.check_similarity(packing, simw(GAUSSIAN, 1, 0))
-        assert pk.check_corollaries(report, packing).all_pass()
+        assert corollaries(report, packing).all_pass()
 
     def test_rejected_report_refused(self):
         packing = preset("hex")
         report = pk.check_similarity(packing, simw(EISENSTEIN, 1, 1))
         with pytest.raises(ValueError):
-            pk.check_corollaries(report, packing)
+            corollaries(report, packing)
 
 
 class TestPeriodsReduce:
@@ -953,9 +959,66 @@ class TestCorollariesMatchReference:
             singleton = sorted(ks) == list(range(packing.m))
         scaled = Similarity(s.w.scale(n), s.conjugate)
         n_beta = ref.contains_lattice(gamma, ref.image_lattice(scaled, gamma))
-        assert pk.check_corollaries(report, packing) == pk.CorollaryDiagnostics(
+        assert corollaries(report, packing) == pk.CorollaryDiagnostics(
             pair, singleton, n_beta
         )
+
+
+@st.composite
+def exact_cases(draw):
+    """A packing with m ≤ 4 over a sheared Γ of index 1–4 and a similarity
+    (p/q)·z, every coordinate a Fraction; many of them are integral."""
+    gamma = draw(sheared_lattices())
+    coord = st.tuples(st.integers(-4, 4), st.sampled_from([1, 1, 2, 3])).map(lambda t: F(*t))
+    shifts = []
+    for a, b in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4)):
+        x = FieldElem(gamma.ring, a, b)
+        if not any(gamma.contains(x - y) for y in shifts):
+            shifts.append(x)
+    z = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda ab: math.gcd(*ab) == 1))
+    ratio = F(draw(st.integers(1, 6)), draw(st.sampled_from([1, 1, 2, 3])))
+    w = FieldElem(gamma.ring, F(z[0]), F(z[1])).scale(ratio)
+    return gamma, shifts, Similarity(w, draw(st.booleans()))
+
+
+def _written_as(case, kind):
+    """The case with each integral coordinate written as kind, int or Fraction."""
+    gamma, shifts, s = case
+
+    def coord(v):
+        return kind(v.numerator) if v.denominator == 1 else v
+
+    def elem(x):
+        return FieldElem(x.ring, coord(x.a), coord(x.b))
+
+    basis = [(coord(g.a), coord(g.b)) for g in gamma.generators()]
+    packing = PointPacking(Lattice.from_generators(gamma.ring, basis), tuple(map(elem, shifts)))
+    return packing, Similarity(elem(s.w), s.conjugate)
+
+
+class TestIntAndFractionAgree:
+    @settings(max_examples=200, deadline=None)
+    @given(exact_cases())
+    def test_int_and_fraction_inputs_agree(self, case):
+        """Integral coordinates written as int or as Fraction give equal
+        results, and every coordinate and Lattice field returned is exact."""
+        results = []
+        for kind in (int, F):
+            packing, s = _written_as(case, kind)
+            report = pk.check_similarity(packing, s)
+            lifted = pk.lift_to_ring(packing)
+            per = pk.periods(packing)
+            ratio, d = sim.decompose(s)
+            results.append((
+                (report.n, report.tau, report.witness, report.failing_k, report.reached),
+                lifted, per, pk.scal_classes_by_tau(packing, d), (ratio, d),
+                [str(x) for x in packing.shifts],
+            ))
+            points = [*packing.shifts, *lifted.shifts, *(x for _, _, x in report.witness), d.z]
+            coords = [c for x in points for c in (x.a, x.b)]
+            coords += [c for g in (packing.lattice, lifted.lattice, per) for c in (g.b00, g.b01, g.b11)]
+            assert all(type(c) in (int, F) for c in coords)
+        assert results[0] == results[1]
 
 
 class TestShift:

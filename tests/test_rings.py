@@ -298,7 +298,7 @@ class TestFieldElem:
         x = FieldElem(EISENSTEIN, F(2, 3), F(1, 6))
         n, r = x.clear_denominators()
         assert n == 6 and r == e(4, 1)
-        assert r.to_field().scale(F(1, n)) == x
+        assert r.scale(F(1, n)) == x
 
     def test_clear_denominators_minimal(self):
         n, r = FieldElem(GAUSSIAN, F(1, 2), F(3, 2)).clear_denominators()

@@ -89,7 +89,7 @@ class TestDecompose:
         assert r > 0
         assert math.gcd(d.z.a, d.z.b) == 1
         assert d.conjugate == conjugate
-        assert d.z.to_field().scale(r) == w
+        assert d.z.scale(r) == w
 
     def test_roundtrip_bulk(self):
         import random
@@ -105,7 +105,7 @@ class TestDecompose:
             if w.is_zero():
                 continue
             r, d = decompose(Similarity(w))
-            assert r > 0 and d.z.to_field().scale(r) == w
+            assert r > 0 and d.z.scale(r) == w
 
 
 class TestCompose:

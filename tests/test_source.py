@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -63,3 +64,21 @@ def test_every_limit_is_documented():
             and not re.search(rf"\b{target.id}\b", readme)
         ]
     assert undocumented == []
+
+
+def test_benchmark_imports_resolve():
+    # perfbench imports simiso names inside its functions, so a renamed or
+    # deleted name would first fail in a benchmark run instead of here.
+    root = Path(simiso.__file__).parents[2]
+    imported, missing = [], []
+    for path in sorted((root / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "simiso":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    where = f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+                    imported.append(where)
+                    if not (hasattr(module, alias.name)
+                            or importlib.util.find_spec(f"{node.module}.{alias.name}")):
+                        missing.append(where)
+    assert imported and missing == []
