@@ -17,6 +17,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -58,16 +59,25 @@ class InputError(Exception):
 # document parsing
 
 
+# An optional sign, ASCII digits, then an optional /digits or .digits.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
 def _fraction(text) -> Fraction:
     if not isinstance(text, str):
         raise InputError(f"bad rational {json.dumps(text)[:MAX_RATIONAL_CHARS]}: "
                          'write it as a JSON string, such as "1/2"')
-    if len(text) > MAX_RATIONAL_CHARS or "e" in text.lower():
-        raise InputError(f"bad rational {text[:MAX_RATIONAL_CHARS]!r}: "
-                         f"no exponent and at most {MAX_RATIONAL_CHARS} characters")
+    match = _RATIONAL.fullmatch(text) if len(text) <= MAX_RATIONAL_CHARS else None
+    if match is None:
+        raise InputError(f"bad rational {text[:MAX_RATIONAL_CHARS]!r}: write a sign, digits "
+                         f"and an optional /digits or .digits, at most {MAX_RATIONAL_CHARS} "
+                         "characters")
+    whole, den, decimals = match.groups()
+    if decimals is not None:
+        return Fraction(int(whole + decimals), 10 ** len(decimals))
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(whole), int(den or 1))
+    except ZeroDivisionError as exc:
         raise InputError(f"bad rational {text!r}: {exc}") from None
 
 
@@ -231,12 +241,11 @@ def run_analyze(args) -> int:
         "m": packing.m,
         "beta": format_scale(ratio, d.norm()),
         "direction": str(d),
-        "den_lattice": format_scale(den, d.norm()),
+        "den_lattice": format_scale(Fraction(*den), d.norm()),
     }
     if report.accepted:
-        doc["tau"] = [
-            [str(packing.shifts[k]), str(packing.shifts[j])] for k, j in report.tau
-        ]
+        labels = [str(x) for x in packing.shifts]
+        doc["tau"] = [[labels[k], labels[j]] for k, j in report.tau]
         doc["witness"] = [
             {"component": k, "target": j, "offset": str(off)}
             for k, j, off in report.witness

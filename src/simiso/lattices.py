@@ -5,14 +5,18 @@ basis with positive diagonal and reduced off-diagonal entry, so two equal
 lattices are syntactically equal.  Every lattice built from generators, and
 so every sum Γ₁ + Γ₂ and image wΓ, comes from one column Hermite reduction
 of integer columns (Cohen, GTM 138, §2.4), and an index is a ratio of
-determinants; no dual lattice is formed.  least_scale answers every
-question r·X ⊆ Γ: the r that work are the multiples of one least r, read
-from the coordinates of X over Γ.  SumLattice keeps one integer form of
-Γ₁ + Γ₂ for many coset problems: [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] comes
-from its determinant, and each membership v ∈ Γ₁ + Γ₂, with a point of
-Γ₁ ∩ (v + Γ₂), costs two divisibility tests and no Fraction.  The same form
-answers the Scal congruences: the p with p·a - x ∈ Γ₁ + Γ₂ are one residue
-class, solved on its two integer columns.
+determinants; no dual lattice is formed.  Grid is a lattice written over
+one denominator d as the integer lattice d·Γ, on which a residue mod Γ
+costs two floor divisions and a membership two divisibility tests; the
+packings keep their shifts on it.  Grid.least_scale answers every question
+r·X ⊆ Γ (den(Γ, R), the lift's c, the oracle's D): the r that work are the
+multiples of one least r, read from the integer coordinates of X over Γ.
+SumLattice keeps one integer form of Γ₁ + Γ₂ for many coset problems:
+[Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] comes from its determinant, and each
+membership v ∈ Γ₁ + Γ₂, with a point of Γ₁ ∩ (v + Γ₂), costs two
+divisibility tests and no Fraction.  The same form answers the Scal
+congruences: the p with p·a - x ∈ Γ₁ + Γ₂ are one residue class, solved on
+its two integer columns.
 """
 
 from __future__ import annotations
@@ -98,9 +102,7 @@ class Lattice:
     def from_generators(cls, ring: str, generators: list[Vec]) -> Lattice:
         """Lattice spanned by the given coordinate pairs of ints or Fractions."""
         d, ints = over_denominator([c for g in generators for c in g])
-        cols = [(x, y, 0, 0) for x, y in zip(ints[::2], ints[1::2])]
-        (h00, *_), (h01, h11, *_) = _hnf_columns(cols)
-        return cls(ring, Fraction(h00, d), Fraction(h01, d), Fraction(h11, d))
+        return Grid.spanned(d, zip(ints[::2], ints[1::2])).lattice(ring)
 
     @classmethod
     def ring_lattice(cls, ring: str) -> Lattice:
@@ -134,14 +136,71 @@ class Lattice:
     def point(self, t0: int | Fraction, t1: int | Fraction) -> FieldElem:
         return FieldElem(self.ring, self.b00 * t0 + self.b01 * t1, self.b11 * t1)
 
-    def reduce_point(self, x: FieldElem) -> FieldElem:
-        """Representative of x modulo the lattice in the fundamental domain."""
-        t0, t1 = self.coords_of(x)
-        return self.point(t0 - math.floor(t0), t1 - math.floor(t1))
-
     def __str__(self) -> str:
         g1, g2 = self.generators()
         return f"<{g1}, {g2}>"
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A lattice Γ over one denominator d: the integer lattice d·Γ ⊂ Z², with
+    Hermite basis (b00, 0) and (b01, b11), on which a point x of Q(u)
+    is the integer pair d·x when d clears its denominators.  Questions mod Γ
+    are then integer arithmetic: reduce gives the canonical residue and
+    contains the membership."""
+
+    d: int
+    b00: int
+    b01: int
+    b11: int
+
+    @classmethod
+    def of(cls, lattice: Lattice, points) -> tuple[Grid, list[tuple[int, int]]]:
+        """Γ and the points over their least common denominator, with d·x for
+        each point x in the order given."""
+        for x in points:
+            if x.ring != lattice.ring:
+                raise RingMismatchError(f"{x.ring} point in {lattice.ring} lattice")
+        coords = [lattice.b00, lattice.b01, lattice.b11]
+        coords += [c for x in points for c in (x.a, x.b)]
+        d, (b00, b01, b11, *xy) = over_denominator(coords)
+        return cls(d, b00, b01, b11), list(zip(xy[::2], xy[1::2]))
+
+    @classmethod
+    def spanned(cls, d: int, vectors) -> Grid:
+        """The lattice spanned by integer pairs over d, in Hermite form."""
+        (b00, *_), (b01, b11, *_) = _hnf_columns([(x, y, 0, 0) for x, y in vectors])
+        return cls(d, b00, b01, b11)
+
+    def lattice(self, ring: str) -> Lattice:
+        return Lattice(ring, Fraction(self.b00, self.d), Fraction(self.b01, self.d),
+                       Fraction(self.b11, self.d))
+
+    def element(self, ring: str, x: int, y: int) -> FieldElem:
+        """The point of Q(u) that the integer pair (x, y) stands for."""
+        return FieldElem(ring, Fraction(x, self.d), Fraction(y, self.d))
+
+    def reduce(self, x: int, y: int) -> tuple[int, int]:
+        """The residue of (x, y) mod d·Γ in the half-open cell
+        {s·(b00, 0) + t·(b01, b11) : 0 ≤ s, t < 1}."""
+        t, y = divmod(y, self.b11)
+        x -= t * self.b01
+        return x - self.b00 * ((x * self.b11 - self.b01 * y) // (self.b00 * self.b11)), y
+
+    def contains(self, x: int, y: int) -> bool:
+        return y % self.b11 == 0 and (x - y // self.b11 * self.b01) % self.b00 == 0
+
+    def least_scale(self, points) -> tuple[int, int]:
+        """(a, b) in lowest terms for the least r = a/b > 0 with r·x ∈ d·Γ
+        for every integer pair x given.  The coordinates of (x, y) over the
+        basis are (x·b11 - b01·y, b00·y)/(b00·b11), so with g the gcd of
+        these numerators the r that work are exactly (b00·b11/g)·Z."""
+        det = self.b00 * self.b11
+        g = math.gcd(*(c for x, y in points for c in (x * self.b11 - self.b01 * y, self.b00 * y)))
+        if g == 0:
+            raise ValueError("least_scale needs a nonzero point")
+        h = math.gcd(det, g)
+        return det // h, g // h
 
 
 def index(sub: Lattice, sup: Lattice) -> Fraction:
@@ -159,16 +218,9 @@ def integer_index(sub: Lattice, sup: Lattice) -> int:
 
 
 def least_scale(lattice: Lattice, points) -> Fraction:
-    """Least r > 0 with r·x in the lattice for every given point x.
-
-    The r that work are exactly r·Z: with t_i the coordinates of the points
-    over the basis and D the lcm of their denominators, r = D / gcd(D·t_i).
-    """
-    d, ints = over_denominator([t for x in points for t in lattice.coords_of(x)])
-    g = math.gcd(*ints)
-    if g == 0:
-        raise ValueError("least_scale needs a nonzero point")
-    return Fraction(d, g)
+    """Least r > 0 with r·x in the lattice for every given point x."""
+    grid, xy = Grid.of(lattice, points)
+    return Fraction(*grid.least_scale(xy))
 
 
 def quotient_representatives(sub: Lattice, sup: Lattice) -> list[FieldElem]:

@@ -7,6 +7,11 @@ the correspondence set τ.  Each decision builds one integer Hermite form of
 Γ + sΓ, which gives n and every meeting s(x_k) - x_j ∈ Γ + sΓ; witness
 points are built only once the similarity is accepted.
 
+A packing keeps its shifts as integer residues mod d·Γ over one
+denominator d (lattices.Grid), so congruence, periods, reduction, witness
+offsets and corollary (i) are integer arithmetic; a Fraction is built only
+to hand a point back as a FieldElem.
+
 Scaling-factor sets are solved per denominator q over the ring lattice R,
 to which every packing is first lifted.  For β = (p/q)|z| with gcd(p, q) = 1,
 R + sR = (1/q)·gcd(q, z)·R and n depend on q and z only, so each pair
@@ -20,11 +25,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lattices, similarity as sim
-from .lattices import Lattice
+from .lattices import Grid, Lattice
 from .rings import FieldElem
 from .similarity import Direction, ResidueClass, ScalSet, Similarity
 
@@ -43,23 +48,35 @@ class PointPacking:
     domain of Γ, so two stored shifts are congruent mod Γ exactly when they
     are equal; the given shifts must be pairwise incongruent.  A packing
     whose shifts include 0 models L; one without models a shifted packing
-    x + L.
+    x + L.  The packing also keeps its integer form: grid is Γ over the least
+    d that clears the denominators of Γ and of every shift, and residues
+    holds d·x_k for each stored shift, its canonical residue mod d·Γ.  Every
+    question mod Γ (congruence, periods, corollary (i), witnesses) is
+    answered on these integers.
     """
 
     lattice: Lattice
     shifts: tuple[FieldElem, ...]
+    grid: Grid = field(init=False, repr=False, compare=False)
+    residues: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.shifts:
             raise ValueError("a packing needs at least one component")
-        given: dict[FieldElem, FieldElem] = {}  # canonical residue -> shift
-        for x in self.shifts:
-            r = self.lattice.reduce_point(x)
+        grid, points = Grid.of(self.lattice, self.shifts)
+        given: dict[tuple[int, int], int] = {}  # canonical residue -> index given
+        for i, xy in enumerate(points):
+            r = grid.reduce(*xy)
             if r in given:
-                raise ValueError(f"shifts {given[r]} and {x} are congruent "
-                                 "mod the generating lattice")
-            given[r] = x
-        object.__setattr__(self, "shifts", tuple(given))
+                raise ValueError(f"shifts {self.shifts[given[r]]} and {self.shifts[i]} "
+                                 "are congruent mod the generating lattice")
+            given[r] = i
+        # A shift given canonically is kept; the others are rebuilt from r.
+        shifts = tuple(self.shifts[i] if points[i] == r else grid.element(self.ring, *r)
+                       for r, i in given.items())
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "residues", tuple(given))
 
     @property
     def ring(self) -> str:
@@ -123,8 +140,13 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
         if len(reached) != n:
             return SimilarityReport(False, n, (), (), s, k, tuple(reached))
     tau = tuple((k, j) for k, j, _ in hits)
-    witness = tuple((k, j, packing.shifts[j] + gamma.point(*t)) for k, j, t in hits)
-    return SimilarityReport(True, n, tau, witness, s)
+    grid, ring = packing.grid, packing.ring
+    witness = []
+    for k, j, (t0, t1) in hits:  # x_j plus the Γ-point t, on d·Γ
+        x, y = packing.residues[j]
+        witness.append((k, j, grid.element(ring, x + t0 * grid.b00 + t1 * grid.b01,
+                                           y + t1 * grid.b11)))
+    return SimilarityReport(True, n, tau, tuple(witness), s)
 
 
 def lift_to_ring(packing: PointPacking) -> PointPacking:
@@ -295,31 +317,34 @@ class CorollaryDiagnostics:
 
 
 def check_corollaries(
-    report: SimilarityReport, packing: PointPacking, ratio: Fraction, den: Fraction
+    report: SimilarityReport, packing: PointPacking, ratio: Fraction, den: tuple[int, int]
 ) -> CorollaryDiagnostics:
     """Verify the structural consequences of an accepted similarity.
 
-    The caller passes ratio, with s = ratio·z from decompose, and
-    den = den(Γ, R) from similarity.denominator, so that βRΓ ⊆ Γ exactly when
-    ratio/den ∈ Z: (i) for n ≥ 2 some pair of distinct shifts differs by a
-    point of (1/n)Γ; (ii) when ratio/den ∈ Z each component lands in exactly
-    one component; (iii) n·β is a lattice scaling factor, n·ratio/den ∈ Z.
+    The caller passes ratio = p/q, with s = ratio·z from decompose, and
+    den = (a, b) for den(Γ, R) = (a/b)·|z| from similarity.denominator, so
+    that βRΓ ⊆ Γ exactly when ratio/den = p·b/(q·a) ∈ Z: (i) for n ≥ 2 some
+    pair of distinct shifts differs by a point of (1/n)Γ, that is
+    n·(x_j - x_i) ∈ Γ, tested on the residues over d·Γ; (ii) when
+    ratio/den ∈ Z each component lands in exactly one component; (iii) n·β
+    is a lattice scaling factor, n·ratio/den ∈ Z.  No Fraction is built.
     """
     if not report.accepted:
         raise ValueError("corollary checks need an accepted report")
-    gamma = packing.lattice
+    grid = packing.grid
     n = report.n
 
     pair_ok: bool | None = None
     if n >= 2:
-        pair_ok = any(gamma.contains((x_j - x_i).scale(n))
-                      for x_i, x_j in itertools.permutations(packing.shifts, 2))
+        pair_ok = any(grid.contains(n * (xj - xi), n * (yj - yi))
+                      for (xi, yi), (xj, yj) in itertools.permutations(packing.residues, 2))
 
+    top, bottom = ratio.numerator * den[1], ratio.denominator * den[0]
     singleton_ok: bool | None = None
-    if (ratio / den).denominator == 1:
+    if top % bottom == 0:
         singleton_ok = sorted(k for k, _ in report.tau) == list(range(packing.m))
 
-    n_beta_ok = (n * ratio / den).denominator == 1
+    n_beta_ok = n * top % bottom == 0
     return CorollaryDiagnostics(pair_ok, singleton_ok, n_beta_ok)
 
 
@@ -330,39 +355,59 @@ def periods(packing: PointPacking) -> Lattice:
     and per(L) is Γ plus the m candidates x_j - x_0 that are periods.  A
     candidate is one when every t + x_k reduces to a stored shift.
     """
-    gamma = packing.lattice
-    shifts = set(packing.shifts)
-    gens = [(g.a, g.b) for g in gamma.generators()]
-    for x_j in packing.shifts[1:]:
-        t = x_j - packing.shifts[0]
-        if all(gamma.reduce_point(t + x_k) in shifts for x_k in packing.shifts):
-            gens.append((t.a, t.b))
-    return Lattice.from_generators(gamma.ring, gens)
+    return _period_grid(packing).lattice(packing.ring)
+
+
+def _period_grid(packing: PointPacking) -> Grid:
+    """per(L) over the packing's denominator d, tested on the residues."""
+    grid, residues = packing.grid, packing.residues
+    stored = set(residues)
+    x0, y0 = residues[0]
+    gens = [(grid.b00, 0), (grid.b01, grid.b11)]
+    for xj, yj in residues[1:]:
+        tx, ty = xj - x0, yj - y0
+        if all(grid.reduce(tx + x, ty + y) in stored for x, y in residues):
+            gens.append((tx, ty))
+    return Grid.spanned(grid.d, gens)
 
 
 def reduce(packing: PointPacking) -> PointPacking:
-    """Re-express the same point set over its maximal generating lattice."""
-    maximal = periods(packing)
-    seen = dict.fromkeys(maximal.reduce_point(x) for x in packing.shifts)
-    reduced = PointPacking(maximal, tuple(seen))
+    """Re-express the same point set over its maximal generating lattice.
+
+    The first shift of each class mod per(L) is kept, in the order given.
+    """
+    maximal = _period_grid(packing)
+    first: dict[tuple[int, int], FieldElem] = {}
+    for x, xy in zip(packing.shifts, packing.residues):
+        first.setdefault(maximal.reduce(*xy), x)
+    reduced = PointPacking(maximal.lattice(packing.ring), tuple(first.values()))
     _assert_same_point_set(packing, reduced)
     return reduced
 
 
 def _assert_same_point_set(packing: PointPacking, reduced: PointPacking) -> None:
-    gamma = packing.lattice
-    factor = lattices.integer_index(gamma, reduced.lattice)
-    if reduced.m * factor != packing.m:
+    """Each x + r, for x a reduced shift and r a coset representative of
+    per(L)/Γ, must reduce to a distinct shift of the packing, covering all m.
+    Both packings are written over the packing's d, which the reduced
+    packing's denominator divides."""
+    grid, per = packing.grid, reduced.grid
+    f = grid.d // per.d
+    coarse = Grid(grid.d, f * per.b00, f * per.b01, f * per.b11)
+    if not (coarse.contains(grid.b00, 0) and coarse.contains(grid.b01, grid.b11)):
+        raise RuntimeError("the generating lattice is not a sublattice of per(L)")
+    rows, cols = grid.b00 // coarse.b00, grid.b11 // coarse.b11  # [per(L) : Γ] = rows·cols
+    if reduced.m * rows * cols != packing.m:
         raise RuntimeError("component count mismatch")
-    index = {x_k: k for k, x_k in enumerate(packing.shifts)}
-    reps = lattices.quotient_representatives(gamma, reduced.lattice)
+    index = {r: k for k, r in enumerate(packing.residues)}
     covered = []
-    for x in reduced.shifts:
-        for rep in reps:
-            k = index.get(gamma.reduce_point(x + rep))
-            if k is None:
-                raise RuntimeError("reduced packing is not the same point set")
-            covered.append(k)
+    for x, y in reduced.residues:
+        for i in range(rows):
+            for j in range(cols):
+                k = index.get(grid.reduce(f * x + i * coarse.b00 + j * coarse.b01,
+                                          f * y + j * coarse.b11))
+                if k is None:
+                    raise RuntimeError("reduced packing is not the same point set")
+                covered.append(k)
     if sorted(covered) != list(range(packing.m)):
         raise RuntimeError("reduced packing misses a component")
 
@@ -420,8 +465,7 @@ def _scal_subset_of_lattice_scal(packing: PointPacking, d: Direction) -> bool:
     divides p; a' is coprime to q, so it divides every p ≡ r (mod M) coprime
     to q exactly when it divides gcd(r, M).
     """
-    den = sim.denominator(packing.lattice, d)
-    a, b = den.numerator, den.denominator
+    a, b = sim.denominator(packing.lattice, d)
     for c in scal_set_packing(packing, d).classes:
         if b % c.q:
             return False

@@ -130,14 +130,23 @@ RingElem = FieldElem
 
 def over_denominator(values) -> tuple[int, list[int]]:
     """The least common denominator d of the rationals, and each one times d."""
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
+    dens = [v.denominator for v in values]
+    d = math.lcm(*dens)
+    return d, [v.numerator * (d // e) for v, e in zip(values, dens)]
+
+
+def ring_coordinates(x: FieldElem) -> tuple[int, int]:
+    """The coordinates of x as ints; ValueError when x is not in the ring."""
+    if x.a.denominator != 1 or x.b.denominator != 1:
+        raise ValueError(f"{x} is not an element of the ring Z[{UNIT_SYMBOL[x.ring]}]")
+    return x.a.numerator, x.b.numerator
 
 
 def content_and_primitive(z: FieldElem) -> tuple[int, FieldElem]:
-    """Split z ≠ 0 as c·z0 with c = gcd(a, b) > 0 and z0 primitive."""
+    """Split z ≠ 0 in the ring as c·z0 with c = gcd(a, b) > 0 and z0 primitive."""
     if z.is_zero():
         raise ValueError("zero has no primitive part")
-    c = math.gcd(z.a, z.b)
-    return c, FieldElem(z.ring, z.a // c, z.b // c)
+    a, b = ring_coordinates(z)
+    c = math.gcd(a, b)
+    return c, FieldElem(z.ring, a // c, b // c)
 

@@ -4,6 +4,9 @@ A map is x ↦ w·x, or x ↦ w·conj(x) for the reflection family T = R·T_r.
 Its scaling factor β = |w| is never stored as a real number: it lives as a
 rational multiple of the symbolic surd |z| of a primitive direction z, and
 scaling-factor sets are finite unions of residue classes of such rationals.
+den(Γ, R), the least β with βRΓ ⊆ Γ, is read on the integer form of Γ and
+returned as the integer pair of its ratio to |z|; a Direction holds z with
+int coordinates.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lattices
-from .rings import FieldElem, content_and_primitive
-from .lattices import Lattice
+from .rings import FieldElem, content_and_primitive, ring_coordinates
+from .lattices import Grid, Lattice
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,10 @@ class Direction:
     def __post_init__(self):
         if self.z.is_zero():
             raise ValueError("direction element must be nonzero")
-        if math.gcd(self.z.a, self.z.b) != 1:
+        a, b = ring_coordinates(self.z)
+        if math.gcd(a, b) != 1:
             raise ValueError(f"direction element {self.z} is not primitive")
+        object.__setattr__(self, "z", FieldElem(self.z.ring, a, b))
 
     @property
     def ring(self) -> str:
@@ -93,15 +97,22 @@ def compose(s2: Similarity, s1: Similarity) -> Similarity:
     return Similarity(s2.w * w1, s2.conjugate != s1.conjugate)
 
 
-def denominator(lattice: Lattice, d: Direction) -> Fraction:
-    """den(Γ, R) as the rational r in den = r·|z|.
+def denominator(lattice: Lattice, d: Direction) -> tuple[int, int]:
+    """den(Γ, R) = (a/b)·|z|, as the pair (a, b) in lowest terms.
 
-    r is the least positive rational with r·z(Γ) ⊆ Γ, where z(Γ) is Γ under
-    x ↦ z·x (or z·conj(x)): the least β = r|z| with βRΓ ⊆ Γ.  The r' with
-    r'·z(Γ) ⊆ Γ are exactly r·Z.  For full ring lattices r = 1.
+    a/b is the least positive rational r with r·z(Γ) ⊆ Γ, where z(Γ) is Γ
+    under x ↦ z·x (or z·conj(x)): the least β = r|z| with βRΓ ⊆ Γ.  The r'
+    with r'·z(Γ) ⊆ Γ are exactly r·Z.  z maps the integer basis of d·Γ to
+    integer points of d·z(Γ), and Grid.least_scale reads r from their
+    coordinates.  For full ring lattices r = 1.
     """
-    unit = d.similarity(1)
-    return lattices.least_scale(lattice, [unit.apply(g) for g in lattice.generators()])
+    grid, _ = Grid.of(lattice, ())
+    images = []
+    for x, y in ((grid.b00, 0), (grid.b01, grid.b11)):
+        g = FieldElem(lattice.ring, x, y)
+        v = d.z * (g.conj() if d.conjugate else g)
+        images.append((v.a, v.b))
+    return grid.least_scale(images)
 
 
 @dataclass(frozen=True)
@@ -208,9 +219,8 @@ def _concrete_class(q: int, modulus: int, r: int, norm_z: int) -> str:
     return f"{format_scale(Fraction(1, q), norm_z)}·{body}"
 
 
-def _den_ratio_classes(ratio: Fraction) -> tuple[ResidueClass, ...]:
-    """Classes describing the set ratio·Z of rationals, ratio = a/b reduced."""
-    a, b = ratio.numerator, ratio.denominator
+def _den_ratio_classes(a: int, b: int) -> tuple[ResidueClass, ...]:
+    """Classes describing the set (a/b)·Z of rationals, a/b reduced."""
     out = []
     for d in range(1, b + 1):
         if b % d == 0:
@@ -220,4 +230,4 @@ def _den_ratio_classes(ratio: Fraction) -> tuple[ResidueClass, ...]:
 
 def scal_lattice(lattice: Lattice, d: Direction) -> ScalSet:
     """Scal(Γ, R) = den(Γ, R)·Z, as residue classes of ratios of |z|."""
-    return ScalSet(d, _den_ratio_classes(denominator(lattice, d)))
+    return ScalSet(d, _den_ratio_classes(*denominator(lattice, d)))

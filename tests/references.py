@@ -3,10 +3,13 @@
 The engine no longer calls any of these: it reads n, every sum and every
 Scal congruence from one integer Hermite form, its gcds from closed forms,
 every image lattice from the images of two generators, and every
-"r·X ⊆ Γ" question from lattices.least_scale; render enumerates its circles
-on integers; the Scal solve merges its congruences by CRT.  They stay here
-so that those routes can be checked against a different one: the sum as a
-Fraction lattice, the congruences on Fraction coordinates and the walk over
+"r·X ⊆ Γ" question from lattices.least_scale or from the integer form
+lattices.Grid; packings keep their shifts as integer residues and test
+corollary (i) on them; render enumerates its circles on integers; the Scal
+solve merges its congruences by CRT.  They stay here so that those routes
+can be checked against a different one: the sum as a Fraction lattice, the
+residue of a point mod Γ and the corollary (i) containment on Fraction
+points, the congruences on Fraction coordinates and the walk over
 every residue of their modulus, the window enumeration on Fraction points,
 the intersection through the dual identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the
 Euclidean algorithm in Z[i] and Z[ω], and 2×2 matrices of multiplication
@@ -143,6 +146,24 @@ def lift_scale(gamma):
     gens = [gamma.b00, gamma.b11] + ([abs(gamma.det / gamma.b01)] if gamma.b01 else [])
     return Fraction(
         math.lcm(*(g.numerator for g in gens)), math.gcd(*(g.denominator for g in gens))
+    )
+
+
+def reduce_point(lattice, x):
+    """The representative of x mod Γ in the fundamental domain, from the
+    Fraction coordinates of x over Γ's basis."""
+    t0, t1 = lattice.coords_of(x)
+    return lattice.point(t0 - math.floor(t0), t1 - math.floor(t1))
+
+
+def shift_pair_in_nth_lattice(packing, n):
+    """Corollary (i) as containment: some pair of distinct shifts differs by
+    a point of (1/n)Γ, that is n·(x_j - x_i) ∈ Γ on Fraction points."""
+    return any(
+        packing.lattice.contains((x_j - x_i).scale(n))
+        for i, x_i in enumerate(packing.shifts)
+        for j, x_j in enumerate(packing.shifts)
+        if i != j
     )
 
 

@@ -150,7 +150,7 @@ def test_criterion_3_tables_4_and_5():
                 d = Direction(RingElem(EISENSTEIN, a, b), conjugate)
                 assert pk.scal_set_packing(shifted, d).is_empty()
                 # The same direction does act on Γ, so os(x+L) ⊊ os(Γ).
-                assert sim.denominator(shifted.lattice, d) > 0
+                assert sim.denominator(shifted.lattice, d)[0] > 0
         # The displayed second shift is the paper's (4+2ω)/3 reduced into
         # the fundamental domain.
         assert shifted.lattice.contains(
@@ -162,7 +162,7 @@ def test_criterion_4_denominator_example():
     with crit(4, "den(Z[i], 1+2i) displays √5 and Scal(Γ,R) = √5·Z"):
         base = Lattice.ring_lattice(GAUSSIAN)
         d = Direction(RingElem(GAUSSIAN, 1, 2))
-        ratio = sim.denominator(base, d)
+        ratio = Fraction(*sim.denominator(base, d))
         assert sim.format_scale(ratio, d.norm()) == "√5"
         scal = sim.scal_lattice(base, d)
         assert scal.display() == "√5·Z"
@@ -240,7 +240,7 @@ def test_criterion_10_rational_shift_witness():
                 lcm_den = 1
                 for x in packing.shifts:
                     lcm_den = math.lcm(lcm_den, x.a.denominator, x.b.denominator)
-                beta = lcm_den * sim.denominator(packing.lattice, d)
+                beta = lcm_den * Fraction(*sim.denominator(packing.lattice, d))
                 assert pk.check_similarity(packing, d.similarity(beta)).accepted
 
 
@@ -275,7 +275,7 @@ def test_criterion_11_closure_and_converse_failure():
         assert not diag34.hypothesis_holds()
         # Concretely: β = 1 scales L into itself but Γ into a non-sublattice.
         assert pk.check_similarity(ex34, quarter).accepted
-        assert sim.denominator(ex34.lattice, Direction(RingElem(GAUSSIAN, 0, 1))) == 3
+        assert sim.denominator(ex34.lattice, Direction(RingElem(GAUSSIAN, 0, 1))) == (3, 1)
 
 
 def test_criterion_12_periods_and_reduction():

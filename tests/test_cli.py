@@ -207,6 +207,40 @@ class TestDocuments:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", '{"ring":"gaussian","shifts":[["0","0"],["1/2","1/2"]]}',
+             "--similarity", '{"z":[1,1],"scale":"1_0"}'],
+            ["analyze", '{"ring":"gaussian","shifts":[["0","0"],["1 /2","0"]]}',
+             "--similarity", '{"z":[1,0]}'],
+            ["analyze", '{"ring":"gaussian","shifts":[["0","0"],[" 1/2 ","0"]]}',
+             "--similarity", '{"z":[1,0]}'],
+            ["analyze", '{"ring":"gaussian","basis":[["\u0661","0"],["0","1"]],'
+             '"shifts":[["0","0"]]}', "--similarity", '{"z":[1,0]}'],
+            ["render", "--preset", "hex", "--packing-only", "--window=-1,0, 1,1"],
+            ["analyze", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":".5"}'],
+        ],
+        ids=["underscore", "inner-space", "outer-space", "non-ascii-digit", "window-space",
+             "no-leading-digit"],
+    )
+    def test_rational_grammar_is_strict(self, argv, capsys):
+        # Fraction() reads all of these; the README's grammar reads none.
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad rational ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("0", 0), ("-3", -3), ("+3", 3), ("007", 7), ("1/2", F(1, 2)), ("-6/4", F(-3, 2)),
+         ("0.5", F(1, 2)), ("-0.25", F(-1, 4)), ("+1.50", F(3, 2))],
+    )
+    def test_rational_grammar_reads(self, text, value):
+        got = _fraction(text)
+        assert got == value and type(got) is F
+
 
 class TestAnalyze:
     def test_accepted(self, capsys):
@@ -803,7 +837,8 @@ _FLAGS = {
     for name, sub in _SUBCOMMANDS.items()
 }
 _GOOD_RATIONALS = st.sampled_from(["0", "1", "-1", "1/2", "2/3", "-5/7", "1/13", "3", "0.25"])
-_RATIONALS = _GOOD_RATIONALS | st.sampled_from(["1/0", "x", "1e3", "", 1, 0.5, None])
+_RATIONALS = _GOOD_RATIONALS | st.sampled_from(
+    ["1/0", "x", "1e3", "", "1_0", "1 /2", " 1/2 ", ".5", 1, 0.5, None])
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -836,7 +871,8 @@ _VALUES = {
     "--similarity": _SIMILARITY.map(json.dumps) | _BAD,
     "--direction": _DIRECTION.map(json.dumps) | _BAD,
     "--window": st.sampled_from(["-3,-3,3,3", "0,0,1/2,5", "-1/3,0,2,2"])
-    | st.lists(st.sampled_from(["-3", "0", "1/2", "3", "x", "1e1", "500"]), min_size=3, max_size=5).map(",".join),
+    | st.lists(st.sampled_from(["-3", "0", "1/2", "3", "x", "1e1", "500", " 1", "1_0"]),
+               min_size=3, max_size=5).map(",".join),
     "--samples": _COUNTS,
     "--z": st.sampled_from(["1,0", "2,1", "-3,2", "2,2", "0,0", "x", "1"]),
     "--format": st.sampled_from(["csv", "json", "xml"]),

@@ -23,6 +23,7 @@ from references import (
     contains_lattice,
     dual,
     intersect,
+    reduce_point,
     ring_gcd,
     ring_lcm,
     scaling_denominator,
@@ -83,7 +84,7 @@ class TestContains:
 
     def test_reduce_point(self):
         x = FieldElem(EISENSTEIN, F(4, 3), F(2, 3))
-        r = ZW.reduce_point(x)
+        r = reduce_point(ZW, x)
         assert r == FieldElem(EISENSTEIN, F(1, 3), F(2, 3))
         assert ZW.contains(x - r)
 

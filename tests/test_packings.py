@@ -642,7 +642,7 @@ def packings_with_similarities(draw):
     packing, d = draw(sheared_packings_with_directions(max_m=4, min_index=1))
     if draw(st.booleans()):
         lcm = math.lcm(*(c.denominator for x in packing.shifts for c in (x.a, x.b)))
-        ratio = lcm * sim.denominator(packing.lattice, d) * draw(st.integers(1, 2))
+        ratio = lcm * F(*sim.denominator(packing.lattice, d)) * draw(st.integers(1, 2))
     else:
         ratio = F(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
     return packing, d.similarity(ratio)
@@ -688,7 +688,7 @@ class TestProposition41Witness:
             for x in packing.shifts:
                 lcm_den = math.lcm(lcm_den, x.a.denominator, x.b.denominator)
             d = Direction(z, conjugate)
-            witness = d.similarity(lcm_den * sim.denominator(packing.lattice, d))
+            witness = d.similarity(lcm_den * F(*sim.denominator(packing.lattice, d)))
             assert pk.check_similarity(packing, witness).accepted
 
 
@@ -786,7 +786,7 @@ def _reference_periods(packing):
     gens = [(g.a, g.b) for g in gamma.generators()]
     for j in range(packing.m):
         for k in range(packing.m):
-            t = gamma.reduce_point(packing.shifts[j] - packing.shifts[k])
+            t = ref.reduce_point(gamma, packing.shifts[j] - packing.shifts[k])
             if t.is_zero():
                 continue
             if _reference_is_period(packing, t):
@@ -807,7 +807,7 @@ def _reference_reduce(packing):
     maximal = _reference_periods(packing)
     seen = []
     for x in packing.shifts:
-        r = maximal.reduce_point(x)
+        r = ref.reduce_point(maximal, x)
         if r not in seen:
             seen.append(r)
     return maximal, tuple(seen)
@@ -875,7 +875,7 @@ class TestPeriodsMatchReference:
                 PointPacking(gamma, shifts)
         else:
             packing = PointPacking(gamma, shifts)
-            assert packing.shifts == tuple(gamma.reduce_point(x) for x in shifts)
+            assert packing.shifts == tuple(ref.reduce_point(gamma, x) for x in shifts)
 
 
 @st.composite
@@ -904,7 +904,7 @@ class TestLatticeMapsMatchReference:
         gamma, d, s = case
         img = s.image_lattice(gamma)
         assert img == ref.image_lattice(s, gamma)
-        assert sim.denominator(gamma, d) == ref.denominator(gamma, d)
+        assert F(*sim.denominator(gamma, d)) == ref.denominator(gamma, d)
 
         period = ref.scaling_denominator(gamma, img)
         packing = PointPacking(gamma, (FieldElem.zero(gamma.ring),))
@@ -943,25 +943,162 @@ class TestCorollariesMatchReference:
         packing, s = case
         report = pk.check_similarity(packing, s)
         assume(report.accepted)
-        gamma, n, ring = packing.lattice, report.n, packing.ring
-        pair = None
-        if n >= 2:
-            nth = ref.image_lattice(Similarity(FieldElem(ring, F(1, n), F(0))), gamma)
-            pair = any(
+        expected = _reference_corollaries(report, packing)
+        if report.n >= 2:
+            # (1/n)Γ as a lattice agrees with the containment n·(x_j - x_i) ∈ Γ.
+            one_nth = Similarity(FieldElem(packing.ring, F(1, report.n), F(0)))
+            nth = ref.image_lattice(one_nth, packing.lattice)
+            assert expected.shift_pair_in_nth_lattice == any(
                 nth.contains(x_j - x_i)
                 for i, x_i in enumerate(packing.shifts)
                 for j, x_j in enumerate(packing.shifts)
                 if i != j
             )
-        singleton = None
-        if ref.contains_lattice(gamma, ref.image_lattice(s, gamma)):
-            ks = [k for k, _ in report.tau]
-            singleton = sorted(ks) == list(range(packing.m))
-        scaled = Similarity(s.w.scale(n), s.conjugate)
-        n_beta = ref.contains_lattice(gamma, ref.image_lattice(scaled, gamma))
-        assert corollaries(report, packing) == pk.CorollaryDiagnostics(
-            pair, singleton, n_beta
-        )
+        assert corollaries(report, packing) == expected
+
+
+def _reference_corollaries(report, packing):
+    """The three corollaries by containment of Fraction points and lattices:
+    n·(x_j - x_i) ∈ Γ, sΓ ⊆ Γ and n·sΓ ⊆ Γ."""
+    gamma, n, s = packing.lattice, report.n, report.similarity
+    pair = ref.shift_pair_in_nth_lattice(packing, n) if n >= 2 else None
+    singleton = None
+    if ref.contains_lattice(gamma, ref.image_lattice(s, gamma)):
+        singleton = sorted(k for k, _ in report.tau) == list(range(packing.m))
+    scaled = Similarity(s.w.scale(n), s.conjugate)
+    n_beta = ref.contains_lattice(gamma, ref.image_lattice(scaled, gamma))
+    return pk.CorollaryDiagnostics(pair, singleton, n_beta)
+
+
+@st.composite
+def integer_form_cases(draw):
+    """Shifts over a sheared Γ of index 1–4 from sheared_lattices, both rings,
+    and a rotation or reflection along a primitive z.  A third of the
+    packings are (1/D)·R written over Γ with an integer multiple of z, which
+    reduce and give n ≥ 2.  The others have m ≤ 6 incongruent shifts with
+    denominators ≤ 12, one time in four with a shift repeated mod Γ, and
+    half of their multipliers are lcm·den(Γ, R)·z, the other half p/q·z with
+    p ≤ 6 and q ≤ 3."""
+    gamma = draw(sheared_lattices())
+    z = draw(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        .map(lambda ab: RingElem(gamma.ring, *ab))
+        .filter(lambda z: math.gcd(z.a, z.b) == 1)
+    )
+    d = Direction(z, draw(st.booleans()))
+    if draw(st.integers(0, 2)) == 0:
+        big_d = math.lcm(*(c.denominator for c in (gamma.b00, gamma.b01, gamma.b11)))
+        big_d *= draw(st.integers(1, 2))
+        fine = Lattice(gamma.ring, F(1, big_d), F(0), F(1, big_d))
+        shifts = lat.quotient_representatives(gamma, fine)
+        return gamma, tuple(shifts), d, d.similarity(draw(st.integers(1, 3)))
+    den = draw(st.integers(1, 12))
+    coord = st.integers(-2 * den, 2 * den).map(lambda t: F(t, den))
+    shifts = []
+    for a, b in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6)):
+        x = FieldElem(gamma.ring, a, b)
+        if not any(gamma.contains(x - y) for y in shifts):
+            shifts.append(x)
+    if draw(st.booleans()):
+        shifts[0] = FieldElem.zero(gamma.ring)
+    if draw(st.integers(0, 3)) == 0:
+        copy = shifts[draw(st.integers(0, len(shifts) - 1))] + gamma.point(1, -1)
+        shifts.insert(draw(st.integers(0, len(shifts))), copy)
+    if draw(st.booleans()):
+        lcm = math.lcm(*(c.denominator for x in shifts for c in (x.a, x.b)))
+        ratio = lcm * ref.denominator(gamma, d) * draw(st.integers(1, 2))
+    else:
+        ratio = F(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    return gamma, tuple(shifts), d, d.similarity(ratio)
+
+
+class TestIntegerFormMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_form_cases())
+    def test_matches_rational_reference(self, case):
+        """The integer residues of PointPacking and everything read from them
+        against the Fraction routes they replaced: canonical shifts and the
+        congruent-shift error, periods and reduce, den, the decision with its
+        τ and witnesses, and the three corollaries."""
+        gamma, shifts, d, s = case
+        congruent = next(((x_j, x_i) for i, x_i in enumerate(shifts) for x_j in shifts[:i]
+                          if gamma.contains(x_i - x_j)), None)
+        if congruent is not None:
+            with pytest.raises(ValueError) as err:
+                PointPacking(gamma, shifts)
+            assert str(err.value) == (f"shifts {congruent[0]} and {congruent[1]} are "
+                                      "congruent mod the generating lattice")
+            return
+        packing = PointPacking(gamma, shifts)
+        assert packing.shifts == tuple(ref.reduce_point(gamma, x) for x in shifts)
+        maximal, reduced_shifts = _reference_reduce(packing)
+        assert pk.periods(packing) == maximal
+        reduced = pk.reduce(packing)
+        assert (reduced.lattice, reduced.shifts) == (maximal, reduced_shifts)
+
+        assert F(*sim.denominator(gamma, d)) == ref.denominator(gamma, d)
+        report = pk.check_similarity(packing, s)
+        got = (report.accepted, report.n, report.tau, report.witness,
+               report.failing_k, report.reached)
+        assert got == _reference_check_similarity(packing, s)
+        if report.accepted:
+            assert corollaries(report, packing) == _reference_corollaries(report, packing)
+
+
+class TestNoFractionOnTheDecisionPath:
+    def test_residues_den_and_corollaries_build_no_fraction(self, monkeypatch):
+        """The residue and congruence step of PointPacking, den(Γ, R) and the
+        corollaries run on integers.  PointPacking builds a Fraction only to
+        store a shift that was not given canonically, two per such shift."""
+        from simiso import oracle as orc
+
+        rng = random.Random(12)
+        cases = []
+        for i in range(80):
+            ring = rng.choice((GAUSSIAN, EISENSTEIN))
+            index = rng.randint(1, 4)
+            h00 = rng.choice([h for h in range(1, index + 1) if index % h == 0])
+            den = rng.randint(1, 3)
+            gamma = Lattice.from_generators(
+                ring, [(F(h00, den), 0), (F(rng.randrange(h00), den), F(index // h00, den))])
+            d = Direction(orc._random_primitive(rng, ring, 30), rng.random() < 0.5)
+            if i % 2:
+                # (1/den)·R over Γ: any integer multiple of z maps it into itself.
+                fine = Lattice(ring, F(1, den), F(0), F(1, den))
+                shifts = lat.quotient_representatives(gamma, fine)
+                s = d.similarity(rng.randint(1, 3))
+            else:
+                # ℓ = den·[Z² : H]·(shift denominator) maps Γ and every shift into Γ.
+                shift_den = rng.randint(2, 12)
+                shifts = [FieldElem.zero(ring)]
+                for _ in range(rng.randint(0, 5)):
+                    x = FieldElem(ring, F(rng.randint(-9, 9), shift_den),
+                                  F(rng.randint(-9, 9), shift_den))
+                    if not any(gamma.contains(x - y) for y in shifts):
+                        shifts.append(x)
+                s = d.similarity(den * index * shift_den)
+            rebuilt = sum(x != ref.reduce_point(gamma, x) for x in shifts)
+            packing = PointPacking(gamma, tuple(shifts))
+            report = pk.check_similarity(packing, s)
+            assert report.accepted
+            cases.append((gamma, tuple(shifts), rebuilt, packing, d, report, sim.decompose(s)[0]))
+        assert sum(c[2] for c in cases) > 0 and any(c[5].n >= 2 for c in cases)
+
+        built = []
+        new = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting)
+        for gamma, shifts, rebuilt, packing, d, report, ratio in cases:
+            PointPacking(gamma, shifts)
+            assert len(built) == 2 * rebuilt
+            built.clear()
+            den = sim.denominator(gamma, d)
+            pk.check_corollaries(report, packing, ratio, den)
+            assert built == []
 
 
 @st.composite
@@ -1080,7 +1217,7 @@ class TestClosure:
         gamma = Lattice.from_generators(GAUSSIAN, [(F(2), F(1)), (F(-1), F(2))])
         packing = PointPacking(gamma, (FieldElem.zero(GAUSSIAN),))
         d = Direction(RingElem(GAUSSIAN, 3, 4), True)
-        assert sim.denominator(gamma, d) == F(1, 5)
+        assert sim.denominator(gamma, d) == (1, 5)
         assert any(c.q == 5 for c in pk.scal_set_packing(packing, d).classes)
         s = d.similarity(F(1, 5))
         diag = pk.closure_check(packing, [(s, s)])

@@ -273,6 +273,15 @@ class TestContentPrimitive:
         with pytest.raises(ValueError):
             content_and_primitive(g(0, 0))
 
+    def test_integral_fractions_read_as_ints(self):
+        c, z0 = content_and_primitive(FieldElem(GAUSSIAN, F(4), F(-2)))
+        assert (c, z0) == (2, g(2, -1))
+        assert type(z0.a) is int and type(z0.b) is int
+
+    def test_non_integral_refused(self):
+        with pytest.raises(ValueError, match="not an element of the ring"):
+            content_and_primitive(FieldElem(EISENSTEIN, F(1, 2), F(1)))
+
     @given(ring_elems(nonzero=True))
     def test_roundtrip(self, x):
         c, z0 = content_and_primitive(x)

@@ -140,18 +140,18 @@ class TestCompose:
 
 class TestDenominator:
     def test_ring_lattice_rotation(self):
-        assert denominator(ZI, Direction(RingElem(GAUSSIAN, 1, 2))) == 1
+        assert denominator(ZI, Direction(RingElem(GAUSSIAN, 1, 2))) == (1, 1)
 
     def test_rect31_quarter_turn(self):
-        assert denominator(RECT31, Direction(RingElem(GAUSSIAN, 0, 1))) == 3
+        assert denominator(RECT31, Direction(RingElem(GAUSSIAN, 0, 1))) == (3, 1)
 
     def test_hexagonal_unit(self):
-        assert denominator(ZW, Direction(RingElem(EISENSTEIN, 1, 1))) == 1
+        assert denominator(ZW, Direction(RingElem(EISENSTEIN, 1, 1))) == (1, 1)
 
     def test_reflections_on_ring_lattices(self):
         for ring, base in ((GAUSSIAN, ZI), (EISENSTEIN, ZW)):
             d = Direction(RingElem(ring, 2, 1), conjugate=True)
-            assert denominator(base, d) == 1
+            assert denominator(base, d) == (1, 1)
 
     def test_minimality(self):
         # No rational r' in (0, den) with denominator ≤ 12 maps Γ into Γ.
@@ -164,7 +164,7 @@ class TestDenominator:
             (RECT31, Direction(RingElem(GAUSSIAN, 1, 2), conjugate=True)),
         ]
         for base, d in cases:
-            r = denominator(base, d)
+            r = Fraction(*denominator(base, d))
             s = d.similarity(r)
             assert contains_lattice(base, s.image_lattice(base))
             for b in range(1, 13):
@@ -207,11 +207,11 @@ class TestScalLattice:
                 if not z.is_zero() and math.gcd(z.a, z.b) == 1:
                     zs.append(z)
             d1, d2 = Direction(zs[0]), Direction(zs[1])
-            r1 = denominator(base, d1) * rng.randint(1, 3)
-            r2 = denominator(base, d2) * rng.randint(1, 3)
+            r1 = Fraction(*denominator(base, d1)) * rng.randint(1, 3)
+            r2 = Fraction(*denominator(base, d2)) * rng.randint(1, 3)
             product = compose(d2.similarity(r2), d1.similarity(r1))
             rc, dc = decompose(product)
-            assert rc % denominator(base, dc) == 0
+            assert rc % Fraction(*denominator(base, dc)) == 0
 
     def test_negative_beta(self):
         # β ∈ Scal(Γ,R) implies -βRΓ ⊆ Γ as well.
@@ -220,7 +220,7 @@ class TestScalLattice:
             (RECT31, Direction(RingElem(GAUSSIAN, 0, 1))),
             (ZW, Direction(RingElem(EISENSTEIN, 2, 1))),
         ):
-            r = denominator(base, d)
+            r = Fraction(*denominator(base, d))
             for sign in (1, -1):
                 img = d.similarity(sign * r).image_lattice(base)
                 assert contains_lattice(base, img)
@@ -235,6 +235,17 @@ class TestDirection:
 
     def test_no_unit_normalization(self):
         assert Direction(RingElem(GAUSSIAN, 0, 1)) != Direction(RingElem(GAUSSIAN, 1, 0))
+
+    def test_integral_fractions_read_as_ints(self):
+        d = Direction(FieldElem(GAUSSIAN, Fraction(2), Fraction(1)), conjugate=True)
+        assert d == Direction(FieldElem(GAUSSIAN, 2, 1), conjugate=True)
+        assert type(d.z.a) is int and type(d.z.b) is int
+        assert d.norm() == 5 and str(d) == "(2+i)/|2+i|·conj"
+
+    def test_non_integral_refused(self):
+        for z in (FieldElem(GAUSSIAN, Fraction(1, 2), 0), FieldElem(EISENSTEIN, 1, Fraction(3, 2))):
+            with pytest.raises(ValueError, match="not an element of the ring"):
+                Direction(z)
 
 
 class TestDisplay:
