@@ -25,7 +25,7 @@ from . import lattices, oracle, packings, similarity as sim
 from .lattices import Lattice
 from .packings import PointPacking
 from .presets import PRESETS, preset
-from .render import render_svg
+from .render import circle_bound, render_svg
 from .rings import EISENSTEIN, GAUSSIAN, FieldElem
 from .similarity import Direction, ScalSet, Similarity, format_scale
 
@@ -45,7 +45,7 @@ MAX_BOUND = 100
 MAX_RATIONAL_CHARS = 40
 # Most shifts in a packing document; the work grows with their square.
 MAX_COMPONENTS = packings.MAX_LIFTED_COMPONENTS
-# Most circles render draws, bounded per lattice drawn as rows × points per row.
+# Most circles render draws, as bounded by render.circle_bound.
 MAX_RENDER_POINTS = 100_000
 # Most points verify lets the oracle test, estimated by _oracle_points.
 MAX_ORACLE_POINTS = 100_000
@@ -59,8 +59,11 @@ class InputError(Exception):
 # document parsing
 
 
-# An optional sign, ASCII digits, then an optional /digits or .digits.
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+# An integer is an optional sign and ASCII digits; a rational adds an optional
+# /digits or .digits, and table --z takes two integers a,b.
+_INTEGER = r"[+-]?[0-9]+"
+_RATIONAL = re.compile(rf"({_INTEGER})(?:/([0-9]+)|\.([0-9]+))?")
+_Z = re.compile(rf"({_INTEGER}),({_INTEGER})")
 
 
 def _fraction(text) -> Fraction:
@@ -349,14 +352,14 @@ def run_table(args) -> int:
         _, _, ring = TABLE_SPECS[args.name]
         explicit = []
         for text in args.z:
-            parts = text.split(",")
-            if any(len(part) > MAX_RATIONAL_CHARS for part in parts):
+            match = _Z.fullmatch(text)
+            if match is None:
+                raise InputError(f"bad --z {text[:MAX_RATIONAL_CHARS]!r}: write a,b, each an "
+                                 "optional sign and ASCII digits")
+            if any(len(part) > MAX_RATIONAL_CHARS for part in match.groups()):
                 raise InputError(f"bad --z {text[:MAX_RATIONAL_CHARS]!r}: each part "
                                  f"has at most {MAX_RATIONAL_CHARS} characters")
-            try:
-                a, b = (int(part) for part in parts)
-            except ValueError:
-                raise InputError(f"bad --z {text!r}; expected a,b") from None
+            a, b = map(int, match.groups())
             z = FieldElem(ring, a, b)
             if z.is_zero() or math.gcd(a, b) != 1:
                 raise InputError(f"--z {text!r} is not a primitive direction")
@@ -394,16 +397,13 @@ def _parse_window(text: str):
 
 def run_render(args) -> int:
     packing = _load_packing(args)
-    x0, y0, x1, y1 = window = _parse_window(args.window)
+    window = _parse_window(args.window)
     s = None
     if not args.packing_only:
         if not args.similarity:
             raise InputError("render needs --similarity or --packing-only")
         s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
-    # Each of m components walks its rows of Γ (and of sΓ) in the window.
-    drawn = [packing.lattice] + ([s.image_lattice(packing.lattice)] if s else [])
-    circles = sum(packing.m * ((y1 - y0) // g.b11 + 1) * ((x1 - x0) // g.b00 + 1)
-                  for g in drawn)
+    circles = circle_bound(packing, s, window)
     if circles > MAX_RENDER_POINTS:
         raise InputError(f"window takes up to {circles} circles; "
                          f"at most {MAX_RENDER_POINTS} are drawn")

@@ -1,22 +1,21 @@
-"""Planar lattices with exact rational bases over the ring basis {1, u}.
+"""Planar lattices over the ring basis {1, u}, held as integers.
 
-A lattice is stored in a canonical Hermite-style form: upper-triangular
-basis with positive diagonal and reduced off-diagonal entry, so two equal
-lattices are syntactically equal.  Every lattice built from generators, and
-so every sum Γ₁ + Γ₂ and image wΓ, comes from one column Hermite reduction
-of integer columns (Cohen, GTM 138, §2.4), and an index is a ratio of
-determinants; no dual lattice is formed.  Grid is a lattice written over
-one denominator d as the integer lattice d·Γ, on which a residue mod Γ
-costs two floor divisions and a membership two divisibility tests; the
-packings keep their shifts on it.  Grid.least_scale answers every question
-r·X ⊆ Γ (den(Γ, R), the lift's c, the oracle's D): the r that work are the
+A lattice Γ is the integer lattice d·Γ ⊂ Z² over one denominator d, with a
+canonical upper-triangular Hermite basis, on which a point x is the pair
+d·x, a residue mod Γ costs two floor divisions and a membership two
+divisibility tests.  Every lattice built from generators, and so every sum
+Γ₁ + Γ₂ and image wΓ, comes from one column Hermite reduction of integer
+columns (Cohen, GTM 138, §2.4), and an index is a ratio of integer
+determinants.  Lattice.least_scale answers every question r·X ⊆ Γ
+(den(Γ, R), the lift's c, the oracle's D): the r that work are the
 multiples of one least r, read from the integer coordinates of X over Γ.
 SumLattice keeps one integer form of Γ₁ + Γ₂ for many coset problems:
 [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] comes from its determinant, and each
 membership v ∈ Γ₁ + Γ₂, with a point of Γ₁ ∩ (v + Γ₂), costs two
 divisibility tests and no Fraction.  The same form answers the Scal
 congruences: the p with p·a - x ∈ Γ₁ + Γ₂ are one residue class, solved on
-its two integer columns.
+its two integer columns.  A Fraction is built only to hand back a point,
+its coordinates over a basis, or an index.
 """
 
 from __future__ import annotations
@@ -89,96 +88,75 @@ def _hnf_columns(cols: list[Column]) -> tuple[Column, Column]:
     return (kx, 0, kp, kr), (x1 - c * kx, y1, p1 - c * kp, r1 - c * kr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lattice:
-    """A full-rank planar lattice; basis columns (b00, 0) and (b01, b11)."""
+    """A full-rank planar lattice Γ written over a denominator d: the integer
+    lattice d·Γ ⊂ Z² with Hermite basis (b00, 0) and (b01, b11), where
+    b00, b11 > 0 and 0 ≤ b01 < b00.  A point x of Q(u) whose denominators
+    divide d is the integer pair d·x, so questions mod Γ are integer
+    arithmetic.  Equality and hash compare the lattice, not d."""
 
     ring: str
-    b00: Fraction
-    b01: Fraction
-    b11: Fraction
-
-    @classmethod
-    def from_generators(cls, ring: str, generators: list[Vec]) -> Lattice:
-        """Lattice spanned by the given coordinate pairs of ints or Fractions."""
-        d, ints = over_denominator([c for g in generators for c in g])
-        return Grid.spanned(d, zip(ints[::2], ints[1::2])).lattice(ring)
-
-    @classmethod
-    def ring_lattice(cls, ring: str) -> Lattice:
-        """The full ring Z[i] or Z[ω] (identity basis)."""
-        return cls(ring, Fraction(1), Fraction(0), Fraction(1))
-
-    @property
-    def det(self) -> Fraction:
-        return self.b00 * self.b11
-
-    def generators(self) -> tuple[FieldElem, FieldElem]:
-        g1 = FieldElem(self.ring, self.b00, 0)
-        g2 = FieldElem(self.ring, self.b01, self.b11)
-        return g1, g2
-
-    def is_ring_lattice(self) -> bool:
-        return self.b00 == 1 and self.b01 == 0 and self.b11 == 1
-
-    def coords_of(self, x: FieldElem) -> Vec:
-        """Solve B·t = coords(x); the lattice contains x iff t is integral."""
-        if x.ring != self.ring:
-            raise RingMismatchError(f"{x.ring} point in {self.ring} lattice")
-        t1 = x.b / self.b11
-        t0 = (x.a - self.b01 * t1) / self.b00
-        return t0, t1
-
-    def contains(self, x: FieldElem) -> bool:
-        t0, t1 = self.coords_of(x)
-        return t0.denominator == 1 and t1.denominator == 1
-
-    def point(self, t0: int | Fraction, t1: int | Fraction) -> FieldElem:
-        return FieldElem(self.ring, self.b00 * t0 + self.b01 * t1, self.b11 * t1)
-
-    def __str__(self) -> str:
-        g1, g2 = self.generators()
-        return f"<{g1}, {g2}>"
-
-
-@dataclass(frozen=True)
-class Grid:
-    """A lattice Γ over one denominator d: the integer lattice d·Γ ⊂ Z², with
-    Hermite basis (b00, 0) and (b01, b11), on which a point x of Q(u)
-    is the integer pair d·x when d clears its denominators.  Questions mod Γ
-    are then integer arithmetic: reduce gives the canonical residue and
-    contains the membership."""
-
     d: int
     b00: int
     b01: int
     b11: int
 
     @classmethod
-    def of(cls, lattice: Lattice, points) -> tuple[Grid, list[tuple[int, int]]]:
-        """Γ and the points over their least common denominator, with d·x for
-        each point x in the order given."""
-        for x in points:
-            if x.ring != lattice.ring:
-                raise RingMismatchError(f"{x.ring} point in {lattice.ring} lattice")
-        coords = [lattice.b00, lattice.b01, lattice.b11]
-        coords += [c for x in points for c in (x.a, x.b)]
-        d, (b00, b01, b11, *xy) = over_denominator(coords)
-        return cls(d, b00, b01, b11), list(zip(xy[::2], xy[1::2]))
+    def from_generators(cls, ring: str, generators: list[Vec]) -> Lattice:
+        """Lattice spanned by coordinate pairs, over their least denominator."""
+        d, ints = over_denominator([c for g in generators for c in g])
+        return cls.spanned(ring, d, zip(ints[::2], ints[1::2]))
 
     @classmethod
-    def spanned(cls, d: int, vectors) -> Grid:
+    def spanned(cls, ring: str, d: int, vectors) -> Lattice:
         """The lattice spanned by integer pairs over d, in Hermite form."""
         (b00, *_), (b01, b11, *_) = _hnf_columns([(x, y, 0, 0) for x, y in vectors])
-        return cls(d, b00, b01, b11)
+        return cls(ring, d, b00, b01, b11)
 
-    def lattice(self, ring: str) -> Lattice:
-        return Lattice(ring, Fraction(self.b00, self.d), Fraction(self.b01, self.d),
-                       Fraction(self.b11, self.d))
+    @classmethod
+    def ring_lattice(cls, ring: str) -> Lattice:
+        """The full ring Z[i] or Z[ω] (identity basis)."""
+        return cls(ring, 1, 1, 0, 1)
 
-    def element(self, ring: str, x: int, y: int) -> FieldElem:
-        """The point of Q(u) that the integer pair (x, y) stands for."""
-        return FieldElem(ring, Fraction(x, self.d), Fraction(y, self.d))
+    def _least(self) -> tuple[str, int, int, int, int]:  # the fields over the least d
+        g = math.gcd(self.d, self.b00, self.b01, self.b11)
+        return self.ring, self.d // g, self.b00 // g, self.b01 // g, self.b11 // g
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Lattice) and self._least() == other._least()
+
+    def __hash__(self) -> int:
+        return hash(self._least())
+
+    def over(self, d: int) -> Lattice:
+        """The same lattice written over d, a multiple of its denominator."""
+        k, rest = divmod(d, self.d)
+        if rest:
+            raise ValueError(f"{d} is not a multiple of the denominator {self.d}")
+        return self if k == 1 else Lattice(self.ring, d, k * self.b00, k * self.b01, k * self.b11)
+
+    def with_points(self, points) -> tuple[Lattice, list[tuple[int, int]]]:
+        """The lattice and the points over their least common denominator D:
+        the lattice rewritten over D, and D·x for each point x in order."""
+        for x in points:
+            if x.ring != self.ring:
+                raise RingMismatchError(f"{x.ring} point in {self.ring} lattice")
+        e, ints = over_denominator([c for x in points for c in (x.a, x.b)])
+        lattice = self.over(math.lcm(self.d, e))
+        f = lattice.d // e
+        return lattice, [(f * x, f * y) for x, y in zip(ints[::2], ints[1::2])]
+
+    @property
+    def det(self) -> Fraction:
+        return Fraction(self.b00 * self.b11, self.d * self.d)
+
+    def generators(self) -> tuple[FieldElem, FieldElem]:
+        return self.element(self.b00, 0), self.element(self.b01, self.b11)
+
+    def element(self, x: int, y: int) -> FieldElem:
+        """The point of Q(u) that the integer pair (x, y) over d stands for."""
+        return FieldElem(self.ring, Fraction(x, self.d), Fraction(y, self.d))
 
     def reduce(self, x: int, y: int) -> tuple[int, int]:
         """The residue of (x, y) mod d·Γ in the half-open cell
@@ -187,7 +165,8 @@ class Grid:
         x -= t * self.b01
         return x - self.b00 * ((x * self.b11 - self.b01 * y) // (self.b00 * self.b11)), y
 
-    def contains(self, x: int, y: int) -> bool:
+    def contains_pair(self, x: int, y: int) -> bool:
+        """Whether the integer pair (x, y) over d lies in d·Γ."""
         return y % self.b11 == 0 and (x - y // self.b11 * self.b01) % self.b00 == 0
 
     def least_scale(self, points) -> tuple[int, int]:
@@ -202,38 +181,55 @@ class Grid:
         h = math.gcd(det, g)
         return det // h, g // h
 
+    def coords_of(self, x: FieldElem) -> Vec:
+        """Solve B·t = coords(x); the lattice contains x iff t is integral."""
+        g, [(a, b)] = self.with_points((x,))
+        return Fraction(a * g.b11 - g.b01 * b, g.b00 * g.b11), Fraction(b, g.b11)
+
+    def contains(self, x: FieldElem) -> bool:
+        g, [xy] = self.with_points((x,))
+        return g.contains_pair(*xy)
+
+    def point(self, t0: int | Fraction, t1: int | Fraction) -> FieldElem:
+        """t0·(b00, 0) + t1·(b01, b11) over d, one Fraction per coordinate."""
+        return FieldElem(self.ring, Fraction(self.b00 * t0 + self.b01 * t1, self.d),
+                         Fraction(self.b11 * t1, self.d))
+
+    def __str__(self) -> str:
+        g1, g2 = self.generators()
+        return f"<{g1}, {g2}>"
+
 
 def index(sub: Lattice, sup: Lattice) -> Fraction:
     """Covolume ratio [sup : sub]; a positive integer when sub ⊆ sup."""
     if sub.ring != sup.ring:
         raise RingMismatchError("index of lattices over different rings")
-    return abs(sub.det) / abs(sup.det)
+    return Fraction(sub.b00 * sub.b11 * sup.d * sup.d, sup.b00 * sup.b11 * sub.d * sub.d)
 
 
 def integer_index(sub: Lattice, sup: Lattice) -> int:
     n = index(sub, sup)
     if n.denominator != 1:
         raise ValueError(f"{sub} is not a sublattice of {sup}")
-    return int(n)
+    return n.numerator
 
 
 def least_scale(lattice: Lattice, points) -> Fraction:
     """Least r > 0 with r·x in the lattice for every given point x."""
-    grid, xy = Grid.of(lattice, points)
-    return Fraction(*grid.least_scale(xy))
+    lattice, xy = lattice.with_points(points)
+    return Fraction(*lattice.least_scale(xy))
 
 
 def quotient_representatives(sub: Lattice, sup: Lattice) -> list[FieldElem]:
-    """Coset representatives of sub in sup; length equals [sup : sub]."""
-    # Integer matrix K with sub = sup·K, columns in Hermite form.
-    k_cols = []
-    for g in sub.generators():
-        t0, t1 = sup.coords_of(g)
-        if t0.denominator != 1 or t1.denominator != 1:
-            raise ValueError("quotient_representatives requires sub ⊆ sup")
-        k_cols.append((int(t0), int(t1), 0, 0))
-    (h00, *_), (_, h11, *_) = _hnf_columns(k_cols)
-    return [sup.point(i, j) for i in range(h00) for j in range(h11)]
+    """Coset representatives of sub in sup; length equals [sup : sub].  Both
+    bases are triangular, so i·g₁ + j·g₂ of sup, for i and j below the
+    ratios of the Hermite diagonals, are one point per coset."""
+    d = math.lcm(sub.d, sup.d)
+    sub, fine = sub.over(d), sup.over(d)
+    if not (fine.contains_pair(sub.b00, 0) and fine.contains_pair(sub.b01, sub.b11)):
+        raise ValueError("quotient_representatives requires sub ⊆ sup")
+    rows, cols = sub.b00 // fine.b00, sub.b11 // fine.b11
+    return [sup.point(i, j) for i in range(rows) for j in range(cols)]
 
 
 @dataclass(frozen=True)
@@ -254,16 +250,15 @@ class SumLattice:
 
     @classmethod
     def of(cls, l1: Lattice, l2: Lattice, points) -> SumLattice:
-        """The sum Γ₁ + Γ₂, scaled to clear the denominators of the points."""
+        """The sum Γ₁ + Γ₂, over the lcm of both denominators and the points'."""
         if l1.ring != l2.ring:
             raise RingMismatchError("sum of lattices over different rings")
-        coords = [l1.b00, l1.b01, l1.b11, l2.b00, l2.b01, l2.b11]
-        coords += [c for x in points for c in (x.a, x.b)]
-        _, (a00, a01, a11, c00, c01, c11, *xy) = over_denominator(coords)
+        l1, xy = l1.over(math.lcm(l1.d, l2.d)).with_points(points)
+        l2 = l2.over(l1.d)
         # Columns in the order Γ₁'s basis, then Γ₂'s, which fixes the witness.
-        cols = [(a00, 0, 1, 0), (a01, a11, 0, 1), (c00, 0, 0, 0), (c01, c11, 0, 0)]
+        cols = [(l1.b00, 0, 1, 0), (l1.b01, l1.b11, 0, 1), (l2.b00, 0, 0, 0), (l2.b01, l2.b11, 0, 0)]
         k, lead = _hnf_columns(cols)
-        return cls(a00 * a11, k, lead, tuple(zip(xy[::2], xy[1::2])))
+        return cls(l1.b00 * l1.b11, k, lead, tuple(xy))
 
     def index(self) -> int:
         """[Γ₁ + Γ₂ : Γ₁] = det Γ₁ / det(Γ₁ + Γ₂), which is [Γ₂ : Γ₁ ∩ Γ₂]."""

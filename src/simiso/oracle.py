@@ -26,7 +26,7 @@ def _common_period(packing: PointPacking, s: Similarity) -> Lattice:
     img = s.image_lattice(packing.lattice)
     base = packing.lattice
     d = lattices.least_scale(img, base.generators()).numerator
-    return Lattice(base.ring, d * base.b00, d * base.b01, d * base.b11)
+    return Lattice(base.ring, base.d, d * base.b00, d * base.b01, d * base.b11)
 
 
 def certify_subpacking(

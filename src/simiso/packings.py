@@ -7,10 +7,10 @@ the correspondence set τ.  Each decision builds one integer Hermite form of
 Γ + sΓ, which gives n and every meeting s(x_k) - x_j ∈ Γ + sΓ; witness
 points are built only once the similarity is accepted.
 
-A packing keeps its shifts as integer residues mod d·Γ over one
-denominator d (lattices.Grid), so congruence, periods, reduction, witness
-offsets and corollary (i) are integer arithmetic; a Fraction is built only
-to hand a point back as a FieldElem.
+A packing keeps Γ over one denominator d and its shifts as integer
+residues mod d·Γ, so congruence, periods, reduction, witness offsets and
+corollary (i) are integer arithmetic; a Fraction is built only to hand a
+point back as a FieldElem.
 
 Scaling-factor sets are solved per denominator q over the ring lattice R,
 to which every packing is first lifted.  For β = (p/q)|z| with gcd(p, q) = 1,
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lattices, similarity as sim
-from .lattices import Grid, Lattice
+from .lattices import Lattice
 from .rings import FieldElem
 from .similarity import Direction, ResidueClass, ScalSet, Similarity
 
@@ -48,34 +48,32 @@ class PointPacking:
     domain of Γ, so two stored shifts are congruent mod Γ exactly when they
     are equal; the given shifts must be pairwise incongruent.  A packing
     whose shifts include 0 models L; one without models a shifted packing
-    x + L.  The packing also keeps its integer form: grid is Γ over the least
-    d that clears the denominators of Γ and of every shift, and residues
-    holds d·x_k for each stored shift, its canonical residue mod d·Γ.  Every
-    question mod Γ (congruence, periods, corollary (i), witnesses) is
-    answered on these integers.
+    x + L.  The lattice is stored over the packing's own d, the lcm of Γ's
+    denominator and every shift's, and residues holds d·x_k for each stored
+    shift, its canonical residue mod d·Γ.  Every question mod Γ (congruence,
+    periods, corollary (i), witnesses) is answered on these integers.
     """
 
     lattice: Lattice
     shifts: tuple[FieldElem, ...]
-    grid: Grid = field(init=False, repr=False, compare=False)
     residues: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.shifts:
             raise ValueError("a packing needs at least one component")
-        grid, points = Grid.of(self.lattice, self.shifts)
+        lattice, points = self.lattice.with_points(self.shifts)
         given: dict[tuple[int, int], int] = {}  # canonical residue -> index given
         for i, xy in enumerate(points):
-            r = grid.reduce(*xy)
+            r = lattice.reduce(*xy)
             if r in given:
                 raise ValueError(f"shifts {self.shifts[given[r]]} and {self.shifts[i]} "
                                  "are congruent mod the generating lattice")
             given[r] = i
         # A shift given canonically is kept; the others are rebuilt from r.
-        shifts = tuple(self.shifts[i] if points[i] == r else grid.element(self.ring, *r)
+        shifts = tuple(self.shifts[i] if points[i] == r else lattice.element(*r)
                        for r, i in given.items())
+        object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "residues", tuple(given))
 
     @property
@@ -140,12 +138,11 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
         if len(reached) != n:
             return SimilarityReport(False, n, (), (), s, k, tuple(reached))
     tau = tuple((k, j) for k, j, _ in hits)
-    grid, ring = packing.grid, packing.ring
     witness = []
     for k, j, (t0, t1) in hits:  # x_j plus the Γ-point t, on d·Γ
         x, y = packing.residues[j]
-        witness.append((k, j, grid.element(ring, x + t0 * grid.b00 + t1 * grid.b01,
-                                           y + t1 * grid.b11)))
+        witness.append((k, j, gamma.element(x + t0 * gamma.b00 + t1 * gamma.b01,
+                                            y + t1 * gamma.b11)))
     return SimilarityReport(True, n, tau, tuple(witness), s)
 
 
@@ -157,10 +154,10 @@ def lift_to_ring(packing: PointPacking) -> PointPacking:
     holds for the lift.  Raises ValueError above MAX_LIFTED_COMPONENTS.
     """
     gamma = packing.lattice
-    if gamma.is_ring_lattice():
+    if gamma == Lattice.ring_lattice(gamma.ring):
         return packing
-    c = lattices.least_scale(gamma, Lattice.ring_lattice(gamma.ring).generators())
-    sub = Lattice(gamma.ring, c, Fraction(0), c)
+    c = Fraction(*gamma.least_scale([(gamma.d, 0), (0, gamma.d)]))  # R over d
+    sub = Lattice(gamma.ring, c.denominator, c.numerator, 0, c.numerator)
     m = packing.m * lattices.integer_index(sub, gamma)
     if m > MAX_LIFTED_COMPONENTS:
         raise ValueError(f"the packing lifts to {m} components over the ring "
@@ -331,12 +328,12 @@ def check_corollaries(
     """
     if not report.accepted:
         raise ValueError("corollary checks need an accepted report")
-    grid = packing.grid
+    gamma = packing.lattice
     n = report.n
 
     pair_ok: bool | None = None
     if n >= 2:
-        pair_ok = any(grid.contains(n * (xj - xi), n * (yj - yi))
+        pair_ok = any(gamma.contains_pair(n * (xj - xi), n * (yj - yi))
                       for (xi, yi), (xj, yj) in itertools.permutations(packing.residues, 2))
 
     top, bottom = ratio.numerator * den[1], ratio.denominator * den[0]
@@ -353,22 +350,18 @@ def periods(packing: PointPacking) -> Lattice:
 
     A period t carries x_0 + Γ onto some x_j + Γ, so t ≡ x_j - x_0 (mod Γ)
     and per(L) is Γ plus the m candidates x_j - x_0 that are periods.  A
-    candidate is one when every t + x_k reduces to a stored shift.
+    candidate is one when every t + x_k reduces to a stored shift, tested
+    on the residues; per(L) is written over the packing's denominator d.
     """
-    return _period_grid(packing).lattice(packing.ring)
-
-
-def _period_grid(packing: PointPacking) -> Grid:
-    """per(L) over the packing's denominator d, tested on the residues."""
-    grid, residues = packing.grid, packing.residues
+    gamma, residues = packing.lattice, packing.residues
     stored = set(residues)
     x0, y0 = residues[0]
-    gens = [(grid.b00, 0), (grid.b01, grid.b11)]
+    gens = [(gamma.b00, 0), (gamma.b01, gamma.b11)]
     for xj, yj in residues[1:]:
         tx, ty = xj - x0, yj - y0
-        if all(grid.reduce(tx + x, ty + y) in stored for x, y in residues):
+        if all(gamma.reduce(tx + x, ty + y) in stored for x, y in residues):
             gens.append((tx, ty))
-    return Grid.spanned(grid.d, gens)
+    return Lattice.spanned(gamma.ring, gamma.d, gens)
 
 
 def reduce(packing: PointPacking) -> PointPacking:
@@ -376,11 +369,11 @@ def reduce(packing: PointPacking) -> PointPacking:
 
     The first shift of each class mod per(L) is kept, in the order given.
     """
-    maximal = _period_grid(packing)
+    maximal = periods(packing)
     first: dict[tuple[int, int], FieldElem] = {}
     for x, xy in zip(packing.shifts, packing.residues):
         first.setdefault(maximal.reduce(*xy), x)
-    reduced = PointPacking(maximal.lattice(packing.ring), tuple(first.values()))
+    reduced = PointPacking(maximal, tuple(first.values()))
     _assert_same_point_set(packing, reduced)
     return reduced
 
@@ -390,12 +383,12 @@ def _assert_same_point_set(packing: PointPacking, reduced: PointPacking) -> None
     per(L)/Γ, must reduce to a distinct shift of the packing, covering all m.
     Both packings are written over the packing's d, which the reduced
     packing's denominator divides."""
-    grid, per = packing.grid, reduced.grid
-    f = grid.d // per.d
-    coarse = Grid(grid.d, f * per.b00, f * per.b01, f * per.b11)
-    if not (coarse.contains(grid.b00, 0) and coarse.contains(grid.b01, grid.b11)):
+    gamma, per = packing.lattice, reduced.lattice
+    f = gamma.d // per.d
+    coarse = per.over(gamma.d)
+    if not (coarse.contains_pair(gamma.b00, 0) and coarse.contains_pair(gamma.b01, gamma.b11)):
         raise RuntimeError("the generating lattice is not a sublattice of per(L)")
-    rows, cols = grid.b00 // coarse.b00, grid.b11 // coarse.b11  # [per(L) : Γ] = rows·cols
+    rows, cols = gamma.b00 // coarse.b00, gamma.b11 // coarse.b11  # [per(L) : Γ] = rows·cols
     if reduced.m * rows * cols != packing.m:
         raise RuntimeError("component count mismatch")
     index = {r: k for k, r in enumerate(packing.residues)}
@@ -403,8 +396,8 @@ def _assert_same_point_set(packing: PointPacking, reduced: PointPacking) -> None
     for x, y in reduced.residues:
         for i in range(rows):
             for j in range(cols):
-                k = index.get(grid.reduce(f * x + i * coarse.b00 + j * coarse.b01,
-                                          f * y + j * coarse.b11))
+                k = index.get(gamma.reduce(f * x + i * coarse.b00 + j * coarse.b01,
+                                           f * y + j * coarse.b11))
                 if k is None:
                     raise RuntimeError("reduced packing is not the same point set")
                 covered.append(k)

@@ -5,7 +5,8 @@ lattice component dark, other packing components gray, image components
 blue/yellow/green.  Byte output is fixed for fixed inputs.  Circles are
 enumerated as integer pairs over a common denominator d of the window, the
 shift and Γ, and become floats once, as a/d: int / int rounds correctly, so
-it equals float() of the reduced Fraction.
+it equals float() of the reduced Fraction.  circle_bound caps that walk
+before any figure is drawn.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .lattices import Lattice
 from .packings import PointPacking
-from .rings import EISENSTEIN, FieldElem, over_denominator
+from .rings import EISENSTEIN, FieldElem
 from .similarity import Similarity
 
 PACKING_COLORS = ("#1c1c1c", "#9e9e9e", "#c96b6b", "#7c5aa8")
@@ -39,8 +40,9 @@ def points_in_window(lattice: Lattice, shift: FieldElem, window: Window):
     x0, y0, x1, y1 = window
     if x1 <= x0 or y1 <= y0:
         raise ValueError("window must have positive area")
-    coords = (*window, shift.a, shift.b, lattice.b00, lattice.b01, lattice.b11)
-    d, (x0, y0, x1, y1, sa, sb, b00, b01, b11) = over_denominator(coords)
+    corners = (FieldElem(lattice.ring, x0, y0), FieldElem(lattice.ring, x1, y1))
+    g, [(x0, y0), (x1, y1), (sa, sb)] = lattice.with_points((*corners, shift))
+    d, b00, b01, b11 = g.d, g.b00, g.b01, g.b11
     out = []
     for t1 in range(-((sb - y0) // b11), -((sb - y1) // b11)):  # ceilings
         a0, b = sa + b01 * t1, sb + b11 * t1
@@ -48,6 +50,15 @@ def points_in_window(lattice: Lattice, shift: FieldElem, window: Window):
             out.append((a0 + b00 * t0, b))
     out.sort()
     return [(a / d, b / d) for a, b in out]
+
+
+def circle_bound(packing: PointPacking, s: Similarity | None, window: Window) -> int:
+    """The most circles render_svg draws: each component walks at most
+    ⌊h/b11⌋ + 1 rows of ⌊w/b00⌋ + 1 points of Γ (and of sΓ), b11 and b00 over d."""
+    x0, y0, x1, y1 = window
+    drawn = [packing.lattice] + ([s.image_lattice(packing.lattice)] if s else [])
+    return sum(packing.m * ((y1 - y0) * g.d // g.b11 + 1) * ((x1 - x0) * g.d // g.b00 + 1)
+               for g in drawn)
 
 
 def render_svg(

@@ -4,9 +4,10 @@ A map is x ↦ w·x, or x ↦ w·conj(x) for the reflection family T = R·T_r.
 Its scaling factor β = |w| is never stored as a real number: it lives as a
 rational multiple of the symbolic surd |z| of a primitive direction z, and
 scaling-factor sets are finite unions of residue classes of such rationals.
-den(Γ, R), the least β with βRΓ ⊆ Γ, is read on the integer form of Γ and
-returned as the integer pair of its ratio to |z|; a Direction holds z with
-int coordinates.
+den(Γ, R), the least β with βRΓ ⊆ Γ, is read on the integer basis of Γ
+over its denominator and returned as the integer pair of its ratio to |z|;
+a Direction holds z with int coordinates.  An image lattice sΓ is spanned
+by the images of that integer basis.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import FieldElem, content_and_primitive, ring_coordinates
-from .lattices import Grid, Lattice
+from .rings import FieldElem, content_and_primitive, over_denominator, ring_coordinates
+from .lattices import Lattice
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,11 @@ class Similarity:
         return self.w * (x.conj() if self.conjugate else x)
 
     def image_lattice(self, lattice: Lattice) -> Lattice:
-        """sΓ, spanned by the images of Γ's two generators."""
-        images = [self.apply(g) for g in lattice.generators()]
-        return Lattice.from_generators(lattice.ring, [(y.a, y.b) for y in images])
+        """sΓ: the images of the integer basis of d·Γ span d·sΓ."""
+        images = [self.apply(FieldElem(lattice.ring, x, y))
+                  for x, y in ((lattice.b00, 0), (lattice.b01, lattice.b11))]
+        e, ints = over_denominator([c for y in images for c in (y.a, y.b)])
+        return Lattice.spanned(lattice.ring, e * lattice.d, zip(ints[::2], ints[1::2]))
 
     def scale_sq(self) -> Fraction:
         """β² as an exact rational."""
@@ -103,16 +106,13 @@ def denominator(lattice: Lattice, d: Direction) -> tuple[int, int]:
     a/b is the least positive rational r with r·z(Γ) ⊆ Γ, where z(Γ) is Γ
     under x ↦ z·x (or z·conj(x)): the least β = r|z| with βRΓ ⊆ Γ.  The r'
     with r'·z(Γ) ⊆ Γ are exactly r·Z.  z maps the integer basis of d·Γ to
-    integer points of d·z(Γ), and Grid.least_scale reads r from their
+    integer points of d·z(Γ), and Lattice.least_scale reads r from their
     coordinates.  For full ring lattices r = 1.
     """
-    grid, _ = Grid.of(lattice, ())
-    images = []
-    for x, y in ((grid.b00, 0), (grid.b01, grid.b11)):
-        g = FieldElem(lattice.ring, x, y)
-        v = d.z * (g.conj() if d.conjugate else g)
-        images.append((v.a, v.b))
-    return grid.least_scale(images)
+    z = d.similarity(1)
+    images = [z.apply(FieldElem(lattice.ring, x, y))
+              for x, y in ((lattice.b00, 0), (lattice.b01, lattice.b11))]
+    return lattice.least_scale([(v.a, v.b) for v in images])
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 The engine no longer calls any of these: it reads n, every sum and every
 Scal congruence from one integer Hermite form, its gcds from closed forms,
 every image lattice from the images of two generators, and every
-"r·X ⊆ Γ" question from lattices.least_scale or from the integer form
-lattices.Grid; packings keep their shifts as integer residues and test
-corollary (i) on them; render enumerates its circles on integers; the Scal
-solve merges its congruences by CRT.  They stay here so that those routes
-can be checked against a different one: the sum as a Fraction lattice, the
+"r·X ⊆ Γ" question from Lattice.least_scale; a Lattice is an integer
+Hermite basis over one denominator; packings keep their shifts as integer
+residues and test corollary (i) on them; render enumerates its circles on
+integers; the Scal solve merges its congruences by CRT.  They stay here so
+that those routes can be checked against a different one: the lattice with
+three Fraction fields that Lattice replaced, the sum as a lattice, the
 residue of a point mod Γ and the corollary (i) containment on Fraction
 points, the congruences on Fraction coordinates and the walk over
 every residue of their modulus, the window enumeration on Fraction points,
@@ -17,11 +18,63 @@ and conjugation over {1, u}.  Results of the ring functions are fixed only up to
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from simiso import lattices as lat, packings as pk
 from simiso.lattices import Lattice
-from simiso.rings import GAUSSIAN, RingElem, RingMismatchError
+from simiso.rings import GAUSSIAN, FieldElem, RingElem, RingMismatchError, over_denominator
+
+
+@dataclass(frozen=True)
+class FractionLattice:
+    """A lattice as Lattice held it before it kept one denominator: basis
+    columns (b00, 0) and (b01, b11) with Fraction entries, the Hermite form
+    of the generators divided back by their common denominator."""
+
+    ring: str
+    b00: Fraction
+    b01: Fraction
+    b11: Fraction
+
+    @classmethod
+    def from_generators(cls, ring, generators):
+        d, ints = over_denominator([c for g in generators for c in g])
+        (b00, *_), (b01, b11, *_) = lat._hnf_columns(
+            [(x, y, 0, 0) for x, y in zip(ints[::2], ints[1::2])])
+        return cls(ring, Fraction(b00, d), Fraction(b01, d), Fraction(b11, d))
+
+    @classmethod
+    def of(cls, lattice):
+        """The Fraction form of a Lattice."""
+        return cls(lattice.ring, *(Fraction(c, lattice.d)
+                                   for c in (lattice.b00, lattice.b01, lattice.b11)))
+
+    @property
+    def det(self):
+        return self.b00 * self.b11
+
+    def generators(self):
+        return FieldElem(self.ring, self.b00, 0), FieldElem(self.ring, self.b01, self.b11)
+
+    def coords_of(self, x):
+        """Solve B·t = coords(x); the lattice contains x iff t is integral."""
+        if x.ring != self.ring:
+            raise RingMismatchError(f"{x.ring} point in {self.ring} lattice")
+        t1 = x.b / self.b11
+        t0 = (x.a - self.b01 * t1) / self.b00
+        return t0, t1
+
+    def contains(self, x):
+        t0, t1 = self.coords_of(x)
+        return t0.denominator == 1 and t1.denominator == 1
+
+    def point(self, t0, t1):
+        return FieldElem(self.ring, self.b00 * t0 + self.b01 * t1, self.b11 * t1)
+
+    def __str__(self):
+        g1, g2 = self.generators()
+        return f"<{g1}, {g2}>"
 
 
 def add(l1: Lattice, l2: Lattice) -> Lattice:
@@ -34,6 +87,7 @@ def add(l1: Lattice, l2: Lattice) -> Lattice:
 
 def dual(lattice: Lattice) -> Lattice:
     """Dual lattice w.r.t. the standard pairing on coordinates: (B⁻¹)ᵀ."""
+    lattice = FractionLattice.of(lattice)
     d = lattice.det
     c1 = (lattice.b11 / d, -lattice.b01 / d)
     c2 = (Fraction(0), lattice.b00 / d)
@@ -93,6 +147,7 @@ def conj_matrix(ring):
 def _mapped(lattice, m):
     """The lattice spanned by the basis under the 2×2 matrix m."""
     m00, m01, m10, m11 = m
+    lattice = FractionLattice.of(lattice)
     cols = ((lattice.b00, Fraction(0)), (lattice.b01, lattice.b11))
     gens = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in cols]
     return Lattice.from_generators(lattice.ring, gens)
@@ -107,6 +162,7 @@ def image_lattice(s, lattice):
 def denominator(lattice, d):
     """den(Γ, R) as r in den = r·|z|: the least positive rational making
     r·B⁻¹·M_z·(M_conj)·B integral."""
+    lattice = FractionLattice.of(lattice)
     m = mul_matrix(d.z)
     if d.conjugate:
         c = conj_matrix(lattice.ring)
@@ -132,6 +188,7 @@ def denominator(lattice, d):
 def scaling_denominator(l1, l2):
     """Minimal positive integer D with D·Γ₁ ⊆ Γ₂: the lcm of the
     denominators of the entries of B₂⁻¹·B₁."""
+    l1, l2 = FractionLattice.of(l1), FractionLattice.of(l2)
     entries = []
     for x, y in ((l1.b00, Fraction(0)), (l1.b01, l1.b11)):
         t1 = y / l2.b11
@@ -143,6 +200,7 @@ def scaling_denominator(l1, l2):
 def lift_scale(gamma):
     """The least rational c with c·R ⊆ Γ, from the Hermite entries: the lcm
     of b00, b11 and, when b01 ≠ 0, |b00·b11/b01|."""
+    gamma = FractionLattice.of(gamma)
     gens = [gamma.b00, gamma.b11] + ([abs(gamma.det / gamma.b01)] if gamma.b01 else [])
     return Fraction(
         math.lcm(*(g.numerator for g in gens)), math.gcd(*(g.denominator for g in gens))
@@ -152,6 +210,7 @@ def lift_scale(gamma):
 def reduce_point(lattice, x):
     """The representative of x mod Γ in the fundamental domain, from the
     Fraction coordinates of x over Γ's basis."""
+    lattice = FractionLattice.of(lattice)
     t0, t1 = lattice.coords_of(x)
     return lattice.point(t0 - math.floor(t0), t1 - math.floor(t1))
 
@@ -159,8 +218,9 @@ def reduce_point(lattice, x):
 def shift_pair_in_nth_lattice(packing, n):
     """Corollary (i) as containment: some pair of distinct shifts differs by
     a point of (1/n)Γ, that is n·(x_j - x_i) ∈ Γ on Fraction points."""
+    gamma = FractionLattice.of(packing.lattice)
     return any(
-        packing.lattice.contains((x_j - x_i).scale(n))
+        gamma.contains((x_j - x_i).scale(n))
         for i, x_i in enumerate(packing.shifts)
         for j, x_j in enumerate(packing.shifts)
         if i != j
@@ -169,6 +229,7 @@ def shift_pair_in_nth_lattice(packing, n):
 
 def contains_lattice(sup, sub):
     """Whether sub ⊆ sup, by testing both generators of sub."""
+    sup = FractionLattice.of(sup)
     return all(sup.contains(g) for g in sub.generators())
 
 
@@ -202,6 +263,7 @@ def sweep_conditions(packing, trial):
     gamma = packing.lattice
     total = add(gamma, trial.image_lattice(gamma))
     n = lat.integer_index(gamma, total)
+    total = FractionLattice.of(total)
     targets = [total.coords_of(x_j) for x_j in packing.shifts]
     conditions = []
     for x_k in packing.shifts:
@@ -254,7 +316,7 @@ def points_in_window(packing, window):
     x0, y0, x1, y1 = (Fraction(c) for c in window)
     if x1 <= x0 or y1 <= y0:
         raise ValueError("window must have positive area")
-    base = packing.lattice
+    base = FractionLattice.of(packing.lattice)
     out = []
     for s in packing.shifts:
         t1_lo = math.ceil((y0 - s.b) / base.b11)

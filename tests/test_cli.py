@@ -342,6 +342,15 @@ class TestTable:
     def test_bad_direction(self):
         assert main(["table", "t1", "--z", "2,4"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("z", ["1_0,1", " 2, 1", "١,0", "1,2,3", "1", "1.0,2", ""])
+    def test_z_outside_the_integer_grammar(self, z, capsys):
+        # int() reads the first three as 10+i, 2+i and 1; the README's grammar
+        # is an optional sign and ASCII digits.
+        assert main(["table", "t1", "--z", z]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: bad --z {z!r}: ")
+
     @pytest.mark.parametrize("samples", ["-1", "0", str(MAX_SAMPLES + 1)])
     def test_samples_out_of_range(self, samples, capsys):
         assert main(["table", "t2", "--samples", samples]) == EXIT_INPUT
@@ -874,7 +883,7 @@ _VALUES = {
     | st.lists(st.sampled_from(["-3", "0", "1/2", "3", "x", "1e1", "500", " 1", "1_0"]),
                min_size=3, max_size=5).map(",".join),
     "--samples": _COUNTS,
-    "--z": st.sampled_from(["1,0", "2,1", "-3,2", "2,2", "0,0", "x", "1"]),
+    "--z": st.sampled_from(["1,0", "2,1", "-3,2", "2,2", "0,0", "x", "1", "1_0,1", " 2, 1", "١,0"]),
     "--format": st.sampled_from(["csv", "json", "xml"]),
     "--p-bound": _COUNTS,
     "--q-bound": _COUNTS,

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simiso import lattices as lat
 from simiso.lattices import DegenerateLatticeError, Lattice
@@ -14,11 +16,11 @@ from simiso.rings import (
     FieldElem,
     RingElem,
     RingMismatchError,
-    over_denominator,
 )
 from simiso.similarity import Similarity
 
 from references import (
+    FractionLattice,
     add,
     contains_lattice,
     dual,
@@ -233,7 +235,8 @@ class TestDualAndQuotients:
         img = mul_lattice(GAUSSIAN, 1, 2)
         d = lat.least_scale(img, ZI.generators())
         assert d == 5 == scaling_denominator(ZI, img)
-        scaled = Lattice(GAUSSIAN, d * ZI.b00, d * ZI.b01, d * ZI.b11)
+        scaled = Lattice(GAUSSIAN, ZI.d, d.numerator * ZI.b00, d.numerator * ZI.b01,
+                         d.numerator * ZI.b11)
         assert contains_lattice(img, scaled)
         assert not contains_lattice(img, ZI)
 
@@ -305,12 +308,67 @@ class TestCosetIntersection:
         l1 = RECT31
         l2 = mul_lattice(GAUSSIAN, 1, 2)
         total = lat.SumLattice.of(l1, l2, ())
-        d, _ = over_denominator([l1.b00, l1.b01, l1.b11, l2.b00, l2.b01, l2.b11])
         h00, zero, *_ = total.k
         h01, h11, *_ = total.lead
         assert zero == 0 and h00 > 0 and h11 > 0 and 0 <= h01 < h00
-        assert Lattice(GAUSSIAN, F(h00, d), F(h01, d), F(h11, d)) == add(l1, l2)
+        assert Lattice(GAUSSIAN, math.lcm(l1.d, l2.d), h00, h01, h11) == add(l1, l2)
 
     def test_different_rings_refused(self):
         with pytest.raises(RingMismatchError):
             lat.SumLattice.of(ZI, ZW, ())
+
+
+@st.composite
+def generator_lists(draw):
+    """A ring and 2–4 generators with denominators ≤ 12 of (1/den)·H, for a
+    sheared H ⊆ Z² of index ≤ 16: H's Hermite columns under a drawn
+    unimodular shear, then up to two integer combinations, in drawn order."""
+    ring = draw(st.sampled_from((GAUSSIAN, EISENSTEIN)))
+    index = draw(st.integers(1, 16))
+    h00 = draw(st.sampled_from([h for h in range(1, index + 1) if index % h == 0]))
+    h01, h11 = draw(st.integers(0, h00 - 1)), index // h00
+    small = st.integers(-2, 2)
+    c = draw(small)
+    gens = [(h00 + c * h01, c * h11), (h01, h11)]
+    gens += [(a * h00 + b * h01, b * h11) for a, b in draw(st.lists(st.tuples(small, small), max_size=2))]
+    den = draw(st.integers(1, 12))
+    return ring, [(F(x, den), F(y, den)) for x, y in draw(st.permutations(gens))]
+
+
+_points = st.lists(
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-12, 12), st.integers(1, 12),
+              st.integers(-12, 12), st.integers(1, 12), st.booleans()),
+    min_size=1, max_size=5)
+
+
+class TestLatticeMatchesFractionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(generator_lists(), _points, st.integers(1, 4))
+    def test_integer_lattice_matches_fraction_lattice(self, case, points, k):
+        """The integer Hermite triple over d against the Fraction lattice it
+        replaced: fields, least d, str, rewriting over k·d, and contains,
+        coords_of, point and index on points of Γ and points off it."""
+        ring, gens = case
+        lattice = Lattice.from_generators(ring, gens)
+        reference = FractionLattice.from_generators(ring, gens)
+        fields = (lattice.d, lattice.b00, lattice.b01, lattice.b11)
+        assert all(type(c) is int for c in fields) and math.gcd(*fields) == 1
+        assert FractionLattice.of(lattice) == reference
+        assert str(lattice) == str(reference)
+
+        wide = lattice.over(k * lattice.d)
+        assert wide.d == k * lattice.d and FractionLattice.of(wide) == reference
+        assert wide == lattice and hash(wide) == hash(lattice)
+        assert lat.index(wide, lattice) == 1 == lat.integer_index(lattice, wide)
+        base = Lattice.ring_lattice(ring)
+        assert lat.index(lattice, base) == reference.det == lattice.det
+        assert lat.index(base, wide) == 1 / reference.det
+
+        for t0, t1, a, b, c, e, on_lattice in points:
+            x = reference.point(t0, t1)
+            assert lattice.point(t0, t1) == x == wide.point(t0, t1)
+            if not on_lattice:
+                x = x + FieldElem(ring, F(a, b), F(c, e))
+            assert lattice.coords_of(x) == reference.coords_of(x) == wide.coords_of(x)
+            assert lattice.point(*lattice.coords_of(x)) == x
+            assert lattice.contains(x) == reference.contains(x) == wide.contains(x)

@@ -909,11 +909,11 @@ class TestLatticeMapsMatchReference:
         period = ref.scaling_denominator(gamma, img)
         packing = PointPacking(gamma, (FieldElem.zero(gamma.ring),))
         assert orc._common_period(packing, s) == Lattice(
-            gamma.ring, period * gamma.b00, period * gamma.b01, period * gamma.b11
+            gamma.ring, gamma.d, period * gamma.b00, period * gamma.b01, period * gamma.b11
         )
 
         c = ref.lift_scale(gamma)
-        sub = Lattice(gamma.ring, c, F(0), c)
+        sub = Lattice(gamma.ring, c.denominator, c.numerator, 0, c.numerator)
         reps = lat.quotient_representatives(sub, gamma)
         expected = PointPacking(
             Lattice.ring_lattice(gamma.ring), tuple(r.scale(1 / c) for r in reps)
@@ -928,8 +928,7 @@ def refined_packings_with_similarities(draw):
     similarity maps (1/D)·R into itself, so it is accepted, often with
     n ≥ 2 and sΓ ⊄ Γ."""
     gamma, d, _ = draw(lattices_with_similarities())
-    big_d = math.lcm(*(c.denominator for c in (gamma.b00, gamma.b01, gamma.b11)))
-    fine = Lattice(gamma.ring, F(1, big_d), F(0), F(1, big_d))
+    fine = Lattice(gamma.ring, gamma.d, 1, 0, 1)
     packing = PointPacking(gamma, tuple(lat.quotient_representatives(gamma, fine)))
     return packing, d.similarity(draw(st.integers(1, 3)))
 
@@ -987,9 +986,8 @@ def integer_form_cases(draw):
     )
     d = Direction(z, draw(st.booleans()))
     if draw(st.integers(0, 2)) == 0:
-        big_d = math.lcm(*(c.denominator for c in (gamma.b00, gamma.b01, gamma.b11)))
-        big_d *= draw(st.integers(1, 2))
-        fine = Lattice(gamma.ring, F(1, big_d), F(0), F(1, big_d))
+        big_d = gamma.d * draw(st.integers(1, 2))
+        fine = Lattice(gamma.ring, big_d, 1, 0, 1)
         shifts = lat.quotient_representatives(gamma, fine)
         return gamma, tuple(shifts), d, d.similarity(draw(st.integers(1, 3)))
     den = draw(st.integers(1, 12))
@@ -1047,9 +1045,11 @@ class TestIntegerFormMatchesReference:
 
 class TestNoFractionOnTheDecisionPath:
     def test_residues_den_and_corollaries_build_no_fraction(self, monkeypatch):
-        """The residue and congruence step of PointPacking, den(Γ, R) and the
-        corollaries run on integers.  PointPacking builds a Fraction only to
-        store a shift that was not given canonically, two per such shift."""
+        """The residue and congruence step of PointPacking, den(Γ, R), the
+        corollaries, Lattice.from_generators on Fraction generators, periods
+        and SumLattice.of run on integers.  PointPacking builds a Fraction
+        only to store a shift that was not given canonically, two per such
+        shift."""
         from simiso import oracle as orc
 
         rng = random.Random(12)
@@ -1059,12 +1059,12 @@ class TestNoFractionOnTheDecisionPath:
             index = rng.randint(1, 4)
             h00 = rng.choice([h for h in range(1, index + 1) if index % h == 0])
             den = rng.randint(1, 3)
-            gamma = Lattice.from_generators(
-                ring, [(F(h00, den), 0), (F(rng.randrange(h00), den), F(index // h00, den))])
+            gens = [(F(h00, den), F(0)), (F(rng.randrange(h00), den), F(index // h00, den))]
+            gamma = Lattice.from_generators(ring, gens)
             d = Direction(orc._random_primitive(rng, ring, 30), rng.random() < 0.5)
             if i % 2:
                 # (1/den)·R over Γ: any integer multiple of z maps it into itself.
-                fine = Lattice(ring, F(1, den), F(0), F(1, den))
+                fine = Lattice(ring, den, 1, 0, 1)
                 shifts = lat.quotient_representatives(gamma, fine)
                 s = d.similarity(rng.randint(1, 3))
             else:
@@ -1081,7 +1081,10 @@ class TestNoFractionOnTheDecisionPath:
             packing = PointPacking(gamma, tuple(shifts))
             report = pk.check_similarity(packing, s)
             assert report.accepted
-            cases.append((gamma, tuple(shifts), rebuilt, packing, d, report, sim.decompose(s)[0]))
+            sum_args = (gamma, s.image_lattice(gamma),
+                        packing.shifts + tuple(s.apply(x) for x in packing.shifts))
+            cases.append((gamma, tuple(shifts), rebuilt, packing, d, report, sim.decompose(s)[0],
+                          gens, sum_args))
         assert sum(c[2] for c in cases) > 0 and any(c[5].n >= 2 for c in cases)
 
         built = []
@@ -1092,12 +1095,15 @@ class TestNoFractionOnTheDecisionPath:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(F, "__new__", counting)
-        for gamma, shifts, rebuilt, packing, d, report, ratio in cases:
+        for gamma, shifts, rebuilt, packing, d, report, ratio, gens, sum_args in cases:
             PointPacking(gamma, shifts)
             assert len(built) == 2 * rebuilt
             built.clear()
             den = sim.denominator(gamma, d)
             pk.check_corollaries(report, packing, ratio, den)
+            assert Lattice.from_generators(gamma.ring, gens) == gamma
+            pk.periods(packing)
+            lat.SumLattice.of(*sum_args)
             assert built == []
 
 
@@ -1138,7 +1144,8 @@ class TestIntAndFractionAgree:
     @given(exact_cases())
     def test_int_and_fraction_inputs_agree(self, case):
         """Integral coordinates written as int or as Fraction give equal
-        results, and every coordinate and Lattice field returned is exact."""
+        results, every coordinate returned is exact and every Lattice field
+        an int."""
         results = []
         for kind in (int, F):
             packing, s = _written_as(case, kind)
@@ -1153,8 +1160,9 @@ class TestIntAndFractionAgree:
             ))
             points = [*packing.shifts, *lifted.shifts, *(x for _, _, x in report.witness), d.z]
             coords = [c for x in points for c in (x.a, x.b)]
-            coords += [c for g in (packing.lattice, lifted.lattice, per) for c in (g.b00, g.b01, g.b11)]
             assert all(type(c) in (int, F) for c in coords)
+            fields = [c for g in (packing.lattice, lifted.lattice, per) for c in (g.d, g.b00, g.b01, g.b11)]
+            assert all(type(c) is int for c in fields)
         assert results[0] == results[1]
 
 
