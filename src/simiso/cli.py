@@ -403,14 +403,15 @@ def run_render(args) -> int:
         if not args.similarity:
             raise InputError("render needs --similarity or --packing-only")
         s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
-    circles = circle_bound(packing, s, window)
+    image = s.image_lattice(packing.lattice) if s else None
+    circles = circle_bound(packing, image, window)
     if circles > MAX_RENDER_POINTS:
         raise InputError(f"window takes up to {circles} circles; "
                          f"at most {MAX_RENDER_POINTS} are drawn")
     if s is not None and not packings.check_similarity(packing, s).accepted:
         sys.stderr.write("similarity rejected; use --packing-only to draw L\n")
         return EXIT_REJECTED
-    _write(render_svg(packing, s, window), args.out)
+    _write(render_svg(packing, s, image, window), args.out)
     return EXIT_OK
 
 
@@ -436,11 +437,12 @@ def _oracle_points(packing: PointPacking, d: Direction, ratios) -> tuple[Fractio
     """The points oracle.certify_subpacking tests for each s = r·z over the
     ratios r, and the sum of their D².
 
-    The oracle's common period is D·Γ ⊆ sΓ.  Certifying takes the
-    [sΓ : D·Γ] = D²/N(w) coset representatives of each of the m image
-    components and tests each against the m components, m²·D²/N(w) in all;
-    index_by_counting then tests about m·D² more.  As sΓ = r·z(Γ), D is the
-    numerator of r·r₀ for the least r₀ with r₀·Γ ⊆ z(Γ): one Hermite form.
+    The oracle's common period is D·Γ ⊆ sΓ.  Certifying, once per request,
+    takes the [sΓ : D·Γ] = D²/N(w) coset representatives of each of the m
+    image components and tests each against the m components, m²·D²/N(w)
+    in all; index_by_counting then tests about m·D² more.  As sΓ = r·z(Γ),
+    D is the numerator of r·r₀ for the least r₀ with r₀·Γ ⊆ z(Γ): one
+    Hermite form.
     """
     gamma = packing.lattice
     r0 = lattices.least_scale(d.similarity(1).image_lattice(gamma), gamma.generators())
@@ -460,21 +462,16 @@ def _verify_similarity(packing: PointPacking, args) -> int:
     ratio, d = sim.decompose(s)
     certify, period_sq = _oracle_points(packing, d, [ratio])
     _check_oracle_budget(certify + packing.m * period_sq)
-    report = packings.check_similarity(packing, s)
-    contained, counterexample = oracle.certify_subpacking(packing, s)
-    doc = {
-        "engine_accepted": report.accepted,
-        "oracle_contained": contained,
-        "agree": report.accepted == contained,
-    }
-    if counterexample is not None:
-        doc["counterexample"] = str(counterexample)
-    if contained:
+    accepted = packings.check_similarity(packing, s).accepted
+    try:
         idx = oracle.index_by_counting(packing, s)
-        doc["oracle_index"] = str(idx)
-        doc["beta_squared"] = str(s.scale_sq())
-        doc["agree"] = doc["agree"] and idx == s.scale_sq()
-    _emit_json(doc, args.out)
+    except oracle.NotContained as refuted:
+        doc = {"oracle_contained": False, "agree": not accepted,
+               "counterexample": str(refuted.point)}
+    else:
+        doc = {"oracle_contained": True, "agree": accepted and idx == s.scale_sq(),
+               "oracle_index": str(idx), "beta_squared": str(s.scale_sq())}
+    _emit_json({"engine_accepted": accepted, **doc}, args.out)
     return EXIT_OK if doc["agree"] else EXIT_DISCREPANCY
 
 

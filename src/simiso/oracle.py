@@ -3,8 +3,10 @@
 Nothing here uses the component-counting characterization: containment of
 s(L) in L is settled by sweeping one fundamental domain of a common period
 lattice, which is a finite, complete proof for periodic point sets.  All
-arithmetic is exact rational; there are no tolerances.  It holds no window
-code: render enumerates the points of its figures itself.
+arithmetic is exact; there are no tolerances.  The index count writes Γ,
+sΓ, the period and every shift over one denominator and tests each
+candidate of a bounding box as an integer pair.  It holds no window code:
+render enumerates the points of its figures itself.
 """
 
 from __future__ import annotations
@@ -50,65 +52,68 @@ def certify_subpacking(
     return True, None
 
 
+class NotContained(ValueError):
+    """s(L) ⊄ L; point is the point of s(L) \\ L that certification found."""
+
+    def __init__(self, point: FieldElem):
+        super().__init__(f"s(L) is not a subpacking of L: {point} is not in L")
+        self.point = point
+
+
 def index_by_counting(packing: PointPacking, s: Similarity) -> Fraction:
     """Density ratio of L to s(L), counted in one fundamental domain.
 
-    Requires s(L) ⊆ L (certified); the result always equals |w|² = β².
+    Certifies s(L) ⊆ L first and raises NotContained otherwise; the result
+    always equals |w|² = β².  Γ, sΓ, the period and every shift are written
+    over one denominator, so each candidate point is an integer pair.
     """
-    ok, _ = certify_subpacking(packing, s)
+    ok, point = certify_subpacking(packing, s)
     if not ok:
-        raise ValueError("s(L) is not a subpacking of L")
+        raise NotContained(point)
     period = _common_period(packing, s)
-    count_l = _count_in_cell(packing.lattice, packing.shifts, period)
     img = s.image_lattice(packing.lattice)
-    count_img = _count_in_cell(img, tuple(s.apply(x) for x in packing.shifts), period)
-    return Fraction(count_l, count_img)
+    images = tuple(s.apply(x) for x in packing.shifts)
+    base, xy = packing.lattice.over(math.lcm(period.d, img.d)).with_points(packing.shifts + images)
+    period, img = period.over(base.d), img.over(base.d)
+    return Fraction(_count_in_cell(base, xy[:packing.m], period),
+                    _count_in_cell(img, xy[packing.m:], period))
 
 
-def _count_in_cell(
-    base: Lattice, shifts: tuple[FieldElem, ...], cell: Lattice
-) -> int:
-    """Points of ∪(x + base) inside the fundamental domain of cell."""
+def _count_in_cell(base: Lattice, shifts, cell: Lattice) -> int:
+    """Points of ∪(x + base) inside the fundamental domain of cell, for
+    base, cell and the integer pairs x over one denominator.  (X, Y) has
+    coordinates (X·c11 - c01·Y, c00·Y)/(c00·c11) over cell's basis."""
+    c00, c01, c11 = cell.b00, cell.b01, cell.b11
     count = 0
-    for x in shifts:
-        count += sum(
-            1
-            for t0, t1 in _unit_cell_preimage(base, cell, x)
-            if _in_unit_square(cell.coords_of(base.point(t0, t1) + x))
-        )
+    for sx, sy in shifts:
+        for t0, t1 in _unit_cell_preimage(base, cell, sx, sy):
+            x, y = base.b00 * t0 + base.b01 * t1 + sx, base.b11 * t1 + sy
+            count += 0 <= x * c11 - c01 * y < c00 * c11 and 0 <= y < c11
     return count
 
 
-def _unit_cell_preimage(base: Lattice, cell: Lattice, x: FieldElem):
-    """Integer pairs t whose image point can land in cell's unit cell."""
-    # coords in cell of base.point(t) + x are affine in t; bound each
-    # coordinate of t by transporting the unit square corners back.
-    m00, m01 = cell.coords_of(base.point(1, 0) - base.point(0, 0))
-    m10, m11 = cell.coords_of(base.point(0, 1) - base.point(0, 0))
-    # cell coords = t0*(m00,m01) + t1*(m10,m11) + c
-    c0, c1 = cell.coords_of(x)
-    det = m00 * m11 - m01 * m10
-    t_corners = []
-    for u0 in (0, 1):
-        for u1 in (0, 1):
-            r0, r1 = Fraction(u0) - c0, Fraction(u1) - c1
-            t_corners.append(
-                (
-                    (r0 * m11 - r1 * m10) / det,
-                    (r1 * m00 - r0 * m01) / det,
-                )
-            )
-    lo0 = math.floor(min(t[0] for t in t_corners))
-    hi0 = math.ceil(max(t[0] for t in t_corners))
-    lo1 = math.floor(min(t[1] for t in t_corners))
-    hi1 = math.ceil(max(t[1] for t in t_corners))
+def _unit_cell_preimage(base: Lattice, cell: Lattice, sx: int, sy: int):
+    """Integer pairs t whose point t0·(b00, 0) + t1·(b01, b11) + (sx, sy)
+    of base can land in cell's unit cell."""
+    # Scaled by c00·c11, the coords in cell of that point are
+    # t0·(m00, m01) + t1·(m10, m11) + (k0, k1); bound each coordinate of t
+    # by transporting the corners of the scaled unit square back.
+    def scaled_coords(x: int, y: int) -> tuple[int, int]:
+        return x * cell.b11 - cell.b01 * y, cell.b00 * y
+
+    (m00, m01), (m10, m11) = scaled_coords(base.b00, 0), scaled_coords(base.b01, base.b11)
+    k0, k1 = scaled_coords(sx, sy)
+    det = m00 * m11 - m01 * m10  # > 0: both Hermite diagonals are positive
+    side = cell.b00 * cell.b11
+    t_corners = [((u0 - k0) * m11 - (u1 - k1) * m10, (u1 - k1) * m00 - (u0 - k0) * m01)
+                 for u0 in (0, side) for u1 in (0, side)]
+    lo0 = min(t[0] for t in t_corners) // det
+    hi0 = -(-max(t[0] for t in t_corners) // det)
+    lo1 = min(t[1] for t in t_corners) // det
+    hi1 = -(-max(t[1] for t in t_corners) // det)
     for t0 in range(lo0, hi0 + 1):
         for t1 in range(lo1, hi1 + 1):
             yield t0, t1
-
-
-def _in_unit_square(coords: tuple[Fraction, Fraction]) -> bool:
-    return 0 <= coords[0] < 1 and 0 <= coords[1] < 1
 
 
 def scal_set_bruteforce(

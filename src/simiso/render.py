@@ -52,11 +52,12 @@ def points_in_window(lattice: Lattice, shift: FieldElem, window: Window):
     return [(a / d, b / d) for a, b in out]
 
 
-def circle_bound(packing: PointPacking, s: Similarity | None, window: Window) -> int:
+def circle_bound(packing: PointPacking, image: Lattice | None, window: Window) -> int:
     """The most circles render_svg draws: each component walks at most
-    ⌊h/b11⌋ + 1 rows of ⌊w/b00⌋ + 1 points of Γ (and of sΓ), b11 and b00 over d."""
+    ⌊h/b11⌋ + 1 rows of ⌊w/b00⌋ + 1 points of Γ (and of the image lattice
+    sΓ, when given), b11 and b00 over d."""
     x0, y0, x1, y1 = window
-    drawn = [packing.lattice] + ([s.image_lattice(packing.lattice)] if s else [])
+    drawn = [packing.lattice] + ([image] if image else [])
     return sum(packing.m * ((y1 - y0) * g.d // g.b11 + 1) * ((x1 - x0) * g.d // g.b00 + 1)
                for g in drawn)
 
@@ -64,10 +65,12 @@ def circle_bound(packing: PointPacking, s: Similarity | None, window: Window) ->
 def render_svg(
     packing: PointPacking,
     s: Similarity | None,
+    image: Lattice | None,
     window: Window,
     size: int = 640,
 ) -> str:
-    """An SVG document showing the packing and, optionally, its image."""
+    """An SVG document showing the packing and, when s is given, its image
+    s(L), drawn over the image lattice image = sΓ."""
     ring = packing.ring
     x0, y0, x1, y1 = window
     corners = [to_xy(ring, float(cx), float(cy)) for cx in (x0, x1) for cy in (y0, y1)]
@@ -103,7 +106,6 @@ def render_svg(
         legend.append((color, f"{x_k}+Γ"))
 
     if s is not None:
-        image = s.image_lattice(packing.lattice)
         for k, x_k in enumerate(packing.shifts):
             color = IMAGE_COLORS[k % len(IMAGE_COLORS)]
             lines.append(f'<g fill="{color}">')

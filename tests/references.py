@@ -6,12 +6,14 @@ every image lattice from the images of two generators, and every
 "r·X ⊆ Γ" question from Lattice.least_scale; a Lattice is an integer
 Hermite basis over one denominator; packings keep their shifts as integer
 residues and test corollary (i) on them; render enumerates its circles on
-integers; the Scal solve merges its congruences by CRT.  They stay here so
+integers; the Scal solve merges its congruences by CRT; the oracle counts
+the index on integer pairs.  They stay here so
 that those routes can be checked against a different one: the lattice with
 three Fraction fields that Lattice replaced, the sum as a lattice, the
 residue of a point mod Γ and the corollary (i) containment on Fraction
 points, the congruences on Fraction coordinates and the walk over
 every residue of their modulus, the window enumeration on Fraction points,
+the oracle's count of the points in one period cell on Fraction points,
 the intersection through the dual identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the
 Euclidean algorithm in Z[i] and Z[ω], and 2×2 matrices of multiplication
 and conjugation over {1, u}.  Results of the ring functions are fixed only up to a unit.
@@ -329,3 +331,36 @@ def points_in_window(packing, window):
                 out.append(base.point(t0, t1) + s)
     out.sort(key=lambda p: (p.a, p.b))
     return out
+
+
+def count_in_cell(base: Lattice, shifts, cell: Lattice) -> int:
+    """The oracle's former count, on Fraction points: the points of
+    ∪(x + base) inside the fundamental domain of cell."""
+    count = 0
+    for x in shifts:
+        count += sum(
+            1
+            for t0, t1 in unit_cell_preimage(base, cell, x)
+            if all(0 <= c < 1 for c in cell.coords_of(base.point(t0, t1) + x))
+        )
+    return count
+
+
+def unit_cell_preimage(base: Lattice, cell: Lattice, x: FieldElem):
+    """Integer pairs t whose image point can land in cell's unit cell."""
+    # coords in cell of base.point(t) + x are affine in t; bound each
+    # coordinate of t by transporting the unit square corners back.
+    m00, m01 = cell.coords_of(base.point(1, 0) - base.point(0, 0))
+    m10, m11 = cell.coords_of(base.point(0, 1) - base.point(0, 0))
+    c0, c1 = cell.coords_of(x)
+    det = m00 * m11 - m01 * m10
+    t_corners = []
+    for u0 in (0, 1):
+        for u1 in (0, 1):
+            r0, r1 = Fraction(u0) - c0, Fraction(u1) - c1
+            t_corners.append(((r0 * m11 - r1 * m10) / det, (r1 * m00 - r0 * m01) / det))
+    lo0 = math.floor(min(t[0] for t in t_corners))
+    hi0 = math.ceil(max(t[0] for t in t_corners))
+    lo1 = math.floor(min(t[1] for t in t_corners))
+    hi1 = math.ceil(max(t[1] for t in t_corners))
+    return [(t0, t1) for t0 in range(lo0, hi0 + 1) for t1 in range(lo1, hi1 + 1)]

@@ -41,7 +41,7 @@ from simiso.lattices import Lattice, least_scale
 from simiso.packings import MAX_SCAL_RESIDUES, PointPacking
 from simiso.presets import preset
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
-from simiso.similarity import Direction
+from simiso.similarity import Direction, Similarity
 
 
 HEX_DOC = json.dumps(
@@ -379,6 +379,25 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["agree"] and doc["oracle_index"] == "4"
 
+    @pytest.mark.parametrize("scale, keys", [
+        ("2", ["engine_accepted", "oracle_contained", "agree", "oracle_index", "beta_squared"]),
+        ("1", ["engine_accepted", "oracle_contained", "agree", "counterexample"]),
+    ])
+    def test_similarity_certifies_once(self, scale, keys, monkeypatch, capsys):
+        # index_by_counting certifies before it counts, and a refusal carries
+        # the counterexample, so the command runs the containment check once.
+        calls = []
+        certify = oracle.certify_subpacking
+        monkeypatch.setattr(oracle, "certify_subpacking",
+                            lambda *a: calls.append(a) or certify(*a))
+        sim = json.dumps({"z": [1, 1], "scale": scale})
+        rc = main(["verify", "--preset", "hex", "--similarity", sim])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == EXIT_OK and doc["agree"] and set(doc) == set(keys)
+        assert len(calls) == 1
+        if "counterexample" in doc:
+            assert doc["counterexample"] == str(certify(*calls[0])[1])
+
     def test_direction_sweep(self, capsys):
         rc = main(
             [
@@ -571,6 +590,16 @@ class TestRender:
             ]
         )
         assert rc == EXIT_REJECTED
+
+    def test_image_lattice_built_once_for_the_figure(self, tmp_path, monkeypatch):
+        calls = []
+        image_lattice = Similarity.image_lattice
+        monkeypatch.setattr(Similarity, "image_lattice",
+                            lambda s, gamma: calls.append(s) or image_lattice(s, gamma))
+        rc = main(["render", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"2"}',
+                   "--window=-3,-3,3,3", "--out", str(tmp_path / "fig.svg")])
+        # One sΓ for circle_bound and render_svg; check_similarity builds its own.
+        assert rc == EXIT_OK and len(calls) == 2
 
     def test_packing_only(self, tmp_path):
         out = tmp_path / "fig.svg"

@@ -2,14 +2,15 @@
 and engine agreement; and render's window enumeration against the oracle's
 old one."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simiso import oracle as orc, packings as pk
+from simiso import lattices as lat, oracle as orc, packings as pk
 from simiso.lattices import Lattice
 from simiso.packings import PointPacking
 from simiso.presets import preset
@@ -132,6 +133,14 @@ class TestIndexByCounting:
         with pytest.raises(ValueError):
             orc.index_by_counting(preset("hex"), simw(EISENSTEIN, 1, 1))
 
+    def test_refusal_carries_a_point_of_the_image_outside_l(self):
+        packing, s = preset("hex"), simw(EISENSTEIN, 1, 1)
+        with pytest.raises(orc.NotContained) as refused:
+            orc.index_by_counting(packing, s)
+        point = refused.value.point
+        image = PointPacking(s.image_lattice(packing.lattice), tuple(map(s.apply, packing.shifts)))
+        assert image.contains(point) and not packing.contains(point)
+
     def test_matches_norm_on_random_accepted_cases(self):
         rng = random.Random(31)
         checked = 0
@@ -149,6 +158,68 @@ class TestIndexByCounting:
             got = orc.index_by_counting(case.packing, case.similarity)
             assert got == case.similarity.scale_sq()
             checked += 1
+
+
+@st.composite
+def counting_cases(draw, max_shift_den=12):
+    """A packing over Γ = Lattice.from_generators of a sheared H ⊆ Z² of
+    index ≤ 4 with denominators ≤ 12, often not a ring lattice, with m ≤ 3
+    shifts of denominator ≤ max_shift_den, and a primitive z = a + bu with
+    |a|, |b| ≤ 2 for a rotation or a reflection; both rings."""
+    ring = draw(st.sampled_from((GAUSSIAN, EISENSTEIN)))
+    h00, h11 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    h01, c = draw(st.integers(0, h00 - 1)), draw(st.integers(-2, 2))
+    den = draw(st.integers(1, 12))
+    gamma = Lattice.from_generators(
+        ring, [(F(h00 + c * h01, den), F(c * h11, den)), (F(h01, den), F(h11, den))])
+    coord = st.fractions(-1, 1, max_denominator=max_shift_den)
+    shifts = [FieldElem.zero(ring)]
+    for a, b in draw(st.lists(st.tuples(coord, coord), max_size=2)):
+        x = FieldElem(ring, a, b)
+        if all(not gamma.contains(x - y) for y in shifts):
+            shifts.append(x)
+    a, b = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(
+        lambda ab: math.gcd(*ab) == 1))
+    d = Direction(FieldElem(ring, a, b), draw(st.booleans()))
+    return PointPacking(gamma, tuple(shifts)), d
+
+
+def integer_count(base, points, cell):
+    """oracle._count_in_cell with base, cell and the points over one denominator."""
+    base, xy = base.over(math.lcm(base.d, cell.d)).with_points(points)
+    return orc._count_in_cell(base, xy, cell.over(base.d))
+
+
+class TestCountMatchesFractionReference:
+    """The integer count against the Fraction count it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(counting_cases(), st.fractions(F(1, 2), 3, max_denominator=2))
+    def test_integer_count_matches_fraction_count(self, case, ratio):
+        # Points of L in one cell of D·Γ and of sΓ, and of s(L) in one cell
+        # of D·Γ; the count is exact whether or not s(L) ⊆ L.
+        packing, d = case
+        s = d.similarity(ratio)
+        period, img = orc._common_period(packing, s), s.image_lattice(packing.lattice)
+        assume(lat.index(period, packing.lattice) <= 400)
+        images = tuple(map(s.apply, packing.shifts))
+        for base, points, cell in ((packing.lattice, packing.shifts, period),
+                                   (packing.lattice, packing.shifts, img),
+                                   (img, images, period)):
+            assert integer_count(base, points, cell) == ref.count_in_cell(base, points, cell)
+
+    @settings(max_examples=100, deadline=None)
+    @given(counting_cases(max_shift_den=4), st.integers(1, 2))
+    def test_index_is_beta_squared_on_accepted_cases(self, case, p):
+        # r·z maps Γ's generators and every shift into Γ, so p·r·z maps L
+        # into Γ ⊆ L for every p.
+        packing, d = case
+        z = d.similarity(1)
+        gamma = packing.lattice
+        r = lat.least_scale(gamma, [z.apply(x) for x in gamma.generators() + packing.shifts])
+        s = d.similarity(p * r)
+        assume(lat.index(orc._common_period(packing, s), gamma) <= 2_500)
+        assert orc.index_by_counting(packing, s) == s.scale_sq()
 
 
 class TestScalSetBruteforce:

@@ -82,3 +82,12 @@ def test_benchmark_imports_resolve():
                             or importlib.util.find_spec(f"{node.module}.{alias.name}")):
                         missing.append(where)
     assert imported and missing == []
+
+
+def test_oracle_uses_no_engine_shortcut():
+    # The oracle is the independent check of the engine: it must not name
+    # the component-counting decision, the Scal solve or the lift.
+    shortcuts = ("check_similarity", "SumLattice", "scal_set_packing", "scal_classes_by_tau",
+                 "lift_to_ring", "check_corollaries", "closure_check")
+    source = (Path(simiso.__file__).parent / "oracle.py").read_text(encoding="utf-8")
+    assert [name for name in shortcuts if re.search(rf"\b{name}\b", source)] == []
