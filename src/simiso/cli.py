@@ -442,10 +442,10 @@ def _oracle_points(packing: PointPacking, d: Direction, ratios) -> tuple[Fractio
     image components and tests each against the m components, m²·D²/N(w)
     in all; index_by_counting then tests about m·D² more.  As sΓ = r·z(Γ),
     D is the numerator of r·r₀ for the least r₀ with r₀·Γ ⊆ z(Γ): one
-    Hermite form.
+    Hermite form, over Γ's denominator as z is integral.
     """
     gamma = packing.lattice
-    r0 = lattices.least_scale(d.similarity(1).image_lattice(gamma), gamma.generators())
+    r0 = Fraction(*d.similarity(1).image_lattice(gamma).least_scale(gamma.basis))
     periods = [((r * r0).numerator, r) for r in ratios]
     certify = sum(packing.m ** 2 * p ** 2 / (r * r * d.norm()) for p, r in periods)
     return certify, sum(p * p for p, _ in periods)

@@ -9,13 +9,12 @@ columns (Cohen, GTM 138, §2.4), and an index is a ratio of integer
 determinants.  Lattice.least_scale answers every question r·X ⊆ Γ
 (den(Γ, R), the lift's c, the oracle's D): the r that work are the
 multiples of one least r, read from the integer coordinates of X over Γ.
-SumLattice keeps one integer form of Γ₁ + Γ₂ for many coset problems:
-[Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] comes from its determinant, and each
-membership v ∈ Γ₁ + Γ₂, with a point of Γ₁ ∩ (v + Γ₂), costs two
-divisibility tests and no Fraction.  The same form answers the Scal
-congruences: the p with p·a - x ∈ Γ₁ + Γ₂ are one residue class, solved on
-its two integer columns.  A Fraction is built only to hand back a point,
-its coordinates over a basis, or an index.
+SumLattice keeps one integer form of Γ₁ + Γ₂, for Γ₁, Γ₂ and integer pairs
+over one d: [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] is read from its determinant,
+a membership v ∈ Γ₁ + Γ₂ with a point of Γ₁ ∩ (v + Γ₂) costs two
+divisibility tests, and the p with p·a - x ∈ Γ₁ + Γ₂ (a Scal congruence)
+are one residue class.  A Fraction is built only to hand back a point or an
+index.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rings import FieldElem, RingMismatchError, over_denominator
-
-Vec = tuple[Fraction, Fraction]
 
 
 class DegenerateLatticeError(ValueError):
@@ -103,7 +100,7 @@ class Lattice:
     b11: int
 
     @classmethod
-    def from_generators(cls, ring: str, generators: list[Vec]) -> Lattice:
+    def from_generators(cls, ring: str, generators: list[tuple[Fraction, Fraction]]) -> Lattice:
         """Lattice spanned by coordinate pairs, over their least denominator."""
         d, ints = over_denominator([c for g in generators for c in g])
         return cls.spanned(ring, d, zip(ints[::2], ints[1::2]))
@@ -148,6 +145,11 @@ class Lattice:
         return lattice, [(f * x, f * y) for x, y in zip(ints[::2], ints[1::2])]
 
     @property
+    def basis(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The Hermite basis of d·Γ as integer pairs over d."""
+        return (self.b00, 0), (self.b01, self.b11)
+
+    @property
     def det(self) -> Fraction:
         return Fraction(self.b00 * self.b11, self.d * self.d)
 
@@ -181,11 +183,6 @@ class Lattice:
         h = math.gcd(det, g)
         return det // h, g // h
 
-    def coords_of(self, x: FieldElem) -> Vec:
-        """Solve B·t = coords(x); the lattice contains x iff t is integral."""
-        g, [(a, b)] = self.with_points((x,))
-        return Fraction(a * g.b11 - g.b01 * b, g.b00 * g.b11), Fraction(b, g.b11)
-
     def contains(self, x: FieldElem) -> bool:
         g, [xy] = self.with_points((x,))
         return g.contains_pair(*xy)
@@ -214,12 +211,6 @@ def integer_index(sub: Lattice, sup: Lattice) -> int:
     return n.numerator
 
 
-def least_scale(lattice: Lattice, points) -> Fraction:
-    """Least r > 0 with r·x in the lattice for every given point x."""
-    lattice, xy = lattice.with_points(points)
-    return Fraction(*lattice.least_scale(xy))
-
-
 def quotient_representatives(sub: Lattice, sup: Lattice) -> list[FieldElem]:
     """Coset representatives of sub in sup; length equals [sup : sub].  Both
     bases are triangular, so i·g₁ + j·g₂ of sup, for i and j below the
@@ -236,11 +227,11 @@ def quotient_representatives(sub: Lattice, sup: Lattice) -> list[FieldElem]:
 class SumLattice:
     """Γ₁ + Γ₂ as one integer Hermite form, for many coset problems at once.
 
-    of() writes Γ₁, Γ₂ and the given points over one common denominator d:
-    points holds each d·x as an integer pair, in the order given, and det1
-    is det(d·Γ₁).  The columns k = (h00, 0, …) and lead = (h01, h11, …) span
-    d·(Γ₁ + Γ₂); their last two entries are the coefficients, over Γ₁'s
-    basis, of the Γ₁-part of each column, so a solution names a point of Γ₁.
+    Γ₁, Γ₂ and the points are over one denominator d: points holds each d·x
+    as an integer pair, in the order given, and det1 is det(d·Γ₁).  The
+    columns k = (h00, 0, …) and lead = (h01, h11, …) span d·(Γ₁ + Γ₂); their
+    last two entries are the coefficients, over Γ₁'s basis, of the Γ₁-part
+    of each column, so a solution names a point of Γ₁.
     """
 
     det1: int
@@ -250,15 +241,16 @@ class SumLattice:
 
     @classmethod
     def of(cls, l1: Lattice, l2: Lattice, points) -> SumLattice:
-        """The sum Γ₁ + Γ₂, over the lcm of both denominators and the points'."""
+        """The sum Γ₁ + Γ₂ of two lattices over one denominator d, with the
+        given integer pairs over d as its points."""
         if l1.ring != l2.ring:
             raise RingMismatchError("sum of lattices over different rings")
-        l1, xy = l1.over(math.lcm(l1.d, l2.d)).with_points(points)
-        l2 = l2.over(l1.d)
+        if l1.d != l2.d:
+            raise ValueError(f"lattices over denominators {l1.d} and {l2.d}")
         # Columns in the order Γ₁'s basis, then Γ₂'s, which fixes the witness.
         cols = [(l1.b00, 0, 1, 0), (l1.b01, l1.b11, 0, 1), (l2.b00, 0, 0, 0), (l2.b01, l2.b11, 0, 0)]
         k, lead = _hnf_columns(cols)
-        return cls(l1.b00 * l1.b11, k, lead, tuple(xy))
+        return cls(l1.b00 * l1.b11, k, lead, tuple(points))
 
     def index(self) -> int:
         """[Γ₁ + Γ₂ : Γ₁] = det Γ₁ / det(Γ₁ + Γ₂), which is [Γ₂ : Γ₁ ∩ Γ₂]."""

@@ -3,9 +3,10 @@
 Nothing here uses the component-counting characterization: containment of
 s(L) in L is settled by sweeping one fundamental domain of a common period
 lattice, which is a finite, complete proof for periodic point sets.  All
-arithmetic is exact; there are no tolerances.  The index count writes Γ,
-sΓ, the period and every shift over one denominator and tests each
-candidate of a bounding box as an integer pair.  It holds no window code:
+arithmetic is exact; there are no tolerances.  Γ, sΓ and the common
+period are built once per call over one denominator, on which the index
+count tests each candidate of a bounding box as an integer pair, the images
+of the shifts taken from Similarity.map_pairs.  It holds no window code:
 render enumerates the points of its figures itself.
 """
 
@@ -23,25 +24,26 @@ from .rings import FieldElem, GAUSSIAN
 from .similarity import Direction, Similarity
 
 
-def _common_period(packing: PointPacking, s: Similarity) -> Lattice:
-    """A lattice of periods shared by L and s(L): D·Γ with D·Γ ⊆ sΓ."""
+def _period_frame(packing: PointPacking, s: Similarity) -> tuple[Lattice, Lattice, Lattice]:
+    """Γ, sΓ and the common period D·Γ of L and s(L), all over sΓ's
+    denominator e·d, for the least integer D with D·Γ ⊆ sΓ."""
     img = s.image_lattice(packing.lattice)
-    base = packing.lattice
-    d = lattices.least_scale(img, base.generators()).numerator
-    return Lattice(base.ring, base.d, d * base.b00, d * base.b01, d * base.b11)
+    gamma = packing.lattice.over(img.d)
+    d = img.least_scale(gamma.basis)[0]
+    return gamma, img, Lattice(gamma.ring, gamma.d, d * gamma.b00, d * gamma.b01, d * gamma.b11)
 
 
-def certify_subpacking(
-    packing: PointPacking, s: Similarity
-) -> tuple[bool, FieldElem | None]:
+def certify_subpacking(packing: PointPacking, s: Similarity) -> tuple[bool, FieldElem | None]:
     """Decide s(L) ⊆ L exactly; on refutation return a point of s(L) \\ L.
 
     Both sets are unions of cosets of the common period lattice P, so
     checking every point of s(L) inside one fundamental domain of P is a
     complete proof of containment.
     """
-    period = _common_period(packing, s)
-    img = s.image_lattice(packing.lattice)
+    return _certify(packing, s, *_period_frame(packing, s)[1:])
+
+
+def _certify(packing: PointPacking, s: Similarity, img: Lattice, period: Lattice):
     reps = lattices.quotient_representatives(period, img)
     for x_k in packing.shifts:
         base = s.apply(x_k)
@@ -64,19 +66,16 @@ def index_by_counting(packing: PointPacking, s: Similarity) -> Fraction:
     """Density ratio of L to s(L), counted in one fundamental domain.
 
     Certifies s(L) ⊆ L first and raises NotContained otherwise; the result
-    always equals |w|² = β².  Γ, sΓ, the period and every shift are written
-    over one denominator, so each candidate point is an integer pair.
+    always equals |w|² = β².  One frame of Γ, sΓ and the period serves both,
+    and the count takes every shift and its image as integer pairs over it.
     """
-    ok, point = certify_subpacking(packing, s)
+    gamma, img, period = _period_frame(packing, s)
+    ok, point = _certify(packing, s, img, period)
     if not ok:
         raise NotContained(point)
-    period = _common_period(packing, s)
-    img = s.image_lattice(packing.lattice)
-    images = tuple(s.apply(x) for x in packing.shifts)
-    base, xy = packing.lattice.over(math.lcm(period.d, img.d)).with_points(packing.shifts + images)
-    period, img = period.over(base.d), img.over(base.d)
-    return Fraction(_count_in_cell(base, xy[:packing.m], period),
-                    _count_in_cell(img, xy[packing.m:], period))
+    e, images = s.map_pairs(packing.residues)
+    shifts = [(e * x, e * y) for x, y in packing.residues]
+    return Fraction(_count_in_cell(gamma, shifts, period), _count_in_cell(img, images, period))
 
 
 def _count_in_cell(base: Lattice, shifts, cell: Lattice) -> int:
@@ -105,14 +104,10 @@ def _unit_cell_preimage(base: Lattice, cell: Lattice, sx: int, sy: int):
     k0, k1 = scaled_coords(sx, sy)
     det = m00 * m11 - m01 * m10  # > 0: both Hermite diagonals are positive
     side = cell.b00 * cell.b11
-    t_corners = [((u0 - k0) * m11 - (u1 - k1) * m10, (u1 - k1) * m00 - (u0 - k0) * m01)
-                 for u0 in (0, side) for u1 in (0, side)]
-    lo0 = min(t[0] for t in t_corners) // det
-    hi0 = -(-max(t[0] for t in t_corners) // det)
-    lo1 = min(t[1] for t in t_corners) // det
-    hi1 = -(-max(t[1] for t in t_corners) // det)
-    for t0 in range(lo0, hi0 + 1):
-        for t1 in range(lo1, hi1 + 1):
+    t0s, t1s = zip(*(((u0 - k0) * m11 - (u1 - k1) * m10, (u1 - k1) * m00 - (u0 - k0) * m01)
+                      for u0 in (0, side) for u1 in (0, side)))
+    for t0 in range(min(t0s) // det, -(-max(t0s) // det) + 1):
+        for t1 in range(min(t1s) // det, -(-max(t1s) // det) + 1):
             yield t0, t1
 
 

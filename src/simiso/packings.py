@@ -4,13 +4,14 @@ The decision engine follows the component-counting characterization: a
 similarity s with image lattice sΓ maps the packing into itself exactly
 when every component image meets n = [sΓ : Γ ∩ sΓ] components, recorded in
 the correspondence set τ.  Each decision builds one integer Hermite form of
-Γ + sΓ, which gives n and every meeting s(x_k) - x_j ∈ Γ + sΓ; witness
-points are built only once the similarity is accepted.
+the frame Γ + sΓ, which gives n and every meeting s(x_k) - x_j ∈ Γ + sΓ;
+witness points are built only once the similarity is accepted.
 
 A packing keeps Γ over one denominator d and its shifts as integer
-residues mod d·Γ, so congruence, periods, reduction, witness offsets and
-corollary (i) are integer arithmetic; a Fraction is built only to hand a
-point back as a FieldElem.
+residues mod d·Γ, and the similarity maps those residues and Γ's basis as
+integer pairs (Similarity.map_pairs).  So the frame, congruence, periods,
+reduction, witness offsets and corollary (i) are integer arithmetic; a
+Fraction is built only to hand a point back as a FieldElem.
 
 Scaling-factor sets are solved per denominator q over the ring lattice R,
 to which every packing is first lifted.  For β = (p/q)|z| with gcd(p, q) = 1,
@@ -122,11 +123,8 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
     the m² pair conditions is two divisibility tests, and the witness points
     of s(x_k + Γ) ∩ (x_j + Γ) are built only for an accepted report.
     """
-    gamma = packing.lattice
-    images = tuple(s.apply(x) for x in packing.shifts)
-    total = lattices.SumLattice.of(gamma, s.image_lattice(gamma), packing.shifts + images)
-    n = total.index()
-    targets = total.points[:packing.m]
+    gamma, total = packing.lattice, _frame(packing, s)
+    n, targets = total.index(), total.points[:packing.m]
     hits: list[tuple[int, int, tuple[int, int]]] = []  # k, j, Γ-coefficients
     for k, (ax, ay) in enumerate(total.points[packing.m:]):
         reached = []
@@ -144,6 +142,15 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
         witness.append((k, j, gamma.element(x + t0 * gamma.b00 + t1 * gamma.b01,
                                             y + t1 * gamma.b11)))
     return SimilarityReport(True, n, tau, tuple(witness), s)
+
+
+def _frame(packing: PointPacking, s: Similarity) -> lattices.SumLattice:
+    """Γ + sΓ over e·d, e the denominator of w, with the points e·d·x_k of
+    every component and then e·d·s(x_k), all mapped as integer pairs."""
+    gamma = packing.lattice
+    e, images = s.map_pairs(packing.residues)
+    targets = [(e * x, e * y) for x, y in packing.residues]
+    return lattices.SumLattice.of(gamma.over(e * gamma.d), s.image_lattice(gamma), targets + images)
 
 
 def lift_to_ring(packing: PointPacking) -> PointPacking:
@@ -180,7 +187,7 @@ def _sweep_direction(
     above it, so n = q²/N(gcd(q, z)) = q: only q ≤ m are tried, whatever
     N(z) is.  For gcd(p, q) = 1, S = R + sR = (1/q)·gcd(q, z)·R and
     n = [S : R] do not depend on p, so both come once per q from the trial
-    map x ↦ (z/q)·x, in the SumLattice that check_similarity builds.  As
+    map x ↦ (z/q)·x, in the frame that check_similarity builds.  As
     s(x_k) = p·a_k with a_k = (z/q)·x_k (or (z/q)·conj(x_k)), each pair
     condition p·a_k - x_j ∈ S holds for no p or for one residue of p modulo
     the order o_k of a_k in Q(u)/S (SumLattice.congruence).  Scaling by
@@ -195,16 +202,13 @@ def _sweep_direction(
     MAX_SCAL_RESIDUES.
     """
     packing = lift_to_ring(packing)
-    gamma = packing.lattice
     m = packing.m
     multiple = d.norm() if d.conjugate else 1  # every admissible q² divides it
     out = []
     for q in range(1, min(math.isqrt(multiple), m) + 1):
         if multiple % (q * q):
             continue
-        trial = d.similarity(Fraction(1, q))
-        images = tuple(trial.apply(x_k) for x_k in packing.shifts)
-        total = lattices.SumLattice.of(gamma, trial.image_lattice(gamma), packing.shifts + images)
+        total = _frame(packing, d.similarity(Fraction(1, q)))
         n = total.index()
         modulus = q
         accepted = {r: () for r in range(q) if math.gcd(r, q) == 1}
@@ -356,7 +360,7 @@ def periods(packing: PointPacking) -> Lattice:
     gamma, residues = packing.lattice, packing.residues
     stored = set(residues)
     x0, y0 = residues[0]
-    gens = [(gamma.b00, 0), (gamma.b01, gamma.b11)]
+    gens = list(gamma.basis)
     for xj, yj in residues[1:]:
         tx, ty = xj - x0, yj - y0
         if all(gamma.reduce(tx + x, ty + y) in stored for x, y in residues):

@@ -4,10 +4,10 @@ A map is x ↦ w·x, or x ↦ w·conj(x) for the reflection family T = R·T_r.
 Its scaling factor β = |w| is never stored as a real number: it lives as a
 rational multiple of the symbolic surd |z| of a primitive direction z, and
 scaling-factor sets are finite unions of residue classes of such rationals.
-den(Γ, R), the least β with βRΓ ⊆ Γ, is read on the integer basis of Γ
-over its denominator and returned as the integer pair of its ratio to |z|;
-a Direction holds z with int coordinates.  An image lattice sΓ is spanned
-by the images of that integer basis.
+Similarity.map_pairs maps integer pairs over any denominator d to integer
+pairs over e·d, e the denominator of w.  The image lattice sΓ and den(Γ, R),
+the least β with βRΓ ⊆ Γ as the integer pair of its ratio to |z|, are read
+from the images of Γ's integer basis; a Direction holds z as ints.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import FieldElem, content_and_primitive, over_denominator, ring_coordinates
+from .rings import GAUSSIAN, FieldElem, content_and_primitive, over_denominator, ring_coordinates
 from .lattices import Lattice
 
 
@@ -38,12 +38,22 @@ class Similarity:
     def apply(self, x: FieldElem) -> FieldElem:
         return self.w * (x.conj() if self.conjugate else x)
 
+    def map_pairs(self, points) -> tuple[int, list[tuple[int, int]]]:
+        """e, the denominator of w, and the images of integer pairs over any d
+        as integer pairs over e·d: the product of FieldElem.__mul__ with
+        e·w, after conjugation for a reflection."""
+        e, (a, b) = over_denominator((self.w.a, self.w.b))
+        gaussian = self.ring == GAUSSIAN
+        if self.conjugate:
+            points = [(x, -y) if gaussian else (x - y, -y) for x, y in points]
+        c = 0 if gaussian else b  # ω² = -1 - ω adds -b·y to the u coordinate
+        return e, [(a * x - b * y, a * y + b * x - c * y) for x, y in points]
+
     def image_lattice(self, lattice: Lattice) -> Lattice:
-        """sΓ: the images of the integer basis of d·Γ span d·sΓ."""
-        images = [self.apply(FieldElem(lattice.ring, x, y))
-                  for x, y in ((lattice.b00, 0), (lattice.b01, lattice.b11))]
-        e, ints = over_denominator([c for y in images for c in (y.a, y.b)])
-        return Lattice.spanned(lattice.ring, e * lattice.d, zip(ints[::2], ints[1::2]))
+        """sΓ over e·d, e the denominator of w: the images of the integer
+        basis of d·Γ span e·d·sΓ."""
+        e, images = self.map_pairs(lattice.basis)
+        return Lattice.spanned(lattice.ring, e * lattice.d, images)
 
     def scale_sq(self) -> Fraction:
         """β² as an exact rational."""
@@ -103,16 +113,13 @@ def compose(s2: Similarity, s1: Similarity) -> Similarity:
 def denominator(lattice: Lattice, d: Direction) -> tuple[int, int]:
     """den(Γ, R) = (a/b)·|z|, as the pair (a, b) in lowest terms.
 
-    a/b is the least positive rational r with r·z(Γ) ⊆ Γ, where z(Γ) is Γ
-    under x ↦ z·x (or z·conj(x)): the least β = r|z| with βRΓ ⊆ Γ.  The r'
-    with r'·z(Γ) ⊆ Γ are exactly r·Z.  z maps the integer basis of d·Γ to
-    integer points of d·z(Γ), and Lattice.least_scale reads r from their
-    coordinates.  For full ring lattices r = 1.
+    a/b is the least positive rational r with r·z(Γ) ⊆ Γ, z(Γ) being Γ under
+    x ↦ z·x (or z·conj(x)), so the least β = r|z| with βRΓ ⊆ Γ; the r' that
+    work are r·Z.  Lattice.least_scale reads r from the images of the
+    integer basis of d·Γ.  For full ring lattices r = 1.
     """
-    z = d.similarity(1)
-    images = [z.apply(FieldElem(lattice.ring, x, y))
-              for x, y in ((lattice.b00, 0), (lattice.b01, lattice.b11))]
-    return lattice.least_scale([(v.a, v.b) for v in images])
+    _, images = d.similarity(1).map_pairs(lattice.basis)  # z is integral: e = 1
+    return lattice.least_scale(images)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,15 @@ Scal congruence from one integer Hermite form, its gcds from closed forms,
 every image lattice from the images of two generators, and every
 "r·X ⊆ Γ" question from Lattice.least_scale; a Lattice is an integer
 Hermite basis over one denominator; packings keep their shifts as integer
-residues and test corollary (i) on them; render enumerates its circles on
-integers; the Scal solve merges its congruences by CRT; the oracle counts
-the index on integer pairs.  They stay here so
+residues and test corollary (i) on them; a similarity maps integer pairs,
+so the frame Γ + sΓ of a decision is built on integers; render enumerates
+its circles on integers; the Scal solve merges its congruences by CRT; the
+oracle counts the index on integer pairs.  They stay here so
 that those routes can be checked against a different one: the lattice with
 three Fraction fields that Lattice replaced, the sum as a lattice, the
 residue of a point mod Γ and the corollary (i) containment on Fraction
+points, the frame built from FieldElem images over their least common
+denominator and the decision read from it, least_scale on FieldElem
 points, the congruences on Fraction coordinates and the walk over
 every residue of their modulus, the window enumeration on Fraction points,
 the oracle's count of the points in one period cell on Fraction points,
@@ -159,6 +162,49 @@ def image_lattice(s, lattice):
     """sΓ by matrices: conjugate Γ (one Hermite form), then multiply by w."""
     base = _mapped(lattice, conj_matrix(lattice.ring)) if s.conjugate else lattice
     return _mapped(base, mul_matrix(s.w))
+
+
+def least_scale(lattice, points):
+    """Least r > 0 with r·x in the lattice for every given FieldElem x, over
+    the least common denominator of the lattice and the points."""
+    lattice, xy = lattice.with_points(points)
+    return Fraction(*lattice.least_scale(xy))
+
+
+def sum_lattice(l1, l2, points):
+    """SumLattice.of for lattices over any denominators and FieldElem points,
+    all rewritten over the lcm of both denominators and the points'."""
+    l1, xy = l1.over(math.lcm(l1.d, l2.d)).with_points(points)
+    return lat.SumLattice.of(l1, l2.over(l1.d), xy)
+
+
+def frame(packing, s):
+    """Γ + sΓ with the points x_k and then s(x_k), from FieldElem images: sΓ
+    spanned by the images of Γ's generators under s.apply, and each s(x_k)
+    by s.apply, all over their least common denominator."""
+    gamma = packing.lattice
+    img = Lattice.from_generators(gamma.ring, [(y.a, y.b) for y in map(s.apply, gamma.generators())])
+    return sum_lattice(gamma, img, packing.shifts + tuple(map(s.apply, packing.shifts)))
+
+
+def check_similarity(packing, s):
+    """The decision read from the FieldElem frame, as (accepted, n, τ,
+    witness, failing_k, reached)."""
+    total, m = frame(packing, s), packing.m
+    n, targets = total.index(), total.points[:m]
+    hits = []
+    for k, (ax, ay) in enumerate(total.points[m:]):
+        reached = []
+        for j, (bx, by) in enumerate(targets):
+            coeffs = total.solve(ax - bx, ay - by)
+            if coeffs is not None:
+                reached.append(j)
+                hits.append((k, j, coeffs))
+        if len(reached) != n:
+            return False, n, (), (), k, tuple(reached)
+    gamma = packing.lattice
+    witness = tuple((k, j, packing.shifts[j] + gamma.point(*t)) for k, j, t in hits)
+    return True, n, tuple((k, j) for k, j, _ in hits), witness, None, ()
 
 
 def denominator(lattice, d):
@@ -336,6 +382,7 @@ def points_in_window(packing, window):
 def count_in_cell(base: Lattice, shifts, cell: Lattice) -> int:
     """The oracle's former count, on Fraction points: the points of
     ∪(x + base) inside the fundamental domain of cell."""
+    cell = FractionLattice.of(cell)
     count = 0
     for x in shifts:
         count += sum(
@@ -346,7 +393,7 @@ def count_in_cell(base: Lattice, shifts, cell: Lattice) -> int:
     return count
 
 
-def unit_cell_preimage(base: Lattice, cell: Lattice, x: FieldElem):
+def unit_cell_preimage(base: Lattice, cell: FractionLattice, x: FieldElem):
     """Integer pairs t whose image point can land in cell's unit cell."""
     # coords in cell of base.point(t) + x are affine in t; bound each
     # coordinate of t by transporting the unit square corners back.

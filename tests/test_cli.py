@@ -37,12 +37,13 @@ from simiso.cli import (
     parse_packing_doc,
     parse_similarity_doc,
 )
-from simiso.lattices import Lattice, least_scale
+from simiso.lattices import Lattice
 from simiso.packings import MAX_SCAL_RESIDUES, PointPacking
 from simiso.presets import preset
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction, Similarity
 
+from references import least_scale
 
 HEX_DOC = json.dumps(
     {
@@ -387,9 +388,8 @@ class TestVerify:
         # index_by_counting certifies before it counts, and a refusal carries
         # the counterexample, so the command runs the containment check once.
         calls = []
-        certify = oracle.certify_subpacking
-        monkeypatch.setattr(oracle, "certify_subpacking",
-                            lambda *a: calls.append(a) or certify(*a))
+        certify = oracle._certify
+        monkeypatch.setattr(oracle, "_certify", lambda *a: calls.append(a) or certify(*a))
         sim = json.dumps({"z": [1, 1], "scale": scale})
         rc = main(["verify", "--preset", "hex", "--similarity", sim])
         doc = json.loads(capsys.readouterr().out)
@@ -526,6 +526,24 @@ class TestVerify:
         monkeypatch.setattr(cli, "MAX_ORACLE_POINTS", points - 1)
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err.endswith(f"at most {points - 1} are allowed\n")
+
+    @pytest.mark.parametrize("preset_name, sim", [
+        ("hex", '{"z":[1,1],"scale":"2"}'),
+        ("ex34", '{"z":[0,1],"scale":"1"}'),
+    ])
+    def test_similarity_builds_each_image_lattice_once(self, preset_name, sim, monkeypatch, capsys):
+        # One sΓ for the oracle's certification and count together, one for
+        # the engine's frame and one z(Γ) for the budget estimate; the
+        # oracle's Γ, sΓ and D·Γ come from one frame.
+        calls, frames = [], []
+        image_lattice, period_frame = Similarity.image_lattice, oracle._period_frame
+        monkeypatch.setattr(Similarity, "image_lattice",
+                            lambda s, gamma: calls.append(s) or image_lattice(s, gamma))
+        monkeypatch.setattr(oracle, "_period_frame", lambda *a: frames.append(a) or period_frame(*a))
+        rc = main(["verify", "--preset", preset_name, "--similarity", sim])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == EXIT_OK and doc["oracle_contained"] and doc["agree"]
+        assert len(calls) <= 3 and len(frames) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -25,10 +25,12 @@ from references import (
     contains_lattice,
     dual,
     intersect,
+    least_scale,
     reduce_point,
     ring_gcd,
     ring_lcm,
     scaling_denominator,
+    sum_lattice,
 )
 
 F = Fraction
@@ -233,7 +235,7 @@ class TestDualAndQuotients:
         # The least integer D with D·Γ₁ ⊆ Γ₂ is the numerator of the least
         # rational scale, here and against the matrix reference.
         img = mul_lattice(GAUSSIAN, 1, 2)
-        d = lat.least_scale(img, ZI.generators())
+        d = least_scale(img, ZI.generators())
         assert d == 5 == scaling_denominator(ZI, img)
         scaled = Lattice(GAUSSIAN, ZI.d, d.numerator * ZI.b00, d.numerator * ZI.b01,
                          d.numerator * ZI.b11)
@@ -252,7 +254,7 @@ class TestLeastScale:
                       for _ in range(rng.randint(1, 3))]
             if all(x.is_zero() for x in points):
                 continue
-            r = lat.least_scale(base, points)
+            r = least_scale(base, points)
             assert r > 0
             # t = r·num/k fits exactly when num/k is an integer.
             for k in range(1, 7):
@@ -263,7 +265,7 @@ class TestLeastScale:
 
     def test_zero_points_refused(self):
         with pytest.raises(ValueError):
-            lat.least_scale(ZI, [FieldElem.zero(GAUSSIAN)])
+            ZI.least_scale([(0, 0)])
 
 
 class TestCosetIntersection:
@@ -280,7 +282,7 @@ class TestCosetIntersection:
                 F(rng.randint(-10, 10), rng.randint(1, 4)),
                 F(rng.randint(-10, 10), rng.randint(1, 4)),
             )
-            total = lat.SumLattice.of(l1, l2, (v,))
+            total = sum_lattice(l1, l2, (v,))
             coeffs = total.solve(*total.points[0])
             if coeffs is None:
                 assert not add(l1, l2).contains(v)
@@ -300,14 +302,14 @@ class TestCosetIntersection:
                 (F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(1, 4), rng.randint(1, 3))),
             ])
             l2 = mul_lattice(ring, rng.randint(-3, 3), rng.randint(1, 3), base=l1)
-            total = lat.SumLattice.of(l1, l2, ())
+            total = sum_lattice(l1, l2, ())
             assert total.index() == lat.integer_index(l1, add(l1, l2))
             assert total.index() == lat.integer_index(intersect(l1, l2), l2)
 
     def test_columns_span_the_sum(self):
         l1 = RECT31
         l2 = mul_lattice(GAUSSIAN, 1, 2)
-        total = lat.SumLattice.of(l1, l2, ())
+        total = sum_lattice(l1, l2, ())
         h00, zero, *_ = total.k
         h01, h11, *_ = total.lead
         assert zero == 0 and h00 > 0 and h11 > 0 and 0 <= h01 < h00
@@ -316,6 +318,12 @@ class TestCosetIntersection:
     def test_different_rings_refused(self):
         with pytest.raises(RingMismatchError):
             lat.SumLattice.of(ZI, ZW, ())
+
+    def test_different_denominators_refused(self):
+        # SumLattice.of takes both lattices over one d; rewriting is the caller's.
+        with pytest.raises(ValueError, match="denominators 1 and 2"):
+            lat.SumLattice.of(ZI, ZI.over(2), ())
+        assert lat.SumLattice.of(ZI.over(2), ZI.over(2), ()).index() == 1
 
 
 @st.composite
@@ -347,7 +355,7 @@ class TestLatticeMatchesFractionReference:
     def test_integer_lattice_matches_fraction_lattice(self, case, points, k):
         """The integer Hermite triple over d against the Fraction lattice it
         replaced: fields, least d, str, rewriting over k·d, and contains,
-        coords_of, point and index on points of Γ and points off it."""
+        point and index on points of Γ and points off it."""
         ring, gens = case
         lattice = Lattice.from_generators(ring, gens)
         reference = FractionLattice.from_generators(ring, gens)
@@ -369,6 +377,5 @@ class TestLatticeMatchesFractionReference:
             assert lattice.point(t0, t1) == x == wide.point(t0, t1)
             if not on_lattice:
                 x = x + FieldElem(ring, F(a, b), F(c, e))
-            assert lattice.coords_of(x) == reference.coords_of(x) == wide.coords_of(x)
-            assert lattice.point(*lattice.coords_of(x)) == x
+            assert lattice.point(*reference.coords_of(x)) == x == wide.point(*reference.coords_of(x))
             assert lattice.contains(x) == reference.contains(x) == wide.contains(x)

@@ -200,7 +200,7 @@ class TestCountMatchesFractionReference:
         # of D·Γ; the count is exact whether or not s(L) ⊆ L.
         packing, d = case
         s = d.similarity(ratio)
-        period, img = orc._common_period(packing, s), s.image_lattice(packing.lattice)
+        _, img, period = orc._period_frame(packing, s)
         assume(lat.index(period, packing.lattice) <= 400)
         images = tuple(map(s.apply, packing.shifts))
         for base, points, cell in ((packing.lattice, packing.shifts, period),
@@ -216,9 +216,9 @@ class TestCountMatchesFractionReference:
         packing, d = case
         z = d.similarity(1)
         gamma = packing.lattice
-        r = lat.least_scale(gamma, [z.apply(x) for x in gamma.generators() + packing.shifts])
+        r = ref.least_scale(gamma, [z.apply(x) for x in gamma.generators() + packing.shifts])
         s = d.similarity(p * r)
-        assume(lat.index(orc._common_period(packing, s), gamma) <= 2_500)
+        assume(lat.index(orc._period_frame(packing, s)[2], gamma) <= 2_500)
         assert orc.index_by_counting(packing, s) == s.scale_sq()
 
 

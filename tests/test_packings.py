@@ -58,7 +58,7 @@ class TestPointPacking:
 def _meet(lattice, x_k, x_j, s):
     """A point of s(x_k + Γ) ∩ (x_j + Γ) from the sum solve, or None."""
     v = s.apply(x_k) - x_j
-    total = lat.SumLattice.of(lattice, s.image_lattice(lattice), (v,))
+    total = ref.sum_lattice(lattice, s.image_lattice(lattice), (v,))
     coeffs = total.solve(*total.points[0])
     return None if coeffs is None else x_j + lattice.point(*coeffs)
 
@@ -447,7 +447,7 @@ class TestCongruenceSolve:
     def test_congruence_residue(self):
         def solve(sum_with, a, x):
             points = (FieldElem(GAUSSIAN, *a), FieldElem(GAUSSIAN, *x))
-            total = lat.SumLattice.of(ZI, sum_with, points)
+            total = ref.sum_lattice(ZI, sum_with, points)
             return total.congruence(*total.points)
 
         # Over S = Z[i]: p·(1/3, 2/3) ≡ (2/3, 1/3) mod Z² at p ≡ 2 (mod 3) only.
@@ -467,9 +467,7 @@ class TestCongruenceSolve:
     @given(lifted_packings_with_trials())
     def test_sum_lattice_congruence_matches_reference(self, case):
         packing, trial = case
-        gamma = packing.lattice
-        images = tuple(trial.apply(x_k) for x_k in packing.shifts)
-        total = lat.SumLattice.of(gamma, trial.image_lattice(gamma), packing.shifts + images)
+        total = pk._frame(packing, trial)
         n, conditions = ref.sweep_conditions(packing, trial)
         assert total.index() == n
         targets, scaled_images = total.points[:packing.m], total.points[packing.m:]
@@ -908,7 +906,7 @@ class TestLatticeMapsMatchReference:
 
         period = ref.scaling_denominator(gamma, img)
         packing = PointPacking(gamma, (FieldElem.zero(gamma.ring),))
-        assert orc._common_period(packing, s) == Lattice(
+        assert orc._period_frame(packing, s)[2] == Lattice(
             gamma.ring, gamma.d, period * gamma.b00, period * gamma.b01, period * gamma.b11
         )
 
@@ -1043,11 +1041,88 @@ class TestIntegerFormMatchesReference:
             assert corollaries(report, packing) == _reference_corollaries(report, packing)
 
 
+@st.composite
+def frame_cases(draw):
+    """A packing with m ≤ 4 over a sheared Γ ≠ R from Lattice.from_generators,
+    both rings, with Γ and the shifts of denominators ≤ 12, a rotation or
+    reflection and some integer pairs.  A third of the multipliers are w
+    with denominators ≤ 12, a third lcm·den(Γ, R)·z, which Proposition 4.1
+    accepts; the last third map (1/d)·R, written over Γ, by an integer
+    multiple of z, accepted with n ≥ 2 as a rule."""
+    ring = draw(st.sampled_from((GAUSSIAN, EISENSTEIN)))
+    index = draw(st.integers(1, 6))
+    h00 = draw(st.sampled_from([h for h in range(1, index + 1) if index % h == 0]))
+    h01, den = draw(st.integers(0, h00 - 1)), draw(st.integers(1, 12))
+    gamma = Lattice.from_generators(ring, [(F(h00, den), F(0)), (F(h01, den), F(index // h00, den))])
+    assume(gamma != Lattice.ring_lattice(ring))
+    z = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda ab: math.gcd(*ab) == 1))
+    d = Direction(RingElem(ring, *z), draw(st.booleans()))
+    mode = draw(st.integers(0, 2))
+    if mode == 2:
+        shifts = lat.quotient_representatives(gamma, Lattice(ring, gamma.d, 1, 0, 1))
+        assume(len(shifts) <= 12)
+        return PointPacking(gamma, tuple(shifts)), d, d.similarity(draw(st.integers(1, 3))), []
+    coord = st.tuples(st.integers(-12, 12), st.integers(1, 12)).map(lambda t: F(*t))
+    shifts = []
+    for a, b in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4)):
+        x = FieldElem(ring, a, b)
+        if not any(gamma.contains(x - y) for y in shifts):
+            shifts.append(x)
+    packing = PointPacking(gamma, tuple(shifts))
+    if mode == 1:
+        lcm = math.lcm(*(c.denominator for x in packing.shifts for c in (x.a, x.b)))
+        s = d.similarity(lcm * F(*sim.denominator(gamma, d)))
+    else:
+        w = FieldElem(ring, draw(coord), draw(coord))
+        assume(not w.is_zero())
+        s = Similarity(w, d.conjugate)
+    pairs = draw(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=3))
+    return packing, d, s, pairs
+
+
+class TestIntegerFrameMatchesFieldElemFrame:
+    """The integer map and the frame Γ + sΓ built on it against the route
+    they replaced: s.apply on FieldElem points, sΓ from the images of Γ's
+    generators, and a SumLattice over their least common denominator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame_cases())
+    def test_matches_fieldelem_frame(self, case):
+        packing, d, s, pairs = case
+        gamma, ring = packing.lattice, packing.ring
+        points = list(gamma.basis) + list(packing.residues) + pairs
+        e, images = s.map_pairs(points)
+        for (x, y), (ix, iy) in zip(points, images, strict=True):
+            expected = s.apply(FieldElem(ring, F(x, gamma.d), F(y, gamma.d)))
+            assert FieldElem(ring, F(ix, e * gamma.d), F(iy, e * gamma.d)) == expected
+        assert s.image_lattice(gamma) == ref.image_lattice(s, gamma)
+
+        report = pk.check_similarity(packing, s)
+        got = (report.accepted, report.n, report.tau, report.witness,
+               report.failing_k, report.reached)
+        assert got == ref.check_similarity(packing, s)
+
+        # The sweep's per-q frames, on the lift when it fits under the cap.
+        try:
+            lifted = pk.lift_to_ring(packing)
+        except ValueError:
+            lifted = packing
+        for q in range(1, 5):
+            trial = d.similarity(F(1, q))
+            total, expected = pk._frame(lifted, trial), ref.frame(lifted, trial)
+            assert total.index() == expected.index()
+            m = lifted.m
+            for a_k, b_k in zip(total.points[m:], expected.points[m:], strict=True):
+                assert total.congruence(a_k, (0, 0)) == expected.congruence(b_k, (0, 0))
+                for x_j, y_j in zip(total.points[:m], expected.points[:m], strict=True):
+                    assert total.congruence(a_k, x_j) == expected.congruence(b_k, y_j)
+
+
 class TestNoFractionOnTheDecisionPath:
     def test_residues_den_and_corollaries_build_no_fraction(self, monkeypatch):
         """The residue and congruence step of PointPacking, den(Γ, R), the
         corollaries, Lattice.from_generators on Fraction generators, periods
-        and SumLattice.of run on integers.  PointPacking builds a Fraction
+        and the frame Γ + sΓ run on integers.  PointPacking builds a Fraction
         only to store a shift that was not given canonically, two per such
         shift."""
         from simiso import oracle as orc
@@ -1081,10 +1156,8 @@ class TestNoFractionOnTheDecisionPath:
             packing = PointPacking(gamma, tuple(shifts))
             report = pk.check_similarity(packing, s)
             assert report.accepted
-            sum_args = (gamma, s.image_lattice(gamma),
-                        packing.shifts + tuple(s.apply(x) for x in packing.shifts))
             cases.append((gamma, tuple(shifts), rebuilt, packing, d, report, sim.decompose(s)[0],
-                          gens, sum_args))
+                          gens, s))
         assert sum(c[2] for c in cases) > 0 and any(c[5].n >= 2 for c in cases)
 
         built = []
@@ -1095,7 +1168,7 @@ class TestNoFractionOnTheDecisionPath:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(F, "__new__", counting)
-        for gamma, shifts, rebuilt, packing, d, report, ratio, gens, sum_args in cases:
+        for gamma, shifts, rebuilt, packing, d, report, ratio, gens, s in cases:
             PointPacking(gamma, shifts)
             assert len(built) == 2 * rebuilt
             built.clear()
@@ -1103,8 +1176,70 @@ class TestNoFractionOnTheDecisionPath:
             pk.check_corollaries(report, packing, ratio, den)
             assert Lattice.from_generators(gamma.ring, gens) == gamma
             pk.periods(packing)
-            lat.SumLattice.of(*sum_args)
+            pk._frame(packing, s)
             assert built == []
+
+    def test_decision_builds_only_its_witness_points(self, monkeypatch):
+        """check_similarity maps the residues and Γ's basis as integer pairs:
+        a rejected decision builds no Fraction and an accepted one builds
+        only its witness points, two per τ pair.  image_lattice and
+        den(Γ, R) build none, for rational w too, and the Scal sweep's per-q
+        frame builds none beyond its multiplier z/q.  None of them, nor the
+        sweep, multiplies FieldElems."""
+        from simiso import oracle as orc
+
+        rng = random.Random(15)
+        cases = []
+        for i in range(60):
+            ring = rng.choice((GAUSSIAN, EISENSTEIN))
+            den = rng.randint(1, 6)
+            gamma = Lattice.from_generators(ring, [(F(rng.randint(1, 3), den), F(0)),
+                                                   (F(rng.randint(-3, 3), den), F(rng.randint(1, 3), den))])
+            shifts = [FieldElem.zero(ring)]
+            for _ in range(rng.randint(0, 3)):
+                x = FieldElem(ring, F(rng.randint(-9, 9), rng.randint(1, 12)),
+                              F(rng.randint(-9, 9), rng.randint(1, 12)))
+                if not any(gamma.contains(x - y) for y in shifts):
+                    shifts.append(x)
+            if i % 3 == 2:  # (1/d)·R over Γ, accepted by integer multiples of z
+                shifts = lat.quotient_representatives(gamma, Lattice(ring, gamma.d, 1, 0, 1))
+            packing = PointPacking(gamma, tuple(shifts))
+            d = Direction(orc._random_primitive(rng, ring, 30), rng.random() < 0.5)
+            if i % 3 == 2:
+                s = d.similarity(rng.randint(1, 3))
+            elif i % 3:  # Proposition 4.1: lcm·den(Γ, R)·z is accepted
+                lcm = math.lcm(*(c.denominator for x in packing.shifts for c in (x.a, x.b)))
+                s = d.similarity(lcm * F(*sim.denominator(gamma, d)))
+            else:
+                s = d.similarity(F(rng.randint(1, 6), rng.randint(1, 12)))
+            ring = Lattice.ring_lattice(gamma.ring)
+            ring_shifts = [x for i, x in enumerate(shifts)
+                           if not any(ring.contains(x - y) for y in shifts[:i])]
+            ring_packing = PointPacking(ring, tuple(ring_shifts))
+            q = rng.randint(1, 4)
+            cases.append((packing, s, d, pk.check_similarity(packing, s),
+                          ring_packing, d.similarity(F(1, q))))
+        assert {c[3].accepted for c in cases} == {False, True}
+        assert any(c[3].n >= 2 for c in cases if c[3].accepted)
+
+        def refuse(*args):
+            raise AssertionError("a FieldElem product on the decision path")
+
+        monkeypatch.setattr(Similarity, "apply", refuse)
+        monkeypatch.setattr(FieldElem, "__mul__", refuse)
+        built = []
+        new = F.__new__
+        monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+        for packing, s, d, report, ring_packing, trial in cases:
+            assert pk.check_similarity(packing, s) == report
+            assert len(built) == 2 * len(report.tau)
+            built.clear()
+            s.image_lattice(packing.lattice)
+            sim.denominator(packing.lattice, d)
+            pk._frame(ring_packing, trial)
+            assert built == []
+            pk._sweep_direction(ring_packing, d)
+            built.clear()
 
 
 @st.composite
