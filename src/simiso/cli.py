@@ -440,9 +440,9 @@ def _oracle_points(packing: PointPacking, d: Direction, ratios) -> tuple[Fractio
     The oracle's common period is D·Γ ⊆ sΓ.  Certifying, once per request,
     takes the [sΓ : D·Γ] = D²/N(w) coset representatives of each of the m
     image components and tests each against the m components, m²·D²/N(w)
-    in all; index_by_counting then tests about m·D² more.  As sΓ = r·z(Γ),
-    D is the numerator of r·r₀ for the least r₀ with r₀·Γ ⊆ z(Γ): one
-    Hermite form, over Γ's denominator as z is integral.
+    in all.  As sΓ = r·z(Γ), D is the numerator of r·r₀ for the least r₀
+    with r₀·Γ ⊆ z(Γ): one Hermite form, over Γ's denominator as z is
+    integral.  verify --similarity adds a margin of m·D² to its budget.
     """
     gamma = packing.lattice
     r0 = Fraction(*d.similarity(1).image_lattice(gamma).least_scale(gamma.basis))
@@ -462,16 +462,18 @@ def _verify_similarity(packing: PointPacking, args) -> int:
     ratio, d = sim.decompose(s)
     certify, period_sq = _oracle_points(packing, d, [ratio])
     _check_oracle_budget(certify + packing.m * period_sq)
-    accepted = packings.check_similarity(packing, s).accepted
+    report = packings.check_similarity(packing, s)
     try:
-        idx = oracle.index_by_counting(packing, s)
+        found = oracle.index_by_counting(packing, s)
     except oracle.NotContained as refuted:
-        doc = {"oracle_contained": False, "agree": not accepted,
+        doc = {"oracle_contained": False, "agree": not report.accepted,
                "counterexample": str(refuted.point)}
     else:
-        doc = {"oracle_contained": True, "agree": accepted and idx == s.scale_sq(),
-               "oracle_index": str(idx), "beta_squared": str(s.scale_sq())}
-    _emit_json({"engine_accepted": accepted, **doc}, args.out)
+        agree = (report.accepted and found.index == s.scale_sq()
+                 and found.n == {report.n} and found.tau == report.tau)
+        doc = {"oracle_contained": True, "agree": agree,
+               "oracle_index": str(found.index), "beta_squared": str(s.scale_sq())}
+    _emit_json({"engine_accepted": report.accepted, **doc}, args.out)
     return EXIT_OK if doc["agree"] else EXIT_DISCREPANCY
 
 

@@ -204,13 +204,6 @@ def index(sub: Lattice, sup: Lattice) -> Fraction:
     return Fraction(sub.b00 * sub.b11 * sup.d * sup.d, sup.b00 * sup.b11 * sub.d * sub.d)
 
 
-def integer_index(sub: Lattice, sup: Lattice) -> int:
-    n = index(sub, sup)
-    if n.denominator != 1:
-        raise ValueError(f"{sub} is not a sublattice of {sup}")
-    return n.numerator
-
-
 def quotient_representatives(sub: Lattice, sup: Lattice) -> list[FieldElem]:
     """Coset representatives of sub in sup; length equals [sup : sub].  Both
     bases are triangular, so i·g₁ + j·g₂ of sup, for i and j below the

@@ -4,10 +4,11 @@ Nothing here uses the component-counting characterization: containment of
 s(L) in L is settled by sweeping one fundamental domain of a common period
 lattice, which is a finite, complete proof for periodic point sets.  All
 arithmetic is exact; there are no tolerances.  Γ, sΓ and the common
-period are built once per call over one denominator, on which the index
-count tests each candidate of a bounding box as an integer pair, the images
-of the shifts taken from Similarity.map_pairs.  It holds no window code:
-render enumerates the points of its figures itself.
+period P are built once per call over one denominator.  Certification
+counts, per pair (k, j), the tested points of s(x_k) + sΓ that land in
+x_j + Γ, from which the correspondence τ and the index n follow without
+the engine's characterization.  It holds no window code: render
+enumerates the points of its figures itself.
 """
 
 from __future__ import annotations
@@ -40,18 +41,29 @@ def certify_subpacking(packing: PointPacking, s: Similarity) -> tuple[bool, Fiel
     checking every point of s(L) inside one fundamental domain of P is a
     complete proof of containment.
     """
-    return _certify(packing, s, *_period_frame(packing, s)[1:])
+    try:
+        _certify(packing, s, *_period_frame(packing, s)[1:])
+    except NotContained as refuted:
+        return False, refuted.point
+    return True, None
 
 
 def _certify(packing: PointPacking, s: Similarity, img: Lattice, period: Lattice):
+    """c_kj for each (k, j) with c_kj > 0: how many of the tested points
+    s(x_k) + r, r over sΓ/P, lie in x_j + Γ; NotContained at the first
+    point in no component."""
     reps = lattices.quotient_representatives(period, img)
-    for x_k in packing.shifts:
+    gamma, shifts = packing.lattice, packing.shifts
+    counts: dict[tuple[int, int], int] = {}
+    for k, x_k in enumerate(shifts):
         base = s.apply(x_k)
         for rep in reps:
             point = base + rep
-            if not packing.contains(point):
-                return False, point
-    return True, None
+            j = next((j for j, x_j in enumerate(shifts) if gamma.contains(point - x_j)), None)
+            if j is None:
+                raise NotContained(point)
+            counts[k, j] = counts.get((k, j), 0) + 1
+    return counts
 
 
 class NotContained(ValueError):
@@ -62,53 +74,25 @@ class NotContained(ValueError):
         self.point = point
 
 
-def index_by_counting(packing: PointPacking, s: Similarity) -> Fraction:
-    """Density ratio of L to s(L), counted in one fundamental domain.
+@dataclass(frozen=True)
+class Correspondence:
+    """τ, the pairs (k, j) in order with c_kj > 0, and n, the values
+    [sΓ : P] / c_kj: each meeting is a coset of Γ ∩ sΓ, so consistent counts
+    give the one n = [sΓ : Γ ∩ sΓ].  index is det(sΓ)/det(Γ) = [L : s(L)]."""
 
-    Certifies s(L) ⊆ L first and raises NotContained otherwise; the result
-    always equals |w|² = β².  One frame of Γ, sΓ and the period serves both,
-    and the count takes every shift and its image as integer pairs over it.
-    """
+    index: Fraction
+    n: frozenset[Fraction]
+    tau: tuple[tuple[int, int], ...]
+
+
+def index_by_counting(packing: PointPacking, s: Similarity) -> Correspondence:
+    """The correspondence of s(L) ⊆ L from the certification's counts in
+    one cell of the period P; NotContained when s(L) ⊄ L."""
     gamma, img, period = _period_frame(packing, s)
-    ok, point = _certify(packing, s, img, period)
-    if not ok:
-        raise NotContained(point)
-    e, images = s.map_pairs(packing.residues)
-    shifts = [(e * x, e * y) for x, y in packing.residues]
-    return Fraction(_count_in_cell(gamma, shifts, period), _count_in_cell(img, images, period))
-
-
-def _count_in_cell(base: Lattice, shifts, cell: Lattice) -> int:
-    """Points of ∪(x + base) inside the fundamental domain of cell, for
-    base, cell and the integer pairs x over one denominator.  (X, Y) has
-    coordinates (X·c11 - c01·Y, c00·Y)/(c00·c11) over cell's basis."""
-    c00, c01, c11 = cell.b00, cell.b01, cell.b11
-    count = 0
-    for sx, sy in shifts:
-        for t0, t1 in _unit_cell_preimage(base, cell, sx, sy):
-            x, y = base.b00 * t0 + base.b01 * t1 + sx, base.b11 * t1 + sy
-            count += 0 <= x * c11 - c01 * y < c00 * c11 and 0 <= y < c11
-    return count
-
-
-def _unit_cell_preimage(base: Lattice, cell: Lattice, sx: int, sy: int):
-    """Integer pairs t whose point t0·(b00, 0) + t1·(b01, b11) + (sx, sy)
-    of base can land in cell's unit cell."""
-    # Scaled by c00·c11, the coords in cell of that point are
-    # t0·(m00, m01) + t1·(m10, m11) + (k0, k1); bound each coordinate of t
-    # by transporting the corners of the scaled unit square back.
-    def scaled_coords(x: int, y: int) -> tuple[int, int]:
-        return x * cell.b11 - cell.b01 * y, cell.b00 * y
-
-    (m00, m01), (m10, m11) = scaled_coords(base.b00, 0), scaled_coords(base.b01, base.b11)
-    k0, k1 = scaled_coords(sx, sy)
-    det = m00 * m11 - m01 * m10  # > 0: both Hermite diagonals are positive
-    side = cell.b00 * cell.b11
-    t0s, t1s = zip(*(((u0 - k0) * m11 - (u1 - k1) * m10, (u1 - k1) * m00 - (u0 - k0) * m01)
-                      for u0 in (0, side) for u1 in (0, side)))
-    for t0 in range(min(t0s) // det, -(-max(t0s) // det) + 1):
-        for t1 in range(min(t1s) // det, -(-max(t1s) // det) + 1):
-            yield t0, t1
+    counts = _certify(packing, s, img, period)
+    cell = lattices.index(period, img)
+    return Correspondence(lattices.index(img, gamma), frozenset(cell / c for c in counts.values()),
+                          tuple(sorted(counts)))
 
 
 def scal_set_bruteforce(

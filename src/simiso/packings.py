@@ -85,9 +85,6 @@ class PointPacking:
     def m(self) -> int:
         return len(self.shifts)
 
-    def contains(self, x: FieldElem) -> bool:
-        return any(self.lattice.contains(x - s) for s in self.shifts)
-
     def translated(self, x: FieldElem) -> PointPacking:
         return PointPacking(self.lattice, tuple(s + x for s in self.shifts))
 
@@ -165,7 +162,7 @@ def lift_to_ring(packing: PointPacking) -> PointPacking:
         return packing
     c = Fraction(*gamma.least_scale([(gamma.d, 0), (0, gamma.d)]))  # R over d
     sub = Lattice(gamma.ring, c.denominator, c.numerator, 0, c.numerator)
-    m = packing.m * lattices.integer_index(sub, gamma)
+    m = packing.m * lattices.index(sub, gamma).numerator  # an integer: c·R ⊆ Γ
     if m > MAX_LIFTED_COMPONENTS:
         raise ValueError(f"the packing lifts to {m} components over the ring "
                          f"lattice; at most {MAX_LIFTED_COMPONENTS} are supported")

@@ -2,11 +2,15 @@
 
 Colors follow the conventions of the source figures: the generating
 lattice component dark, other packing components gray, image components
-blue/yellow/green.  Byte output is fixed for fixed inputs.  Circles are
-enumerated as integer pairs over a common denominator d of the window, the
-shift and Γ, and become floats once, as a/d: int / int rounds correctly, so
-it equals float() of the reduced Fraction.  circle_bound caps that walk
-before any figure is drawn.
+blue/yellow/green.  Byte output is fixed for fixed inputs.  Each drawn
+lattice (Γ, or sΓ for the image) is put over one denominator D with the
+window corners once, and its shifts are integer pairs over D: the packing's
+residues, and s.map_pairs of them for the image.  A circle becomes floats
+once, as a/D: int / int rounds correctly, so it equals float() of the
+reduced Fraction whatever D is.  Coordinate strings are memoised per float
+across all groups, as every image centre is a packing centre and rows and
+columns repeat coordinates.  circle_bound caps the walk before any figure
+is drawn.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 
 from .lattices import Lattice
 from .packings import PointPacking
-from .rings import EISENSTEIN, FieldElem
+from .rings import EISENSTEIN, over_denominator
 from .similarity import Similarity
 
 PACKING_COLORS = ("#1c1c1c", "#9e9e9e", "#c96b6b", "#7c5aa8")
@@ -34,22 +38,31 @@ def to_xy(ring: str, a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
-def points_in_window(lattice: Lattice, shift: FieldElem, window: Window):
+def points_in_window(lattice: Lattice, shift: tuple[int, int], corners: tuple[int, int, int, int]):
     """The points of shift + Γ in the half-open box [x0, x1) × [y0, y1) of
-    ring coordinates, sorted, as float pairs (a/d, b/d) over {1, u}."""
-    x0, y0, x1, y1 = window
+    ring coordinates, sorted, as integer pairs over Γ's denominator d, for
+    the shift and the corners (x0, y0, x1, y1) given over d."""
+    x0, y0, x1, y1 = corners
     if x1 <= x0 or y1 <= y0:
         raise ValueError("window must have positive area")
-    corners = (FieldElem(lattice.ring, x0, y0), FieldElem(lattice.ring, x1, y1))
-    g, [(x0, y0), (x1, y1), (sa, sb)] = lattice.with_points((*corners, shift))
-    d, b00, b01, b11 = g.d, g.b00, g.b01, g.b11
+    b00, b01, b11 = lattice.b00, lattice.b01, lattice.b11
+    sa, sb = shift
     out = []
     for t1 in range(-((sb - y0) // b11), -((sb - y1) // b11)):  # ceilings
         a0, b = sa + b01 * t1, sb + b11 * t1
         for t0 in range(-((a0 - x0) // b00), -((a0 - x1) // b00)):
             out.append((a0 + b00 * t0, b))
     out.sort()
-    return [(a / d, b / d) for a, b in out]
+    return out
+
+
+def window_frame(lattice: Lattice, d: int, shifts, window: Window):
+    """Γ, the integer pairs shifts over d, and the window corners, all over
+    one denominator: the lcm of d, Γ's denominator and the corners'."""
+    e, corners = over_denominator(window)
+    big = math.lcm(lattice.d, d, e)
+    k, c = big // d, big // e
+    return lattice.over(big), [(k * x, k * y) for x, y in shifts], tuple(c * v for v in corners)
 
 
 def circle_bound(packing: PointPacking, image: Lattice | None, window: Window) -> int:
@@ -83,12 +96,6 @@ def render_svg(
     min_y, max_y = min_y - pad, max_y + pad
     scale = size / max(max_x - min_x, max_y - min_y)
     height = round((max_y - min_y) * scale)
-
-    def circles(lattice: Lattice, shift: FieldElem, r: str) -> list[str]:
-        points = (to_xy(ring, *p) for p in points_in_window(lattice, shift, window))
-        return [f'<circle cx="{(x - min_x) * scale:.2f}" '
-                f'cy="{(max_y - y) * scale:.2f}" r="{r}"/>' for x, y in points]
-
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -97,21 +104,36 @@ def render_svg(
         f'<rect width="{size}" height="{height}" fill="white"/>',
     ]
     legend: list[tuple[str, str]] = []
-
-    for k, x_k in enumerate(packing.shifts):
-        color = PACKING_COLORS[k % len(PACKING_COLORS)]
-        lines.append(f'<g fill="none" stroke="{color}" stroke-width="1.2">')
-        lines += circles(packing.lattice, x_k, "4.0")
-        lines.append("</g>")
-        legend.append((color, f"{x_k}+Γ"))
-
+    drawn = [(packing.lattice, packing.lattice.d, packing.residues, PACKING_COLORS,
+              '<g fill="none" stroke="{}" stroke-width="1.2">', "{}+Γ", "4.0")]
     if s is not None:
-        for k, x_k in enumerate(packing.shifts):
-            color = IMAGE_COLORS[k % len(IMAGE_COLORS)]
-            lines.append(f'<g fill="{color}">')
-            lines += circles(image, s.apply(x_k), "2.4")
+        e, images = s.map_pairs(packing.residues)
+        drawn.append((image, e * packing.lattice.d, images, IMAGE_COLORS,
+                      '<g fill="{}">', "image of {}+Γ", "2.4"))
+    # Every drawn coordinate is at least pad·scale > 0, so 0.0 and -0.0,
+    # one dict key but formatted apart, never both occur.
+    xs: dict[float, str] = {}
+    ys: dict[float, str] = {}
+    for lattice, d, shifts, colors, group, label, r in drawn:
+        lattice, shifts, box = window_frame(lattice, d, shifts, window)
+        big = lattice.d
+        for k, (x_k, shift) in enumerate(zip(packing.shifts, shifts)):
+            color = colors[k % len(colors)]
+            lines.append(group.format(color))
+            for a, b in points_in_window(lattice, shift, box):
+                x, y = a / big, b / big
+                if ring == EISENSTEIN:
+                    x, y = x - y / 2.0, y * _SQRT3_2
+                cx, cy = (x - min_x) * scale, (max_y - y) * scale
+                sx = xs.get(cx)
+                if sx is None:
+                    sx = xs[cx] = f"{cx:.2f}"
+                sy = ys.get(cy)
+                if sy is None:
+                    sy = ys[cy] = f"{cy:.2f}"
+                lines.append(f'<circle cx="{sx}" cy="{sy}" r="{r}"/>')
             lines.append("</g>")
-            legend.append((color, f"image of {x_k}+Γ"))
+            legend.append((color, label.format(x_k)))
 
     ly = 16
     for color, label in legend:

@@ -6,27 +6,28 @@ every image lattice from the images of two generators, and every
 "r·X ⊆ Γ" question from Lattice.least_scale; a Lattice is an integer
 Hermite basis over one denominator; packings keep their shifts as integer
 residues and test corollary (i) on them; a similarity maps integer pairs,
-so the frame Γ + sΓ of a decision is built on integers; render enumerates
-its circles on integers; the Scal solve merges its congruences by CRT; the
-oracle counts the index on integer pairs.  They stay here so
-that those routes can be checked against a different one: the lattice with
-three Fraction fields that Lattice replaced, the sum as a lattice, the
-residue of a point mod Γ and the corollary (i) containment on Fraction
-points, the frame built from FieldElem images over their least common
-denominator and the decision read from it, least_scale on FieldElem
-points, the congruences on Fraction coordinates and the walk over
-every residue of their modulus, the window enumeration on Fraction points,
-the oracle's count of the points in one period cell on Fraction points,
-the intersection through the dual identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the
-Euclidean algorithm in Z[i] and Z[ω], and 2×2 matrices of multiplication
-and conjugation over {1, u}.  Results of the ring functions are fixed only up to a unit.
+so the frame Γ + sΓ of a decision is built on integers; render draws every
+component from one integer frame per drawn lattice; the Scal solve merges
+its congruences by CRT; the oracle tests membership per component.  They
+stay here so that those routes can be checked against a different one: the
+lattice with three Fraction fields that Lattice replaced, the sum as a
+lattice, membership in a packing, the residue of a point mod Γ and the
+corollary (i) containment on Fraction points, the frame built from
+FieldElem images over their least common denominator and the decision read
+from it, least_scale on FieldElem points, the congruences on Fraction
+coordinates and the walk over every residue of their modulus, the window
+enumeration on Fraction points, render's drawing component by component
+from FieldElem shifts and images, the intersection through the dual
+identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the Euclidean algorithm in Z[i] and Z[ω],
+and 2×2 matrices of multiplication and conjugation over {1, u}.  Results of
+the ring functions are fixed only up to a unit.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from simiso import lattices as lat, packings as pk
+from simiso import lattices as lat, packings as pk, render as rd
 from simiso.lattices import Lattice
 from simiso.rings import GAUSSIAN, FieldElem, RingElem, RingMismatchError, over_denominator
 
@@ -80,6 +81,11 @@ class FractionLattice:
     def __str__(self):
         g1, g2 = self.generators()
         return f"<{g1}, {g2}>"
+
+
+def packing_contains(packing, x) -> bool:
+    """Whether the FieldElem x lies in some component x_k + Γ."""
+    return any(packing.lattice.contains(x - s) for s in packing.shifts)
 
 
 def add(l1: Lattice, l2: Lattice) -> Lattice:
@@ -310,7 +316,7 @@ def sweep_conditions(packing, trial):
     Q(u)/S with the targets j of each residue of p mod o_k."""
     gamma = packing.lattice
     total = add(gamma, trial.image_lattice(gamma))
-    n = lat.integer_index(gamma, total)
+    n = lat.index(gamma, total)
     total = FractionLattice.of(total)
     targets = [total.coords_of(x_j) for x_j in packing.shifts]
     conditions = []
@@ -379,35 +385,76 @@ def points_in_window(packing, window):
     return out
 
 
-def count_in_cell(base: Lattice, shifts, cell: Lattice) -> int:
-    """The oracle's former count, on Fraction points: the points of
-    ∪(x + base) inside the fundamental domain of cell."""
-    cell = FractionLattice.of(cell)
-    count = 0
-    for x in shifts:
-        count += sum(
-            1
-            for t0, t1 in unit_cell_preimage(base, cell, x)
-            if all(0 <= c < 1 for c in cell.coords_of(base.point(t0, t1) + x))
+def render_window_points(lattice, shift, window):
+    """render's points of shift + Γ in the window as its enumeration stood
+    before one frame served every component: Γ, the corners and the
+    FieldElem shift over their least common denominator per component,
+    sorted, as float pairs (a/d, b/d)."""
+    x0, y0, x1, y1 = window
+    if x1 <= x0 or y1 <= y0:
+        raise ValueError("window must have positive area")
+    corners = (FieldElem(lattice.ring, x0, y0), FieldElem(lattice.ring, x1, y1))
+    g, [(x0, y0), (x1, y1), (sa, sb)] = lattice.with_points((*corners, shift))
+    d, b00, b01, b11 = g.d, g.b00, g.b01, g.b11
+    out = []
+    for t1 in range(-((sb - y0) // b11), -((sb - y1) // b11)):
+        a0, b = sa + b01 * t1, sb + b11 * t1
+        for t0 in range(-((a0 - x0) // b00), -((a0 - x1) // b00)):
+            out.append((a0 + b00 * t0, b))
+    out.sort()
+    return [(a / d, b / d) for a, b in out]
+
+
+def render_svg(packing, s, image, window, size=640):
+    """render.render_svg drawn component by component: each shift and each
+    image s.apply(x_k) enumerated by render_window_points, and both
+    coordinates of every circle formatted from its float."""
+    ring = packing.ring
+    x0, y0, x1, y1 = window
+    corners = [rd.to_xy(ring, float(cx), float(cy)) for cx in (x0, x1) for cy in (y0, y1)]
+    min_x = min(c[0] for c in corners)
+    max_x = max(c[0] for c in corners)
+    min_y = min(c[1] for c in corners)
+    max_y = max(c[1] for c in corners)
+    pad = 0.05 * max(max_x - min_x, max_y - min_y)
+    min_x, max_x = min_x - pad, max_x + pad
+    min_y, max_y = min_y - pad, max_y + pad
+    scale = size / max(max_x - min_x, max_y - min_y)
+    height = round((max_y - min_y) * scale)
+
+    def circles(lattice, shift, r):
+        points = (rd.to_xy(ring, *p) for p in render_window_points(lattice, shift, window))
+        return [f'<circle cx="{(x - min_x) * scale:.2f}" '
+                f'cy="{(max_y - y) * scale:.2f}" r="{r}"/>' for x, y in points]
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{size}" height="{height}" '
+        f'viewBox="0 0 {size} {height}">',
+        f'<rect width="{size}" height="{height}" fill="white"/>',
+    ]
+    legend = []
+    for k, x_k in enumerate(packing.shifts):
+        color = rd.PACKING_COLORS[k % len(rd.PACKING_COLORS)]
+        lines.append(f'<g fill="none" stroke="{color}" stroke-width="1.2">')
+        lines += circles(packing.lattice, x_k, "4.0")
+        lines.append("</g>")
+        legend.append((color, f"{x_k}+Γ"))
+    if s is not None:
+        for k, x_k in enumerate(packing.shifts):
+            color = rd.IMAGE_COLORS[k % len(rd.IMAGE_COLORS)]
+            lines.append(f'<g fill="{color}">')
+            lines += circles(image, s.apply(x_k), "2.4")
+            lines.append("</g>")
+            legend.append((color, f"image of {x_k}+Γ"))
+    ly = 16
+    for color, label in legend:
+        lines.append(f'<circle cx="12" cy="{ly - 4}" r="4.0" fill="{color}"/>')
+        lines.append(
+            f'<text x="22" y="{ly}" font-family="sans-serif" '
+            f'font-size="12">{rd._escape(label)}</text>'
         )
-    return count
-
-
-def unit_cell_preimage(base: Lattice, cell: FractionLattice, x: FieldElem):
-    """Integer pairs t whose image point can land in cell's unit cell."""
-    # coords in cell of base.point(t) + x are affine in t; bound each
-    # coordinate of t by transporting the unit square corners back.
-    m00, m01 = cell.coords_of(base.point(1, 0) - base.point(0, 0))
-    m10, m11 = cell.coords_of(base.point(0, 1) - base.point(0, 0))
-    c0, c1 = cell.coords_of(x)
-    det = m00 * m11 - m01 * m10
-    t_corners = []
-    for u0 in (0, 1):
-        for u1 in (0, 1):
-            r0, r1 = Fraction(u0) - c0, Fraction(u1) - c1
-            t_corners.append(((r0 * m11 - r1 * m10) / det, (r1 * m00 - r0 * m01) / det))
-    lo0 = math.floor(min(t[0] for t in t_corners))
-    hi0 = math.ceil(max(t[0] for t in t_corners))
-    lo1 = math.floor(min(t[1] for t in t_corners))
-    hi1 = math.ceil(max(t[1] for t in t_corners))
-    return [(t0, t1) for t0 in range(lo0, hi0 + 1) for t1 in range(lo1, hi1 + 1)]
+        ly += 16
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

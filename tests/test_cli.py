@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -385,8 +386,9 @@ class TestVerify:
         ("1", ["engine_accepted", "oracle_contained", "agree", "counterexample"]),
     ])
     def test_similarity_certifies_once(self, scale, keys, monkeypatch, capsys):
-        # index_by_counting certifies before it counts, and a refusal carries
-        # the counterexample, so the command runs the containment check once.
+        # index_by_counting reads its counts from the certification, and a
+        # refusal carries the counterexample, so the command runs the
+        # containment check once.
         calls = []
         certify = oracle._certify
         monkeypatch.setattr(oracle, "_certify", lambda *a: calls.append(a) or certify(*a))
@@ -396,7 +398,23 @@ class TestVerify:
         assert rc == EXIT_OK and doc["agree"] and set(doc) == set(keys)
         assert len(calls) == 1
         if "counterexample" in doc:
-            assert doc["counterexample"] == str(certify(*calls[0])[1])
+            with pytest.raises(oracle.NotContained) as refused:
+                certify(*calls[0])
+            assert doc["counterexample"] == str(refused.value.point)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", frozenset({F(2)})), ("n", frozenset({F(1), F(2)})), ("tau", ((0, 1), (1, 0))),
+    ])
+    def test_similarity_compares_n_and_tau(self, field, value, monkeypatch, capsys):
+        # Both sides accept w = 2(1+ω) on hex with n = 1 and τ = {(0, 0), (1, 1)};
+        # an oracle that counts another n or τ is a discrepancy.
+        found = oracle.index_by_counting
+        monkeypatch.setattr(oracle, "index_by_counting",
+                            lambda *a: dataclasses.replace(found(*a), **{field: value}))
+        rc = main(["verify", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"2"}'])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == EXIT_DISCREPANCY
+        assert doc["engine_accepted"] and doc["oracle_contained"] and doc["agree"] is False
 
     def test_direction_sweep(self, capsys):
         rc = main(
@@ -504,12 +522,14 @@ class TestVerify:
     def test_oracle_estimate_counts_certified_points(self, monkeypatch):
         # An accepted s: certify_subpacking tests every representative, each
         # against up to m components, so the estimate is m times the points.
+        # Each tested point lies in exactly one component x_j + Γ, so the
+        # membership tests that succeed count the points.
         packing = preset("hex")
         s = parse_similarity_doc({"z": [1, 1], "scale": "2"}, EISENSTEIN)
         tested = []
-        original = PointPacking.contains
+        original = Lattice.contains
         monkeypatch.setattr(
-            PointPacking, "contains", lambda self, x: tested.append(x) or original(self, x)
+            Lattice, "contains", lambda self, x: original(self, x) and not tested.append(x)
         )
         assert oracle.certify_subpacking(packing, s)[0]
         certify, _ = cli._oracle_points(packing, Direction(RingElem(EISENSTEIN, 1, 1)), [F(2)])

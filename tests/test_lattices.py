@@ -303,8 +303,8 @@ class TestCosetIntersection:
             ])
             l2 = mul_lattice(ring, rng.randint(-3, 3), rng.randint(1, 3), base=l1)
             total = sum_lattice(l1, l2, ())
-            assert total.index() == lat.integer_index(l1, add(l1, l2))
-            assert total.index() == lat.integer_index(intersect(l1, l2), l2)
+            assert total.index() == lat.index(l1, add(l1, l2))
+            assert total.index() == lat.index(intersect(l1, l2), l2)
 
     def test_columns_span_the_sum(self):
         l1 = RECT31
@@ -367,7 +367,7 @@ class TestLatticeMatchesFractionReference:
         wide = lattice.over(k * lattice.d)
         assert wide.d == k * lattice.d and FractionLattice.of(wide) == reference
         assert wide == lattice and hash(wide) == hash(lattice)
-        assert lat.index(wide, lattice) == 1 == lat.integer_index(lattice, wide)
+        assert lat.index(wide, lattice) == 1 == lat.index(lattice, wide)
         base = Lattice.ring_lattice(ring)
         assert lat.index(lattice, base) == reference.det == lattice.det
         assert lat.index(base, wide) == 1 / reference.det

@@ -1,6 +1,6 @@
-"""Brute-force verifier tests: containment certificates, density counting,
-and engine agreement; and render's window enumeration against the oracle's
-old one."""
+"""Brute-force verifier tests: containment certificates, the correspondence
+counted in one period cell, and engine agreement; and render's window
+enumeration against the oracle's old one."""
 
 import math
 import random
@@ -14,7 +14,7 @@ from simiso import lattices as lat, oracle as orc, packings as pk
 from simiso.lattices import Lattice
 from simiso.packings import PointPacking
 from simiso.presets import preset
-from simiso.render import points_in_window
+from simiso.render import points_in_window, window_frame
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction, Similarity
 
@@ -34,9 +34,18 @@ def simw(ring, a, b, conjugate=False):
 WINDOW = (F(0), F(0), F(3), F(3))
 
 
+def render_points(lattice, d, shifts, window):
+    """render's points of each component shift + Γ, shifts integer pairs
+    over d, enumerated in one frame and read as floats (a/D, b/D)."""
+    lattice, shifts, box = window_frame(lattice, d, shifts, window)
+    return [[(a / lattice.d, b / lattice.d) for a, b in points_in_window(lattice, x, box)]
+            for x in shifts]
+
+
 def window_points(packing, window):
     """render's points of every component of the packing, in one sorted list."""
-    return sorted(p for x in packing.shifts for p in points_in_window(packing.lattice, x, window))
+    gamma = packing.lattice
+    return sorted(p for ps in render_points(gamma, gamma.d, packing.residues, window) for p in ps)
 
 
 class TestPointsInWindow:
@@ -44,7 +53,7 @@ class TestPointsInWindow:
     Fraction enumeration of the oracle is the reference."""
 
     def test_square_lattice(self):
-        assert len(points_in_window(Lattice.ring_lattice(GAUSSIAN), fe(GAUSSIAN, 0, 0), WINDOW)) == 9
+        assert len(render_points(Lattice.ring_lattice(GAUSSIAN), 1, [(0, 0)], WINDOW)[0]) == 9
 
     def test_hexagonal(self):
         pts = window_points(preset("hex"), WINDOW)
@@ -61,7 +70,7 @@ class TestPointsInWindow:
         expected = ref.points_in_window(packing, window)
         assert window_points(packing, window) == sorted((float(p.a), float(p.b)) for p in expected)
         for p in expected:
-            assert packing.contains(p)
+            assert ref.packing_contains(packing, p)
             assert -2 <= p.a < 2 and -2 <= p.b < 2
 
     def test_density(self):
@@ -74,7 +83,7 @@ class TestPointsInWindow:
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            points_in_window(Lattice.ring_lattice(EISENSTEIN), fe(EISENSTEIN, 0, 0), (F(0), F(0), F(0), F(3)))
+            render_points(Lattice.ring_lattice(EISENSTEIN), 1, [(0, 0)], (F(0), F(0), F(0), F(3)))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -92,7 +101,8 @@ class TestPointsInWindow:
         x = FieldElem(ring, *shift)
         window = (*corner, corner[0] + size[0], corner[1] + size[1])
         expected = ref.points_in_window(PointPacking(gamma, (x,)), window)
-        assert points_in_window(gamma, x, window) == [(float(p.a), float(p.b)) for p in expected]
+        g, xy = gamma.with_points((x,))
+        assert render_points(g, g.d, xy, window) == [[(float(p.a), float(p.b)) for p in expected]]
 
 
 class TestCertifySubpacking:
@@ -111,53 +121,13 @@ class TestCertifySubpacking:
         assert not ok
         # The counterexample is a genuine point of s(L) outside L.
         assert witness is not None
-        assert not packing.contains(witness)
+        assert not ref.packing_contains(packing, witness)
         image = PointPacking(s.image_lattice(packing.lattice), tuple(map(s.apply, packing.shifts)))
-        assert image.contains(witness)
+        assert ref.packing_contains(image, witness)
 
     def test_shifted_hexagonal_symmetry(self):
         ok, _ = orc.certify_subpacking(preset("hex-shifted"), simw(EISENSTEIN, 1, 1))
         assert ok
-
-
-class TestIndexByCounting:
-    def test_hexagonal_doubled_rotation(self):
-        # β = 2 for w = 2(1+ω): the density ratio equals β² = norm(w) = 4.
-        s = simw(EISENSTEIN, 2, 2)
-        assert orc.index_by_counting(preset("hex"), s) == 4 == s.scale_sq()
-
-    def test_symmetry_has_index_one(self):
-        assert orc.index_by_counting(preset("ex34"), simw(GAUSSIAN, 0, 1)) == 1
-
-    def test_requires_containment(self):
-        with pytest.raises(ValueError):
-            orc.index_by_counting(preset("hex"), simw(EISENSTEIN, 1, 1))
-
-    def test_refusal_carries_a_point_of_the_image_outside_l(self):
-        packing, s = preset("hex"), simw(EISENSTEIN, 1, 1)
-        with pytest.raises(orc.NotContained) as refused:
-            orc.index_by_counting(packing, s)
-        point = refused.value.point
-        image = PointPacking(s.image_lattice(packing.lattice), tuple(map(s.apply, packing.shifts)))
-        assert image.contains(point) and not packing.contains(point)
-
-    def test_matches_norm_on_random_accepted_cases(self):
-        rng = random.Random(31)
-        checked = 0
-        while checked < 12:
-            case = orc.random_case(
-                rng,
-                rng.choice((GAUSSIAN, EISENSTEIN)),
-                max_norm=20,
-                p_bound=3,
-                q_bound=2,
-            )
-            ok, _ = orc.certify_subpacking(case.packing, case.similarity)
-            if not ok:
-                continue
-            got = orc.index_by_counting(case.packing, case.similarity)
-            assert got == case.similarity.scale_sq()
-            checked += 1
 
 
 @st.composite
@@ -184,29 +154,82 @@ def counting_cases(draw, max_shift_den=12):
     return PointPacking(gamma, tuple(shifts)), d
 
 
-def integer_count(base, points, cell):
-    """oracle._count_in_cell with base, cell and the points over one denominator."""
-    base, xy = base.over(math.lcm(base.d, cell.d)).with_points(points)
-    return orc._count_in_cell(base, xy, cell.over(base.d))
+@st.composite
+def union_cases(draw):
+    """Λ = (1/den)·R written as the m = h00·h11 ≤ 4 cosets (i, j)/den of
+    Γ = (1/den)·⟨(h00 + c·h01, c·h11), (h01, h11)⟩, den ≤ 7, a sheared
+    non-ring Γ, with a nonzero w = a + bu ∈ R, |a|, |b| ≤ 2, for a rotation
+    or a reflection; both rings.  s(Λ) ⊆ Λ, so s is accepted, with n up to m
+    and τ spread over several targets."""
+    ring = draw(st.sampled_from((GAUSSIAN, EISENSTEIN)))
+    h00, h11 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    h01, c = draw(st.integers(0, h00 - 1)), draw(st.integers(-1, 1))
+    den = draw(st.integers(1, 7))
+    gamma = Lattice.from_generators(
+        ring, [(F(h00 + c * h01, den), F(c * h11, den)), (F(h01, den), F(h11, den))])
+    shifts = tuple(fe(ring, F(i, den), F(j, den)) for j in range(h11) for i in range(h00))
+    a, b = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda ab: ab != (0, 0)))
+    return PointPacking(gamma, shifts), simw(ring, a, b, draw(st.booleans()))
 
 
-class TestCountMatchesFractionReference:
-    """The integer count against the Fraction count it replaced."""
+def assert_matches_engine(packing, s):
+    """The oracle's n and τ are the engine's, and its index is β²."""
+    report = pk.check_similarity(packing, s)
+    found = orc.index_by_counting(packing, s)
+    assert report.accepted
+    assert found.n == {report.n} and found.tau == report.tau
+    assert found.index == s.scale_sq()
 
-    @settings(max_examples=200, deadline=None)
-    @given(counting_cases(), st.fractions(F(1, 2), 3, max_denominator=2))
-    def test_integer_count_matches_fraction_count(self, case, ratio):
-        # Points of L in one cell of D·Γ and of sΓ, and of s(L) in one cell
-        # of D·Γ; the count is exact whether or not s(L) ⊆ L.
-        packing, d = case
-        s = d.similarity(ratio)
-        _, img, period = orc._period_frame(packing, s)
-        assume(lat.index(period, packing.lattice) <= 400)
-        images = tuple(map(s.apply, packing.shifts))
-        for base, points, cell in ((packing.lattice, packing.shifts, period),
-                                   (packing.lattice, packing.shifts, img),
-                                   (img, images, period)):
-            assert integer_count(base, points, cell) == ref.count_in_cell(base, points, cell)
+
+class TestIndexByCounting:
+    def test_hexagonal_doubled_rotation(self):
+        # β = 2 for w = 2(1+ω): the density ratio equals β² = norm(w) = 4.
+        s = simw(EISENSTEIN, 2, 2)
+        found = orc.index_by_counting(preset("hex"), s)
+        assert found.index == 4 == s.scale_sq()
+        assert found.n == {1} and found.tau == ((0, 0), (1, 1))
+
+    def test_symmetry_has_index_one(self):
+        # ex34 is Z[i] as the three cosets of 3Z + iZ; i maps each of them
+        # onto a coset of Z + 3iZ, which meets all three.
+        found = orc.index_by_counting(preset("ex34"), simw(GAUSSIAN, 0, 1))
+        assert found.index == 1 and found.n == {3}
+        assert found.tau == tuple((k, j) for k in range(3) for j in range(3))
+
+    def test_shifted_hexagonal_swaps_components(self):
+        # 1+ω carries each component of the shifted hexagonal packing onto
+        # the other (Table 4, N(z) = 3).
+        found = orc.index_by_counting(preset("hex-shifted"), simw(EISENSTEIN, 1, 1))
+        assert found.n == {1} and found.tau == ((0, 1), (1, 0))
+
+    def test_requires_containment(self):
+        with pytest.raises(ValueError):
+            orc.index_by_counting(preset("hex"), simw(EISENSTEIN, 1, 1))
+
+    def test_refusal_carries_a_point_of_the_image_outside_l(self):
+        packing, s = preset("hex"), simw(EISENSTEIN, 1, 1)
+        with pytest.raises(orc.NotContained) as refused:
+            orc.index_by_counting(packing, s)
+        point = refused.value.point
+        image = PointPacking(s.image_lattice(packing.lattice), tuple(map(s.apply, packing.shifts)))
+        assert ref.packing_contains(image, point) and not ref.packing_contains(packing, point)
+
+    def test_matches_norm_on_random_accepted_cases(self):
+        rng = random.Random(31)
+        checked = 0
+        while checked < 12:
+            case = orc.random_case(
+                rng,
+                rng.choice((GAUSSIAN, EISENSTEIN)),
+                max_norm=20,
+                p_bound=3,
+                q_bound=2,
+            )
+            ok, _ = orc.certify_subpacking(case.packing, case.similarity)
+            if not ok:
+                continue
+            assert_matches_engine(case.packing, case.similarity)
+            checked += 1
 
     @settings(max_examples=100, deadline=None)
     @given(counting_cases(max_shift_den=4), st.integers(1, 2))
@@ -219,7 +242,14 @@ class TestCountMatchesFractionReference:
         r = ref.least_scale(gamma, [z.apply(x) for x in gamma.generators() + packing.shifts])
         s = d.similarity(p * r)
         assume(lat.index(orc._period_frame(packing, s)[2], gamma) <= 2_500)
-        assert orc.index_by_counting(packing, s) == s.scale_sq()
+        assert_matches_engine(packing, s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(union_cases())
+    def test_n_and_tau_match_engine(self, case):
+        packing, s = case
+        assume(lat.index(orc._period_frame(packing, s)[2], packing.lattice) <= 2_500)
+        assert_matches_engine(packing, s)
 
 
 class TestScalSetBruteforce:
@@ -265,7 +295,7 @@ class TestEngineOracleAgreement:
             contained, witness = orc.certify_subpacking(case.packing, case.similarity)
             assert engine == contained, (case.packing, case.similarity)
             if witness is not None:
-                assert not case.packing.contains(witness)
+                assert not ref.packing_contains(case.packing, witness)
 
     def test_nonring_lattice_with_reflections(self):
         # ex34 sits over {3a+bi}, exercising conjugation on a basis the

@@ -1,0 +1,67 @@
+"""render_svg against the component-by-component drawing it replaced."""
+
+from fractions import Fraction as F
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from simiso.lattices import Lattice
+from simiso.packings import PointPacking
+from simiso.presets import PRESETS, preset
+from simiso.render import circle_bound, render_svg
+from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem
+from simiso.similarity import Similarity
+
+import references as ref
+
+RINGS = st.sampled_from((GAUSSIAN, EISENSTEIN))
+
+
+@st.composite
+def figures(draw):
+    """A packing over a sheared Γ = (1/den)·⟨(h00 + c·h01, c·h11), (h01, h11)⟩
+    with den ≤ 7, often not a ring lattice, with m ≤ 3 shifts; any nonzero
+    w = (a + bu)·(p/q), rotation or reflection; and a window whose corners
+    have denominators ≤ 7; both rings."""
+    ring = draw(RINGS)
+    h00, h11 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h01, c = draw(st.integers(0, h00 - 1)), draw(st.integers(-2, 2))
+    den = draw(st.integers(1, 7))
+    gamma = Lattice.from_generators(
+        ring, [(F(h00 + c * h01, den), F(c * h11, den)), (F(h01, den), F(h11, den))])
+    coord = st.fractions(-2, 2, max_denominator=7)
+    shifts = [FieldElem(ring, *draw(st.tuples(coord, coord)))]
+    for a, b in draw(st.lists(st.tuples(coord, coord), max_size=2)):
+        x = FieldElem(ring, a, b)
+        if all(not gamma.contains(x - y) for y in shifts):
+            shifts.append(x)
+    a, b = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda ab: ab != (0, 0)))
+    ratio = draw(st.fractions(F(1, 3), 3, max_denominator=3))
+    s = Similarity(FieldElem(ring, a, b).scale(ratio), draw(st.booleans()))
+    corner = st.fractions(-5, 5, max_denominator=7)
+    side = st.fractions(F(1, 7), 5, max_denominator=7)
+    x0, y0, w, h = draw(corner), draw(corner), draw(side), draw(side)
+    return PointPacking(gamma, tuple(shifts)), s, (x0, y0, x0 + w, y0 + h)
+
+
+class TestRenderMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(figures(), st.booleans())
+    def test_byte_equal(self, figure, with_image):
+        packing, s, window = figure
+        image = s.image_lattice(packing.lattice)
+        assume(circle_bound(packing, image, window) <= 3_000)
+        s, image = (s, image) if with_image else (None, None)
+        assert render_svg(packing, s, image, window) == ref.render_svg(packing, s, image, window)
+
+    def test_presets(self):
+        # Each preset under a rotation and a reflection by a ring element,
+        # over a window with fractional corners.
+        window = (F(-7, 2), F(-10, 3), F(9, 2), F(17, 5))
+        for name in PRESETS:
+            packing = preset(name)
+            for conjugate in (False, True):
+                s = Similarity(FieldElem(packing.ring, 2, 1), conjugate)
+                image = s.image_lattice(packing.lattice)
+                assert render_svg(packing, s, image, window) == ref.render_svg(
+                    packing, s, image, window)
