@@ -433,22 +433,20 @@ def run_verify(args) -> int:
     raise InputError("verify needs --similarity, --direction, or --random")
 
 
-def _oracle_points(packing: PointPacking, d: Direction, ratios) -> tuple[Fraction, int]:
-    """The points oracle.certify_subpacking tests for each s = r·z over the
-    ratios r, and the sum of their D².
+def _oracle_points(packing: PointPacking, d: Direction, ratios) -> Fraction:
+    """The points the oracle tests, summed over s = r·z for the ratios r.
 
-    The oracle's common period is D·Γ ⊆ sΓ.  Certifying, once per request,
-    takes the [sΓ : D·Γ] = D²/N(w) coset representatives of each of the m
-    image components and tests each against the m components, m²·D²/N(w)
-    in all.  As sΓ = r·z(Γ), D is the numerator of r·r₀ for the least r₀
-    with r₀·Γ ⊆ z(Γ): one Hermite form, over Γ's denominator as z is
-    integral.  verify --similarity adds a margin of m·D² to its budget.
+    The oracle's common period is D·Γ ⊆ sΓ.  Certifying s, once per request
+    and once per ratio of a sweep, takes the [sΓ : D·Γ] = D²/N(w) coset
+    representatives of each of the m image components and tests each
+    against the m components, m²·D²/N(w) in all; index_by_counting reads
+    its counts from that same walk.  As sΓ = r·z(Γ), D is the numerator of
+    r·r₀ for the least r₀ with r₀·Γ ⊆ z(Γ): one Hermite form, over Γ's
+    denominator as z is integral.
     """
     gamma = packing.lattice
     r0 = Fraction(*d.similarity(1).image_lattice(gamma).least_scale(gamma.basis))
-    periods = [((r * r0).numerator, r) for r in ratios]
-    certify = sum(packing.m ** 2 * p ** 2 / (r * r * d.norm()) for p, r in periods)
-    return certify, sum(p * p for p, _ in periods)
+    return sum(packing.m ** 2 * (r * r0).numerator ** 2 / (r * r * d.norm()) for r in ratios)
 
 
 def _check_oracle_budget(points: Fraction) -> None:
@@ -457,11 +455,10 @@ def _check_oracle_budget(points: Fraction) -> None:
                          f"at most {MAX_ORACLE_POINTS} are allowed")
 
 
-def _verify_similarity(packing: PointPacking, args) -> int:
-    s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
-    ratio, d = sim.decompose(s)
-    certify, period_sq = _oracle_points(packing, d, [ratio])
-    _check_oracle_budget(certify + packing.m * period_sq)
+def _compare_with_oracle(packing: PointPacking, s: Similarity) -> dict:
+    """check_similarity against oracle.index_by_counting: they agree when
+    the oracle refutes a rejected s, or certifies an accepted s with the
+    engine's n and τ and an index of β²."""
     report = packings.check_similarity(packing, s)
     try:
         found = oracle.index_by_counting(packing, s)
@@ -473,7 +470,15 @@ def _verify_similarity(packing: PointPacking, args) -> int:
                  and found.n == {report.n} and found.tau == report.tau)
         doc = {"oracle_contained": True, "agree": agree,
                "oracle_index": str(found.index), "beta_squared": str(s.scale_sq())}
-    _emit_json({"engine_accepted": report.accepted, **doc}, args.out)
+    return {"engine_accepted": report.accepted, **doc}
+
+
+def _verify_similarity(packing: PointPacking, args) -> int:
+    s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
+    ratio, d = sim.decompose(s)
+    _check_oracle_budget(_oracle_points(packing, d, [ratio]))
+    doc = _compare_with_oracle(packing, s)
+    _emit_json(doc, args.out)
     return EXIT_OK if doc["agree"] else EXIT_DISCREPANCY
 
 
@@ -487,7 +492,7 @@ def _verify_direction(packing: PointPacking, args) -> int:
         for p in range(1, args.p_bound + 1)
         if math.gcd(p, q) == 1
     ]
-    _check_oracle_budget(_oracle_points(packing, d, ratios)[0])
+    _check_oracle_budget(_oracle_points(packing, d, ratios))
     engine = {r for r in ratios if full.contains_ratio(r)}
     brute = oracle.scal_set_bruteforce(packing, d, args.p_bound, args.q_bound)
     doc = {
@@ -507,9 +512,7 @@ def _verify_random(args) -> int:
     for _ in range(args.random):
         ring = rng.choice((GAUSSIAN, EISENSTEIN))
         case = oracle.random_case(rng, ring)
-        accepted = packings.check_similarity(case.packing, case.similarity).accepted
-        contained, _ = oracle.certify_subpacking(case.packing, case.similarity)
-        if accepted != contained:
+        if not _compare_with_oracle(case.packing, case.similarity)["agree"]:
             disagreements.append(
                 {"packing": str(case.packing), "similarity": str(case.similarity)}
             )

@@ -9,17 +9,19 @@ columns (Cohen, GTM 138, §2.4), and an index is a ratio of integer
 determinants.  Lattice.least_scale answers every question r·X ⊆ Γ
 (den(Γ, R), the lift's c, the oracle's D): the r that work are the
 multiples of one least r, read from the integer coordinates of X over Γ.
-SumLattice keeps one integer form of Γ₁ + Γ₂, for Γ₁, Γ₂ and integer pairs
-over one d: [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] is read from its determinant,
-a membership v ∈ Γ₁ + Γ₂ with a point of Γ₁ ∩ (v + Γ₂) costs two
-divisibility tests, and the p with p·a - x ∈ Γ₁ + Γ₂ (a Scal congruence)
-are one residue class.  A Fraction is built only to hand back a point or an
-index.
+The coset representatives of a sublattice are integer pairs over the d of
+both lattices.  SumLattice keeps one integer form of Γ₁ + Γ₂, for Γ₁, Γ₂
+and integer pairs over one d: [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] is read from
+its determinant, a membership v ∈ Γ₁ + Γ₂ with a point of Γ₁ ∩ (v + Γ₂)
+costs two divisibility tests, and the p with p·a - x ∈ Γ₁ + Γ₂ (a Scal
+congruence) are one residue class.  A Fraction is built only to hand back a
+point or an index.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,10 +151,6 @@ class Lattice:
         """The Hermite basis of d·Γ as integer pairs over d."""
         return (self.b00, 0), (self.b01, self.b11)
 
-    @property
-    def det(self) -> Fraction:
-        return Fraction(self.b00 * self.b11, self.d * self.d)
-
     def generators(self) -> tuple[FieldElem, FieldElem]:
         return self.element(self.b00, 0), self.element(self.b01, self.b11)
 
@@ -187,11 +185,6 @@ class Lattice:
         g, [xy] = self.with_points((x,))
         return g.contains_pair(*xy)
 
-    def point(self, t0: int | Fraction, t1: int | Fraction) -> FieldElem:
-        """t0·(b00, 0) + t1·(b01, b11) over d, one Fraction per coordinate."""
-        return FieldElem(self.ring, Fraction(self.b00 * t0 + self.b01 * t1, self.d),
-                         Fraction(self.b11 * t1, self.d))
-
     def __str__(self) -> str:
         g1, g2 = self.generators()
         return f"<{g1}, {g2}>"
@@ -204,38 +197,39 @@ def index(sub: Lattice, sup: Lattice) -> Fraction:
     return Fraction(sub.b00 * sub.b11 * sup.d * sup.d, sup.b00 * sup.b11 * sub.d * sub.d)
 
 
-def quotient_representatives(sub: Lattice, sup: Lattice) -> list[FieldElem]:
-    """Coset representatives of sub in sup; length equals [sup : sub].  Both
-    bases are triangular, so i·g₁ + j·g₂ of sup, for i and j below the
-    ratios of the Hermite diagonals, are one point per coset."""
-    d = math.lcm(sub.d, sup.d)
-    sub, fine = sub.over(d), sup.over(d)
-    if not (fine.contains_pair(sub.b00, 0) and fine.contains_pair(sub.b01, sub.b11)):
+def quotient_representatives(sub: Lattice, sup: Lattice) -> Iterator[tuple[int, int]]:
+    """Coset representatives of sub in sup, for both over one d, as integer
+    pairs over d, [sup : sub] of them.  Both bases are triangular, so
+    i·(b00, 0) + j·(b01, b11) of sup, for i and j below the ratios of the
+    Hermite diagonals, are one point per coset, i-major.  The lattices are
+    checked at the call and the pairs made as they are read, so a caller
+    that turns each into a point never holds all the pairs as well."""
+    if sub.d != sup.d:
+        raise ValueError(f"lattices over denominators {sub.d} and {sup.d}")
+    if not (sup.contains_pair(sub.b00, 0) and sup.contains_pair(sub.b01, sub.b11)):
         raise ValueError("quotient_representatives requires sub ⊆ sup")
-    rows, cols = sub.b00 // fine.b00, sub.b11 // fine.b11
-    return [sup.point(i, j) for i in range(rows) for j in range(cols)]
+    rows, cols = sub.b00 // sup.b00, sub.b11 // sup.b11
+    return ((i * sup.b00 + j * sup.b01, j * sup.b11) for i in range(rows) for j in range(cols))
 
 
 @dataclass(frozen=True)
 class SumLattice:
     """Γ₁ + Γ₂ as one integer Hermite form, for many coset problems at once.
 
-    Γ₁, Γ₂ and the points are over one denominator d: points holds each d·x
-    as an integer pair, in the order given, and det1 is det(d·Γ₁).  The
-    columns k = (h00, 0, …) and lead = (h01, h11, …) span d·(Γ₁ + Γ₂); their
-    last two entries are the coefficients, over Γ₁'s basis, of the Γ₁-part
-    of each column, so a solution names a point of Γ₁.
+    Γ₁ and Γ₂ are over one denominator d, every point it is asked about is
+    an integer pair over d, and det1 is det(d·Γ₁).  The columns
+    k = (h00, 0, …) and lead = (h01, h11, …) span d·(Γ₁ + Γ₂); their last
+    two entries are the coefficients, over Γ₁'s basis, of the Γ₁-part of
+    each column, so a solution names a point of Γ₁.
     """
 
     det1: int
     k: Column
     lead: Column
-    points: tuple[tuple[int, int], ...]
 
     @classmethod
-    def of(cls, l1: Lattice, l2: Lattice, points) -> SumLattice:
-        """The sum Γ₁ + Γ₂ of two lattices over one denominator d, with the
-        given integer pairs over d as its points."""
+    def of(cls, l1: Lattice, l2: Lattice) -> SumLattice:
+        """The sum Γ₁ + Γ₂ of two lattices over one denominator d."""
         if l1.ring != l2.ring:
             raise RingMismatchError("sum of lattices over different rings")
         if l1.d != l2.d:
@@ -243,7 +237,7 @@ class SumLattice:
         # Columns in the order Γ₁'s basis, then Γ₂'s, which fixes the witness.
         cols = [(l1.b00, 0, 1, 0), (l1.b01, l1.b11, 0, 1), (l2.b00, 0, 0, 0), (l2.b01, l2.b11, 0, 0)]
         k, lead = _hnf_columns(cols)
-        return cls(l1.b00 * l1.b11, k, lead, tuple(points))
+        return cls(l1.b00 * l1.b11, k, lead)
 
     def index(self) -> int:
         """[Γ₁ + Γ₂ : Γ₁] = det Γ₁ / det(Γ₁ + Γ₂), which is [Γ₂ : Γ₁ ∩ Γ₂]."""

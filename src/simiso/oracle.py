@@ -52,7 +52,7 @@ def _certify(packing: PointPacking, s: Similarity, img: Lattice, period: Lattice
     """c_kj for each (k, j) with c_kj > 0: how many of the tested points
     s(x_k) + r, r over sΓ/P, lie in x_j + Γ; NotContained at the first
     point in no component."""
-    reps = lattices.quotient_representatives(period, img)
+    reps = [img.element(*r) for r in lattices.quotient_representatives(period, img)]
     gamma, shifts = packing.lattice, packing.shifts
     counts: dict[tuple[int, int], int] = {}
     for k, x_k in enumerate(shifts):

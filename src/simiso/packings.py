@@ -10,8 +10,8 @@ witness points are built only once the similarity is accepted.
 A packing keeps Γ over one denominator d and its shifts as integer
 residues mod d·Γ, and the similarity maps those residues and Γ's basis as
 integer pairs (Similarity.map_pairs).  So the frame, congruence, periods,
-reduction, witness offsets and corollary (i) are integer arithmetic; a
-Fraction is built only to hand a point back as a FieldElem.
+reduction, witness offsets, corollary (i) and the lift to R are integer
+arithmetic; a Fraction is built only to hand a point back as a FieldElem.
 
 Scaling-factor sets are solved per denominator q over the ring lattice R,
 to which every packing is first lifted.  For β = (p/q)|z| with gcd(p, q) = 1,
@@ -106,9 +106,6 @@ class SimilarityReport:
     failing_k: int | None = None
     reached: tuple[int, ...] = ()
 
-    def tau_pairs(self, packing: PointPacking) -> list[tuple[FieldElem, FieldElem]]:
-        return [(packing.shifts[k], packing.shifts[j]) for k, j in self.tau]
-
 
 def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
     """Decide whether s maps the packing into itself; report n and τ.
@@ -120,10 +117,11 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
     the m² pair conditions is two divisibility tests, and the witness points
     of s(x_k + Γ) ∩ (x_j + Γ) are built only for an accepted report.
     """
-    gamma, total = packing.lattice, _frame(packing, s)
-    n, targets = total.index(), total.points[:packing.m]
+    gamma = packing.lattice
+    total, targets, images = _frame(packing, s)
+    n = total.index()
     hits: list[tuple[int, int, tuple[int, int]]] = []  # k, j, Γ-coefficients
-    for k, (ax, ay) in enumerate(total.points[packing.m:]):
+    for k, (ax, ay) in enumerate(images):
         reached = []
         for j, (bx, by) in enumerate(targets):
             coeffs = total.solve(ax - bx, ay - by)
@@ -141,33 +139,43 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
     return SimilarityReport(True, n, tau, tuple(witness), s)
 
 
-def _frame(packing: PointPacking, s: Similarity) -> lattices.SumLattice:
-    """Γ + sΓ over e·d, e the denominator of w, with the points e·d·x_k of
-    every component and then e·d·s(x_k), all mapped as integer pairs."""
+def _frame(
+    packing: PointPacking, s: Similarity
+) -> tuple[lattices.SumLattice, list[tuple[int, int]], list[tuple[int, int]]]:
+    """Γ + sΓ over e·d, e the denominator of w, with the targets e·d·x_k of
+    every component and the images e·d·s(x_k), all mapped as integer pairs."""
     gamma = packing.lattice
     e, images = s.map_pairs(packing.residues)
     targets = [(e * x, e * y) for x, y in packing.residues]
-    return lattices.SumLattice.of(gamma.over(e * gamma.d), s.image_lattice(gamma), targets + images)
+    return lattices.SumLattice.of(gamma.over(e * gamma.d), s.image_lattice(gamma)), targets, images
 
 
 def lift_to_ring(packing: PointPacking) -> PointPacking:
     """The point set scaled by 1/c, as the components (x_k + r)/c over R.
 
-    c is the least positive rational with c·R ⊆ Γ and r runs over Γ/c·R.
-    Similarities commute with the scaling, so s(L) ⊆ L holds exactly when it
-    holds for the lift.  Raises ValueError above MAX_LIFTED_COMPONENTS.
+    c = a/b is the least positive rational with c·R ⊆ Γ and r runs over
+    Γ/c·R.  Over Γ's d, c·R is side·Z² with side = a·d/b, an integer as
+    c·d·Z² ⊆ d·Γ, so d·r is an integer pair of quotient_representatives and
+    (x_k + r)/c is b·(d·x_k + d·r) over a·d: the lift rescales the residues,
+    residue-major, and builds a FieldElem only to hand each shift to
+    PointPacking.  Similarities commute with the scaling, so s(L) ⊆ L holds
+    exactly when it holds for the lift.  Raises ValueError above
+    MAX_LIFTED_COMPONENTS.
     """
     gamma = packing.lattice
     if gamma == Lattice.ring_lattice(gamma.ring):
         return packing
-    c = Fraction(*gamma.least_scale([(gamma.d, 0), (0, gamma.d)]))  # R over d
-    sub = Lattice(gamma.ring, c.denominator, c.numerator, 0, c.numerator)
-    m = packing.m * lattices.index(sub, gamma).numerator  # an integer: c·R ⊆ Γ
+    a, b = gamma.least_scale([(gamma.d, 0), (0, gamma.d)])  # R over d
+    side = a * gamma.d // b
+    m = packing.m * side * side // (gamma.b00 * gamma.b11)  # m·[Γ : c·R], as c·R ⊆ Γ
     if m > MAX_LIFTED_COMPONENTS:
         raise ValueError(f"the packing lifts to {m} components over the ring "
                          f"lattice; at most {MAX_LIFTED_COMPONENTS} are supported")
-    reps = lattices.quotient_representatives(sub, gamma)
-    shifts = tuple((x + r).scale(1 / c) for x in packing.shifts for r in reps)
+    sub = Lattice(gamma.ring, gamma.d, side, 0, side)  # c·R over d
+    reps = list(lattices.quotient_representatives(sub, gamma))
+    den = a * gamma.d
+    shifts = tuple(FieldElem(gamma.ring, Fraction(b * (x + rx), den), Fraction(b * (y + ry), den))
+                   for x, y in packing.residues for rx, ry in reps)
     return PointPacking(Lattice.ring_lattice(gamma.ring), shifts)
 
 
@@ -205,14 +213,14 @@ def _sweep_direction(
     for q in range(1, min(math.isqrt(multiple), m) + 1):
         if multiple % (q * q):
             continue
-        total = _frame(packing, d.similarity(Fraction(1, q)))
+        total, targets, images = _frame(packing, d.similarity(Fraction(1, q)))
         n = total.index()
         modulus = q
         accepted = {r: () for r in range(q) if math.gcd(r, q) == 1}
-        for k, a_k in enumerate(total.points[m:]):
+        for k, a_k in enumerate(images):
             _, o_k = total.congruence(a_k, (0, 0))  # p = 0 always solves
             by_residue: dict[int, list[tuple[int, int]]] = {}  # s -> its (k, j)
-            for j, x_j in enumerate(total.points[:m]):
+            for j, x_j in enumerate(targets):
                 solved = total.congruence(a_k, x_j)
                 if solved is not None:
                     by_residue.setdefault(solved[0], []).append((k, j))

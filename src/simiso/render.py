@@ -68,11 +68,12 @@ def window_frame(lattice: Lattice, d: int, shifts, window: Window):
 def circle_bound(packing: PointPacking, image: Lattice | None, window: Window) -> int:
     """The most circles render_svg draws: each component walks at most
     ⌊h/b11⌋ + 1 rows of ⌊w/b00⌋ + 1 points of Γ (and of the image lattice
-    sΓ, when given), b11 and b00 over d."""
-    x0, y0, x1, y1 = window
+    sΓ, when given), b11 and b00 over d.  The window is read as integers
+    over its least denominator e, so h/b11 is (y1 - y0)·d/(e·b11)."""
+    e, (x0, y0, x1, y1) = over_denominator(window)
     drawn = [packing.lattice] + ([image] if image else [])
-    return sum(packing.m * ((y1 - y0) * g.d // g.b11 + 1) * ((x1 - x0) * g.d // g.b00 + 1)
-               for g in drawn)
+    return sum(packing.m * ((y1 - y0) * g.d // (e * g.b11) + 1)
+               * ((x1 - x0) * g.d // (e * g.b00) + 1) for g in drawn)
 
 
 def render_svg(

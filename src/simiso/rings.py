@@ -109,11 +109,6 @@ class FieldElem:
     def scale(self, r: Rational) -> FieldElem:
         return FieldElem(self.ring, self.a * r, self.b * r)
 
-    def clear_denominators(self) -> tuple[int, FieldElem]:
-        """Minimal positive n and integral r with self = r / n."""
-        n, (a, b) = over_denominator((self.a, self.b))
-        return n, FieldElem(self.ring, a, b)
-
     def __str__(self) -> str:
         d, (na, nb) = over_denominator((self.a, self.b))
         core = _format_combo(na, nb, UNIT_SYMBOL[self.ring])

@@ -99,8 +99,8 @@ class Direction:
 
 def decompose(s: Similarity) -> tuple[Fraction, Direction]:
     """Split s as w = r·z with r = p/q > 0 in lowest terms and z primitive."""
-    n, y = s.w.clear_denominators()
-    c, z0 = content_and_primitive(y)
+    n, (a, b) = over_denominator((s.w.a, s.w.b))
+    c, z0 = content_and_primitive(FieldElem(s.ring, a, b))
     return Fraction(c, n), Direction(z0, s.conjugate)
 
 
@@ -137,9 +137,6 @@ class ResidueClass:
             ratio.denominator == self.q
             and ratio.numerator % self.modulus in self.residues
         )
-
-    def sorted_residues(self) -> list[int]:
-        return sorted(self.residues)
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,7 @@ class ScalSet:
             return "∅"
         parts = []
         for c in sorted(self.classes, key=lambda c: (c.q, c.modulus, min(c.residues))):
-            for r in c.sorted_residues():
+            for r in sorted(c.residues):
                 if symbolic:
                     parts.append(_symbolic_class(c.q, c.modulus, r))
                 else:

@@ -6,21 +6,25 @@ every image lattice from the images of two generators, and every
 "r·X ⊆ Γ" question from Lattice.least_scale; a Lattice is an integer
 Hermite basis over one denominator; packings keep their shifts as integer
 residues and test corollary (i) on them; a similarity maps integer pairs,
-so the frame Γ + sΓ of a decision is built on integers; render draws every
-component from one integer frame per drawn lattice; the Scal solve merges
-its congruences by CRT; the oracle tests membership per component.  They
-stay here so that those routes can be checked against a different one: the
-lattice with three Fraction fields that Lattice replaced, the sum as a
-lattice, membership in a packing, the residue of a point mod Γ and the
-corollary (i) containment on Fraction points, the frame built from
-FieldElem images over their least common denominator and the decision read
-from it, least_scale on FieldElem points, the congruences on Fraction
-coordinates and the walk over every residue of their modulus, the window
-enumeration on Fraction points, render's drawing component by component
-from FieldElem shifts and images, the intersection through the dual
-identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the Euclidean algorithm in Z[i] and Z[ω],
-and 2×2 matrices of multiplication and conjugation over {1, u}.  Results of
-the ring functions are fixed only up to a unit.
+so the frame Γ + sΓ of a decision is built on integers; the lift to the
+ring lattice rescales integer residues and integer coset representatives;
+render draws every component from one integer frame per drawn lattice and
+bounds its circles on integer corners; the Scal solve merges its
+congruences by CRT; the oracle tests membership per component.  They stay
+here so that those routes can be checked against a different one: the
+lattice with three Fraction fields that Lattice replaced, a lattice point
+and the coset representatives as FieldElems, the lift from FieldElem
+cosets, the sum as a lattice, membership in a packing, the residue of a
+point mod Γ and the corollary (i) containment on Fraction points, the
+frame built from FieldElem images over their least common denominator and
+the decision read from it, least_scale on FieldElem points, the
+congruences on Fraction coordinates and the walk over every residue of
+their modulus, the window enumeration on Fraction points, render's circle
+bound on Fraction corners and its drawing component by component from
+FieldElem shifts and images, the intersection through the dual identity
+(Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the Euclidean algorithm in Z[i] and Z[ω], and 2×2
+matrices of multiplication and conjugation over {1, u}.  Results of the
+ring functions are fixed only up to a unit.
 """
 
 import math
@@ -81,6 +85,40 @@ class FractionLattice:
     def __str__(self):
         g1, g2 = self.generators()
         return f"<{g1}, {g2}>"
+
+
+def point(lattice, t0, t1):
+    """t0·(b00, 0) + t1·(b01, b11) of a Lattice, as a FieldElem."""
+    return FractionLattice.of(lattice).point(t0, t1)
+
+
+def quotient_representatives(sub, sup):
+    """Coset representatives of sub in sup as FieldElem points, for lattices
+    over any denominators: i·g₁ + j·g₂ of sup, i-major."""
+    d = math.lcm(sub.d, sup.d)
+    sub, fine = sub.over(d), sup.over(d)
+    if not (fine.contains_pair(sub.b00, 0) and fine.contains_pair(sub.b01, sub.b11)):
+        raise ValueError("quotient_representatives requires sub ⊆ sup")
+    rows, cols = sub.b00 // fine.b00, sub.b11 // fine.b11
+    return [point(sup, i, j) for i in range(rows) for j in range(cols)]
+
+
+def lift_to_ring(packing):
+    """The lift as the engine built it from FieldElem cosets: c the least
+    rational with c·R ⊆ Γ, and each component (x_k + r)/c for r over the
+    representatives of Γ/c·R, residue-major."""
+    gamma = packing.lattice
+    if gamma == Lattice.ring_lattice(gamma.ring):
+        return packing
+    c = Fraction(*gamma.least_scale([(gamma.d, 0), (0, gamma.d)]))
+    sub = Lattice(gamma.ring, c.denominator, c.numerator, 0, c.numerator)
+    m = packing.m * lat.index(sub, gamma).numerator
+    if m > pk.MAX_LIFTED_COMPONENTS:
+        raise ValueError(f"the packing lifts to {m} components over the ring "
+                         f"lattice; at most {pk.MAX_LIFTED_COMPONENTS} are supported")
+    reps = quotient_representatives(sub, gamma)
+    shifts = tuple((x + r).scale(1 / c) for x in packing.shifts for r in reps)
+    return pk.PointPacking(Lattice.ring_lattice(gamma.ring), shifts)
 
 
 def packing_contains(packing, x) -> bool:
@@ -178,28 +216,29 @@ def least_scale(lattice, points):
 
 
 def sum_lattice(l1, l2, points):
-    """SumLattice.of for lattices over any denominators and FieldElem points,
-    all rewritten over the lcm of both denominators and the points'."""
+    """SumLattice.of for lattices over any denominators, and FieldElem points
+    as integer pairs, all over the lcm of both denominators and the points'."""
     l1, xy = l1.over(math.lcm(l1.d, l2.d)).with_points(points)
-    return lat.SumLattice.of(l1, l2.over(l1.d), xy)
+    return lat.SumLattice.of(l1, l2.over(l1.d)), xy
 
 
 def frame(packing, s):
-    """Γ + sΓ with the points x_k and then s(x_k), from FieldElem images: sΓ
-    spanned by the images of Γ's generators under s.apply, and each s(x_k)
-    by s.apply, all over their least common denominator."""
+    """Γ + sΓ with the targets x_k and the images s(x_k), from FieldElem
+    images: sΓ spanned by the images of Γ's generators under s.apply, and
+    each s(x_k) by s.apply, all over their least common denominator."""
     gamma = packing.lattice
     img = Lattice.from_generators(gamma.ring, [(y.a, y.b) for y in map(s.apply, gamma.generators())])
-    return sum_lattice(gamma, img, packing.shifts + tuple(map(s.apply, packing.shifts)))
+    total, xy = sum_lattice(gamma, img, packing.shifts + tuple(map(s.apply, packing.shifts)))
+    return total, xy[:packing.m], xy[packing.m:]
 
 
 def check_similarity(packing, s):
     """The decision read from the FieldElem frame, as (accepted, n, τ,
     witness, failing_k, reached)."""
-    total, m = frame(packing, s), packing.m
-    n, targets = total.index(), total.points[:m]
+    total, targets, images = frame(packing, s)
+    n = total.index()
     hits = []
-    for k, (ax, ay) in enumerate(total.points[m:]):
+    for k, (ax, ay) in enumerate(images):
         reached = []
         for j, (bx, by) in enumerate(targets):
             coeffs = total.solve(ax - bx, ay - by)
@@ -209,7 +248,7 @@ def check_similarity(packing, s):
         if len(reached) != n:
             return False, n, (), (), k, tuple(reached)
     gamma = packing.lattice
-    witness = tuple((k, j, packing.shifts[j] + gamma.point(*t)) for k, j, t in hits)
+    witness = tuple((k, j, packing.shifts[j] + point(gamma, *t)) for k, j, t in hits)
     return True, n, tuple((k, j) for k, j, _ in hits), witness, None, ()
 
 
@@ -383,6 +422,15 @@ def points_in_window(packing, window):
                 out.append(base.point(t0, t1) + s)
     out.sort(key=lambda p: (p.a, p.b))
     return out
+
+
+def circle_bound(packing, image, window):
+    """render.circle_bound on the Fraction corners: ⌊h·d/b11⌋ + 1 rows of
+    ⌊w·d/b00⌋ + 1 points per component of Γ and of sΓ, when given."""
+    x0, y0, x1, y1 = window
+    drawn = [packing.lattice] + ([image] if image else [])
+    return sum(packing.m * ((y1 - y0) * g.d // g.b11 + 1) * ((x1 - x0) * g.d // g.b00 + 1)
+               for g in drawn)
 
 
 def render_window_points(lattice, shift, window):

@@ -189,7 +189,7 @@ def test_criterion_6_rect12_octagonal():
         report = pk.check_similarity(packing, simw(GAUSSIAN, 2, 2))
         assert report.accepted and report.n == 1
         assert report.tau == ((0, 0), (1, 0))
-        pairs = report.tau_pairs(packing)
+        pairs = [(packing.shifts[k], packing.shifts[j]) for k, j in report.tau]
         assert [str(a) for a, _ in pairs] == ["0", "1/2"]
         assert all(str(b) == "0" for _, b in pairs)
 

@@ -532,15 +532,13 @@ class TestVerify:
             Lattice, "contains", lambda self, x: original(self, x) and not tested.append(x)
         )
         assert oracle.certify_subpacking(packing, s)[0]
-        certify, _ = cli._oracle_points(packing, Direction(RingElem(EISENSTEIN, 1, 1)), [F(2)])
+        certify = cli._oracle_points(packing, Direction(RingElem(EISENSTEIN, 1, 1)), [F(2)])
         assert certify == packing.m * len(tested)
 
     def test_oracle_budget_bounds_the_estimate(self, monkeypatch, capsys):
         argv = ["verify", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"2"}']
-        s = parse_similarity_doc({"z": [1, 1], "scale": "2"}, EISENSTEIN)
         d = Direction(RingElem(EISENSTEIN, 1, 1))
-        certify, period_sq = cli._oracle_points(preset("hex"), d, [F(2)])
-        points = certify + 2 * period_sq
+        points = cli._oracle_points(preset("hex"), d, [F(2)])
         monkeypatch.setattr(cli, "MAX_ORACLE_POINTS", points)
         assert main(argv) == EXIT_OK
         monkeypatch.setattr(cli, "MAX_ORACLE_POINTS", points - 1)
@@ -582,7 +580,7 @@ class TestVerify:
         for ratio in (F(p, q) for q in range(1, 6) for p in range(1, 8) if math.gcd(p, q) == 1):
             s = d.similarity(ratio)
             period = least_scale(s.image_lattice(gamma), gamma.generators()).numerator
-            expected = packing.m ** 2 * period ** 2 / s.scale_sq(), period ** 2
+            expected = packing.m ** 2 * period ** 2 / s.scale_sq()
             assert cli._oracle_points(packing, d, [ratio]) == expected
 
     def test_random_sweep(self, capsys):
@@ -840,9 +838,9 @@ SHIFTS_997 = json.dumps(
         (["periods", json.dumps({"ring": "gaussian",
                                  "shifts": [[f"{i}/64", "0"] for i in range(64)]})],
          EXIT_OK, '"components_after": 1'),
-        # The oracle would test about 6·10⁷ points, and about 8·10¹⁰ over the
+        # The oracle would test about 4·10⁹ points, and about 8·10¹⁰ over the
         # bounds: both are refused before it runs.
-        (["verify", SHIFTS_997, "--similarity", '{"z":[1,0],"scale":"997"}'],
+        (["verify", SHIFTS_997, "--similarity", '{"z":[1,0],"scale":"1/997"}'],
          EXIT_INPUT, ""),
         (["verify", SHIFTS_997, "--direction", '{"z":[1,0]}',
           "--p-bound", "100", "--q-bound", "100"], EXIT_INPUT, ""),
@@ -850,10 +848,15 @@ SHIFTS_997 = json.dumps(
         (["verify", json.dumps({"ring": "gaussian", "shifts": [
             ["0", "0"], ["1/1000003", "0"], ["1/999983", "0"]]}),
           "--direction", '{"z":[1,0]}'], EXIT_OK, '"agree": true'),
+        # s = 240·(1+ω) with 1+ω a unit: the period D·Γ is sΓ itself, so the
+        # oracle tests m² = 4 points however large D is.
+        (["verify", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"240"}'],
+         EXIT_OK, '"agree": true'),
     ],
     ids=["huge-norm-reflection", "65-shifts", "giant-window", "skewed-basis-window",
          "64-shift-periods",
-         "oracle-budget-similarity", "oracle-budget-direction", "scal-modulus-1e12"],
+         "oracle-budget-similarity", "oracle-budget-direction", "scal-modulus-1e12",
+         "oracle-large-period-few-points"],
 )
 def test_hostile_inputs_finish(argv, code, out):
     env = {**os.environ, "PYTHONPATH": SRC}

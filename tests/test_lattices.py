@@ -26,6 +26,8 @@ from references import (
     dual,
     intersect,
     least_scale,
+    point,
+    quotient_representatives,
     reduce_point,
     ring_gcd,
     ring_lcm,
@@ -69,7 +71,8 @@ class TestConstruction:
 
     def test_rational_entries(self):
         half = Lattice.from_generators(GAUSSIAN, [(F(1, 2), F(0)), (F(0), F(1, 2))])
-        assert half.det == F(1, 4)
+        assert FractionLattice.of(half).det == F(1, 4)
+        assert lat.index(half, ZI) == F(1, 4)
 
 
 class TestContains:
@@ -147,7 +150,7 @@ class TestIntersect:
             assert contains_lattice(l1, inter) and contains_lattice(l2, inter)
             hits = 0
             for _ in range(500):
-                pt = l1.point(rng.randint(-8, 8), rng.randint(-8, 8))
+                pt = point(l1, rng.randint(-8, 8), rng.randint(-8, 8))
                 if l2.contains(pt):
                     hits += 1
                     assert inter.contains(pt)
@@ -224,12 +227,30 @@ class TestDualAndQuotients:
 
     def test_quotient_representatives(self):
         sub = mul_lattice(GAUSSIAN, 1, 2)
-        reps = lat.quotient_representatives(sub, ZI)
+        reps = [ZI.element(*r) for r in lat.quotient_representatives(sub, ZI)]
         assert len(reps) == 5
         for i, r in enumerate(reps):
             assert ZI.contains(r)
             for s in reps[i + 1 :]:
                 assert not sub.contains(r - s)
+
+    def test_quotient_representatives_are_integer_pairs(self):
+        # i·(b00, 0) + j·(b01, b11) of sup over the common d, i-major: the
+        # FieldElem points of the reference, in the same order.
+        sup = Lattice.from_generators(EISENSTEIN, [(F(2, 3), F(0)), (F(1, 3), F(1, 2))])
+        sub = Lattice(EISENSTEIN, sup.d, 6 * sup.b00, 6 * sup.b01, 2 * sup.b11)
+        reps = list(lat.quotient_representatives(sub, sup))
+        assert all(type(c) is int for r in reps for c in r) and len(reps) == 12
+        assert [sup.element(*r) for r in reps] == quotient_representatives(sub, sup)
+        with pytest.raises(ValueError, match="requires sub"):
+            lat.quotient_representatives(sup, sub)
+
+    def test_quotient_representatives_refuse_two_denominators(self):
+        # Both lattices over one d; rewriting is the caller's, as for SumLattice.of.
+        sub = Lattice(GAUSSIAN, 1, 2, 0, 2)
+        with pytest.raises(ValueError, match="denominators 1 and 2"):
+            lat.quotient_representatives(sub, ZI.over(2))
+        assert len(list(lat.quotient_representatives(sub.over(2), ZI.over(2)))) == 4
 
     def test_scaling_denominator(self):
         # The least integer D with D·Γ₁ ⊆ Γ₂ is the numerator of the least
@@ -282,12 +303,12 @@ class TestCosetIntersection:
                 F(rng.randint(-10, 10), rng.randint(1, 4)),
                 F(rng.randint(-10, 10), rng.randint(1, 4)),
             )
-            total = sum_lattice(l1, l2, (v,))
-            coeffs = total.solve(*total.points[0])
+            total, [xy] = sum_lattice(l1, l2, (v,))
+            coeffs = total.solve(*xy)
             if coeffs is None:
                 assert not add(l1, l2).contains(v)
             else:
-                ell = l1.point(*coeffs)
+                ell = point(l1, *coeffs)
                 assert add(l1, l2).contains(v)
                 assert l1.contains(ell)
                 assert l2.contains(ell - v)
@@ -302,14 +323,14 @@ class TestCosetIntersection:
                 (F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(1, 4), rng.randint(1, 3))),
             ])
             l2 = mul_lattice(ring, rng.randint(-3, 3), rng.randint(1, 3), base=l1)
-            total = sum_lattice(l1, l2, ())
+            total, _ = sum_lattice(l1, l2, ())
             assert total.index() == lat.index(l1, add(l1, l2))
             assert total.index() == lat.index(intersect(l1, l2), l2)
 
     def test_columns_span_the_sum(self):
         l1 = RECT31
         l2 = mul_lattice(GAUSSIAN, 1, 2)
-        total = sum_lattice(l1, l2, ())
+        total, _ = sum_lattice(l1, l2, ())
         h00, zero, *_ = total.k
         h01, h11, *_ = total.lead
         assert zero == 0 and h00 > 0 and h11 > 0 and 0 <= h01 < h00
@@ -317,13 +338,13 @@ class TestCosetIntersection:
 
     def test_different_rings_refused(self):
         with pytest.raises(RingMismatchError):
-            lat.SumLattice.of(ZI, ZW, ())
+            lat.SumLattice.of(ZI, ZW)
 
     def test_different_denominators_refused(self):
         # SumLattice.of takes both lattices over one d; rewriting is the caller's.
         with pytest.raises(ValueError, match="denominators 1 and 2"):
-            lat.SumLattice.of(ZI, ZI.over(2), ())
-        assert lat.SumLattice.of(ZI.over(2), ZI.over(2), ()).index() == 1
+            lat.SumLattice.of(ZI, ZI.over(2))
+        assert lat.SumLattice.of(ZI.over(2), ZI.over(2)).index() == 1
 
 
 @st.composite
@@ -354,8 +375,9 @@ class TestLatticeMatchesFractionReference:
     @given(generator_lists(), _points, st.integers(1, 4))
     def test_integer_lattice_matches_fraction_lattice(self, case, points, k):
         """The integer Hermite triple over d against the Fraction lattice it
-        replaced: fields, least d, str, rewriting over k·d, and contains,
-        point and index on points of Γ and points off it."""
+        replaced: fields, least d, str, rewriting over k·d, index, the point
+        t0·(b00, 0) + t1·(b01, b11) as an integer pair, and contains on
+        points of Γ and points off it."""
         ring, gens = case
         lattice = Lattice.from_generators(ring, gens)
         reference = FractionLattice.from_generators(ring, gens)
@@ -369,13 +391,13 @@ class TestLatticeMatchesFractionReference:
         assert wide == lattice and hash(wide) == hash(lattice)
         assert lat.index(wide, lattice) == 1 == lat.index(lattice, wide)
         base = Lattice.ring_lattice(ring)
-        assert lat.index(lattice, base) == reference.det == lattice.det
+        assert lat.index(lattice, base) == reference.det
         assert lat.index(base, wide) == 1 / reference.det
 
         for t0, t1, a, b, c, e, on_lattice in points:
             x = reference.point(t0, t1)
-            assert lattice.point(t0, t1) == x == wide.point(t0, t1)
+            xy = (t0 * lattice.b00 + t1 * lattice.b01, t1 * lattice.b11)
+            assert lattice.element(*xy) == x == wide.element(k * xy[0], k * xy[1])
             if not on_lattice:
                 x = x + FieldElem(ring, F(a, b), F(c, e))
-            assert lattice.point(*reference.coords_of(x)) == x == wide.point(*reference.coords_of(x))
             assert lattice.contains(x) == reference.contains(x) == wide.contains(x)

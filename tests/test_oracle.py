@@ -78,7 +78,7 @@ class TestPointsInWindow:
         packing = preset("ex34")
         for size in (6, 12, 24):
             pts = window_points(packing, (F(0), F(0), F(size), F(size)))
-            expected = packing.m * size * size / float(packing.lattice.det)
+            expected = packing.m * size * size / float(ref.FractionLattice.of(packing.lattice).det)
             assert abs(len(pts) - expected) <= 4 * size + 4
 
     def test_empty_window_rejected(self):

@@ -13,6 +13,7 @@ from simiso import lattices as lat, packings as pk, similarity as sim
 from simiso.lattices import Lattice
 from simiso.packings import PointPacking
 from simiso.presets import preset
+from simiso.render import circle_bound, render_svg
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction, ResidueClass, ScalSet, Similarity
 
@@ -53,9 +54,9 @@ class TestPointPacking:
 def _meet(lattice, x_k, x_j, s):
     """A point of s(x_k + Γ) ∩ (x_j + Γ) from the sum solve, or None."""
     v = s.apply(x_k) - x_j
-    total = ref.sum_lattice(lattice, s.image_lattice(lattice), (v,))
-    coeffs = total.solve(*total.points[0])
-    return None if coeffs is None else x_j + lattice.point(*coeffs)
+    total, [xy] = ref.sum_lattice(lattice, s.image_lattice(lattice), (v,))
+    coeffs = total.solve(*xy)
+    return None if coeffs is None else x_j + ref.point(lattice, *coeffs)
 
 
 class TestComponentIntersection:
@@ -103,10 +104,10 @@ class TestComponentIntersection:
         inter = intersect(base, img)
         for t0 in range(-2, 3):
             for t1 in range(-2, 3):
-                pt = offset + inter.point(t0, t1)
+                pt = offset + ref.point(inter, t0, t1)
                 assert base.contains(pt - x_j)
                 assert img.contains(pt - s.apply(x_k))
-        stray = offset + base.point(1, 0)
+        stray = offset + ref.point(base, 1, 0)
         if not inter.contains(stray - offset):
             assert not img.contains(stray - s.apply(x_k))
 
@@ -442,8 +443,8 @@ class TestCongruenceSolve:
     def test_congruence_residue(self):
         def solve(sum_with, a, x):
             points = (FieldElem(GAUSSIAN, *a), FieldElem(GAUSSIAN, *x))
-            total = ref.sum_lattice(ZI, sum_with, points)
-            return total.congruence(*total.points)
+            total, xy = ref.sum_lattice(ZI, sum_with, points)
+            return total.congruence(*xy)
 
         # Over S = Z[i]: p·(1/3, 2/3) ≡ (2/3, 1/3) mod Z² at p ≡ 2 (mod 3) only.
         assert solve(ZI, (F(1, 3), F(2, 3)), (F(2, 3), F(1, 3))) == (2, 3)
@@ -462,10 +463,9 @@ class TestCongruenceSolve:
     @given(lifted_packings_with_trials())
     def test_sum_lattice_congruence_matches_reference(self, case):
         packing, trial = case
-        total = pk._frame(packing, trial)
+        total, targets, scaled_images = pk._frame(packing, trial)
         n, conditions = ref.sweep_conditions(packing, trial)
         assert total.index() == n
-        targets, scaled_images = total.points[:packing.m], total.points[packing.m:]
         for a_k, (o_k, by_residue) in zip(scaled_images, conditions):
             assert total.congruence(a_k, (0, 0)) == (0, o_k)
             residue_of = {j: r for r, js in by_residue.items() for j in js}
@@ -512,7 +512,53 @@ def _ratios(p_bound, q_bound):
     ]
 
 
+@st.composite
+def lift_cases(draw):
+    """A packing with m ≤ 3 over a sheared Γ = (1/den)·H, both rings, where
+    H ⊆ Z² of index 1–30 is under a unimodular shear and den ≤ 12, with
+    shifts of denominators ≤ 12.  The lift has m·[Γ : c·R] ≤ 90 components,
+    [Γ : c·R] being at most the index, so some lifts are over the cap."""
+    ring = draw(st.sampled_from((GAUSSIAN, EISENSTEIN)))
+    index = draw(st.integers(1, 30))
+    h00 = draw(st.sampled_from([h for h in range(1, index + 1) if index % h == 0]))
+    h01, h11, c = draw(st.integers(0, h00 - 1)), index // h00, draw(st.integers(-2, 2))
+    den = draw(st.integers(1, 12))
+    gens = [(h00 + c * h01, c * h11), (h01, h11)]
+    gamma = Lattice.from_generators(ring, [(F(x, den), F(y, den)) for x, y in gens])
+    coord = st.tuples(st.integers(-12, 12), st.integers(1, 12)).map(lambda t: F(*t))
+    shifts = []
+    for a, b in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=3)):
+        x = FieldElem(ring, a, b)
+        if not any(gamma.contains(x - y) for y in shifts):
+            shifts.append(x)
+    return PointPacking(gamma, tuple(shifts))
+
+
+def _assert_lift_matches_reference(packing):
+    """The integer lift against the FieldElem lift it replaced: the same
+    lattice over the same d, shifts and residues, or the same error."""
+    try:
+        expected = ref.lift_to_ring(packing)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            pk.lift_to_ring(packing)
+        assert str(got.value) == str(err)
+        return False
+    lifted = pk.lift_to_ring(packing)
+    assert lifted.lattice == expected.lattice and lifted.lattice.d == expected.lattice.d
+    assert lifted.shifts == expected.shifts and lifted.residues == expected.residues
+    return True
+
+
 class TestLift:
+    @settings(max_examples=300, deadline=None)
+    @given(lift_cases())
+    def test_integer_lift_matches_fieldelem_lift(self, packing):
+        _assert_lift_matches_reference(packing)
+
+    def test_integer_lift_matches_fieldelem_lift_on_ex34(self):
+        assert _assert_lift_matches_reference(preset("ex34"))
+
     @settings(max_examples=100, deadline=None)
     @given(sheared_packings_with_directions())
     def test_scal_matches_check_similarity_unlifted(self, case):
@@ -751,7 +797,7 @@ class TestPeriodsReduce:
         assert lat.index(packing.lattice, per) == 2
         reduced = pk.reduce(packing)
         assert reduced.m == 1
-        assert reduced.lattice.det == F(1, 2)
+        assert lat.index(reduced.lattice, Lattice.ring_lattice(GAUSSIAN)) == F(1, 2)
 
     def test_hexagonal_irreducible(self):
         packing = preset("hex")
@@ -829,9 +875,9 @@ def reducible_packings(draw):
     period and reduce has something to merge."""
     gamma = draw(sheared_lattices())
     count = draw(st.integers(1, 6))
-    points = [gamma.point(*draw(st.tuples(_coords, _coords))) for _ in range(count)]
+    points = [ref.point(gamma, *draw(st.tuples(_coords, _coords))) for _ in range(count)]
     if draw(st.booleans()):
-        g = gamma.point(F(draw(st.integers(0, 3)), 4), F(draw(st.integers(0, 2)), 3))
+        g = ref.point(gamma, F(draw(st.integers(0, 3)), 4), F(draw(st.integers(0, 2)), 3))
         orbit = []
         for x in points:
             y = x
@@ -907,7 +953,7 @@ class TestLatticeMapsMatchReference:
 
         c = ref.lift_scale(gamma)
         sub = Lattice(gamma.ring, c.denominator, c.numerator, 0, c.numerator)
-        reps = lat.quotient_representatives(sub, gamma)
+        reps = ref.quotient_representatives(sub, gamma)
         expected = PointPacking(
             Lattice.ring_lattice(gamma.ring), tuple(r.scale(1 / c) for r in reps)
         )
@@ -922,7 +968,7 @@ def refined_packings_with_similarities(draw):
     n ≥ 2 and sΓ ⊄ Γ."""
     gamma, d, _ = draw(lattices_with_similarities())
     fine = Lattice(gamma.ring, gamma.d, 1, 0, 1)
-    packing = PointPacking(gamma, tuple(lat.quotient_representatives(gamma, fine)))
+    packing = PointPacking(gamma, tuple(ref.quotient_representatives(gamma, fine)))
     return packing, d.similarity(draw(st.integers(1, 3)))
 
 
@@ -981,7 +1027,7 @@ def integer_form_cases(draw):
     if draw(st.integers(0, 2)) == 0:
         big_d = gamma.d * draw(st.integers(1, 2))
         fine = Lattice(gamma.ring, big_d, 1, 0, 1)
-        shifts = lat.quotient_representatives(gamma, fine)
+        shifts = ref.quotient_representatives(gamma, fine)
         return gamma, tuple(shifts), d, d.similarity(draw(st.integers(1, 3)))
     den = draw(st.integers(1, 12))
     coord = st.integers(-2 * den, 2 * den).map(lambda t: F(t, den))
@@ -993,7 +1039,7 @@ def integer_form_cases(draw):
     if draw(st.booleans()):
         shifts[0] = FieldElem.zero(gamma.ring)
     if draw(st.integers(0, 3)) == 0:
-        copy = shifts[draw(st.integers(0, len(shifts) - 1))] + gamma.point(1, -1)
+        copy = shifts[draw(st.integers(0, len(shifts) - 1))] + ref.point(gamma, 1, -1)
         shifts.insert(draw(st.integers(0, len(shifts))), copy)
     if draw(st.booleans()):
         lcm = math.lcm(*(c.denominator for x in shifts for c in (x.a, x.b)))
@@ -1054,7 +1100,7 @@ def frame_cases(draw):
     d = Direction(RingElem(ring, *z), draw(st.booleans()))
     mode = draw(st.integers(0, 2))
     if mode == 2:
-        shifts = lat.quotient_representatives(gamma, Lattice(ring, gamma.d, 1, 0, 1))
+        shifts = ref.quotient_representatives(gamma, Lattice(ring, gamma.d, 1, 0, 1))
         assume(len(shifts) <= 12)
         return PointPacking(gamma, tuple(shifts)), d, d.similarity(draw(st.integers(1, 3))), []
     coord = st.tuples(st.integers(-12, 12), st.integers(1, 12)).map(lambda t: F(*t))
@@ -1104,12 +1150,12 @@ class TestIntegerFrameMatchesFieldElemFrame:
             lifted = packing
         for q in range(1, 5):
             trial = d.similarity(F(1, q))
-            total, expected = pk._frame(lifted, trial), ref.frame(lifted, trial)
+            total, targets, images = pk._frame(lifted, trial)
+            expected, ref_targets, ref_images = ref.frame(lifted, trial)
             assert total.index() == expected.index()
-            m = lifted.m
-            for a_k, b_k in zip(total.points[m:], expected.points[m:], strict=True):
+            for a_k, b_k in zip(images, ref_images, strict=True):
                 assert total.congruence(a_k, (0, 0)) == expected.congruence(b_k, (0, 0))
-                for x_j, y_j in zip(total.points[:m], expected.points[:m], strict=True):
+                for x_j, y_j in zip(targets, ref_targets, strict=True):
                     assert total.congruence(a_k, x_j) == expected.congruence(b_k, y_j)
 
 
@@ -1135,7 +1181,7 @@ class TestNoFractionOnTheDecisionPath:
             if i % 2:
                 # (1/den)·R over Γ: any integer multiple of z maps it into itself.
                 fine = Lattice(ring, den, 1, 0, 1)
-                shifts = lat.quotient_representatives(gamma, fine)
+                shifts = ref.quotient_representatives(gamma, fine)
                 s = d.similarity(rng.randint(1, 3))
             else:
                 # ℓ = den·[Z² : H]·(shift denominator) maps Γ and every shift into Γ.
@@ -1197,7 +1243,7 @@ class TestNoFractionOnTheDecisionPath:
                 if not any(gamma.contains(x - y) for y in shifts):
                     shifts.append(x)
             if i % 3 == 2:  # (1/d)·R over Γ, accepted by integer multiples of z
-                shifts = lat.quotient_representatives(gamma, Lattice(ring, gamma.d, 1, 0, 1))
+                shifts = ref.quotient_representatives(gamma, Lattice(ring, gamma.d, 1, 0, 1))
             packing = PointPacking(gamma, tuple(shifts))
             d = Direction(orc._random_primitive(rng, ring, 30), rng.random() < 0.5)
             if i % 3 == 2:
@@ -1235,6 +1281,64 @@ class TestNoFractionOnTheDecisionPath:
             assert built == []
             pk._sweep_direction(ring_packing, d)
             built.clear()
+
+    def test_circle_bound_builds_no_fraction(self, monkeypatch):
+        """render's cap reads the window as integers over their least
+        denominator, and equals the bound read on Fraction corners."""
+        cases = []
+        for name, w in (("ex34", (0, 1)), ("hex-shifted", (2, 2)), ("rect12", (1, 2))):
+            packing = preset(name)
+            s = Similarity(FieldElem(packing.ring, F(w[0], 3), F(w[1], 2)))
+            for window in ((F(-4), F(-3), F(5), F(4)), (F(-7, 3), F(1, 2), F(5, 6), F(9, 4))):
+                for image in (None, s.image_lattice(packing.lattice)):
+                    cases.append((packing, image, window, ref.circle_bound(packing, image, window)))
+        built = []
+        new = F.__new__
+        monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+        for packing, image, window, expected in cases:
+            assert circle_bound(packing, image, window) == expected
+        assert built == []
+
+
+class TestNoFieldElemArithmeticOnTheEnginePaths:
+    def test_engine_paths_do_no_fieldelem_arithmetic(self, monkeypatch):
+        """The lift, the Scal solve, the decision, reduce, circle_bound and
+        render_svg work on integer pairs: with FieldElem's +, -, *, unary -
+        and conj refused they run on ex34 and on a sheared Eisenstein Γ and
+        give what they gave before.  Packings, similarities and windows are
+        built first."""
+        gamma = Lattice.from_generators(EISENSTEIN, [(F(2, 3), F(0)), (F(1, 3), F(1, 2))])
+        sheared = PointPacking(gamma, (FieldElem.zero(EISENSTEIN), FieldElem(EISENSTEIN, F(1, 6), F(1, 4))))
+        ex34 = preset("ex34")
+        directions = [
+            (ex34, Direction(RingElem(GAUSSIAN, 0, 1))),
+            (ex34, Direction(RingElem(GAUSSIAN, 2, 1), True)),
+            (sheared, Direction(RingElem(EISENSTEIN, 1, 1), True)),
+            (sheared, Direction(RingElem(EISENSTEIN, 2, 1))),
+        ]
+        decisions = [(ex34, simw(GAUSSIAN, 0, 1)), (ex34, Similarity(fe(GAUSSIAN, F(1, 2), 0))),
+                     (sheared, simw(EISENSTEIN, 12, 0)), (sheared, simw(EISENSTEIN, 0, 12))]
+        window = (F(-3), F(-5, 2), F(4), F(3))
+        figures = [(packing, s, s.image_lattice(packing.lattice)) for packing, s in decisions]
+
+        def run():
+            out = [(pk.lift_to_ring(packing), pk.scal_classes_by_tau(packing, d),
+                    pk.scal_set_packing(packing, d)) for packing, d in directions]
+            out.append([pk.check_similarity(packing, s) for packing, s in decisions])
+            out.append([pk.reduce(packing) for packing in (ex34, sheared)])
+            out.append([(circle_bound(packing, image, window), render_svg(packing, s, image, window))
+                        for packing, s, image in figures])
+            return out
+
+        expected = run()
+        assert {r.accepted for r in expected[-3]} == {False, True}
+
+        def refuse(*args):
+            raise AssertionError("FieldElem arithmetic on an engine path")
+
+        for name in ("__add__", "__sub__", "__mul__", "__neg__", "conj"):
+            monkeypatch.setattr(FieldElem, name, refuse)
+        assert run() == expected
 
 
 @st.composite

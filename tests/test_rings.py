@@ -15,7 +15,9 @@ from simiso.rings import (
     RingElem,
     RingMismatchError,
     content_and_primitive,
+    over_denominator,
 )
+from simiso.similarity import Similarity, decompose
 
 from references import ring_divmod, ring_gcd, ring_lcm
 
@@ -304,14 +306,22 @@ class TestDivision:
 
 class TestFieldElem:
     def test_clear_denominators(self):
+        # x = r/n with n the least denominator, read by over_denominator, and
+        # decompose splits w = x as (1/n)·r with r primitive.
         x = FieldElem(EISENSTEIN, F(2, 3), F(1, 6))
-        n, r = x.clear_denominators()
-        assert n == 6 and r == e(4, 1)
-        assert r.scale(F(1, n)) == x
+        n, (a, b) = over_denominator((x.a, x.b))
+        assert n == 6 and e(a, b) == e(4, 1)
+        assert e(a, b).scale(F(1, n)) == x
+        ratio, d = decompose(Similarity(x))
+        assert ratio == F(1, 6) and d.z == e(4, 1)
 
     def test_clear_denominators_minimal(self):
-        n, r = FieldElem(GAUSSIAN, F(1, 2), F(3, 2)).clear_denominators()
-        assert n == 2 and r == g(1, 3)
+        assert over_denominator((F(1, 2), F(3, 2))) == (2, [1, 3])
+        ratio, d = decompose(Similarity(FieldElem(GAUSSIAN, F(1, 2), F(3, 2))))
+        assert ratio == F(1, 2) and d.z == g(1, 3)
+        # The content of the numerator goes into the ratio.
+        ratio, d = decompose(Similarity(FieldElem(GAUSSIAN, F(2, 3), F(4, 3))))
+        assert ratio == F(2, 3) and d.z == g(1, 2)
 
     def test_str(self):
         assert str(FieldElem(EISENSTEIN, F(2, 3), F(1, 3))) == "(2+ω)/3"
