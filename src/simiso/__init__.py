@@ -26,6 +26,7 @@ from .packings import (
     inverse_probe,
     scal_set_packing,
 )
+from .oracle import certify_subpacking
 from .presets import preset
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "closure_check",
     "inverse_probe",
     "scal_set_packing",
+    "certify_subpacking",
     "preset",
 ]
 

@@ -47,8 +47,6 @@ MAX_RATIONAL_CHARS = 40
 MAX_COMPONENTS = packings.MAX_LIFTED_COMPONENTS
 # Most circles render draws, as bounded by render.circle_bound.
 MAX_RENDER_POINTS = 100_000
-# Most points verify lets the oracle test, estimated by _oracle_points.
-MAX_ORACLE_POINTS = 100_000
 
 
 class InputError(Exception):
@@ -433,28 +431,6 @@ def run_verify(args) -> int:
     raise InputError("verify needs --similarity, --direction, or --random")
 
 
-def _oracle_points(packing: PointPacking, d: Direction, ratios) -> Fraction:
-    """The points the oracle tests, summed over s = r·z for the ratios r.
-
-    The oracle's common period is D·Γ ⊆ sΓ.  Certifying s, once per request
-    and once per ratio of a sweep, takes the [sΓ : D·Γ] = D²/N(w) coset
-    representatives of each of the m image components and tests each
-    against the m components, m²·D²/N(w) in all; index_by_counting reads
-    its counts from that same walk.  As sΓ = r·z(Γ), D is the numerator of
-    r·r₀ for the least r₀ with r₀·Γ ⊆ z(Γ): one Hermite form, over Γ's
-    denominator as z is integral.
-    """
-    gamma = packing.lattice
-    r0 = Fraction(*d.similarity(1).image_lattice(gamma).least_scale(gamma.basis))
-    return sum(packing.m ** 2 * (r * r0).numerator ** 2 / (r * r * d.norm()) for r in ratios)
-
-
-def _check_oracle_budget(points: Fraction) -> None:
-    if points > MAX_ORACLE_POINTS:
-        raise InputError(f"the oracle would test about {math.ceil(points)} points; "
-                         f"at most {MAX_ORACLE_POINTS} are allowed")
-
-
 def _compare_with_oracle(packing: PointPacking, s: Similarity) -> dict:
     """check_similarity against oracle.index_by_counting: they agree when
     the oracle refutes a rejected s, or certifies an accepted s with the
@@ -466,17 +442,16 @@ def _compare_with_oracle(packing: PointPacking, s: Similarity) -> dict:
         doc = {"oracle_contained": False, "agree": not report.accepted,
                "counterexample": str(refuted.point)}
     else:
-        agree = (report.accepted and found.index == s.scale_sq()
+        beta_squared = s.scale_sq()
+        agree = (report.accepted and found.index == beta_squared
                  and found.n == {report.n} and found.tau == report.tau)
         doc = {"oracle_contained": True, "agree": agree,
-               "oracle_index": str(found.index), "beta_squared": str(s.scale_sq())}
+               "oracle_index": str(found.index), "beta_squared": str(beta_squared)}
     return {"engine_accepted": report.accepted, **doc}
 
 
 def _verify_similarity(packing: PointPacking, args) -> int:
     s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
-    ratio, d = sim.decompose(s)
-    _check_oracle_budget(_oracle_points(packing, d, [ratio]))
     doc = _compare_with_oracle(packing, s)
     _emit_json(doc, args.out)
     return EXIT_OK if doc["agree"] else EXIT_DISCREPANCY
@@ -492,7 +467,6 @@ def _verify_direction(packing: PointPacking, args) -> int:
         for p in range(1, args.p_bound + 1)
         if math.gcd(p, q) == 1
     ]
-    _check_oracle_budget(_oracle_points(packing, d, ratios))
     engine = {r for r in ratios if full.contains_ratio(r)}
     brute = oracle.scal_set_bruteforce(packing, d, args.p_bound, args.q_bound)
     doc = {

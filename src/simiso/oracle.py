@@ -4,11 +4,13 @@ Nothing here uses the component-counting characterization: containment of
 s(L) in L is settled by sweeping one fundamental domain of a common period
 lattice, which is a finite, complete proof for periodic point sets.  All
 arithmetic is exact; there are no tolerances.  Γ, sΓ and the common
-period P are built once per call over one denominator.  Certification
-counts, per pair (k, j), the tested points of s(x_k) + sΓ that land in
-x_j + Γ, from which the correspondence τ and the index n follow without
-the engine's characterization.  It holds no window code: render
-enumerates the points of its figures itself.
+period P are built once per walk over one denominator, and the walk's
+m²·[sΓ : P] membership tests are counted on that frame: a call over
+MAX_POINTS is refused before it tests any point.  Certification counts,
+per pair (k, j), the tested points of s(x_k) + sΓ that land in x_j + Γ,
+from which the correspondence τ and the index n follow without the
+engine's characterization.  It holds no window code: render enumerates
+the points of its figures itself.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .packings import PointPacking
 from .rings import FieldElem, GAUSSIAN
 from .similarity import Direction, Similarity
 
+# Most membership tests one call lets the oracle make, summed over its walks.
+MAX_POINTS = 100_000
+
 
 def _period_frame(packing: PointPacking, s: Similarity) -> tuple[Lattice, Lattice, Lattice]:
     """Γ, sΓ and the common period D·Γ of L and s(L), all over sΓ's
@@ -34,6 +39,16 @@ def _period_frame(packing: PointPacking, s: Similarity) -> tuple[Lattice, Lattic
     return gamma, img, Lattice(gamma.ring, gamma.d, d * gamma.b00, d * gamma.b01, d * gamma.b11)
 
 
+def _check_walk(packing: PointPacking, frames) -> None:
+    """Refuse walks over the frames (Γ, sΓ, P) of more than MAX_POINTS
+    membership tests in all: _certify tests the [sΓ : P] representatives
+    of each of the m image components against up to m components."""
+    points = sum(packing.m ** 2 * lattices.index(period, img) for _, img, period in frames)
+    if points > MAX_POINTS:
+        raise ValueError(f"the oracle would test about {math.ceil(points)} points; "
+                         f"at most {MAX_POINTS} are allowed")
+
+
 def certify_subpacking(packing: PointPacking, s: Similarity) -> tuple[bool, FieldElem | None]:
     """Decide s(L) ⊆ L exactly; on refutation return a point of s(L) \\ L.
 
@@ -41,8 +56,10 @@ def certify_subpacking(packing: PointPacking, s: Similarity) -> tuple[bool, Fiel
     checking every point of s(L) inside one fundamental domain of P is a
     complete proof of containment.
     """
+    _, img, period = frame = _period_frame(packing, s)
+    _check_walk(packing, [frame])
     try:
-        _certify(packing, s, *_period_frame(packing, s)[1:])
+        _certify(packing, s, img, period)
     except NotContained as refuted:
         return False, refuted.point
     return True, None
@@ -88,7 +105,8 @@ class Correspondence:
 def index_by_counting(packing: PointPacking, s: Similarity) -> Correspondence:
     """The correspondence of s(L) ⊆ L from the certification's counts in
     one cell of the period P; NotContained when s(L) ⊄ L."""
-    gamma, img, period = _period_frame(packing, s)
+    gamma, img, period = frame = _period_frame(packing, s)
+    _check_walk(packing, [frame])
     counts = _certify(packing, s, img, period)
     cell = lattices.index(period, img)
     return Correspondence(lattices.index(img, gamma), frozenset(cell / c for c in counts.values()),
@@ -98,17 +116,22 @@ def index_by_counting(packing: PointPacking, s: Similarity) -> Correspondence:
 def scal_set_bruteforce(
     packing: PointPacking, d: Direction, p_bound: int, q_bound: int
 ) -> set[Fraction]:
-    """All ratios p/q within bounds whose β = (p/q)|z| is certified."""
+    """All ratios p/q within bounds whose β = (p/q)|z| is certified; the
+    walks of all ratios are bounded together before any is walked."""
     if p_bound < 1 or q_bound < 1:
         raise ValueError("bounds must be at least 1")
+    ratios = [Fraction(p, q) for q in range(1, q_bound + 1) for p in range(1, p_bound + 1)
+              if math.gcd(p, q) == 1]
+    similarities = [d.similarity(ratio) for ratio in ratios]
+    frames = [_period_frame(packing, s) for s in similarities]
+    _check_walk(packing, frames)
     out = set()
-    for q in range(1, q_bound + 1):
-        for p in range(1, p_bound + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            ok, _ = certify_subpacking(packing, d.similarity(Fraction(p, q)))
-            if ok:
-                out.add(Fraction(p, q))
+    for ratio, s, (_, img, period) in zip(ratios, similarities, frames):
+        try:
+            _certify(packing, s, img, period)
+        except NotContained:
+            continue
+        out.add(ratio)
     return out
 
 
@@ -151,7 +174,8 @@ def random_case(
             Fraction(rng.randint(0, den - 1), den),
             Fraction(rng.randint(0, den - 1), den),
         )
-        if all(not base.contains(x - y) for y in shifts):
+        # In [0, 1)², x ≡ y mod the ring lattice only when x == y.
+        if x not in shifts:
             shifts.append(x)
     return RandomCase(PointPacking(base, tuple(shifts)), s)
 

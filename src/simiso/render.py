@@ -25,6 +25,8 @@ from .similarity import Similarity
 
 PACKING_COLORS = ("#1c1c1c", "#9e9e9e", "#c96b6b", "#7c5aa8")
 IMAGE_COLORS = ("#2b6cb0", "#f2c12e", "#38a169", "#d97706")
+# Width of every figure in pixels; its height follows the window's aspect.
+SIZE = 640
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -81,7 +83,6 @@ def render_svg(
     s: Similarity | None,
     image: Lattice | None,
     window: Window,
-    size: int = 640,
 ) -> str:
     """An SVG document showing the packing and, when s is given, its image
     s(L), drawn over the image lattice image = sΓ."""
@@ -95,14 +96,14 @@ def render_svg(
     pad = 0.05 * max(max_x - min_x, max_y - min_y)
     min_x, max_x = min_x - pad, max_x + pad
     min_y, max_y = min_y - pad, max_y + pad
-    scale = size / max(max_x - min_x, max_y - min_y)
+    scale = SIZE / max(max_x - min_x, max_y - min_y)
     height = round((max_y - min_y) * scale)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{height}" '
-        f'viewBox="0 0 {size} {height}">',
-        f'<rect width="{size}" height="{height}" fill="white"/>',
+        f'width="{SIZE}" height="{height}" '
+        f'viewBox="0 0 {SIZE} {height}">',
+        f'<rect width="{SIZE}" height="{height}" fill="white"/>',
     ]
     legend: list[tuple[str, str]] = []
     drawn = [(packing.lattice, packing.lattice.d, packing.residues, PACKING_COLORS,

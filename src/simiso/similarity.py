@@ -131,8 +131,6 @@ class ResidueClass:
     residues: frozenset[int]
 
     def contains_ratio(self, ratio: Fraction) -> bool:
-        if ratio == 0:
-            return self.q == 1 and 0 in self.residues
         return (
             ratio.denominator == self.q
             and ratio.numerator % self.modulus in self.residues

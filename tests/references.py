@@ -10,21 +10,23 @@ so the frame Γ + sΓ of a decision is built on integers; the lift to the
 ring lattice rescales integer residues and integer coset representatives;
 render draws every component from one integer frame per drawn lattice and
 bounds its circles on integer corners; the Scal solve merges its
-congruences by CRT; the oracle tests membership per component.  They stay
-here so that those routes can be checked against a different one: the
-lattice with three Fraction fields that Lattice replaced, a lattice point
-and the coset representatives as FieldElems, the lift from FieldElem
-cosets, the sum as a lattice, membership in a packing, the residue of a
-point mod Γ and the corollary (i) containment on Fraction points, the
-frame built from FieldElem images over their least common denominator and
-the decision read from it, least_scale on FieldElem points, the
-congruences on Fraction coordinates and the walk over every residue of
-their modulus, the window enumeration on Fraction points, render's circle
-bound on Fraction corners and its drawing component by component from
-FieldElem shifts and images, the intersection through the dual identity
-(Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the Euclidean algorithm in Z[i] and Z[ω], and 2×2
-matrices of multiplication and conjugation over {1, u}.  Results of the
-ring functions are fixed only up to a unit.
+congruences by CRT; the oracle tests membership per component and reads
+the size of its walk from the frame it walks.  They stay here so that
+those routes can be checked against a different one: the lattice with
+three Fraction fields that Lattice replaced, a lattice point and the coset
+representatives as FieldElems, the lift from FieldElem cosets, the sum as
+a lattice, membership in a packing, the residue of a point mod Γ and the
+corollary (i) containment on Fraction points, the frame built from
+FieldElem images over their least common denominator and the decision
+read from it, least_scale on FieldElem points, the congruences on Fraction
+coordinates and the walk over every residue of their modulus, the window
+enumeration on Fraction points, render's circle bound on Fraction corners
+and its drawing component by component from FieldElem shifts and images,
+the intersection through the dual identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the
+Euclidean algorithm in Z[i] and Z[ω], 2×2 matrices of multiplication and
+conjugation over {1, u}, and the size of the oracle's walk from a closed
+form of its period over z(Γ).  Results of the ring functions are fixed
+only up to a unit.
 """
 
 import math
@@ -119,6 +121,21 @@ def lift_to_ring(packing):
     reps = quotient_representatives(sub, gamma)
     shifts = tuple((x + r).scale(1 / c) for x in packing.shifts for r in reps)
     return pk.PointPacking(Lattice.ring_lattice(gamma.ring), shifts)
+
+
+def oracle_points(packing, d, ratios):
+    """The points the oracle tests, summed over s = r·z for the ratios r,
+    from a closed form of its period instead of the frame it walks.
+
+    The oracle's common period is D·Γ ⊆ sΓ.  Certifying s takes the
+    [sΓ : D·Γ] = D²/N(w) coset representatives of each of the m image
+    components and tests each against the m components, m²·D²/N(w) in all.
+    As sΓ = r·z(Γ), D is the numerator of r·r₀ for the least r₀ with
+    r₀·Γ ⊆ z(Γ): one Hermite form, over Γ's denominator as z is integral.
+    """
+    gamma = packing.lattice
+    r0 = Fraction(*d.similarity(1).image_lattice(gamma).least_scale(gamma.basis))
+    return sum(packing.m ** 2 * (r * r0).numerator ** 2 / (r * r * d.norm()) for r in ratios)
 
 
 def packing_contains(packing, x) -> bool:
@@ -453,7 +470,7 @@ def render_window_points(lattice, shift, window):
     return [(a / d, b / d) for a, b in out]
 
 
-def render_svg(packing, s, image, window, size=640):
+def render_svg(packing, s, image, window):
     """render.render_svg drawn component by component: each shift and each
     image s.apply(x_k) enumerated by render_window_points, and both
     coordinates of every circle formatted from its float."""
@@ -467,6 +484,7 @@ def render_svg(packing, s, image, window, size=640):
     pad = 0.05 * max(max_x - min_x, max_y - min_y)
     min_x, max_x = min_x - pad, max_x + pad
     min_y, max_y = min_y - pad, max_y + pad
+    size = rd.SIZE
     scale = size / max(max_x - min_x, max_y - min_y)
     height = round((max_y - min_y) * scale)
 

@@ -44,7 +44,7 @@ from simiso.presets import preset
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction, Similarity
 
-from references import least_scale
+from references import oracle_points
 
 HEX_DOC = json.dumps(
     {
@@ -521,7 +521,7 @@ class TestVerify:
 
     def test_oracle_estimate_counts_certified_points(self, monkeypatch):
         # An accepted s: certify_subpacking tests every representative, each
-        # against up to m components, so the estimate is m times the points.
+        # against up to m components, so its walk is m times the points.
         # Each tested point lies in exactly one component x_j + Γ, so the
         # membership tests that succeed count the points.
         packing = preset("hex")
@@ -532,16 +532,30 @@ class TestVerify:
             Lattice, "contains", lambda self, x: original(self, x) and not tested.append(x)
         )
         assert oracle.certify_subpacking(packing, s)[0]
-        certify = cli._oracle_points(packing, Direction(RingElem(EISENSTEIN, 1, 1)), [F(2)])
-        assert certify == packing.m * len(tested)
+        points = packing.m * len(tested)
+        monkeypatch.setattr(oracle, "MAX_POINTS", points)
+        assert oracle.certify_subpacking(packing, s)[0]
+        monkeypatch.setattr(oracle, "MAX_POINTS", points - 1)
+        with pytest.raises(ValueError, match=f"about {points} points; at most {points - 1} "):
+            oracle.certify_subpacking(packing, s)
 
     def test_oracle_budget_bounds_the_estimate(self, monkeypatch, capsys):
+        # verify --similarity exits 2 exactly when the oracle's walk, which
+        # the closed form of references.oracle_points counts, is over the cap.
         argv = ["verify", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"2"}']
         d = Direction(RingElem(EISENSTEIN, 1, 1))
-        points = cli._oracle_points(preset("hex"), d, [F(2)])
-        monkeypatch.setattr(cli, "MAX_ORACLE_POINTS", points)
+        points = oracle_points(preset("hex"), d, [F(2)])
+        tested = []
+        original = Lattice.contains
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                Lattice, "contains", lambda self, x: original(self, x) and not tested.append(x)
+            )
+            oracle.index_by_counting(preset("hex"), d.similarity(F(2)))
+        assert points == preset("hex").m * len(tested)
+        monkeypatch.setattr(oracle, "MAX_POINTS", points)
         assert main(argv) == EXIT_OK
-        monkeypatch.setattr(cli, "MAX_ORACLE_POINTS", points - 1)
+        monkeypatch.setattr(oracle, "MAX_POINTS", points - 1)
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err.endswith(f"at most {points - 1} are allowed\n")
 
@@ -550,9 +564,9 @@ class TestVerify:
         ("ex34", '{"z":[0,1],"scale":"1"}'),
     ])
     def test_similarity_builds_each_image_lattice_once(self, preset_name, sim, monkeypatch, capsys):
-        # One sΓ for the oracle's certification and count together, one for
-        # the engine's frame and one z(Γ) for the budget estimate; the
-        # oracle's Γ, sΓ and D·Γ come from one frame.
+        # One sΓ for the oracle's bound, certification and count together,
+        # and one for the engine's frame; the oracle's Γ, sΓ and D·Γ come
+        # from one frame.
         calls, frames = [], []
         image_lattice, period_frame = Similarity.image_lattice, oracle._period_frame
         monkeypatch.setattr(Similarity, "image_lattice",
@@ -561,7 +575,7 @@ class TestVerify:
         rc = main(["verify", "--preset", preset_name, "--similarity", sim])
         doc = json.loads(capsys.readouterr().out)
         assert rc == EXIT_OK and doc["oracle_contained"] and doc["agree"]
-        assert len(calls) <= 3 and len(frames) == 1
+        assert len(calls) <= 2 and len(frames) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -571,17 +585,23 @@ class TestVerify:
         st.booleans(),
     )
     def test_direction_estimate_matches_per_ratio(self, ring, shape, z, conjugate):
-        # The closed form D(p/q) = numerator of (p/q)·r₀ against the estimate
-        # it replaced: one image lattice and one least_scale per ratio.
+        # The closed form of references.oracle_points, summed over every p/q
+        # within the bounds, is the cap at which scal_set_bruteforce still
+        # walks and below which it refuses.  The walks themselves are
+        # stubbed: only the bound is under test.
         h00, h11, h01, den = shape
         gamma = Lattice.from_generators(ring, [(F(h00, den), F(0)), (F(h01, den), F(h11, den))])
         packing = PointPacking(gamma, (FieldElem.zero(ring), FieldElem(ring, F(1, 7), F(0))))
         d = Direction(RingElem(ring, *z), conjugate)
-        for ratio in (F(p, q) for q in range(1, 6) for p in range(1, 8) if math.gcd(p, q) == 1):
-            s = d.similarity(ratio)
-            period = least_scale(s.image_lattice(gamma), gamma.generators()).numerator
-            expected = packing.m ** 2 * period ** 2 / s.scale_sq()
-            assert cli._oracle_points(packing, d, [ratio]) == expected
+        ratios = [F(p, q) for q in range(1, 6) for p in range(1, 8) if math.gcd(p, q) == 1]
+        points = oracle_points(packing, d, ratios)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_certify", lambda *args: {})
+            patch.setattr(oracle, "MAX_POINTS", points)
+            assert oracle.scal_set_bruteforce(packing, d, 7, 5) == set(ratios)
+            patch.setattr(oracle, "MAX_POINTS", points - 1)
+            with pytest.raises(ValueError, match=f"about {points} points"):
+                oracle.scal_set_bruteforce(packing, d, 7, 5)
 
     def test_random_sweep(self, capsys):
         rc = main(["verify", "--random", "25", "--seed", "3"])

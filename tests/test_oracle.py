@@ -269,6 +269,28 @@ class TestScalSetBruteforce:
         with pytest.raises(ValueError):
             orc.scal_set_bruteforce(preset("hex"), Direction(RingElem(EISENSTEIN, 1, 0)), 0, 1)
 
+    def test_refuses_above_the_cap_before_walking(self, monkeypatch):
+        # A sweep builds one frame per coprime ratio; over the cap, each of
+        # the three entries refuses before _certify tests any point.
+        packing, d = preset("hex"), Direction(RingElem(EISENSTEIN, 1, 1))
+        coprime = sum(math.gcd(p, q) == 1 for p in range(1, 5) for q in range(1, 4))
+        frames, walked = [], []
+        period_frame, certify = orc._period_frame, orc._certify
+        monkeypatch.setattr(orc, "_period_frame", lambda *a: frames.append(a) or period_frame(*a))
+        monkeypatch.setattr(orc, "_certify", lambda *a: walked.append(a) or certify(*a))
+        orc.scal_set_bruteforce(packing, d, 4, 3)
+        assert len(frames) == len(walked) == coprime
+        frames.clear()
+        walked.clear()
+        monkeypatch.setattr(orc, "MAX_POINTS", packing.m ** 2 - 1)
+        s = d.similarity(F(2))
+        for entry in (orc.certify_subpacking, orc.index_by_counting):
+            with pytest.raises(ValueError, match=f"at most {packing.m ** 2 - 1} are allowed"):
+                entry(packing, s)
+        with pytest.raises(ValueError, match=f"at most {packing.m ** 2 - 1} are allowed"):
+            orc.scal_set_bruteforce(packing, d, 4, 3)
+        assert len(frames) == 2 + coprime and walked == []
+
     def test_matches_engine_classes(self):
         packing = preset("hex-shifted")
         for coords in ((1, 0), (1, 1), (2, 1)):

@@ -189,9 +189,14 @@ class TestScalLattice:
 
     def test_rect31_quarter_turn(self):
         ss = scal_lattice(RECT31, Direction(RingElem(GAUSSIAN, 0, 1)))
-        assert ss.contains_ratio(3) and ss.contains_ratio(-6)
+        assert ss.contains_ratio(3) and ss.contains_ratio(-6) and ss.contains_ratio(0)
         assert not ss.contains_ratio(1) and not ss.contains_ratio(2)
         assert ss.display() == "3Z"
+        # 0 = 0/1 lies in a class only when q = 1 and 0 is a residue.
+        for q, residues, has_zero in ((1, {0}, True), (1, {1, 2}, False),
+                                      (2, {0}, False), (2, {1}, False)):
+            c = sim.ResidueClass(q, 3, frozenset(residues))
+            assert c.contains_ratio(F(0)) is has_zero
 
     def test_scal_multiplicativity(self):
         # A member of Scal(Γ,R)·Scal(Γ,S) lies in Scal(Γ,RS).
