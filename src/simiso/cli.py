@@ -248,7 +248,7 @@ def run_analyze(args) -> int:
         labels = [str(x) for x in packing.shifts]
         doc["tau"] = [[labels[k], labels[j]] for k, j in report.tau]
         doc["witness"] = [
-            {"component": k, "target": j, "offset": str(off)}
+            {"component": k, "target": j, "offset": str(packing.lattice.element(*off))}
             for k, j, off in report.witness
         ]
         cor = packings.check_corollaries(report, packing, ratio, den)
@@ -461,12 +461,7 @@ def _verify_direction(packing: PointPacking, args) -> int:
     d = parse_direction_doc(_load_doc(args.direction), packing.ring)
     # Engine first: a packing over the lift cap exits 2 before the oracle runs.
     full = packings.scal_set_packing(packing, d)
-    ratios = [
-        Fraction(p, q)
-        for q in range(1, args.q_bound + 1)
-        for p in range(1, args.p_bound + 1)
-        if math.gcd(p, q) == 1
-    ]
+    ratios = oracle.coprime_ratios(args.p_bound, args.q_bound)
     engine = {r for r in ratios if full.contains_ratio(r)}
     brute = oracle.scal_set_bruteforce(packing, d, args.p_bound, args.q_bound)
     doc = {

@@ -113,15 +113,20 @@ def index_by_counting(packing: PointPacking, s: Similarity) -> Correspondence:
                           tuple(sorted(counts)))
 
 
+def coprime_ratios(p_bound: int, q_bound: int) -> list[Fraction]:
+    """Every p/q in lowest terms with 1 ≤ p ≤ p_bound and 1 ≤ q ≤ q_bound."""
+    if p_bound < 1 or q_bound < 1:
+        raise ValueError("bounds must be at least 1")
+    return [Fraction(p, q) for q in range(1, q_bound + 1) for p in range(1, p_bound + 1)
+            if math.gcd(p, q) == 1]
+
+
 def scal_set_bruteforce(
     packing: PointPacking, d: Direction, p_bound: int, q_bound: int
 ) -> set[Fraction]:
-    """All ratios p/q within bounds whose β = (p/q)|z| is certified; the
-    walks of all ratios are bounded together before any is walked."""
-    if p_bound < 1 or q_bound < 1:
-        raise ValueError("bounds must be at least 1")
-    ratios = [Fraction(p, q) for q in range(1, q_bound + 1) for p in range(1, p_bound + 1)
-              if math.gcd(p, q) == 1]
+    """The ratios of coprime_ratios whose β = (p/q)|z| is certified; their
+    walks are bounded together before any is walked."""
+    ratios = coprime_ratios(p_bound, q_bound)
     similarities = [d.similarity(ratio) for ratio in ratios]
     frames = [_period_frame(packing, s) for s in similarities]
     _check_walk(packing, frames)

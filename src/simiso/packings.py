@@ -5,7 +5,7 @@ similarity s with image lattice sΓ maps the packing into itself exactly
 when every component image meets n = [sΓ : Γ ∩ sΓ] components, recorded in
 the correspondence set τ.  Each decision builds one integer Hermite form of
 the frame Γ + sΓ, which gives n and every meeting s(x_k) - x_j ∈ Γ + sΓ;
-witness points are built only once the similarity is accepted.
+witness points are integer pairs, made only once the similarity is accepted.
 
 A packing keeps Γ over one denominator d and its shifts as integer
 residues mod d·Γ, and the similarity maps those residues and Γ's basis as
@@ -96,12 +96,13 @@ class PointPacking:
 @dataclass(frozen=True)
 class SimilarityReport:
     """Outcome of the component-counting test for one similarity; a
-    rejection names the first k with |J_k| < n and, in reached, its J_k."""
+    rejection names the first k with |J_k| < n and, in reached, its J_k.
+    witness gives per τ pair a point of s(x_k + Γ) ∩ (x_j + Γ) over d."""
 
     accepted: bool
     n: int
     tau: tuple[tuple[int, int], ...]
-    witness: tuple[tuple[int, int, FieldElem], ...]
+    witness: tuple[tuple[int, int, tuple[int, int]], ...]
     similarity: Similarity
     failing_k: int | None = None
     reached: tuple[int, ...] = ()
@@ -115,7 +116,7 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
     the first k with |J_k| < n.  One integer Hermite form of Γ + sΓ serves
     the whole decision: n = [Γ + sΓ : Γ] comes from its determinant, each of
     the m² pair conditions is two divisibility tests, and the witness points
-    of s(x_k + Γ) ∩ (x_j + Γ) are built only for an accepted report.
+    of s(x_k + Γ) ∩ (x_j + Γ) are integer pairs of an accepted report.
     """
     gamma = packing.lattice
     total, targets, images = _frame(packing, s)
@@ -134,8 +135,7 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
     witness = []
     for k, j, (t0, t1) in hits:  # x_j plus the Γ-point t, on d·Γ
         x, y = packing.residues[j]
-        witness.append((k, j, gamma.element(x + t0 * gamma.b00 + t1 * gamma.b01,
-                                            y + t1 * gamma.b11)))
+        witness.append((k, j, (x + t0 * gamma.b00 + t1 * gamma.b01, y + t1 * gamma.b11)))
     return SimilarityReport(True, n, tau, tuple(witness), s)
 
 

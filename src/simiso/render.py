@@ -5,12 +5,12 @@ lattice component dark, other packing components gray, image components
 blue/yellow/green.  Byte output is fixed for fixed inputs.  Each drawn
 lattice (Γ, or sΓ for the image) is put over one denominator D with the
 window corners once, and its shifts are integer pairs over D: the packing's
-residues, and s.map_pairs of them for the image.  A circle becomes floats
-once, as a/D: int / int rounds correctly, so it equals float() of the
-reduced Fraction whatever D is.  Coordinate strings are memoised per float
-across all groups, as every image centre is a packing centre and rows and
-columns repeat coordinates.  circle_bound caps the walk before any figure
-is drawn.
+residues, and s.map_pairs of them for the image.  A component is walked
+column by column (points_in_window), and coordinates become floats as a/D
+and b/D: int / int rounds correctly, so each equals float() of the reduced
+Fraction whatever D is.  A row's cy text is formatted once, and over Z[i] so
+is a column's cx; over Z[ω], x = a/D - (b/D)/2 is formatted once per float.
+circle_bound caps the walk before any figure is drawn.
 """
 
 from __future__ import annotations
@@ -42,20 +42,22 @@ def to_xy(ring: str, a: float, b: float) -> tuple[float, float]:
 
 def points_in_window(lattice: Lattice, shift: tuple[int, int], corners: tuple[int, int, int, int]):
     """The points of shift + Γ in the half-open box [x0, x1) × [y0, y1) of
-    ring coordinates, sorted, as integer pairs over Γ's denominator d, for
-    the shift and the corners (x0, y0, x1, y1) given over d."""
+    ring coordinates as columns (a, [b, …]) sorted by a, each with its rows
+    in ascending b, integer pairs over Γ's denominator d, for the shift and
+    the corners (x0, y0, x1, y1) given over d.  Row t1 starts at
+    a ≡ sa + b01·t1 (mod b00), so the rows of one residue class meet in
+    every column a ≡ that residue in [x0, x1): those columns share one row
+    list, which callers must not change."""
     x0, y0, x1, y1 = corners
     if x1 <= x0 or y1 <= y0:
         raise ValueError("window must have positive area")
     b00, b01, b11 = lattice.b00, lattice.b01, lattice.b11
     sa, sb = shift
-    out = []
+    rows: dict[int, list[int]] = {}  # residue of a mod b00 -> its rows b
     for t1 in range(-((sb - y0) // b11), -((sb - y1) // b11)):  # ceilings
-        a0, b = sa + b01 * t1, sb + b11 * t1
-        for t0 in range(-((a0 - x0) // b00), -((a0 - x1) // b00)):
-            out.append((a0 + b00 * t0, b))
-    out.sort()
-    return out
+        rows.setdefault((sa + b01 * t1) % b00, []).append(sb + b11 * t1)
+    # The a are distinct, so sorting compares no row lists.
+    return sorted((a, bs) for r, bs in rows.items() for a in range(x0 + (r - x0) % b00, x1, b00))
 
 
 def window_frame(lattice: Lattice, d: int, shifts, window: Window):
@@ -115,25 +117,30 @@ def render_svg(
     # Every drawn coordinate is at least pad·scale > 0, so 0.0 and -0.0,
     # one dict key but formatted apart, never both occur.
     xs: dict[float, str] = {}
-    ys: dict[float, str] = {}
+    stretch = _SQRT3_2 if ring == EISENSTEIN else 1.0
     for lattice, d, shifts, colors, group, label, r in drawn:
         lattice, shifts, box = window_frame(lattice, d, shifts, window)
         big = lattice.d
         for k, (x_k, shift) in enumerate(zip(packing.shifts, shifts)):
             color = colors[k % len(colors)]
             lines.append(group.format(color))
-            for a, b in points_in_window(lattice, shift, box):
-                x, y = a / big, b / big
+            ends: dict[int, list[str]] = {}  # id of a shared row list -> its cy texts
+            for a, bs in points_in_window(lattice, shift, box):
+                end = ends.get(id(bs))
+                if end is None:  # y = b/big·stretch, as b/big·1.0 is b/big
+                    end = ends[id(bs)] = [f'" cy="{(max_y - b / big * stretch) * scale:.2f}'
+                                          f'" r="{r}"/>' for b in bs]
                 if ring == EISENSTEIN:
-                    x, y = x - y / 2.0, y * _SQRT3_2
-                cx, cy = (x - min_x) * scale, (max_y - y) * scale
-                sx = xs.get(cx)
-                if sx is None:
-                    sx = xs[cx] = f"{cx:.2f}"
-                sy = ys.get(cy)
-                if sy is None:
-                    sy = ys[cy] = f"{cy:.2f}"
-                lines.append(f'<circle cx="{sx}" cy="{sy}" r="{r}"/>')
+                    x = a / big
+                    for b, row in zip(bs, end):
+                        cx = (x - b / big / 2.0 - min_x) * scale
+                        sx = xs.get(cx)
+                        if sx is None:
+                            sx = xs[cx] = f"{cx:.2f}"
+                        lines.append('<circle cx="' + sx + row)
+                else:
+                    head = f'<circle cx="{(a / big - min_x) * scale:.2f}'
+                    lines += [head + row for row in end]
             lines.append("</g>")
             legend.append((color, label.format(x_k)))
 

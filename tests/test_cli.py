@@ -657,6 +657,25 @@ class TestRender:
         # One sΓ for circle_bound and render_svg; check_similarity builds its own.
         assert rc == EXIT_OK and len(calls) == 2
 
+    @pytest.mark.parametrize("name, similarity", [
+        ("rect12", '{"z":[1,2],"scale":"1"}'),
+        ("hex", '{"z":[1,1],"scale":"2"}'),
+        ("hex-shifted", '{"z":[1,1],"scale":"2","conj":true}'),
+        ("ex34", '{"z":[2,1],"scale":"1"}'),
+        ("ex22", '{"z":[2,1],"scale":"1","conj":true}'),
+    ])
+    def test_only_parsing_builds_fractions(self, name, similarity, tmp_path, monkeypatch):
+        # The four window corners, the scale and w's two coordinates: the
+        # decision, the cap and the figure run on integers.  The preset is
+        # built, and cached, first.
+        preset(name)
+        built = []
+        new = F.__new__
+        monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+        rc = main(["render", "--preset", name, "--similarity", similarity,
+                   "--window=-7/2,-3,9/2,4", "--out", str(tmp_path / "fig.svg")])
+        assert rc == EXIT_OK and len(built) <= 7
+
     def test_packing_only(self, tmp_path):
         out = tmp_path / "fig.svg"
         rc = main(

@@ -38,8 +38,8 @@ def render_points(lattice, d, shifts, window):
     """render's points of each component shift + Γ, shifts integer pairs
     over d, enumerated in one frame and read as floats (a/D, b/D)."""
     lattice, shifts, box = window_frame(lattice, d, shifts, window)
-    return [[(a / lattice.d, b / lattice.d) for a, b in points_in_window(lattice, x, box)]
-            for x in shifts]
+    return [[(a / lattice.d, b / lattice.d)
+             for a, bs in points_in_window(lattice, x, box) for b in bs] for x in shifts]
 
 
 def window_points(packing, window):
@@ -85,6 +85,16 @@ class TestPointsInWindow:
         with pytest.raises(ValueError):
             render_points(Lattice.ring_lattice(EISENSTEIN), 1, [(0, 0)], (F(0), F(0), F(0), F(3)))
 
+    def test_narrow_window_between_columns(self):
+        # Γ = ⟨(3, 0), (1, 1)⟩ over d = 2: rows b = -4, -2, 0 start at the
+        # residues a ≡ 2, 4, 0 (mod 6), and the window [-5, -4) over d holds
+        # only the column a = -5 ≡ 1, so the rows meet no column.  Shifted
+        # by (1, 0) over d, the row b = 0 starts at a ≡ 1 and meets it.
+        gamma = Lattice(GAUSSIAN, 2, 6, 2, 2)
+        assert points_in_window(gamma, (0, 0), (-5, -4, -4, 2)) == []
+        assert points_in_window(gamma, (0, 0), (-4, -4, -3, 2)) == [(-4, [-4])]
+        assert points_in_window(gamma, (1, 0), (-5, -4, -4, 2)) == [(-5, [0])]
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from((GAUSSIAN, EISENSTEIN)),
@@ -92,16 +102,29 @@ class TestPointsInWindow:
         st.tuples(*[st.fractions(-3, 3, max_denominator=7)] * 2),
         st.tuples(*[st.fractions(-6, 6, max_denominator=5)] * 2),
         st.tuples(*[st.fractions(F(1, 5), 6, max_denominator=5)] * 2),
+        st.booleans(),
     )
-    def test_matches_reference(self, ring, shape, shift, corner, size):
+    def test_matches_reference(self, ring, shape, shift, corner, size, narrow):
         # A sheared Γ = (1/den)·⟨(h00, 0), (h01, h11)⟩ and a window with
-        # rational, often negative, corners.
+        # rational, often negative, corners.  A narrow window lies left of
+        # and below the origin and is less wide than the column spacing
+        # h00/den, so rows of some residue class meet no column in it, and
+        # often the component has no point in it.
         h00, h11, h01, den = shape
         gamma = Lattice.from_generators(ring, [(F(h00, den), F(0)), (F(h01, den), F(h11, den))])
         x = FieldElem(ring, *shift)
-        window = (*corner, corner[0] + size[0], corner[1] + size[1])
-        expected = ref.points_in_window(PointPacking(gamma, (x,)), window)
+        width = size[0]
+        if narrow:
+            width = size[0] / 7 * F(h00, den)
+            corner = tuple(-abs(c) - F(1, 7) for c in corner)
+        window = (*corner, corner[0] + width, corner[1] + size[1])
         g, xy = gamma.with_points((x,))
+        lattice, [x_xy], box = window_frame(g, g.d, xy, window)
+        columns = points_in_window(lattice, x_xy, box)
+        assert all(a < c for (a, _), (c, _) in zip(columns, columns[1:]))
+        assert all(b < c for _, bs in columns for b, c in zip(bs, bs[1:]))
+        expected = ref.points_in_window(PointPacking(gamma, (x,)), window)
+        assert [lattice.element(a, b) for a, bs in columns for b in bs] == expected
         assert render_points(g, g.d, xy, window) == [[(float(p.a), float(p.b)) for p in expected]]
 
 

@@ -31,6 +31,12 @@ def simw(ring, a, b, conjugate=False):
     return Similarity(fe(ring, a, b), conjugate)
 
 
+def witness_points(packing, report):
+    """report.witness with each integer pair over the packing's d read as
+    the FieldElem point it stands for."""
+    return tuple((k, j, packing.lattice.element(*xy)) for k, j, xy in report.witness)
+
+
 HEX_SHIFT = FieldElem(EISENSTEIN, F(2, 3), F(1, 3))
 
 
@@ -160,7 +166,7 @@ class TestCheckSimilarity:
         s = simw(GAUSSIAN, 0, 1)
         report = pk.check_similarity(packing, s)
         img = s.image_lattice(packing.lattice)
-        for k, j, offset in report.witness:
+        for k, j, offset in witness_points(packing, report):
             assert packing.lattice.contains(offset - packing.shifts[j])
             assert img.contains(offset - s.apply(packing.shifts[k]))
 
@@ -693,7 +699,7 @@ class TestDecisionMatchesReference:
     def test_matches_per_pair_reference(self, case):
         packing, s = case
         report = pk.check_similarity(packing, s)
-        got = (report.accepted, report.n, report.tau, report.witness,
+        got = (report.accepted, report.n, report.tau, witness_points(packing, report),
                report.failing_k, report.reached)
         assert got == _reference_check_similarity(packing, s)
 
@@ -1075,7 +1081,7 @@ class TestIntegerFormMatchesReference:
 
         assert F(*sim.denominator(gamma, d)) == ref.denominator(gamma, d)
         report = pk.check_similarity(packing, s)
-        got = (report.accepted, report.n, report.tau, report.witness,
+        got = (report.accepted, report.n, report.tau, witness_points(packing, report),
                report.failing_k, report.reached)
         assert got == _reference_check_similarity(packing, s)
         if report.accepted:
@@ -1139,7 +1145,7 @@ class TestIntegerFrameMatchesFieldElemFrame:
         assert s.image_lattice(gamma) == ref.image_lattice(s, gamma)
 
         report = pk.check_similarity(packing, s)
-        got = (report.accepted, report.n, report.tau, report.witness,
+        got = (report.accepted, report.n, report.tau, witness_points(packing, report),
                report.failing_k, report.reached)
         assert got == ref.check_similarity(packing, s)
 
@@ -1221,9 +1227,9 @@ class TestNoFractionOnTheDecisionPath:
             assert built == []
 
     def test_decision_builds_only_its_witness_points(self, monkeypatch):
-        """check_similarity maps the residues and Γ's basis as integer pairs:
-        a rejected decision builds no Fraction and an accepted one builds
-        only its witness points, two per τ pair.  image_lattice and
+        """check_similarity maps the residues and Γ's basis as integer pairs
+        and returns its witness points as integer pairs, so no decision,
+        accepted or rejected, builds a Fraction.  image_lattice and
         den(Γ, R) build none, for rational w too, and the Scal sweep's per-q
         frame builds none beyond its multiplier z/q.  None of them, nor the
         sweep, multiplies FieldElems."""
@@ -1273,8 +1279,7 @@ class TestNoFractionOnTheDecisionPath:
         monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
         for packing, s, d, report, ring_packing, trial in cases:
             assert pk.check_similarity(packing, s) == report
-            assert len(built) == 2 * len(report.tau)
-            built.clear()
+            assert built == []
             s.image_lattice(packing.lattice)
             sim.denominator(packing.lattice, d)
             pk._frame(ring_packing, trial)
@@ -1388,14 +1393,16 @@ class TestIntAndFractionAgree:
             per = pk.periods(packing)
             ratio, d = sim.decompose(s)
             results.append((
-                (report.n, report.tau, report.witness, report.failing_k, report.reached),
+                (report.n, report.tau, witness_points(packing, report), report.failing_k,
+                 report.reached),
                 lifted, per, pk.scal_classes_by_tau(packing, d), (ratio, d),
                 [str(x) for x in packing.shifts],
             ))
-            points = [*packing.shifts, *lifted.shifts, *(x for _, _, x in report.witness), d.z]
+            points = [*packing.shifts, *lifted.shifts, d.z]
             coords = [c for x in points for c in (x.a, x.b)]
             assert all(type(c) in (int, F) for c in coords)
             fields = [c for g in (packing.lattice, lifted.lattice, per) for c in (g.d, g.b00, g.b01, g.b11)]
+            fields += [c for _, _, xy in report.witness for c in xy]
             assert all(type(c) is int for c in fields)
         assert results[0] == results[1]
 

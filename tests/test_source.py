@@ -22,6 +22,18 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_source_parses_as_the_oldest_supported_python():
+    # pyproject.toml's requires-python names the oldest Python simiso runs
+    # on; syntax newer than it (except*, PEP 695 generics) must fail here
+    # rather than on a user's interpreter.
+    root = Path(simiso.__file__).parents[2]
+    declared = re.search(r'requires-python = ">=3\.(\d+)"',
+                         (root / "pyproject.toml").read_text(encoding="utf-8"))
+    oldest = (3, int(declared.group(1)))
+    for path in sorted(Path(simiso.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=oldest)
+
+
 def test_every_public_function_is_reached():
     # A public module-level function that nothing else in the package names
     # and that simiso does not export has no caller: delete it or export it.
