@@ -35,8 +35,8 @@ EXIT_INPUT = 2
 EXIT_DISCREPANCY = 3
 EXIT_INTERNAL = 4
 
-# Largest table --samples: sample_directions scans a square of candidates
-# whose side grows with the count, so the count is capped.
+# Largest table --samples: sample_directions lists candidates below a norm
+# limit that grows with the count, so the count is capped.
 MAX_SAMPLES = 100
 # Largest verify --random and --p-bound/--q-bound: each runs the oracle.
 MAX_RANDOM = 10_000
@@ -51,6 +51,15 @@ MAX_RENDER_POINTS = 100_000
 
 class InputError(Exception):
     """Malformed document or argument; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as an InputError,
+    so that main prints it as one line and returns exit code 2; subparsers
+    are made of the same class."""
+
+    def error(self, message: str):
+        raise InputError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +202,11 @@ def _conj_flag(doc: dict) -> bool:
 
 
 def _load_packing(args) -> PointPacking:
-    if getattr(args, "preset", None):
+    if args.preset and args.packing:
+        raise InputError("give a packing document or --preset, not both")
+    if args.preset:
         return preset(args.preset)
-    if getattr(args, "packing", None):
+    if args.packing:
         return parse_packing_doc(_load_doc(args.packing))
     raise InputError("provide a packing document or --preset")
 
@@ -297,22 +308,25 @@ def class_label(ring: str, key) -> str:
 
 def sample_directions(ring: str, key, count: int) -> list[FieldElem]:
     """The first `count` primitive z of a congruence class, ordered by
-    (norm, a, b) over the sector a ≥ 1, b ≥ 0."""
+    (norm, a, b) over the sector a ≥ 1, b ≥ 0.  Every such z of norm below
+    a limit is listed, the limit doubling until it holds `count` of them:
+    over Z[i] both a and b lie below √limit, and over Z[ω] with a, b ≥ 0,
+    N(z) = a² - ab + b² ≥ (3/4)·max(a, b)²."""
     classify = _gaussian_class if ring == GAUSSIAN else _eisenstein_class
-    found = []
-    bound = 2
-    while len(found) < count:
-        bound *= 2
-        found = []
-        candidates = [
-            FieldElem(ring, a, b)
-            for a in range(1, bound)
-            for b in range(0, bound)
-            if math.gcd(a, b) == 1 and classify(FieldElem(ring, a, b)) == key
-        ]
-        candidates.sort(key=lambda z: (z.norm(), z.a, z.b))
-        found = candidates[:count]
-    return found
+    limit = 16
+    while True:
+        side = math.isqrt(limit if ring == GAUSSIAN else 4 * limit // 3) + 1
+        candidates = sorted(
+            (z.norm(), a, b, z)
+            for a in range(1, side)
+            for b in range(side)
+            if math.gcd(a, b) == 1
+            and (z := FieldElem(ring, a, b)).norm() < limit
+            and classify(z) == key
+        )
+        if len(candidates) >= count:
+            return [z for *_, z in candidates[:count]]
+        limit *= 2
 
 
 def table_rows(
@@ -396,6 +410,8 @@ def _parse_window(text: str):
 def run_render(args) -> int:
     packing = _load_packing(args)
     window = _parse_window(args.window)
+    if args.packing_only and args.similarity:
+        raise InputError("render takes --similarity or --packing-only, not both")
     s = None
     if not args.packing_only:
         if not args.similarity:
@@ -422,7 +438,12 @@ def run_verify(args) -> int:
     _check_range("--p-bound", args.p_bound, 1, MAX_BOUND)
     _check_range("--q-bound", args.q_bound, 1, MAX_BOUND)
     if args.random:
+        if args.packing or args.preset or args.similarity or args.direction:
+            raise InputError("verify --random draws its own cases; give it no packing, "
+                             "--preset, --similarity or --direction")
         return _verify_random(args)
+    if args.similarity and args.direction:
+        raise InputError("verify takes --similarity or --direction, not both")
     packing = _load_packing(args)
     if args.similarity:
         return _verify_similarity(packing, args)
@@ -528,7 +549,7 @@ def _add_packing_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="simiso",
         description="Exact similarity isometries of planar point packings.",
     )
@@ -582,9 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")

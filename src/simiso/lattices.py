@@ -12,8 +12,8 @@ multiples of one least r, read from the integer coordinates of X over Γ.
 The coset representatives of a sublattice are integer pairs over the d of
 both lattices.  SumLattice keeps one integer form of Γ₁ + Γ₂, for Γ₁, Γ₂
 and integer pairs over one d: [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] is read from
-its determinant, a membership v ∈ Γ₁ + Γ₂ with a point of Γ₁ ∩ (v + Γ₂)
-costs two divisibility tests, and the p with p·a - x ∈ Γ₁ + Γ₂ (a Scal
+its determinant, u - v ∈ Γ₁ + Γ₂ when u and v share a residue (two floor
+divisions each), and the p with p·a - x ∈ Γ₁ + Γ₂ (a Scal
 congruence) are one residue class.  A Fraction is built only to hand back a
 point or an index.
 """
@@ -220,7 +220,7 @@ class SumLattice:
     an integer pair over d, and det1 is det(d·Γ₁).  The columns
     k = (h00, 0, …) and lead = (h01, h11, …) span d·(Γ₁ + Γ₂); their last
     two entries are the coefficients, over Γ₁'s basis, of the Γ₁-part of
-    each column, so a solution names a point of Γ₁.
+    each column, so a reduction names a point of Γ₁.
     """
 
     det1: int
@@ -243,19 +243,16 @@ class SumLattice:
         """[Γ₁ + Γ₂ : Γ₁] = det Γ₁ / det(Γ₁ + Γ₂), which is [Γ₂ : Γ₁ ∩ Γ₂]."""
         return self.det1 // (self.k[0] * self.lead[1])
 
-    def solve(self, vx: int, vy: int) -> tuple[int, int] | None:
-        """Γ₁-coefficients of a point of Γ₁ ∩ (v + Γ₂) for d·v = (vx, vy),
-        or None when v ∉ Γ₁ + Γ₂."""
+    def reduce(self, vx: int, vy: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The residue of d·v = (vx, vy) in the cell of Lattice.reduce on
+        d·(Γ₁ + Γ₂), and the Γ₁-coefficients of v minus it; for v, v' of one
+        residue their difference names a point of Γ₁ ∩ (v - v' + Γ₂)."""
         x1, y1, p0, p1 = self.lead
-        if vy % y1:
-            return None
-        t = vy // y1
-        r = vx - t * x1
         kx, _, q0, q1 = self.k
-        if r % kx:
-            return None
-        u = r // kx
-        return t * p0 + u * q0, t * p1 + u * q1
+        t, y = divmod(vy, y1)
+        x = vx - t * x1
+        u = (x * y1 - x1 * y) // (kx * y1)
+        return (x - u * kx, y), (t * p0 + u * q0, t * p1 + u * q1)
 
     def congruence(
         self, a: tuple[int, int], x: tuple[int, int]

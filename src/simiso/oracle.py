@@ -50,16 +50,10 @@ def _check_walk(packing: PointPacking, frames) -> None:
 
 
 def certify_subpacking(packing: PointPacking, s: Similarity) -> tuple[bool, FieldElem | None]:
-    """Decide s(L) ⊆ L exactly; on refutation return a point of s(L) \\ L.
-
-    Both sets are unions of cosets of the common period lattice P, so
-    checking every point of s(L) inside one fundamental domain of P is a
-    complete proof of containment.
-    """
-    _, img, period = frame = _period_frame(packing, s)
-    _check_walk(packing, [frame])
+    """Whether s(L) ⊆ L, and on refutation the point of s(L) \\ L that
+    index_by_counting found."""
     try:
-        _certify(packing, s, img, period)
+        index_by_counting(packing, s)
     except NotContained as refuted:
         return False, refuted.point
     return True, None
@@ -104,7 +98,12 @@ class Correspondence:
 
 def index_by_counting(packing: PointPacking, s: Similarity) -> Correspondence:
     """The correspondence of s(L) ⊆ L from the certification's counts in
-    one cell of the period P; NotContained when s(L) ⊄ L."""
+    one cell of the period P; NotContained when s(L) ⊄ L.
+
+    Both sets are unions of cosets of the common period lattice P, so
+    checking every point of s(L) inside one fundamental domain of P is a
+    complete proof of containment.
+    """
     gamma, img, period = frame = _period_frame(packing, s)
     _check_walk(packing, [frame])
     counts = _certify(packing, s, img, period)

@@ -4,7 +4,7 @@ The decision engine follows the component-counting characterization: a
 similarity s with image lattice sΓ maps the packing into itself exactly
 when every component image meets n = [sΓ : Γ ∩ sΓ] components, recorded in
 the correspondence set τ.  Each decision builds one integer Hermite form of
-the frame Γ + sΓ, which gives n and every meeting s(x_k) - x_j ∈ Γ + sΓ;
+the frame Γ + sΓ, which gives n and each J_k as one residue class of it;
 witness points are integer pairs, made only once the similarity is accepted.
 
 A packing keeps Γ over one denominator d and its shifts as integer
@@ -15,8 +15,8 @@ arithmetic; a Fraction is built only to hand a point back as a FieldElem.
 
 Scaling-factor sets are solved per denominator q over the ring lattice R,
 to which every packing is first lifted.  For β = (p/q)|z| with gcd(p, q) = 1,
-R + sR = (1/q)·gcd(q, z)·R and n depend on q and z only, so each pair
-condition s(x_k) - x_j ∈ R + sR is a linear congruence in p.  The
+R + sR = (1/q)·gcd(q, z)·R and n depend on q and z only, so each k meeting
+a residue class of the targets mod R + sR is a linear congruence in p.  The
 components' congruences are merged by the Chinese remainder theorem, which
 keeps τ with each residue, and the result is folded by its group of periods
 to its smallest modulus; neither step walks the residues of that modulus.
@@ -24,7 +24,6 @@ to its smallest modulus; neither step walks the residues of that modulus.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -114,26 +113,28 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
     Accepted iff every index set J_k = {j : s(x_k) - x_j ∈ Γ + sΓ} has size
     exactly n = [sΓ : Γ ∩ sΓ].  |J_k| never exceeds n, so rejection reports
     the first k with |J_k| < n.  One integer Hermite form of Γ + sΓ serves
-    the whole decision: n = [Γ + sΓ : Γ] comes from its determinant, each of
-    the m² pair conditions is two divisibility tests, and the witness points
-    of s(x_k + Γ) ∩ (x_j + Γ) are integer pairs of an accepted report.
+    the whole decision: n = [Γ + sΓ : Γ] comes from its determinant, J_k is
+    the targets of s(x_k)'s residue, and the witness of (k, j) is x_j plus
+    the Γ-point of s(x_k)'s coefficients minus x_j's, an integer pair.
     """
     gamma = packing.lattice
     total, targets, images = _frame(packing, s)
     n = total.index()
-    hits: list[tuple[int, int, tuple[int, int]]] = []  # k, j, Γ-coefficients
-    for k, (ax, ay) in enumerate(images):
-        reached = []
-        for j, (bx, by) in enumerate(targets):
-            coeffs = total.solve(ax - bx, ay - by)
-            if coeffs is not None:
-                reached.append(j)
-                hits.append((k, j, coeffs))
-        if len(reached) != n:
-            return SimilarityReport(False, n, (), (), s, k, tuple(reached))
-    tau = tuple((k, j) for k, j, _ in hits)
+    classes: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}  # j, coefficients
+    for j, b in enumerate(targets):
+        residue, coeffs = total.reduce(*b)
+        classes.setdefault(residue, []).append((j, coeffs))
+    hits: list[tuple[int, int, int, int]] = []  # k, j, Γ-coefficients
+    for k, a in enumerate(images):
+        residue, (a0, a1) = total.reduce(*a)
+        met = classes.get(residue, [])
+        if len(met) != n:
+            return SimilarityReport(False, n, (), (), s, k, tuple(j for j, _ in met))
+        for j, (c0, c1) in met:
+            hits.append((k, j, a0 - c0, a1 - c1))
+    tau = tuple((k, j) for k, j, _, _ in hits)
     witness = []
-    for k, j, (t0, t1) in hits:  # x_j plus the Γ-point t, on d·Γ
+    for k, j, t0, t1 in hits:  # x_j plus the Γ-point t, on d·Γ
         x, y = packing.residues[j]
         witness.append((k, j, (x + t0 * gamma.b00 + t1 * gamma.b01, y + t1 * gamma.b11)))
     return SimilarityReport(True, n, tau, tuple(witness), s)
@@ -193,18 +194,18 @@ def _sweep_direction(
     N(z) is.  For gcd(p, q) = 1, S = R + sR = (1/q)·gcd(q, z)·R and
     n = [S : R] do not depend on p, so both come once per q from the trial
     map x ↦ (z/q)·x, in the frame that check_similarity builds.  As
-    s(x_k) = p·a_k with a_k = (z/q)·x_k (or (z/q)·conj(x_k)), each pair
-    condition p·a_k - x_j ∈ S holds for no p or for one residue of p modulo
+    s(x_k) = p·a_k with a_k = (z/q)·x_k (or (z/q)·conj(x_k)), p·a_k meets a
+    residue class of the targets mod S at no p or at one residue of p modulo
     the order o_k of a_k in Q(u)/S (SumLattice.congruence).  Scaling by
     q/gcd(q, z) carries S onto R, so o_k divides the denominators of x_k.
 
     The accepted residues start as the units mod q with an empty τ.  Each k
-    keeps the residues mod o_k at which it meets exactly n components and
-    merges them in by CRT over non-coprime moduli (Cohen, GTM 138, §1.3.3),
-    extending τ by its pairs (k, j).  The result is every residue mod
-    L = lcm(q, o_1, …, o_m) prime to q at which each k meets n components,
-    at a cost bounded by the residues kept, not by L; ValueError above
-    MAX_SCAL_RESIDUES.
+    keeps the residues mod o_k at which it meets a class of n targets, one
+    congruence per class, and merges them in by CRT over non-coprime moduli
+    (Cohen, GTM 138, §1.3.3), extending τ by its pairs (k, j).  The result
+    is every residue mod L = lcm(q, o_1, …, o_m) prime to q at which each k
+    meets n components, at a cost bounded by the residues kept, not by L;
+    ValueError above MAX_SCAL_RESIDUES.
     """
     packing = lift_to_ring(packing)
     m = packing.m
@@ -217,14 +218,20 @@ def _sweep_direction(
         n = total.index()
         modulus = q
         accepted = {r: () for r in range(q) if math.gcd(r, q) == 1}
+        classes: dict[tuple[int, int], list[int]] = {}  # residue mod S -> its targets j
+        for j, x_j in enumerate(targets):
+            classes.setdefault(total.reduce(*x_j)[0], []).append(j)
+        full = [js for js in classes.values() if len(js) == n]
         for k, a_k in enumerate(images):
-            _, o_k = total.congruence(a_k, (0, 0))  # p = 0 always solves
-            by_residue: dict[int, list[tuple[int, int]]] = {}  # s -> its (k, j)
-            for j, x_j in enumerate(targets):
-                solved = total.congruence(a_k, x_j)
+            meets = {}  # s -> the (k, j) of the class met at p ≡ s (mod o_k)
+            for js in full:
+                solved = total.congruence(a_k, targets[js[0]])
                 if solved is not None:
-                    by_residue.setdefault(solved[0], []).append((k, j))
-            meets = {s: tuple(kj) for s, kj in by_residue.items() if len(kj) == n}
+                    s, o_k = solved
+                    meets[s] = tuple((k, j) for j in js)
+            if not meets:
+                accepted = {}
+                break
             g = math.gcd(modulus, o_k)
             step = o_k // g
             lift = pow(modulus // g, -1, step)  # r + modulus·t ≡ s (mod o_k)
@@ -330,8 +337,8 @@ def check_corollaries(
     The caller passes ratio = p/q, with s = ratio·z from decompose, and
     den = (a, b) for den(Γ, R) = (a/b)·|z| from similarity.denominator, so
     that βRΓ ⊆ Γ exactly when ratio/den = p·b/(q·a) ∈ Z: (i) for n ≥ 2 some
-    pair of distinct shifts differs by a point of (1/n)Γ, that is
-    n·(x_j - x_i) ∈ Γ, tested on the residues over d·Γ; (ii) when
+    pair of distinct shifts differs by a point of (1/n)Γ: two residues n·x_k
+    over d·Γ reduce alike; (ii) when
     ratio/den ∈ Z each component lands in exactly one component; (iii) n·β
     is a lattice scaling factor, n·ratio/den ∈ Z.  No Fraction is built.
     """
@@ -342,8 +349,7 @@ def check_corollaries(
 
     pair_ok: bool | None = None
     if n >= 2:
-        pair_ok = any(gamma.contains_pair(n * (xj - xi), n * (yj - yi))
-                      for (xi, yi), (xj, yj) in itertools.permutations(packing.residues, 2))
+        pair_ok = len({gamma.reduce(n * x, n * y) for x, y in packing.residues}) < packing.m
 
     top, bottom = ratio.numerator * den[1], ratio.denominator * den[0]
     singleton_ok: bool | None = None
@@ -393,24 +399,17 @@ def _assert_same_point_set(packing: PointPacking, reduced: PointPacking) -> None
     Both packings are written over the packing's d, which the reduced
     packing's denominator divides."""
     gamma, per = packing.lattice, reduced.lattice
-    f = gamma.d // per.d
-    coarse = per.over(gamma.d)
-    if not (coarse.contains_pair(gamma.b00, 0) and coarse.contains_pair(gamma.b01, gamma.b11)):
-        raise RuntimeError("the generating lattice is not a sublattice of per(L)")
-    rows, cols = gamma.b00 // coarse.b00, gamma.b11 // coarse.b11  # [per(L) : Γ] = rows·cols
-    if reduced.m * rows * cols != packing.m:
+    f, coarse = gamma.d // per.d, per.over(gamma.d)
+    try:
+        reps = list(lattices.quotient_representatives(gamma, coarse))
+    except ValueError:
+        raise RuntimeError("the generating lattice is not a sublattice of per(L)") from None
+    if reduced.m * len(reps) != packing.m:
         raise RuntimeError("component count mismatch")
-    index = {r: k for k, r in enumerate(packing.residues)}
-    covered = []
-    for x, y in reduced.residues:
-        for i in range(rows):
-            for j in range(cols):
-                k = index.get(gamma.reduce(f * x + i * coarse.b00 + j * coarse.b01,
-                                           f * y + j * coarse.b11))
-                if k is None:
-                    raise RuntimeError("reduced packing is not the same point set")
-                covered.append(k)
-    if sorted(covered) != list(range(packing.m)):
+    covered = {gamma.reduce(f * x + rx, f * y + ry) for x, y in reduced.residues for rx, ry in reps}
+    if not covered <= set(packing.residues):
+        raise RuntimeError("reduced packing is not the same point set")
+    if len(covered) != packing.m:
         raise RuntimeError("reduced packing misses a component")
 
 

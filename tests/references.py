@@ -6,7 +6,8 @@ every image lattice from the images of two generators, and every
 "r·X ⊆ Γ" question from Lattice.least_scale; a Lattice is an integer
 Hermite basis over one denominator; packings keep their shifts as integer
 residues and test corollary (i) on them; a similarity maps integer pairs,
-so the frame Γ + sΓ of a decision is built on integers; the lift to the
+so the frame Γ + sΓ of a decision is built on integers and each J_k is
+one residue class of the targets mod Γ + sΓ; the lift to the
 ring lattice rescales integer residues and integer coset representatives;
 render draws every component from one integer frame per drawn lattice and
 bounds its circles on integer corners; the Scal solve merges its
@@ -17,11 +18,12 @@ three Fraction fields that Lattice replaced, a lattice point and the coset
 representatives as FieldElems, the lift from FieldElem cosets, the sum as
 a lattice, membership in a packing, the residue of a point mod Γ and the
 corollary (i) containment on Fraction points, the frame built from
-FieldElem images over their least common denominator and the decision
-read from it, least_scale on FieldElem points, the congruences on Fraction
-coordinates and the walk over every residue of their modulus, the window
-enumeration on Fraction points, render's circle bound on Fraction corners
-and its drawing component by component from FieldElem shifts and images,
+FieldElem images over their least common denominator, the decision by one
+coset solve per pair on a Hermite form of its own, least_scale on FieldElem
+points, the congruences on Fraction coordinates and the walk over every
+residue of their modulus, the window enumeration on Fraction points,
+render's circle bound on Fraction corners and its drawing component by
+component from FieldElem shifts and images,
 the intersection through the dual identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the
 Euclidean algorithm in Z[i] and Z[ω], 2×2 matrices of multiplication and
 conjugation over {1, u}, and the size of the oracle's walk from a closed
@@ -249,24 +251,75 @@ def frame(packing, s):
     return total, xy[:packing.m], xy[packing.m:]
 
 
+def coset_point(l1, l2, v):
+    """A point of Γ₁ ∩ (v + Γ₂), or None when v ∉ Γ₁ + Γ₂, from a fresh
+    Hermite form of Γ₁ + Γ₂ scaled by the denominators of Γ₁, Γ₂ and v,
+    tracking Γ₁-parts as Fraction pairs: the per-pair solve that the
+    residues of SumLattice.reduce replaced."""
+    gens1 = [(g.a, g.b) for g in l1.generators()]
+    gens2 = [(g.a, g.b) for g in l2.generators()]
+    denoms = [c.denominator for g in gens1 + gens2 for c in g]
+    denoms += [v.a.denominator, v.b.denominator]
+    d = math.lcm(*denoms)
+    zero = (Fraction(0), Fraction(0))
+    cols = [(int(x * d), int(y * d), (x, y)) for x, y in gens1]
+    cols += [(int(x * d), int(y * d), zero) for x, y in gens2]
+    tx, ty = int(v.a * d), int(v.b * d)
+
+    def axpy(c, p1, p2):
+        return (p1[0] + c * p2[0], p1[1] + c * p2[1])
+
+    lead = None
+    rest = []
+    for x, y, p in cols:
+        if y == 0:
+            rest.append((x, p))
+            continue
+        if lead is None:
+            lead = (x, y, p)
+            continue
+        x0, y0, p0 = lead
+        g, s, t = lat._xgcd(y0, y)
+        lead = (s * x0 + t * x, g, axpy(t, (s * p0[0], s * p0[1]), p))
+        c0, c1 = y // g, -(y0 // g)
+        rest.append((c0 * x0 + c1 * x, axpy(c1, (c0 * p0[0], c0 * p0[1]), p)))
+    kx, kp = 0, zero
+    for x, p in rest:
+        g, s, t = lat._xgcd(kx, x)
+        kx, kp = g, axpy(t, (s * kp[0], s * kp[1]), p)
+    x0, y0, p0 = lead
+    if ty % y0 != 0:
+        return None
+    t_lead = ty // y0
+    remainder = tx - t_lead * x0
+    if remainder % kx != 0:
+        return None
+    t_k = remainder // kx
+    return FieldElem(l1.ring, t_lead * p0[0] + t_k * kp[0], t_lead * p0[1] + t_k * kp[1])
+
+
 def check_similarity(packing, s):
-    """The decision read from the FieldElem frame, as (accepted, n, τ,
-    witness, failing_k, reached)."""
-    total, targets, images = frame(packing, s)
-    n = total.index()
-    hits = []
-    for k, (ax, ay) in enumerate(images):
+    """The per-pair decision: n = [sΓ : Γ ∩ sΓ] through intersect and one
+    coset_point per pair (k, j), each on its own Hermite form.  Returns
+    (accepted, n, τ, witness, failing_k, reached), the witness as FieldElem
+    points."""
+    gamma = packing.lattice
+    img = s.image_lattice(gamma)
+    n = lat.index(intersect(gamma, img), img)
+    tau, witness = [], []
+    for k, x_k in enumerate(packing.shifts):
+        sx = s.apply(x_k)
         reached = []
-        for j, (bx, by) in enumerate(targets):
-            coeffs = total.solve(ax - bx, ay - by)
-            if coeffs is not None:
-                reached.append(j)
-                hits.append((k, j, coeffs))
+        for j, x_j in enumerate(packing.shifts):
+            ell = coset_point(gamma, img, sx - x_j)
+            if ell is None:
+                continue
+            reached.append(j)
+            tau.append((k, j))
+            witness.append((k, j, x_j + ell))
         if len(reached) != n:
             return False, n, (), (), k, tuple(reached)
-    gamma = packing.lattice
-    witness = tuple((k, j, packing.shifts[j] + point(gamma, *t)) for k, j, t in hits)
-    return True, n, tuple((k, j) for k, j, _ in hits), witness, None, ()
+    return True, n, tuple(tau), tuple(witness), None, ()
 
 
 def denominator(lattice, d):

@@ -365,6 +365,20 @@ class TestTable:
         lines = capsys.readouterr().out.splitlines()
         assert len({line.split(",")[2] for line in lines[1:]}) == 3 * samples
 
+    def test_samples_are_the_first_by_norm(self):
+        # The box [1, 80) × [0, 80) holds every primitive z of the sector
+        # a ≥ 1, b ≥ 0 with N(z) < 4,800 over both rings, so its first z by
+        # (norm, a, b) are the first of the sector while their norm stays below.
+        for ring, classes, classify in ((GAUSSIAN, cli.GAUSSIAN_CLASSES, cli._gaussian_class),
+                                        (EISENSTEIN, cli.EISENSTEIN_CLASSES, cli._eisenstein_class)):
+            box = sorted((FieldElem(ring, a, b) for a in range(1, 80) for b in range(80)
+                          if math.gcd(a, b) == 1), key=lambda z: (z.norm(), z.a, z.b))
+            for key in classes:
+                first = [z for z in box if classify(z) == key][:MAX_SAMPLES]
+                assert first[-1].norm() < 4_800
+                for count in range(1, MAX_SAMPLES + 1):
+                    assert cli.sample_directions(ring, key, count) == first[:count]
+
     def test_deterministic(self, capsys):
         main(["table", "t3", "--samples", "2"])
         first = capsys.readouterr().out
@@ -515,7 +529,9 @@ class TestVerify:
             cli, "_verify_direction", lambda packing, args: seen.append(args) or EXIT_OK
         )
         option = "--" + flag.replace("_", "-")
-        rc = main(["verify", "--preset", "hex", "--direction", '{"z":[1,1]}', f"{option}={value}"])
+        # --random draws its own cases, so it takes no packing or direction.
+        case = [] if flag == "random" and value else ["--preset", "hex", "--direction", '{"z":[1,1]}']
+        rc = main(["verify", *case, f"{option}={value}"])
         assert rc == EXIT_OK
         assert getattr(seen[0], flag) == value
 
@@ -793,6 +809,43 @@ class TestJsonDeterminism:
         assert capsys.readouterr().out == first
         # 2+2i decomposes to β = 2√2 along 1+i.
         assert json.loads(first)["beta"] == "2·√2"
+
+
+class TestCommandLine:
+    """A command line the README does not read exits 2 with one line
+    `error: …` on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "t1", "--samples", "x"],  # not an int
+        ["table", "t1", "--format", "xml"],  # not a choice
+        ["periods", "--preset", "hex", "--bogus"],  # unknown flag
+        [],  # no subcommand
+    ])
+    def test_parser_errors_print_one_line(self, argv, capsys):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--help"])
+        assert exc.value.code == 0 and "--samples" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", HEX_DOC, "--preset", "hex", "--similarity", '{"z":[1,1]}'],
+        ["render", "--preset", "hex", "--packing-only", "--similarity", '{"z":[1,1]}',
+         "--window=-1,-1,1,1"],
+        ["verify", "--preset", "hex", "--similarity", '{"z":[1,1]}', "--direction", '{"z":[1,1]}'],
+        ["verify", "--random", "3", "--preset", "hex"],
+    ], ids=["document-and-preset", "packing-only-and-similarity",
+            "similarity-and-direction", "random-and-packing"])
+    def test_conflicting_inputs_exit_2(self, argv, capsys):
+        # Each input alone is read; together one of them would be ignored.
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestInternalErrors:

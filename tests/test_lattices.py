@@ -23,6 +23,7 @@ from references import (
     FractionLattice,
     add,
     contains_lattice,
+    coset_point,
     dual,
     intersect,
     least_scale,
@@ -290,28 +291,40 @@ class TestLeastScale:
 
 
 class TestCosetIntersection:
-    """The sum solve of SumLattice: one Hermite form of Γ₁ + Γ₂ per pair."""
+    """The residues of SumLattice: one Hermite form of Γ₁ + Γ₂ for every
+    point, and u - v ∈ Γ₁ + Γ₂ exactly when u and v share a residue."""
 
     def test_solves_membership(self):
+        """The residue lies in the Hermite cell of the sum, a point minus it is
+        the Γ₁-point of its coefficients plus a point of Γ₂, and for two
+        points of one residue the difference of their coefficients names the
+        point of Γ₁ ∩ (u - v + Γ₂) that the per-pair solve of
+        references.coset_point finds."""
         rng = random.Random(3)
         for _ in range(40):
             ring = rng.choice((GAUSSIAN, EISENSTEIN))
             l1 = mul_lattice(ring, rng.randint(1, 3), rng.randint(0, 2))
             l2 = mul_lattice(ring, rng.randint(1, 3), rng.randint(1, 3))
-            v = FieldElem(
-                ring,
-                F(rng.randint(-10, 10), rng.randint(1, 4)),
-                F(rng.randint(-10, 10), rng.randint(1, 4)),
-            )
-            total, [xy] = sum_lattice(l1, l2, (v,))
-            coeffs = total.solve(*xy)
-            if coeffs is None:
-                assert not add(l1, l2).contains(v)
-            else:
-                ell = point(l1, *coeffs)
-                assert add(l1, l2).contains(v)
-                assert l1.contains(ell)
-                assert l2.contains(ell - v)
+            u, v = (FieldElem(ring, F(rng.randint(-10, 10), rng.randint(1, 4)),
+                              F(rng.randint(-10, 10), rng.randint(1, 4))) for _ in range(2))
+            if rng.random() < 0.5:  # u - v in the sum
+                v = u + point(l1, rng.randint(-3, 3), rng.randint(-3, 3)) \
+                    + point(l2, rng.randint(-3, 3), rng.randint(-3, 3))
+            total, xy = sum_lattice(l1, l2, (u, v))
+            d = math.lcm(l1.d, l2.d, *(c.denominator for x in (u, v) for c in (x.a, x.b)))
+            cell = Lattice(ring, d, total.k[0], total.lead[0], total.lead[1])
+            assert cell == add(l1, l2)
+            (ru, cu), (rv, cv) = (total.reduce(*p) for p in xy)
+            for x, (px, py), (rx, ry), c in zip((u, v), xy, (ru, rv), (cu, cv)):
+                assert cell.reduce(rx, ry) == (rx, ry)
+                assert cell.contains_pair(px - rx, py - ry)
+                # x minus its residue is the Γ₁-point of c plus a point of Γ₂.
+                assert l2.contains(x - cell.element(rx, ry) - point(l1, *c))
+            ell = coset_point(l1, l2, u - v)
+            assert (ell is not None) == (ru == rv) == add(l1, l2).contains(u - v)
+            if ell is not None:
+                assert point(l1, cu[0] - cv[0], cu[1] - cv[1]) == ell
+                assert l1.contains(ell) and l2.contains(ell - (u - v))
 
     def test_index_is_second_isomorphism(self):
         # [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂], on ideals and on rational lattices.

@@ -58,11 +58,16 @@ class TestPointPacking:
 
 
 def _meet(lattice, x_k, x_j, s):
-    """A point of s(x_k + Γ) ∩ (x_j + Γ) from the sum solve, or None."""
-    v = s.apply(x_k) - x_j
-    total, [xy] = ref.sum_lattice(lattice, s.image_lattice(lattice), (v,))
-    coeffs = total.solve(*xy)
-    return None if coeffs is None else x_j + ref.point(lattice, *coeffs)
+    """A point of s(x_k + Γ) ∩ (x_j + Γ) from the residues of s(x_k) and x_j
+    mod Γ + sΓ, or None when they differ: x_j plus the Γ-point of the
+    image's coefficients minus the target's, which is the point that the
+    per-pair solve of references.coset_point finds."""
+    img = s.image_lattice(lattice)
+    total, xy = ref.sum_lattice(lattice, img, (s.apply(x_k), x_j))
+    (ra, (a0, a1)), (rb, (b0, b1)) = (total.reduce(*p) for p in xy)
+    ell = ref.point(lattice, a0 - b0, a1 - b1) if ra == rb else None
+    assert ell == ref.coset_point(lattice, img, s.apply(x_k) - x_j)
+    return None if ell is None else x_j + ell
 
 
 class TestComponentIntersection:
@@ -608,75 +613,6 @@ class TestLift:
             assert pk.lift_to_ring(packing).m == width
 
 
-def _reference_coset_point(l1, l2, v):
-    """The per-pair solve the sum form replaced: a point of Γ₁ ∩ (v + Γ₂), or
-    None when v ∉ Γ₁ + Γ₂, from a fresh Hermite form of Γ₁ + Γ₂ scaled by the
-    denominators of Γ₁, Γ₂ and v, tracking Γ₁-parts as Fraction pairs."""
-    gens1 = [(g.a, g.b) for g in l1.generators()]
-    gens2 = [(g.a, g.b) for g in l2.generators()]
-    denoms = [c.denominator for g in gens1 + gens2 for c in g]
-    denoms += [v.a.denominator, v.b.denominator]
-    d = math.lcm(*denoms)
-    zero = (F(0), F(0))
-    cols = [(int(x * d), int(y * d), (x, y)) for x, y in gens1]
-    cols += [(int(x * d), int(y * d), zero) for x, y in gens2]
-    tx, ty = int(v.a * d), int(v.b * d)
-
-    def axpy(c, p1, p2):
-        return (p1[0] + c * p2[0], p1[1] + c * p2[1])
-
-    lead = None
-    rest = []
-    for x, y, p in cols:
-        if y == 0:
-            rest.append((x, p))
-            continue
-        if lead is None:
-            lead = (x, y, p)
-            continue
-        x0, y0, p0 = lead
-        g, s, t = lat._xgcd(y0, y)
-        lead = (s * x0 + t * x, g, axpy(t, (s * p0[0], s * p0[1]), p))
-        c0, c1 = y // g, -(y0 // g)
-        rest.append((c0 * x0 + c1 * x, axpy(c1, (c0 * p0[0], c0 * p0[1]), p)))
-    kx, kp = 0, zero
-    for x, p in rest:
-        g, s, t = lat._xgcd(kx, x)
-        kx, kp = g, axpy(t, (s * kp[0], s * kp[1]), p)
-    x0, y0, p0 = lead
-    if ty % y0 != 0:
-        return None
-    t_lead = ty // y0
-    remainder = tx - t_lead * x0
-    if remainder % kx != 0:
-        return None
-    t_k = remainder // kx
-    return FieldElem(l1.ring, t_lead * p0[0] + t_k * kp[0], t_lead * p0[1] + t_k * kp[1])
-
-
-def _reference_check_similarity(packing, s):
-    """The per-pair decision: n = [sΓ : Γ ∩ sΓ] through intersect and one
-    coset solve per pair (k, j).  Returns (accepted, n, τ, witness,
-    failing_k, reached)."""
-    gamma = packing.lattice
-    img = s.image_lattice(gamma)
-    n = lat.index(intersect(gamma, img), img)
-    tau, witness = [], []
-    for k, x_k in enumerate(packing.shifts):
-        sx = s.apply(x_k)
-        reached = []
-        for j, x_j in enumerate(packing.shifts):
-            ell = _reference_coset_point(gamma, img, sx - x_j)
-            if ell is None:
-                continue
-            reached.append(j)
-            tau.append((k, j))
-            witness.append((k, j, x_j + ell))
-        if len(reached) != n:
-            return False, n, (), (), k, tuple(reached)
-    return True, n, tuple(tau), tuple(witness), None, ()
-
-
 @st.composite
 def packings_with_similarities(draw):
     """A packing with m ≤ 4 over Z[i], Z[ω] or a sheared rational Γ of index
@@ -701,7 +637,7 @@ class TestDecisionMatchesReference:
         report = pk.check_similarity(packing, s)
         got = (report.accepted, report.n, report.tau, witness_points(packing, report),
                report.failing_k, report.reached)
-        assert got == _reference_check_similarity(packing, s)
+        assert got == ref.check_similarity(packing, s)
 
     @settings(max_examples=100, deadline=None)
     @given(packings_with_similarities())
@@ -716,6 +652,58 @@ class TestDecisionMatchesReference:
         s = Similarity(FieldElem(GAUSSIAN, F(1, 2), F(1, 2)))
         report = pk.check_similarity(preset("rect12"), s)
         assert (report.accepted, report.n, report.failing_k, report.reached) == (False, 2, 0, (0,))
+
+
+def _fine_packing(k):
+    """The point set (1/k)·Z[i], written as m = k² components over Z[i]."""
+    return PointPacking(ZI, tuple(FieldElem(GAUSSIAN, F(a, k), F(b, k))
+                                  for a in range(k) for b in range(k)))
+
+
+class TestResidueLookups:
+    """A decision reduces each target and each image once, and the Scal
+    sweep solves one congruence per component and class of n targets."""
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_decision_makes_2m_reductions(self, k, monkeypatch):
+        packing = _fine_packing(k)
+        calls = []
+        reduce = lat.SumLattice.reduce
+        monkeypatch.setattr(lat.SumLattice, "reduce",
+                            lambda self, *v: calls.append(v) or reduce(self, *v))
+        # Accepted at n = 1 (w ∈ Z[i]); rejected at n = 2 and n = 4.
+        for s in (simw(GAUSSIAN, 1, 2), simw(GAUSSIAN, 3, 4, True),
+                  Similarity(fe(GAUSSIAN, F(1, 2), F(1, 2))), Similarity(fe(GAUSSIAN, F(1, 2), 0))):
+            calls.clear()
+            report = pk.check_similarity(packing, s)
+            assert len(calls) <= 2 * packing.m
+            got = (report.accepted, report.n, report.tau, witness_points(packing, report),
+                   report.failing_k, report.reached)
+            assert got == ref.check_similarity(packing, s)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_sweep_solves_once_per_class_of_n(self, k, monkeypatch):
+        packing = _fine_packing(k)
+        calls = []
+        congruence = lat.SumLattice.congruence
+        monkeypatch.setattr(lat.SumLattice, "congruence",
+                            lambda self, *ax: calls.append(ax) or congruence(self, *ax))
+        for z, conjugate in (((1, 2), False), ((3, 4), True), ((1, 0), True)):
+            d = Direction(fe(GAUSSIAN, *z), conjugate)
+            bound = 0  # m times the classes of exactly n targets, per admissible q
+            multiple = d.norm() if conjugate else 1
+            for q in range(1, min(math.isqrt(multiple), packing.m) + 1):
+                if multiple % (q * q) == 0:
+                    total, targets, _ = pk._frame(packing, d.similarity(F(1, q)))
+                    cell = Lattice(GAUSSIAN, 1, total.k[0], total.lead[0], total.lead[1])
+                    firsts = [next(i for i, y in enumerate(targets)
+                                   if cell.contains_pair(x[0] - y[0], x[1] - y[1])) for x in targets]
+                    sizes = [firsts.count(i) for i in set(firsts)]
+                    bound += packing.m * sizes.count(total.index())
+            calls.clear()
+            rows = pk.scal_classes_by_tau(packing, d)
+            assert len(calls) <= bound
+            assert rows == _reference_scal(ref.sweep_direction(packing, d), d)[1]
 
 
 class TestProposition41Witness:
@@ -804,6 +792,18 @@ class TestPeriodsReduce:
         reduced = pk.reduce(packing)
         assert reduced.m == 1
         assert lat.index(reduced.lattice, Lattice.ring_lattice(GAUSSIAN)) == F(1, 2)
+
+    def test_other_point_sets_refused(self):
+        # The check behind reduce walks per(L)/Γ from each reduced shift.
+        packing = preset("ex22")
+        zero, half = FieldElem.zero(GAUSSIAN), FieldElem(GAUSSIAN, F(1, 2), F(0))
+        twice = Lattice.from_generators(GAUSSIAN, [(F(2), F(0)), (F(0), F(2))])
+        for reduced, message in ((PointPacking(twice, (zero,)), "not a sublattice"),
+                                 (PointPacking(ZI, (zero,)), "count mismatch"),
+                                 (PointPacking(ZI, (zero, half)), "not the same point set")):
+            with pytest.raises(RuntimeError, match=message):
+                pk._assert_same_point_set(packing, reduced)
+        pk._assert_same_point_set(packing, pk.reduce(packing))
 
     def test_hexagonal_irreducible(self):
         packing = preset("hex")
@@ -1083,7 +1083,7 @@ class TestIntegerFormMatchesReference:
         report = pk.check_similarity(packing, s)
         got = (report.accepted, report.n, report.tau, witness_points(packing, report),
                report.failing_k, report.reached)
-        assert got == _reference_check_similarity(packing, s)
+        assert got == ref.check_similarity(packing, s)
         if report.accepted:
             assert corollaries(report, packing) == _reference_corollaries(report, packing)
 
@@ -1130,7 +1130,8 @@ def frame_cases(draw):
 class TestIntegerFrameMatchesFieldElemFrame:
     """The integer map and the frame Γ + sΓ built on it against the route
     they replaced: s.apply on FieldElem points, sΓ from the images of Γ's
-    generators, and a SumLattice over their least common denominator."""
+    generators, and a SumLattice over their least common denominator; the
+    decision read from the frame against the per-pair reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(frame_cases())
