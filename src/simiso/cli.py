@@ -20,6 +20,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 from . import lattices, oracle, packings, similarity as sim
 from .lattices import Lattice
@@ -215,11 +216,8 @@ def _load_packing(args) -> PointPacking:
 # display
 
 
-def _tau_display(packing: PointPacking, tau) -> str:
-    pairs = ",".join(
-        f"({packing.shifts[k]},{packing.shifts[j]})" for k, j in sorted(tau)
-    )
-    return "{" + pairs + "}"
+def _tau_display(labels: list[str], tau) -> str:
+    return "{" + ",".join(f"({labels[k]},{labels[j]})" for k, j in sorted(tau)) + "}"
 
 
 def _write(text: str, out: str | None) -> None:
@@ -296,6 +294,9 @@ TABLE_SPECS = {
     "t5": ("hex-shifted", True, EISENSTEIN),
 }
 
+# The keys of a table row, in the order of the CSV columns.
+TABLE_FIELDS = ("table", "class", "z", "scal", "tau")
+
 GAUSSIAN_CLASSES = ((1, 0), (0, 1), (1, 1))
 EISENSTEIN_CLASSES = (1, 2, 0)
 
@@ -332,9 +333,14 @@ def sample_directions(ring: str, key, count: int) -> list[FieldElem]:
 def table_rows(
     name: str, samples: int = 2, explicit: list[FieldElem] | None = None
 ) -> list[dict]:
-    """Rows (class, z, scal, tau) reproducing the published tables."""
+    """Rows (table, class, z, scal, tau) reproducing the published tables.
+
+    Each text is formatted once: the shift labels once per packing, the
+    class label once per class and z once per direction, so a τ pair costs
+    two list lookups."""
     preset_name, conjugate, ring = TABLE_SPECS[name]
     packing = preset(preset_name)
+    labels = [str(x) for x in packing.shifts]
     classes = GAUSSIAN_CLASSES if ring == GAUSSIAN else EISENSTEIN_CLASSES
     classify = _gaussian_class if ring == GAUSSIAN else _eisenstein_class
     rows = []
@@ -343,22 +349,27 @@ def table_rows(
             zs = [z for z in explicit if classify(z) == key]
         else:
             zs = sample_directions(ring, key, samples)
+        label = class_label(ring, key)
         for z in zs:
             d = Direction(z, conjugate)
+            z_text = str(z)
             cells = [
-                (ScalSet(d, (c,)).display(symbolic=True), _tau_display(packing, tau))
+                (ScalSet(d, (c,)).display(symbolic=True), _tau_display(labels, tau))
                 for c, tau in packings.scal_classes_by_tau(packing, d)
             ]
             for scal, tau in cells or [("∅", "∅")]:
-                rows.append({"table": name, "class": class_label(ring, key),
-                             "z": str(z), "scal": scal, "tau": tau})
+                rows.append({"table": name, "class": label, "z": z_text,
+                             "scal": scal, "tau": tau})
     return rows
 
 
 def run_table(args) -> int:
     if args.name not in TABLE_SPECS:
         raise InputError(f"unknown table {args.name!r}; choose t1..t5")
-    _check_range("--samples", args.samples, 1, MAX_SAMPLES)
+    if args.samples is not None and args.z:
+        raise InputError("table takes --samples or --z, not both")
+    samples = 2 if args.samples is None else args.samples
+    _check_range("--samples", samples, 1, MAX_SAMPLES)
     explicit = None
     if args.z:
         _, _, ring = TABLE_SPECS[args.name]
@@ -376,7 +387,7 @@ def run_table(args) -> int:
             if z.is_zero() or math.gcd(a, b) != 1:
                 raise InputError(f"--z {text!r} is not a primitive direction")
             explicit.append(z)
-    rows = table_rows(args.name, samples=args.samples, explicit=explicit)
+    rows = table_rows(args.name, samples=samples, explicit=explicit)
     if args.format == "json":
         _write(
             json.dumps(rows, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
@@ -384,11 +395,9 @@ def run_table(args) -> int:
         )
         return EXIT_OK
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["table", "class", "z", "scal", "tau"], lineterminator="\n"
-    )
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TABLE_FIELDS)
+    writer.writerows(map(itemgetter(*TABLE_FIELDS), rows))
     _write(buf.getvalue(), args.out)
     return EXIT_OK
 
@@ -435,8 +444,13 @@ def run_render(args) -> int:
 
 def run_verify(args) -> int:
     _check_range("--random", args.random, 0, MAX_RANDOM)
-    _check_range("--p-bound", args.p_bound, 1, MAX_BOUND)
-    _check_range("--q-bound", args.q_bound, 1, MAX_BOUND)
+    if args.seed is not None and not args.random:
+        raise InputError("verify --seed goes with --random N (N ≥ 1) only")
+    for flag, bound in (("--p-bound", args.p_bound), ("--q-bound", args.q_bound)):
+        if bound is not None:
+            if not args.direction:
+                raise InputError(f"verify {flag} goes with --direction only")
+            _check_range(flag, bound, 1, MAX_BOUND)
     if args.random:
         if args.packing or args.preset or args.similarity or args.direction:
             raise InputError("verify --random draws its own cases; give it no packing, "
@@ -482,12 +496,14 @@ def _verify_direction(packing: PointPacking, args) -> int:
     d = parse_direction_doc(_load_doc(args.direction), packing.ring)
     # Engine first: a packing over the lift cap exits 2 before the oracle runs.
     full = packings.scal_set_packing(packing, d)
-    ratios = oracle.coprime_ratios(args.p_bound, args.q_bound)
+    p_bound = 9 if args.p_bound is None else args.p_bound
+    q_bound = 1 if args.q_bound is None else args.q_bound
+    ratios = oracle.coprime_ratios(p_bound, q_bound)
     engine = {r for r in ratios if full.contains_ratio(r)}
-    brute = oracle.scal_set_bruteforce(packing, d, args.p_bound, args.q_bound)
+    brute = oracle.scal_set_bruteforce(packing, d, p_bound, q_bound)
     doc = {
         "direction": str(d),
-        "bounds": {"p": args.p_bound, "q": args.q_bound},
+        "bounds": {"p": p_bound, "q": q_bound},
         "bruteforce": sorted(str(r) for r in brute),
         "engine": sorted(str(r) for r in engine),
         "agree": brute == engine,
@@ -497,7 +513,8 @@ def _verify_direction(packing: PointPacking, args) -> int:
 
 
 def _verify_random(args) -> int:
-    rng = random.Random(args.seed)
+    seed = args.seed or 0
+    rng = random.Random(seed)
     disagreements = []
     for _ in range(args.random):
         ring = rng.choice((GAUSSIAN, EISENSTEIN))
@@ -508,7 +525,7 @@ def _verify_random(args) -> int:
             )
     doc = {
         "cases": args.random,
-        "seed": args.seed,
+        "seed": seed,
         "disagreements": disagreements,
         "agree": not disagreements,
     }
@@ -560,13 +577,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--similarity", required=True, help="similarity document")
     p.set_defaults(func=run_analyze)
 
-    p = subs.add_parser("table", help="reproduce a published table as CSV")
+    p = subs.add_parser("table", help="reproduce a published table as CSV or JSON")
     p.add_argument("name", help="t1, t2, t3, t4, or t5")
     p.add_argument(
         "--samples",
         type=int,
-        default=2,
-        help=f"directions per class, 1 to {MAX_SAMPLES}",
+        help=f"directions per class, 1 to {MAX_SAMPLES} (default 2); not with --z",
     )
     p.add_argument("--z", action="append", help="explicit direction a,b (repeatable)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -589,10 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_packing_args(p)
     p.add_argument("--similarity", help="similarity document")
     p.add_argument("--direction", help="direction document for a set sweep")
-    p.add_argument("--p-bound", type=int, default=9, help=f"1 to {MAX_BOUND}")
-    p.add_argument("--q-bound", type=int, default=1, help=f"1 to {MAX_BOUND}")
+    p.add_argument("--p-bound", type=int,
+                   help=f"1 to {MAX_BOUND} (default 9); with --direction only")
+    p.add_argument("--q-bound", type=int,
+                   help=f"1 to {MAX_BOUND} (default 1); with --direction only")
     p.add_argument("--random", type=int, default=0, help=f"sweep size, up to {MAX_RANDOM}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of --random (default 0)")
     p.set_defaults(func=run_verify)
 
     p = subs.add_parser("periods", help="maximal generating lattice and reduction")

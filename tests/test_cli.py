@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -45,6 +46,7 @@ from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction, Similarity
 
 from references import oracle_points
+from test_golden import _table_commands
 
 HEX_DOC = json.dumps(
     {
@@ -378,6 +380,29 @@ class TestTable:
                 assert first[-1].norm() < 4_800
                 for count in range(1, MAX_SAMPLES + 1):
                     assert cli.sample_directions(ring, key, count) == first[:count]
+
+    @pytest.mark.parametrize("name, zs", [
+        ("t4", ["1,0"]), ("t5", ["2,1"]), ("t5", ["1,0", "1,1", "2,1", "3,1"]),
+    ])
+    def test_formats_each_label_once(self, name, zs, monkeypatch, capsys):
+        # The m shift labels are formatted once per packing and z once per
+        # direction, however many τ pairs the rows print.
+        calls = []
+        text = FieldElem.__str__
+        monkeypatch.setattr(FieldElem, "__str__", lambda x: calls.append(x) or text(x))
+        assert main(["table", name, *(f"--z={z}" for z in zs)]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) > len(zs)
+        assert len(calls) <= preset(cli.TABLE_SPECS[name][0]).m + len(zs)
+
+    @pytest.mark.parametrize("argv", list(_table_commands()), ids=lambda argv: argv[1])
+    def test_csv_rows_match_json_rows(self, argv, capsys):
+        assert main([*argv, "--format=json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--format=csv"]) == EXIT_OK
+        header, *lines = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == list(cli.TABLE_FIELDS)
+        assert lines == [[row[field] for field in header] for row in rows]
+        assert len(rows) >= len(argv) - 2
 
     def test_deterministic(self, capsys):
         main(["table", "t3", "--samples", "2"])
@@ -846,6 +871,33 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "t1", "--z", "1,2", "--samples", "5"],
+        ["verify", "--preset", "hex", "--similarity", '{"z":[1,1]}', "--p-bound", "5"],
+        ["verify", "--random", "3", "--q-bound", "2"],
+        ["verify", "--preset", "hex", "--similarity", '{"z":[1,1]}', "--seed", "3"],
+    ], ids=["samples-with-z", "p-bound-without-direction", "q-bound-without-direction",
+            "seed-without-random"])
+    def test_flags_of_another_mode_exit_2(self, argv, capsys):
+        # Each flag is read only in one mode; in another it would be dropped.
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, defaults", [
+        (["table", "t2"], ["--samples", "2"]),
+        (["verify", "--preset", "hex", "--direction", '{"z":[1,1]}'],
+         ["--p-bound", "9", "--q-bound", "1"]),
+        (["verify", "--random", "5"], ["--seed", "0"]),
+    ], ids=["table", "verify-direction", "verify-random"])
+    def test_left_out_flags_take_their_defaults(self, argv, defaults, capsys):
+        assert main(argv) == EXIT_OK
+        left_out = capsys.readouterr()
+        assert main(argv + defaults) == EXIT_OK
+        assert capsys.readouterr() == left_out
 
 
 class TestInternalErrors:
