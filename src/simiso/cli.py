@@ -20,6 +20,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 from operator import itemgetter
 
 from . import lattices, oracle, packings, similarity as sim
@@ -27,7 +28,7 @@ from .lattices import Lattice
 from .packings import PointPacking
 from .presets import PRESETS, preset
 from .render import circle_bound, render_svg
-from .rings import EISENSTEIN, GAUSSIAN, FieldElem
+from .rings import EISENSTEIN, GAUSSIAN, FieldElem, format_pair
 from .similarity import Direction, ScalSet, Similarity, format_scale
 
 EXIT_OK = 0
@@ -231,8 +232,59 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(doc: dict, out: str | None) -> None:
-    _write(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n", out)
+def to_json(value) -> str:
+    """The bytes of json.dumps(value, ensure_ascii=False, sort_keys=True,
+    indent=2) for the types the commands print: dict with str keys, list,
+    str, int, bool and None.  Any other type, a tuple or a float included,
+    raises TypeError.  Strings go through json's C escaper, and containers
+    are written by one recursion into a list of chunks, which is faster than
+    json's pure-Python encoder, the one json.dumps takes for indented
+    output."""
+    chunks: list[str] = []
+    _json_chunks(value, "\n", chunks)
+    return "".join(chunks)
+
+
+def _json_chunks(value, newline: str, chunks: list[str]) -> None:
+    kind = type(value)
+    if kind is str:
+        chunks.append(encode_basestring(value))
+    elif kind is int:
+        chunks.append(repr(value))
+    elif kind is dict:
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            chunks += (sep, encode_basestring(key), ": ")
+            _json_chunks(value[key], inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "}")
+    elif kind is list:
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            chunks.append(sep)
+            _json_chunks(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "]")
+    elif kind is bool:
+        chunks.append("true" if value else "false")
+    elif value is None:
+        chunks.append("null")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _emit_json(doc, out: str | None) -> None:
+    _write(to_json(doc) + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +306,11 @@ def run_analyze(args) -> int:
         "den_lattice": format_scale(Fraction(*den), d.norm()),
     }
     if report.accepted:
-        labels = [str(x) for x in packing.shifts]
+        ring, gamma_d = packing.ring, packing.lattice.d
+        labels = [format_pair(ring, x, y, gamma_d) for x, y in packing.residues]
         doc["tau"] = [[labels[k], labels[j]] for k, j in report.tau]
         doc["witness"] = [
-            {"component": k, "target": j, "offset": str(packing.lattice.element(*off))}
+            {"component": k, "target": j, "offset": format_pair(ring, *off, gamma_d)}
             for k, j, off in report.witness
         ]
         cor = packings.check_corollaries(report, packing, ratio, den)
@@ -340,7 +393,7 @@ def table_rows(
     two list lookups."""
     preset_name, conjugate, ring = TABLE_SPECS[name]
     packing = preset(preset_name)
-    labels = [str(x) for x in packing.shifts]
+    labels = [format_pair(ring, x, y, packing.lattice.d) for x, y in packing.residues]
     classes = GAUSSIAN_CLASSES if ring == GAUSSIAN else EISENSTEIN_CLASSES
     classify = _gaussian_class if ring == GAUSSIAN else _eisenstein_class
     rows = []
@@ -389,10 +442,7 @@ def run_table(args) -> int:
             explicit.append(z)
     rows = table_rows(args.name, samples=samples, explicit=explicit)
     if args.format == "json":
-        _write(
-            json.dumps(rows, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-            args.out,
-        )
+        _emit_json(rows, args.out)
         return EXIT_OK
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -541,13 +591,13 @@ def run_periods(args) -> int:
     packing = _load_packing(args)
     reduced = packings.reduce(packing)
     maximal = reduced.lattice  # per(L)
-    g1, g2 = maximal.generators()
+    ring, d = packing.ring, maximal.d
     doc = {
-        "periods_basis": [str(g1), str(g2)],
+        "periods_basis": [format_pair(ring, x, y, d) for x, y in maximal.basis],
         "covolume_ratio": str(lattices.index(packing.lattice, maximal)),
         "components_before": packing.m,
         "components_after": reduced.m,
-        "reduced_shifts": [str(x) for x in reduced.shifts],
+        "reduced_shifts": [format_pair(ring, x, y, d) for x, y in reduced.residues],
     }
     _emit_json(doc, args.out)
     return EXIT_OK

@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import FieldElem, RingMismatchError, over_denominator
+from .rings import FieldElem, RingMismatchError, format_pair, over_denominator
 
 
 class DegenerateLatticeError(ValueError):
@@ -186,7 +186,7 @@ class Lattice:
         return g.contains_pair(*xy)
 
     def __str__(self) -> str:
-        g1, g2 = self.generators()
+        g1, g2 = (format_pair(self.ring, x, y, self.d) for x, y in self.basis)
         return f"<{g1}, {g2}>"
 
 

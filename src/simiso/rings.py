@@ -10,8 +10,12 @@ and all operations are pure.  No floating point appears anywhere.
 The module holds what the engine uses: addition, multiplication, norm and
 conjugation, and the content of a ring element.  There is no Euclidean
 division: every gcd the engine needs comes from a closed form or a Hermite
-form.  RingElem remains as a second name of FieldElem for code written
-against the former integer class, such as the benchmark's workloads.
+form.  Every point prints through format_pair, which writes the point
+(x + y·u)/d of integers x, y, d in lowest terms: FieldElem.__str__ hands it
+its coordinates over their least common denominator, and the command line
+hands it the integer pairs a packing or a lattice already holds, with no
+Fraction between.  RingElem remains as a second name of FieldElem for code
+written against the former integer class, such as the benchmark's workloads.
 """
 
 from __future__ import annotations
@@ -39,22 +43,6 @@ def _check_ring(ring: str) -> None:
 def _same_ring(x, y) -> None:
     if x.ring != y.ring:
         raise RingMismatchError(f"cannot mix {x.ring} and {y.ring} elements")
-
-
-def _format_combo(a: int, b: int, sym: str) -> str:
-    # a + b*u with integer a, b; omits zero terms.
-    if b == 0:
-        return str(a)
-    if b == 1:
-        upart = sym
-    elif b == -1:
-        upart = "-" + sym
-    else:
-        upart = f"{b}{sym}"
-    if a == 0:
-        return upart
-    sign = "+" if b > 0 else ""
-    return f"{a}{sign}{upart}"
 
 
 @dataclass(frozen=True)
@@ -110,17 +98,32 @@ class FieldElem:
         return FieldElem(self.ring, self.a * r, self.b * r)
 
     def __str__(self) -> str:
+        """The text of format_pair, over the least common denominator."""
         d, (na, nb) = over_denominator((self.a, self.b))
-        core = _format_combo(na, nb, UNIT_SYMBOL[self.ring])
-        if d == 1:
-            return core
-        if na != 0 and nb != 0:
-            return f"({core})/{d}"
-        return f"{core}/{d}"
+        return format_pair(self.ring, na, nb, d)
 
 
 # The former name of integral elements; perfbench/workloads.py imports it.
 RingElem = FieldElem
+
+
+def format_pair(ring: str, x: int, y: int, d: int) -> str:
+    """The text of the point (x + y·u)/d, for integers x, y and d > 0, in
+    lowest terms: x, y and d are divided by their gcd first, and a zero
+    term is left out."""
+    g = math.gcd(x, y, d)
+    x, y, d = x // g, y // g, d // g
+    sym = UNIT_SYMBOL[ring]
+    upart = sym if y == 1 else "-" + sym if y == -1 else f"{y}{sym}"
+    if y == 0:
+        core = str(x)
+    elif x == 0:
+        core = upart
+    else:
+        core = f"{x}+{upart}" if y > 0 else f"{x}{upart}"
+    if d == 1:
+        return core
+    return f"({core})/{d}" if x != 0 and y != 0 else f"{core}/{d}"
 
 
 def over_denominator(values) -> tuple[int, list[int]]:

@@ -38,6 +38,7 @@ from simiso.cli import (
     parse_direction_doc,
     parse_packing_doc,
     parse_similarity_doc,
+    to_json,
 )
 from simiso.lattices import Lattice
 from simiso.packings import MAX_SCAL_RESIDUES, PointPacking
@@ -54,6 +55,40 @@ HEX_DOC = json.dumps(
         "basis": [["1", "0"], ["0", "1"]],
         "shifts": [["0", "0"], ["2/3", "1/3"]],
     }
+)
+
+
+# One accepted similarity per preset, with |τ| from 2 (rect12) to 9 (ex34).
+ACCEPTED_PER_PRESET = [
+    ("rect12", '{"z":[1,2],"scale":"1"}'),
+    ("hex", '{"z":[1,1],"scale":"2"}'),
+    ("hex-shifted", '{"z":[1,1],"scale":"2","conj":true}'),
+    ("ex34", '{"z":[2,1],"scale":"1"}'),
+    ("ex22", '{"z":[2,1],"scale":"1","conj":true}'),
+]
+
+
+def _count_fractions(monkeypatch) -> list:
+    """The argument tuples of every Fraction built from here on."""
+    built = []
+    new = F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+    return built
+
+
+# Strings with what JSON must escape (quote, backslash, control characters),
+# what it must not (U+2028, a non-BMP character, the display's √ω∪∅), and
+# any other character.
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\n\t\u2028\U0001f600√ω∪∅'), st.characters()),
+    max_size=6,
+)
+_JSON_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(-10**300, 10**300), _JSON_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=24,
 )
 
 
@@ -247,6 +282,16 @@ class TestDocuments:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("name, similarity", ACCEPTED_PER_PRESET)
+    def test_only_parsing_builds_fractions(self, name, similarity, monkeypatch, capsys):
+        # The scale, w's coordinates and the β and den displays; the τ labels
+        # and witness offsets print from integer pairs, however many there are.
+        preset(name)
+        built = _count_fractions(monkeypatch)
+        rc = main(["analyze", "--preset", name, "--similarity", similarity])
+        assert rc == EXIT_OK and len(built) <= 7
+        assert json.loads(capsys.readouterr().out)["tau"]
+
     def test_accepted(self, capsys):
         rc = main(
             [
@@ -698,21 +743,13 @@ class TestRender:
         # One sΓ for circle_bound and render_svg; check_similarity builds its own.
         assert rc == EXIT_OK and len(calls) == 2
 
-    @pytest.mark.parametrize("name, similarity", [
-        ("rect12", '{"z":[1,2],"scale":"1"}'),
-        ("hex", '{"z":[1,1],"scale":"2"}'),
-        ("hex-shifted", '{"z":[1,1],"scale":"2","conj":true}'),
-        ("ex34", '{"z":[2,1],"scale":"1"}'),
-        ("ex22", '{"z":[2,1],"scale":"1","conj":true}'),
-    ])
+    @pytest.mark.parametrize("name, similarity", ACCEPTED_PER_PRESET)
     def test_only_parsing_builds_fractions(self, name, similarity, tmp_path, monkeypatch):
         # The four window corners, the scale and w's two coordinates: the
         # decision, the cap and the figure run on integers.  The preset is
         # built, and cached, first.
         preset(name)
-        built = []
-        new = F.__new__
-        monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+        built = _count_fractions(monkeypatch)
         rc = main(["render", "--preset", name, "--similarity", similarity,
                    "--window=-7/2,-3,9/2,4", "--out", str(tmp_path / "fig.svg")])
         assert rc == EXIT_OK and len(built) <= 7
@@ -834,6 +871,16 @@ class TestJsonDeterminism:
         assert capsys.readouterr().out == first
         # 2+2i decomposes to β = 2√2 along 1+i.
         assert json.loads(first)["beta"] == "2·√2"
+
+    @given(_JSON_DOCS)
+    @settings(max_examples=300, deadline=None)
+    def test_writer_is_json_dumps(self, doc):
+        assert to_json(doc) == json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("doc", [1.5, (1, 2), {1: "a"}, {"a": [0.0]}, [{"a": (None,)}]])
+    def test_writer_refuses_other_types(self, doc):
+        with pytest.raises(TypeError):
+            to_json(doc)
 
 
 class TestCommandLine:

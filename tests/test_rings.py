@@ -15,6 +15,7 @@ from simiso.rings import (
     RingElem,
     RingMismatchError,
     content_and_primitive,
+    format_pair,
     over_denominator,
 )
 from simiso.similarity import Similarity, decompose
@@ -329,3 +330,19 @@ class TestFieldElem:
         assert str(FieldElem(GAUSSIAN, F(0), F(0))) == "0"
         assert str(g(1, -1)) == "1-i"
         assert str(e(0, 2)) == "2ω"
+
+    def test_format_pair_lowest_terms(self):
+        assert format_pair(EISENSTEIN, 4, 2, 6) == "(2+ω)/3"
+        assert format_pair(GAUSSIAN, -3, -6, 6) == "(-1-2i)/2"
+        assert format_pair(GAUSSIAN, 0, -4, 2) == "-2i"
+        assert format_pair(GAUSSIAN, 3, 0, 9) == "1/3"
+        assert format_pair(EISENSTEIN, 0, 0, 7) == "0"
+
+    @given(st.sampled_from((GAUSSIAN, EISENSTEIN)), coord, coord,
+           st.integers(1, 60), st.integers(1, 12))
+    def test_format_pair_is_the_point_text(self, ring, x, y, d, k):
+        # The text depends on the point (x + y·u)/d only, and is the text of
+        # that point as a FieldElem.
+        text = format_pair(ring, x, y, d)
+        assert format_pair(ring, k * x, k * y, k * d) == text
+        assert str(FieldElem(ring, F(x, d), F(y, d))) == text

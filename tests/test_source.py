@@ -103,3 +103,20 @@ def test_oracle_uses_no_engine_shortcut():
                  "lift_to_ring", "check_corollaries", "closure_check")
     source = (Path(simiso.__file__).parent / "oracle.py").read_text(encoding="utf-8")
     assert [name for name in shortcuts if re.search(rf"\b{name}\b", source)] == []
+
+
+def test_no_indented_json_dumps():
+    # json.dumps with indent runs json's pure-Python encoder; the commands
+    # write their documents through cli.to_json, byte-identical and faster.
+    found = []
+    for path in sorted(Path(simiso.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dumps"
+            and any(keyword.arg == "indent" for keyword in node.keywords)
+        ]
+    assert found == []
