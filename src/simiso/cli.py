@@ -19,6 +19,7 @@ import math
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -27,7 +28,7 @@ from . import lattices, oracle, packings, similarity as sim
 from .lattices import Lattice
 from .packings import PointPacking
 from .presets import PRESETS, preset
-from .render import circle_bound, render_svg
+from .render import render_svg
 from .rings import EISENSTEIN, GAUSSIAN, FieldElem, format_pair
 from .similarity import Direction, ScalSet, Similarity, format_scale
 
@@ -47,8 +48,6 @@ MAX_BOUND = 100
 MAX_RATIONAL_CHARS = 40
 # Most shifts in a packing document; the work grows with their square.
 MAX_COMPONENTS = packings.MAX_LIFTED_COMPONENTS
-# Most circles render draws, as bounded by render.circle_bound.
-MAX_RENDER_POINTS = 100_000
 
 
 class InputError(Exception):
@@ -98,6 +97,15 @@ def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
         raise InputError(f"{flag} must be between {lo} and {hi}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice is refused, not overwritten."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise InputError(f"repeated key {key!r} in a JSON object")
+    return doc
+
+
 def _load_doc(source: str) -> dict:
     """JSON from an inline string (leading '{') or from a file path."""
     text = source
@@ -108,7 +116,7 @@ def _load_doc(source: str) -> dict:
         except OSError as exc:
             raise InputError(f"cannot read {source}: {exc}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -204,11 +212,11 @@ def _conj_flag(doc: dict) -> bool:
 
 
 def _load_packing(args) -> PointPacking:
-    if args.preset and args.packing:
+    if args.preset is not None and args.packing is not None:
         raise InputError("give a packing document or --preset, not both")
-    if args.preset:
+    if args.preset is not None:
         return preset(args.preset)
-    if args.packing:
+    if args.packing is not None:
         return parse_packing_doc(_load_doc(args.packing))
     raise InputError("provide a packing document or --preset")
 
@@ -222,7 +230,7 @@ def _tau_display(labels: list[str], tau) -> str:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -469,22 +477,17 @@ def _parse_window(text: str):
 def run_render(args) -> int:
     packing = _load_packing(args)
     window = _parse_window(args.window)
-    if args.packing_only and args.similarity:
+    if args.packing_only and args.similarity is not None:
         raise InputError("render takes --similarity or --packing-only, not both")
     s = None
     if not args.packing_only:
-        if not args.similarity:
+        if args.similarity is None:
             raise InputError("render needs --similarity or --packing-only")
         s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
-    image = s.image_lattice(packing.lattice) if s else None
-    circles = circle_bound(packing, image, window)
-    if circles > MAX_RENDER_POINTS:
-        raise InputError(f"window takes up to {circles} circles; "
-                         f"at most {MAX_RENDER_POINTS} are drawn")
-    if s is not None and not packings.check_similarity(packing, s).accepted:
-        sys.stderr.write("similarity rejected; use --packing-only to draw L\n")
-        return EXIT_REJECTED
-    _write(render_svg(packing, s, image, window), args.out)
+        if not packings.check_similarity(packing, s).accepted:
+            sys.stderr.write("similarity rejected; use --packing-only to draw L\n")
+            return EXIT_REJECTED
+    _write(render_svg(packing, s, window), args.out)
     return EXIT_OK
 
 
@@ -498,20 +501,21 @@ def run_verify(args) -> int:
         raise InputError("verify --seed goes with --random N (N ≥ 1) only")
     for flag, bound in (("--p-bound", args.p_bound), ("--q-bound", args.q_bound)):
         if bound is not None:
-            if not args.direction:
+            if args.direction is None:
                 raise InputError(f"verify {flag} goes with --direction only")
             _check_range(flag, bound, 1, MAX_BOUND)
     if args.random:
-        if args.packing or args.preset or args.similarity or args.direction:
+        if any(v is not None for v in (args.packing, args.preset, args.similarity,
+                                       args.direction)):
             raise InputError("verify --random draws its own cases; give it no packing, "
                              "--preset, --similarity or --direction")
         return _verify_random(args)
-    if args.similarity and args.direction:
+    if args.similarity is not None and args.direction is not None:
         raise InputError("verify takes --similarity or --direction, not both")
     packing = _load_packing(args)
-    if args.similarity:
+    if args.similarity is not None:
         return _verify_similarity(packing, args)
-    if args.direction:
+    if args.direction is not None:
         return _verify_direction(packing, args)
     raise InputError("verify needs --similarity, --direction, or --random")
 

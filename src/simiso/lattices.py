@@ -151,9 +151,6 @@ class Lattice:
         """The Hermite basis of d·Γ as integer pairs over d."""
         return (self.b00, 0), (self.b01, self.b11)
 
-    def generators(self) -> tuple[FieldElem, FieldElem]:
-        return self.element(self.b00, 0), self.element(self.b01, self.b11)
-
     def element(self, x: int, y: int) -> FieldElem:
         """The point of Q(u) that the integer pair (x, y) over d stands for."""
         return FieldElem(self.ring, Fraction(x, self.d), Fraction(y, self.d))

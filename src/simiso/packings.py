@@ -414,21 +414,15 @@ def _assert_same_point_set(packing: PointPacking, reduced: PointPacking) -> None
 
 
 @dataclass(frozen=True)
-class PairClosureResult:
-    composed_accepted: bool
-    composed: Similarity
-
-
-@dataclass(frozen=True)
 class ClosureDiagnostics:
-    """Composition closure over sampled similarity pairs, plus the monoid
-    hypothesis Scal(L,R) ⊆ Scal(Γ,R) checked per distinct direction."""
+    """Composition closure over sampled similarity pairs, one flag per pair,
+    plus the monoid hypothesis Scal(L,R) ⊆ Scal(Γ,R) per distinct direction."""
 
-    pairs: tuple[PairClosureResult, ...]
+    composed_accepted: tuple[bool, ...]
     hypothesis_by_direction: tuple[tuple[Direction, bool], ...]
 
     def all_compositions_accepted(self) -> bool:
-        return all(p.composed_accepted for p in self.pairs)
+        return all(self.composed_accepted)
 
     def hypothesis_holds(self) -> bool:
         return all(ok for _, ok in self.hypothesis_by_direction)
@@ -451,9 +445,7 @@ def closure_check(
             _, d = sim.decompose(s)
             if d not in directions:
                 directions.append(d)
-        composed = sim.compose(s2, s1)
-        ok = check_similarity(packing, composed).accepted
-        results.append(PairClosureResult(ok, composed))
+        results.append(check_similarity(packing, sim.compose(s2, s1)).accepted)
 
     hypo = [(d, _scal_subset_of_lattice_scal(packing, d)) for d in directions]
     return ClosureDiagnostics(tuple(results), tuple(hypo))

@@ -2,15 +2,17 @@
 
 Colors follow the conventions of the source figures: the generating
 lattice component dark, other packing components gray, image components
-blue/yellow/green.  Byte output is fixed for fixed inputs.  Each drawn
-lattice (Γ, or sΓ for the image) is put over one denominator D with the
-window corners once, and its shifts are integer pairs over D: the packing's
-residues, and s.map_pairs of them for the image.  A component is walked
-column by column (points_in_window), and coordinates become floats as a/D
-and b/D: int / int rounds correctly, so each equals float() of the reduced
-Fraction whatever D is.  A row's cy text is formatted once, and over Z[i] so
-is a column's cx; over Z[ω], x = a/D - (b/D)/2 is formatted once per float.
-circle_bound caps the walk before any figure is drawn.
+blue/yellow/green.  Byte output is fixed for fixed inputs.  render_svg puts
+each drawn lattice (Γ, or sΓ for the image, which it builds itself) over one
+denominator D with the window corners once, and its shifts are integer pairs
+over D: the packing's residues, and s.map_pairs of them for the image.  The
+circles a figure may draw are counted on those frames, and a figure above
+MAX_RENDER_POINTS is refused before any point is walked.  A component is
+walked column by column (points_in_window), and coordinates become floats as
+a/D and b/D: int / int rounds correctly, so each equals float() of the
+reduced Fraction whatever D is.  A row's cy text is formatted once, and over
+Z[i] so is a column's cx; over Z[ω], x = a/D - (b/D)/2 is formatted once per
+float.  Legend labels print the residues through format_pair.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ from fractions import Fraction
 
 from .lattices import Lattice
 from .packings import PointPacking
-from .rings import EISENSTEIN, over_denominator
+from .rings import EISENSTEIN, format_pair, over_denominator
 from .similarity import Similarity
 
 PACKING_COLORS = ("#1c1c1c", "#9e9e9e", "#c96b6b", "#7c5aa8")
 IMAGE_COLORS = ("#2b6cb0", "#f2c12e", "#38a169", "#d97706")
 # Width of every figure in pixels; its height follows the window's aspect.
 SIZE = 640
+# Most circles a figure may draw, as counted on its frames before drawing.
+MAX_RENDER_POINTS = 100_000
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -69,26 +73,23 @@ def window_frame(lattice: Lattice, d: int, shifts, window: Window):
     return lattice.over(big), [(k * x, k * y) for x, y in shifts], tuple(c * v for v in corners)
 
 
-def circle_bound(packing: PointPacking, image: Lattice | None, window: Window) -> int:
-    """The most circles render_svg draws: each component walks at most
-    ⌊h/b11⌋ + 1 rows of ⌊w/b00⌋ + 1 points of Γ (and of the image lattice
-    sΓ, when given), b11 and b00 over d.  The window is read as integers
-    over its least denominator e, so h/b11 is (y1 - y0)·d/(e·b11)."""
-    e, (x0, y0, x1, y1) = over_denominator(window)
-    drawn = [packing.lattice] + ([image] if image else [])
-    return sum(packing.m * ((y1 - y0) * g.d // (e * g.b11) + 1)
-               * ((x1 - x0) * g.d // (e * g.b00) + 1) for g in drawn)
-
-
-def render_svg(
-    packing: PointPacking,
-    s: Similarity | None,
-    image: Lattice | None,
-    window: Window,
-) -> str:
+def render_svg(packing: PointPacking, s: Similarity | None, window: Window) -> str:
     """An SVG document showing the packing and, when s is given, its image
-    s(L), drawn over the image lattice image = sΓ."""
-    ring = packing.ring
+    s(L), drawn over sΓ.  Each component walks at most ⌊Δy/b11⌋ + 1 rows of
+    ⌊Δx/b00⌋ + 1 points of its frame; a sum above MAX_RENDER_POINTS raises
+    ValueError before any point is walked."""
+    ring, gamma = packing.ring, packing.lattice
+    drawn = [(window_frame(gamma, gamma.d, packing.residues, window), PACKING_COLORS,
+              '<g fill="none" stroke="{}" stroke-width="1.2">', "{}+Γ", "4.0")]
+    if s is not None:
+        e, images = s.map_pairs(packing.residues)
+        drawn.append((window_frame(s.image_lattice(gamma), e * gamma.d, images, window),
+                      IMAGE_COLORS, '<g fill="{}">', "image of {}+Γ", "2.4"))
+    circles = sum(packing.m * ((y1 - y0) // g.b11 + 1) * ((x1 - x0) // g.b00 + 1)
+                  for (g, _, (x0, y0, x1, y1)), *_ in drawn)
+    if circles > MAX_RENDER_POINTS:
+        raise ValueError(f"window takes up to {circles} circles; "
+                         f"at most {MAX_RENDER_POINTS} are drawn")
     x0, y0, x1, y1 = window
     corners = [to_xy(ring, float(cx), float(cy)) for cx in (x0, x1) for cy in (y0, y1)]
     min_x = min(c[0] for c in corners)
@@ -107,21 +108,15 @@ def render_svg(
         f'viewBox="0 0 {SIZE} {height}">',
         f'<rect width="{SIZE}" height="{height}" fill="white"/>',
     ]
+    labels = [format_pair(ring, x, y, gamma.d) for x, y in packing.residues]
     legend: list[tuple[str, str]] = []
-    drawn = [(packing.lattice, packing.lattice.d, packing.residues, PACKING_COLORS,
-              '<g fill="none" stroke="{}" stroke-width="1.2">', "{}+Γ", "4.0")]
-    if s is not None:
-        e, images = s.map_pairs(packing.residues)
-        drawn.append((image, e * packing.lattice.d, images, IMAGE_COLORS,
-                      '<g fill="{}">', "image of {}+Γ", "2.4"))
     # Every drawn coordinate is at least pad·scale > 0, so 0.0 and -0.0,
     # one dict key but formatted apart, never both occur.
     xs: dict[float, str] = {}
     stretch = _SQRT3_2 if ring == EISENSTEIN else 1.0
-    for lattice, d, shifts, colors, group, label, r in drawn:
-        lattice, shifts, box = window_frame(lattice, d, shifts, window)
+    for (lattice, shifts, box), colors, group, label, r in drawn:
         big = lattice.d
-        for k, (x_k, shift) in enumerate(zip(packing.shifts, shifts)):
+        for k, (text, shift) in enumerate(zip(labels, shifts)):
             color = colors[k % len(colors)]
             lines.append(group.format(color))
             ends: dict[int, list[str]] = {}  # id of a shared row list -> its cy texts
@@ -142,7 +137,7 @@ def render_svg(
                     head = f'<circle cx="{(a / big - min_x) * scale:.2f}'
                     lines += [head + row for row in end]
             lines.append("</g>")
-            legend.append((color, label.format(x_k)))
+            legend.append((color, label.format(text)))
 
     ly = 16
     for color, label in legend:

@@ -145,11 +145,16 @@ def packing_contains(packing, x) -> bool:
     return any(packing.lattice.contains(x - s) for s in packing.shifts)
 
 
+def generators(lattice: Lattice):
+    """The Hermite basis of a Lattice as two FieldElem points."""
+    return [lattice.element(*b) for b in lattice.basis]
+
+
 def add(l1: Lattice, l2: Lattice) -> Lattice:
     """The lattice Γ₁ + Γ₂ generated by the union."""
     if l1.ring != l2.ring:
         raise RingMismatchError("sum of lattices over different rings")
-    gens = [(g.a, g.b) for g in l1.generators() + l2.generators()]
+    gens = [(g.a, g.b) for g in generators(l1) + generators(l2)]
     return Lattice.from_generators(l1.ring, gens)
 
 
@@ -246,7 +251,7 @@ def frame(packing, s):
     images: sΓ spanned by the images of Γ's generators under s.apply, and
     each s(x_k) by s.apply, all over their least common denominator."""
     gamma = packing.lattice
-    img = Lattice.from_generators(gamma.ring, [(y.a, y.b) for y in map(s.apply, gamma.generators())])
+    img = Lattice.from_generators(gamma.ring, [(y.a, y.b) for y in map(s.apply, generators(gamma))])
     total, xy = sum_lattice(gamma, img, packing.shifts + tuple(map(s.apply, packing.shifts)))
     return total, xy[:packing.m], xy[packing.m:]
 
@@ -256,8 +261,8 @@ def coset_point(l1, l2, v):
     Hermite form of Γ₁ + Γ₂ scaled by the denominators of Γ₁, Γ₂ and v,
     tracking Γ₁-parts as Fraction pairs: the per-pair solve that the
     residues of SumLattice.reduce replaced."""
-    gens1 = [(g.a, g.b) for g in l1.generators()]
-    gens2 = [(g.a, g.b) for g in l2.generators()]
+    gens1 = [(g.a, g.b) for g in generators(l1)]
+    gens2 = [(g.a, g.b) for g in generators(l2)]
     denoms = [c.denominator for g in gens1 + gens2 for c in g]
     denoms += [v.a.denominator, v.b.denominator]
     d = math.lcm(*denoms)
@@ -393,7 +398,7 @@ def shift_pair_in_nth_lattice(packing, n):
 def contains_lattice(sup, sub):
     """Whether sub ⊆ sup, by testing both generators of sub."""
     sup = FractionLattice.of(sup)
-    return all(sup.contains(g) for g in sub.generators())
+    return all(sup.contains(g) for g in generators(sub))
 
 
 def congruence_residue(a, x, order):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from simiso import cli, oracle
+from simiso import cli, oracle, render
 from simiso.cli import (
     EXIT_DISCREPANCY,
     EXIT_INPUT,
@@ -30,7 +30,6 @@ from simiso.cli import (
     MAX_COMPONENTS,
     MAX_RANDOM,
     MAX_RATIONAL_CHARS,
-    MAX_RENDER_POINTS,
     MAX_SAMPLES,
     InputError,
     _fraction,
@@ -43,6 +42,7 @@ from simiso.cli import (
 from simiso.lattices import Lattice
 from simiso.packings import MAX_SCAL_RESIDUES, PointPacking
 from simiso.presets import preset
+from simiso.render import MAX_RENDER_POINTS
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction, Similarity
 
@@ -740,7 +740,7 @@ class TestRender:
                             lambda s, gamma: calls.append(s) or image_lattice(s, gamma))
         rc = main(["render", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"2"}',
                    "--window=-3,-3,3,3", "--out", str(tmp_path / "fig.svg")])
-        # One sΓ for circle_bound and render_svg; check_similarity builds its own.
+        # One sΓ for render_svg's bound and figure; check_similarity builds its own.
         assert rc == EXIT_OK and len(calls) == 2
 
     @pytest.mark.parametrize("name, similarity", ACCEPTED_PER_PRESET)
@@ -816,8 +816,9 @@ class TestRender:
         ],
     )
     def test_circle_cap(self, window, similarity, ok, monkeypatch, capsys):
+        # render_svg bounds its own figure: a window above the cap walks no point.
         drawn = []
-        monkeypatch.setattr(cli, "render_svg", lambda *a: drawn.append(a) or "")
+        monkeypatch.setattr(render, "points_in_window", lambda *a: drawn.append(a) or [])
         argv = ["render", "--preset", "hex", f"--window={window}"]
         argv += ["--similarity", similarity] if similarity else ["--packing-only"]
         rc = main(argv)
@@ -831,12 +832,22 @@ class TestRender:
         # Γ = ⟨10⁻³⁰, 10³⁰·u⟩ over an 8 × 8 window: its area · m / det Γ is 64,
         # but the one row in the window holds 8·10³⁰ points of Γ.
         drawn = []
-        monkeypatch.setattr(cli, "render_svg", lambda *a: drawn.append(a) or "")
+        monkeypatch.setattr(render, "points_in_window", lambda *a: drawn.append(a) or [])
         doc = json.dumps({"ring": "gaussian", "basis": [[f"1/{10**30}", "0"], ["0", str(10**30)]],
                           "shifts": [["0", "0"]]})
         rc = main(["render", doc, "--packing-only", "--window=-4,-4,4,4"])
         assert rc == EXIT_INPUT and not drawn
         assert str(MAX_RENDER_POINTS) in capsys.readouterr().err
+
+    def test_rejected_similarity_exits_1_over_any_window(self, monkeypatch, capsys):
+        # The decision runs before the figure is bounded: a rejected
+        # similarity exits 1 even where its window is above the cap.
+        drawn = []
+        monkeypatch.setattr(render, "points_in_window", lambda *a: drawn.append(a) or [])
+        rc = main(["render", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"1"}',
+                   "--window=0,0,1000,1000"])
+        assert rc == EXIT_REJECTED and not drawn
+        assert capsys.readouterr().err.startswith("similarity rejected")
 
 
 class TestPeriods:
@@ -933,6 +944,39 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"2"}', "--out", ""],
+        ["verify", "--preset", "hex", "--similarity", "", "--direction", '{"z":[1,1]}'],
+        ["render", "--preset", "hex", "--packing-only", "--similarity", "",
+         "--window=-1,-1,1,1"],
+        ["periods", "", "--preset", "hex"],
+        ["periods", ""],
+        ["render", "--preset", "hex", "--similarity", "", "--window=-1,-1,1,1"],
+    ], ids=["analyze-out", "verify-similarity-and-direction", "render-packing-only-and-similarity",
+            "periods-document-and-preset", "periods-document", "render-similarity"])
+    def test_empty_string_is_given_not_absent(self, argv, capsys):
+        # An empty path or document is an input that cannot be read, not a
+        # flag left out: it exits 2 rather than being ignored.
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, key", [
+        (["analyze", '{"ring":"gaussian","ring":"eisenstein","shifts":[["0","0"]]}',
+          "--similarity", '{"z":[1,1]}'], "ring"),
+        (["analyze", "--preset", "hex", "--similarity", '{"z":[1,1],"z":[2,1]}'], "z"),
+        (["verify", "--preset", "hex", "--direction", '{"z":[1,1],"conj":true,"conj":false}'],
+         "conj"),
+        (["periods", '{"ring":"gaussian","shifts":[["0","0"]],"shifts":[["0","0"]]}'], "shifts"),
+    ], ids=["packing-ring", "similarity-z", "direction-conj", "packing-shifts"])
+    def test_repeated_key_exits_2(self, argv, key, capsys):
+        # json.loads keeps a repeated key's last value; the documents refuse it.
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: repeated key {key!r} in a JSON object\n"
 
     @pytest.mark.parametrize("argv, defaults", [
         (["table", "t2"], ["--samples", "2"]),

@@ -2,10 +2,11 @@
 
 A change that means to keep every output byte-identical must keep DIGEST:
 the SHA-256 over argv, exit code, stdout and stderr of each command below,
-run in process through cli.main.  The list covers the tables, every preset
-and rational packings over sheared lattices, congruent-shift refusals
-included.  A change that alters output on purpose recomputes DIGEST with
-golden_digest() and says why.
+run in process through cli.main.  The list covers the tables as CSV and as
+JSON, every preset, one figure refused above the circle cap, and rational
+packings over sheared lattices, congruent-shift refusals included.  A change
+that alters output on purpose recomputes DIGEST with golden_digest() and
+says why.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from fractions import Fraction
 from simiso import cli
 from simiso.rings import EISENSTEIN, GAUSSIAN
 
-DIGEST = "629da086c2d1fac7bbc9ef3c8e2ae16d9f381e5c5ca1f48a119915b9d475981e"
+DIGEST = "788a0b7c97688e7a2aba5b5165c7037032babe8068360e18a49663e8e2d33460"
 
 _TABLE_RINGS = {"t1": GAUSSIAN, "t2": EISENSTEIN, "t3": EISENSTEIN, "t4": EISENSTEIN,
                 "t5": EISENSTEIN}
@@ -90,7 +91,10 @@ def _document_commands(count=60, seed=12):
 
 def commands():
     yield from _table_commands()
+    yield from ([*argv, "--format", "json"] for argv in _table_commands())
     yield from _preset_commands()
+    # hex draws 2·(199 + 1)·(250 + 1) = 100,400 circles here, above the cap.
+    yield ["render", "--preset", "hex", "--packing-only", "--window=0,0,250,199"]
     yield from _document_commands()
 
 

@@ -257,7 +257,7 @@ class TestDualAndQuotients:
         # The least integer D with D·Γ₁ ⊆ Γ₂ is the numerator of the least
         # rational scale, here and against the matrix reference.
         img = mul_lattice(GAUSSIAN, 1, 2)
-        d = least_scale(img, ZI.generators())
+        d = least_scale(img, [ZI.element(*b) for b in ZI.basis])
         assert d == 5 == scaling_denominator(ZI, img)
         scaled = Lattice(GAUSSIAN, ZI.d, d.numerator * ZI.b00, d.numerator * ZI.b01,
                          d.numerator * ZI.b11)

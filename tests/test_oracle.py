@@ -262,7 +262,7 @@ class TestIndexByCounting:
         packing, d = case
         z = d.similarity(1)
         gamma = packing.lattice
-        r = ref.least_scale(gamma, [z.apply(x) for x in gamma.generators() + packing.shifts])
+        r = ref.least_scale(gamma, [z.apply(x) for x in ref.generators(gamma) + list(packing.shifts)])
         s = d.similarity(p * r)
         assume(lat.index(orc._period_frame(packing, s)[2], gamma) <= 2_500)
         assert_matches_engine(packing, s)

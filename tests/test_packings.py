@@ -13,7 +13,8 @@ from simiso import lattices as lat, packings as pk, similarity as sim
 from simiso.lattices import Lattice
 from simiso.packings import PointPacking
 from simiso.presets import preset
-from simiso.render import circle_bound, render_svg
+from simiso import render
+from simiso.render import render_svg
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import Direction, ResidueClass, ScalSet, Similarity
 
@@ -828,7 +829,7 @@ def _reference_periods(packing):
     """per(L) by the pairwise test: Γ plus every difference x_j - x_k that
     carries each component onto some component, with m² `contains` each."""
     gamma = packing.lattice
-    gens = [(g.a, g.b) for g in gamma.generators()]
+    gens = [(g.a, g.b) for g in ref.generators(gamma)]
     for j in range(packing.m):
         for k in range(packing.m):
             t = ref.reduce_point(gamma, packing.shifts[j] - packing.shifts[k])
@@ -1289,29 +1290,34 @@ class TestNoFractionOnTheDecisionPath:
             built.clear()
 
     def test_circle_bound_builds_no_fraction(self, monkeypatch):
-        """render's cap reads the window as integers over their least
-        denominator, and equals the bound read on Fraction corners."""
+        """render_svg's circle bound reads the window and each drawn lattice
+        as integers over one frame, and equals the bound read on Fraction
+        corners: with the cap one below it the figure is refused naming it,
+        and no Fraction is built."""
         cases = []
         for name, w in (("ex34", (0, 1)), ("hex-shifted", (2, 2)), ("rect12", (1, 2))):
             packing = preset(name)
-            s = Similarity(FieldElem(packing.ring, F(w[0], 3), F(w[1], 2)))
+            rotation = Similarity(FieldElem(packing.ring, F(w[0], 3), F(w[1], 2)))
+            rotated = rotation.image_lattice(packing.lattice)
             for window in ((F(-4), F(-3), F(5), F(4)), (F(-7, 3), F(1, 2), F(5, 6), F(9, 4))):
-                for image in (None, s.image_lattice(packing.lattice)):
-                    cases.append((packing, image, window, ref.circle_bound(packing, image, window)))
+                for s, image in ((None, None), (rotation, rotated)):
+                    cases.append((packing, s, window, ref.circle_bound(packing, image, window)))
         built = []
         new = F.__new__
         monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
-        for packing, image, window, expected in cases:
-            assert circle_bound(packing, image, window) == expected
+        for packing, s, window, expected in cases:
+            monkeypatch.setattr(render, "MAX_RENDER_POINTS", expected - 1)
+            with pytest.raises(ValueError, match=f"up to {expected} circles"):
+                render_svg(packing, s, window)
         assert built == []
 
 
 class TestNoFieldElemArithmeticOnTheEnginePaths:
     def test_engine_paths_do_no_fieldelem_arithmetic(self, monkeypatch):
-        """The lift, the Scal solve, the decision, reduce, circle_bound and
-        render_svg work on integer pairs: with FieldElem's +, -, *, unary -
-        and conj refused they run on ex34 and on a sheared Eisenstein Γ and
-        give what they gave before.  Packings, similarities and windows are
+        """The lift, the Scal solve, the decision, reduce and render_svg, its
+        circle bound included, work on integer pairs: with FieldElem's +, -,
+        *, unary - and conj refused they run on ex34 and on a sheared
+        Eisenstein Γ and give what they gave before.  Packings, similarities and windows are
         built first."""
         gamma = Lattice.from_generators(EISENSTEIN, [(F(2, 3), F(0)), (F(1, 3), F(1, 2))])
         sheared = PointPacking(gamma, (FieldElem.zero(EISENSTEIN), FieldElem(EISENSTEIN, F(1, 6), F(1, 4))))
@@ -1325,15 +1331,13 @@ class TestNoFieldElemArithmeticOnTheEnginePaths:
         decisions = [(ex34, simw(GAUSSIAN, 0, 1)), (ex34, Similarity(fe(GAUSSIAN, F(1, 2), 0))),
                      (sheared, simw(EISENSTEIN, 12, 0)), (sheared, simw(EISENSTEIN, 0, 12))]
         window = (F(-3), F(-5, 2), F(4), F(3))
-        figures = [(packing, s, s.image_lattice(packing.lattice)) for packing, s in decisions]
 
         def run():
             out = [(pk.lift_to_ring(packing), pk.scal_classes_by_tau(packing, d),
                     pk.scal_set_packing(packing, d)) for packing, d in directions]
             out.append([pk.check_similarity(packing, s) for packing, s in decisions])
             out.append([pk.reduce(packing) for packing in (ex34, sheared)])
-            out.append([(circle_bound(packing, image, window), render_svg(packing, s, image, window))
-                        for packing, s, image in figures])
+            out.append([render_svg(packing, s, window) for packing, s in decisions])
             return out
 
         expected = run()
@@ -1374,7 +1378,7 @@ def _written_as(case, kind):
     def elem(x):
         return FieldElem(x.ring, coord(x.a), coord(x.b))
 
-    basis = [(coord(g.a), coord(g.b)) for g in gamma.generators()]
+    basis = [(coord(g.a), coord(g.b)) for g in ref.generators(gamma)]
     packing = PointPacking(Lattice.from_generators(gamma.ring, basis), tuple(map(elem, shifts)))
     return packing, Similarity(elem(s.w), s.conjugate)
 

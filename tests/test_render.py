@@ -1,14 +1,18 @@
-"""render_svg against the component-by-component drawing it replaced."""
+"""render_svg against the component-by-component drawing it replaced, and
+its refusal of a figure above render.MAX_RENDER_POINTS."""
 
 from fractions import Fraction as F
+
+import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from simiso import render
 from simiso.lattices import Lattice
 from simiso.packings import PointPacking
 from simiso.presets import PRESETS, preset
-from simiso.render import circle_bound, render_svg
+from simiso.render import render_svg
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem
 from simiso.similarity import Similarity
 
@@ -50,9 +54,9 @@ class TestRenderMatchesReference:
     def test_byte_equal(self, figure, with_image):
         packing, s, window = figure
         image = s.image_lattice(packing.lattice)
-        assume(circle_bound(packing, image, window) <= 3_000)
+        assume(ref.circle_bound(packing, image, window) <= 3_000)
         s, image = (s, image) if with_image else (None, None)
-        assert render_svg(packing, s, image, window) == ref.render_svg(packing, s, image, window)
+        assert render_svg(packing, s, window) == ref.render_svg(packing, s, image, window)
 
     def test_presets(self):
         # Each preset under a rotation and a reflection by a ring element,
@@ -63,5 +67,31 @@ class TestRenderMatchesReference:
             for conjugate in (False, True):
                 s = Similarity(FieldElem(packing.ring, 2, 1), conjugate)
                 image = s.image_lattice(packing.lattice)
-                assert render_svg(packing, s, image, window) == ref.render_svg(
+                assert render_svg(packing, s, window) == ref.render_svg(
                     packing, s, image, window)
+
+
+class TestRenderCap:
+    @settings(max_examples=150, deadline=None)
+    @given(figures(), st.booleans(), st.integers(0, 600))
+    def test_refuses_exactly_above_the_cap(self, figure, with_image, cap):
+        # With the cap drawn small, render_svg refuses exactly the figures
+        # whose circle bound on Fraction corners exceeds it; a refusal builds
+        # no Fraction and walks no point.
+        packing, s, window = figure
+        image = s.image_lattice(packing.lattice) if with_image else None
+        s = s if with_image else None
+        expected = ref.circle_bound(packing, image, window)
+        walks, built = [], []
+        walk, new = render.points_in_window, F.__new__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(render, "MAX_RENDER_POINTS", cap)
+            mp.setattr(render, "points_in_window", lambda *a: walks.append(a) or walk(*a))
+            mp.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+            if expected > cap:
+                with pytest.raises(ValueError, match=f"up to {expected} circles; at most {cap} "):
+                    render_svg(packing, s, window)
+                assert walks == [] and built == []
+            else:
+                assert render_svg(packing, s, window).startswith("<?xml")
+                assert len(walks) == packing.m * (2 if with_image else 1)
