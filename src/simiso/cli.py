@@ -7,6 +7,12 @@ Exit codes partition outcomes: 0 accepted/agreement, 1 rejected,
 the components its image meets.  All output is deterministic
 for fixed inputs: canonical JSON key order, canonical rational and surd
 display, stable CSV and SVG bytes.
+
+A document is at most MAX_DOC_BYTES bytes and is decoded by one JSON
+decoder.  Its rationals are read as integer pairs (numerator, denominator),
+never as Fractions: a packing's basis and shifts are put over one
+denominator and handed to PointPacking.from_pairs, and a similarity's w is
+built once from z's ints and the scale's pair.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ MAX_BOUND = 100
 MAX_RATIONAL_CHARS = 40
 # Most shifts in a packing document; the work grows with their square.
 MAX_COMPONENTS = packings.MAX_LIFTED_COMPONENTS
+# Longest document, inline or read from a file, in bytes of UTF-8.
+MAX_DOC_BYTES = 1 << 20
 
 
 class InputError(Exception):
@@ -74,7 +82,9 @@ _RATIONAL = re.compile(rf"({_INTEGER})(?:/([0-9]+)|\.([0-9]+))?")
 _Z = re.compile(rf"({_INTEGER}),({_INTEGER})")
 
 
-def _fraction(text) -> Fraction:
+def _rational(text) -> tuple[int, int]:
+    """The rational a document or --window writes, as (numerator,
+    denominator) in lowest terms with a positive denominator."""
     if not isinstance(text, str):
         raise InputError(f"bad rational {json.dumps(text)[:MAX_RATIONAL_CHARS]}: "
                          'write it as a JSON string, such as "1/2"')
@@ -85,11 +95,20 @@ def _fraction(text) -> Fraction:
                          "characters")
     whole, den, decimals = match.groups()
     if decimals is not None:
-        return Fraction(int(whole + decimals), 10 ** len(decimals))
-    try:
-        return Fraction(int(whole), int(den or 1))
-    except ZeroDivisionError as exc:
-        raise InputError(f"bad rational {text!r}: {exc}") from None
+        num, den = int(whole + decimals), 10 ** len(decimals)
+    else:
+        num, den = int(whole), int(den or 1)
+        if den == 0:
+            raise InputError(f"bad rational {text!r}: Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _over_one_denominator(rationals, d: int = 1) -> tuple[int, list[int]]:
+    """The lcm D of d and the denominators of the (numerator, denominator)
+    pairs, and each rational times D."""
+    d = math.lcm(d, *(den for _, den in rationals))
+    return d, [num * (d // den) for num, den in rationals]
 
 
 def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
@@ -106,17 +125,31 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
+# One decoder for every document: json.loads builds a new one per call when
+# given a hook.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_doc(source: str) -> dict:
-    """JSON from an inline string (leading '{') or from a file path."""
-    text = source
-    if not source.lstrip().startswith("{"):
+    """JSON from an inline string (leading '{') or from a file path, of at
+    most MAX_DOC_BYTES bytes of UTF-8; a file is read no further than one
+    byte past the cap, and its text then read as text mode reads it."""
+    inline = source.lstrip().startswith("{")
+    if inline:
+        data = source.encode("utf-8", "surrogatepass")
+    else:
         try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(source, "rb") as fh:
+                data = fh.read(MAX_DOC_BYTES + 1)
         except OSError as exc:
             raise InputError(f"cannot read {source}: {exc}") from None
+    if len(data) > MAX_DOC_BYTES:
+        raise InputError(f"a document has at most {MAX_DOC_BYTES} bytes (cli.MAX_DOC_BYTES)")
+    text = source if inline else data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -132,6 +165,9 @@ def _check_keys(doc: dict, kind: str, keys: tuple[str, ...]) -> None:
 
 
 def parse_packing_doc(doc: dict) -> PointPacking:
+    """The packing of a document, read as integer pairs: Γ is spanned over
+    its basis' denominator, and Γ and the shifts are then put over one
+    denominator D for PointPacking.from_pairs."""
     _check_keys(doc, "packing", ("ring", "basis", "shifts"))
     ring = doc.get("ring")
     if ring not in (GAUSSIAN, EISENSTEIN):
@@ -142,9 +178,9 @@ def parse_packing_doc(doc: dict) -> PointPacking:
             isinstance(basis, list) and len(basis) == 2 and all(map(_is_pair, basis))
         ):
             raise InputError('"basis" must be two generator vectors')
-        gens = [(_fraction(row[0]), _fraction(row[1])) for row in basis]
+        d, ints = _over_one_denominator([_rational(c) for row in basis for c in row])
         try:
-            base = Lattice.from_generators(ring, gens)
+            base = Lattice.spanned(ring, d, zip(ints[::2], ints[1::2]))
         except lattices.DegenerateLatticeError as exc:
             raise InputError(str(exc)) from None
     else:
@@ -154,13 +190,14 @@ def parse_packing_doc(doc: dict) -> PointPacking:
         raise InputError('packing document needs a non-empty "shifts" list')
     if len(shifts_doc) > MAX_COMPONENTS:
         raise InputError(f"a packing document has at most {MAX_COMPONENTS} shifts")
-    shifts = []
+    coords = []
     for entry in shifts_doc:
         if not _is_pair(entry):
             raise InputError(f"shift {entry!r} must be a coordinate pair")
-        shifts.append(FieldElem(ring, _fraction(entry[0]), _fraction(entry[1])))
+        coords += (_rational(entry[0]), _rational(entry[1]))
+    d, ints = _over_one_denominator(coords, base.d)
     try:
-        return PointPacking(base, tuple(shifts))
+        return PointPacking.from_pairs(base.over(d), list(zip(ints[::2], ints[1::2])))
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -168,10 +205,10 @@ def parse_packing_doc(doc: dict) -> PointPacking:
 def parse_similarity_doc(doc: dict, ring: str) -> Similarity:
     _check_keys(doc, "similarity", ("z", "scale", "conj"))
     elem = _ring_elem(doc, ring, "similarity")
-    scale = _fraction(doc.get("scale", "1"))
-    w = elem.scale(scale)
-    if w.is_zero():
+    p, q = _rational(doc.get("scale", "1"))
+    if p == 0 or elem.is_zero():
         raise InputError("similarity multiplier is zero")
+    w = FieldElem(ring, Fraction(elem.a * p, q), Fraction(elem.b * p, q))
     return Similarity(w, _conj_flag(doc))
 
 
@@ -468,7 +505,7 @@ def _parse_window(text: str):
     parts = text.split(",")
     if len(parts) != 4:
         raise InputError("window must be x0,y0,x1,y1")
-    x0, y0, x1, y1 = (_fraction(p) for p in parts)
+    x0, y0, x1, y1 = (Fraction(*_rational(p)) for p in parts)
     if x1 <= x0 or y1 <= y0:
         raise InputError("window must have positive area")
     return x0, y0, x1, y1

@@ -7,11 +7,13 @@ the correspondence set τ.  Each decision builds one integer Hermite form of
 the frame Γ + sΓ, which gives n and each J_k as one residue class of it;
 witness points are integer pairs, made only once the similarity is accepted.
 
-A packing keeps Γ over one denominator d and its shifts as integer
-residues mod d·Γ, and the similarity maps those residues and Γ's basis as
-integer pairs (Similarity.map_pairs).  So the frame, congruence, periods,
-reduction, witness offsets, corollary (i) and the lift to R are integer
-arithmetic; a Fraction is built only to hand a point back as a FieldElem.
+A packing keeps Γ over its least denominator d and its shifts as integer
+residues mod d·Γ, built by PointPacking.from_pairs from integer pairs, and
+the similarity maps those residues and Γ's basis as integer pairs
+(Similarity.map_pairs).  So the frame, congruence, periods, reduction,
+witness offsets, corollary (i) and the lift to R are integer arithmetic; a
+Fraction is built only to hand a point back as a FieldElem, and a packing's
+FieldElem shifts only when they are first read.
 
 Scaling-factor sets are solved per denominator q over the ring lattice R,
 to which every packing is first lifted.  For β = (p/q)|z| with gcd(p, q) = 1,
@@ -25,12 +27,12 @@ to its smallest modulus; neither step walks the residues of that modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattices, similarity as sim
 from .lattices import Lattice
-from .rings import FieldElem
+from .rings import FieldElem, format_pair
 from .similarity import Direction, ResidueClass, ScalSet, Similarity
 
 
@@ -40,41 +42,64 @@ MAX_LIFTED_COMPONENTS = 64
 MAX_SCAL_RESIDUES = 2_000
 
 
-@dataclass(frozen=True)
 class PointPacking:
     """A finite union of shifted copies x_k + Γ of one generating lattice.
 
-    Shifts are stored as their canonical representatives in the fundamental
-    domain of Γ, so two stored shifts are congruent mod Γ exactly when they
-    are equal; the given shifts must be pairwise incongruent.  A packing
-    whose shifts include 0 models L; one without models a shifted packing
-    x + L.  The lattice is stored over the packing's own d, the lcm of Γ's
-    denominator and every shift's, and residues holds d·x_k for each stored
-    shift, its canonical residue mod d·Γ.  Every question mod Γ (congruence,
+    The lattice is stored over the packing's own denominator d, the least one
+    over which Γ and every shift are integral, and residues holds d·x_k for
+    each shift, its canonical residue mod d·Γ, so two components are one
+    exactly when their residues are equal; the given shifts must be pairwise
+    incongruent.  A packing whose shifts include 0 models L; one without
+    models a shifted packing x + L.  Every question mod Γ (congruence,
     periods, corollary (i), witnesses) is answered on these integers.
+
+    from_pairs is the one constructor that canonicalises; PointPacking(Γ,
+    shifts) puts FieldElem shifts over one denominator with Γ and calls it.
+    shifts, the FieldElem of each residue, is built on first read.  Packings
+    are immutable, and equal when their lattices, d and residues are.
     """
 
-    lattice: Lattice
-    shifts: tuple[FieldElem, ...]
-    residues: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("lattice", "residues", "_shifts")
 
-    def __post_init__(self):
-        if not self.shifts:
+    def __new__(cls, lattice: Lattice, shifts) -> PointPacking:
+        return cls.from_pairs(*lattice.with_points(shifts))
+
+    @classmethod
+    def from_pairs(cls, lattice: Lattice, pairs) -> PointPacking:
+        """The packing with shifts x_k given as the integer pairs d·x_k over
+        the lattice's denominator d, in order; each pair is reduced mod d·Γ,
+        and everything is then written over the least denominator."""
+        if not pairs:
             raise ValueError("a packing needs at least one component")
-        lattice, points = self.lattice.with_points(self.shifts)
+        ring, d, b00, b01, b11 = lattice.ring, lattice.d, lattice.b00, lattice.b01, lattice.b11
         given: dict[tuple[int, int], int] = {}  # canonical residue -> index given
-        for i, xy in enumerate(points):
+        for i, xy in enumerate(pairs):
             r = lattice.reduce(*xy)
             if r in given:
-                raise ValueError(f"shifts {self.shifts[given[r]]} and {self.shifts[i]} "
-                                 "are congruent mod the generating lattice")
+                first, again = (format_pair(ring, *pairs[j], d) for j in (given[r], i))
+                raise ValueError(f"shifts {first} and {again} are congruent mod the "
+                                 "generating lattice")
             given[r] = i
-        # A shift given canonically is kept; the others are rebuilt from r.
-        shifts = tuple(self.shifts[i] if points[i] == r else lattice.element(*r)
-                       for r, i in given.items())
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "residues", tuple(given))
+        residues = tuple(given)
+        g = math.gcd(d, b00, b01, b11, *(c for r in residues for c in r))
+        if g > 1:
+            lattice = Lattice(ring, d // g, b00 // g, b01 // g, b11 // g)
+            residues = tuple((x // g, y // g) for x, y in residues)
+        packing = object.__new__(cls)
+        object.__setattr__(packing, "lattice", lattice)
+        object.__setattr__(packing, "residues", residues)
+        object.__setattr__(packing, "_shifts", None)
+        return packing
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PointPacking is immutable: cannot set {name!r}")
+
+    @property
+    def shifts(self) -> tuple[FieldElem, ...]:
+        if self._shifts is None:
+            shifts = tuple(self.lattice.element(x, y) for x, y in self.residues)
+            object.__setattr__(self, "_shifts", shifts)
+        return self._shifts
 
     @property
     def ring(self) -> str:
@@ -82,13 +107,29 @@ class PointPacking:
 
     @property
     def m(self) -> int:
-        return len(self.shifts)
+        return len(self.residues)
+
+    def _key(self):
+        return self.lattice, self.lattice.d, self.residues
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PointPacking) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def translated(self, x: FieldElem) -> PointPacking:
         return PointPacking(self.lattice, tuple(s + x for s in self.shifts))
 
+    def __reduce__(self):  # copy and pickle rebuild through from_pairs
+        return PointPacking.from_pairs, (self.lattice, list(self.residues))
+
+    def __repr__(self) -> str:
+        return f"PointPacking.from_pairs({self.lattice!r}, {list(self.residues)!r})"
+
     def __str__(self) -> str:
-        comps = " ∪ ".join(f"({x}+Γ)" for x in self.shifts)
+        ring, d = self.ring, self.lattice.d
+        comps = " ∪ ".join(f"({format_pair(ring, x, y, d)}+Γ)" for x, y in self.residues)
         return f"{comps} over Γ={self.lattice}"
 
 
@@ -158,10 +199,10 @@ def lift_to_ring(packing: PointPacking) -> PointPacking:
     Γ/c·R.  Over Γ's d, c·R is side·Z² with side = a·d/b, an integer as
     c·d·Z² ⊆ d·Γ, so d·r is an integer pair of quotient_representatives and
     (x_k + r)/c is b·(d·x_k + d·r) over a·d: the lift rescales the residues,
-    residue-major, and builds a FieldElem only to hand each shift to
-    PointPacking.  Similarities commute with the scaling, so s(L) ⊆ L holds
-    exactly when it holds for the lift.  Raises ValueError above
-    MAX_LIFTED_COMPONENTS.
+    residue-major, and hands the pairs to PointPacking.from_pairs over the
+    ring lattice written over a·d.  Similarities commute with the scaling,
+    so s(L) ⊆ L holds exactly when it holds for the lift.  Raises ValueError
+    above MAX_LIFTED_COMPONENTS.
     """
     gamma = packing.lattice
     if gamma == Lattice.ring_lattice(gamma.ring):
@@ -175,9 +216,8 @@ def lift_to_ring(packing: PointPacking) -> PointPacking:
     sub = Lattice(gamma.ring, gamma.d, side, 0, side)  # c·R over d
     reps = list(lattices.quotient_representatives(sub, gamma))
     den = a * gamma.d
-    shifts = tuple(FieldElem(gamma.ring, Fraction(b * (x + rx), den), Fraction(b * (y + ry), den))
-                   for x, y in packing.residues for rx, ry in reps)
-    return PointPacking(Lattice.ring_lattice(gamma.ring), shifts)
+    pairs = [(b * (x + rx), b * (y + ry)) for x, y in packing.residues for rx, ry in reps]
+    return PointPacking.from_pairs(Lattice(gamma.ring, den, den, 0, den), pairs)
 
 
 def _sweep_direction(
@@ -385,10 +425,10 @@ def reduce(packing: PointPacking) -> PointPacking:
     The first shift of each class mod per(L) is kept, in the order given.
     """
     maximal = periods(packing)
-    first: dict[tuple[int, int], FieldElem] = {}
-    for x, xy in zip(packing.shifts, packing.residues):
-        first.setdefault(maximal.reduce(*xy), x)
-    reduced = PointPacking(maximal, tuple(first.values()))
+    first: dict[tuple[int, int], tuple[int, int]] = {}
+    for xy in packing.residues:
+        first.setdefault(maximal.reduce(*xy), xy)
+    reduced = PointPacking.from_pairs(maximal, list(first.values()))
     _assert_same_point_set(packing, reduced)
     return reduced
 

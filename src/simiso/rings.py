@@ -14,8 +14,11 @@ form.  Every point prints through format_pair, which writes the point
 (x + y·u)/d of integers x, y, d in lowest terms: FieldElem.__str__ hands it
 its coordinates over their least common denominator, and the command line
 hands it the integer pairs a packing or a lattice already holds, with no
-Fraction between.  RingElem remains as a second name of FieldElem for code
-written against the former integer class, such as the benchmark's workloads.
+Fraction between.  Documents are read straight to such pairs, so a packing
+builds its shifts as FieldElems only when they are first read, and a
+Similarity reads its w as integers once.  RingElem remains as a second name
+of FieldElem for code written against the former integer class, such as the
+benchmark's workloads.
 """
 
 from __future__ import annotations

@@ -4,32 +4,38 @@ A map is x ↦ w·x, or x ↦ w·conj(x) for the reflection family T = R·T_r.
 Its scaling factor β = |w| is never stored as a real number: it lives as a
 rational multiple of the symbolic surd |z| of a primitive direction z, and
 scaling-factor sets are finite unions of residue classes of such rationals.
-Similarity.map_pairs maps integer pairs over any denominator d to integer
-pairs over e·d, e the denominator of w.  The image lattice sΓ and den(Γ, R),
-the least β with βRΓ ⊆ Γ as the integer pair of its ratio to |z|, are read
-from the images of Γ's integer basis; a Direction holds z as ints.
+A Similarity reads w once, when it is made, as the integers (e, a, b) of
+w = (a + b·u)/e in lowest terms: Similarity.map_pairs maps integer pairs over
+any denominator d to integer pairs over e·d, and the image lattice sΓ and
+decompose read the same triple.  den(Γ, R), the least β with βRΓ ⊆ Γ as the
+integer pair of its ratio to |z|, is read from the images of Γ's integer
+basis under z's ints; a Direction holds z as ints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rings import GAUSSIAN, FieldElem, content_and_primitive, over_denominator, ring_coordinates
+from .rings import GAUSSIAN, FieldElem, over_denominator, ring_coordinates
 from .lattices import Lattice
 
 
 @dataclass(frozen=True)
 class Similarity:
-    """The map x ↦ w·x (or x ↦ w·conj(x) when conjugate is set)."""
+    """The map x ↦ w·x (or x ↦ w·conj(x) when conjugate is set); ints is
+    (e, a, b) with w = (a + b·u)/e, e > 0 and gcd(a, b, e) = 1."""
 
     w: FieldElem
     conjugate: bool = False
+    ints: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.w.is_zero():
+        e, (a, b) = over_denominator((self.w.a, self.w.b))
+        if a == 0 and b == 0:
             raise ValueError("similarity multiplier must be nonzero")
+        object.__setattr__(self, "ints", (e, a, b))
 
     @property
     def ring(self) -> str:
@@ -40,14 +46,9 @@ class Similarity:
 
     def map_pairs(self, points) -> tuple[int, list[tuple[int, int]]]:
         """e, the denominator of w, and the images of integer pairs over any d
-        as integer pairs over e·d: the product of FieldElem.__mul__ with
-        e·w, after conjugation for a reflection."""
-        e, (a, b) = over_denominator((self.w.a, self.w.b))
-        gaussian = self.ring == GAUSSIAN
-        if self.conjugate:
-            points = [(x, -y) if gaussian else (x - y, -y) for x, y in points]
-        c = 0 if gaussian else b  # ω² = -1 - ω adds -b·y to the u coordinate
-        return e, [(a * x - b * y, a * y + b * x - c * y) for x, y in points]
+        as integer pairs over e·d."""
+        e, a, b = self.ints
+        return e, _times(self.ring, a, b, self.conjugate, points)
 
     def image_lattice(self, lattice: Lattice) -> Lattice:
         """sΓ over e·d, e the denominator of w: the images of the integer
@@ -97,11 +98,22 @@ class Direction:
         return base + ("·conj" if self.conjugate else "")
 
 
+def _times(ring: str, a: int, b: int, conjugate: bool, points) -> list[tuple[int, int]]:
+    """The products (a + b·u)·x, or (a + b·u)·conj(x), of integer pairs x:
+    FieldElem.__mul__ on ints."""
+    gaussian = ring == GAUSSIAN
+    if conjugate:
+        points = [(x, -y) if gaussian else (x - y, -y) for x, y in points]
+    c = 0 if gaussian else b  # ω² = -1 - ω adds -b·y to the u coordinate
+    return [(a * x - b * y, a * y + b * x - c * y) for x, y in points]
+
+
 def decompose(s: Similarity) -> tuple[Fraction, Direction]:
-    """Split s as w = r·z with r = p/q > 0 in lowest terms and z primitive."""
-    n, (a, b) = over_denominator((s.w.a, s.w.b))
-    c, z0 = content_and_primitive(FieldElem(s.ring, a, b))
-    return Fraction(c, n), Direction(z0, s.conjugate)
+    """Split s as w = r·z with r = p/q > 0 in lowest terms and z primitive:
+    with w = (a + b·u)/e, r = gcd(a, b)/e, as gcd(a, b, e) = 1."""
+    e, a, b = s.ints
+    c = math.gcd(a, b)
+    return Fraction(c, e), Direction(FieldElem(s.ring, a // c, b // c), s.conjugate)
 
 
 def compose(s2: Similarity, s1: Similarity) -> Similarity:
@@ -116,10 +128,9 @@ def denominator(lattice: Lattice, d: Direction) -> tuple[int, int]:
     a/b is the least positive rational r with r·z(Γ) ⊆ Γ, z(Γ) being Γ under
     x ↦ z·x (or z·conj(x)), so the least β = r|z| with βRΓ ⊆ Γ; the r' that
     work are r·Z.  Lattice.least_scale reads r from the images of the
-    integer basis of d·Γ.  For full ring lattices r = 1.
+    integer basis of d·Γ under z's ints.  For full ring lattices r = 1.
     """
-    _, images = d.similarity(1).map_pairs(lattice.basis)  # z is integral: e = 1
-    return lattice.least_scale(images)
+    return lattice.least_scale(_times(d.ring, d.z.a, d.z.b, d.conjugate, lattice.basis))
 
 
 @dataclass(frozen=True)

@@ -41,3 +41,24 @@ def test_first_round_passes_its_check(bench, workload):
         if problem is not None:
             problems.append(f"{req.argv}: {problem}")
     assert problems == []
+
+
+@pytest.mark.parametrize("workload", ("decide", "verify"))
+def test_oracle_case_is_the_parsed_case(bench, workload):
+    # check_decide hands the oracle workloads._simiso_case(case), built with
+    # the FieldElem constructor, while the request's documents go through
+    # cli's integer parse: both must build one packing and one similarity.
+    import workloads
+
+    make, _ = workloads.WORKLOADS[workload]
+    requests = bench.build_round(make, cli.build_parser(), 1, 0)
+    assert requests
+    for req in requests:
+        case = req.case
+        packing, s = workloads._simiso_case(case)
+        parsed = cli.parse_packing_doc(cli._load_doc(case["packing_doc"]))
+        assert parsed.lattice == packing.lattice and parsed.lattice.d == packing.lattice.d
+        assert parsed.residues == packing.residues and parsed.shifts == packing.shifts
+        assert parsed == packing
+        parsed_s = cli.parse_similarity_doc(cli._load_doc(case["sim_doc"]), packing.ring)
+        assert parsed_s == s and parsed_s.ints == s.ints

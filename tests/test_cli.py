@@ -28,11 +28,12 @@ from simiso.cli import (
     EXIT_REJECTED,
     MAX_BOUND,
     MAX_COMPONENTS,
+    MAX_DOC_BYTES,
     MAX_RANDOM,
     MAX_RATIONAL_CHARS,
     MAX_SAMPLES,
     InputError,
-    _fraction,
+    _rational,
     main,
     parse_direction_doc,
     parse_packing_doc,
@@ -92,7 +93,108 @@ _JSON_DOCS = st.recursive(
 )
 
 
+@st.composite
+def _rational_texts(draw):
+    """A text of the README grammar: a sign, ASCII digits with leading
+    zeros, then /digits or .digits or nothing; sometimes padded with leading
+    zeros to one character below, at or above MAX_RATIONAL_CHARS."""
+    digits = st.text("0123456789", min_size=1, max_size=12)
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    whole = draw(digits)
+    tail = draw(st.sampled_from(["", "/", "."]))
+    tail += draw(digits) if tail else ""
+    edge = draw(st.sampled_from([0, -1, 0, 1]))
+    if edge:
+        whole = whole.rjust(MAX_RATIONAL_CHARS + edge - len(sign) - len(tail), "0")
+    return sign + whole + tail
+
+
+def _rational_text(draw, value: F) -> str:
+    """A text of value: a decimal when its denominator divides 10**6 and the
+    draw says so, else p/q with both scaled by 1 to 3; sometimes signed + or
+    with a leading zero."""
+    if value.denominator == 1 and draw(st.booleans()):
+        text = str(value.numerator)
+    elif 10**6 % value.denominator == 0 and draw(st.booleans()):
+        places = draw(st.integers(6, 8))
+        text = f"{abs(value) * 10**places // 1:0{places + 1}d}"
+        text = ("-" if value < 0 else "") + text[:-places] + "." + text[-places:]
+    else:
+        k = draw(st.integers(1, 3))
+        text = f"{value.numerator * k}/{value.denominator * k}"
+    if not text.startswith("-") and draw(st.booleans()):
+        text = "+" + text
+    return text
+
+
+@st.composite
+def _packing_docs(draw):
+    """A packing document: a sheared basis of index 1 to 4 over denominator
+    1 to 3, or none, and 1 to 6 shifts of denominators 1 to 13 lying
+    anywhere, the last sometimes congruent to an earlier one."""
+    ring = draw(st.sampled_from([GAUSSIAN, EISENSTEIN]))
+    doc = {"ring": ring}
+    gens = [(F(1), F(0)), (F(0), F(1))]
+    if draw(st.booleans()):
+        index = draw(st.integers(1, 4))
+        h00 = draw(st.sampled_from([h for h in range(1, index + 1) if index % h == 0]))
+        h01, shear = draw(st.integers(0, h00 - 1)), draw(st.integers(-1, 1))
+        den = draw(st.integers(1, 3))
+        gens = [(F(h00, den), F(0)), (F(h01 + shear * h00, den), F(index // h00, den))]
+        doc["basis"] = [[_rational_text(draw, c) for c in g] for g in gens]
+    coord = st.builds(F, st.integers(-30, 30), st.integers(1, 13))
+    shifts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(shifts))
+        k, j = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        shifts.append((a + k * gens[0][0] + j * gens[1][0], b + k * gens[0][1] + j * gens[1][1]))
+    doc["shifts"] = [[_rational_text(draw, c) for c in x] for x in shifts]
+    return doc
+
+
+def _packing_by_fractions(doc: dict) -> PointPacking:
+    """The packing of a document as the Fraction reading built it: Fraction
+    reads every text of the grammar, and PointPacking takes FieldElem shifts."""
+    ring = doc["ring"]
+    gamma = (Lattice.from_generators(ring, [tuple(map(F, g)) for g in doc["basis"]])
+             if "basis" in doc else Lattice.ring_lattice(ring))
+    return PointPacking(gamma, tuple(FieldElem(ring, F(a), F(b)) for a, b in doc["shifts"]))
+
+
 class TestDocuments:
+    @given(_rational_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_rational_is_fraction_of_the_text(self, text):
+        # The integer reading against Fraction, which reads every text of
+        # the grammar; a zero denominator is refused with Fraction's words.
+        if len(text) > MAX_RATIONAL_CHARS:
+            with pytest.raises(InputError, match="at most"):
+                _rational(text)
+            return
+        try:
+            want = F(text)
+        except ZeroDivisionError as exc:
+            with pytest.raises(InputError) as got:
+                _rational(text)
+            assert str(got.value) == f"bad rational {text!r}: {exc}"
+        else:
+            assert _rational(text) == (want.numerator, want.denominator)
+
+    @given(_packing_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_parse_is_the_fraction_parse(self, doc):
+        try:
+            want = _packing_by_fractions(doc)
+        except ValueError as exc:
+            with pytest.raises(InputError) as got:
+                parse_packing_doc(doc)
+            assert str(got.value) == str(exc) and "congruent" in str(exc)
+            return
+        got = parse_packing_doc(doc)
+        assert dataclasses.astuple(got.lattice) == dataclasses.astuple(want.lattice)
+        assert got.residues == want.residues and got.shifts == want.shifts
+        assert str(got) == str(want) and got == want
+
     def test_packing_doc_matches_preset(self):
         assert parse_packing_doc(json.loads(HEX_DOC)) == preset("hex")
 
@@ -222,9 +324,9 @@ class TestDocuments:
         assert captured.err.count("\n") == 1
 
     def test_rational_text_length_cap(self):
-        assert _fraction("0" * (MAX_RATIONAL_CHARS - 1) + "2") == 2
+        assert _rational("0" * (MAX_RATIONAL_CHARS - 1) + "2") == (2, 1)
         with pytest.raises(InputError):
-            _fraction("0" * MAX_RATIONAL_CHARS + "2")
+            _rational("0" * MAX_RATIONAL_CHARS + "2")
 
     @pytest.mark.parametrize(
         "argv",
@@ -274,11 +376,12 @@ class TestDocuments:
     @pytest.mark.parametrize(
         "text,value",
         [("0", 0), ("-3", -3), ("+3", 3), ("007", 7), ("1/2", F(1, 2)), ("-6/4", F(-3, 2)),
-         ("0.5", F(1, 2)), ("-0.25", F(-1, 4)), ("+1.50", F(3, 2))],
+         ("0.5", F(1, 2)), ("-0.25", F(-1, 4)), ("+1.50", F(3, 2)), ("-0/8", 0), ("0.000", 0)],
     )
     def test_rational_grammar_reads(self, text, value):
-        got = _fraction(text)
-        assert got == value and type(got) is F
+        # The value as an integer pair in lowest terms, denominator positive.
+        got = _rational(text)
+        assert got == (value.numerator, value.denominator) and all(type(c) is int for c in got)
 
 
 class TestAnalyze:
@@ -376,6 +479,21 @@ class TestAnalyze:
         path.write_text(HEX_DOC, encoding="utf-8")
         rc = main(["analyze", str(path), "--similarity", '{"z":[1,1],"scale":"2"}'])
         assert rc == EXIT_OK
+
+    def test_document_fractions_do_not_grow_with_m(self, monkeypatch, capsys):
+        # A document's rationals are read as integer pairs and its shifts
+        # stay integer residues, so analyze builds the same few Fractions
+        # (w, β and den(Γ, R)) whatever the number of shifts.
+        counts = []
+        for m in (1, 8, 32):
+            doc = json.dumps({"ring": "gaussian", "basis": [["1", "0"], ["1/2", "3/2"]],
+                              "shifts": [[f"{k}/{m}", "0"] for k in range(m)]})
+            built = _count_fractions(monkeypatch)
+            rc = main(["analyze", doc, "--similarity", '{"z":[1,0],"scale":"4/2"}'])
+            monkeypatch.undo()
+            assert rc == EXIT_OK and json.loads(capsys.readouterr().out)["m"] == m
+            counts.append(len(built))
+        assert counts[0] <= 6 and counts == counts[:1] * 3
 
 
 class TestTable:
@@ -909,6 +1027,47 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_file_exits_2(self, capsys):
+        # read(MAX_DOC_BYTES + 1) returns, where read() ran out of memory.
+        assert main(["periods", "/dev/zero"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: a document has at most {MAX_DOC_BYTES} bytes "
+                                "(cli.MAX_DOC_BYTES)\n")
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["file", "inline"])
+    def test_document_size_cap(self, inline, tmp_path, capsys):
+        # A document padded with spaces to exactly the cap is read; one byte
+        # more exits 2 with one line, inline or from a file.
+        doc = '{"ring":"gaussian","shifts":[["0","0"],["1/2","0"]]}'
+        for size, code in ((MAX_DOC_BYTES, EXIT_OK), (MAX_DOC_BYTES + 1, EXIT_INPUT)):
+            text = doc + " " * (size - len(doc))
+            path = tmp_path / "padded.json"
+            path.write_text(text, encoding="utf-8")
+            assert main(["periods", text if inline else str(path)]) == code
+            captured = capsys.readouterr()
+            if code == EXIT_OK:
+                assert json.loads(captured.out)["components_before"] == 2
+            else:
+                assert captured.out == "" and captured.err.count("\n") == 1
+                assert "cli.MAX_DOC_BYTES" in captured.err
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff" + HEX_DOC,  # json.loads refuses a byte-order mark
+        '{"ring": "gaussian",\r\n "shifts": [["0", "0"]],\r\n}',
+        '{"ring": "gaussian",\r "shifts": [["0", "0"]],\r}',
+    ], ids=["bom", "crlf", "cr"])
+    def test_file_json_errors_read_as_text_mode(self, text, tmp_path, capsys):
+        # A file is read as bytes under the cap, then as text mode reads it,
+        # with universal newlines, so a JSON error names the same place.
+        path = tmp_path / "doc.json"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh, pytest.raises(json.JSONDecodeError) as want:
+            json.loads(fh.read())
+        assert main(["periods", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: invalid JSON: {want.value}\n"
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
