@@ -6,7 +6,6 @@ from .rings import (
     FieldElem,
     RingElem,
     RingMismatchError,
-    content_and_primitive,
 )
 from .lattices import DegenerateLatticeError, Lattice
 from .similarity import (
@@ -42,7 +41,6 @@ __all__ = [
     "Similarity",
     "PointPacking",
     "SimilarityReport",
-    "content_and_primitive",
     "compose",
     "decompose",
     "scal_lattice",

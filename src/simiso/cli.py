@@ -11,8 +11,8 @@ display, stable CSV and SVG bytes.
 A document is at most MAX_DOC_BYTES bytes and is decoded by one JSON
 decoder.  Its rationals are read as integer pairs (numerator, denominator),
 never as Fractions: a packing's basis and shifts are put over one
-denominator and handed to PointPacking.from_pairs, and a similarity's w is
-built once from z's ints and the scale's pair.
+denominator and handed to PointPacking.from_pairs, and a similarity is the
+integer triple (q, p·a, p·b) of z = a + b·u and the scale p/q.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .packings import PointPacking
 from .presets import PRESETS, preset
 from .render import render_svg
 from .rings import EISENSTEIN, GAUSSIAN, FieldElem, format_pair
-from .similarity import Direction, ScalSet, Similarity, format_scale
+from .similarity import Direction, Similarity, format_scale
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -203,20 +203,21 @@ def parse_packing_doc(doc: dict) -> PointPacking:
 
 
 def parse_similarity_doc(doc: dict, ring: str) -> Similarity:
+    """The similarity w = scale·z of a document, as the integer triple
+    (q, p·a, p·b) for z = a + b·u and scale = p/q."""
     _check_keys(doc, "similarity", ("z", "scale", "conj"))
-    elem = _ring_elem(doc, ring, "similarity")
+    a, b = _ring_pair(doc, "similarity")
     p, q = _rational(doc.get("scale", "1"))
-    if p == 0 or elem.is_zero():
+    if p == 0 or a == b == 0:
         raise InputError("similarity multiplier is zero")
-    w = FieldElem(ring, Fraction(elem.a * p, q), Fraction(elem.b * p, q))
-    return Similarity(w, _conj_flag(doc))
+    return Similarity.from_ints(ring, q, a * p, b * p, _conj_flag(doc))
 
 
 def parse_direction_doc(doc: dict, ring: str) -> Direction:
     _check_keys(doc, "direction", ("z", "conj"))
-    elem = _ring_elem(doc, ring, "direction")
+    a, b = _ring_pair(doc, "direction")
     try:
-        return Direction(elem, _conj_flag(doc))
+        return Direction.from_ints(ring, a, b, _conj_flag(doc))
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -225,8 +226,9 @@ def _is_pair(entry) -> bool:
     return isinstance(entry, list) and len(entry) == 2
 
 
-def _ring_elem(doc: dict, ring: str, kind: str) -> FieldElem:
-    """The element "z": [a, b] of a similarity or direction document."""
+def _ring_pair(doc: dict, kind: str) -> tuple[int, int]:
+    """The integers a, b of "z": [a, b] in a similarity or direction
+    document."""
     z = doc.get("z")
     if not _is_pair(z) or not all(
         isinstance(c, int) and not isinstance(c, bool) for c in z
@@ -235,10 +237,7 @@ def _ring_elem(doc: dict, ring: str, kind: str) -> FieldElem:
     if any(abs(c) >= 10 ** MAX_RATIONAL_CHARS for c in z):
         raise InputError(f'{kind} document "z" takes integers of at most '
                          f"{MAX_RATIONAL_CHARS} digits")
-    try:
-        return FieldElem(ring, z[0], z[1])
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return z[0], z[1]
 
 
 def _conj_flag(doc: dict) -> bool:
@@ -434,8 +433,9 @@ def table_rows(
     """Rows (table, class, z, scal, tau) reproducing the published tables.
 
     Each text is formatted once: the shift labels once per packing, the
-    class label once per class and z once per direction, so a τ pair costs
-    two list lookups."""
+    class label once per class and z once per direction, from integers, so
+    a τ pair costs two list lookups; a Scal cell is one residue class's
+    ResidueClass.display."""
     preset_name, conjugate, ring = TABLE_SPECS[name]
     packing = preset(preset_name)
     labels = [format_pair(ring, x, y, packing.lattice.d) for x, y in packing.residues]
@@ -450,11 +450,9 @@ def table_rows(
         label = class_label(ring, key)
         for z in zs:
             d = Direction(z, conjugate)
-            z_text = str(z)
-            cells = [
-                (ScalSet(d, (c,)).display(symbolic=True), _tau_display(labels, tau))
-                for c, tau in packings.scal_classes_by_tau(packing, d)
-            ]
+            z_text = format_pair(ring, *d.ints, 1)
+            cells = [(c.display(), _tau_display(labels, tau))
+                     for c, tau in packings.scal_classes_by_tau(packing, d)]
             for scal, tau in cells or [("∅", "∅")]:
                 rows.append({"table": name, "class": label, "z": z_text,
                              "scal": scal, "tau": tau})

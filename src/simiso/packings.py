@@ -205,7 +205,7 @@ def lift_to_ring(packing: PointPacking) -> PointPacking:
     above MAX_LIFTED_COMPONENTS.
     """
     gamma = packing.lattice
-    if gamma == Lattice.ring_lattice(gamma.ring):
+    if gamma.d == gamma.b00 == gamma.b11 and gamma.b01 == 0:  # Γ is R
         return packing
     a, b = gamma.least_scale([(gamma.d, 0), (0, gamma.d)])  # R over d
     side = a * gamma.d // b
@@ -233,11 +233,12 @@ def _sweep_direction(
     above it, so n = q²/N(gcd(q, z)) = q: only q ≤ m are tried, whatever
     N(z) is.  For gcd(p, q) = 1, S = R + sR = (1/q)·gcd(q, z)·R and
     n = [S : R] do not depend on p, so both come once per q from the trial
-    map x ↦ (z/q)·x, in the frame that check_similarity builds.  As
-    s(x_k) = p·a_k with a_k = (z/q)·x_k (or (z/q)·conj(x_k)), p·a_k meets a
-    residue class of the targets mod S at no p or at one residue of p modulo
-    the order o_k of a_k in Q(u)/S (SumLattice.congruence).  Scaling by
-    q/gcd(q, z) carries S onto R, so o_k divides the denominators of x_k.
+    map x ↦ (z/q)·x, the integer triple (q, z's ints), in the frame that
+    check_similarity builds.  As s(x_k) = p·a_k with a_k = (z/q)·x_k (or
+    (z/q)·conj(x_k)), p·a_k meets a residue class of the targets mod S at
+    no p or at one residue of p modulo the order o_k of a_k in Q(u)/S
+    (SumLattice.congruence).  Scaling by q/gcd(q, z) carries S onto R, so
+    o_k divides the denominators of x_k.
 
     The accepted residues start as the units mod q with an empty τ.  Each k
     keeps the residues mod o_k at which it meets a class of n targets, one
@@ -254,7 +255,8 @@ def _sweep_direction(
     for q in range(1, min(math.isqrt(multiple), m) + 1):
         if multiple % (q * q):
             continue
-        total, targets, images = _frame(packing, d.similarity(Fraction(1, q)))
+        trial = Similarity.from_ints(d.ring, q, *d.ints, d.conjugate)  # x ↦ (z/q)·x
+        total, targets, images = _frame(packing, trial)
         n = total.index()
         modulus = q
         accepted = {r: () for r in range(q) if math.gcd(r, q) == 1}

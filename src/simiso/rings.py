@@ -7,18 +7,18 @@ compares and hashes the two alike, so an element of the ring Z[u] is simply
 one with integer coordinates inside the field Q(u).  Elements are immutable
 and all operations are pure.  No floating point appears anywhere.
 
-The module holds what the engine uses: addition, multiplication, norm and
-conjugation, and the content of a ring element.  There is no Euclidean
-division: every gcd the engine needs comes from a closed form or a Hermite
-form.  Every point prints through format_pair, which writes the point
-(x + y·u)/d of integers x, y, d in lowest terms: FieldElem.__str__ hands it
-its coordinates over their least common denominator, and the command line
-hands it the integer pairs a packing or a lattice already holds, with no
-Fraction between.  Documents are read straight to such pairs, so a packing
-builds its shifts as FieldElems only when they are first read, and a
-Similarity reads its w as integers once.  RingElem remains as a second name
-of FieldElem for code written against the former integer class, such as the
-benchmark's workloads.
+The module holds what the engine uses: addition, multiplication,
+conjugation, and the norm, which pair_norm also gives for bare coordinates.
+There is no Euclidean division: every gcd the engine needs comes from a
+closed form or a Hermite form.  Every point prints through format_pair,
+which writes the point (x + y·u)/d of integers x, y, d in lowest terms:
+FieldElem.__str__ hands it its coordinates over their least common
+denominator, and the command line hands it the integer pairs a packing, a
+lattice, a similarity or a direction already holds, with no Fraction
+between.  Documents are read straight to such integers, so a packing builds
+its shifts, and a Similarity its w, as FieldElems only when they are first
+read.  RingElem remains as a second name of FieldElem for code written
+against the former integer class, such as the benchmark's workloads.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class RingMismatchError(ValueError):
     """Two operands live in different quadratic rings."""
 
 
-def _check_ring(ring: str) -> None:
+def check_ring(ring: str) -> None:
     if ring not in RINGS:
         raise ValueError(f"unknown ring tag {ring!r}")
 
@@ -57,7 +57,7 @@ class FieldElem:
     b: Rational
 
     def __post_init__(self):
-        _check_ring(self.ring)
+        check_ring(self.ring)
 
     @classmethod
     def zero(cls, ring: str) -> FieldElem:
@@ -68,9 +68,7 @@ class FieldElem:
 
     def norm(self) -> Rational:
         """The number-theoretic norm |x|²; non-negative, multiplicative."""
-        if self.ring == GAUSSIAN:
-            return self.a * self.a + self.b * self.b
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        return pair_norm(self.ring, self.a, self.b)
 
     def conj(self) -> FieldElem:
         if self.ring == GAUSSIAN:
@@ -129,6 +127,13 @@ def format_pair(ring: str, x: int, y: int, d: int) -> str:
     return f"({core})/{d}" if x != 0 and y != 0 else f"{core}/{d}"
 
 
+def pair_norm(ring: str, a: Rational, b: Rational) -> Rational:
+    """The norm |a + b·u|² of the coordinates a, b."""
+    if ring == GAUSSIAN:
+        return a * a + b * b
+    return a * a - a * b + b * b
+
+
 def over_denominator(values) -> tuple[int, list[int]]:
     """The least common denominator d of the rationals, and each one times d."""
     dens = [v.denominator for v in values]
@@ -141,13 +146,4 @@ def ring_coordinates(x: FieldElem) -> tuple[int, int]:
     if x.a.denominator != 1 or x.b.denominator != 1:
         raise ValueError(f"{x} is not an element of the ring Z[{UNIT_SYMBOL[x.ring]}]")
     return x.a.numerator, x.b.numerator
-
-
-def content_and_primitive(z: FieldElem) -> tuple[int, FieldElem]:
-    """Split z ≠ 0 in the ring as c·z0 with c = gcd(a, b) > 0 and z0 primitive."""
-    if z.is_zero():
-        raise ValueError("zero has no primitive part")
-    a, b = ring_coordinates(z)
-    c = math.gcd(a, b)
-    return c, FieldElem(z.ring, a // c, b // c)
 

@@ -4,42 +4,102 @@ A map is x ↦ w·x, or x ↦ w·conj(x) for the reflection family T = R·T_r.
 Its scaling factor β = |w| is never stored as a real number: it lives as a
 rational multiple of the symbolic surd |z| of a primitive direction z, and
 scaling-factor sets are finite unions of residue classes of such rationals.
-A Similarity reads w once, when it is made, as the integers (e, a, b) of
-w = (a + b·u)/e in lowest terms: Similarity.map_pairs maps integer pairs over
-any denominator d to integer pairs over e·d, and the image lattice sΓ and
-decompose read the same triple.  den(Γ, R), the least β with βRΓ ⊆ Γ as the
-integer pair of its ratio to |z|, is read from the images of Γ's integer
-basis under z's ints; a Direction holds z as ints.
+A Similarity is the integer triple (e, a, b) of w = (a + b·u)/e in lowest
+terms, made by Similarity.from_ints; Similarity(w) reads a FieldElem w
+over its least common denominator, and the FieldElem w is built only when
+it is read.  Similarity.map_pairs maps integer pairs over any denominator d
+to integer pairs over e·d, and the image lattice sΓ, decompose, compose and
+β² read the same triple.  A Direction holds z = a + b·u as its integer
+pair, Direction.similarity(p/q) is the triple (q, p·a, p·b), and the Scal
+sweep's trial map z/q is (q, a, b), so neither builds a Fraction.
+den(Γ, R), the least β with βRΓ ⊆ Γ as the integer pair of its ratio to
+|z|, is read from the images of Γ's integer basis under z's ints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import GAUSSIAN, FieldElem, over_denominator, ring_coordinates
+from .rings import (GAUSSIAN, FieldElem, RingMismatchError, check_ring, format_pair,
+                    over_denominator, pair_norm, ring_coordinates)
 from .lattices import Lattice
 
 
-@dataclass(frozen=True)
-class Similarity:
+class _IntegerMap:
+    """A value held as a ring, a tuple of ints and a conjugate flag, made by
+    the subclass's from_ints: immutable, equal and hashed on the three, and
+    copied, pickled and printed as its from_ints call."""
+
+    __slots__ = ("ring", "ints", "conjugate")
+
+    @classmethod
+    def _made(cls, ring: str, ints: tuple[int, ...], conjugate: bool):
+        value = object.__new__(cls)
+        object.__setattr__(value, "ring", ring)
+        object.__setattr__(value, "ints", ints)
+        object.__setattr__(value, "conjugate", conjugate)
+        return value
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def _key(self):
+        return self.ring, self.ints, self.conjugate
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self).from_ints, (self.ring, *self.ints, self.conjugate)
+
+    def __repr__(self) -> str:
+        ints = ", ".join(map(str, self.ints))
+        return f"{type(self).__name__}.from_ints({self.ring!r}, {ints}, {self.conjugate!r})"
+
+
+class Similarity(_IntegerMap):
     """The map x ↦ w·x (or x ↦ w·conj(x) when conjugate is set); ints is
-    (e, a, b) with w = (a + b·u)/e, e > 0 and gcd(a, b, e) = 1."""
+    (e, a, b) with w = (a + b·u)/e, e > 0 and gcd(a, b, e) = 1.
 
-    w: FieldElem
-    conjugate: bool = False
-    ints: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    from_ints is the one constructor that canonicalises; Similarity(w,
+    conjugate) reads the FieldElem w over its least common denominator and
+    calls it, keeping that w; otherwise w is built on first read and then
+    kept, as the oracle's apply reads it per component.
+    """
 
-    def __post_init__(self):
-        e, (a, b) = over_denominator((self.w.a, self.w.b))
+    __slots__ = ("_w",)
+
+    def __new__(cls, w: FieldElem, conjugate: bool = False) -> Similarity:
+        e, (a, b) = over_denominator((w.a, w.b))
+        s = cls.from_ints(w.ring, e, a, b, conjugate)
+        object.__setattr__(s, "_w", w)
+        return s
+
+    @classmethod
+    def from_ints(cls, ring: str, e: int, a: int, b: int, conjugate: bool = False) -> Similarity:
+        """The similarity with w = (a + b·u)/e for integers a, b and e ≠ 0,
+        written in lowest terms over e > 0."""
+        check_ring(ring)
         if a == 0 and b == 0:
             raise ValueError("similarity multiplier must be nonzero")
-        object.__setattr__(self, "ints", (e, a, b))
+        if e == 0:
+            raise ValueError("similarity denominator must be nonzero")
+        g = math.gcd(e, a, b) if e > 0 else -math.gcd(e, a, b)
+        s = cls._made(ring, (e // g, a // g, b // g), conjugate)
+        object.__setattr__(s, "_w", None)
+        return s
 
     @property
-    def ring(self) -> str:
-        return self.w.ring
+    def w(self) -> FieldElem:
+        if self._w is None:
+            e, a, b = self.ints
+            object.__setattr__(self, "_w", FieldElem(self.ring, Fraction(a, e), Fraction(b, e)))
+        return self._w
 
     def apply(self, x: FieldElem) -> FieldElem:
         return self.w * (x.conj() if self.conjugate else x)
@@ -57,45 +117,56 @@ class Similarity:
         return Lattice.spanned(lattice.ring, e * lattice.d, images)
 
     def scale_sq(self) -> Fraction:
-        """β² as an exact rational."""
-        return self.w.norm()
+        """β² = N(a + b·u)/e² as an exact rational."""
+        e, a, b = self.ints
+        return Fraction(pair_norm(self.ring, a, b), e * e)
 
     def __str__(self) -> str:
-        return f"x ↦ ({self.w})·{'conj(x)' if self.conjugate else 'x'}"
+        e, a, b = self.ints
+        return f"x ↦ ({format_pair(self.ring, a, b, e)})·{'conj(x)' if self.conjugate else 'x'}"
 
 
-@dataclass(frozen=True)
-class Direction:
-    """An isometry z/|z| (optionally composed with conjugation), z primitive.
+class Direction(_IntegerMap):
+    """An isometry z/|z| (optionally composed with conjugation), z primitive,
+    held as the integer pair ints = (a, b) of z = a + b·u.
 
-    No unit normalization is applied: z and iz are distinct rotations.
+    from_ints is the one constructor that checks; Direction(z, conjugate)
+    reads a FieldElem z with integer coordinates and calls it.  No unit
+    normalization is applied: z and iz are distinct rotations.
     """
 
-    z: FieldElem
-    conjugate: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.z.is_zero():
+    def __new__(cls, z: FieldElem, conjugate: bool = False) -> Direction:
+        return cls.from_ints(z.ring, *ring_coordinates(z), conjugate)
+
+    @classmethod
+    def from_ints(cls, ring: str, a: int, b: int, conjugate: bool = False) -> Direction:
+        """The direction of z = a + b·u, for integers a, b with gcd 1."""
+        check_ring(ring)
+        if a == 0 and b == 0:
             raise ValueError("direction element must be nonzero")
-        a, b = ring_coordinates(self.z)
         if math.gcd(a, b) != 1:
-            raise ValueError(f"direction element {self.z} is not primitive")
-        object.__setattr__(self, "z", FieldElem(self.z.ring, a, b))
+            raise ValueError(f"direction element {format_pair(ring, a, b, 1)} is not primitive")
+        return cls._made(ring, (a, b), conjugate)
 
     @property
-    def ring(self) -> str:
-        return self.z.ring
+    def z(self) -> FieldElem:
+        return FieldElem(self.ring, *self.ints)
 
     def norm(self) -> int:
-        return self.z.norm()
+        return pair_norm(self.ring, *self.ints)
 
     def similarity(self, ratio: Fraction | int) -> Similarity:
-        """The similarity with β = ratio·|z| along this direction."""
-        return Similarity(self.z.scale(ratio), self.conjugate)
+        """The similarity with β = ratio·|z| along this direction: w is
+        (p·a + p·b·u)/q for ratio = p/q."""
+        a, b = self.ints
+        p = ratio.numerator
+        return Similarity.from_ints(self.ring, ratio.denominator, p * a, p * b, self.conjugate)
 
     def __str__(self) -> str:
-        base = f"({self.z})/|{self.z}|"
-        return base + ("·conj" if self.conjugate else "")
+        z = format_pair(self.ring, *self.ints, 1)
+        return f"({z})/|{z}|" + ("·conj" if self.conjugate else "")
 
 
 def _times(ring: str, a: int, b: int, conjugate: bool, points) -> list[tuple[int, int]]:
@@ -113,13 +184,18 @@ def decompose(s: Similarity) -> tuple[Fraction, Direction]:
     with w = (a + b·u)/e, r = gcd(a, b)/e, as gcd(a, b, e) = 1."""
     e, a, b = s.ints
     c = math.gcd(a, b)
-    return Fraction(c, e), Direction(FieldElem(s.ring, a // c, b // c), s.conjugate)
+    return Fraction(c, e), Direction.from_ints(s.ring, a // c, b // c, s.conjugate)
 
 
 def compose(s2: Similarity, s1: Similarity) -> Similarity:
-    """The map x ↦ s2(s1(x))."""
-    w1 = s1.w.conj() if s2.conjugate else s1.w
-    return Similarity(s2.w * w1, s2.conjugate != s1.conjugate)
+    """The map x ↦ s2(s1(x)): w2·w1, or w2·conj(w1) when s2 conjugates,
+    over e2·e1."""
+    if s1.ring != s2.ring:
+        raise RingMismatchError(f"cannot mix {s2.ring} and {s1.ring} elements")
+    e2, a2, b2 = s2.ints
+    e1, a1, b1 = s1.ints
+    [(a, b)] = _times(s2.ring, a2, b2, s2.conjugate, [(a1, b1)])
+    return Similarity.from_ints(s2.ring, e2 * e1, a, b, s2.conjugate != s1.conjugate)
 
 
 def denominator(lattice: Lattice, d: Direction) -> tuple[int, int]:
@@ -130,7 +206,7 @@ def denominator(lattice: Lattice, d: Direction) -> tuple[int, int]:
     work are r·Z.  Lattice.least_scale reads r from the images of the
     integer basis of d·Γ under z's ints.  For full ring lattices r = 1.
     """
-    return lattice.least_scale(_times(d.ring, d.z.a, d.z.b, d.conjugate, lattice.basis))
+    return lattice.least_scale(_times(d.ring, *d.ints, d.conjugate, lattice.basis))
 
 
 @dataclass(frozen=True)
@@ -146,6 +222,16 @@ class ResidueClass:
             ratio.denominator == self.q
             and ratio.numerator % self.modulus in self.residues
         )
+
+    def display(self, norm_z: int | None = None) -> str:
+        """Its residues in order, joined by ∪: written against the symbol
+        "den" (table cells) when norm_z is None, else with |z| = √norm_z."""
+        q, modulus = self.q, self.modulus
+        if norm_z is None:
+            parts = (_symbolic_class(q, modulus, r) for r in sorted(self.residues))
+        else:
+            parts = (_concrete_class(q, modulus, r, norm_z) for r in sorted(self.residues))
+        return " ∪ ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -181,22 +267,15 @@ class ScalSet:
                         break
         return best
 
-    def display(self, symbolic: bool = False) -> str:
-        """Union-of-residue-classes display.
-
-        Symbolic form writes classes against the symbol "den" (table rows);
-        the concrete form substitutes |z| as a surd or collapsed integer.
-        """
+    def display(self) -> str:
+        """Union-of-residue-classes display, with |z| substituted as a surd
+        or collapsed integer; a table cell writes one class against the
+        symbol "den" instead (ResidueClass.display)."""
         if not self.classes:
             return "∅"
-        parts = []
-        for c in sorted(self.classes, key=lambda c: (c.q, c.modulus, min(c.residues))):
-            for r in sorted(c.residues):
-                if symbolic:
-                    parts.append(_symbolic_class(c.q, c.modulus, r))
-                else:
-                    parts.append(_concrete_class(c.q, c.modulus, r, self.direction.norm()))
-        return " ∪ ".join(parts)
+        norm_z = self.direction.norm()
+        classes = sorted(self.classes, key=lambda c: (c.q, c.modulus, min(c.residues)))
+        return " ∪ ".join(c.display(norm_z) for c in classes)
 
 
 def _symbolic_class(q: int, modulus: int, r: int) -> str:

@@ -21,7 +21,9 @@ corollary (i) containment on Fraction points, the frame built from
 FieldElem images over their least common denominator, the decision by one
 coset solve per pair on a Hermite form of its own, least_scale on FieldElem
 points, the congruences on Fraction coordinates and the walk over every
-residue of their modulus, the window enumeration on Fraction points,
+residue of their modulus, with each per-q trial map z/q built as a
+FieldElem, the content and primitive part of a ring element on FieldElem
+coordinates, the window enumeration on Fraction points,
 render's circle bound on Fraction corners and its drawing component by
 component from FieldElem shifts and images,
 the intersection through the dual identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the
@@ -37,7 +39,9 @@ from fractions import Fraction
 
 from simiso import lattices as lat, packings as pk, render as rd
 from simiso.lattices import Lattice
-from simiso.rings import GAUSSIAN, FieldElem, RingElem, RingMismatchError, over_denominator
+from simiso.similarity import Similarity
+from simiso.rings import (GAUSSIAN, FieldElem, RingElem, RingMismatchError, over_denominator,
+                          ring_coordinates)
 
 
 @dataclass(frozen=True)
@@ -201,6 +205,15 @@ def ring_lcm(x: RingElem, y: RingElem) -> RingElem:
         raise RuntimeError(f"gcd({x}, {y}) does not divide their product")
     return q
 
+
+def content_and_primitive(z: FieldElem) -> tuple[int, FieldElem]:
+    """Split z ≠ 0 in the ring as c·z0 with c = gcd(a, b) > 0 and z0
+    primitive, on FieldElem coordinates: decompose's split of an integral w."""
+    if z.is_zero():
+        raise ValueError("zero has no primitive part")
+    a, b = ring_coordinates(z)
+    c = math.gcd(a, b)
+    return c, FieldElem(z.ring, a // c, b // c)
 
 def mul_matrix(w):
     """Matrix (m00, m01, m10, m11) of multiplication by w over basis {1, u}."""
@@ -458,7 +471,8 @@ def sweep_direction(packing, d):
     for q in range(1, min(math.isqrt(multiple), m) + 1):
         if multiple % (q * q):
             continue
-        n, conditions = sweep_conditions(packing, d.similarity(Fraction(1, q)))
+        trial = Similarity(d.z.scale(Fraction(1, q)), d.conjugate)  # z/q as a FieldElem
+        n, conditions = sweep_conditions(packing, trial)
         if n > m:
             continue
         modulus = math.lcm(q, *(o_k for o_k, _ in conditions))

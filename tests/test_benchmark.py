@@ -62,3 +62,23 @@ def test_oracle_case_is_the_parsed_case(bench, workload):
         assert parsed == packing
         parsed_s = cli.parse_similarity_doc(cli._load_doc(case["sim_doc"]), packing.ring)
         assert parsed_s == s and parsed_s.ints == s.ints
+
+
+def test_oracle_samples_every_small_direction(bench):
+    # check_scal hands one sampled request per round to _check_bruteforce,
+    # which builds its Direction through the FieldElem constructor and asks
+    # the oracle for Scal: here every table at every z with N(z) at most
+    # BRUTE_NORM_MAX takes that path.
+    import workloads
+
+    problems, cases = [], 0
+    for table, (_, _, ring) in workloads.TABLES.items():
+        for norm, zs in workloads.PRIMITIVES[ring].items():
+            if norm > workloads.BRUTE_NORM_MAX:
+                continue
+            for z in zs:
+                cases += 1
+                problem = workloads._check_bruteforce(table, z)
+                if problem is not None:
+                    problems.append(f"{table} z={z}: {problem}")
+    assert cases == 176 and problems == []

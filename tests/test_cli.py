@@ -509,6 +509,21 @@ class TestTable:
     def test_bad_direction(self):
         assert main(["table", "t1", "--z", "2,4"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("name", sorted(cli.TABLE_SPECS))
+    def test_warm_table_builds_no_fraction(self, name, monkeypatch, capsys):
+        # Each trial map x ↦ (z/q)·x is an integer triple and every cell is
+        # written from integers, so once the preset is built a request,
+        # reflections and empty rows included, builds no Fraction.
+        preset_name, _, ring = cli.TABLE_SPECS[name]
+        preset(preset_name)
+        zs = [(a, b) for a in range(-4, 5) for b in range(-4, 5)
+              if math.gcd(a, b) == 1 and FieldElem(ring, a, b).norm() <= 13]
+        built = _count_fractions(monkeypatch)
+        for a, b in zs:
+            assert main(["table", name, f"--z={a},{b}"]) == EXIT_OK
+            assert capsys.readouterr().out.count("\n") >= 2
+        assert built == []
+
     @pytest.mark.parametrize("z", ["1_0,1", " 2, 1", "١,0", "1,2,3", "1", "1.0,2", ""])
     def test_z_outside_the_integer_grammar(self, z, capsys):
         # int() reads the first three as 10+i, 2+i and 1; the README's grammar

@@ -14,13 +14,12 @@ from simiso.rings import (
     FieldElem,
     RingElem,
     RingMismatchError,
-    content_and_primitive,
     format_pair,
     over_denominator,
 )
-from simiso.similarity import Similarity, decompose
+from simiso.similarity import Direction, Similarity, decompose
 
-from references import ring_divmod, ring_gcd, ring_lcm
+from references import content_and_primitive, ring_divmod, ring_gcd, ring_lcm
 
 F = Fraction
 
@@ -261,6 +260,9 @@ class TestLcm:
 
 
 class TestContentPrimitive:
+    """The reference split z = c·z0 agrees with decompose and Direction,
+    which split integral multipliers on their integer coordinates."""
+
     @pytest.mark.parametrize(
         "elem,expected",
         [
@@ -271,19 +273,26 @@ class TestContentPrimitive:
     )
     def test_examples(self, elem, expected):
         assert content_and_primitive(elem) == expected
+        assert decompose(Similarity(elem)) == (expected[0], Direction(expected[1]))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             content_and_primitive(g(0, 0))
+        for make in (Similarity, Direction):
+            with pytest.raises(ValueError, match="must be nonzero"):
+                make(g(0, 0))
 
     def test_integral_fractions_read_as_ints(self):
         c, z0 = content_and_primitive(FieldElem(GAUSSIAN, F(4), F(-2)))
         assert (c, z0) == (2, g(2, -1))
         assert type(z0.a) is int and type(z0.b) is int
+        ratio, d = decompose(Similarity(FieldElem(GAUSSIAN, F(4), F(-2))))
+        assert (ratio, d.z) == (c, z0) and all(type(v) is int for v in d.ints)
 
     def test_non_integral_refused(self):
-        with pytest.raises(ValueError, match="not an element of the ring"):
-            content_and_primitive(FieldElem(EISENSTEIN, F(1, 2), F(1)))
+        for split in (content_and_primitive, Direction):
+            with pytest.raises(ValueError, match="not an element of the ring"):
+                split(FieldElem(EISENSTEIN, F(1, 2), F(1)))
 
     @given(ring_elems(nonzero=True))
     def test_roundtrip(self, x):
@@ -292,6 +301,7 @@ class TestContentPrimitive:
         assert math.gcd(z0.a, z0.b) == 1
         scaled = RingElem(x.ring, c * z0.a, c * z0.b)
         assert scaled == x
+        assert decompose(Similarity(x)) == (c, Direction(z0))
 
 
 class TestDivision:

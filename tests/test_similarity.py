@@ -1,6 +1,8 @@
 """Similarity decomposition, denominators, lattice scaling-factor sets."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -63,6 +65,85 @@ class TestSimilarity:
 
     def test_scale_sq(self):
         assert Similarity(fe(GAUSSIAN, 2, 2)).scale_sq() == 8  # β = 2√2
+
+
+@st.composite
+def integer_triples(draw):
+    """(ring, e, a, b, conjugate) for w = (a + b·u)/e with e ≠ 0 of either
+    sign and (a, b) ≠ 0, often unreduced: a factor k is drawn into all three."""
+    k = draw(st.integers(1, 6))
+    e = k * draw(st.integers(-12, 12).filter(bool))
+    a, b = draw(st.tuples(num, num).filter(any))
+    return draw(ring_tag), e, k * a, k * b, draw(st.booleans())
+
+
+@st.composite
+def lattices_with_pairs(draw, ring):
+    """A lattice Γ over d ≤ 4 of index ≤ 4 in (1/d)·Z², and a few integer
+    pairs over d."""
+    d = draw(st.integers(1, 4))
+    h00, h11 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    gamma = Lattice(ring, d, h00, draw(st.integers(0, h00 - 1)), h11)
+    return gamma, draw(st.lists(st.tuples(num, num), min_size=1, max_size=4))
+
+
+class TestIntegerConstructor:
+    """Similarity.from_ints and Direction.from_ints against the FieldElem
+    constructors, and the FieldElem products that the triple replaces."""
+
+    @given(integer_triples(), st.data())
+    def test_from_ints_matches_fieldelem_entry(self, triple, data):
+        ring, e, a, b, conjugate = triple
+        w = FieldElem(ring, F(a, e), F(b, e))
+        s, t = Similarity.from_ints(ring, e, a, b, conjugate), Similarity(w, conjugate)
+        assert s == t and hash(s) == hash(t) and s.ints == t.ints
+        assert s.ring == ring and s.conjugate is conjugate
+        e2, a2, b2 = s.ints
+        assert e2 > 0 and math.gcd(a2, b2, e2) == 1 and (F(a2, e2), F(b2, e2)) == (w.a, w.b)
+        assert s.w == t.w == w and str(s) == str(t)
+        assert s.scale_sq() == t.scale_sq() == w.norm()
+        gamma, pairs = data.draw(lattices_with_pairs(ring))
+        assert s.map_pairs(pairs) == t.map_pairs(pairs)
+        ex, images = s.map_pairs(pairs)
+        for (x, y), (ix, iy) in zip(pairs, images, strict=True):
+            point = FieldElem(ring, F(x, gamma.d), F(y, gamma.d))
+            assert FieldElem(ring, F(ix, ex * gamma.d), F(iy, ex * gamma.d)) == t.apply(point)
+        img = s.image_lattice(gamma)
+        assert img == t.image_lattice(gamma) and img.d == t.image_lattice(gamma).d
+        assert copy.copy(s) == s and pickle.loads(pickle.dumps(s)) == s
+        assert Similarity.from_ints(ring, e, a, b, not conjugate) != t
+
+    @given(ring_tag, st.tuples(num, num).filter(lambda ab: math.gcd(*ab) == 1),
+           st.booleans(), st.integers(-30, 30).filter(bool), st.integers(1, 12))
+    def test_direction_from_ints(self, ring, z, conjugate, p, q):
+        d = Direction.from_ints(ring, *z, conjugate)
+        elem = FieldElem(ring, *z)
+        assert d == Direction(elem, conjugate) and hash(d) == hash(Direction(elem, conjugate))
+        assert d.z == elem and d.ints == z and d.norm() == elem.norm()
+        assert str(d) == f"({elem})/|{elem}|" + ("·conj" if conjugate else "")
+        assert copy.copy(d) == d and pickle.loads(pickle.dumps(d)) == d
+        ratio = F(p, q)
+        assert d.similarity(ratio) == Similarity(elem.scale(ratio), conjugate)
+        assert d.similarity(p) == Similarity(elem.scale(p), conjugate)
+
+    def test_immutable(self):
+        s = Similarity.from_ints(GAUSSIAN, 2, 1, 1)
+        d = Direction.from_ints(GAUSSIAN, 1, 1)
+        for obj, name in ((s, "ints"), (s, "conjugate"), (d, "ints"), (d, "ring")):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(obj, name, None)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="multiplier must be nonzero"):
+            Similarity.from_ints(GAUSSIAN, 3, 0, 0)
+        with pytest.raises(ValueError, match="denominator must be nonzero"):
+            Similarity.from_ints(GAUSSIAN, 0, 1, 0)
+        with pytest.raises(ValueError, match="unknown ring tag"):
+            Similarity.from_ints("quaternion", 1, 1, 0)
+        with pytest.raises(ValueError, match="direction element 2\\+4ω is not primitive"):
+            Direction.from_ints(EISENSTEIN, 2, 4)
+        with pytest.raises(ValueError, match="unknown ring tag"):
+            Direction.from_ints("quaternion", 1, 0)
 
 
 class TestDecompose:
