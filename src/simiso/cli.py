@@ -12,7 +12,8 @@ A document is at most MAX_DOC_BYTES bytes and is decoded by one JSON
 decoder.  Its rationals are read as integer pairs (numerator, denominator),
 never as Fractions: a packing's basis and shifts are put over one
 denominator and handed to PointPacking.from_pairs, and a similarity is the
-integer triple (q, p·a, p·b) of z = a + b·u and the scale p/q.
+integer triple (q, p·a, p·b) of z = a + b·u and the scale p/q.  The presets
+and each table --z, the pair (a, b), are integer pairs too.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .lattices import Lattice
 from .packings import PointPacking
 from .presets import PRESETS, preset
 from .render import render_svg
-from .rings import EISENSTEIN, GAUSSIAN, FieldElem, format_pair
+from .rings import EISENSTEIN, GAUSSIAN, format_pair, pair_norm
 from .similarity import Direction, Similarity, format_scale
 
 EXIT_OK = 0
@@ -375,14 +376,6 @@ def run_analyze(args) -> int:
 # table
 
 
-def _gaussian_class(z: FieldElem) -> tuple[int, int]:
-    return z.a % 2, z.b % 2
-
-
-def _eisenstein_class(z: FieldElem) -> int:
-    return (z.a + z.b) % 3
-
-
 TABLE_SPECS = {
     "t1": ("rect12", False, GAUSSIAN),
     "t2": ("hex", False, EISENSTEIN),
@@ -398,59 +391,63 @@ GAUSSIAN_CLASSES = ((1, 0), (0, 1), (1, 1))
 EISENSTEIN_CLASSES = (1, 2, 0)
 
 
+def class_of(ring: str, a: int, b: int):
+    """The table class of z = a + b·u: (a, b) mod 2 over Z[i], a + b mod 3 over Z[ω]."""
+    return (a % 2, b % 2) if ring == GAUSSIAN else (a + b) % 3
+
+
 def class_label(ring: str, key) -> str:
     if ring == GAUSSIAN:
         return f"(a,b)≡({key[0]},{key[1]}) mod 2"
     return f"a+b≡{key} mod 3"
 
 
-def sample_directions(ring: str, key, count: int) -> list[FieldElem]:
-    """The first `count` primitive z of a congruence class, ordered by
+def sample_directions(ring: str, key, count: int) -> list[tuple[int, int]]:
+    """The first `count` primitive z = a + b·u of a class, as (a, b), by
     (norm, a, b) over the sector a ≥ 1, b ≥ 0.  Every such z of norm below
     a limit is listed, the limit doubling until it holds `count` of them:
     over Z[i] both a and b lie below √limit, and over Z[ω] with a, b ≥ 0,
     N(z) = a² - ab + b² ≥ (3/4)·max(a, b)²."""
-    classify = _gaussian_class if ring == GAUSSIAN else _eisenstein_class
     limit = 16
     while True:
         side = math.isqrt(limit if ring == GAUSSIAN else 4 * limit // 3) + 1
         candidates = sorted(
-            (z.norm(), a, b, z)
+            (norm, a, b)
             for a in range(1, side)
             for b in range(side)
             if math.gcd(a, b) == 1
-            and (z := FieldElem(ring, a, b)).norm() < limit
-            and classify(z) == key
+            and (norm := pair_norm(ring, a, b)) < limit
+            and class_of(ring, a, b) == key
         )
         if len(candidates) >= count:
-            return [z for *_, z in candidates[:count]]
+            return [(a, b) for _, a, b in candidates[:count]]
         limit *= 2
 
 
 def table_rows(
-    name: str, samples: int = 2, explicit: list[FieldElem] | None = None
+    name: str, samples: int = 2, explicit: list[tuple[int, int]] | None = None
 ) -> list[dict]:
-    """Rows (table, class, z, scal, tau) reproducing the published tables.
+    """Rows (table, class, z, scal, tau) reproducing the published tables,
+    for the sampled or explicit z = a + b·u as (a, b), grouped by class.
 
-    Each text is formatted once: the shift labels once per packing, the
-    class label once per class and z once per direction, from integers, so
-    a τ pair costs two list lookups; a Scal cell is one residue class's
-    ResidueClass.display."""
+    Each text is formatted once, from integers: the shift labels once per
+    packing, the label of each class that has a z once and z once, so a τ
+    pair costs two list lookups; a Scal cell is one ResidueClass.display."""
     preset_name, conjugate, ring = TABLE_SPECS[name]
     packing = preset(preset_name)
     labels = [format_pair(ring, x, y, packing.lattice.d) for x, y in packing.residues]
     classes = GAUSSIAN_CLASSES if ring == GAUSSIAN else EISENSTEIN_CLASSES
-    classify = _gaussian_class if ring == GAUSSIAN else _eisenstein_class
+    if explicit is None:
+        explicit = [z for key in classes for z in sample_directions(ring, key, samples)]
+    groups = {}
+    for a, b in explicit:
+        groups.setdefault(class_of(ring, a, b), []).append((a, b))
     rows = []
-    for key in classes:
-        if explicit is not None:
-            zs = [z for z in explicit if classify(z) == key]
-        else:
-            zs = sample_directions(ring, key, samples)
+    for key in [key for key in classes if key in groups]:
         label = class_label(ring, key)
-        for z in zs:
-            d = Direction(z, conjugate)
-            z_text = format_pair(ring, *d.ints, 1)
+        for a, b in groups[key]:
+            d = Direction.from_ints(ring, a, b, conjugate)
+            z_text = format_pair(ring, a, b, 1)
             cells = [(c.display(), _tau_display(labels, tau))
                      for c, tau in packings.scal_classes_by_tau(packing, d)]
             for scal, tau in cells or [("∅", "∅")]:
@@ -468,7 +465,6 @@ def run_table(args) -> int:
     _check_range("--samples", samples, 1, MAX_SAMPLES)
     explicit = None
     if args.z:
-        _, _, ring = TABLE_SPECS[args.name]
         explicit = []
         for text in args.z:
             match = _Z.fullmatch(text)
@@ -479,10 +475,9 @@ def run_table(args) -> int:
                 raise InputError(f"bad --z {text[:MAX_RATIONAL_CHARS]!r}: each part "
                                  f"has at most {MAX_RATIONAL_CHARS} characters")
             a, b = map(int, match.groups())
-            z = FieldElem(ring, a, b)
-            if z.is_zero() or math.gcd(a, b) != 1:
+            if math.gcd(a, b) != 1:
                 raise InputError(f"--z {text!r} is not a primitive direction")
-            explicit.append(z)
+            explicit.append((a, b))
     rows = table_rows(args.name, samples=samples, explicit=explicit)
     if args.format == "json":
         _emit_json(rows, args.out)

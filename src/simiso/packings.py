@@ -33,7 +33,7 @@ from fractions import Fraction
 from . import lattices, similarity as sim
 from .lattices import Lattice
 from .rings import FieldElem, format_pair
-from .similarity import Direction, ResidueClass, ScalSet, Similarity
+from .similarity import Direction, ResidueClass, ScalSet, Similarity, Value
 
 
 # Largest component count of a lifted packing; the Scal solve is quadratic in it.
@@ -42,7 +42,7 @@ MAX_LIFTED_COMPONENTS = 64
 MAX_SCAL_RESIDUES = 2_000
 
 
-class PointPacking:
+class PointPacking(Value):
     """A finite union of shifted copies x_k + Γ of one generating lattice.
 
     The lattice is stored over the packing's own denominator d, the least one
@@ -55,8 +55,9 @@ class PointPacking:
 
     from_pairs is the one constructor that canonicalises; PointPacking(Γ,
     shifts) puts FieldElem shifts over one denominator with Γ and calls it.
-    shifts, the FieldElem of each residue, is built on first read.  Packings
-    are immutable, and equal when their lattices, d and residues are.
+    shifts, the FieldElem of each residue, is built on first read.  As a
+    similarity.Value a packing is immutable, equal when its lattice, d and
+    residues are, and copied, pickled and printed as its from_pairs call.
     """
 
     __slots__ = ("lattice", "residues", "_shifts")
@@ -85,14 +86,7 @@ class PointPacking:
         if g > 1:
             lattice = Lattice(ring, d // g, b00 // g, b01 // g, b11 // g)
             residues = tuple((x // g, y // g) for x, y in residues)
-        packing = object.__new__(cls)
-        object.__setattr__(packing, "lattice", lattice)
-        object.__setattr__(packing, "residues", residues)
-        object.__setattr__(packing, "_shifts", None)
-        return packing
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PointPacking is immutable: cannot set {name!r}")
+        return cls._made(lattice=lattice, residues=residues, _shifts=None)
 
     @property
     def shifts(self) -> tuple[FieldElem, ...]:
@@ -112,20 +106,8 @@ class PointPacking:
     def _key(self):
         return self.lattice, self.lattice.d, self.residues
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PointPacking) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def translated(self, x: FieldElem) -> PointPacking:
-        return PointPacking(self.lattice, tuple(s + x for s in self.shifts))
-
-    def __reduce__(self):  # copy and pickle rebuild through from_pairs
-        return PointPacking.from_pairs, (self.lattice, list(self.residues))
-
-    def __repr__(self) -> str:
-        return f"PointPacking.from_pairs({self.lattice!r}, {list(self.residues)!r})"
+    def _made_by(self):
+        return "from_pairs", (self.lattice, list(self.residues))
 
     def __str__(self) -> str:
         ring, d = self.ring, self.lattice.d

@@ -27,26 +27,21 @@ from .rings import (GAUSSIAN, FieldElem, RingMismatchError, check_ring, format_p
 from .lattices import Lattice
 
 
-class _IntegerMap:
-    """A value held as a ring, a tuple of ints and a conjugate flag, made by
-    the subclass's from_ints: immutable, equal and hashed on the three, and
-    copied, pickled and printed as its from_ints call."""
+class Value:
+    """An immutable value, its slots set once by _made: equal and hashed on
+    _key(), and copied, pickled and printed as the call _made_by() names."""
 
-    __slots__ = ("ring", "ints", "conjugate")
+    __slots__ = ()
 
     @classmethod
-    def _made(cls, ring: str, ints: tuple[int, ...], conjugate: bool):
+    def _made(cls, **slots):
         value = object.__new__(cls)
-        object.__setattr__(value, "ring", ring)
-        object.__setattr__(value, "ints", ints)
-        object.__setattr__(value, "conjugate", conjugate)
+        for name, slot in slots.items():
+            object.__setattr__(value, name, slot)
         return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def _key(self):
-        return self.ring, self.ints, self.conjugate
 
     def __eq__(self, other) -> bool:
         return isinstance(other, type(self)) and self._key() == other._key()
@@ -55,11 +50,24 @@ class _IntegerMap:
         return hash(self._key())
 
     def __reduce__(self):
-        return type(self).from_ints, (self.ring, *self.ints, self.conjugate)
+        name, args = self._made_by()
+        return getattr(type(self), name), args
 
     def __repr__(self) -> str:
-        ints = ", ".join(map(str, self.ints))
-        return f"{type(self).__name__}.from_ints({self.ring!r}, {ints}, {self.conjugate!r})"
+        name, args = self._made_by()
+        return f"{type(self).__name__}.{name}({', '.join(map(repr, args))})"
+
+
+class _IntegerMap(Value):
+    """A map held as a ring, a tuple of ints and a conjugate flag."""
+
+    __slots__ = ("ring", "ints", "conjugate")
+
+    def _key(self):
+        return self.ring, self.ints, self.conjugate
+
+    def _made_by(self):
+        return "from_ints", (self.ring, *self.ints, self.conjugate)
 
 
 class Similarity(_IntegerMap):
@@ -90,9 +98,7 @@ class Similarity(_IntegerMap):
         if e == 0:
             raise ValueError("similarity denominator must be nonzero")
         g = math.gcd(e, a, b) if e > 0 else -math.gcd(e, a, b)
-        s = cls._made(ring, (e // g, a // g, b // g), conjugate)
-        object.__setattr__(s, "_w", None)
-        return s
+        return cls._made(ring=ring, ints=(e // g, a // g, b // g), conjugate=conjugate, _w=None)
 
     @property
     def w(self) -> FieldElem:
@@ -148,7 +154,7 @@ class Direction(_IntegerMap):
             raise ValueError("direction element must be nonzero")
         if math.gcd(a, b) != 1:
             raise ValueError(f"direction element {format_pair(ring, a, b, 1)} is not primitive")
-        return cls._made(ring, (a, b), conjugate)
+        return cls._made(ring=ring, ints=(a, b), conjugate=conjugate)
 
     @property
     def z(self) -> FieldElem:

@@ -40,20 +40,8 @@ def simw(ring, a, b, conjugate=False):
 
 
 def rows_for(name, zs):
-    explicit = [RingElem(TABLE_RING[name], a, b) for a, b in zs]
-    return [
-        (r["class"], r["scal"], r["tau"])
-        for r in table_rows(name, explicit=explicit)
-    ]
+    return [(r["class"], r["scal"], r["tau"]) for r in table_rows(name, explicit=list(zs))]
 
-
-TABLE_RING = {
-    "t1": GAUSSIAN,
-    "t2": EISENSTEIN,
-    "t3": EISENSTEIN,
-    "t4": EISENSTEIN,
-    "t5": EISENSTEIN,
-}
 
 HEX_DIAG = "{((2+ω)/3,(2+ω)/3),((1+2ω)/3,(1+2ω)/3)}"
 HEX_CROSS = "{((2+ω)/3,(1+2ω)/3),((1+2ω)/3,(2+ω)/3)}"

@@ -511,18 +511,37 @@ class TestTable:
 
     @pytest.mark.parametrize("name", sorted(cli.TABLE_SPECS))
     def test_warm_table_builds_no_fraction(self, name, monkeypatch, capsys):
-        # Each trial map x ↦ (z/q)·x is an integer triple and every cell is
-        # written from integers, so once the preset is built a request,
-        # reflections and empty rows included, builds no Fraction.
-        preset_name, _, ring = cli.TABLE_SPECS[name]
-        preset(preset_name)
+        # The presets and each --z are integer pairs, each trial map
+        # x ↦ (z/q)·x is an integer triple and every cell is written from
+        # integers, so a request, reflections and empty rows included, builds
+        # no Fraction and no FieldElem, even with the preset built afresh.
+        # One z meets one class, so one class label is formatted.
+        _, _, ring = cli.TABLE_SPECS[name]
         zs = [(a, b) for a in range(-4, 5) for b in range(-4, 5)
               if math.gcd(a, b) == 1 and FieldElem(ring, a, b).norm() <= 13]
         built = _count_fractions(monkeypatch)
+        elems, labels = [], []
+        monkeypatch.setattr(FieldElem, "__post_init__", lambda x: elems.append(x))
+        label = cli.class_label
+        monkeypatch.setattr(cli, "class_label", lambda *a: labels.append(a) or label(*a))
         for a, b in zs:
+            preset.cache_clear()
             assert main(["table", name, f"--z={a},{b}"]) == EXIT_OK
             assert capsys.readouterr().out.count("\n") >= 2
-        assert built == []
+        assert built == [] and elems == []
+        assert labels == [(ring, cli.class_of(ring, a, b)) for a, b in zs]
+
+    def test_class_labels_once_per_class_met(self, monkeypatch, capsys):
+        labels = []
+        label = cli.class_label
+        monkeypatch.setattr(cli, "class_label", lambda *a: labels.append(a) or label(*a))
+        zs = ["1,0", "3,1", "1,1", "2,1", "4,1"]  # a + b ≡ 1, 1, 2, 0, 2 (mod 3)
+        assert main(["table", "t2", *(f"--z={z}" for z in zs)]) == EXIT_OK
+        assert labels == [(EISENSTEIN, 1), (EISENSTEIN, 2), (EISENSTEIN, 0)]
+        rows = capsys.readouterr().out.splitlines()[1:]
+        # Classes in the table's order, each class's z in the order given.
+        assert list(dict.fromkeys(row.split(",")[2] for row in rows)) == [
+            "1", "3+ω", "1+ω", "4+ω", "2+ω"]
 
     @pytest.mark.parametrize("z", ["1_0,1", " 2, 1", "١,0", "1,2,3", "1", "1.0,2", ""])
     def test_z_outside_the_integer_grammar(self, z, capsys):
@@ -549,13 +568,14 @@ class TestTable:
         # The box [1, 80) × [0, 80) holds every primitive z of the sector
         # a ≥ 1, b ≥ 0 with N(z) < 4,800 over both rings, so its first z by
         # (norm, a, b) are the first of the sector while their norm stays below.
-        for ring, classes, classify in ((GAUSSIAN, cli.GAUSSIAN_CLASSES, cli._gaussian_class),
-                                        (EISENSTEIN, cli.EISENSTEIN_CLASSES, cli._eisenstein_class)):
+        for ring, classes in ((GAUSSIAN, cli.GAUSSIAN_CLASSES),
+                              (EISENSTEIN, cli.EISENSTEIN_CLASSES)):
             box = sorted((FieldElem(ring, a, b) for a in range(1, 80) for b in range(80)
                           if math.gcd(a, b) == 1), key=lambda z: (z.norm(), z.a, z.b))
             for key in classes:
-                first = [z for z in box if classify(z) == key][:MAX_SAMPLES]
-                assert first[-1].norm() < 4_800
+                first = [(z.a, z.b) for z in box if cli.class_of(ring, z.a, z.b) == key]
+                first = first[:MAX_SAMPLES]
+                assert FieldElem(ring, *first[-1]).norm() < 4_800
                 for count in range(1, MAX_SAMPLES + 1):
                     assert cli.sample_directions(ring, key, count) == first[:count]
 

@@ -824,6 +824,23 @@ class TestCorollaries:
         with pytest.raises(ValueError):
             corollaries(report, packing)
 
+    def test_den_with_a_denominator(self):
+        # Γ = <5, 1+2i> and the reflection along 4+3i: den(Γ, R) = (2/5)·|z|,
+        # so ratio/den = p·5/(q·2).  Z[i] written over Γ (10 components) is
+        # mapped into itself at ratio 1, where 5/2 ∉ Z leaves (ii) unasked
+        # and n = 2 gives n·5/2 ∈ Z; Γ alone is mapped into itself at den.
+        gamma = Lattice(GAUSSIAN, 1, 5, 1, 2)
+        d = Direction.from_ints(GAUSSIAN, 4, 3, True)
+        assert sim.denominator(gamma, d) == (2, 5)
+        ring = PointPacking.from_pairs(gamma, [(x, y) for y in range(2) for x in range(5)])
+        report = pk.check_similarity(ring, d.similarity(1))
+        assert report.accepted and report.n == 2
+        assert corollaries(report, ring) == pk.CorollaryDiagnostics(True, None, True)
+        alone = PointPacking.from_pairs(gamma, [(0, 0)])
+        report = pk.check_similarity(alone, d.similarity(F(2, 5)))
+        assert report.accepted and report.n == 1
+        assert corollaries(report, alone) == pk.CorollaryDiagnostics(None, True, True)
+
 
 class TestPeriodsReduce:
     def test_checkerboard(self):
@@ -1452,9 +1469,10 @@ class TestIntAndFractionAgree:
 
 
 class TestShift:
+    # L + x is PointPacking(Γ, shifts + x).
     def test_hexagonal_shift(self):
         packing = preset("hex")
-        shifted = packing.translated(HEX_SHIFT)
+        shifted = PointPacking(packing.lattice, tuple(s + HEX_SHIFT for s in packing.shifts))
         assert shifted.shifts[0] == HEX_SHIFT
         # (4+2ω)/3 normalizes to the congruent representative (1+2ω)/3.
         second = shifted.shifts[1]
@@ -1465,11 +1483,13 @@ class TestShift:
 
     def test_zero_shift(self):
         packing = preset("rect12")
-        assert packing.translated(FieldElem.zero(GAUSSIAN)) == packing
+        zero = FieldElem.zero(GAUSSIAN)
+        assert PointPacking(packing.lattice, tuple(s + zero for s in packing.shifts)) == packing
 
     def test_lattice_period_shift(self):
         packing = preset("rect12")
-        assert packing.translated(fe(GAUSSIAN, 2, -1)) == packing
+        period = fe(GAUSSIAN, 2, -1)
+        assert PointPacking(packing.lattice, tuple(s + period for s in packing.shifts)) == packing
 
 
 class TestClosure:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from simiso import lattices as lat, similarity as sim
 from simiso.lattices import Lattice
+from simiso.packings import PointPacking
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
 from simiso.similarity import (
     Direction,
@@ -129,9 +130,22 @@ class TestIntegerConstructor:
     def test_immutable(self):
         s = Similarity.from_ints(GAUSSIAN, 2, 1, 1)
         d = Direction.from_ints(GAUSSIAN, 1, 1)
-        for obj, name in ((s, "ints"), (s, "conjugate"), (d, "ints"), (d, "ring")):
-            with pytest.raises(AttributeError, match="immutable"):
+        p = PointPacking.from_pairs(Lattice(EISENSTEIN, 3, 3, 1, 3), [(0, 0), (2, 1)])
+        for obj, name in ((s, "ints"), (s, "conjugate"), (d, "ints"), (d, "ring"),
+                          (p, "residues"), (p, "lattice")):
+            with pytest.raises(AttributeError, match=f"{type(obj).__name__} is immutable: "
+                                                     f"cannot set '{name}'"):
                 setattr(obj, name, None)
+
+    def test_repr_is_the_constructor_call(self):
+        names = {"Lattice": Lattice, "PointPacking": PointPacking,
+                 "Similarity": Similarity, "Direction": Direction}
+        values = (PointPacking.from_pairs(Lattice(GAUSSIAN, 2, 6, 2, 2), [(1, 0), (3, 1)]),
+                  Similarity.from_ints(EISENSTEIN, 3, -2, 1, True),
+                  Direction.from_ints(GAUSSIAN, 2, -1))
+        for v in values:
+            assert eval(repr(v), names) == v
+        assert repr(values[1]) == "Similarity.from_ints('eisenstein', 3, -2, 1, True)"
 
     def test_refusals(self):
         with pytest.raises(ValueError, match="multiplier must be nonzero"):
@@ -267,6 +281,11 @@ class TestScalLattice:
     def test_identity_direction(self):
         ss = scal_lattice(RECT31, Direction(RingElem(GAUSSIAN, 1, 0)))
         assert ss.min_positive_ratio() == 1
+
+    def test_min_positive_ratio_steps_up_past_common_factors(self):
+        # The p ≡ 3 (mod 4) prime to q = 3 are 7, 11, ..., so the least is 7/3.
+        c = sim.ResidueClass(q=3, modulus=4, residues=frozenset({3}))
+        assert ScalSet(Direction.from_ints(GAUSSIAN, 1, 0), (c,)).min_positive_ratio() == F(7, 3)
 
     def test_rect31_quarter_turn(self):
         ss = scal_lattice(RECT31, Direction(RingElem(GAUSSIAN, 0, 1)))
