@@ -429,6 +429,7 @@ def table_rows(
 ) -> list[dict]:
     """Rows (table, class, z, scal, tau) reproducing the published tables,
     for the sampled or explicit z = a + b·u as (a, b), grouped by class.
+    A zero or non-primitive z raises ValueError, over either ring.
 
     Each text is formatted once, from integers: the shift labels once per
     packing, the label of each class that has a z once and z once, so a τ
@@ -440,14 +441,14 @@ def table_rows(
     if explicit is None:
         explicit = [z for key in classes for z in sample_directions(ring, key, samples)]
     groups = {}
-    for a, b in explicit:
-        groups.setdefault(class_of(ring, a, b), []).append((a, b))
+    for a, b in explicit:  # each z is checked before any is grouped or dropped
+        d = Direction.from_ints(ring, a, b, conjugate)
+        groups.setdefault(class_of(ring, a, b), []).append(d)
     rows = []
     for key in [key for key in classes if key in groups]:
         label = class_label(ring, key)
-        for a, b in groups[key]:
-            d = Direction.from_ints(ring, a, b, conjugate)
-            z_text = format_pair(ring, a, b, 1)
+        for d in groups[key]:
+            z_text = format_pair(ring, *d.ints, 1)
             cells = [(c.display(), _tau_display(labels, tau))
                      for c, tau in packings.scal_classes_by_tau(packing, d)]
             for scal, tau in cells or [("∅", "∅")]:

@@ -10,12 +10,14 @@ determinants.  Lattice.least_scale answers every question r·X ⊆ Γ
 (den(Γ, R), the lift's c, the oracle's D): the r that work are the
 multiples of one least r, read from the integer coordinates of X over Γ.
 The coset representatives of a sublattice are integer pairs over the d of
-both lattices.  SumLattice keeps one integer form of Γ₁ + Γ₂, for Γ₁, Γ₂
-and integer pairs over one d: [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] is read from
-its determinant, u - v ∈ Γ₁ + Γ₂ when u and v share a residue (two floor
-divisions each), and the p with p·a - x ∈ Γ₁ + Γ₂ (a Scal
-congruence) are one residue class.  A Fraction is built only to hand back a
-point or an index.
+both lattices.  Lattice.congruence reads the p with p·a - x ∈ Γ (a Scal
+congruence, on the sweep's frame S = R + sR) as one residue class, from
+the Hermite basis alone.  SumLattice serves check_similarity only: it keeps
+one integer form of Γ₁ + Γ₂, for Γ₁, Γ₂ and integer pairs over one d, whose
+columns carry the Γ₁-coefficients the decision's witnesses need;
+[Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] is read from its determinant, and u - v ∈
+Γ₁ + Γ₂ when u and v share a residue (two floor divisions each).  A
+Fraction is built only to hand back a point or an index.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ def _hnf_columns(cols: list[Column]) -> tuple[Column, Column]:
         lead = (s * x0 + t * x, g, s * p0 + t * p, s * r0 + t * r)
     if lead is None:
         raise DegenerateLatticeError("generators span at most a line")
+    # kp, kr start anywhere: the first nonzero x meets kx = 0, where _xgcd gives s = 0.
     kx, kp, kr = 0, 0, 0
     for x, _, p, r in rest:
         if x:
@@ -166,6 +169,27 @@ class Lattice:
         """Whether the integer pair (x, y) over d lies in d·Γ."""
         return y % self.b11 == 0 and (x - y // self.b11 * self.b01) % self.b00 == 0
 
+    def congruence(self, a: tuple[int, int], x: tuple[int, int]) -> tuple[int, int] | None:
+        """(r, o) with p·a - x ∈ d·Γ exactly when p ≡ r (mod o), for integer
+        pairs a and x over d, or None when no p solves; o is the order of a
+        mod Γ.  First b11 | p·a_y - x_y, then b00 | p·a_x - x_x - t·b01 for
+        the quotient t."""
+        b00, b01, b11 = self.b00, self.b01, self.b11
+        g = math.gcd(a[1], b11)
+        if x[1] % g:
+            return None
+        step = b11 // g
+        p0 = x[1] // g * pow(a[1] // g, -1, step) % step
+        t0 = (p0 * a[1] - x[1]) // b11
+        c = step * a[0] - a[1] // g * b01
+        e = p0 * a[0] - x[0] - t0 * b01
+        h = math.gcd(c, b00)
+        if e % h:
+            return None
+        period = b00 // h
+        u = -(e // h) * pow(c // h, -1, period) % period
+        return (p0 + step * u) % (step * period), step * period
+
     def least_scale(self, points) -> tuple[int, int]:
         """(a, b) in lowest terms for the least r = a/b > 0 with r·x ∈ d·Γ
         for every integer pair x given.  The coordinates of (x, y) over the
@@ -211,7 +235,7 @@ def quotient_representatives(sub: Lattice, sup: Lattice) -> Iterator[tuple[int, 
 
 @dataclass(frozen=True)
 class SumLattice:
-    """Γ₁ + Γ₂ as one integer Hermite form, for many coset problems at once.
+    """Γ₁ + Γ₂ as one integer Hermite form, for check_similarity's coset problems.
 
     Γ₁ and Γ₂ are over one denominator d, every point it is asked about is
     an integer pair over d, and det1 is det(d·Γ₁).  The columns
@@ -250,26 +274,3 @@ class SumLattice:
         x = vx - t * x1
         u = (x * y1 - x1 * y) // (kx * y1)
         return (x - u * kx, y), (t * p0 + u * q0, t * p1 + u * q1)
-
-    def congruence(
-        self, a: tuple[int, int], x: tuple[int, int]
-    ) -> tuple[int, int] | None:
-        """(r, o) with p·a - x ∈ Γ₁ + Γ₂ exactly when p ≡ r (mod o), for d·a
-        and d·x given, or None when no p solves; o is the order of a.  First
-        y₁ | p·a_y - x_y, then k_x | p·a_x - x_x - t·x₁ for the quotient t."""
-        x1, y1, *_ = self.lead
-        kx = self.k[0]
-        g = math.gcd(a[1], y1)
-        if x[1] % g:
-            return None
-        step = y1 // g
-        p0 = x[1] // g * pow(a[1] // g, -1, step) % step
-        t0 = (p0 * a[1] - x[1]) // y1
-        c = step * a[0] - a[1] // g * x1
-        e = p0 * a[0] - x[0] - t0 * x1
-        h = math.gcd(c, kx)
-        if e % h:
-            return None
-        period = kx // h
-        u = -(e // h) * pow(c // h, -1, period) % period
-        return (p0 + step * u) % (step * period), step * period

@@ -17,11 +17,17 @@ FieldElem shifts only when they are first read.
 
 Scaling-factor sets are solved per denominator q over the ring lattice R,
 to which every packing is first lifted.  For β = (p/q)|z| with gcd(p, q) = 1,
-R + sR = (1/q)·gcd(q, z)·R and n depend on q and z only, so each k meeting
-a residue class of the targets mod R + sR is a linear congruence in p.  The
-components' congruences are merged by the Chinese remainder theorem, which
-keeps τ with each residue, and the result is folded by its group of periods
-to its smallest modulus; neither step walks the residues of that modulus.
+S = R + sR = (1/q)·(qR + zR) and n = [S : R] depend on q and z only, and
+are read in closed form with no Hermite reduction: the ideal qR + zR has the
+Hermite basis (N, 0), (c, 1), where
+- the second entry is 1, as z and z·u have u-coordinates of gcd 1;
+- N = gcd(q, N(z)), the gcd of the 2×2 minors of q, q·u, z and z·u;
+- c is the first coordinate of s·z + t·(z·u), mod N, for s·b + t·y(z·u) = 1;
+so n = q²/N.  Each k meeting a residue class of the targets mod S is then a
+linear congruence in p.  The components' congruences are merged by the
+Chinese remainder theorem, which keeps τ with each residue, and the result
+is folded by its group of periods to its smallest modulus; neither step
+walks the residues of that modulus.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from fractions import Fraction
 
 from . import lattices, similarity as sim
 from .lattices import Lattice
-from .rings import FieldElem, format_pair
+from .rings import FieldElem, format_pair, pair_norm
 from .similarity import Direction, ResidueClass, ScalSet, Similarity, Value
 
 
@@ -202,25 +208,43 @@ def lift_to_ring(packing: PointPacking) -> PointPacking:
     return PointPacking.from_pairs(Lattice(gamma.ring, den, den, 0, den), pairs)
 
 
+def _sweep_frame(ring: str, dd: int, z: tuple[int, int], q: int) -> tuple[Lattice, int]:
+    """S = R + (z/q)R over q·D, for R written over D and z = a + b·u
+    primitive, and n = [S : R]: the closed form of _sweep_direction."""
+    a, b = z
+    big_n = math.gcd(q, pair_norm(ring, a, b))
+    [(ux, uy)] = sim._times(ring, a, b, False, [(0, 1)])  # z·u
+    _, s, t = lattices._xgcd(b, uy)
+    return Lattice(ring, q * dd, dd * big_n, dd * ((s * a + t * ux) % big_n), dd), q * q // big_n
+
+
 def _sweep_direction(
     packing: PointPacking, d: Direction
 ) -> list[tuple[int, int, dict[int, tuple[tuple[int, int], ...]]]]:
     """Accepted residues of p, with their τ, per admissible q for β = (p/q)|z|.
 
-    τ indexes the components of the lift to R.  s(L) ⊆ L implies sᵏ(L) ⊆ L,
-    and n of sᵏ is unbounded while its multiplier keeps a denominator, as z
-    is primitive.  So rotations admit only q = 1 and reflections, with
-    s² = p²N(z)/q², only q with q² | N(z).  There every prime of q splits
-    and z, being primitive, is divisible by its full power at one prime
-    above it, so n = q²/N(gcd(q, z)) = q: only q ≤ m are tried, whatever
-    N(z) is.  For gcd(p, q) = 1, S = R + sR = (1/q)·gcd(q, z)·R and
-    n = [S : R] do not depend on p, so both come once per q from the trial
-    map x ↦ (z/q)·x, the integer triple (q, z's ints), in the frame that
-    check_similarity builds.  As s(x_k) = p·a_k with a_k = (z/q)·x_k (or
-    (z/q)·conj(x_k)), p·a_k meets a residue class of the targets mod S at
-    no p or at one residue of p modulo the order o_k of a_k in Q(u)/S
-    (SumLattice.congruence).  Scaling by q/gcd(q, z) carries S onto R, so
-    o_k divides the denominators of x_k.
+    τ indexes the components of the lift to R, written over D.  s(L) ⊆ L
+    implies sᵏ(L) ⊆ L, and n of sᵏ is unbounded while its multiplier keeps
+    a denominator, as z is primitive.  So rotations admit only q = 1 and
+    reflections, with s² = p²N(z)/q², only q with q² | N(z).  There every
+    prime of q splits and z, being primitive, is divisible by its full
+    power at one prime above it, so n = q²/N(gcd(q, z)) = q: only q ≤ m are
+    tried, whatever N(z) is.  For gcd(p, q) = 1, S = R + sR =
+    (1/q)·(qR + zR), for either flag as conj(R) = R, and n = [S : R] do not
+    depend on p, so both come once per q in closed form (_sweep_frame), as
+    qR + zR has the Hermite basis (N, 0), (c, 1):
+    - its u-coordinates have gcd 1, as those of z and z·u are b and a or
+      a - b, and gcd(a, b) = 1;
+    - N, the gcd of the 2×2 minors of q, q·u, z and z·u, is gcd(q, N(z));
+    - c is the first coordinate of s·z + t·(z·u), mod N, for s and t with
+      s·b + t·y(z·u) = 1.
+    So q·D·S has the basis (D·N, 0), (D·c, D), and n = q²/N.
+
+    As s(x_k) = p·a_k with a_k = (z/q)·x_k (or (z/q)·conj(x_k)), the
+    integer pair D·z·x_k over q·D for every q, p·a_k meets a residue class
+    of the targets mod S at no p or at one residue of p modulo the order o_k
+    of a_k in Q(u)/S (Lattice.congruence).  Scaling by q/gcd(q, z) carries
+    S onto R, so o_k divides the denominators of x_k.
 
     The accepted residues start as the units mod q with an empty τ.  Each k
     keeps the residues mod o_k at which it meets a class of n targets, one
@@ -231,25 +255,25 @@ def _sweep_direction(
     ValueError above MAX_SCAL_RESIDUES.
     """
     packing = lift_to_ring(packing)
-    m = packing.m
+    ring, dd, residues = packing.ring, packing.lattice.d, packing.residues
     multiple = d.norm() if d.conjugate else 1  # every admissible q² divides it
+    images = sim._times(ring, *d.ints, d.conjugate, residues)
     out = []
-    for q in range(1, min(math.isqrt(multiple), m) + 1):
+    for q in range(1, min(math.isqrt(multiple), packing.m) + 1):
         if multiple % (q * q):
             continue
-        trial = Similarity.from_ints(d.ring, q, *d.ints, d.conjugate)  # x ↦ (z/q)·x
-        total, targets, images = _frame(packing, trial)
-        n = total.index()
+        frame, n = _sweep_frame(ring, dd, d.ints, q)
+        targets = [(q * x, q * y) for x, y in residues]
         modulus = q
         accepted = {r: () for r in range(q) if math.gcd(r, q) == 1}
         classes: dict[tuple[int, int], list[int]] = {}  # residue mod S -> its targets j
         for j, x_j in enumerate(targets):
-            classes.setdefault(total.reduce(*x_j)[0], []).append(j)
+            classes.setdefault(frame.reduce(*x_j), []).append(j)
         full = [js for js in classes.values() if len(js) == n]
         for k, a_k in enumerate(images):
             meets = {}  # s -> the (k, j) of the class met at p ≡ s (mod o_k)
             for js in full:
-                solved = total.congruence(a_k, targets[js[0]])
+                solved = frame.congruence(a_k, targets[js[0]])
                 if solved is not None:
                     s, o_k = solved
                     meets[s] = tuple((k, j) for j in js)

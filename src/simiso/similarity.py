@@ -11,7 +11,7 @@ it is read.  Similarity.map_pairs maps integer pairs over any denominator d
 to integer pairs over e·d, and the image lattice sΓ, decompose, compose and
 β² read the same triple.  A Direction holds z = a + b·u as its integer
 pair, Direction.similarity(p/q) is the triple (q, p·a, p·b), and the Scal
-sweep's trial map z/q is (q, a, b), so neither builds a Fraction.
+sweep maps by z's ints alone (_times), so neither builds a Fraction.
 den(Γ, R), the least β with βRΓ ⊆ Γ as the integer pair of its ratio to
 |z|, is read from the images of Γ's integer basis under z's ints.
 """

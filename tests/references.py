@@ -1,7 +1,9 @@
 """Exact constructions the tests use as independent references.
 
-The engine no longer calls any of these: it reads n, every sum and every
-Scal congruence from one integer Hermite form, its gcds from closed forms,
+The engine no longer calls any of these: it reads n and every sum from one
+integer Hermite form, the Scal sweep's frame R + (z/q)R and its
+congruences from a closed form with no Hermite reduction, its gcds from
+closed forms,
 every image lattice from the images of two generators, and every
 "r·X ⊆ Γ" question from Lattice.least_scale; a Lattice is an integer
 Hermite basis over one denominator; packings keep their shifts as integer
@@ -260,12 +262,13 @@ def sum_lattice(l1, l2, points):
 
 
 def frame(packing, s):
-    """Γ + sΓ with the targets x_k and the images s(x_k), from FieldElem
-    images: sΓ spanned by the images of Γ's generators under s.apply, and
-    each s(x_k) by s.apply, all over their least common denominator."""
+    """Γ + sΓ as a Lattice with the targets x_k and the images s(x_k), from
+    FieldElem images: sΓ spanned by the images of Γ's generators under
+    s.apply, the sum by add, and each s(x_k) by s.apply, all over their
+    least common denominator."""
     gamma = packing.lattice
     img = Lattice.from_generators(gamma.ring, [(y.a, y.b) for y in map(s.apply, generators(gamma))])
-    total, xy = sum_lattice(gamma, img, packing.shifts + tuple(map(s.apply, packing.shifts)))
+    total, xy = add(gamma, img).with_points(packing.shifts + tuple(map(s.apply, packing.shifts)))
     return total, xy[:packing.m], xy[packing.m:]
 
 

@@ -1,13 +1,14 @@
 """The benchmark's workloads run against this checkout and pass their checks."""
 
 import contextlib
+import functools
 import io
 import sys
 from pathlib import Path
 
 import pytest
 
-from simiso import cli
+from simiso import cli, packings
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -82,3 +83,18 @@ def test_oracle_samples_every_small_direction(bench):
                 if problem is not None:
                     problems.append(f"{table} z={z}: {problem}")
     assert cases == 176 and problems == []
+
+
+def test_packings_spans_name_functions_that_exist(monkeypatch):
+    # spans.NAMED times the packings layers by qualname; a renamed function
+    # would leave its layer, such as packings.sweep.self_ms, reading 0.
+    # Importing spans installs nothing: only its install() wraps simiso.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    names = [name for module, name in spans.NAMED if module == "packings"]
+    assert names
+    found = [functools.reduce(lambda obj, attr: getattr(obj, attr, None), name.split("."), packings)
+             for name in names]
+    assert [getattr(fn, "__qualname__", None) for fn in found] == names

@@ -531,6 +531,31 @@ class TestTable:
         assert built == [] and elems == []
         assert labels == [(ring, cli.class_of(ring, a, b)) for a, b in zs]
 
+    def test_table_makes_no_hermite_reduction(self, monkeypatch, capsys):
+        # The sweep reads its frame R + (z/q)R in closed form and the presets
+        # are built from their Hermite bases, so no table request, the preset
+        # built afresh, reduces a lattice.
+        from simiso import lattices
+
+        calls = []
+        hnf = lattices._hnf_columns
+        monkeypatch.setattr(lattices, "_hnf_columns", lambda cols: calls.append(cols) or hnf(cols))
+        zs = [(a, b) for a in range(-4, 5) for b in range(-4, 5) if math.gcd(a, b) == 1]
+        for name in sorted(cli.TABLE_SPECS):
+            for a, b in zs:
+                preset.cache_clear()
+                assert main(["table", name, f"--z={a},{b}"]) == EXIT_OK
+                assert capsys.readouterr().out.count("\n") >= 2
+        assert calls == []
+
+    @pytest.mark.parametrize("name, z", [("t1", (2, 4)), ("t2", (3, 0)), ("t4", (0, 0))])
+    def test_table_rows_refuses_a_non_primitive_z(self, name, z):
+        # Over Z[i] a z with a and b even falls in class (0, 0), which no table
+        # lists; it is refused as over Z[ω], not dropped.
+        message = "is not primitive" if any(z) else "must be nonzero"
+        with pytest.raises(ValueError, match=f"^direction element .*{message}$"):
+            cli.table_rows(name, explicit=[(1, 0), z])
+
     def test_class_labels_once_per_class_met(self, monkeypatch, capsys):
         labels = []
         label = cli.class_label

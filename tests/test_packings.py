@@ -38,6 +38,16 @@ def witness_points(packing, report):
     return tuple((k, j, packing.lattice.element(*xy)) for k, j, xy in report.witness)
 
 
+def sweep_frame(packing, d, q):
+    """The Scal sweep's frame at q for a packing over R written over D: S
+    over q·D with n = [S : R], the targets q·D·x_k and the images D·z·x_k
+    (or D·z·conj(x_k)), which are (z/q)·x_k over q·D."""
+    ring, z = packing.ring, d.ints
+    total, n = pk._sweep_frame(ring, packing.lattice.d, z, q)
+    targets = [(q * x, q * y) for x, y in packing.residues]
+    return total, n, targets, sim._times(ring, *z, d.conjugate, packing.residues)
+
+
 HEX_SHIFT = FieldElem(EISENSTEIN, F(2, 3), F(1, 3))
 
 
@@ -403,6 +413,24 @@ def residue_sets(draw):
     return accepted, modulus, q
 
 
+class TestSweepFrame:
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from((GAUSSIAN, EISENSTEIN)), st.booleans(),
+           st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+           .filter(lambda ab: math.gcd(*ab) == 1),
+           st.integers(1, 60), st.integers(1, 12))
+    def test_closed_form_matches_hermite_form(self, ring, conjugate, z, q, dd):
+        # S = R + (z/q)R over q·D and n = [S : R] in closed form, for any q,
+        # admissible or not, against the Hermite form of R + trial(R).
+        ring_lattice = Lattice(ring, dd, dd, 0, dd)
+        trial = Similarity.from_ints(ring, q, *z, conjugate)
+        expected = lat.SumLattice.of(ring_lattice.over(q * dd), trial.image_lattice(ring_lattice))
+        total, n = pk._sweep_frame(ring, dd, z, q)
+        assert (total.d, total.b00, total.b01, total.b11) == (
+            q * dd, expected.k[0], expected.lead[0], expected.lead[1])
+        assert n == expected.index()
+
+
 class TestCongruenceSolve:
     @settings(max_examples=200, deadline=None)
     @given(lifted_packings_with_trials(max_den=8))
@@ -480,7 +508,7 @@ class TestCongruenceSolve:
     def test_congruence_residue(self):
         def solve(sum_with, a, x):
             points = (FieldElem(GAUSSIAN, *a), FieldElem(GAUSSIAN, *x))
-            total, xy = ref.sum_lattice(ZI, sum_with, points)
+            total, xy = ref.add(ZI, sum_with).with_points(points)
             return total.congruence(*xy)
 
         # Over S = Z[i]: p·(1/3, 2/3) ≡ (2/3, 1/3) mod Z² at p ≡ 2 (mod 3) only.
@@ -500,9 +528,11 @@ class TestCongruenceSolve:
     @given(lifted_packings_with_trials())
     def test_sum_lattice_congruence_matches_reference(self, case):
         packing, trial = case
-        total, targets, scaled_images = pk._frame(packing, trial)
-        n, conditions = ref.sweep_conditions(packing, trial)
-        assert total.index() == n
+        q, a, b = trial.ints  # x ↦ (z/q)·x for z = a + b·u, as z is primitive
+        d = Direction.from_ints(packing.ring, a, b, trial.conjugate)
+        total, n, targets, scaled_images = sweep_frame(packing, d, q)
+        ref_n, conditions = ref.sweep_conditions(packing, trial)
+        assert n == ref_n
         for a_k, (o_k, by_residue) in zip(scaled_images, conditions):
             assert total.congruence(a_k, (0, 0)) == (0, o_k)
             residue_of = {j: r for r, js in by_residue.items() for j in js}
@@ -662,8 +692,8 @@ class TestSweepMatchesFieldElemTrials:
         sheared_packings_with_directions(),
     ))
     def test_rows_match_fieldelem_trial_walk(self, case):
-        # The sweep's trial maps are integer triples (q, z's ints); the
-        # reference builds each one from the FieldElem z·(1/q), maps the
+        # The sweep maps by z's ints over its closed-form frames; the
+        # reference builds each trial map from the FieldElem z·(1/q), maps the
         # shifts by FieldElem products and walks every residue.  The cases
         # hold non-ring Γ, lifted first, and q = 5 for m ≥ 5.
         packing, d = case
@@ -727,8 +757,8 @@ class TestResidueLookups:
     def test_sweep_solves_once_per_class_of_n(self, k, monkeypatch):
         packing = _fine_packing(k)
         calls = []
-        congruence = lat.SumLattice.congruence
-        monkeypatch.setattr(lat.SumLattice, "congruence",
+        congruence = Lattice.congruence
+        monkeypatch.setattr(Lattice, "congruence",
                             lambda self, *ax: calls.append(ax) or congruence(self, *ax))
         for z, conjugate in (((1, 2), False), ((3, 4), True), ((1, 0), True)):
             d = Direction(fe(GAUSSIAN, *z), conjugate)
@@ -736,12 +766,11 @@ class TestResidueLookups:
             multiple = d.norm() if conjugate else 1
             for q in range(1, min(math.isqrt(multiple), packing.m) + 1):
                 if multiple % (q * q) == 0:
-                    total, targets, _ = pk._frame(packing, d.similarity(F(1, q)))
-                    cell = Lattice(GAUSSIAN, 1, total.k[0], total.lead[0], total.lead[1])
+                    cell, n, targets, _ = sweep_frame(packing, d, q)
                     firsts = [next(i for i, y in enumerate(targets)
                                    if cell.contains_pair(x[0] - y[0], x[1] - y[1])) for x in targets]
                     sizes = [firsts.count(i) for i in set(firsts)]
-                    bound += packing.m * sizes.count(total.index())
+                    bound += packing.m * sizes.count(n)
             calls.clear()
             rows = pk.scal_classes_by_tau(packing, d)
             assert len(calls) <= bound
@@ -1209,16 +1238,16 @@ class TestIntegerFrameMatchesFieldElemFrame:
                report.failing_k, report.reached)
         assert got == ref.check_similarity(packing, s)
 
-        # The sweep's per-q frames, on the lift when it fits under the cap.
+        # The sweep's per-q frames, on the lift; the sweep refuses a packing
+        # whose lift exceeds the cap before it builds any frame.
         try:
             lifted = pk.lift_to_ring(packing)
         except ValueError:
-            lifted = packing
+            return
         for q in range(1, 5):
-            trial = d.similarity(F(1, q))
-            total, targets, images = pk._frame(lifted, trial)
-            expected, ref_targets, ref_images = ref.frame(lifted, trial)
-            assert total.index() == expected.index()
+            total, n, targets, images = sweep_frame(lifted, d, q)
+            expected, ref_targets, ref_images = ref.frame(lifted, d.similarity(F(1, q)))
+            assert n == lat.index(lifted.lattice, expected)
             for a_k, b_k in zip(images, ref_images, strict=True):
                 assert total.congruence(a_k, (0, 0)) == expected.congruence(b_k, (0, 0))
                 for x_j, y_j in zip(targets, ref_targets, strict=True):
@@ -1290,7 +1319,7 @@ class TestNoFractionOnTheDecisionPath:
         and returns its witness points as integer pairs, so no decision,
         accepted or rejected, builds a Fraction.  image_lattice and
         den(Γ, R) build none, for rational w too, and neither does the Scal
-        sweep, whose per-q trial map z/q is an integer triple.  None of them
+        sweep, which maps by z's ints over closed-form frames.  None of them
         multiplies FieldElems."""
         from simiso import oracle as orc
 
