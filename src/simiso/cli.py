@@ -12,8 +12,9 @@ A document is at most MAX_DOC_BYTES bytes and is decoded by one JSON
 decoder.  Its rationals are read as integer pairs (numerator, denominator),
 never as Fractions: a packing's basis and shifts are put over one
 denominator and handed to PointPacking.from_pairs, and a similarity is the
-integer triple (q, p·a, p·b) of z = a + b·u and the scale p/q.  The presets
-and each table --z, the pair (a, b), are integer pairs too.
+integer triple (q, p·a, p·b) of z = a + b·u and the scale p/q.  The presets,
+each table --z, the pair (a, b), and the --window corners, over their least
+common denominator, are integers too.
 """
 
 from __future__ import annotations
@@ -495,14 +496,16 @@ def run_table(args) -> int:
 # render
 
 
-def _parse_window(text: str):
+def _parse_window(text: str) -> tuple[int, tuple[int, int, int, int]]:
+    """The corners x0, y0, x1, y1 as integers over their least common
+    denominator e, as (e, corners)."""
     parts = text.split(",")
     if len(parts) != 4:
         raise InputError("window must be x0,y0,x1,y1")
-    x0, y0, x1, y1 = (Fraction(*_rational(p)) for p in parts)
+    e, (x0, y0, x1, y1) = _over_one_denominator([_rational(p) for p in parts])
     if x1 <= x0 or y1 <= y0:
         raise InputError("window must have positive area")
-    return x0, y0, x1, y1
+    return e, (x0, y0, x1, y1)
 
 
 def run_render(args) -> int:

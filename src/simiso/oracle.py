@@ -64,10 +64,10 @@ def _certify(packing: PointPacking, s: Similarity, img: Lattice, period: Lattice
     s(x_k) + r, r over sΓ/P, lie in x_j + Γ; NotContained at the first
     point in no component."""
     reps = [img.element(*r) for r in lattices.quotient_representatives(period, img)]
-    gamma, shifts = packing.lattice, packing.shifts
+    gamma, shifts, w = packing.lattice, packing.shifts, s.w
     counts: dict[tuple[int, int], int] = {}
     for k, x_k in enumerate(shifts):
-        base = s.apply(x_k)
+        base = w * (x_k.conj() if s.conjugate else x_k)
         for rep in reps:
             point = base + rep
             j = next((j for j, x_j in enumerate(shifts) if gamma.contains(point - x_j)), None)

@@ -12,22 +12,16 @@ residues mod d·Γ, built by PointPacking.from_pairs from integer pairs, and
 the similarity maps those residues and Γ's basis as integer pairs
 (Similarity.map_pairs).  So the frame, congruence, periods, reduction,
 witness offsets, corollary (i) and the lift to R are integer arithmetic; a
-Fraction is built only to hand a point back as a FieldElem, and a packing's
-FieldElem shifts only when they are first read.
+Fraction is built only to hand a point back as a FieldElem.
 
 Scaling-factor sets are solved per denominator q over the ring lattice R,
 to which every packing is first lifted.  For β = (p/q)|z| with gcd(p, q) = 1,
-S = R + sR = (1/q)·(qR + zR) and n = [S : R] depend on q and z only, and
-are read in closed form with no Hermite reduction: the ideal qR + zR has the
-Hermite basis (N, 0), (c, 1), where
-- the second entry is 1, as z and z·u have u-coordinates of gcd 1;
-- N = gcd(q, N(z)), the gcd of the 2×2 minors of q, q·u, z and z·u;
-- c is the first coordinate of s·z + t·(z·u), mod N, for s·b + t·y(z·u) = 1;
-so n = q²/N.  Each k meeting a residue class of the targets mod S is then a
-linear congruence in p.  The components' congruences are merged by the
-Chinese remainder theorem, which keeps τ with each residue, and the result
-is folded by its group of periods to its smallest modulus; neither step
-walks the residues of that modulus.
+the frame S = R + sR and n = [S : R] depend on q and z only, and
+_sweep_direction reads them in closed form.  Each k meeting a residue class
+of the targets mod S is then a linear congruence in p.  The components'
+congruences are merged by the Chinese remainder theorem, which keeps τ with
+each residue, and the result is folded by its group of periods to its
+smallest modulus; neither step walks the residues of that modulus.
 """
 
 from __future__ import annotations
@@ -61,12 +55,12 @@ class PointPacking(Value):
 
     from_pairs is the one constructor that canonicalises; PointPacking(Γ,
     shifts) puts FieldElem shifts over one denominator with Γ and calls it.
-    shifts, the FieldElem of each residue, is built on first read.  As a
-    similarity.Value a packing is immutable, equal when its lattice, d and
-    residues are, and copied, pickled and printed as its from_pairs call.
+    shifts, the FieldElem of each residue, is built each time it is read.
+    As a similarity.Value a packing is immutable, equal when its lattice, d
+    and residues are, and copied, pickled and printed as its from_pairs call.
     """
 
-    __slots__ = ("lattice", "residues", "_shifts")
+    __slots__ = ("lattice", "residues")
 
     def __new__(cls, lattice: Lattice, shifts) -> PointPacking:
         return cls.from_pairs(*lattice.with_points(shifts))
@@ -92,14 +86,11 @@ class PointPacking(Value):
         if g > 1:
             lattice = Lattice(ring, d // g, b00 // g, b01 // g, b11 // g)
             residues = tuple((x // g, y // g) for x, y in residues)
-        return cls._made(lattice=lattice, residues=residues, _shifts=None)
+        return cls._made(lattice=lattice, residues=residues)
 
     @property
     def shifts(self) -> tuple[FieldElem, ...]:
-        if self._shifts is None:
-            shifts = tuple(self.lattice.element(x, y) for x, y in self.residues)
-            object.__setattr__(self, "_shifts", shifts)
-        return self._shifts
+        return tuple(self.lattice.element(x, y) for x, y in self.residues)
 
     @property
     def ring(self) -> str:

@@ -2,27 +2,28 @@
 
 Colors follow the conventions of the source figures: the generating
 lattice component dark, other packing components gray, image components
-blue/yellow/green.  Byte output is fixed for fixed inputs.  render_svg puts
-each drawn lattice (Γ, or sΓ for the image, which it builds itself) over one
+blue/yellow/green.  Byte output is fixed for fixed inputs.  A Window is
+its corners as integers over one denominator e.  render_svg puts each drawn
+lattice (Γ, or sΓ for the image, which it builds itself) over one
 denominator D with the window corners once, and its shifts are integer pairs
 over D: the packing's residues, and s.map_pairs of them for the image.  The
 circles a figure may draw are counted on those frames, and a figure above
 MAX_RENDER_POINTS is refused before any point is walked.  A component is
 walked column by column (points_in_window), and coordinates become floats as
-a/D and b/D: int / int rounds correctly, so each equals float() of the
-reduced Fraction whatever D is.  A row's cy text is formatted once, and over
-Z[i] so is a column's cx; over Z[ω], x = a/D - (b/D)/2 is formatted once per
-float.  Legend labels print the residues through format_pair.
+a/D and b/D, the corners as c/e: int / int rounds correctly, so each equals
+float() of the reduced Fraction whatever the denominator is.  A row's cy
+text is formatted once, and over Z[i] so is a column's cx; over Z[ω],
+x = a/D - (b/D)/2 is formatted once per float.  Legend labels print the
+residues through format_pair.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .lattices import Lattice
 from .packings import PointPacking
-from .rings import EISENSTEIN, format_pair, over_denominator
+from .rings import EISENSTEIN, format_pair
 from .similarity import Similarity
 
 PACKING_COLORS = ("#1c1c1c", "#9e9e9e", "#c96b6b", "#7c5aa8")
@@ -34,7 +35,8 @@ MAX_RENDER_POINTS = 100_000
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
-Window = tuple[Fraction, Fraction, Fraction, Fraction]
+# The corners x0, y0, x1, y1 as integers over one denominator e: (e, corners).
+Window = tuple[int, tuple[int, int, int, int]]
 
 
 def to_xy(ring: str, a: float, b: float) -> tuple[float, float]:
@@ -67,7 +69,7 @@ def points_in_window(lattice: Lattice, shift: tuple[int, int], corners: tuple[in
 def window_frame(lattice: Lattice, d: int, shifts, window: Window):
     """Γ, the integer pairs shifts over d, and the window corners, all over
     one denominator: the lcm of d, Γ's denominator and the corners'."""
-    e, corners = over_denominator(window)
+    e, corners = window
     big = math.lcm(lattice.d, d, e)
     k, c = big // d, big // e
     return lattice.over(big), [(k * x, k * y) for x, y in shifts], tuple(c * v for v in corners)
@@ -90,8 +92,8 @@ def render_svg(packing: PointPacking, s: Similarity | None, window: Window) -> s
     if circles > MAX_RENDER_POINTS:
         raise ValueError(f"window takes up to {circles} circles; "
                          f"at most {MAX_RENDER_POINTS} are drawn")
-    x0, y0, x1, y1 = window
-    corners = [to_xy(ring, float(cx), float(cy)) for cx in (x0, x1) for cy in (y0, y1)]
+    e, (x0, y0, x1, y1) = window
+    corners = [to_xy(ring, cx / e, cy / e) for cx in (x0, x1) for cy in (y0, y1)]
     min_x = min(c[0] for c in corners)
     max_x = max(c[0] for c in corners)
     min_y = min(c[1] for c in corners)

@@ -6,12 +6,12 @@ rational multiple of the symbolic surd |z| of a primitive direction z, and
 scaling-factor sets are finite unions of residue classes of such rationals.
 A Similarity is the integer triple (e, a, b) of w = (a + b·u)/e in lowest
 terms, made by Similarity.from_ints; Similarity(w) reads a FieldElem w
-over its least common denominator, and the FieldElem w is built only when
-it is read.  Similarity.map_pairs maps integer pairs over any denominator d
-to integer pairs over e·d, and the image lattice sΓ, decompose, compose and
-β² read the same triple.  A Direction holds z = a + b·u as its integer
-pair, Direction.similarity(p/q) is the triple (q, p·a, p·b), and the Scal
-sweep maps by z's ints alone (_times), so neither builds a Fraction.
+over its least common denominator.  Similarity.map_pairs maps integer
+pairs over any denominator d to integer pairs over e·d, and the image
+lattice sΓ, decompose, compose and β² read the same triple.  A Direction
+holds z = a + b·u as its integer pair, Direction.similarity(p/q) is the
+triple (q, p·a, p·b), and the Scal sweep maps by z's ints alone (_times),
+so neither builds a Fraction.
 den(Γ, R), the least β with βRΓ ⊆ Γ as the integer pair of its ratio to
 |z|, is read from the images of Γ's integer basis under z's ints.
 """
@@ -76,17 +76,14 @@ class Similarity(_IntegerMap):
 
     from_ints is the one constructor that canonicalises; Similarity(w,
     conjugate) reads the FieldElem w over its least common denominator and
-    calls it, keeping that w; otherwise w is built on first read and then
-    kept, as the oracle's apply reads it per component.
+    calls it.  w is built from ints each time it is read.
     """
 
-    __slots__ = ("_w",)
+    __slots__ = ()
 
     def __new__(cls, w: FieldElem, conjugate: bool = False) -> Similarity:
         e, (a, b) = over_denominator((w.a, w.b))
-        s = cls.from_ints(w.ring, e, a, b, conjugate)
-        object.__setattr__(s, "_w", w)
-        return s
+        return cls.from_ints(w.ring, e, a, b, conjugate)
 
     @classmethod
     def from_ints(cls, ring: str, e: int, a: int, b: int, conjugate: bool = False) -> Similarity:
@@ -98,14 +95,12 @@ class Similarity(_IntegerMap):
         if e == 0:
             raise ValueError("similarity denominator must be nonzero")
         g = math.gcd(e, a, b) if e > 0 else -math.gcd(e, a, b)
-        return cls._made(ring=ring, ints=(e // g, a // g, b // g), conjugate=conjugate, _w=None)
+        return cls._made(ring=ring, ints=(e // g, a // g, b // g), conjugate=conjugate)
 
     @property
     def w(self) -> FieldElem:
-        if self._w is None:
-            e, a, b = self.ints
-            object.__setattr__(self, "_w", FieldElem(self.ring, Fraction(a, e), Fraction(b, e)))
-        return self._w
+        e, a, b = self.ints
+        return FieldElem(self.ring, Fraction(a, e), Fraction(b, e))
 
     def apply(self, x: FieldElem) -> FieldElem:
         return self.w * (x.conj() if self.conjugate else x)

@@ -1,38 +1,22 @@
 """Exact constructions the tests use as independent references.
 
-The engine no longer calls any of these: it reads n and every sum from one
-integer Hermite form, the Scal sweep's frame R + (z/q)R and its
-congruences from a closed form with no Hermite reduction, its gcds from
-closed forms,
-every image lattice from the images of two generators, and every
-"r·X ⊆ Γ" question from Lattice.least_scale; a Lattice is an integer
-Hermite basis over one denominator; packings keep their shifts as integer
-residues and test corollary (i) on them; a similarity maps integer pairs,
-so the frame Γ + sΓ of a decision is built on integers and each J_k is
-one residue class of the targets mod Γ + sΓ; the lift to the
-ring lattice rescales integer residues and integer coset representatives;
-render draws every component from one integer frame per drawn lattice and
-bounds its circles on integer corners; the Scal solve merges its
-congruences by CRT; the oracle tests membership per component and reads
-the size of its walk from the frame it walks.  They stay here so that
-those routes can be checked against a different one: the lattice with
-three Fraction fields that Lattice replaced, a lattice point and the coset
-representatives as FieldElems, the lift from FieldElem cosets, the sum as
-a lattice, membership in a packing, the residue of a point mod Γ and the
-corollary (i) containment on Fraction points, the frame built from
-FieldElem images over their least common denominator, the decision by one
-coset solve per pair on a Hermite form of its own, least_scale on FieldElem
-points, the congruences on Fraction coordinates and the walk over every
-residue of their modulus, with each per-q trial map z/q built as a
-FieldElem, the content and primitive part of a ring element on FieldElem
-coordinates, the window enumeration on Fraction points,
-render's circle bound on Fraction corners and its drawing component by
-component from FieldElem shifts and images,
-the intersection through the dual identity (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, the
-Euclidean algorithm in Z[i] and Z[ω], 2×2 matrices of multiplication and
-conjugation over {1, u}, and the size of the oracle's walk from a closed
-form of its period over z(Γ).  Results of the ring functions are fixed
-only up to a unit.
+Each one computes what an engine function computes by a different route,
+mostly on Fraction and FieldElem values, so a test that compares the two
+checks the engine's integer arithmetic against plain field arithmetic:
+- lattices: the three-Fraction-field lattice (FractionLattice), points and
+  coset representatives as FieldElems, sums, duals and intersections
+  through (Γ₁ ∩ Γ₂)* = Γ₁* + Γ₂*, least_scale on FieldElem points and the
+  residue of a point mod Γ;
+- rings: the Euclidean algorithm in Z[i] and Z[ω], content and primitive
+  part, and 2×2 matrices of multiplication and conjugation over {1, u};
+- packings: membership, the lift to R from FieldElem cosets, the frame
+  Γ + sΓ from FieldElem images, the decision by one coset solve per pair,
+  den(Γ, R), corollary (i), and the Scal sweep walking every residue of
+  its modulus with each trial map z/q built as a FieldElem;
+- render: the window enumeration on Fraction points, the circle bound on
+  Fraction corners, and the figure drawn component by component;
+- oracle: the size of its walk from a closed form of its period over z(Γ).
+Results of the ring functions are fixed only up to a unit.
 """
 
 import math

@@ -923,14 +923,15 @@ class TestRender:
 
     @pytest.mark.parametrize("name, similarity", ACCEPTED_PER_PRESET)
     def test_only_parsing_builds_fractions(self, name, similarity, tmp_path, monkeypatch):
-        # The four window corners, the scale and w's two coordinates: the
-        # decision, the cap and the figure run on integers.  The preset is
-        # built, and cached, first.
+        # The window corners, the scale and w are read as integers, and the
+        # decision, the cap and the figure run on them, with a similarity or
+        # without.  The preset is built, and cached, first.
         preset(name)
         built = _count_fractions(monkeypatch)
-        rc = main(["render", "--preset", name, "--similarity", similarity,
-                   "--window=-7/2,-3,9/2,4", "--out", str(tmp_path / "fig.svg")])
-        assert rc == EXIT_OK and len(built) <= 7
+        for drawn in (["--similarity", similarity], ["--packing-only"]):
+            rc = main(["render", "--preset", name, *drawn, "--window=-7/2,-3,9/2,4",
+                       "--out", str(tmp_path / "fig.svg")])
+            assert rc == EXIT_OK and len(built) == 0
 
     def test_packing_only(self, tmp_path):
         out = tmp_path / "fig.svg"

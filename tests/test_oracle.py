@@ -15,7 +15,7 @@ from simiso.lattices import Lattice
 from simiso.packings import PointPacking
 from simiso.presets import preset
 from simiso.render import points_in_window, window_frame
-from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
+from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem, over_denominator
 from simiso.similarity import Direction, Similarity
 
 import references as ref
@@ -37,7 +37,7 @@ WINDOW = (F(0), F(0), F(3), F(3))
 def render_points(lattice, d, shifts, window):
     """render's points of each component shift + Γ, shifts integer pairs
     over d, enumerated in one frame and read as floats (a/D, b/D)."""
-    lattice, shifts, box = window_frame(lattice, d, shifts, window)
+    lattice, shifts, box = window_frame(lattice, d, shifts, over_denominator(window))
     return [[(a / lattice.d, b / lattice.d)
              for a, bs in points_in_window(lattice, x, box) for b in bs] for x in shifts]
 
@@ -119,7 +119,7 @@ class TestPointsInWindow:
             corner = tuple(-abs(c) - F(1, 7) for c in corner)
         window = (*corner, corner[0] + width, corner[1] + size[1])
         g, xy = gamma.with_points((x,))
-        lattice, [x_xy], box = window_frame(g, g.d, xy, window)
+        lattice, [x_xy], box = window_frame(g, g.d, xy, over_denominator(window))
         columns = points_in_window(lattice, x_xy, box)
         assert all(a < c for (a, _), (c, _) in zip(columns, columns[1:]))
         assert all(b < c for _, bs in columns for b, c in zip(bs, bs[1:]))

@@ -15,7 +15,7 @@ from simiso.packings import PointPacking
 from simiso.presets import preset
 from simiso import render
 from simiso.render import render_svg
-from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
+from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem, over_denominator
 from simiso.similarity import Direction, ResidueClass, ScalSet, Similarity
 
 import references as ref
@@ -1386,7 +1386,8 @@ class TestNoFractionOnTheDecisionPath:
             rotated = rotation.image_lattice(packing.lattice)
             for window in ((F(-4), F(-3), F(5), F(4)), (F(-7, 3), F(1, 2), F(5, 6), F(9, 4))):
                 for s, image in ((None, None), (rotation, rotated)):
-                    cases.append((packing, s, window, ref.circle_bound(packing, image, window)))
+                    cases.append((packing, s, over_denominator(window),
+                                  ref.circle_bound(packing, image, window)))
         built = []
         new = F.__new__
         monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
@@ -1415,7 +1416,7 @@ class TestNoFieldElemArithmeticOnTheEnginePaths:
         ]
         decisions = [(ex34, simw(GAUSSIAN, 0, 1)), (ex34, Similarity(fe(GAUSSIAN, F(1, 2), 0))),
                      (sheared, simw(EISENSTEIN, 12, 0)), (sheared, simw(EISENSTEIN, 0, 12))]
-        window = (F(-3), F(-5, 2), F(4), F(3))
+        window = over_denominator((F(-3), F(-5, 2), F(4), F(3)))
 
         def run():
             out = [(pk.lift_to_ring(packing), pk.scal_classes_by_tau(packing, d),

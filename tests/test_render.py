@@ -13,7 +13,7 @@ from simiso.lattices import Lattice
 from simiso.packings import PointPacking
 from simiso.presets import PRESETS, preset
 from simiso.render import render_svg
-from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem
+from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, over_denominator
 from simiso.similarity import Similarity
 
 import references as ref
@@ -56,7 +56,8 @@ class TestRenderMatchesReference:
         image = s.image_lattice(packing.lattice)
         assume(ref.circle_bound(packing, image, window) <= 3_000)
         s, image = (s, image) if with_image else (None, None)
-        assert render_svg(packing, s, window) == ref.render_svg(packing, s, image, window)
+        assert render_svg(packing, s, over_denominator(window)) == ref.render_svg(
+            packing, s, image, window)
 
     def test_presets(self):
         # Each preset under a rotation and a reflection by a ring element,
@@ -67,7 +68,7 @@ class TestRenderMatchesReference:
             for conjugate in (False, True):
                 s = Similarity(FieldElem(packing.ring, 2, 1), conjugate)
                 image = s.image_lattice(packing.lattice)
-                assert render_svg(packing, s, window) == ref.render_svg(
+                assert render_svg(packing, s, over_denominator(window)) == ref.render_svg(
                     packing, s, image, window)
 
 
@@ -82,6 +83,7 @@ class TestRenderCap:
         image = s.image_lattice(packing.lattice) if with_image else None
         s = s if with_image else None
         expected = ref.circle_bound(packing, image, window)
+        window = over_denominator(window)
         walks, built = [], []
         walk, new = render.points_in_window, F.__new__
         with pytest.MonkeyPatch.context() as mp:

@@ -120,3 +120,26 @@ def test_no_indented_json_dumps():
             and any(keyword.arg == "indent" for keyword in node.keywords)
         ]
     assert found == []
+
+
+def test_values_are_set_only_by_made():
+    # A Value's slots are set once by Value._made; object.__setattr__
+    # anywhere else writes into a value after it was made, such as the
+    # cached packing that preset(name) hands every caller.
+    found = []
+    for path in sorted(Path(simiso.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}  # id of each node inside a function -> Class.function
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+                scopes.update((id(n), f"{cls.name}.{fn.name}") for n in ast.walk(fn))
+        found += [
+            f"{path.name}:{node.lineno}: {scopes.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+        ]
+    assert [where.split(": ")[1] for where in found] == ["Value._made"], found
