@@ -21,7 +21,9 @@ _sweep_direction reads them in closed form.  Each k meeting a residue class
 of the targets mod S is then a linear congruence in p.  The components'
 congruences are merged by the Chinese remainder theorem, which keeps τ with
 each residue, and the result is folded by its group of periods to its
-smallest modulus; neither step walks the residues of that modulus.
+smallest modulus; neither step walks the residues of that modulus.  At
+q = 1, the q of every cell of Tables 1–5, each merged residue is a row of
+its own, and scal_classes_by_tau says why.
 """
 
 from __future__ import annotations
@@ -201,9 +203,13 @@ def lift_to_ring(packing: PointPacking) -> PointPacking:
 
 def _sweep_frame(ring: str, dd: int, z: tuple[int, int], q: int) -> tuple[Lattice, int]:
     """S = R + (z/q)R over q·D, for R written over D and z = a + b·u
-    primitive, and n = [S : R]: the closed form of _sweep_direction."""
+    primitive, and n = [S : R]: the closed form of _sweep_direction.
+    N = gcd(q, N(z)) = 1 gives qR + zR = R, so S = (1/q)·R and n = q²; the
+    sweep meets N = 1 only at q = 1, where S = R."""
     a, b = z
     big_n = math.gcd(q, pair_norm(ring, a, b))
+    if big_n == 1:
+        return Lattice(ring, q * dd, dd, 0, dd), q * q
     [(ux, uy)] = sim._times(ring, a, b, False, [(0, 1)])  # z·u
     _, s, t = lattices._xgcd(b, uy)
     return Lattice(ring, q * dd, dd * big_n, dd * ((s * a + t * ux) % big_n), dd), q * q // big_n
@@ -267,7 +273,7 @@ def _sweep_direction(
                 solved = frame.congruence(a_k, targets[js[0]])
                 if solved is not None:
                     s, o_k = solved
-                    meets[s] = tuple((k, j) for j in js)
+                    meets[s] = tuple([(k, j) for j in js])
             if not meets:
                 accepted = {}
                 break
@@ -308,9 +314,21 @@ def scal_classes_by_tau(
     class together with the component correspondences it produces.  τ
     indexes the components of lift_to_ring(packing), which are the packing's
     own when Γ is the ring lattice.
+
+    At q = 1 every kept residue r mod L is a row of its own, ResidueClass(1,
+    L, {r}), with no regrouping and no fold:
+    - no two kept residues share a τ, as τ fixes for each k the residue s_k
+      mod o_k at which k meets its class, and the CRT fixes r mod L from them;
+    - one residue mod L has no smaller period, so _minimal_modulus would hand
+      it back unchanged.
+    Every cell of Tables 1–5 is such a cell.  For q > 1 the φ(q) units mod q
+    all start with τ = (), so a τ can own several residues, which are folded.
     """
     rows = []
     for q, modulus, accepted in _sweep_direction(packing, d):
+        if q == 1:
+            rows += [(ResidueClass(1, modulus, frozenset({r})), tau) for r, tau in accepted.items()]
+            continue
         by_tau: dict[tuple[tuple[int, int], ...], set[int]] = {}
         for r, tau in accepted.items():
             by_tau.setdefault(tau, set()).add(r)

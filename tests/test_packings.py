@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simiso import lattices as lat, packings as pk, similarity as sim
+from simiso import cli, lattices as lat, packings as pk, similarity as sim
 from simiso.lattices import Lattice
 from simiso.packings import PointPacking
 from simiso.presets import preset
 from simiso import render
 from simiso.render import render_svg
-from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem, over_denominator
+from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem, over_denominator, pair_norm
 from simiso.similarity import Direction, ResidueClass, ScalSet, Similarity
 
 import references as ref
@@ -278,6 +278,20 @@ class TestScalSetPacking:
                 if report.accepted:
                     assert report.n == 1
 
+    def test_table_traffic_solves_q_1_only(self):
+        # Rotations admit only q = 1, and a reflection only q ≤ m with
+        # q² | N(z).  Every table packing has m = 2 components, and a
+        # primitive z over Z[ω] has odd norm, so no table reaches q = 2: every
+        # cell is a q = 1 solve, over the golden's z with N(z) ≤ 61.
+        for name, (preset_name, conjugate, ring) in cli.TABLE_SPECS.items():
+            packing = preset(preset_name)
+            for a in range(-9, 10):
+                for b in range(-9, 10):
+                    if math.gcd(a, b) == 1 and pair_norm(ring, a, b) <= 61:
+                        d = Direction.from_ints(ring, a, b, conjugate)
+                        solved = [q for q, _, _ in pk._sweep_direction(packing, d)]
+                        assert solved == [1], (name, a, b)
+
 
 def _reference_sweep(packing, d):
     """The residue sweep the congruence solve replaced: check_similarity on
@@ -343,6 +357,9 @@ def _assert_matches_reference(packing, d):
     assert pk.scal_classes_by_tau(packing, d) == rows
     solved = {q for q, _, _ in pk._sweep_direction(packing, d)}
     assert all(not accepted for q, _, accepted in sweep if q not in solved)
+    # Each q = 1 τ-group of the reference folds to one residue, so
+    # scal_classes_by_tau may write each q = 1 residue as its own row.
+    assert all(len(c.residues) == 1 for c, _ in rows if c.q == 1)
 
 
 # The reference sweep makes about m·N(z)²·lcm/2 decisions, so examples are
