@@ -54,6 +54,8 @@ MAX_RANDOM = 10_000
 MAX_BOUND = 100
 # Longest rational text; exponents are refused, as Fraction expands them.
 MAX_RATIONAL_CHARS = 40
+# Integers of a "z" document lie below this, at most MAX_RATIONAL_CHARS digits.
+_Z_BOUND = 10 ** MAX_RATIONAL_CHARS
 # Most shifts in a packing document; the work grows with their square.
 MAX_COMPONENTS = packings.MAX_LIFTED_COMPONENTS
 # Longest document, inline or read from a file, in bytes of UTF-8.
@@ -236,7 +238,7 @@ def _ring_pair(doc: dict, kind: str) -> tuple[int, int]:
         isinstance(c, int) and not isinstance(c, bool) for c in z
     ):
         raise InputError(f'{kind} document needs "z": [a, b] with JSON integers')
-    if any(abs(c) >= 10 ** MAX_RATIONAL_CHARS for c in z):
+    if any(abs(c) >= _Z_BOUND for c in z):
         raise InputError(f'{kind} document "z" takes integers of at most '
                          f"{MAX_RATIONAL_CHARS} digits")
     return z[0], z[1]

@@ -11,9 +11,10 @@ circles a figure may draw are counted on those frames, and a figure above
 MAX_RENDER_POINTS is refused before any point is walked.  A component is
 walked column by column (points_in_window), and coordinates become floats as
 a/D and b/D, the corners as c/e: int / int rounds correctly, so each equals
-float() of the reduced Fraction whatever the denominator is.  A row's cy
-text is formatted once, and over Z[i] so is a column's cx; over Z[ω],
-x = a/D - (b/D)/2 is formatted once per float.  Legend labels print the
+float() of the reduced Fraction whatever the denominator is.  Each
+distinct cx and cy float is formatted once per figure, and every component
+and the image share its text.  Over Z[ω], x = a/D - (b/D)/2, and each row's
+offset b/D/2 is computed once per shared row list.  Legend labels print the
 residues through format_pair.
 """
 
@@ -112,33 +113,48 @@ def render_svg(packing: PointPacking, s: Similarity | None, window: Window) -> s
     ]
     labels = [format_pair(ring, x, y, gamma.d) for x, y in packing.residues]
     legend: list[tuple[str, str]] = []
-    # Every drawn coordinate is at least pad·scale > 0, so 0.0 and -0.0,
-    # one dict key but formatted apart, never both occur.
-    xs: dict[float, str] = {}
-    stretch = _SQRT3_2 if ring == EISENSTEIN else 1.0
+    # The figure's texts by float, shared by every group: cx -> '<circle
+    # cx="…' and cy -> '" cy="…'.  Every drawn coordinate is at least
+    # pad·scale > 0, so 0.0 and -0.0, one dict key but formatted apart, never
+    # both occur.
+    heads: dict[float, str] = {}
+    ys: dict[float, str] = {}
+    eisenstein = ring == EISENSTEIN
+    stretch = _SQRT3_2 if eisenstein else 1.0
+    add = lines.append
     for (lattice, shifts, box), colors, group, label, r in drawn:
-        big = lattice.d
+        big, tail = lattice.d, f'" r="{r}"/>'
         for k, (text, shift) in enumerate(zip(labels, shifts)):
             color = colors[k % len(colors)]
-            lines.append(group.format(color))
-            ends: dict[int, list[str]] = {}  # id of a shared row list -> its cy texts
+            add(group.format(color))
+            # id of a shared row list -> its row texts, over Z[ω] each with
+            # its offset b/big/2
+            ends: dict[int, list] = {}
             for a, bs in points_in_window(lattice, shift, box):
                 end = ends.get(id(bs))
-                if end is None:  # y = b/big·stretch, as b/big·1.0 is b/big
-                    end = ends[id(bs)] = [f'" cy="{(max_y - b / big * stretch) * scale:.2f}'
-                                          f'" r="{r}"/>' for b in bs]
-                if ring == EISENSTEIN:
-                    x = a / big
-                    for b, row in zip(bs, end):
-                        cx = (x - b / big / 2.0 - min_x) * scale
-                        sx = xs.get(cx)
-                        if sx is None:
-                            sx = xs[cx] = f"{cx:.2f}"
-                        lines.append('<circle cx="' + sx + row)
+                if end is None:
+                    end = ends[id(bs)] = []
+                    for b in bs:  # y = b/big·stretch, as b/big·1.0 is b/big
+                        cy = (max_y - b / big * stretch) * scale
+                        sy = ys.get(cy)
+                        if sy is None:
+                            sy = ys[cy] = f'" cy="{cy:.2f}'
+                        end.append((b / big / 2.0, sy + tail) if eisenstein else sy + tail)
+                x = a / big
+                if eisenstein:
+                    for h, row in end:
+                        cx = (x - h - min_x) * scale
+                        head = heads.get(cx)
+                        if head is None:
+                            head = heads[cx] = f'<circle cx="{cx:.2f}'
+                        add(head + row)
                 else:
-                    head = f'<circle cx="{(a / big - min_x) * scale:.2f}'
+                    cx = (x - min_x) * scale
+                    head = heads.get(cx)
+                    if head is None:
+                        head = heads[cx] = f'<circle cx="{cx:.2f}'
                     lines += [head + row for row in end]
-            lines.append("</g>")
+            add("</g>")
             legend.append((color, label.format(text)))
 
     ly = 16

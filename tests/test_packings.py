@@ -522,6 +522,24 @@ class TestCongruenceSolve:
                     accepted = pk.check_similarity(packing, d.similarity(F(p, q))).accepted
                     assert scal.contains_ratio(F(p, q)) == accepted, (p, q)
 
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([(a, b) for a in range(-4, 5) for b in range(-4, 5) if a * a + b * b == 25
+                            and math.gcd(a, b) == 1]),
+           st.tuples(st.fractions(0, 1, max_denominator=3), st.fractions(0, 1, max_denominator=3)))
+    def test_q_5_rows_match_reference(self, z, x):
+        # The orbit {x, s(x)} + M of x under the isometry s(y) = (z/5)·conj(y),
+        # where M = Z[i] + (z/5)Z[i], the k·z/5 over Z[i] for k < 5.  s is an
+        # involution and s(M) = M, so s maps L onto itself: every example has
+        # a q = 5 row, over m = 5 or 10 components.
+        a, b = z
+        u, v = x
+        orbit = ((u, v), ((a * u + b * v) / 5, (b * u - a * v) / 5))
+        shifts = {((c + F(k * a, 5)) % 1, (e + F(k * b, 5)) % 1) for c, e in orbit for k in range(5)}
+        packing = PointPacking(ZI, tuple(FieldElem(GAUSSIAN, *xy) for xy in sorted(shifts)))
+        d = Direction(RingElem(GAUSSIAN, a, b), True)
+        assert any(c.q == 5 for c, _ in pk.scal_classes_by_tau(packing, d))
+        _assert_matches_reference(packing, d)
+
     def test_congruence_residue(self):
         def solve(sum_with, a, x):
             points = (FieldElem(GAUSSIAN, *a), FieldElem(GAUSSIAN, *x))

@@ -1,6 +1,8 @@
 """render_svg against the component-by-component drawing it replaced, and
 its refusal of a figure above render.MAX_RENDER_POINTS."""
 
+import gc
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -8,12 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simiso import render
+from simiso import packings as pk, render
 from simiso.lattices import Lattice
 from simiso.packings import PointPacking
 from simiso.presets import PRESETS, preset
 from simiso.render import render_svg
-from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, over_denominator
+from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, over_denominator, pair_norm
 from simiso.similarity import Similarity
 
 import references as ref
@@ -71,6 +73,26 @@ class TestRenderMatchesReference:
                 assert render_svg(packing, s, over_denominator(window)) == ref.render_svg(
                     packing, s, image, window)
 
+    def test_presets_over_benchmark_sides(self):
+        # The render benchmark's traffic: each preset under an accepted
+        # rotation and an accepted reflection by w = p·z with N(z) = 5 over
+        # Z[i] or 7 over Z[ω] and p ≤ 3, over windows of sides 6, 12 and 18,
+        # here with a corner that is not an integer.
+        for name in PRESETS:
+            packing = preset(name)
+            ring = packing.ring
+            for conjugate in (False, True):
+                s = next(s for a in range(-3, 4) for b in range(-3, 4)
+                         if pair_norm(ring, a, b) in (5, 7) for p in (1, 2, 3)
+                         for s in [Similarity(FieldElem(ring, a, b).scale(F(p)), conjugate)]
+                         if pk.check_similarity(packing, s).accepted)
+                image = s.image_lattice(packing.lattice)
+                for side in (6, 12, 18):
+                    x0, y0 = F(-side, 2) - F(1, 3), F(-side // 2 + 1)
+                    window = (x0, y0, x0 + side, y0 + side)
+                    assert render_svg(packing, s, over_denominator(window)) == ref.render_svg(
+                        packing, s, image, window), (name, conjugate, side)
+
 
 class TestRenderCap:
     @settings(max_examples=150, deadline=None)
@@ -97,3 +119,25 @@ class TestRenderCap:
             else:
                 assert render_svg(packing, s, window).startswith("<?xml")
                 assert len(walks) == packing.m * (2 if with_image else 1)
+
+
+class TestRenderKeepsNoState:
+    def test_figures_retain_no_memory(self):
+        # A figure's texts live as long as the figure: after drawing twenty
+        # windows of side 18, about 17,000 circles with distinct cx and cy
+        # floats, the process holds no more memory than before.
+        packing = preset("hex-shifted")
+        s = Similarity(FieldElem(EISENSTEIN, 2, 1), True)
+        windows = [(7, (x0, x0, x0 + 126, x0 + 126)) for x0 in range(-70, -50)]
+        render_svg(packing, s, windows[0])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for window in windows:
+                render_svg(packing, s, window)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 20_000, kept
