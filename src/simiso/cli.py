@@ -15,6 +15,8 @@ denominator and handed to PointPacking.from_pairs, and a similarity is the
 integer triple (q, p·a, p·b) of z = a + b·u and the scale p/q.  The presets,
 each table --z, the pair (a, b), and the --window corners, over their least
 common denominator, are integers too.
+
+Flag rules live in build_parser; run_verify keeps the three that read a value.
 """
 
 from __future__ import annotations
@@ -113,11 +115,6 @@ def _over_one_denominator(rationals, d: int = 1) -> tuple[int, list[int]]:
     pairs, and each rational times D."""
     d = math.lcm(d, *(den for _, den in rationals))
     return d, [num * (d // den) for num, den in rationals]
-
-
-def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
-    if not lo <= value <= hi:
-        raise InputError(f"{flag} must be between {lo} and {hi}")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -252,8 +249,6 @@ def _conj_flag(doc: dict) -> bool:
 
 
 def _load_packing(args) -> PointPacking:
-    if args.preset is not None and args.packing is not None:
-        raise InputError("give a packing document or --preset, not both")
     if args.preset is not None:
         return preset(args.preset)
     if args.packing is not None:
@@ -461,12 +456,6 @@ def table_rows(
 
 
 def run_table(args) -> int:
-    if args.name not in TABLE_SPECS:
-        raise InputError(f"unknown table {args.name!r}; choose t1..t5")
-    if args.samples is not None and args.z:
-        raise InputError("table takes --samples or --z, not both")
-    samples = 2 if args.samples is None else args.samples
-    _check_range("--samples", samples, 1, MAX_SAMPLES)
     explicit = None
     if args.z:
         explicit = []
@@ -482,7 +471,7 @@ def run_table(args) -> int:
             if math.gcd(a, b) != 1:
                 raise InputError(f"--z {text!r} is not a primitive direction")
             explicit.append((a, b))
-    rows = table_rows(args.name, samples=samples, explicit=explicit)
+    rows = table_rows(args.name, samples=args.samples or 2, explicit=explicit)
     if args.format == "json":
         _emit_json(rows, args.out)
         return EXIT_OK
@@ -513,12 +502,8 @@ def _parse_window(text: str) -> tuple[int, tuple[int, int, int, int]]:
 def run_render(args) -> int:
     packing = _load_packing(args)
     window = _parse_window(args.window)
-    if args.packing_only and args.similarity is not None:
-        raise InputError("render takes --similarity or --packing-only, not both")
     s = None
     if not args.packing_only:
-        if args.similarity is None:
-            raise InputError("render needs --similarity or --packing-only")
         s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
         if not packings.check_similarity(packing, s).accepted:
             sys.stderr.write("similarity rejected; use --packing-only to draw L\n")
@@ -532,28 +517,28 @@ def run_render(args) -> int:
 
 
 def run_verify(args) -> int:
-    _check_range("--random", args.random, 0, MAX_RANDOM)
     if args.seed is not None and not args.random:
         raise InputError("verify --seed goes with --random N (N ≥ 1) only")
     for flag, bound in (("--p-bound", args.p_bound), ("--q-bound", args.q_bound)):
-        if bound is not None:
-            if args.direction is None:
-                raise InputError(f"verify {flag} goes with --direction only")
-            _check_range(flag, bound, 1, MAX_BOUND)
+        if bound is not None and args.direction is None:
+            raise InputError(f"verify {flag} goes with --direction only")
     if args.random:
         if any(v is not None for v in (args.packing, args.preset, args.similarity,
                                        args.direction)):
             raise InputError("verify --random draws its own cases; give it no packing, "
                              "--preset, --similarity or --direction")
-        return _verify_random(args)
-    if args.similarity is not None and args.direction is not None:
-        raise InputError("verify takes --similarity or --direction, not both")
-    packing = _load_packing(args)
-    if args.similarity is not None:
-        return _verify_similarity(packing, args)
-    if args.direction is not None:
-        return _verify_direction(packing, args)
-    raise InputError("verify needs --similarity, --direction, or --random")
+        doc = _verify_random(args)
+    else:
+        packing = _load_packing(args)
+        if args.similarity is not None:
+            s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
+            doc = _compare_with_oracle(packing, s)
+        elif args.direction is not None:
+            doc = _verify_direction(packing, args)
+        else:
+            raise InputError("verify needs --similarity, --direction, or --random")
+    _emit_json(doc, args.out)
+    return EXIT_OK if doc["agree"] else EXIT_DISCREPANCY
 
 
 def _compare_with_oracle(packing: PointPacking, s: Similarity) -> dict:
@@ -575,14 +560,7 @@ def _compare_with_oracle(packing: PointPacking, s: Similarity) -> dict:
     return {"engine_accepted": report.accepted, **doc}
 
 
-def _verify_similarity(packing: PointPacking, args) -> int:
-    s = parse_similarity_doc(_load_doc(args.similarity), packing.ring)
-    doc = _compare_with_oracle(packing, s)
-    _emit_json(doc, args.out)
-    return EXIT_OK if doc["agree"] else EXIT_DISCREPANCY
-
-
-def _verify_direction(packing: PointPacking, args) -> int:
+def _verify_direction(packing: PointPacking, args) -> dict:
     d = parse_direction_doc(_load_doc(args.direction), packing.ring)
     # Engine first: a packing over the lift cap exits 2 before the oracle runs.
     full = packings.scal_set_packing(packing, d)
@@ -591,18 +569,16 @@ def _verify_direction(packing: PointPacking, args) -> int:
     ratios = oracle.coprime_ratios(p_bound, q_bound)
     engine = {r for r in ratios if full.contains_ratio(r)}
     brute = oracle.scal_set_bruteforce(packing, d, p_bound, q_bound)
-    doc = {
+    return {
         "direction": str(d),
         "bounds": {"p": p_bound, "q": q_bound},
         "bruteforce": sorted(str(r) for r in brute),
         "engine": sorted(str(r) for r in engine),
         "agree": brute == engine,
     }
-    _emit_json(doc, args.out)
-    return EXIT_OK if doc["agree"] else EXIT_DISCREPANCY
 
 
-def _verify_random(args) -> int:
+def _verify_random(args) -> dict:
     seed = args.seed or 0
     rng = random.Random(seed)
     disagreements = []
@@ -613,14 +589,12 @@ def _verify_random(args) -> int:
             disagreements.append(
                 {"packing": str(case.packing), "similarity": str(case.similarity)}
             )
-    doc = {
+    return {
         "cases": args.random,
         "seed": seed,
         "disagreements": disagreements,
         "agree": not disagreements,
     }
-    _emit_json(doc, args.out)
-    return EXIT_OK if not disagreements else EXIT_DISCREPANCY
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +621,21 @@ def run_periods(args) -> int:
 # argument wiring
 
 
-def _add_packing_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("packing", nargs="?", help="packing document (JSON or path)")
-    parser.add_argument(
-        "--preset", choices=sorted(PRESETS), help="use a built-in packing"
-    )
+def _add_packing_args(parser: argparse.ArgumentParser, required: bool) -> None:
+    group = parser.add_mutually_exclusive_group(required=required)
+    group.add_argument("packing", nargs="?", help="packing document (JSON or path)")
+    group.add_argument("--preset", choices=sorted(PRESETS), help="use a built-in packing")
     parser.add_argument("--out", help="write output to a file instead of stdout")
+
+
+def _bounded(lo: int, hi: int):
+    """An argparse type: an integer from lo to hi."""
+    def read(text: str) -> int:
+        if not lo <= (value := int(text)) <= hi:
+            raise argparse.ArgumentTypeError(f"must be between {lo} and {hi}")
+        return value
+    read.__name__ = "int"  # argparse's "invalid int value: 'x'" names the type
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -663,48 +646,50 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("analyze", help="decide one similarity against a packing")
-    _add_packing_args(p)
+    _add_packing_args(p, required=True)
     p.add_argument("--similarity", required=True, help="similarity document")
     p.set_defaults(func=run_analyze)
 
     p = subs.add_parser("table", help="reproduce a published table as CSV or JSON")
-    p.add_argument("name", help="t1, t2, t3, t4, or t5")
-    p.add_argument(
-        "--samples",
-        type=int,
-        help=f"directions per class, 1 to {MAX_SAMPLES} (default 2); not with --z",
-    )
-    p.add_argument("--z", action="append", help="explicit direction a,b (repeatable)")
+    p.add_argument("name", choices=sorted(TABLE_SPECS), help="which published table")
+    # default=None: argparse reads a value that *is* the default as left out.
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--samples", type=_bounded(1, MAX_SAMPLES),
+                       help=f"directions per class, 1 to {MAX_SAMPLES} (default 2)")
+    group.add_argument("--z", action="append", help="explicit direction a,b (repeatable)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.set_defaults(func=run_table)
 
     p = subs.add_parser("render", help="draw a packing and an accepted image")
-    _add_packing_args(p)
-    p.add_argument("--similarity", help="similarity document")
+    _add_packing_args(p, required=True)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--similarity", help="similarity document")
     p.add_argument(
         "--window",
         required=True,
         help="x0,y0,x1,y1 in ring coordinates (use --window=-4,-4,4,4 "
         "when bounds are negative)",
     )
-    p.add_argument("--packing-only", action="store_true", help="draw L alone")
+    group.add_argument("--packing-only", action="store_true", help="draw L alone")
     p.set_defaults(func=run_render)
 
     p = subs.add_parser("verify", help="cross-check the engine against the oracle")
-    _add_packing_args(p)
-    p.add_argument("--similarity", help="similarity document")
-    p.add_argument("--direction", help="direction document for a set sweep")
-    p.add_argument("--p-bound", type=int,
+    _add_packing_args(p, required=False)  # --random takes no packing
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--similarity", help="similarity document")
+    group.add_argument("--direction", help="direction document for a set sweep")
+    p.add_argument("--p-bound", type=_bounded(1, MAX_BOUND),
                    help=f"1 to {MAX_BOUND} (default 9); with --direction only")
-    p.add_argument("--q-bound", type=int,
+    p.add_argument("--q-bound", type=_bounded(1, MAX_BOUND),
                    help=f"1 to {MAX_BOUND} (default 1); with --direction only")
-    p.add_argument("--random", type=int, default=0, help=f"sweep size, up to {MAX_RANDOM}")
+    p.add_argument("--random", type=_bounded(0, MAX_RANDOM), default=0,
+                   help=f"sweep size, up to {MAX_RANDOM}")
     p.add_argument("--seed", type=int, help="seed of --random (default 0)")
     p.set_defaults(func=run_verify)
 
     p = subs.add_parser("periods", help="maximal generating lattice and reduction")
-    _add_packing_args(p)
+    _add_packing_args(p, required=True)
     p.set_defaults(func=run_periods)
 
     return parser

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -678,6 +679,20 @@ class TestVerify:
         assert rc == EXIT_DISCREPANCY
         assert doc["engine_accepted"] and doc["oracle_contained"] and doc["agree"] is False
 
+    @pytest.mark.parametrize("argv, name, value", [
+        (["--preset", "hex", "--direction", '{"z":[1,1]}'], "scal_set_bruteforce",
+         lambda *a: set()),
+        (["--random", "2"], "index_by_counting",
+         lambda *a: oracle.Correspondence(F(0), frozenset(), ())),
+    ], ids=["direction", "random"])
+    def test_discrepancy_exits_3_in_every_mode(self, argv, name, value, tmp_path, monkeypatch):
+        # Each mode's document goes through one writer, --out included, and
+        # its "agree" alone decides exit 0 or 3.
+        monkeypatch.setattr(oracle, name, value)
+        out = tmp_path / "verify.json"
+        assert main(["verify", *argv, "--out", str(out)]) == EXIT_DISCREPANCY
+        assert json.loads(out.read_text(encoding="utf-8"))["agree"] is False
+
     def test_direction_sweep(self, capsys):
         rc = main(
             [
@@ -748,6 +763,8 @@ class TestVerify:
             [f"--p-bound={MAX_BOUND + 1}"],
             ["--q-bound=-1"],
             [f"--q-bound={MAX_BOUND + 1}"],
+            ["--random", "-1"],
+            ["--q-bound=0"],
         ],
     )
     def test_counts_and_bounds_out_of_range(self, argv, capsys):
@@ -772,9 +789,11 @@ class TestVerify:
         # The sweeps themselves are stubbed: at the upper ends they would run
         # the brute-force oracle thousands of times.
         seen = []
-        monkeypatch.setattr(cli, "_verify_random", lambda args: seen.append(args) or EXIT_OK)
         monkeypatch.setattr(
-            cli, "_verify_direction", lambda packing, args: seen.append(args) or EXIT_OK
+            cli, "_verify_random", lambda args: seen.append(args) or {"agree": True}
+        )
+        monkeypatch.setattr(
+            cli, "_verify_direction", lambda packing, args: seen.append(args) or {"agree": True}
         )
         option = "--" + flag.replace("_", "-")
         # --random draws its own cases, so it takes no packing or direction.
@@ -1130,10 +1149,59 @@ class TestCommandLine:
         assert main(["periods", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: invalid JSON: {want.value}\n"
 
-    def test_help_exits_0(self, capsys):
+    @pytest.mark.parametrize("command, flags", [
+        ("analyze", ["--preset", "--out", "--similarity"]),
+        ("table", ["--samples", "--z", "--format", "--out"]),
+        ("render", ["--preset", "--out", "--similarity", "--window", "--packing-only"]),
+        ("verify", ["--preset", "--out", "--similarity", "--direction", "--p-bound", "--q-bound",
+                    "--random", "--seed"]),
+        ("periods", ["--preset", "--out"]),
+    ], ids=["analyze", "table", "render", "verify", "periods"])
+    def test_help_exits_0(self, command, flags, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["table", "--help"])
-        assert exc.value.code == 0 and "--samples" in capsys.readouterr().out
+            main([command, "--help"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert re.findall(r"(?m)^  (--[a-z-]+)", captured.out) == flags
+
+    @pytest.mark.parametrize("prefix, flag, lo, hi", [
+        (["table", "t1"], "--samples", 1, MAX_SAMPLES),
+        (["verify"], "--p-bound", 1, MAX_BOUND),
+        (["verify"], "--q-bound", 1, MAX_BOUND),
+        (["verify"], "--random", 0, MAX_RANDOM),
+    ], ids=["samples", "p-bound", "q-bound", "random"])
+    def test_counts_are_bounded_by_the_parser(self, prefix, flag, lo, hi):
+        # One below and one above the range are refused while parsing, so no
+        # run_* reads a count out of range; text that is not an integer keeps
+        # argparse's own wording.
+        parser = cli.build_parser()
+        dest = flag[2:].replace("-", "_")
+        for value in (lo, hi):
+            assert getattr(parser.parse_args([*prefix, flag, str(value)]), dest) == value
+        message = f"^argument {flag}: must be between {lo} and {hi}$"
+        for value in (lo - 1, hi + 1):
+            with pytest.raises(InputError, match=message):
+                parser.parse_args([*prefix, flag, str(value)])
+        with pytest.raises(InputError, match=f"^argument {flag}: invalid int value: 'x'$"):
+            parser.parse_args([*prefix, flag, "x"])
+
+    @pytest.mark.parametrize("argv, first, second", [
+        (["analyze", HEX_DOC, "--preset", "hex", "--similarity", "{}"], "--preset", "packing"),
+        (["analyze", "missing.json", "--preset", "hex", "--similarity", "{}"],
+         "--preset", "packing"),
+        (["periods", "--preset", "hex", ""], "packing", "--preset"),
+        (["table", "t1", "--samples", "2", "--z", "1,0"], "--z", "--samples"),
+        (["table", "t1", "--z", "1,0", "--samples", "2"], "--samples", "--z"),
+        (["render", "--preset", "hex", "--packing-only", "--similarity", "", "--window=0,0,1,1"],
+         "--similarity", "--packing-only"),
+        (["verify", "--direction", "{}", "--similarity", "{}"], "--similarity", "--direction"),
+    ], ids=["document", "missing-document", "empty-document", "samples-then-z", "z-then-samples",
+            "packing-only", "direction"])
+    def test_parser_refuses_conflicts(self, argv, first, second):
+        # Each pair is refused while parsing, before any document is read.
+        message = f"^argument {first}: not allowed with argument {second}$"
+        with pytest.raises(InputError, match=message):
+            cli.build_parser().parse_args(argv)
 
     @pytest.mark.parametrize("argv", [
         ["analyze", HEX_DOC, "--preset", "hex", "--similarity", '{"z":[1,1]}'],
@@ -1141,14 +1209,20 @@ class TestCommandLine:
          "--window=-1,-1,1,1"],
         ["verify", "--preset", "hex", "--similarity", '{"z":[1,1]}', "--direction", '{"z":[1,1]}'],
         ["verify", "--random", "3", "--preset", "hex"],
+        ["analyze", "missing.json", "--preset", "hex", "--similarity", '{"z":[1,1]}'],
+        ["table", "t1", "--samples", "2", "--z", "1,0"],
     ], ids=["document-and-preset", "packing-only-and-similarity",
-            "similarity-and-direction", "random-and-packing"])
+            "similarity-and-direction", "random-and-packing", "missing-document-and-preset",
+            "default-samples-and-z"])
     def test_conflicting_inputs_exit_2(self, argv, capsys):
         # Each input alone is read; together one of them would be ignored.
+        # The conflict is named before any document is opened, and a value
+        # equal to a flag's default (--samples 2) is given, not left out.
         assert main(argv) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "cannot read" not in captured.err
 
 
     @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 import importlib.util
 import re
@@ -94,6 +95,21 @@ def test_benchmark_imports_resolve():
                             or importlib.util.find_spec(f"{node.module}.{alias.name}")):
                         missing.append(where)
     assert imported and missing == []
+
+
+def test_parser_bounds_every_count():
+    # A flag read with type=int takes an integer of any size; a count is read
+    # with cli._bounded(lo, hi), so the parser refuses it out of range.
+    # --seed is a seed, not a count.
+    from simiso import cli
+
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    flags = [(command, action.option_strings or [action.dest], action.type)
+             for command, parser in subparsers.choices.items() for action in parser._actions]
+    assert ("verify", ["--seed"], int) in flags
+    assert [(command, names) for command, names, kind in flags
+            if kind is int and names != ["--seed"]] == []
 
 
 def test_oracle_uses_no_engine_shortcut():
