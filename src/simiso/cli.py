@@ -623,8 +623,11 @@ def run_periods(args) -> int:
 
 def _add_packing_args(parser: argparse.ArgumentParser, required: bool) -> None:
     group = parser.add_mutually_exclusive_group(required=required)
-    group.add_argument("packing", nargs="?", help="packing document (JSON or path)")
-    group.add_argument("--preset", choices=sorted(PRESETS), help="use a built-in packing")
+    either = "; this or {} is required" if required else ""
+    group.add_argument("packing", nargs="?",
+                       help="packing document (JSON or path)" + either.format("--preset"))
+    group.add_argument("--preset", choices=sorted(PRESETS),
+                       help="use a built-in packing" + either.format("a packing document"))
     parser.add_argument("--out", help="write output to a file instead of stdout")
 
 
@@ -664,14 +667,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("render", help="draw a packing and an accepted image")
     _add_packing_args(p, required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--similarity", help="similarity document")
+    group.add_argument("--similarity",
+                       help="similarity document; this or --packing-only is required")
     p.add_argument(
         "--window",
         required=True,
         help="x0,y0,x1,y1 in ring coordinates (use --window=-4,-4,4,4 "
         "when bounds are negative)",
     )
-    group.add_argument("--packing-only", action="store_true", help="draw L alone")
+    group.add_argument("--packing-only", action="store_true",
+                       help="draw L alone; this or --similarity is required")
     p.set_defaults(func=run_render)
 
     p = subs.add_parser("verify", help="cross-check the engine against the oracle")
@@ -699,7 +704,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, ValueError, ZeroDivisionError) as exc:
+    except (InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except Exception as exc:

@@ -5,19 +5,17 @@ canonical upper-triangular Hermite basis, on which a point x is the pair
 d·x, a residue mod Γ costs two floor divisions and a membership two
 divisibility tests.  Every lattice built from generators, and so every sum
 Γ₁ + Γ₂ and image wΓ, comes from one column Hermite reduction of integer
-columns (Cohen, GTM 138, §2.4), and an index is a ratio of integer
-determinants.  Lattice.least_scale answers every question r·X ⊆ Γ
-(den(Γ, R), the lift's c, the oracle's D): the r that work are the
+pairs (Cohen, GTM 138, §2.4), and an index is a ratio of integer
+determinants.  So check_similarity's frame Γ + sΓ is a Lattice like any
+other: u - v lies in it exactly when u and v share a residue.
+Lattice.least_scale answers every question r·X ⊆ Γ (den(Γ, R), the lift's
+c, the oracle's D, the order of a point mod Γ): the r that work are the
 multiples of one least r, read from the integer coordinates of X over Γ.
 The coset representatives of a sublattice are integer pairs over the d of
 both lattices.  Lattice.congruence reads the p with p·a - x ∈ Γ (a Scal
 congruence, on the sweep's frame S = R + sR) as one residue class, from
-the Hermite basis alone.  SumLattice serves check_similarity only: it keeps
-one integer form of Γ₁ + Γ₂, for Γ₁, Γ₂ and integer pairs over one d, whose
-columns carry the Γ₁-coefficients the decision's witnesses need;
-[Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂] is read from its determinant, and u - v ∈
-Γ₁ + Γ₂ when u and v share a residue (two floor divisions each).  A
-Fraction is built only to hand back a point or an index.
+the Hermite basis alone.  A Fraction is built only to hand back a point or
+an index.
 """
 
 from __future__ import annotations
@@ -49,45 +47,28 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-Column = tuple[int, int, int, int]
-
-
-def _hnf_columns(cols: list[Column]) -> tuple[Column, Column]:
-    """Hermite form of the lattice spanned by integer columns (x, y, p, r).
-
-    Returns the basis columns (h00, 0, p, r) and (h01, h11, p, r) with
-    h00, h11 > 0 and 0 ≤ h01 < h00.  Elimination reads x and y only and
-    applies the same integer operations to the tails (p, r), so each result
-    tail records how its column combines the input tails.  Raises
-    DegenerateLatticeError on rank < 2.
-    """
+def _hnf_columns(cols: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """Hermite form of the lattice spanned by integer columns (x, y): the
+    basis (h00, 0), (h01, h11) as (h00, h01, h11), with h00, h11 > 0 and
+    0 ≤ h01 < h00.  Raises DegenerateLatticeError on rank < 2."""
     lead = None  # single column with nonzero second coordinate
-    rest = []  # columns reduced to (x, 0, p, r)
-    for col in cols:
-        if col[1] == 0:
-            rest.append(col)
+    rest = []  # first coordinates of the columns reduced to (x, 0)
+    for x, y in cols:
+        if y == 0:
+            rest.append(x)
             continue
         if lead is None:
-            lead = col
+            lead = x, y
             continue
-        (x0, y0, p0, r0), (x, y, p, r) = lead, col
+        x0, y0 = lead
         g, s, t = _xgcd(y0, y)
-        a, b = y // g, -(y0 // g)
-        rest.append((a * x0 + b * x, 0, a * p0 + b * p, a * r0 + b * r))
-        lead = (s * x0 + t * x, g, s * p0 + t * p, s * r0 + t * r)
-    if lead is None:
+        rest.append(y // g * x0 - y0 // g * x)
+        lead = s * x0 + t * x, g
+    kx = math.gcd(*rest)
+    if lead is None or kx == 0:
         raise DegenerateLatticeError("generators span at most a line")
-    # kp, kr start anywhere: the first nonzero x meets kx = 0, where _xgcd gives s = 0.
-    kx, kp, kr = 0, 0, 0
-    for x, _, p, r in rest:
-        if x:
-            kx, s, t = _xgcd(kx, x)
-            kp, kr = s * kp + t * p, s * kr + t * r
-    if kx == 0:
-        raise DegenerateLatticeError("generators span at most a line")
-    x1, y1, p1, r1 = lead if lead[1] > 0 else (-c for c in lead)
-    c = x1 // kx
-    return (kx, 0, kp, kr), (x1 - c * kx, y1, p1 - c * kp, r1 - c * kr)
+    x1, y1 = lead if lead[1] > 0 else (-lead[0], -lead[1])
+    return kx, x1 % kx, y1
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +94,7 @@ class Lattice:
     @classmethod
     def spanned(cls, ring: str, d: int, vectors) -> Lattice:
         """The lattice spanned by integer pairs over d, in Hermite form."""
-        (b00, *_), (b01, b11, *_) = _hnf_columns([(x, y, 0, 0) for x, y in vectors])
-        return cls(ring, d, b00, b01, b11)
+        return cls(ring, d, *_hnf_columns(vectors))
 
     @classmethod
     def ring_lattice(cls, ring: str) -> Lattice:
@@ -231,46 +211,3 @@ def quotient_representatives(sub: Lattice, sup: Lattice) -> Iterator[tuple[int, 
         raise ValueError("quotient_representatives requires sub ⊆ sup")
     rows, cols = sub.b00 // sup.b00, sub.b11 // sup.b11
     return ((i * sup.b00 + j * sup.b01, j * sup.b11) for i in range(rows) for j in range(cols))
-
-
-@dataclass(frozen=True)
-class SumLattice:
-    """Γ₁ + Γ₂ as one integer Hermite form, for check_similarity's coset problems.
-
-    Γ₁ and Γ₂ are over one denominator d, every point it is asked about is
-    an integer pair over d, and det1 is det(d·Γ₁).  The columns
-    k = (h00, 0, …) and lead = (h01, h11, …) span d·(Γ₁ + Γ₂); their last
-    two entries are the coefficients, over Γ₁'s basis, of the Γ₁-part of
-    each column, so a reduction names a point of Γ₁.
-    """
-
-    det1: int
-    k: Column
-    lead: Column
-
-    @classmethod
-    def of(cls, l1: Lattice, l2: Lattice) -> SumLattice:
-        """The sum Γ₁ + Γ₂ of two lattices over one denominator d."""
-        if l1.ring != l2.ring:
-            raise RingMismatchError("sum of lattices over different rings")
-        if l1.d != l2.d:
-            raise ValueError(f"lattices over denominators {l1.d} and {l2.d}")
-        # Columns in the order Γ₁'s basis, then Γ₂'s, which fixes the witness.
-        cols = [(l1.b00, 0, 1, 0), (l1.b01, l1.b11, 0, 1), (l2.b00, 0, 0, 0), (l2.b01, l2.b11, 0, 0)]
-        k, lead = _hnf_columns(cols)
-        return cls(l1.b00 * l1.b11, k, lead)
-
-    def index(self) -> int:
-        """[Γ₁ + Γ₂ : Γ₁] = det Γ₁ / det(Γ₁ + Γ₂), which is [Γ₂ : Γ₁ ∩ Γ₂]."""
-        return self.det1 // (self.k[0] * self.lead[1])
-
-    def reduce(self, vx: int, vy: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The residue of d·v = (vx, vy) in the cell of Lattice.reduce on
-        d·(Γ₁ + Γ₂), and the Γ₁-coefficients of v minus it; for v, v' of one
-        residue their difference names a point of Γ₁ ∩ (v - v' + Γ₂)."""
-        x1, y1, p0, p1 = self.lead
-        kx, _, q0, q1 = self.k
-        t, y = divmod(vy, y1)
-        x = vx - t * x1
-        u = (x * y1 - x1 * y) // (kx * y1)
-        return (x - u * kx, y), (t * p0 + u * q0, t * p1 + u * q1)

@@ -134,43 +134,55 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
 
     Accepted iff every index set J_k = {j : s(x_k) - x_j ∈ Γ + sΓ} has size
     exactly n = [sΓ : Γ ∩ sΓ].  |J_k| never exceeds n, so rejection reports
-    the first k with |J_k| < n.  One integer Hermite form of Γ + sΓ serves
-    the whole decision: n = [Γ + sΓ : Γ] comes from its determinant, J_k is
-    the targets of s(x_k)'s residue, and the witness of (k, j) is x_j plus
-    the Γ-point of s(x_k)'s coefficients minus x_j's, an integer pair.
+    the first k with |J_k| < n.  One Hermite form of the frame Γ + sΓ serves
+    the decision: n = [Γ + sΓ : Γ] is the ratio of the two determinants, and
+    J_k is the targets x_j that share s(x_k)'s residue on the frame.
+
+    The witness of (k, j) is s(x_k) + σ, for σ the point of sΓ in the class
+    of x_j - s(x_k) mod Γ among i·s(g0) + t·s(g1), 0 ≤ i < o, 0 ≤ t < n/o,
+    where g0, g1 is Γ's Hermite basis and o the least integer with
+    o·s(g0) ∈ Γ.  These are one point per class of (Γ + sΓ)/Γ, a group of
+    order n: s(g0) has order o in it, and s(g1) generates its quotient by
+    ⟨s(g0)⟩.  s(x_k) + σ lies in x_j + Γ, so it divides by e exactly.
     """
-    gamma = packing.lattice
-    total, targets, images = _frame(packing, s)
-    n = total.index()
-    classes: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}  # j, coefficients
+    fine, frame, (g0, g1), targets, images = _frame(packing, s)
+    n = fine.b00 * fine.b11 // (frame.b00 * frame.b11)
+    classes: dict[tuple[int, int], list[int]] = {}  # residue on the frame -> its targets j
     for j, b in enumerate(targets):
-        residue, coeffs = total.reduce(*b)
-        classes.setdefault(residue, []).append((j, coeffs))
-    hits: list[tuple[int, int, int, int]] = []  # k, j, Γ-coefficients
+        classes.setdefault(frame.reduce(*b), []).append(j)
+    tau: list[tuple[int, int]] = []
     for k, a in enumerate(images):
-        residue, (a0, a1) = total.reduce(*a)
-        met = classes.get(residue, [])
+        met = classes.get(frame.reduce(*a), [])
         if len(met) != n:
-            return SimilarityReport(False, n, (), (), s, k, tuple(j for j, _ in met))
-        for j, (c0, c1) in met:
-            hits.append((k, j, a0 - c0, a1 - c1))
-    tau = tuple((k, j) for k, j, _, _ in hits)
+            return SimilarityReport(False, n, (), (), s, k, tuple(met))
+        tau += [(k, j) for j in met]
+    o = fine.least_scale([g0])[0]
+    sigma = {}  # residue mod Γ -> its point of sΓ, all over e·d
+    for i in range(o):
+        for t in range(n // o):
+            x, y = i * g0[0] + t * g1[0], i * g0[1] + t * g1[1]
+            sigma[fine.reduce(x, y)] = x, y
+    e = fine.d // packing.lattice.d
     witness = []
-    for k, j, t0, t1 in hits:  # x_j plus the Γ-point t, on d·Γ
-        x, y = packing.residues[j]
-        witness.append((k, j, (x + t0 * gamma.b00 + t1 * gamma.b01, y + t1 * gamma.b11)))
-    return SimilarityReport(True, n, tau, tuple(witness), s)
+    for k, j in tau:
+        (ax, ay), (bx, by) = images[k], targets[j]
+        x, y = sigma[fine.reduce(bx - ax, by - ay)]
+        witness.append((k, j, ((ax + x) // e, (ay + y) // e)))
+    return SimilarityReport(True, n, tuple(tau), tuple(witness), s)
 
 
 def _frame(
     packing: PointPacking, s: Similarity
-) -> tuple[lattices.SumLattice, list[tuple[int, int]], list[tuple[int, int]]]:
-    """Γ + sΓ over e·d, e the denominator of w, with the targets e·d·x_k of
-    every component and the images e·d·s(x_k), all mapped as integer pairs."""
+) -> tuple[Lattice, Lattice, list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
+    """Γ and the frame Γ + sΓ over e·d, e the denominator of w, with the
+    images e·d·s(g) of Γ's Hermite basis, the targets e·d·x_k of every
+    component and the images e·d·s(x_k), all mapped as integer pairs."""
     gamma = packing.lattice
-    e, images = s.map_pairs(packing.residues)
+    e, mapped = s.map_pairs([*gamma.basis, *packing.residues])
+    fine = gamma.over(e * gamma.d)
+    frame = Lattice.spanned(gamma.ring, fine.d, [*fine.basis, *mapped[:2]])
     targets = [(e * x, e * y) for x, y in packing.residues]
-    return lattices.SumLattice.of(gamma.over(e * gamma.d), s.image_lattice(gamma)), targets, images
+    return fine, frame, mapped[:2], targets, mapped[2:]
 
 
 def lift_to_ring(packing: PointPacking) -> PointPacking:

@@ -79,8 +79,9 @@ def window_frame(lattice: Lattice, d: int, shifts, window: Window):
 def render_svg(packing: PointPacking, s: Similarity | None, window: Window) -> str:
     """An SVG document showing the packing and, when s is given, its image
     s(L), drawn over sΓ.  Each component walks at most ⌊Δy/b11⌋ + 1 rows of
-    ⌊Δx/b00⌋ + 1 points of its frame; a sum above MAX_RENDER_POINTS raises
-    ValueError before any point is walked."""
+    ⌊Δx/b00⌋ + 1 points of its frame; a sum above MAX_RENDER_POINTS, or a
+    window whose corners round to one float point, raises ValueError
+    before any point is walked."""
     ring, gamma = packing.ring, packing.lattice
     drawn = [(window_frame(gamma, gamma.d, packing.residues, window), PACKING_COLORS,
               '<g fill="none" stroke="{}" stroke-width="1.2">', "{}+Γ", "4.0")]
@@ -99,6 +100,8 @@ def render_svg(packing: PointPacking, s: Similarity | None, window: Window) -> s
     max_x = max(c[0] for c in corners)
     min_y = min(c[1] for c in corners)
     max_y = max(c[1] for c in corners)
+    if max_x == min_x and max_y == min_y:
+        raise ValueError("window is below float resolution: its corners round to one point")
     pad = 0.05 * max(max_x - min_x, max_y - min_y)
     min_x, max_x = min_x - pad, max_x + pad
     min_y, max_y = min_y - pad, max_y + pad

@@ -44,8 +44,7 @@ class FractionLattice:
     @classmethod
     def from_generators(cls, ring, generators):
         d, ints = over_denominator([c for g in generators for c in g])
-        (b00, *_), (b01, b11, *_) = lat._hnf_columns(
-            [(x, y, 0, 0) for x, y in zip(ints[::2], ints[1::2])])
+        b00, b01, b11 = lat._hnf_columns(list(zip(ints[::2], ints[1::2])))
         return cls(ring, Fraction(b00, d), Fraction(b01, d), Fraction(b11, d))
 
     @classmethod
@@ -238,11 +237,12 @@ def least_scale(lattice, points):
     return Fraction(*lattice.least_scale(xy))
 
 
-def sum_lattice(l1, l2, points):
-    """SumLattice.of for lattices over any denominators, and FieldElem points
-    as integer pairs, all over the lcm of both denominators and the points'."""
+def sum_frame(l1, l2, points):
+    """Γ₁ + Γ₂ as Lattice.spanned on both Hermite bases, with Γ₁ and the
+    FieldElem points as integer pairs, all over the lcm of both
+    denominators and the points'; returns (Γ₁, Γ₁ + Γ₂, pairs)."""
     l1, xy = l1.over(math.lcm(l1.d, l2.d)).with_points(points)
-    return lat.SumLattice.of(l1, l2.over(l1.d)), xy
+    return l1, Lattice.spanned(l1.ring, l1.d, [*l1.basis, *l2.over(l1.d).basis]), xy
 
 
 def frame(packing, s):
@@ -259,8 +259,8 @@ def frame(packing, s):
 def coset_point(l1, l2, v):
     """A point of Γ₁ ∩ (v + Γ₂), or None when v ∉ Γ₁ + Γ₂, from a fresh
     Hermite form of Γ₁ + Γ₂ scaled by the denominators of Γ₁, Γ₂ and v,
-    tracking Γ₁-parts as Fraction pairs: the per-pair solve that the
-    residues of SumLattice.reduce replaced."""
+    tracking Γ₁-parts as Fraction pairs: the per-pair solve that residues
+    on one frame replaced."""
     gens1 = [(g.a, g.b) for g in generators(l1)]
     gens2 = [(g.a, g.b) for g in generators(l2)]
     denoms = [c.denominator for g in gens1 + gens2 for c in g]
@@ -307,23 +307,30 @@ def check_similarity(packing, s):
     """The per-pair decision: n = [sΓ : Γ ∩ sΓ] through intersect and one
     coset_point per pair (k, j), each on its own Hermite form.  Returns
     (accepted, n, τ, witness, failing_k, reached), the witness as FieldElem
-    points."""
+    points: s(x_k) + σ for the σ among i·s(g0) + t·s(g1), 0 ≤ i < o and
+    0 ≤ t < n/o, with s(x_k) + σ - x_j ∈ Γ, where g0, g1 is Γ's Hermite
+    basis and o the least integer with o·s(g0) ∈ Γ, found by counting up."""
     gamma = packing.lattice
     img = s.image_lattice(gamma)
     n = lat.index(intersect(gamma, img), img)
-    tau, witness = [], []
+    tau = []
     for k, x_k in enumerate(packing.shifts):
         sx = s.apply(x_k)
-        reached = []
-        for j, x_j in enumerate(packing.shifts):
-            ell = coset_point(gamma, img, sx - x_j)
-            if ell is None:
-                continue
-            reached.append(j)
-            tau.append((k, j))
-            witness.append((k, j, x_j + ell))
+        reached = [j for j, x_j in enumerate(packing.shifts)
+                   if coset_point(gamma, img, sx - x_j) is not None]
         if len(reached) != n:
             return False, n, (), (), k, tuple(reached)
+        tau += [(k, j) for j in reached]
+    g0, g1 = map(s.apply, generators(gamma))
+    o = 1
+    while not gamma.contains(g0.scale(o)):
+        o += 1
+    sigmas = [g0.scale(i) + g1.scale(t) for i in range(o) for t in range(n // o)]
+    witness = []
+    for k, j in tau:
+        sx, x_j = s.apply(packing.shifts[k]), packing.shifts[j]
+        [point] = [sx + sigma for sigma in sigmas if gamma.contains(sx + sigma - x_j)]
+        witness.append((k, j, point))
     return True, n, tuple(tau), tuple(witness), None, ()
 
 

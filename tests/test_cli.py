@@ -847,9 +847,9 @@ class TestVerify:
         ("ex34", '{"z":[0,1],"scale":"1"}'),
     ])
     def test_similarity_builds_each_image_lattice_once(self, preset_name, sim, monkeypatch, capsys):
-        # One sΓ for the oracle's bound, certification and count together,
-        # and one for the engine's frame; the oracle's Γ, sΓ and D·Γ come
-        # from one frame.
+        # One sΓ for the oracle's bound, certification and count together;
+        # the engine's frame spans Γ and the images of Γ's basis, and the
+        # oracle's Γ, sΓ and D·Γ come from one frame.
         calls, frames = [], []
         image_lattice, period_frame = Similarity.image_lattice, oracle._period_frame
         monkeypatch.setattr(Similarity, "image_lattice",
@@ -858,7 +858,7 @@ class TestVerify:
         rc = main(["verify", "--preset", preset_name, "--similarity", sim])
         doc = json.loads(capsys.readouterr().out)
         assert rc == EXIT_OK and doc["oracle_contained"] and doc["agree"]
-        assert len(calls) <= 2 and len(frames) == 1
+        assert len(calls) == 1 and len(frames) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -937,8 +937,9 @@ class TestRender:
                             lambda s, gamma: calls.append(s) or image_lattice(s, gamma))
         rc = main(["render", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"2"}',
                    "--window=-3,-3,3,3", "--out", str(tmp_path / "fig.svg")])
-        # One sΓ for render_svg's bound and figure; check_similarity builds its own.
-        assert rc == EXIT_OK and len(calls) == 2
+        # One sΓ for render_svg's bound and figure; check_similarity's frame
+        # spans the images of Γ's basis and builds none.
+        assert rc == EXIT_OK and len(calls) == 1
 
     @pytest.mark.parametrize("name, similarity", ACCEPTED_PER_PRESET)
     def test_only_parsing_builds_fractions(self, name, similarity, tmp_path, monkeypatch):
@@ -985,6 +986,19 @@ class TestRender:
             )
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_window_below_float_resolution(self, monkeypatch, capsys):
+        # Positive exact area, but the corners round to one float point: the
+        # figure would divide by its zero extent, so render_svg refuses it
+        # before it walks any point.
+        drawn = []
+        monkeypatch.setattr(render, "points_in_window", lambda *a: drawn.append(a) or [])
+        tiny = "1000000000000000001/1000000000000000000"
+        rc = main(["render", "--preset", "hex", "--packing-only", f"--window=1,1,{tiny},{tiny}"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT and captured.out == "" and drawn == []
+        assert captured.err == ("error: window is below float resolution: "
+                                "its corners round to one point\n")
 
     def test_bad_window(self):
         rc = main(
@@ -1149,20 +1163,30 @@ class TestCommandLine:
         assert main(["periods", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: invalid JSON: {want.value}\n"
 
-    @pytest.mark.parametrize("command, flags", [
-        ("analyze", ["--preset", "--out", "--similarity"]),
-        ("table", ["--samples", "--z", "--format", "--out"]),
-        ("render", ["--preset", "--out", "--similarity", "--window", "--packing-only"]),
+    _PACKING_REQUIRED = ["packing document (JSON or path); this or --preset is required",
+                         "use a built-in packing; this or a packing document is required"]
+
+    @pytest.mark.parametrize("command, flags, required", [
+        ("analyze", ["--preset", "--out", "--similarity"], _PACKING_REQUIRED),
+        ("table", ["--samples", "--z", "--format", "--out"], []),
+        ("render", ["--preset", "--out", "--similarity", "--window", "--packing-only"],
+         [*_PACKING_REQUIRED, "similarity document; this or --packing-only is required",
+          "draw L alone; this or --similarity is required"]),
         ("verify", ["--preset", "--out", "--similarity", "--direction", "--p-bound", "--q-bound",
-                    "--random", "--seed"]),
-        ("periods", ["--preset", "--out"]),
+                    "--random", "--seed"], []),
+        ("periods", ["--preset", "--out"], _PACKING_REQUIRED),
     ], ids=["analyze", "table", "render", "verify", "periods"])
-    def test_help_exits_0(self, command, flags, capsys):
+    def test_help_exits_0(self, command, flags, required, capsys):
+        # Where one of a pair of inputs is required, each one's help says so;
+        # verify's packing is optional, as --random takes none.
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         captured = capsys.readouterr()
         assert exc.value.code == 0 and captured.err == ""
         assert re.findall(r"(?m)^  (--[a-z-]+)", captured.out) == flags
+        text = " ".join(captured.out.split())
+        assert [line for line in required if line not in text] == []
+        assert ("is required" in text) == bool(required)
 
     @pytest.mark.parametrize("prefix, flag, lo, hi", [
         (["table", "t1"], "--samples", 1, MAX_SAMPLES),
@@ -1287,15 +1311,20 @@ class TestCommandLine:
 
 class TestInternalErrors:
     def test_internal_error_exits_4(self, monkeypatch, capsys):
-        def broken(packing, s):
-            raise RuntimeError("guard failed\nsecond line")
+        # No input reaches a division by zero, so one is an engine fault too.
+        for fault, line in ((RuntimeError("guard failed\nsecond line"),
+                             "RuntimeError: guard failed second line"),
+                            (ZeroDivisionError("division by zero"),
+                             "ZeroDivisionError: division by zero")):
+            def broken(packing, s):
+                raise fault
 
-        monkeypatch.setattr(cli.packings, "check_similarity", broken)
-        rc = main(["analyze", "--preset", "hex", "--similarity", '{"z":[1,1]}'])
-        assert rc == EXIT_INTERNAL
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: internal: RuntimeError: guard failed second line\n"
+            monkeypatch.setattr(cli.packings, "check_similarity", broken)
+            rc = main(["analyze", "--preset", "hex", "--similarity", '{"z":[1,1]}'])
+            assert rc == EXIT_INTERNAL
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: internal: {line}\n"
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])

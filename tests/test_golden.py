@@ -3,10 +3,17 @@
 A change that means to keep every output byte-identical must keep DIGEST:
 the SHA-256 over argv, exit code, stdout and stderr of each command below,
 run in process through cli.main.  The list covers the tables as CSV and as
-JSON, every preset, one figure refused above the circle cap, and rational
-packings over sheared lattices, congruent-shift refusals included.  A change
-that alters output on purpose recomputes DIGEST with golden_digest() and
-says why.
+JSON, every preset, one figure refused above the circle cap, rational
+packings over sheared lattices, congruent-shift refusals included, and
+verify --direction sweeps that reach q > 1.  A change that alters output on
+purpose recomputes DIGEST with golden_digest() and says why.
+
+Run as a script, from the root of a checkout,
+
+    PYTHONPATH=src:tests python tests/test_golden.py > records.txt
+
+prints one line per command: the SHA-256 of its record and its argv.
+Diffing two checkouts' lines names the records a change alters.
 """
 
 import contextlib
@@ -15,12 +22,13 @@ import io
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 from simiso import cli
 from simiso.rings import EISENSTEIN, GAUSSIAN
 
-DIGEST = "788a0b7c97688e7a2aba5b5165c7037032babe8068360e18a49663e8e2d33460"
+DIGEST = "9a25c35e6e244925e19c46349fbf4ba2ec04b9f7a53dbdfd279b308cd8272908"
 
 _TABLE_RINGS = {"t1": GAUSSIAN, "t2": EISENSTEIN, "t3": EISENSTEIN, "t4": EISENSTEIN,
                 "t5": EISENSTEIN}
@@ -89,6 +97,24 @@ def _document_commands(count=60, seed=12):
         yield ["periods", json.dumps(doc)]
 
 
+def _direction_commands():
+    """verify --direction with --q-bound 5 along 3+4i over Z[i] and 8+3ω
+    over Z[ω], of norms 25 and 49, so reflections admit q = 5 and q = 7
+    wherever the lift to R has that many components: every preset, rotation
+    and reflection, and a packing over the sheared Γ = ((2+i)/5)·Z[i] ⊋ Z[i],
+    which lifts to 10 components and which ((3+4i)/5)·conj maps onto
+    itself.  So the Scal solve accepts at q = 5, on its frame in the
+    N = gcd(q, N(z)) > 1 form, and folds those classes."""
+    sheared = json.dumps({"ring": GAUSSIAN, "basis": [["2/5", "1/5"], ["-1/5", "2/5"]],
+                          "shifts": [["0", "0"], ["1/2", "0"]]})
+    packings = [(["--preset", name], cli.PRESETS[name][0]) for name in sorted(cli.PRESETS)]
+    for packing, ring in [*packings, ([sheared], GAUSSIAN)]:
+        z = [3, 4] if ring == GAUSSIAN else [8, 3]
+        for conj in (False, True):
+            direction = json.dumps({"z": z, "conj": conj})
+            yield ["verify", *packing, "--direction", direction, "--q-bound", "5"]
+
+
 def commands():
     yield from _table_commands()
     yield from ([*argv, "--format", "json"] for argv in _table_commands())
@@ -96,18 +122,31 @@ def commands():
     # hex draws 2·(199 + 1)·(250 + 1) = 100,400 circles here, above the cap.
     yield ["render", "--preset", "hex", "--packing-only", "--window=0,0,250,199"]
     yield from _document_commands()
+    yield from _direction_commands()
 
 
-def golden_digest():
-    digest = hashlib.sha256()
+def records():
+    """argv and its record, the JSON of argv, exit code, stdout and stderr,
+    for each command in order."""
     for argv in commands():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         record = json.dumps([argv, code, out.getvalue(), err.getvalue()], ensure_ascii=False)
-        digest.update(record.encode("utf-8") + b"\n")
+        yield argv, record.encode("utf-8")
+
+
+def golden_digest():
+    digest = hashlib.sha256()
+    for _, record in records():
+        digest.update(record + b"\n")
     return digest.hexdigest()
 
 
 def test_golden_digest():
     assert golden_digest() == DIGEST
+
+
+if __name__ == "__main__":
+    for argv, record in records():
+        sys.stdout.write(f"{hashlib.sha256(record).hexdigest()} {json.dumps(argv, ensure_ascii=False)}\n")

@@ -25,6 +25,7 @@ from references import (
     contains_lattice,
     coset_point,
     dual,
+    generators,
     intersect,
     least_scale,
     point,
@@ -33,7 +34,7 @@ from references import (
     ring_gcd,
     ring_lcm,
     scaling_denominator,
-    sum_lattice,
+    sum_frame,
 )
 
 F = Fraction
@@ -247,7 +248,7 @@ class TestDualAndQuotients:
             lat.quotient_representatives(sup, sub)
 
     def test_quotient_representatives_refuse_two_denominators(self):
-        # Both lattices over one d; rewriting is the caller's, as for SumLattice.of.
+        # Both lattices over one d; rewriting is the caller's.
         sub = Lattice(GAUSSIAN, 1, 2, 0, 2)
         with pytest.raises(ValueError, match="denominators 1 and 2"):
             lat.quotient_representatives(sub, ZI.over(2))
@@ -291,15 +292,16 @@ class TestLeastScale:
 
 
 class TestCosetIntersection:
-    """The residues of SumLattice: one Hermite form of Γ₁ + Γ₂ for every
-    point, and u - v ∈ Γ₁ + Γ₂ exactly when u and v share a residue."""
+    """Γ₁ + Γ₂ as one Lattice.spanned frame for every point: u - v ∈ Γ₁ + Γ₂
+    exactly when u and v share a residue on it."""
 
     def test_solves_membership(self):
-        """The residue lies in the Hermite cell of the sum, a point minus it is
-        the Γ₁-point of its coefficients plus a point of Γ₂, and for two
-        points of one residue the difference of their coefficients names the
-        point of Γ₁ ∩ (u - v + Γ₂) that the per-pair solve of
-        references.coset_point finds."""
+        """The residue lies in the Hermite cell of the sum and a point minus
+        it lies in the sum.  Two points share a residue exactly when
+        references.coset_point finds a point of Γ₁ ∩ (u - v + Γ₂), and then
+        exactly one of i·h0 + t·h1, 0 ≤ i < o, 0 ≤ t < n/o, for Γ₂'s Hermite
+        basis h0, h1 and o the least integer with o·h0 ∈ Γ₁, lies in
+        v - u + Γ₁: the witness rule of check_similarity."""
         rng = random.Random(3)
         for _ in range(40):
             ring = rng.choice((GAUSSIAN, EISENSTEIN))
@@ -310,24 +312,28 @@ class TestCosetIntersection:
             if rng.random() < 0.5:  # u - v in the sum
                 v = u + point(l1, rng.randint(-3, 3), rng.randint(-3, 3)) \
                     + point(l2, rng.randint(-3, 3), rng.randint(-3, 3))
-            total, xy = sum_lattice(l1, l2, (u, v))
-            d = math.lcm(l1.d, l2.d, *(c.denominator for x in (u, v) for c in (x.a, x.b)))
-            cell = Lattice(ring, d, total.k[0], total.lead[0], total.lead[1])
+            fine, cell, xy = sum_frame(l1, l2, (u, v))
             assert cell == add(l1, l2)
-            (ru, cu), (rv, cv) = (total.reduce(*p) for p in xy)
-            for x, (px, py), (rx, ry), c in zip((u, v), xy, (ru, rv), (cu, cv)):
+            ru, rv = (cell.reduce(*p) for p in xy)
+            for (px, py), (rx, ry) in zip(xy, (ru, rv)):
                 assert cell.reduce(rx, ry) == (rx, ry)
                 assert cell.contains_pair(px - rx, py - ry)
-                # x minus its residue is the Γ₁-point of c plus a point of Γ₂.
-                assert l2.contains(x - cell.element(rx, ry) - point(l1, *c))
             ell = coset_point(l1, l2, u - v)
             assert (ell is not None) == (ru == rv) == add(l1, l2).contains(u - v)
             if ell is not None:
-                assert point(l1, cu[0] - cv[0], cu[1] - cv[1]) == ell
                 assert l1.contains(ell) and l2.contains(ell - (u - v))
+            n = fine.b00 * fine.b11 // (cell.b00 * cell.b11)
+            h0, h1 = generators(l2)
+            o = least_scale(l1, [h0]).numerator
+            sigmas = [h0.scale(i) + h1.scale(t) for i in range(o) for t in range(n // o)]
+            assert len(sigmas) == n
+            assert not any(l1.contains(a - b) for i, a in enumerate(sigmas) for b in sigmas[:i])
+            met = [x for x in sigmas if l1.contains(u - v + x)]
+            assert len(met) == (ell is not None)
 
     def test_index_is_second_isomorphism(self):
-        # [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂], on ideals and on rational lattices.
+        # [Γ₁ + Γ₂ : Γ₁] = [Γ₂ : Γ₁ ∩ Γ₂], on ideals and on rational lattices,
+        # read as the ratio of the two determinants over one d.
         rng = random.Random(5)
         for _ in range(40):
             ring = rng.choice((GAUSSIAN, EISENSTEIN))
@@ -336,28 +342,18 @@ class TestCosetIntersection:
                 (F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(1, 4), rng.randint(1, 3))),
             ])
             l2 = mul_lattice(ring, rng.randint(-3, 3), rng.randint(1, 3), base=l1)
-            total, _ = sum_lattice(l1, l2, ())
-            assert total.index() == lat.index(l1, add(l1, l2))
-            assert total.index() == lat.index(intersect(l1, l2), l2)
+            fine, total, _ = sum_frame(l1, l2, ())
+            n = fine.b00 * fine.b11 // (total.b00 * total.b11)
+            assert n == lat.index(l1, add(l1, l2))
+            assert n == lat.index(intersect(l1, l2), l2)
 
     def test_columns_span_the_sum(self):
         l1 = RECT31
         l2 = mul_lattice(GAUSSIAN, 1, 2)
-        total, _ = sum_lattice(l1, l2, ())
-        h00, zero, *_ = total.k
-        h01, h11, *_ = total.lead
-        assert zero == 0 and h00 > 0 and h11 > 0 and 0 <= h01 < h00
+        h00, h01, h11 = lat._hnf_columns([*l1.basis, *l2.over(l1.d).basis])
+        assert h00 > 0 and h11 > 0 and 0 <= h01 < h00
         assert Lattice(GAUSSIAN, math.lcm(l1.d, l2.d), h00, h01, h11) == add(l1, l2)
-
-    def test_different_rings_refused(self):
-        with pytest.raises(RingMismatchError):
-            lat.SumLattice.of(ZI, ZW)
-
-    def test_different_denominators_refused(self):
-        # SumLattice.of takes both lattices over one d; rewriting is the caller's.
-        with pytest.raises(ValueError, match="denominators 1 and 2"):
-            lat.SumLattice.of(ZI, ZI.over(2))
-        assert lat.SumLattice.of(ZI.over(2), ZI.over(2)).index() == 1
+        assert sum_frame(l1, l2, ())[1] == add(l1, l2)
 
 
 @st.composite

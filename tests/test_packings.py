@@ -94,15 +94,14 @@ class TestPointPacking:
 
 
 def _meet(lattice, x_k, x_j, s):
-    """A point of s(x_k + Γ) ∩ (x_j + Γ) from the residues of s(x_k) and x_j
-    mod Γ + sΓ, or None when they differ: x_j plus the Γ-point of the
-    image's coefficients minus the target's, which is the point that the
-    per-pair solve of references.coset_point finds."""
+    """A point of s(x_k + Γ) ∩ (x_j + Γ) when s(x_k) and x_j share a residue
+    on the frame Γ + sΓ, or None when they differ: x_j plus the point of
+    Γ ∩ (s(x_k) - x_j + sΓ) that the per-pair solve of
+    references.coset_point finds."""
     img = s.image_lattice(lattice)
-    total, xy = ref.sum_lattice(lattice, img, (s.apply(x_k), x_j))
-    (ra, (a0, a1)), (rb, (b0, b1)) = (total.reduce(*p) for p in xy)
-    ell = ref.point(lattice, a0 - b0, a1 - b1) if ra == rb else None
-    assert ell == ref.coset_point(lattice, img, s.apply(x_k) - x_j)
+    _, total, (a, b) = ref.sum_frame(lattice, img, (s.apply(x_k), x_j))
+    ell = ref.coset_point(lattice, img, s.apply(x_k) - x_j)
+    assert (ell is not None) == (total.reduce(*a) == total.reduce(*b))
     return None if ell is None else x_j + ell
 
 
@@ -441,11 +440,13 @@ class TestSweepFrame:
         # admissible or not, against the Hermite form of R + trial(R).
         ring_lattice = Lattice(ring, dd, dd, 0, dd)
         trial = Similarity.from_ints(ring, q, *z, conjugate)
-        expected = lat.SumLattice.of(ring_lattice.over(q * dd), trial.image_lattice(ring_lattice))
+        fine = ring_lattice.over(q * dd)
+        image = trial.image_lattice(ring_lattice).over(q * dd)
+        expected = Lattice.spanned(ring, q * dd, [*fine.basis, *image.basis])
         total, n = pk._sweep_frame(ring, dd, z, q)
         assert (total.d, total.b00, total.b01, total.b11) == (
-            q * dd, expected.k[0], expected.lead[0], expected.lead[1])
-        assert n == expected.index()
+            q * dd, expected.b00, expected.b01, expected.b11)
+        assert n == lat.index(fine, expected)
 
 
 class TestCongruenceSolve:
@@ -773,17 +774,24 @@ class TestResidueLookups:
 
     @pytest.mark.parametrize("k", [4, 6])
     def test_decision_makes_2m_reductions(self, k, monkeypatch):
+        # At most 2m reductions on the frame Γ + sΓ, the lattice reduced
+        # first, for every decision; then, only when accepted, at most n for
+        # the points σ and m·n for the witnesses on Γ, a second object.
         packing = _fine_packing(k)
+        m = packing.m
         calls = []
-        reduce = lat.SumLattice.reduce
-        monkeypatch.setattr(lat.SumLattice, "reduce",
-                            lambda self, *v: calls.append(v) or reduce(self, *v))
+        reduce = Lattice.reduce
+        monkeypatch.setattr(Lattice, "reduce", lambda self, *v: calls.append(self) or reduce(self, *v))
         # Accepted at n = 1 (w ∈ Z[i]); rejected at n = 2 and n = 4.
         for s in (simw(GAUSSIAN, 1, 2), simw(GAUSSIAN, 3, 4, True),
                   Similarity(fe(GAUSSIAN, F(1, 2), F(1, 2))), Similarity(fe(GAUSSIAN, F(1, 2), 0))):
             calls.clear()
             report = pk.check_similarity(packing, s)
-            assert len(calls) <= 2 * packing.m
+            frame, on_gamma = calls[0], [c for c in calls if c is not calls[0]]
+            assert frame == ref.add(packing.lattice, s.image_lattice(packing.lattice))
+            assert len(calls) - len(on_gamma) <= 2 * m
+            assert all(c == packing.lattice for c in on_gamma)
+            assert len(on_gamma) <= (report.n + m * report.n if report.accepted else 0)
             got = (report.accepted, report.n, report.tau, witness_points(packing, report),
                    report.failing_k, report.reached)
             assert got == ref.check_similarity(packing, s)
@@ -1253,8 +1261,9 @@ def frame_cases(draw):
 class TestIntegerFrameMatchesFieldElemFrame:
     """The integer map and the frame Γ + sΓ built on it against the route
     they replaced: s.apply on FieldElem points, sΓ from the images of Γ's
-    generators, and a SumLattice over their least common denominator; the
-    decision read from the frame against the per-pair reference."""
+    generators, and the sum of Γ and sΓ over their least common
+    denominator; the decision read from the frame against the per-pair
+    reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(frame_cases())
@@ -1267,6 +1276,7 @@ class TestIntegerFrameMatchesFieldElemFrame:
             expected = s.apply(FieldElem(ring, F(x, gamma.d), F(y, gamma.d)))
             assert FieldElem(ring, F(ix, e * gamma.d), F(iy, e * gamma.d)) == expected
         assert s.image_lattice(gamma) == ref.image_lattice(s, gamma)
+        assert pk._frame(packing, s)[1] == ref.frame(packing, s)[0]
 
         report = pk.check_similarity(packing, s)
         got = (report.accepted, report.n, report.tau, witness_points(packing, report),
