@@ -22,7 +22,6 @@ from .packings import (
     check_corollaries,
     check_similarity,
     closure_check,
-    inverse_probe,
     scal_set_packing,
 )
 from .oracle import certify_subpacking
@@ -47,7 +46,6 @@ __all__ = [
     "check_corollaries",
     "check_similarity",
     "closure_check",
-    "inverse_probe",
     "scal_set_packing",
     "certify_subpacking",
     "preset",

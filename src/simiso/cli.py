@@ -81,8 +81,9 @@ class _Parser(argparse.ArgumentParser):
 # document parsing
 
 
-# An integer is an optional sign and ASCII digits; a rational adds an optional
-# /digits or .digits, and table --z takes two integers a,b.
+# An integer (a count or --seed) is an optional sign and ASCII digits; a
+# rational adds an optional /digits or .digits, and table --z takes two
+# integers a,b.
 _INTEGER = r"[+-]?[0-9]+"
 _RATIONAL = re.compile(rf"({_INTEGER})(?:/([0-9]+)|\.([0-9]+))?")
 _Z = re.compile(rf"({_INTEGER}),({_INTEGER})")
@@ -631,13 +632,23 @@ def _add_packing_args(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--out", help="write output to a file instead of stdout")
 
 
+def _integer(text: str) -> int:
+    """An argparse type: an integer in the --z grammar, not int()'s wider one."""
+    if re.fullmatch(_INTEGER, text) is None:
+        raise ValueError(text)
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse's "invalid int value: 'x'" names the type
+
+
 def _bounded(lo: int, hi: int):
     """An argparse type: an integer from lo to hi."""
     def read(text: str) -> int:
-        if not lo <= (value := int(text)) <= hi:
+        if not lo <= (value := _integer(text)) <= hi:
             raise argparse.ArgumentTypeError(f"must be between {lo} and {hi}")
         return value
-    read.__name__ = "int"  # argparse's "invalid int value: 'x'" names the type
+    read.__name__ = "int"
     return read
 
 
@@ -690,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"1 to {MAX_BOUND} (default 1); with --direction only")
     p.add_argument("--random", type=_bounded(0, MAX_RANDOM), default=0,
                    help=f"sweep size, up to {MAX_RANDOM}")
-    p.add_argument("--seed", type=int, help="seed of --random (default 0)")
+    p.add_argument("--seed", type=_integer, help="seed of --random (default 0)")
     p.set_defaults(func=run_verify)
 
     p = subs.add_parser("periods", help="maximal generating lattice and reduction")

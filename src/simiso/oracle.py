@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import lattices
 from .lattices import Lattice
 from .packings import PointPacking
-from .rings import FieldElem, GAUSSIAN
+from .rings import FieldElem, GAUSSIAN, pair_norm
 from .similarity import Direction, Similarity
 
 # Most membership tests one call lets the oracle make, summed over its walks.
@@ -157,38 +157,34 @@ def random_case(
     """A random packing over the ring lattice plus a random similarity.
 
     Used by the randomized engine/oracle equivalence sweeps; the packing
-    shifts always include 0 and stay pairwise incongruent.
+    shifts always include 0 and stay pairwise incongruent.  Each shift is
+    drawn as i/den, j/den and kept as an integer pair over the lcm of 1 to
+    shift_denominator.
     """
-    base = Lattice.ring_lattice(ring)
-    z = _random_primitive(rng, ring, max_norm)
+    a, b = _random_primitive(rng, ring, max_norm)
     while True:
         p = rng.randint(1, p_bound)
         q = rng.randint(1, q_bound)
         if math.gcd(p, q) == 1:
             break
-    conjugate = rng.random() < 0.5
-    s = Direction(z, conjugate).similarity(Fraction(p, q))
+    s = Similarity.from_ints(ring, q, p * a, p * b, rng.random() < 0.5)
 
     m = rng.randint(1, max_components)
-    shifts = [FieldElem.zero(ring)]
+    d = math.lcm(*range(1, shift_denominator + 1))
+    shifts = [(0, 0)]
     while len(shifts) < m:
         den = rng.randint(1, shift_denominator)
-        x = FieldElem(
-            ring,
-            Fraction(rng.randint(0, den - 1), den),
-            Fraction(rng.randint(0, den - 1), den),
-        )
+        x = (rng.randint(0, den - 1) * (d // den), rng.randint(0, den - 1) * (d // den))
         # In [0, 1)², x ≡ y mod the ring lattice only when x == y.
         if x not in shifts:
             shifts.append(x)
-    return RandomCase(PointPacking(base, tuple(shifts)), s)
+    return RandomCase(PointPacking.from_pairs(Lattice(ring, d, d, 0, d), shifts), s)
 
 
-def _random_primitive(rng: random.Random, ring: str, max_norm: int) -> FieldElem:
+def _random_primitive(rng: random.Random, ring: str, max_norm: int) -> tuple[int, int]:
     bound = math.isqrt(max_norm) + (1 if ring == GAUSSIAN else 2)
     while True:
         a = rng.randint(-bound, bound)
         b = rng.randint(-bound, bound)
-        e = FieldElem(ring, a, b)
-        if not e.is_zero() and e.norm() <= max_norm and math.gcd(a, b) == 1:
-            return e
+        if 0 < pair_norm(ring, a, b) <= max_norm and math.gcd(a, b) == 1:
+            return a, b

@@ -535,17 +535,3 @@ def _scal_subset_of_lattice_scal(packing: PointPacking, d: Direction) -> bool:
         if any(math.gcd(r, c.modulus) % step for r in c.residues):
             return False
     return True
-
-
-def inverse_probe(packing: PointPacking, s: Similarity) -> bool:
-    """Whether the inverse isometry admits any scaling factor for L.
-
-    Informational only: group closure of the similarity isometries under
-    inverses is an open question, so nothing is asserted from this.
-    """
-    _, d = sim.decompose(s)
-    if d.conjugate:
-        inverse_dir = d  # reflections are involutions
-    else:
-        inverse_dir = Direction(d.z.conj(), False)
-    return not scal_set_packing(packing, inverse_dir).is_empty()

@@ -102,9 +102,6 @@ class Similarity(_IntegerMap):
         e, a, b = self.ints
         return FieldElem(self.ring, Fraction(a, e), Fraction(b, e))
 
-    def apply(self, x: FieldElem) -> FieldElem:
-        return self.w * (x.conj() if self.conjugate else x)
-
     def map_pairs(self, points) -> tuple[int, list[tuple[int, int]]]:
         """e, the denominator of w, and the images of integer pairs over any d
         as integer pairs over e·d."""
@@ -150,10 +147,6 @@ class Direction(_IntegerMap):
         if math.gcd(a, b) != 1:
             raise ValueError(f"direction element {format_pair(ring, a, b, 1)} is not primitive")
         return cls._made(ring=ring, ints=(a, b), conjugate=conjugate)
-
-    @property
-    def z(self) -> FieldElem:
-        return FieldElem(self.ring, *self.ints)
 
     def norm(self) -> int:
         return pair_norm(self.ring, *self.ints)

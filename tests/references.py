@@ -139,6 +139,11 @@ def generators(lattice: Lattice):
     return [lattice.element(*b) for b in lattice.basis]
 
 
+def apply(s, x):
+    """s(x) for a FieldElem point x: w·x, or w·conj(x) when s conjugates."""
+    return s.w * (x.conj() if s.conjugate else x)
+
+
 def add(l1: Lattice, l2: Lattice) -> Lattice:
     """The lattice Γ₁ + Γ₂ generated by the union."""
     if l1.ring != l2.ring:
@@ -248,11 +253,13 @@ def sum_frame(l1, l2, points):
 def frame(packing, s):
     """Γ + sΓ as a Lattice with the targets x_k and the images s(x_k), from
     FieldElem images: sΓ spanned by the images of Γ's generators under
-    s.apply, the sum by add, and each s(x_k) by s.apply, all over their
+    apply, the sum by add, and each s(x_k) by apply, all over their
     least common denominator."""
     gamma = packing.lattice
-    img = Lattice.from_generators(gamma.ring, [(y.a, y.b) for y in map(s.apply, generators(gamma))])
-    total, xy = add(gamma, img).with_points(packing.shifts + tuple(map(s.apply, packing.shifts)))
+    img = Lattice.from_generators(gamma.ring, [(y.a, y.b) for y in
+                                               (apply(s, g) for g in generators(gamma))])
+    images = tuple(apply(s, x) for x in packing.shifts)
+    total, xy = add(gamma, img).with_points(packing.shifts + images)
     return total, xy[:packing.m], xy[packing.m:]
 
 
@@ -315,20 +322,20 @@ def check_similarity(packing, s):
     n = lat.index(intersect(gamma, img), img)
     tau = []
     for k, x_k in enumerate(packing.shifts):
-        sx = s.apply(x_k)
+        sx = apply(s, x_k)
         reached = [j for j, x_j in enumerate(packing.shifts)
                    if coset_point(gamma, img, sx - x_j) is not None]
         if len(reached) != n:
             return False, n, (), (), k, tuple(reached)
         tau += [(k, j) for j in reached]
-    g0, g1 = map(s.apply, generators(gamma))
+    g0, g1 = (apply(s, g) for g in generators(gamma))
     o = 1
     while not gamma.contains(g0.scale(o)):
         o += 1
     sigmas = [g0.scale(i) + g1.scale(t) for i in range(o) for t in range(n // o)]
     witness = []
     for k, j in tau:
-        sx, x_j = s.apply(packing.shifts[k]), packing.shifts[j]
+        sx, x_j = apply(s, packing.shifts[k]), packing.shifts[j]
         [point] = [sx + sigma for sigma in sigmas if gamma.contains(sx + sigma - x_j)]
         witness.append((k, j, point))
     return True, n, tuple(tau), tuple(witness), None, ()
@@ -338,7 +345,7 @@ def denominator(lattice, d):
     """den(Γ, R) as r in den = r·|z|: the least positive rational making
     r·B⁻¹·M_z·(M_conj)·B integral."""
     lattice = FractionLattice.of(lattice)
-    m = mul_matrix(d.z)
+    m = mul_matrix(FieldElem(d.ring, *d.ints))
     if d.conjugate:
         c = conj_matrix(lattice.ring)
         m = (
@@ -442,7 +449,7 @@ def sweep_conditions(packing, trial):
     targets = [total.coords_of(x_j) for x_j in packing.shifts]
     conditions = []
     for x_k in packing.shifts:
-        a_k = total.coords_of(trial.apply(x_k))
+        a_k = total.coords_of(apply(trial, x_k))
         o_k = math.lcm(a_k[0].denominator, a_k[1].denominator)
         by_residue = {}
         for j, x_j in enumerate(targets):
@@ -465,7 +472,8 @@ def sweep_direction(packing, d):
     for q in range(1, min(math.isqrt(multiple), m) + 1):
         if multiple % (q * q):
             continue
-        trial = Similarity(d.z.scale(Fraction(1, q)), d.conjugate)  # z/q as a FieldElem
+        z = FieldElem(d.ring, *d.ints)
+        trial = Similarity(z.scale(Fraction(1, q)), d.conjugate)  # z/q as a FieldElem
         n, conditions = sweep_conditions(packing, trial)
         if n > m:
             continue
@@ -538,7 +546,7 @@ def render_window_points(lattice, shift, window):
 
 def render_svg(packing, s, image, window):
     """render.render_svg drawn component by component: each shift and each
-    image s.apply(x_k) enumerated by render_window_points, and both
+    image apply(s, x_k) enumerated by render_window_points, and both
     coordinates of every circle formatted from its float."""
     ring = packing.ring
     x0, y0, x1, y1 = window
@@ -577,7 +585,7 @@ def render_svg(packing, s, image, window):
         for k, x_k in enumerate(packing.shifts):
             color = rd.IMAGE_COLORS[k % len(rd.IMAGE_COLORS)]
             lines.append(f'<g fill="{color}">')
-            lines += circles(image, s.apply(x_k), "2.4")
+            lines += circles(image, apply(s, x_k), "2.4")
             lines.append("</g>")
             legend.append((color, f"image of {x_k}+Γ"))
     ly = 16

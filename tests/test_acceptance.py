@@ -224,7 +224,7 @@ def test_criterion_10_rational_shift_witness():
                 case = orc.random_case(rng, ring, p_bound=1, q_bound=1)
                 packing = case.packing
                 z = orc._random_primitive(rng, ring, 80)
-                d = Direction(z, rng.random() < 0.5)
+                d = Direction.from_ints(ring, *z, rng.random() < 0.5)
                 lcm_den = 1
                 for x in packing.shifts:
                     lcm_den = math.lcm(lcm_den, x.a.denominator, x.b.denominator)
@@ -239,7 +239,7 @@ def test_criterion_11_closure_and_converse_failure():
         pool = []
         while len(pool) < 10:
             z = orc._random_primitive(rng, EISENSTEIN, 13)
-            d = Direction(z, rng.random() < 0.5)
+            d = Direction.from_ints(EISENSTEIN, *z, rng.random() < 0.5)
             scal = pk.scal_set_packing(packing, d)
             members = [
                 F(p, c.q)

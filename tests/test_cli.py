@@ -199,6 +199,17 @@ class TestDocuments:
     def test_packing_doc_matches_preset(self):
         assert parse_packing_doc(json.loads(HEX_DOC)) == preset("hex")
 
+    def test_document_file_holding_a_list_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]", encoding="utf-8")
+        assert main(["analyze", str(path), "--similarity", '{"z":[1,0]}']) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: document must be a JSON object\n")
+
+    def test_unknown_preset_names_the_choices(self):
+        message = r"^unknown preset 'nope'; choose from ex22, ex34, hex, hex-shifted, rect12$"
+        with pytest.raises(ValueError, match=message):
+            preset("nope")
+
     def test_packing_doc_default_basis(self):
         doc = {"ring": "gaussian", "shifts": [["0", "0"], ["1/2", "0"]]}
         assert parse_packing_doc(doc) == preset("rect12")
@@ -636,6 +647,16 @@ class TestTable:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("argv, message", [
+        (["--preset", "hex", "--direction", '{"z":[2,2]}'],
+         "direction element 2+2ω is not primitive"),
+        (["--preset", "hex", "--direction", '{"z":[0,0]}'], "direction element must be nonzero"),
+        (["--similarity", '{"z":[1,0]}'], "provide a packing document or --preset"),
+    ], ids=["non-primitive", "zero", "no-packing"])
+    def test_refusals_name_the_input(self, argv, message, capsys):
+        assert main(["verify", *argv]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_similarity_agreement(self, capsys):
         rc = main(
             ["verify", "--preset", "hex", "--similarity", '{"z":[1,1],"scale":"2"}']
@@ -1206,8 +1227,33 @@ class TestCommandLine:
         for value in (lo - 1, hi + 1):
             with pytest.raises(InputError, match=message):
                 parser.parse_args([*prefix, flag, str(value)])
-        with pytest.raises(InputError, match=f"^argument {flag}: invalid int value: 'x'$"):
-            parser.parse_args([*prefix, flag, "x"])
+        # int() would read the last three as 3, 10 and 2; the parser keeps
+        # the --z grammar, an optional sign and ASCII digits.
+        for text in ("x", "٣", "1_0", " 2 "):
+            with pytest.raises(InputError, match=f"^argument {flag}: invalid int value: "
+                                                 f"{re.escape(repr(text))}$"):
+                parser.parse_args([*prefix, flag, text])
+
+    def test_seed_takes_the_integer_grammar(self):
+        parser = cli.build_parser()
+        for text, seed in (("7", 7), ("-2", -2), ("+3", 3), (str(10**30), 10**30)):
+            assert parser.parse_args(["verify", "--random", "1", "--seed", text]).seed == seed
+        for text in ("x", "٧", "1_0", " 2 "):
+            with pytest.raises(InputError, match="^argument --seed: invalid int value: "
+                                                 f"{re.escape(repr(text))}$"):
+                parser.parse_args(["verify", "--random", "1", "--seed", text])
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "t1", "--samples", "٣"],
+        ["table", "t1", "--samples", "1_0"],
+        ["table", "t1", "--samples", " 2 "],
+        ["verify", "--random", "1_0", "--seed", "٧"],
+    ], ids=["arabic-indic", "underscore", "spaces", "random-and-seed"])
+    def test_counts_outside_the_integer_grammar_exit_2(self, argv, capsys):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert re.fullmatch(r"error: argument --\w+: invalid int value: '.+'\n", captured.err)
 
     @pytest.mark.parametrize("argv, first, second", [
         (["analyze", HEX_DOC, "--preset", "hex", "--similarity", "{}"], "--preset", "packing"),
@@ -1365,7 +1411,8 @@ def test_z_digits_refused_before_the_engine(argv, monkeypatch, capsys):
 
 def test_z_digits_at_the_bound_read():
     big = 10**MAX_RATIONAL_CHARS - 1
-    assert parse_direction_doc({"z": [big, 1]}, EISENSTEIN).z == FieldElem(EISENSTEIN, big, 1)
+    d = parse_direction_doc({"z": [big, 1]}, EISENSTEIN)
+    assert FieldElem(d.ring, *d.ints) == FieldElem(EISENSTEIN, big, 1)
     s = parse_similarity_doc({"z": [-big, 1]}, GAUSSIAN)
     assert s.w == FieldElem(GAUSSIAN, -big, 1)
 
@@ -1440,6 +1487,22 @@ def test_scal_residue_cap_exits_2():
     assert proc.returncode == EXIT_INPUT and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert str(MAX_SCAL_RESIDUES) in proc.stderr
+
+
+@pytest.mark.parametrize("last, code", [(29, EXIT_OK), (31, EXIT_INPUT)], ids=["29", "31"])
+def test_scal_residue_cap_at_its_edge(last, code, capsys):
+    # The two sides of test_packings' test_scal_residues_double_per_prime_up_to_the_cap:
+    # shifts 0 and 1/p for the primes up to last keep 2¹⁰ residues up to 29
+    # and 2¹¹ > 2,000 with 31.
+    primes = [p for p in range(2, last + 1) if all(p % f for f in range(2, p))]
+    doc = json.dumps({"ring": "gaussian", "shifts": [["0", "0"]] + [[f"1/{p}", "0"] for p in primes]})
+    assert main(["verify", doc, "--direction", '{"z":[1,0]}']) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert json.loads(out)["agree"] is True and err == ""
+    else:
+        assert out == "" and err == ("error: Scal along (1)/|1| at q = 1 needs more than "
+                                     "2000 residues (packings.MAX_SCAL_RESIDUES)\n")
 
 
 README = Path(cli.__file__).resolve().parents[2] / "README.md"

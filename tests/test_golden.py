@@ -3,7 +3,7 @@
 A change that means to keep every output byte-identical must keep DIGEST:
 the SHA-256 over argv, exit code, stdout and stderr of each command below,
 run in process through cli.main.  The list covers the tables as CSV and as
-JSON, every preset, one figure refused above the circle cap, rational
+JSON, with explicit and with sampled directions, every preset, one figure refused above the circle cap, rational
 packings over sheared lattices, congruent-shift refusals included, and
 verify --direction sweeps that reach q > 1.  A change that alters output on
 purpose recomputes DIGEST with golden_digest() and says why.
@@ -28,7 +28,7 @@ from fractions import Fraction
 from simiso import cli
 from simiso.rings import EISENSTEIN, GAUSSIAN
 
-DIGEST = "9a25c35e6e244925e19c46349fbf4ba2ec04b9f7a53dbdfd279b308cd8272908"
+DIGEST = "0b2e85a6b5ae0c188a194949a5143f460b015a068bad7748c498db0141d344c0"
 
 _TABLE_RINGS = {"t1": GAUSSIAN, "t2": EISENSTEIN, "t3": EISENSTEIN, "t4": EISENSTEIN,
                 "t5": EISENSTEIN}
@@ -123,6 +123,10 @@ def commands():
     yield ["render", "--preset", "hex", "--packing-only", "--window=0,0,250,199"]
     yield from _document_commands()
     yield from _direction_commands()
+    # The sampled directions: each table by default, and the README's
+    # --samples 11 over Z[i], where 1+8i comes before 7+4i.
+    yield from (["table", name] for name in _TABLE_RINGS)
+    yield ["table", "t1", "--samples", "11"]
 
 
 def records():

@@ -76,6 +76,16 @@ class TestConstruction:
         assert FractionLattice.of(half).det == F(1, 4)
         assert lat.index(half, ZI) == F(1, 4)
 
+    def test_over_refuses_a_denominator_it_does_not_divide(self):
+        with pytest.raises(ValueError, match="^3 is not a multiple of the denominator 2$"):
+            Lattice(GAUSSIAN, 2, 2, 0, 2).over(3)
+
+    def test_ring_mismatch_refused(self):
+        with pytest.raises(RingMismatchError, match="^eisenstein point in gaussian lattice$"):
+            ZI.with_points([FieldElem(EISENSTEIN, 1, 0)])
+        with pytest.raises(RingMismatchError, match="^index of lattices over different rings$"):
+            lat.index(ZI, ZW)
+
 
 class TestContains:
     def test_ring_lattice(self):

@@ -145,7 +145,8 @@ class TestCertifySubpacking:
         # The counterexample is a genuine point of s(L) outside L.
         assert witness is not None
         assert not ref.packing_contains(packing, witness)
-        image = PointPacking(s.image_lattice(packing.lattice), tuple(map(s.apply, packing.shifts)))
+        image = PointPacking(s.image_lattice(packing.lattice),
+                             tuple(ref.apply(s, x) for x in packing.shifts))
         assert ref.packing_contains(image, witness)
 
     def test_shifted_hexagonal_symmetry(self):
@@ -234,7 +235,8 @@ class TestIndexByCounting:
         with pytest.raises(orc.NotContained) as refused:
             orc.index_by_counting(packing, s)
         point = refused.value.point
-        image = PointPacking(s.image_lattice(packing.lattice), tuple(map(s.apply, packing.shifts)))
+        image = PointPacking(s.image_lattice(packing.lattice),
+                             tuple(ref.apply(s, x) for x in packing.shifts))
         assert ref.packing_contains(image, point) and not ref.packing_contains(packing, point)
 
     def test_matches_norm_on_random_accepted_cases(self):
@@ -262,7 +264,8 @@ class TestIndexByCounting:
         packing, d = case
         z = d.similarity(1)
         gamma = packing.lattice
-        r = ref.least_scale(gamma, [z.apply(x) for x in ref.generators(gamma) + list(packing.shifts)])
+        r = ref.least_scale(gamma, [ref.apply(z, x)
+                                    for x in ref.generators(gamma) + list(packing.shifts)])
         s = d.similarity(p * r)
         assume(lat.index(orc._period_frame(packing, s)[2], gamma) <= 2_500)
         assert_matches_engine(packing, s)

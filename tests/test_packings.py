@@ -92,6 +92,10 @@ class TestPointPacking:
         with pytest.raises(ValueError, match=message):
             PointPacking.from_pairs(Lattice(GAUSSIAN, 4, 4, 0, 4), [(2, 2), (6, 0), (14, 10)])
 
+    def test_from_pairs_refuses_no_components(self):
+        with pytest.raises(ValueError, match="^a packing needs at least one component$"):
+            PointPacking.from_pairs(Lattice.ring_lattice(GAUSSIAN), [])
+
 
 def _meet(lattice, x_k, x_j, s):
     """A point of s(x_k + Γ) ∩ (x_j + Γ) when s(x_k) and x_j share a residue
@@ -99,8 +103,8 @@ def _meet(lattice, x_k, x_j, s):
     Γ ∩ (s(x_k) - x_j + sΓ) that the per-pair solve of
     references.coset_point finds."""
     img = s.image_lattice(lattice)
-    _, total, (a, b) = ref.sum_frame(lattice, img, (s.apply(x_k), x_j))
-    ell = ref.coset_point(lattice, img, s.apply(x_k) - x_j)
+    _, total, (a, b) = ref.sum_frame(lattice, img, (ref.apply(s, x_k), x_j))
+    ell = ref.coset_point(lattice, img, ref.apply(s, x_k) - x_j)
     assert (ell is not None) == (total.reduce(*a) == total.reduce(*b))
     return None if ell is None else x_j + ell
 
@@ -133,7 +137,7 @@ class TestComponentIntersection:
                 # The offset witnesses a point of both components.
                 assert packing.lattice.contains(offset - x_j)
                 assert s.image_lattice(packing.lattice).contains(
-                    offset - s.apply(x_k)
+                    offset - ref.apply(s, x_k)
                 )
 
     def test_offset_coset_is_the_intersection(self):
@@ -152,10 +156,10 @@ class TestComponentIntersection:
             for t1 in range(-2, 3):
                 pt = offset + ref.point(inter, t0, t1)
                 assert base.contains(pt - x_j)
-                assert img.contains(pt - s.apply(x_k))
+                assert img.contains(pt - ref.apply(s, x_k))
         stray = offset + ref.point(base, 1, 0)
         if not inter.contains(stray - offset):
-            assert not img.contains(stray - s.apply(x_k))
+            assert not img.contains(stray - ref.apply(s, x_k))
 
 
 class TestCheckSimilarity:
@@ -208,7 +212,7 @@ class TestCheckSimilarity:
         img = s.image_lattice(packing.lattice)
         for k, j, offset in witness_points(packing, report):
             assert packing.lattice.contains(offset - packing.shifts[j])
-            assert img.contains(offset - s.apply(packing.shifts[k]))
+            assert img.contains(offset - ref.apply(s, packing.shifts[k]))
 
 
 class TestScalSetPacking:
@@ -427,6 +431,25 @@ def residue_sets(draw):
     accepted = set(units) - dropped
     assume(accepted)
     return accepted, modulus, q
+
+
+def test_scal_residues_double_per_prime_up_to_the_cap():
+    # Shifts 0 and 1/p over Z[i] along z = 1: each 1/p meets 0 + Γ at p ≡ 0
+    # and itself at p ≡ 1 (mod p), so each prime doubles the residues the
+    # q = 1 solve keeps: 2¹⁰ = 1,024 for the primes up to 29, and
+    # 2¹¹ > MAX_SCAL_RESIDUES = 2,000 with 31.
+    def packing(primes):
+        d = math.prod(primes)
+        pairs = [(0, 0)] + [(d // p, 0) for p in primes]
+        return PointPacking.from_pairs(Lattice(GAUSSIAN, d, d, 0, d), pairs)
+
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    d = Direction.from_ints(GAUSSIAN, 1, 0)
+    [(q, modulus, accepted)] = pk._sweep_direction(packing(primes), d)
+    assert (q, modulus, len(accepted)) == (1, math.prod(primes), 2 ** 10)
+    assert pk.MAX_SCAL_RESIDUES == 2000
+    with pytest.raises(ValueError, match=r"needs more than 2000 residues"):
+        pk._sweep_direction(packing(primes + (31,)), d)
 
 
 class TestSweepFrame:
@@ -834,7 +857,7 @@ class TestProposition41Witness:
             lcm_den = 1
             for x in packing.shifts:
                 lcm_den = math.lcm(lcm_den, x.a.denominator, x.b.denominator)
-            d = Direction(z, conjugate)
+            d = Direction.from_ints(ring, *z, conjugate)
             witness = d.similarity(lcm_den * F(*sim.denominator(packing.lattice, d)))
             assert pk.check_similarity(packing, witness).accepted
 
@@ -1260,8 +1283,8 @@ def frame_cases(draw):
 
 class TestIntegerFrameMatchesFieldElemFrame:
     """The integer map and the frame Γ + sΓ built on it against the route
-    they replaced: s.apply on FieldElem points, sΓ from the images of Γ's
-    generators, and the sum of Γ and sΓ over their least common
+    they replaced: references.apply on FieldElem points, sΓ from the images
+    of Γ's generators, and the sum of Γ and sΓ over their least common
     denominator; the decision read from the frame against the per-pair
     reference."""
 
@@ -1273,7 +1296,7 @@ class TestIntegerFrameMatchesFieldElemFrame:
         points = list(gamma.basis) + list(packing.residues) + pairs
         e, images = s.map_pairs(points)
         for (x, y), (ix, iy) in zip(points, images, strict=True):
-            expected = s.apply(FieldElem(ring, F(x, gamma.d), F(y, gamma.d)))
+            expected = ref.apply(s, FieldElem(ring, F(x, gamma.d), F(y, gamma.d)))
             assert FieldElem(ring, F(ix, e * gamma.d), F(iy, e * gamma.d)) == expected
         assert s.image_lattice(gamma) == ref.image_lattice(s, gamma)
         assert pk._frame(packing, s)[1] == ref.frame(packing, s)[0]
@@ -1317,7 +1340,8 @@ class TestNoFractionOnTheDecisionPath:
             den = rng.randint(1, 3)
             gens = [(F(h00, den), F(0)), (F(rng.randrange(h00), den), F(index // h00, den))]
             gamma = Lattice.from_generators(ring, gens)
-            d = Direction(orc._random_primitive(rng, ring, 30), rng.random() < 0.5)
+            z = orc._random_primitive(rng, ring, 30)
+            d = Direction.from_ints(ring, *z, rng.random() < 0.5)
             if i % 2:
                 # (1/den)·R over Γ: any integer multiple of z maps it into itself.
                 fine = Lattice(ring, den, 1, 0, 1)
@@ -1384,7 +1408,8 @@ class TestNoFractionOnTheDecisionPath:
             if i % 3 == 2:  # (1/d)·R over Γ, accepted by integer multiples of z
                 shifts = ref.quotient_representatives(gamma, Lattice(ring, gamma.d, 1, 0, 1))
             packing = PointPacking(gamma, tuple(shifts))
-            d = Direction(orc._random_primitive(rng, ring, 30), rng.random() < 0.5)
+            z = orc._random_primitive(rng, ring, 30)
+            d = Direction.from_ints(ring, *z, rng.random() < 0.5)
             if i % 3 == 2:
                 s = d.similarity(rng.randint(1, 3))
             elif i % 3:  # Proposition 4.1: lcm·den(Γ, R)·z is accepted
@@ -1405,7 +1430,8 @@ class TestNoFractionOnTheDecisionPath:
         def refuse(*args):
             raise AssertionError("a FieldElem product on the decision path")
 
-        monkeypatch.setattr(Similarity, "apply", refuse)
+        monkeypatch.setattr(Similarity, "w", property(refuse))
+        monkeypatch.setattr(Lattice, "element", refuse)
         monkeypatch.setattr(FieldElem, "__mul__", refuse)
         built = []
         new = F.__new__
@@ -1534,7 +1560,7 @@ class TestIntAndFractionAgree:
                 lifted, per, pk.scal_classes_by_tau(packing, d), (ratio, d),
                 [str(x) for x in packing.shifts],
             ))
-            points = [*packing.shifts, *lifted.shifts, d.z]
+            points = [*packing.shifts, *lifted.shifts, FieldElem(d.ring, *d.ints)]
             coords = [c for x in points for c in (x.a, x.b)]
             assert all(type(c) in (int, F) for c in coords)
             fields = [c for g in (packing.lattice, lifted.lattice, per) for c in (g.d, g.b00, g.b01, g.b11)]
@@ -1612,7 +1638,13 @@ class TestClosure:
         assert diag.all_compositions_accepted()
         assert diag.hypothesis_holds()
 
-    def test_inverse_probe(self):
-        packing = preset("hex")
-        assert pk.inverse_probe(packing, simw(EISENSTEIN, 2, 2)) is True
-        assert pk.inverse_probe(preset("ex34"), simw(GAUSSIAN, 0, 1)) is True
+    def test_scal_outside_lattice_scal(self):
+        # The packing and direction of test_reflection_with_denominator_five:
+        # den(Z[i], R) = 1·|z|, so Scal(Γ, R) = Z·|z| holds no q = 5 class,
+        # while Scal(L, R) has one.
+        shifts = tuple(FieldElem(GAUSSIAN, F(2 * k % 5, 5), F(k, 5)) for k in range(5))
+        packing = PointPacking(Lattice.ring_lattice(GAUSSIAN), shifts)
+        d = Direction.from_ints(GAUSSIAN, 3, 4, True)
+        assert sim.denominator(packing.lattice, d) == (1, 1)
+        assert 5 in {c.q for c in pk.scal_set_packing(packing, d).classes}
+        assert pk._scal_subset_of_lattice_scal(packing, d) is False

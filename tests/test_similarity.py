@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from simiso import lattices as lat, similarity as sim
 from simiso.lattices import Lattice
 from simiso.packings import PointPacking
-from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
+from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem, RingMismatchError
 from simiso.similarity import (
     Direction,
+    ResidueClass,
     ScalSet,
     Similarity,
     compose,
@@ -24,7 +25,7 @@ from simiso.similarity import (
     scal_lattice,
 )
 
-from references import contains_lattice
+from references import apply, contains_lattice
 
 F = Fraction
 ZI = Lattice.ring_lattice(GAUSSIAN)
@@ -58,11 +59,11 @@ class TestSimilarity:
 
     def test_apply_rotation(self):
         s = Similarity(fe(GAUSSIAN, 0, 1))
-        assert s.apply(fe(GAUSSIAN, 1, 0)) == fe(GAUSSIAN, 0, 1)
+        assert s.map_pairs([(1, 0)]) == (1, [(0, 1)])
 
     def test_apply_reflection(self):
         s = Similarity(FieldElem(GAUSSIAN, 1, 0), conjugate=True)
-        assert s.apply(fe(GAUSSIAN, 2, 3)) == fe(GAUSSIAN, 2, -3)
+        assert s.map_pairs([(2, 3)]) == (1, [(2, -3)])
 
     def test_scale_sq(self):
         assert Similarity(fe(GAUSSIAN, 2, 2)).scale_sq() == 8  # β = 2√2
@@ -108,7 +109,7 @@ class TestIntegerConstructor:
         ex, images = s.map_pairs(pairs)
         for (x, y), (ix, iy) in zip(pairs, images, strict=True):
             point = FieldElem(ring, F(x, gamma.d), F(y, gamma.d))
-            assert FieldElem(ring, F(ix, ex * gamma.d), F(iy, ex * gamma.d)) == t.apply(point)
+            assert FieldElem(ring, F(ix, ex * gamma.d), F(iy, ex * gamma.d)) == apply(t, point)
         img = s.image_lattice(gamma)
         assert img == t.image_lattice(gamma) and img.d == t.image_lattice(gamma).d
         assert copy.copy(s) == s and pickle.loads(pickle.dumps(s)) == s
@@ -120,7 +121,7 @@ class TestIntegerConstructor:
         d = Direction.from_ints(ring, *z, conjugate)
         elem = FieldElem(ring, *z)
         assert d == Direction(elem, conjugate) and hash(d) == hash(Direction(elem, conjugate))
-        assert d.z == elem and d.ints == z and d.norm() == elem.norm()
+        assert FieldElem(ring, *d.ints) == elem and d.ints == z and d.norm() == elem.norm()
         assert str(d) == f"({elem})/|{elem}|" + ("·conj" if conjugate else "")
         assert copy.copy(d) == d and pickle.loads(pickle.dumps(d)) == d
         ratio = F(p, q)
@@ -172,19 +173,19 @@ class TestDecompose:
     def test_examples(self, w, ratio, z):
         r, d = decompose(Similarity(w))
         assert r == ratio
-        assert (d.z.a, d.z.b) == z
+        assert d.ints == z
 
     def test_negative_folds_into_z(self):
         r, d = decompose(Similarity(fe(GAUSSIAN, -3, 0)))
-        assert r == 3 and d.z == RingElem(GAUSSIAN, -1, 0)
+        assert r == 3 and FieldElem(d.ring, *d.ints) == RingElem(GAUSSIAN, -1, 0)
 
     @given(field_elems(nonzero=True), st.booleans())
     def test_roundtrip(self, w, conjugate):
         r, d = decompose(Similarity(w, conjugate))
         assert r > 0
-        assert math.gcd(d.z.a, d.z.b) == 1
+        assert math.gcd(*d.ints) == 1
         assert d.conjugate == conjugate
-        assert d.z.scale(r) == w
+        assert FieldElem(d.ring, *d.ints).scale(r) == w
 
     def test_roundtrip_bulk(self):
         import random
@@ -200,7 +201,7 @@ class TestDecompose:
             if w.is_zero():
                 continue
             r, d = decompose(Similarity(w))
-            assert r > 0 and d.z.scale(r) == w
+            assert r > 0 and FieldElem(d.ring, *d.ints).scale(r) == w
 
 
 class TestCompose:
@@ -214,6 +215,11 @@ class TestCompose:
         out = compose(t, t)
         assert out.w == FieldElem(GAUSSIAN, 1, 0) and not out.conjugate
 
+    def test_rings_mismatch_refused(self):
+        s2, s1 = (Similarity.from_ints(ring, 1, 1, 0) for ring in (GAUSSIAN, EISENSTEIN))
+        with pytest.raises(RingMismatchError, match="^cannot mix gaussian and eisenstein elements$"):
+            compose(s2, s1)
+
     def test_conjugate_pair(self):
         s2 = Similarity(fe(GAUSSIAN, 1, 2))
         s1 = Similarity(fe(GAUSSIAN, 1, -2))
@@ -221,7 +227,7 @@ class TestCompose:
         assert out.w == fe(GAUSSIAN, 5, 0)
         # Verified pointwise on sample points.
         for pt in (fe(GAUSSIAN, 1, 0), fe(GAUSSIAN, -2, 3)):
-            assert out.apply(pt) == s2.apply(s1.apply(pt))
+            assert apply(out, pt) == apply(s2, apply(s1, pt))
 
     @given(field_elems(nonzero=True), field_elems(nonzero=True), st.booleans(), st.booleans())
     def test_matches_pointwise(self, w2, w1, c2, c1):
@@ -230,7 +236,7 @@ class TestCompose:
         s2, s1 = Similarity(w2, c2), Similarity(w1, c1)
         out = compose(s2, s1)
         for pt in (FieldElem(w1.ring, 1, 0), FieldElem(w1.ring, F(1, 2), F(2, 3))):
-            assert out.apply(pt) == s2.apply(s1.apply(pt))
+            assert apply(out, pt) == apply(s2, apply(s1, pt))
 
 
 class TestDenominator:
@@ -344,7 +350,7 @@ class TestDirection:
     def test_integral_fractions_read_as_ints(self):
         d = Direction(FieldElem(GAUSSIAN, Fraction(2), Fraction(1)), conjugate=True)
         assert d == Direction(FieldElem(GAUSSIAN, 2, 1), conjugate=True)
-        assert type(d.z.a) is int and type(d.z.b) is int
+        assert all(type(v) is int for v in d.ints)
         assert d.norm() == 5 and str(d) == "(2+i)/|2+i|·conj"
 
     def test_non_integral_refused(self):
@@ -363,3 +369,7 @@ class TestDisplay:
 
     def test_empty_set(self):
         assert ScalSet(Direction(RingElem(EISENSTEIN, 2, 1)), ()).display() == "∅"
+
+    def test_class_over_q_with_a_surd(self):
+        scal = ScalSet(Direction.from_ints(GAUSSIAN, 1, 2), (ResidueClass(2, 3, frozenset({1})),))
+        assert scal.display() == "1/2·√5·(1+3Z)"

@@ -100,16 +100,16 @@ def test_benchmark_imports_resolve():
 def test_parser_bounds_every_count():
     # A flag read with type=int takes an integer of any size; a count is read
     # with cli._bounded(lo, hi), so the parser refuses it out of range.
-    # --seed is a seed, not a count.
+    # --seed is a seed, not a count, read as cli._integer.  No flag uses
+    # plain int, which also reads 1_0, " 2 " and non-ASCII digits.
     from simiso import cli
 
     (subparsers,) = [action for action in cli.build_parser()._actions
                      if isinstance(action, argparse._SubParsersAction)]
     flags = [(command, action.option_strings or [action.dest], action.type)
              for command, parser in subparsers.choices.items() for action in parser._actions]
-    assert ("verify", ["--seed"], int) in flags
-    assert [(command, names) for command, names, kind in flags
-            if kind is int and names != ["--seed"]] == []
+    assert ("verify", ["--seed"], cli._integer) in flags
+    assert [(command, names) for command, names, kind in flags if kind is int] == []
 
 
 def test_oracle_uses_no_engine_shortcut():
@@ -138,24 +138,52 @@ def test_no_indented_json_dumps():
     assert found == []
 
 
+def _scoped_nodes(skip=()):
+    """(file, scope, node) for every AST node of every module not named in
+    skip; the scope is Class.method, a module function's name or <module>."""
+    for path in sorted(Path(simiso.__file__).parent.glob("*.py")):
+        if path.name in skip:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}  # id of each node inside a function -> its scope
+        for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
+            scopes.update((id(n), fn.name) for n in ast.walk(fn))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+                scopes.update((id(n), f"{cls.name}.{fn.name}") for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            yield path.name, scopes.get(id(node), "<module>"), node
+
+
 def test_values_are_set_only_by_made():
     # A Value's slots are set once by Value._made; object.__setattr__
     # anywhere else writes into a value after it was made, such as the
     # cached packing that preset(name) hands every caller.
-    found = []
-    for path in sorted(Path(simiso.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        scopes = {}  # id of each node inside a function -> Class.function
-        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-            for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
-                scopes.update((id(n), f"{cls.name}.{fn.name}") for n in ast.walk(fn))
-        found += [
-            f"{path.name}:{node.lineno}: {scopes.get(id(node), '<module>')}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "__setattr__"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "object"
-        ]
-    assert [where.split(": ")[1] for where in found] == ["Value._made"], found
+    found = [
+        (f"{file}:{node.lineno}", scope)
+        for file, scope, node in _scoped_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    ]
+    assert [scope for _, scope in found] == ["Value._made"], found
+
+
+def test_field_elems_are_built_only_for_the_oracle_walk():
+    # The engine maps integer pairs.  Outside rings.py a FieldElem is built
+    # only by the two views the oracle's walk reads: Lattice.element (for
+    # PointPacking.shifts) and Similarity.w.  A FieldElem(...) or
+    # RingElem(...) call, or a FieldElem.<name> attribute, anywhere else is
+    # a second arithmetic path.
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    found = [
+        (f"{file}:{node.lineno}", scope)
+        for file, scope, node in _scoped_nodes(skip=("rings.py",))
+        if isinstance(node, ast.Call) and name(node.func) in ("FieldElem", "RingElem")
+        or isinstance(node, ast.Attribute) and name(node.value) == "FieldElem"
+    ]
+    assert sorted(scope for _, scope in found) == ["Lattice.element", "Similarity.w"], found
