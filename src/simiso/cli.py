@@ -51,6 +51,8 @@ EXIT_INTERNAL = 4
 # Largest table --samples: sample_directions lists candidates below a norm
 # limit that grows with the count, so the count is capped.
 MAX_SAMPLES = 100
+# Most table --z flags: argparse takes time quadratic in their count.
+MAX_Z = 3 * MAX_SAMPLES
 # Largest verify --random and --p-bound/--q-bound: each runs the oracle.
 MAX_RANDOM = 10_000
 MAX_BOUND = 100
@@ -358,12 +360,7 @@ def run_analyze(args) -> int:
             for k, j, off in report.witness
         ]
         cor = packings.check_corollaries(report, packing, ratio, den)
-        doc["corollaries"] = {
-            "shift_pair_in_nth_lattice": cor.shift_pair_in_nth_lattice,
-            "singleton_when_lattice_scaling": cor.singleton_when_lattice_scaling,
-            "n_beta_in_lattice_scal": cor.n_beta_in_lattice_scal,
-            "all_pass": cor.all_pass(),
-        }
+        doc["corollaries"] = {**cor, "all_pass": False not in cor.values()}
     else:
         doc["failing_component"] = report.failing_k
         doc["reached"] = list(report.reached)
@@ -652,6 +649,16 @@ def _bounded(lo: int, hi: int):
     return read
 
 
+class _AppendZ(argparse.Action):
+    """An argparse action: append each --z, refusing more than MAX_Z of them."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        given = getattr(namespace, self.dest) or []
+        if len(given) == MAX_Z:
+            raise argparse.ArgumentError(self, f"at most {MAX_Z} may be given (cli.MAX_Z)")
+        setattr(namespace, self.dest, [*given, value])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="simiso",
@@ -670,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--samples", type=_bounded(1, MAX_SAMPLES),
                        help=f"directions per class, 1 to {MAX_SAMPLES} (default 2)")
-    group.add_argument("--z", action="append", help="explicit direction a,b (repeatable)")
+    group.add_argument("--z", action=_AppendZ, help=f"explicit direction a,b (up to {MAX_Z})")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.set_defaults(func=run_table)

@@ -159,7 +159,7 @@ def random_case(
     Used by the randomized engine/oracle equivalence sweeps; the packing
     shifts always include 0 and stay pairwise incongruent.  Each shift is
     drawn as i/den, j/den and kept as an integer pair over the lcm of 1 to
-    shift_denominator.
+    shift_denominator; m is clamped to the number of such pairs, so the draw ends.
     """
     a, b = _random_primitive(rng, ring, max_norm)
     while True:
@@ -169,8 +169,10 @@ def random_case(
             break
     s = Similarity.from_ints(ring, q, p * a, p * b, rng.random() < 0.5)
 
-    m = rng.randint(1, max_components)
     d = math.lcm(*range(1, shift_denominator + 1))
+    distinct = {(i * (d // den), j * (d // den))
+                for den in range(1, shift_denominator + 1) for i in range(den) for j in range(den)}
+    m = min(rng.randint(1, max_components), len(distinct))
     shifts = [(0, 0)]
     while len(shifts) < m:
         den = rng.randint(1, shift_denominator)

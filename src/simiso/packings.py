@@ -20,10 +20,11 @@ the frame S = R + sR and n = [S : R] depend on q and z only, and
 _sweep_direction reads them in closed form.  Each k meeting a residue class
 of the targets mod S is then a linear congruence in p.  The components'
 congruences are merged by the Chinese remainder theorem, which keeps τ with
-each residue, and the result is folded by its group of periods to its
-smallest modulus; neither step walks the residues of that modulus.  At
-q = 1, the q of every cell of Tables 1–5, each merged residue is a row of
-its own, and scal_classes_by_tau says why.
+each residue, and _minimal_modulus folds the result by its group of
+periods into one ResidueClass of the smallest modulus; neither step walks
+the residues of that modulus.  At q = 1, the q of every cell of Tables
+1–5, each merged residue is a row of its own, and scal_classes_by_tau says
+why.  check_corollaries and closure_check return plain dicts and tuples.
 """
 
 from __future__ import annotations
@@ -309,12 +310,8 @@ def scal_set_packing(packing: PointPacking, d: Direction) -> ScalSet:
     Residue classes are merged to the smallest modulus that still matches
     the solve, which restores the compact union-of-classes form.
     """
-    classes: list[ResidueClass] = []
-    for q, modulus, accepted in _sweep_direction(packing, d):
-        if accepted:
-            mod, residues = _minimal_modulus(set(accepted), modulus, q)
-            classes.append(ResidueClass(q=q, modulus=mod, residues=residues))
-    return ScalSet(d, tuple(classes))
+    return ScalSet(d, tuple(_minimal_modulus(set(accepted), modulus, q)
+                            for q, modulus, accepted in _sweep_direction(packing, d) if accepted))
 
 
 def scal_classes_by_tau(
@@ -344,17 +341,14 @@ def scal_classes_by_tau(
         by_tau: dict[tuple[tuple[int, int], ...], set[int]] = {}
         for r, tau in accepted.items():
             by_tau.setdefault(tau, set()).add(r)
-        for tau, residues in by_tau.items():
-            mod, folded = _minimal_modulus(residues, modulus, q)
-            rows.append((ResidueClass(q=q, modulus=mod, residues=folded), tau))
+        rows += [(_minimal_modulus(residues, modulus, q), tau) for tau, residues in by_tau.items()]
     rows.sort(key=lambda rt: (rt[0].q, rt[0].modulus, min(rt[0].residues)))
     return rows
 
 
-def _minimal_modulus(
-    accepted: set[int], modulus: int, q: int
-) -> tuple[int, frozenset[int]]:
-    """Smallest divisor of modulus expressing the accepted residues.
+def _minimal_modulus(accepted: set[int], modulus: int, q: int) -> ResidueClass:
+    """The accepted residues mod modulus, as one class over the smallest
+    divisor of modulus that expresses them.
 
     Residues r with gcd(r, q) ≠ 1 are unconstrained (they belong to other
     denominators q), so consistency is only required on the coprime ones.
@@ -379,37 +373,23 @@ def _minimal_modulus(
         lifts = (c % rest + i * rest for c in folded for i in range(ell))
         if all(x in folded for x in lifts if math.gcd(x, q) == 1):
             drop *= ell
-    return h // drop, frozenset(r % (h // drop) for r in accepted)
-
-
-@dataclass(frozen=True)
-class CorollaryDiagnostics:
-    """Per-assertion results for the consequences of an accepted report."""
-
-    shift_pair_in_nth_lattice: bool | None
-    singleton_when_lattice_scaling: bool | None
-    n_beta_in_lattice_scal: bool
-
-    def all_pass(self) -> bool:
-        return all(v is not False for v in (
-            self.shift_pair_in_nth_lattice,
-            self.singleton_when_lattice_scaling,
-            self.n_beta_in_lattice_scal,
-        ))
+    return ResidueClass(q, h // drop, frozenset(r % (h // drop) for r in accepted))
 
 
 def check_corollaries(
     report: SimilarityReport, packing: PointPacking, ratio: Fraction, den: tuple[int, int]
-) -> CorollaryDiagnostics:
+) -> dict[str, bool | None]:
     """Verify the structural consequences of an accepted similarity.
 
     The caller passes ratio = p/q, with s = ratio·z from decompose, and
     den = (a, b) for den(Γ, R) = (a/b)·|z| from similarity.denominator, so
-    that βRΓ ⊆ Γ exactly when ratio/den = p·b/(q·a) ∈ Z: (i) for n ≥ 2 some
-    pair of distinct shifts differs by a point of (1/n)Γ: two residues n·x_k
-    over d·Γ reduce alike; (ii) when
-    ratio/den ∈ Z each component lands in exactly one component; (iii) n·β
-    is a lattice scaling factor, n·ratio/den ∈ Z.  No Fraction is built.
+    that βRΓ ⊆ Γ exactly when ratio/den = p·b/(q·a) ∈ Z.  Returns a dict of
+    three facts, None where one is vacuous, and builds no Fraction: (i)
+    "shift_pair_in_nth_lattice", for n ≥ 2 two residues n·x_k over d·Γ reduce
+    alike, so two shifts differ by a point of (1/n)Γ; (ii)
+    "singleton_when_lattice_scaling", when ratio/den ∈ Z each component lands
+    in exactly one; (iii) "n_beta_in_lattice_scal", n·β is a lattice scaling
+    factor, n·ratio/den ∈ Z.
     """
     if not report.accepted:
         raise ValueError("corollary checks need an accepted report")
@@ -425,8 +405,9 @@ def check_corollaries(
     if top % bottom == 0:
         singleton_ok = sorted(k for k, _ in report.tau) == list(range(packing.m))
 
-    n_beta_ok = n * top % bottom == 0
-    return CorollaryDiagnostics(pair_ok, singleton_ok, n_beta_ok)
+    return {"shift_pair_in_nth_lattice": pair_ok,
+            "singleton_when_lattice_scaling": singleton_ok,
+            "n_beta_in_lattice_scal": n * top % bottom == 0}
 
 
 def periods(packing: PointPacking) -> Lattice:
@@ -482,28 +463,14 @@ def _assert_same_point_set(packing: PointPacking, reduced: PointPacking) -> None
         raise RuntimeError("reduced packing misses a component")
 
 
-@dataclass(frozen=True)
-class ClosureDiagnostics:
-    """Composition closure over sampled similarity pairs, one flag per pair,
-    plus the monoid hypothesis Scal(L,R) ⊆ Scal(Γ,R) per distinct direction."""
-
-    composed_accepted: tuple[bool, ...]
-    hypothesis_by_direction: tuple[tuple[Direction, bool], ...]
-
-    def all_compositions_accepted(self) -> bool:
-        return all(self.composed_accepted)
-
-    def hypothesis_holds(self) -> bool:
-        return all(ok for _, ok in self.hypothesis_by_direction)
-
-
 def closure_check(
     packing: PointPacking, pairs: list[tuple[Similarity, Similarity]]
-) -> ClosureDiagnostics:
+) -> tuple[tuple[bool, ...], tuple[tuple[Direction, bool], ...]]:
     """Check closure under composition on sampled accepted pairs.
 
-    Every sampled similarity must be individually accepted.  The monoid
-    hypothesis is decided exactly through scal_set_packing.
+    Every sampled similarity must be individually accepted.  Returns a flag
+    per pair, whether s2∘s1 is accepted, and per distinct direction, in order
+    of appearance, (d, whether Scal(L,R) ⊆ Scal(Γ,R)), decided exactly.
     """
     results = []
     directions: list[Direction] = []
@@ -515,9 +482,7 @@ def closure_check(
             if d not in directions:
                 directions.append(d)
         results.append(check_similarity(packing, sim.compose(s2, s1)).accepted)
-
-    hypo = [(d, _scal_subset_of_lattice_scal(packing, d)) for d in directions]
-    return ClosureDiagnostics(tuple(results), tuple(hypo))
+    return tuple(results), tuple((d, _scal_subset_of_lattice_scal(packing, d)) for d in directions)
 
 
 def _scal_subset_of_lattice_scal(packing: PointPacking, d: Direction) -> bool:

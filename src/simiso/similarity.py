@@ -14,6 +14,7 @@ triple (q, p·a, p·b), and the Scal sweep maps by z's ints alone (_times),
 so neither builds a Fraction.
 den(Γ, R), the least β with βRΓ ⊆ Γ as the integer pair of its ratio to
 |z|, is read from the images of Γ's integer basis under z's ints.
+One printer, _class_text, writes a residue class against "den" or |z|.
 """
 
 from __future__ import annotations
@@ -220,12 +221,14 @@ class ResidueClass:
     def display(self, norm_z: int | None = None) -> str:
         """Its residues in order, joined by ∪: written against the symbol
         "den" (table cells) when norm_z is None, else with |z| = √norm_z."""
-        q, modulus = self.q, self.modulus
+        q = self.q
         if norm_z is None:
-            parts = (_symbolic_class(q, modulus, r) for r in sorted(self.residues))
+            lead, unit = ("den" if q == 1 else f"(1/{q})·den"), None
         else:
-            parts = (_concrete_class(q, modulus, r, norm_z) for r in sorted(self.residues))
-        return " ∪ ".join(parts)
+            s = math.isqrt(norm_z)
+            lead = format_scale(Fraction(1, q), norm_z)
+            unit = Fraction(s, q) if s * s == norm_z else None
+        return " ∪ ".join(_class_text(lead, unit, self.modulus, r) for r in sorted(self.residues))
 
 
 @dataclass(frozen=True)
@@ -272,14 +275,6 @@ class ScalSet:
         return " ∪ ".join(c.display(norm_z) for c in classes)
 
 
-def _symbolic_class(q: int, modulus: int, r: int) -> str:
-    if r == 0:
-        body = "den·Z" if modulus == 1 else f"den·{modulus}Z"
-    else:
-        body = f"den·({r}+{modulus}Z)"
-    return body if q == 1 else f"(1/{q})·{body}"
-
-
 def format_scale(ratio: Fraction, norm_z: int) -> str:
     """Display of β = ratio·√norm_z, collapsing perfect squares."""
     s = math.isqrt(norm_z)
@@ -290,30 +285,21 @@ def format_scale(ratio: Fraction, norm_z: int) -> str:
     return f"{ratio}·√{norm_z}"
 
 
-def _concrete_class(q: int, modulus: int, r: int, norm_z: int) -> str:
-    s = math.isqrt(norm_z)
-    square = s * s == norm_z
-    if r == 0:
-        if square:
-            coeff = Fraction(modulus * s, q)
-            return "Z" if coeff == 1 else f"{coeff}Z"
-        lead = format_scale(Fraction(1, q), norm_z)
-        return f"{lead}·Z" if modulus == 1 else f"{lead}·{modulus}Z"
-    body = f"({r}+{modulus}Z)"
-    if square and Fraction(s, q) == 1:
-        return body
-    return f"{format_scale(Fraction(1, q), norm_z)}·{body}"
-
-
-def _den_ratio_classes(a: int, b: int) -> tuple[ResidueClass, ...]:
-    """Classes describing the set (a/b)·Z of rationals, a/b reduced."""
-    out = []
-    for d in range(1, b + 1):
-        if b % d == 0:
-            out.append(ResidueClass(q=b // d, modulus=a, residues=frozenset({0})))
-    return tuple(out)
+def _class_text(lead: str, unit: Fraction | None, modulus: int, r: int) -> str:
+    """The class (r + modulus·Z)·lead of one residue r; unit is lead's value
+    when it is rational, so that r = 0 collapses to a multiple of Z and a
+    unit lead is left out."""
+    if r:
+        body = f"({r}+{modulus}Z)"
+        return body if unit == 1 else f"{lead}·{body}"
+    if unit is not None:
+        return "Z" if (coeff := unit * modulus) == 1 else f"{coeff}Z"
+    return f"{lead}·Z" if modulus == 1 else f"{lead}·{modulus}Z"
 
 
 def scal_lattice(lattice: Lattice, d: Direction) -> ScalSet:
-    """Scal(Γ, R) = den(Γ, R)·Z, as residue classes of ratios of |z|."""
-    return ScalSet(d, _den_ratio_classes(*denominator(lattice, d)))
+    """Scal(Γ, R) = den(Γ, R)·Z for den = (a/b)·|z|: the p/q in (a/b)·Z are
+    the multiples p of a over each divisor q of b."""
+    a, b = denominator(lattice, d)
+    return ScalSet(d, tuple(ResidueClass(b // k, a, frozenset({0}))
+                            for k in range(1, b + 1) if b % k == 0))

@@ -15,7 +15,10 @@ checks the engine's integer arithmetic against plain field arithmetic:
   its modulus with each trial map z/q built as a FieldElem;
 - render: the window enumeration on Fraction points, the circle bound on
   Fraction corners, and the figure drawn component by component;
-- oracle: the size of its walk from a closed form of its period over z(Γ).
+- oracle: the size of its walk from a closed form of its period over z(Γ);
+- similarity: the two printers of one residue class that
+  ResidueClass.display joined into one, against the symbol "den" and
+  with |z| = √N(z).
 Results of the ring functions are fixed only up to a unit.
 """
 
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 from simiso import lattices as lat, packings as pk, render as rd
 from simiso.lattices import Lattice
-from simiso.similarity import Similarity
+from simiso.similarity import Similarity, format_scale
 from simiso.rings import (GAUSSIAN, FieldElem, RingElem, RingMismatchError, over_denominator,
                           ring_coordinates)
 
@@ -598,3 +601,30 @@ def render_svg(packing, s, image, window):
         ly += 16
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def symbolic_class(q, modulus, r):
+    """The class p ≡ r (mod modulus) of ratios p/q, written against the
+    symbol den of a table cell."""
+    if r == 0:
+        body = "den·Z" if modulus == 1 else f"den·{modulus}Z"
+    else:
+        body = f"den·({r}+{modulus}Z)"
+    return body if q == 1 else f"(1/{q})·{body}"
+
+
+def concrete_class(q, modulus, r, norm_z):
+    """The same class written with |z| = √norm_z, collapsed to an integer
+    multiple of Z when norm_z is a square and r = 0."""
+    s = math.isqrt(norm_z)
+    square = s * s == norm_z
+    if r == 0:
+        if square:
+            coeff = Fraction(modulus * s, q)
+            return "Z" if coeff == 1 else f"{coeff}Z"
+        lead = format_scale(Fraction(1, q), norm_z)
+        return f"{lead}·Z" if modulus == 1 else f"{lead}·{modulus}Z"
+    body = f"({r}+{modulus}Z)"
+    if square and Fraction(s, q) == 1:
+        return body
+    return f"{format_scale(Fraction(1, q), norm_z)}·{body}"

@@ -33,6 +33,7 @@ from simiso.cli import (
     MAX_RANDOM,
     MAX_RATIONAL_CHARS,
     MAX_SAMPLES,
+    MAX_Z,
     InputError,
     _rational,
     main,
@@ -600,6 +601,26 @@ class TestTable:
         assert main(["table", "t2", "--samples", str(samples)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert len({line.split(",")[2] for line in lines[1:]}) == 3 * samples
+
+    def test_z_at_the_cap(self, capsys):
+        assert MAX_Z == 300
+        assert main(["table", "t1", "--z=1,2"]) == EXIT_OK
+        one = capsys.readouterr().out.splitlines()
+        assert main(["table", "t1", *["--z=1,2"] * MAX_Z]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == one[0] and rows[1:] == one[1:] * MAX_Z
+
+    def test_z_above_the_cap_refused_before_any_z_is_read(self, monkeypatch, capsys):
+        # The first --z is malformed, so reading it would name it instead.
+        def reached(*args, **kwargs):
+            raise RuntimeError("a table was built")
+
+        monkeypatch.setattr(cli, "table_rows", reached)
+        argv = ["table", "t1", "--z=x", *["--z=1,0"] * MAX_Z]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument --z: at most {MAX_Z} may be given (cli.MAX_Z)\n"
 
     def test_samples_are_the_first_by_norm(self):
         # The box [1, 80) × [0, 80) holds every primitive z of the sector

@@ -3,7 +3,8 @@
 A change that means to keep every output byte-identical must keep DIGEST:
 the SHA-256 over argv, exit code, stdout and stderr of each command below,
 run in process through cli.main.  The list covers the tables as CSV and as
-JSON, with explicit and with sampled directions, every preset, one figure refused above the circle cap, rational
+JSON, with explicit and with sampled directions and one count of --z above
+its cap, every preset, one figure refused above the circle cap, rational
 packings over sheared lattices, congruent-shift refusals included, and
 verify --direction sweeps that reach q > 1.  A change that alters output on
 purpose recomputes DIGEST with golden_digest() and says why.
@@ -28,7 +29,7 @@ from fractions import Fraction
 from simiso import cli
 from simiso.rings import EISENSTEIN, GAUSSIAN
 
-DIGEST = "0b2e85a6b5ae0c188a194949a5143f460b015a068bad7748c498db0141d344c0"
+DIGEST = "6146cd9ed16af05dc51c1d711a176cee32cb9844bbefee3e7259140585fd2f4b"
 
 _TABLE_RINGS = {"t1": GAUSSIAN, "t2": EISENSTEIN, "t3": EISENSTEIN, "t4": EISENSTEIN,
                 "t5": EISENSTEIN}
@@ -127,6 +128,8 @@ def commands():
     # --samples 11 over Z[i], where 1+8i comes before 7+4i.
     yield from (["table", name] for name in _TABLE_RINGS)
     yield ["table", "t1", "--samples", "11"]
+    # One --z above cli.MAX_Z is refused by the parser.
+    yield ["table", "t1", *(f"--z={a},1" for a in range(301))]
 
 
 def records():

@@ -385,3 +385,18 @@ class TestEngineOracleAgreement:
             engine = pk.check_similarity(packing, s).accepted
             oracle_ok, _ = orc.certify_subpacking(packing, s)
             assert engine == oracle_ok == expected, (name, s)
+
+
+class TestRandomCase:
+    def test_m_is_clamped_to_the_distinct_shifts(self):
+        # Over denominators ≤ 1 the only shift is 0, and over denominators
+        # ≤ 2 there are four, (0 or 1/2, 0 or 1/2): a draw of more distinct
+        # shifts would never end.
+        counts = set()
+        for seed in range(12):
+            rng = random.Random(seed)
+            case = orc.random_case(rng, GAUSSIAN, shift_denominator=1)
+            assert case.packing.m == 1
+            case = orc.random_case(rng, EISENSTEIN, shift_denominator=2, max_components=5)
+            counts.add(case.packing.m)
+        assert counts == {1, 2, 3, 4}

@@ -25,7 +25,7 @@ from simiso.similarity import (
     scal_lattice,
 )
 
-from references import apply, contains_lattice
+from references import apply, concrete_class, contains_lattice, symbolic_class
 
 F = Fraction
 ZI = Lattice.ring_lattice(GAUSSIAN)
@@ -284,6 +284,16 @@ class TestScalLattice:
         assert not ss.contains_ratio(F(1, 2))
         assert ss.display() == "√5·Z"
 
+    def test_den_with_a_denominator(self):
+        # Γ = (2+i)·Z[i] and the reflection along 3+4i: den(Γ, R) = (1/5)·|z|,
+        # so (1/5)·Z holds the p/5 and the integers, one class over each q | 5.
+        # With |z| = 5 the integers show as 5Z and the reduced p/5 as Z.
+        gamma = Lattice.from_generators(GAUSSIAN, [(F(2), F(1)), (F(-1), F(2))])
+        ss = scal_lattice(gamma, Direction.from_ints(GAUSSIAN, 3, 4, True))
+        assert ss.classes == (ResidueClass(5, 1, frozenset({0})), ResidueClass(1, 1, frozenset({0})))
+        assert ss.contains_ratio(F(2, 5)) and ss.contains_ratio(3) and not ss.contains_ratio(F(1, 10))
+        assert ss.display() == "5Z ∪ Z"
+
     def test_identity_direction(self):
         ss = scal_lattice(RECT31, Direction(RingElem(GAUSSIAN, 1, 0)))
         assert ss.min_positive_ratio() == 1
@@ -373,3 +383,21 @@ class TestDisplay:
     def test_class_over_q_with_a_surd(self):
         scal = ScalSet(Direction.from_ints(GAUSSIAN, 1, 2), (ResidueClass(2, 3, frozenset({1})),))
         assert scal.display() == "1/2·√5·(1+3Z)"
+
+    def test_class_display_matches_the_two_printers(self):
+        # Every class r + modulus·Z over q, q ≤ 7 and modulus ≤ 12, against
+        # den and against |z| = √N for N ≤ 49, squares and surds alike: one
+        # residue at a time, then all residues of the modulus joined by ∪.
+        for q in range(1, 8):
+            for modulus in range(1, 13):
+                every = ResidueClass(q, modulus, frozenset(range(modulus)))
+                assert every.display() == " ∪ ".join(
+                    symbolic_class(q, modulus, r) for r in range(modulus))
+                for norm_z in range(1, 50):
+                    assert every.display(norm_z) == " ∪ ".join(
+                        concrete_class(q, modulus, r, norm_z) for r in range(modulus))
+                for r in range(modulus):
+                    c = ResidueClass(q, modulus, frozenset({r}))
+                    assert c.display() == symbolic_class(q, modulus, r)
+                    for norm_z in range(1, 50):
+                        assert c.display(norm_z) == concrete_class(q, modulus, r, norm_z)

@@ -35,6 +35,27 @@ def test_source_parses_as_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=oldest)
 
 
+def test_workflow_matches_the_repo():
+    # The CI workflow is checked here against what it must agree with: its
+    # oldest matrix Python is pyproject.toml's requires-python, it runs the
+    # Tier-1 command that ROADMAP.md names, and its smoke step runs
+    # perfbench/smoke.py on a Python of the matrix.
+    root = Path(simiso.__file__).parents[2]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    roadmap = (root / "ROADMAP.md").read_text(encoding="utf-8")
+    oldest = re.search(r'requires-python = ">=(3\.\d+)"', pyproject).group(1)
+    matrix = re.findall(r'"(3\.\d+)"', re.search(r"python-version: \[(.*)\]", workflow).group(1))
+    assert min(matrix, key=lambda v: int(v.split(".")[1])) == oldest
+    steps = dict(re.findall(r"- name: (.+)\n((?:        .*\n)+)", workflow))
+    runs = {name: re.findall(r"run: (.+)", body) for name, body in steps.items()}
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
+    assert [tier1] in runs.values()
+    (smoke,) = [name for name, run in runs.items() if run == ["python3 perfbench/smoke.py"]]
+    assert (root / "perfbench" / "smoke.py").is_file()
+    assert re.search(r"if: matrix.python-version == '(3\.\d+)'", steps[smoke]).group(1) in matrix
+
+
 def test_every_public_function_is_reached():
     # A public module-level function that nothing else in the package names
     # and that simiso does not export has no caller: delete it or export it.
