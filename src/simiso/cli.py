@@ -16,6 +16,7 @@ integer triple (q, p·a, p·b) of z = a + b·u and the scale p/q.  The presets,
 each table --z, the pair (a, b), and the --window corners, over their least
 common denominator, are integers too.
 
+main refuses more than MAX_ARGS arguments before the parser is built.
 Flag rules live in build_parser; run_verify keeps the three that read a value.
 """
 
@@ -48,11 +49,11 @@ EXIT_INPUT = 2
 EXIT_DISCREPANCY = 3
 EXIT_INTERNAL = 4
 
+# Most arguments: argparse's time is quadratic in the count of a repeated flag.
+MAX_ARGS = 1_000
 # Largest table --samples: sample_directions lists candidates below a norm
 # limit that grows with the count, so the count is capped.
 MAX_SAMPLES = 100
-# Most table --z flags: argparse takes time quadratic in their count.
-MAX_Z = 3 * MAX_SAMPLES
 # Largest verify --random and --p-bound/--q-bound: each runs the oracle.
 MAX_RANDOM = 10_000
 MAX_BOUND = 100
@@ -649,16 +650,6 @@ def _bounded(lo: int, hi: int):
     return read
 
 
-class _AppendZ(argparse.Action):
-    """An argparse action: append each --z, refusing more than MAX_Z of them."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        given = getattr(namespace, self.dest) or []
-        if len(given) == MAX_Z:
-            raise argparse.ArgumentError(self, f"at most {MAX_Z} may be given (cli.MAX_Z)")
-        setattr(namespace, self.dest, [*given, value])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="simiso",
@@ -677,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--samples", type=_bounded(1, MAX_SAMPLES),
                        help=f"directions per class, 1 to {MAX_SAMPLES} (default 2)")
-    group.add_argument("--z", action=_AppendZ, help=f"explicit direction a,b (up to {MAX_Z})")
+    group.add_argument("--z", action="append", help="explicit direction a,b (repeatable)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.set_defaults(func=run_table)
@@ -719,7 +710,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if len(argv) > MAX_ARGS:
+            raise InputError(f"at most {MAX_ARGS} arguments may be given (cli.MAX_ARGS)")
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ValueError) as exc:

@@ -388,8 +388,8 @@ def check_corollaries(
     "shift_pair_in_nth_lattice", for n ≥ 2 two residues n·x_k over d·Γ reduce
     alike, so two shifts differ by a point of (1/n)Γ; (ii)
     "singleton_when_lattice_scaling", when ratio/den ∈ Z each component lands
-    in exactly one; (iii) "n_beta_in_lattice_scal", n·β is a lattice scaling
-    factor, n·ratio/den ∈ Z.
+    in exactly one: n = 1, as τ holds n pairs per component; (iii)
+    "n_beta_in_lattice_scal", n·β is a lattice scaling factor, n·ratio/den ∈ Z.
     """
     if not report.accepted:
         raise ValueError("corollary checks need an accepted report")
@@ -401,9 +401,7 @@ def check_corollaries(
         pair_ok = len({gamma.reduce(n * x, n * y) for x, y in packing.residues}) < packing.m
 
     top, bottom = ratio.numerator * den[1], ratio.denominator * den[0]
-    singleton_ok: bool | None = None
-    if top % bottom == 0:
-        singleton_ok = sorted(k for k, _ in report.tau) == list(range(packing.m))
+    singleton_ok = (n == 1) if top % bottom == 0 else None
 
     return {"shift_pair_in_nth_lattice": pair_ok,
             "singleton_when_lattice_scaling": singleton_ok,
@@ -488,15 +486,14 @@ def closure_check(
 def _scal_subset_of_lattice_scal(packing: PointPacking, d: Direction) -> bool:
     """Whether every class of Scal(L, R) lies in Scal(Γ, R) = (a/b)·Z.
 
-    p/q in lowest terms lies there exactly when q | b and a' = a/gcd(a, b/q)
-    divides p; a' is coprime to q, so it divides every p ≡ r (mod M) coprime
-    to q exactly when it divides gcd(r, M).
+    p/q in lowest terms lies there exactly when q | b and a divides p, as a/b
+    is in lowest terms; a is then coprime to q, so it divides every p ≡ r
+    (mod M) coprime to q exactly when it divides gcd(r, M).
     """
     a, b = sim.denominator(packing.lattice, d)
     for c in scal_set_packing(packing, d).classes:
         if b % c.q:
             return False
-        step = a // math.gcd(a, b // c.q)
-        if any(math.gcd(r, c.modulus) % step for r in c.residues):
+        if any(math.gcd(r, c.modulus) % a for r in c.residues):
             return False
     return True

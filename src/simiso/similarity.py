@@ -220,14 +220,15 @@ class ResidueClass:
 
     def display(self, norm_z: int | None = None) -> str:
         """Its residues in order, joined by ∪: written against the symbol
-        "den" (table cells) when norm_z is None, else with |z| = √norm_z."""
+        "den" (table cells) when norm_z is None, else with |z| = √norm_z; a square
+        N(z) collapses a class to kZ only at q = 1, where every p is prime to q."""
         q = self.q
         if norm_z is None:
             lead, unit = ("den" if q == 1 else f"(1/{q})·den"), None
         else:
             s = math.isqrt(norm_z)
-            lead = format_scale(Fraction(1, q), norm_z)
-            unit = Fraction(s, q) if s * s == norm_z else None
+            root, unit = (str(s), s) if s * s == norm_z else (f"√{norm_z}", None)
+            lead, unit = (root, unit) if q == 1 else (f"1/{q}·{root}", None)
         return " ∪ ".join(_class_text(lead, unit, self.modulus, r) for r in sorted(self.residues))
 
 
@@ -285,10 +286,10 @@ def format_scale(ratio: Fraction, norm_z: int) -> str:
     return f"{ratio}·√{norm_z}"
 
 
-def _class_text(lead: str, unit: Fraction | None, modulus: int, r: int) -> str:
+def _class_text(lead: str, unit: int | None, modulus: int, r: int) -> str:
     """The class (r + modulus·Z)·lead of one residue r; unit is lead's value
-    when it is rational, so that r = 0 collapses to a multiple of Z and a
-    unit lead is left out."""
+    when it is an integer over q = 1, so that r = 0 collapses to a multiple
+    of Z and a unit lead is left out."""
     if r:
         body = f"({r}+{modulus}Z)"
         return body if unit == 1 else f"{lead}·{body}"

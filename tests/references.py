@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from simiso import lattices as lat, packings as pk, render as rd
 from simiso.lattices import Lattice
-from simiso.similarity import Similarity, format_scale
+from simiso.similarity import Similarity
 from simiso.rings import (GAUSSIAN, FieldElem, RingElem, RingMismatchError, over_denominator,
                           ring_coordinates)
 
@@ -614,17 +614,17 @@ def symbolic_class(q, modulus, r):
 
 
 def concrete_class(q, modulus, r, norm_z):
-    """The same class written with |z| = √norm_z, collapsed to an integer
-    multiple of Z when norm_z is a square and r = 0."""
+    """The same class written with |z| = √norm_z.  At q = 1 with norm_z a
+    square, |z| = s is an integer: r = 0 collapses to the multiple (s·modulus)Z
+    and a lead s = 1 is left out.  Over q > 1 the lead 1/q·|z| is always
+    written, as the class holds only the p prime to q."""
     s = math.isqrt(norm_z)
-    square = s * s == norm_z
+    if q == 1 and s * s == norm_z:
+        if r == 0:
+            return "Z" if s * modulus == 1 else f"{s * modulus}Z"
+        return f"({r}+{modulus}Z)" if s == 1 else f"{s}·({r}+{modulus}Z)"
+    lead = str(s) if s * s == norm_z else f"√{norm_z}"
+    lead = lead if q == 1 else f"1/{q}·{lead}"
     if r == 0:
-        if square:
-            coeff = Fraction(modulus * s, q)
-            return "Z" if coeff == 1 else f"{coeff}Z"
-        lead = format_scale(Fraction(1, q), norm_z)
         return f"{lead}·Z" if modulus == 1 else f"{lead}·{modulus}Z"
-    body = f"({r}+{modulus}Z)"
-    if square and Fraction(s, q) == 1:
-        return body
-    return f"{format_scale(Fraction(1, q), norm_z)}·{body}"
+    return f"{lead}·({r}+{modulus}Z)"

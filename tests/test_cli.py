@@ -27,13 +27,13 @@ from simiso.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REJECTED,
+    MAX_ARGS,
     MAX_BOUND,
     MAX_COMPONENTS,
     MAX_DOC_BYTES,
     MAX_RANDOM,
     MAX_RATIONAL_CHARS,
     MAX_SAMPLES,
-    MAX_Z,
     InputError,
     _rational,
     main,
@@ -602,25 +602,16 @@ class TestTable:
         lines = capsys.readouterr().out.splitlines()
         assert len({line.split(",")[2] for line in lines[1:]}) == 3 * samples
 
-    def test_z_at_the_cap(self, capsys):
-        assert MAX_Z == 300
+    def test_z_up_to_the_argument_cap(self, capsys):
+        # "table t1" and 998 --z make a command line of MAX_ARGS arguments;
+        # the cap on arguments is the only cap on a table's z list.
+        assert MAX_ARGS == 1_000
         assert main(["table", "t1", "--z=1,2"]) == EXIT_OK
         one = capsys.readouterr().out.splitlines()
-        assert main(["table", "t1", *["--z=1,2"] * MAX_Z]) == EXIT_OK
+        count = MAX_ARGS - 2
+        assert main(["table", "t1", *["--z=1,2"] * count]) == EXIT_OK
         rows = capsys.readouterr().out.splitlines()
-        assert rows[0] == one[0] and rows[1:] == one[1:] * MAX_Z
-
-    def test_z_above_the_cap_refused_before_any_z_is_read(self, monkeypatch, capsys):
-        # The first --z is malformed, so reading it would name it instead.
-        def reached(*args, **kwargs):
-            raise RuntimeError("a table was built")
-
-        monkeypatch.setattr(cli, "table_rows", reached)
-        argv = ["table", "t1", "--z=x", *["--z=1,0"] * MAX_Z]
-        assert main(argv) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: argument --z: at most {MAX_Z} may be given (cli.MAX_Z)\n"
+        assert rows[0] == one[0] and rows[1:] == one[1:] * count
 
     def test_samples_are_the_first_by_norm(self):
         # The box [1, 80) × [0, 80) holds every primitive z of the sector
@@ -1164,6 +1155,31 @@ class TestCommandLine:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_argument_cap_refused_before_the_parser_is_built(self, monkeypatch, capsys):
+        # main counts the arguments, given or read from sys.argv, before
+        # build_parser runs; at the cap the parser is built.
+        def built():
+            raise RuntimeError("the parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", built)
+        over = ["table", "t1", *["--z=1,0"] * (MAX_ARGS - 1)]
+        monkeypatch.setattr(sys, "argv", ["simiso", *over])
+        for given in ((over,), ()):
+            assert main(*given) == EXIT_INPUT
+            assert capsys.readouterr() == (
+                "", "error: at most 1000 arguments may be given (cli.MAX_ARGS)\n")
+        assert main(over[:-1]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "error: internal: RuntimeError: the parser was built\n"
+
+    def test_repeated_flag_past_the_cap_exits_2(self, capsys):
+        # argparse's time is quadratic in a repeated flag's count: without
+        # the cap these 10,002 arguments parse, and exit 0, after seconds.
+        start = time.perf_counter()
+        assert main(["table", "t1", "--z=1,0", *["--format=csv"] * 10_000]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cli.MAX_ARGS" in captured.err
+
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
     def test_endless_file_exits_2(self, capsys):
         # read(MAX_DOC_BYTES + 1) returns, where read() ran out of memory.
@@ -1624,6 +1640,12 @@ def _argv(draw, out):
             argv.append(f"--out={draw(st.sampled_from(out))}")
         else:
             argv.append(f"{flag}={draw(_VALUES[flag])}")
+    if draw(st.integers(0, 9)) == 0:
+        # Copies of one short argument fill the line to the cap, one past it
+        # or ten times it.
+        filler = draw(st.sampled_from([arg for arg in argv if len(arg) < 100]))
+        size = draw(st.sampled_from([MAX_ARGS, MAX_ARGS + 1, 10 * MAX_ARGS]))
+        argv += [filler] * (size - len(argv))
     return argv
 
 

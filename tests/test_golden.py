@@ -3,11 +3,12 @@
 A change that means to keep every output byte-identical must keep DIGEST:
 the SHA-256 over argv, exit code, stdout and stderr of each command below,
 run in process through cli.main.  The list covers the tables as CSV and as
-JSON, with explicit and with sampled directions and one count of --z above
-its cap, every preset, one figure refused above the circle cap, rational
-packings over sheared lattices, congruent-shift refusals included, and
-verify --direction sweeps that reach q > 1.  A change that alters output on
-purpose recomputes DIGEST with golden_digest() and says why.
+JSON, with explicit and with sampled directions, one table of 301 --z, one
+command line refused above cli.MAX_ARGS, every preset, one figure refused
+above the circle cap, rational packings over sheared lattices,
+congruent-shift refusals included, and verify --direction sweeps that
+reach q > 1.  A change that alters output on purpose recomputes DIGEST
+with golden_digest() and says why.
 
 Run as a script, from the root of a checkout,
 
@@ -29,7 +30,7 @@ from fractions import Fraction
 from simiso import cli
 from simiso.rings import EISENSTEIN, GAUSSIAN
 
-DIGEST = "6146cd9ed16af05dc51c1d711a176cee32cb9844bbefee3e7259140585fd2f4b"
+DIGEST = "ebf6163c7b2fcc6343f8a84a70652927257856a86f66c17d647b3052c7b58ef7"
 
 _TABLE_RINGS = {"t1": GAUSSIAN, "t2": EISENSTEIN, "t3": EISENSTEIN, "t4": EISENSTEIN,
                 "t5": EISENSTEIN}
@@ -128,8 +129,9 @@ def commands():
     # --samples 11 over Z[i], where 1+8i comes before 7+4i.
     yield from (["table", name] for name in _TABLE_RINGS)
     yield ["table", "t1", "--samples", "11"]
-    # One --z above cli.MAX_Z is refused by the parser.
+    # 301 --z make one table; 1,001 arguments, above cli.MAX_ARGS, are refused.
     yield ["table", "t1", *(f"--z={a},1" for a in range(301))]
+    yield ["table", "t1", *(f"--z={a},1" for a in range(999))]
 
 
 def records():

@@ -287,12 +287,13 @@ class TestScalLattice:
     def test_den_with_a_denominator(self):
         # Γ = (2+i)·Z[i] and the reflection along 3+4i: den(Γ, R) = (1/5)·|z|,
         # so (1/5)·Z holds the p/5 and the integers, one class over each q | 5.
-        # With |z| = 5 the integers show as 5Z and the reduced p/5 as Z.
+        # With |z| = 5 the integers show as 5Z; the reduced p/5 keep their
+        # lead 1/5·5, as p runs over the integers prime to 5 only.
         gamma = Lattice.from_generators(GAUSSIAN, [(F(2), F(1)), (F(-1), F(2))])
         ss = scal_lattice(gamma, Direction.from_ints(GAUSSIAN, 3, 4, True))
         assert ss.classes == (ResidueClass(5, 1, frozenset({0})), ResidueClass(1, 1, frozenset({0})))
         assert ss.contains_ratio(F(2, 5)) and ss.contains_ratio(3) and not ss.contains_ratio(F(1, 10))
-        assert ss.display() == "5Z ∪ Z"
+        assert ss.display() == "5Z ∪ 1/5·5·Z"
 
     def test_identity_direction(self):
         ss = scal_lattice(RECT31, Direction(RingElem(GAUSSIAN, 1, 0)))

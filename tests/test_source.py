@@ -83,20 +83,22 @@ def test_every_public_function_is_reached():
 
 def test_every_limit_is_documented():
     # A module-level MAX_* constant is a limit a user can hit; README.md must
-    # name it next to its value as module.MAX_*, with the module that holds it.
+    # name it as module.MAX_*, with the module that holds it, and state its
+    # value in the same sentence, with or without thousands commas (1,000).
     readme = (Path(simiso.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    sentences = re.split(r"(?<=\.)\s+|\n\s*\n", readme)
     undocumented = []
     for path in sorted(Path(simiso.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        undocumented += [
-            f"{path.name}:{target.id}"
-            for node in tree.body
-            if isinstance(node, ast.Assign)
-            for target in node.targets
-            if isinstance(target, ast.Name)
-            and target.id.startswith("MAX_")
-            and not re.search(rf"\b{path.stem}\.{target.id}\b", readme)
-        ]
+        for name in (target.id for node in tree.body if isinstance(node, ast.Assign)
+                     for target in node.targets
+                     if isinstance(target, ast.Name) and target.id.startswith("MAX_")):
+            value = getattr(importlib.import_module(f"simiso.{path.stem}"), name)
+            value = f"{value:,}".replace(",", ",?")
+            if not any(re.search(rf"\b{path.stem}\.{name}\b", sentence)
+                       and re.search(rf"(?<![\d,]){value}(?!,?\d)", sentence)
+                       for sentence in sentences):
+                undocumented.append(f"{path.name}:{name}")
     assert undocumented == []
 
 
