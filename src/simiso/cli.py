@@ -18,6 +18,8 @@ common denominator, are integers too.
 
 main refuses more than MAX_ARGS arguments before the parser is built.
 Flag rules live in build_parser; run_verify keeps the three that read a value.
+main alone turns a refusal into exit 2: it catches ValueError, so the CLI's
+InputError and the engine's own refusals print their message as is.
 """
 
 from __future__ import annotations
@@ -61,14 +63,12 @@ MAX_BOUND = 100
 MAX_RATIONAL_CHARS = 40
 # Integers of a "z" document lie below this, at most MAX_RATIONAL_CHARS digits.
 _Z_BOUND = 10 ** MAX_RATIONAL_CHARS
-# Most shifts in a packing document; the work grows with their square.
-MAX_COMPONENTS = packings.MAX_LIFTED_COMPONENTS
 # Longest document, inline or read from a file, in bytes of UTF-8.
 MAX_DOC_BYTES = 1 << 20
 
 
-class InputError(Exception):
-    """Malformed document or argument; maps to exit code 2."""
+class InputError(ValueError):
+    """Malformed document or argument; main maps it to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,27 +184,21 @@ def parse_packing_doc(doc: dict) -> PointPacking:
         ):
             raise InputError('"basis" must be two generator vectors')
         d, ints = _over_one_denominator([_rational(c) for row in basis for c in row])
-        try:
-            base = Lattice.spanned(ring, d, zip(ints[::2], ints[1::2]))
-        except lattices.DegenerateLatticeError as exc:
-            raise InputError(str(exc)) from None
+        base = Lattice.spanned(ring, d, zip(ints[::2], ints[1::2]))
     else:
         base = Lattice.ring_lattice(ring)
     shifts_doc = doc.get("shifts")
     if not isinstance(shifts_doc, list) or not shifts_doc:
         raise InputError('packing document needs a non-empty "shifts" list')
-    if len(shifts_doc) > MAX_COMPONENTS:
-        raise InputError(f"a packing document has at most {MAX_COMPONENTS} shifts")
+    if len(shifts_doc) > packings.MAX_LIFTED_COMPONENTS:
+        raise InputError(f"a packing document has at most {packings.MAX_LIFTED_COMPONENTS} shifts")
     coords = []
     for entry in shifts_doc:
         if not _is_pair(entry):
             raise InputError(f"shift {entry!r} must be a coordinate pair")
         coords += (_rational(entry[0]), _rational(entry[1]))
     d, ints = _over_one_denominator(coords, base.d)
-    try:
-        return PointPacking.from_pairs(base.over(d), list(zip(ints[::2], ints[1::2])))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return PointPacking.from_pairs(base.over(d), list(zip(ints[::2], ints[1::2])))
 
 
 def parse_similarity_doc(doc: dict, ring: str) -> Similarity:
@@ -221,10 +215,7 @@ def parse_similarity_doc(doc: dict, ring: str) -> Similarity:
 def parse_direction_doc(doc: dict, ring: str) -> Direction:
     _check_keys(doc, "direction", ("z", "conj"))
     a, b = _ring_pair(doc, "direction")
-    try:
-        return Direction.from_ints(ring, a, b, _conj_flag(doc))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return Direction.from_ints(ring, a, b, _conj_flag(doc))
 
 
 def _is_pair(entry) -> bool:
@@ -330,10 +321,6 @@ def _json_chunks(value, newline: str, chunks: list[str]) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _emit_json(doc, out: str | None) -> None:
-    _write(to_json(doc) + "\n", out)
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -365,7 +352,7 @@ def run_analyze(args) -> int:
     else:
         doc["failing_component"] = report.failing_k
         doc["reached"] = list(report.reached)
-    _emit_json(doc, args.out)
+    _write(to_json(doc) + "\n", args.out)
     return EXIT_OK if report.accepted else EXIT_REJECTED
 
 
@@ -472,7 +459,7 @@ def run_table(args) -> int:
             explicit.append((a, b))
     rows = table_rows(args.name, samples=args.samples or 2, explicit=explicit)
     if args.format == "json":
-        _emit_json(rows, args.out)
+        _write(to_json(rows) + "\n", args.out)
         return EXIT_OK
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -536,7 +523,7 @@ def run_verify(args) -> int:
             doc = _verify_direction(packing, args)
         else:
             raise InputError("verify needs --similarity, --direction, or --random")
-    _emit_json(doc, args.out)
+    _write(to_json(doc) + "\n", args.out)
     return EXIT_OK if doc["agree"] else EXIT_DISCREPANCY
 
 
@@ -612,7 +599,7 @@ def run_periods(args) -> int:
         "components_after": reduced.m,
         "reduced_shifts": [format_pair(ring, x, y, d) for x, y in reduced.residues],
     }
-    _emit_json(doc, args.out)
+    _write(to_json(doc) + "\n", args.out)
     return EXIT_OK
 
 
@@ -716,7 +703,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"at most {MAX_ARGS} arguments may be given (cli.MAX_ARGS)")
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except Exception as exc:

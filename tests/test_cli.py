@@ -29,7 +29,6 @@ from simiso.cli import (
     EXIT_REJECTED,
     MAX_ARGS,
     MAX_BOUND,
-    MAX_COMPONENTS,
     MAX_DOC_BYTES,
     MAX_RANDOM,
     MAX_RATIONAL_CHARS,
@@ -43,7 +42,7 @@ from simiso.cli import (
     to_json,
 )
 from simiso.lattices import Lattice
-from simiso.packings import MAX_SCAL_RESIDUES, PointPacking
+from simiso.packings import MAX_LIFTED_COMPONENTS, MAX_SCAL_RESIDUES, PointPacking
 from simiso.presets import preset
 from simiso.render import MAX_RENDER_POINTS
 from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem
@@ -188,8 +187,10 @@ class TestDocuments:
         try:
             want = _packing_by_fractions(doc)
         except ValueError as exc:
-            with pytest.raises(InputError) as got:
+            # The engine's refusal reaches main as it is, not re-raised.
+            with pytest.raises(ValueError) as got:
                 parse_packing_doc(doc)
+            assert type(got.value) is ValueError
             assert str(got.value) == str(exc) and "congruent" in str(exc)
             return
         got = parse_packing_doc(doc)
@@ -221,8 +222,10 @@ class TestDocuments:
 
     def test_packing_doc_congruent_shifts(self):
         doc = {"ring": "gaussian", "shifts": [["0", "0"], ["1", "1"]]}
-        with pytest.raises(InputError):
+        message = "shifts 0 and 1+i are congruent mod the generating lattice"
+        with pytest.raises(ValueError) as got:
             parse_packing_doc(doc)
+        assert type(got.value) is ValueError and str(got.value) == message
 
     def test_congruent_shifts_named_as_given(self, capsys):
         doc = {"ring": "gaussian", "shifts": [["1/2", "0"], ["-1/2", "3"]]}
@@ -231,6 +234,19 @@ class TestDocuments:
         assert capsys.readouterr().err == (
             "error: shifts 1/2 and (-1+6i)/2 are congruent mod the generating lattice\n"
         )
+
+    @pytest.mark.parametrize("command", ["analyze", "periods"])
+    def test_degenerate_basis_exits_2(self, command, capsys):
+        # Parallel generators span a line: Lattice.spanned refuses them, and
+        # main prints the engine's message as it is.
+        doc = {"ring": "gaussian", "basis": [["1", "0"], ["2", "0"]], "shifts": [["0", "0"]]}
+        with pytest.raises(ValueError, match="^generators span at most a line$"):
+            parse_packing_doc(doc)
+        argv = [command, json.dumps(doc)]
+        if command == "analyze":
+            argv += ["--similarity", '{"z":[1,0]}']
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: generators span at most a line\n")
 
     def test_similarity_doc(self):
         s = parse_similarity_doc(
@@ -451,14 +467,15 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["n"], doc["failing_component"], doc["reached"]) == (2, 0, [0])
 
-    @pytest.mark.parametrize("m", [MAX_COMPONENTS, MAX_COMPONENTS + 1])
+    @pytest.mark.parametrize("m", [MAX_LIFTED_COMPONENTS, MAX_LIFTED_COMPONENTS + 1])
     def test_component_cap(self, m, capsys):
         doc = json.dumps({"ring": "gaussian", "shifts": [[f"{i}/4001", "0"] for i in range(m)]})
         rc = main(["analyze", doc, "--similarity", '{"z":[1,0]}'])
         captured = capsys.readouterr()
-        if m > MAX_COMPONENTS:
+        if m > MAX_LIFTED_COMPONENTS:
             assert rc == EXIT_INPUT and captured.out == ""
-            assert captured.err == f"error: a packing document has at most {MAX_COMPONENTS} shifts\n"
+            assert captured.err == ("error: a packing document has at most "
+                                    f"{MAX_LIFTED_COMPONENTS} shifts\n")
         else:
             assert rc == EXIT_OK and json.loads(captured.out)["m"] == m
 
@@ -1046,6 +1063,11 @@ class TestRender:
         )
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("window", ["0,0,1", "0,0,1,1,1"])
+    def test_window_needs_four_corners(self, window, capsys):
+        rc = main(["render", "--preset", "hex", "--packing-only", f"--window={window}"])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: window must be x0,y0,x1,y1\n")
 
     @pytest.mark.parametrize(
         "window, similarity, ok",

@@ -85,14 +85,17 @@ def test_every_limit_is_documented():
     # A module-level MAX_* constant is a limit a user can hit; README.md must
     # name it as module.MAX_*, with the module that holds it, and state its
     # value in the same sentence, with or without thousands commas (1,000).
+    # Each `module.MAX_*` README.md names must be such a constant, so a
+    # deleted or moved limit leaves no stale name behind.
     readme = (Path(simiso.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
     sentences = re.split(r"(?<=\.)\s+|\n\s*\n", readme)
-    undocumented = []
+    undocumented, defined = [], set()
     for path in sorted(Path(simiso.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for name in (target.id for node in tree.body if isinstance(node, ast.Assign)
                      for target in node.targets
                      if isinstance(target, ast.Name) and target.id.startswith("MAX_")):
+            defined.add(f"{path.stem}.{name}")
             value = getattr(importlib.import_module(f"simiso.{path.stem}"), name)
             value = f"{value:,}".replace(",", ",?")
             if not any(re.search(rf"\b{path.stem}\.{name}\b", sentence)
@@ -100,6 +103,22 @@ def test_every_limit_is_documented():
                        for sentence in sentences):
                 undocumented.append(f"{path.name}:{name}")
     assert undocumented == []
+    assert [name for name in re.findall(r"`(\w+\.MAX_\w+)`", readme) if name not in defined] == []
+
+
+def test_cli_leaves_refusals_to_main():
+    # main alone turns a refusal into exit 2: it catches ValueError, so the
+    # engine's own refusals reach it as they are.  Elsewhere cli.py catches
+    # only what it words itself or what the oracle uses to refute, never a
+    # ValueError to raise it again under another type.
+    allowed = {"OSError", "json.JSONDecodeError", "RecursionError", "oracle.NotContained"}
+    caught = [
+        (f"{file}:{node.lineno}", ast.unparse(kind) if kind else "<bare>")
+        for file, scope, node in _scoped_nodes()
+        if file == "cli.py" and scope != "main" and isinstance(node, ast.ExceptHandler)
+        for kind in (node.type.elts if isinstance(node.type, ast.Tuple) else [node.type])
+    ]
+    assert [(where, name) for where, name in caught if name not in allowed] == []
 
 
 def test_benchmark_imports_resolve():
