@@ -9,12 +9,12 @@ for fixed inputs: canonical JSON key order, canonical rational and surd
 display, stable CSV and SVG bytes.
 
 A document is at most MAX_DOC_BYTES bytes and is decoded by one JSON
-decoder.  Its rationals are read as integer pairs (numerator, denominator),
-never as Fractions: a packing's basis and shifts are put over one
-denominator and handed to PointPacking.from_pairs, and a similarity is the
-integer triple (q, p·a, p·b) of z = a + b·u and the scale p/q.  The presets,
-each table --z, the pair (a, b), and the --window corners, over their least
-common denominator, are integers too.
+decoder.  One reader, _rationals, reads every rational of a basis, the
+shifts, a scale or --window over one denominator, each as written and never
+as a Fraction; what is built from them reduces them.  A packing's basis and
+shifts go to PointPacking.from_pairs, and a similarity is the integer triple
+(q, p·a, p·b) of z = a + b·u and the scale p/q.  The presets, each table
+--z and the pair (a, b) are integers too.
 
 main refuses more than MAX_ARGS arguments before the parser is built.
 Flag rules live in build_parser; run_verify keeps the three that read a value.
@@ -92,33 +92,27 @@ _RATIONAL = re.compile(rf"({_INTEGER})(?:/([0-9]+)|\.([0-9]+))?")
 _Z = re.compile(rf"({_INTEGER}),({_INTEGER})")
 
 
-def _rational(text) -> tuple[int, int]:
-    """The rational a document or --window writes, as (numerator,
-    denominator) in lowest terms with a positive denominator."""
-    if not isinstance(text, str):
-        raise InputError(f"bad rational {json.dumps(text)[:MAX_RATIONAL_CHARS]}: "
-                         'write it as a JSON string, such as "1/2"')
-    match = _RATIONAL.fullmatch(text) if len(text) <= MAX_RATIONAL_CHARS else None
-    if match is None:
-        raise InputError(f"bad rational {text[:MAX_RATIONAL_CHARS]!r}: write a sign, digits "
-                         f"and an optional /digits or .digits, at most {MAX_RATIONAL_CHARS} "
-                         "characters")
-    whole, den, decimals = match.groups()
-    if decimals is not None:
-        num, den = int(whole + decimals), 10 ** len(decimals)
-    else:
-        num, den = int(whole), int(den or 1)
+def _rationals(texts, d: int = 1) -> tuple[int, list[int]]:
+    """The rationals a document or --window writes, read in order: the lcm D
+    of d and their denominators as written, and each value times D."""
+    pairs = []
+    for text in texts:
+        if not isinstance(text, str):
+            raise InputError(f"bad rational {json.dumps(text)[:MAX_RATIONAL_CHARS]}: "
+                             'write it as a JSON string, such as "1/2"')
+        match = _RATIONAL.fullmatch(text) if len(text) <= MAX_RATIONAL_CHARS else None
+        if match is None:
+            raise InputError(f"bad rational {text[:MAX_RATIONAL_CHARS]!r}: write a sign, "
+                             "digits and an optional /digits or .digits, at most "
+                             f"{MAX_RATIONAL_CHARS} characters")
+        whole, den, decimals = match.groups()
+        num = int(whole + (decimals or ""))
+        den = 10 ** len(decimals) if decimals else int(den or 1)
         if den == 0:
             raise InputError(f"bad rational {text!r}: Fraction({num}, 0)")
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
-def _over_one_denominator(rationals, d: int = 1) -> tuple[int, list[int]]:
-    """The lcm D of d and the denominators of the (numerator, denominator)
-    pairs, and each rational times D."""
-    d = math.lcm(d, *(den for _, den in rationals))
-    return d, [num * (d // den) for num, den in rationals]
+        pairs.append((num, den))
+    d = math.lcm(d, *(den for _, den in pairs))
+    return d, [num * (d // den) for num, den in pairs]
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -171,8 +165,8 @@ def _check_keys(doc: dict, kind: str, keys: tuple[str, ...]) -> None:
 
 def parse_packing_doc(doc: dict) -> PointPacking:
     """The packing of a document, read as integer pairs: Γ is spanned over
-    its basis' denominator, and Γ and the shifts are then put over one
-    denominator D for PointPacking.from_pairs."""
+    its basis' denominator as written, and Γ and the shifts are then put
+    over one denominator D for PointPacking.from_pairs, which reduces them."""
     _check_keys(doc, "packing", ("ring", "basis", "shifts"))
     ring = doc.get("ring")
     if ring not in (GAUSSIAN, EISENSTEIN):
@@ -183,7 +177,7 @@ def parse_packing_doc(doc: dict) -> PointPacking:
             isinstance(basis, list) and len(basis) == 2 and all(map(_is_pair, basis))
         ):
             raise InputError('"basis" must be two generator vectors')
-        d, ints = _over_one_denominator([_rational(c) for row in basis for c in row])
+        d, ints = _rationals(c for row in basis for c in row)
         base = Lattice.spanned(ring, d, zip(ints[::2], ints[1::2]))
     else:
         base = Lattice.ring_lattice(ring)
@@ -192,12 +186,13 @@ def parse_packing_doc(doc: dict) -> PointPacking:
         raise InputError('packing document needs a non-empty "shifts" list')
     if len(shifts_doc) > packings.MAX_LIFTED_COMPONENTS:
         raise InputError(f"a packing document has at most {packings.MAX_LIFTED_COMPONENTS} shifts")
-    coords = []
-    for entry in shifts_doc:
-        if not _is_pair(entry):
-            raise InputError(f"shift {entry!r} must be a coordinate pair")
-        coords += (_rational(entry[0]), _rational(entry[1]))
-    d, ints = _over_one_denominator(coords, base.d)
+
+    def coords():  # each shift is checked as a pair before its rationals are read
+        for entry in shifts_doc:
+            if not _is_pair(entry):
+                raise InputError(f"shift {entry!r} must be a coordinate pair")
+            yield from entry
+    d, ints = _rationals(coords(), base.d)
     return PointPacking.from_pairs(base.over(d), list(zip(ints[::2], ints[1::2])))
 
 
@@ -206,7 +201,7 @@ def parse_similarity_doc(doc: dict, ring: str) -> Similarity:
     (q, p·a, p·b) for z = a + b·u and scale = p/q."""
     _check_keys(doc, "similarity", ("z", "scale", "conj"))
     a, b = _ring_pair(doc, "similarity")
-    p, q = _rational(doc.get("scale", "1"))
+    q, (p,) = _rationals([doc.get("scale", "1")])
     if p == 0 or a == b == 0:
         raise InputError("similarity multiplier is zero")
     return Similarity.from_ints(ring, q, a * p, b * p, _conj_flag(doc))
@@ -360,30 +355,29 @@ def run_analyze(args) -> int:
 # table
 
 
+# Each table's packing, and whether its similarities conjugate.
 TABLE_SPECS = {
-    "t1": ("rect12", False, GAUSSIAN),
-    "t2": ("hex", False, EISENSTEIN),
-    "t3": ("hex", True, EISENSTEIN),
-    "t4": ("hex-shifted", False, EISENSTEIN),
-    "t5": ("hex-shifted", True, EISENSTEIN),
+    "t1": ("rect12", False),
+    "t2": ("hex", False),
+    "t3": ("hex", True),
+    "t4": ("hex-shifted", False),
+    "t5": ("hex-shifted", True),
 }
 
 # The keys of a table row, in the order of the CSV columns.
 TABLE_FIELDS = ("table", "class", "z", "scal", "tau")
 
-GAUSSIAN_CLASSES = ((1, 0), (0, 1), (1, 1))
-EISENSTEIN_CLASSES = (1, 2, 0)
+# The classes of z per ring, in the tables' order, each key with its label.
+TABLE_CLASSES = {
+    GAUSSIAN: {(1, 0): "(a,b)≡(1,0) mod 2", (0, 1): "(a,b)≡(0,1) mod 2",
+               (1, 1): "(a,b)≡(1,1) mod 2"},
+    EISENSTEIN: {1: "a+b≡1 mod 3", 2: "a+b≡2 mod 3", 0: "a+b≡0 mod 3"},
+}
 
 
 def class_of(ring: str, a: int, b: int):
     """The table class of z = a + b·u: (a, b) mod 2 over Z[i], a + b mod 3 over Z[ω]."""
     return (a % 2, b % 2) if ring == GAUSSIAN else (a + b) % 3
-
-
-def class_label(ring: str, key) -> str:
-    if ring == GAUSSIAN:
-        return f"(a,b)≡({key[0]},{key[1]}) mod 2"
-    return f"a+b≡{key} mod 3"
 
 
 def sample_directions(ring: str, key, count: int) -> list[tuple[int, int]]:
@@ -416,12 +410,13 @@ def table_rows(
     A zero or non-primitive z raises ValueError, over either ring.
 
     Each text is formatted once, from integers: the shift labels once per
-    packing, the label of each class that has a z once and z once, so a τ
-    pair costs two list lookups; a Scal cell is one ResidueClass.display."""
-    preset_name, conjugate, ring = TABLE_SPECS[name]
+    packing and z once, so a τ pair costs two list lookups; a Scal cell is
+    one ResidueClass.display."""
+    preset_name, conjugate = TABLE_SPECS[name]
     packing = preset(preset_name)
+    ring = packing.ring
     labels = [format_pair(ring, x, y, packing.lattice.d) for x, y in packing.residues]
-    classes = GAUSSIAN_CLASSES if ring == GAUSSIAN else EISENSTEIN_CLASSES
+    classes = TABLE_CLASSES[ring]
     if explicit is None:
         explicit = [z for key in classes for z in sample_directions(ring, key, samples)]
     groups = {}
@@ -429,9 +424,8 @@ def table_rows(
         d = Direction.from_ints(ring, a, b, conjugate)
         groups.setdefault(class_of(ring, a, b), []).append(d)
     rows = []
-    for key in [key for key in classes if key in groups]:
-        label = class_label(ring, key)
-        for d in groups[key]:
+    for key, label in classes.items():
+        for d in groups.get(key, ()):
             z_text = format_pair(ring, *d.ints, 1)
             cells = [(c.display(), _tau_display(labels, tau))
                      for c, tau in packings.scal_classes_by_tau(packing, d)]
@@ -474,12 +468,12 @@ def run_table(args) -> int:
 
 
 def _parse_window(text: str) -> tuple[int, tuple[int, int, int, int]]:
-    """The corners x0, y0, x1, y1 as integers over their least common
-    denominator e, as (e, corners)."""
+    """The corners x0, y0, x1, y1 as integers over the lcm e of their
+    denominators as written, as (e, corners)."""
     parts = text.split(",")
     if len(parts) != 4:
         raise InputError("window must be x0,y0,x1,y1")
-    e, (x0, y0, x1, y1) = _over_one_denominator([_rational(p) for p in parts])
+    e, (x0, y0, x1, y1) = _rationals(parts)
     if x1 <= x0 or y1 <= y0:
         raise InputError("window must have positive area")
     return e, (x0, y0, x1, y1)

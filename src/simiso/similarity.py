@@ -251,19 +251,11 @@ class ScalSet:
         return any(c.contains_ratio(ratio) for c in self.classes)
 
     def min_positive_ratio(self) -> Fraction | None:
-        """The ratio of den(L, R) = ratio·|z|, or None when empty."""
-        best = None
-        for c in self.classes:
-            for r in c.residues:
-                start = r if r > 0 else c.modulus
-                for k in range(c.q):
-                    p = start + k * c.modulus
-                    if math.gcd(p, c.q) == 1:
-                        cand = Fraction(p, c.q)
-                        if best is None or cand < best:
-                            best = cand
-                        break
-        return best
+        """The ratio of den(L, R) = ratio·|z|, or None when empty; the p ≡ r
+        up to r + q·modulus meet every residue mod q that any p ≡ r meets."""
+        return min((Fraction(p, c.q) for c in self.classes for r in c.residues
+                    for p in range(r or c.modulus, r + c.q * c.modulus + 1, c.modulus)
+                    if math.gcd(p, c.q) == 1), default=None)
 
     def display(self) -> str:
         """Union-of-residue-classes display, with |z| substituted as a surd

@@ -34,7 +34,7 @@ from simiso.cli import (
     MAX_RATIONAL_CHARS,
     MAX_SAMPLES,
     InputError,
-    _rational,
+    _rationals,
     main,
     parse_direction_doc,
     parse_packing_doc,
@@ -162,6 +162,27 @@ def _packing_by_fractions(doc: dict) -> PointPacking:
     return PointPacking(gamma, tuple(FieldElem(ring, F(a), F(b)) for a, b in doc["shifts"]))
 
 
+# Commands whose rationals are written with <h> for 1/2 and <t> for -3/2:
+# in a basis, a shift, a scale and a window.  Γ = <1/2, 1/2 + i> holds
+# 2·(-3/2 + i/2), so w = -3 and w = -1 are accepted.
+_SPELLED = json.dumps({"ring": "gaussian", "basis": [["<h>", "0"], ["<h>", "1"]],
+                       "shifts": [["0", "0"], ["<t>", "<h>"]]})
+_SPELLED_HEX = json.dumps({"ring": "eisenstein", "shifts": [["0", "0"], ["<h>", "<t>"]]})
+_SPELLED_COMMANDS = {
+    "analyze-accepted": ["analyze", _SPELLED, "--similarity", '{"z":[2,0],"scale":"<t>"}'],
+    "analyze-rejected": ["analyze", _SPELLED, "--similarity",
+                         '{"z":[1,1],"scale":"<h>","conj":true}'],
+    "analyze-hex": ["analyze", _SPELLED_HEX, "--similarity", '{"z":[1,1],"scale":"<t>"}'],
+    "periods": ["periods", _SPELLED],
+    "periods-hex": ["periods", _SPELLED_HEX],
+    "render-packing": ["render", _SPELLED, "--packing-only", "--window=<t>,<t>,<h>,2"],
+    "render-image": ["render", _SPELLED, "--similarity", '{"z":[-2,0],"scale":"<h>"}',
+                     "--window=<t>,0,2,<h>"],
+    "verify": ["verify", _SPELLED, "--similarity", '{"z":[2,0],"scale":"<t>"}'],
+    "verify-hex": ["verify", _SPELLED_HEX, "--similarity", '{"z":[1,1],"scale":"<h>"}'],
+}
+
+
 class TestDocuments:
     @given(_rational_texts())
     @settings(max_examples=300, deadline=None)
@@ -170,16 +191,17 @@ class TestDocuments:
         # the grammar; a zero denominator is refused with Fraction's words.
         if len(text) > MAX_RATIONAL_CHARS:
             with pytest.raises(InputError, match="at most"):
-                _rational(text)
+                _rationals([text])
             return
         try:
             want = F(text)
         except ZeroDivisionError as exc:
             with pytest.raises(InputError) as got:
-                _rational(text)
+                _rationals([text])
             assert str(got.value) == f"bad rational {text!r}: {exc}"
         else:
-            assert _rational(text) == (want.numerator, want.denominator)
+            d, (n,) = _rationals([text])
+            assert d > 0 and F(n, d) == want
 
     @given(_packing_docs())
     @settings(max_examples=300, deadline=None)
@@ -353,9 +375,9 @@ class TestDocuments:
         assert captured.err.count("\n") == 1
 
     def test_rational_text_length_cap(self):
-        assert _rational("0" * (MAX_RATIONAL_CHARS - 1) + "2") == (2, 1)
+        assert _rationals(["0" * (MAX_RATIONAL_CHARS - 1) + "2"]) == (1, [2])
         with pytest.raises(InputError):
-            _rational("0" * MAX_RATIONAL_CHARS + "2")
+            _rationals(["0" * MAX_RATIONAL_CHARS + "2"])
 
     @pytest.mark.parametrize(
         "argv",
@@ -408,9 +430,41 @@ class TestDocuments:
          ("0.5", F(1, 2)), ("-0.25", F(-1, 4)), ("+1.50", F(3, 2)), ("-0/8", 0), ("0.000", 0)],
     )
     def test_rational_grammar_reads(self, text, value):
-        # The value as an integer pair in lowest terms, denominator positive.
-        got = _rational(text)
-        assert got == (value.numerator, value.denominator) and all(type(c) is int for c in got)
+        # The value over its denominator as written: /den, 10 to the number
+        # of decimals, or 1.
+        den = text.partition("/")[2]
+        if not den:
+            den = 10 ** len(text.partition(".")[2])
+        d, (n,) = _rationals([text])
+        assert (d, n) == (int(den), value * int(den)) and type(d) is type(n) is int
+
+    @pytest.mark.parametrize("argv", _SPELLED_COMMANDS.values(), ids=_SPELLED_COMMANDS)
+    def test_unreduced_spellings_print_as_reduced(self, argv, capsys):
+        # A rational is read over its denominator as written, and what is
+        # built from it reduces it, so every output byte is the reduced one's.
+        def run(half: str, three_halves: str):
+            rc = main([a.replace("<h>", half).replace("<t>", three_halves) for a in argv])
+            return rc, *capsys.readouterr()
+
+        want = run("1/2", "-3/2")
+        assert want[0] in (EXIT_OK, EXIT_REJECTED) and want[1]
+        assert run("2/4", "-6/4") == want and run("0.50", "-1.50") == want
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"ring": "gaussian", "shifts": [["x", "0"], ["0"]]},
+         "bad rational 'x': write a sign, digits and an optional /digits or .digits, "
+         "at most 40 characters"),
+        ({"ring": "gaussian", "shifts": [["0"], ["1/0", "0"]]},
+         "shift ['0'] must be a coordinate pair"),
+        ({"ring": "gaussian", "basis": [["1", "0"], ["2", "0"]], "shifts": [["1/0", "0"]]},
+         "generators span at most a line"),
+    ], ids=["bad-rational-then-non-pair", "non-pair-then-bad-rational",
+            "degenerate-basis-then-bad-shift"])
+    def test_first_of_two_faults_is_reported(self, doc, message, capsys):
+        # The basis is read before the shifts, and each shift is checked as
+        # a pair before its rationals are read.
+        assert main(["periods", json.dumps(doc)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestAnalyze:
@@ -545,21 +599,17 @@ class TestTable:
         # x ↦ (z/q)·x is an integer triple and every cell is written from
         # integers, so a request, reflections and empty rows included, builds
         # no Fraction and no FieldElem, even with the preset built afresh.
-        # One z meets one class, so one class label is formatted.
-        _, _, ring = cli.TABLE_SPECS[name]
+        ring = preset(cli.TABLE_SPECS[name][0]).ring
         zs = [(a, b) for a in range(-4, 5) for b in range(-4, 5)
               if math.gcd(a, b) == 1 and FieldElem(ring, a, b).norm() <= 13]
         built = _count_fractions(monkeypatch)
-        elems, labels = [], []
+        elems = []
         monkeypatch.setattr(FieldElem, "__post_init__", lambda x: elems.append(x))
-        label = cli.class_label
-        monkeypatch.setattr(cli, "class_label", lambda *a: labels.append(a) or label(*a))
         for a, b in zs:
             preset.cache_clear()
             assert main(["table", name, f"--z={a},{b}"]) == EXIT_OK
             assert capsys.readouterr().out.count("\n") >= 2
         assert built == [] and elems == []
-        assert labels == [(ring, cli.class_of(ring, a, b)) for a, b in zs]
 
     def test_table_makes_no_hermite_reduction(self, monkeypatch, capsys):
         # The sweep reads its frame R + (z/q)R in closed form and the presets
@@ -586,17 +636,23 @@ class TestTable:
         with pytest.raises(ValueError, match=f"^direction element .*{message}$"):
             cli.table_rows(name, explicit=[(1, 0), z])
 
-    def test_class_labels_once_per_class_met(self, monkeypatch, capsys):
-        labels = []
-        label = cli.class_label
-        monkeypatch.setattr(cli, "class_label", lambda *a: labels.append(a) or label(*a))
+    def test_rows_keep_the_table_class_order(self, capsys):
         zs = ["1,0", "3,1", "1,1", "2,1", "4,1"]  # a + b ≡ 1, 1, 2, 0, 2 (mod 3)
         assert main(["table", "t2", *(f"--z={z}" for z in zs)]) == EXIT_OK
-        assert labels == [(EISENSTEIN, 1), (EISENSTEIN, 2), (EISENSTEIN, 0)]
         rows = capsys.readouterr().out.splitlines()[1:]
         # Classes in the table's order, each class's z in the order given.
+        assert list(dict.fromkeys(row.split(",")[1] for row in rows)) == [
+            "a+b≡1 mod 3", "a+b≡2 mod 3", "a+b≡0 mod 3"]
         assert list(dict.fromkeys(row.split(",")[2] for row in rows)) == [
             "1", "3+ω", "1+ω", "4+ω", "2+ω"]
+
+    def test_every_primitive_z_has_a_table_class(self):
+        # Over Z[i] a primitive z has a or b odd, and Z[ω] has every a + b mod 3.
+        for ring, classes in cli.TABLE_CLASSES.items():
+            zs = [(a, b) for a in range(-12, 13) for b in range(-12, 13)
+                  if math.gcd(a, b) == 1 and FieldElem(ring, a, b).norm() <= 100]
+            assert len(zs) > 50
+            assert {cli.class_of(ring, a, b) for a, b in zs} == set(classes)
 
     @pytest.mark.parametrize("z", ["1_0,1", " 2, 1", "١,0", "1,2,3", "1", "1.0,2", ""])
     def test_z_outside_the_integer_grammar(self, z, capsys):
@@ -634,8 +690,7 @@ class TestTable:
         # The box [1, 80) × [0, 80) holds every primitive z of the sector
         # a ≥ 1, b ≥ 0 with N(z) < 4,800 over both rings, so its first z by
         # (norm, a, b) are the first of the sector while their norm stays below.
-        for ring, classes in ((GAUSSIAN, cli.GAUSSIAN_CLASSES),
-                              (EISENSTEIN, cli.EISENSTEIN_CLASSES)):
+        for ring, classes in cli.TABLE_CLASSES.items():
             box = sorted((FieldElem(ring, a, b) for a in range(1, 80) for b in range(80)
                           if math.gcd(a, b) == 1), key=lambda z: (z.norm(), z.a, z.b))
             for key in classes:
@@ -1584,6 +1639,13 @@ def test_readme_commands_exit_0(line, tmp_path, monkeypatch):
     (tmp_path / "packing.json").write_text(doc, encoding="utf-8")
     (tmp_path / "similarity.json").write_text('{"z":[1,1],"scale":"2"}', encoding="utf-8")
     assert main(shlex.split(line, comments=True)[1:]) == EXIT_OK
+
+
+def test_readme_library_example_prints_its_comment(capsys):
+    # The README's one python block, under "## Library".
+    [block] = README.read_text(encoding="utf-8").split("```python\n")[1:]
+    exec(block.split("```")[0], {})
+    assert capsys.readouterr().out == "3Z ∪ (2+3Z)\n"
 
 
 # Flags of every subcommand, read from the parser itself.

@@ -286,8 +286,9 @@ class TestScalSetPacking:
         # q² | N(z).  Every table packing has m = 2 components, and a
         # primitive z over Z[ω] has odd norm, so no table reaches q = 2: every
         # cell is a q = 1 solve, over the golden's z with N(z) ≤ 61.
-        for name, (preset_name, conjugate, ring) in cli.TABLE_SPECS.items():
+        for name, (preset_name, conjugate) in cli.TABLE_SPECS.items():
             packing = preset(preset_name)
+            ring = packing.ring
             for a in range(-9, 10):
                 for b in range(-9, 10):
                     if math.gcd(a, b) == 1 and pair_norm(ring, a, b) <= 61:

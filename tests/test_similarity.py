@@ -304,6 +304,18 @@ class TestScalLattice:
         c = sim.ResidueClass(q=3, modulus=4, residues=frozenset({3}))
         assert ScalSet(Direction.from_ints(GAUSSIAN, 1, 0), (c,)).min_positive_ratio() == F(7, 3)
 
+    @given(st.lists(st.integers(1, 30).flatmap(lambda m: st.builds(
+        ResidueClass, st.integers(1, 12), st.just(m),
+        st.frozensets(st.integers(0, m - 1), min_size=1, max_size=4))), max_size=3))
+    def test_min_positive_ratio_is_the_least_member(self, classes):
+        # Every p/q of a class with 0 < p < (q + 1)·modulus: that holds the
+        # first q positive p ≡ r of each residue r, which meet every residue
+        # mod q that any p ≡ r meets.
+        ss = ScalSet(Direction.from_ints(GAUSSIAN, 1, 0), tuple(classes))
+        members = [F(p, c.q) for c in classes for p in range(1, (c.q + 1) * c.modulus)
+                   if c.contains_ratio(F(p, c.q))]
+        assert ss.min_positive_ratio() == min(members, default=None)
+
     def test_rect31_quarter_turn(self):
         ss = scal_lattice(RECT31, Direction(RingElem(GAUSSIAN, 0, 1)))
         assert ss.contains_ratio(3) and ss.contains_ratio(-6) and ss.contains_ratio(0)
