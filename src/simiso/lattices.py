@@ -15,17 +15,16 @@ The coset representatives of a sublattice are integer pairs over the d of
 both lattices.  Lattice.congruence reads the p with p·a - x ∈ Γ (a Scal
 congruence, on the sweep's frame S = R + sR) as one residue class, from
 the Hermite basis alone.  A Fraction is built only to hand back a point or
-an index.
+an index.  A Lattice is a rings.Value, equal and hashed over its least d.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import FieldElem, RingMismatchError, format_pair, over_denominator
+from .rings import FieldElem, RingMismatchError, Value, format_pair, over_denominator
 
 
 class DegenerateLatticeError(ValueError):
@@ -71,19 +70,14 @@ def _hnf_columns(cols: list[tuple[int, int]]) -> tuple[int, int, int]:
     return kx, x1 % kx, y1
 
 
-@dataclass(frozen=True, eq=False)
-class Lattice:
+class Lattice(Value):
     """A full-rank planar lattice Γ written over a denominator d: the integer
     lattice d·Γ ⊂ Z² with Hermite basis (b00, 0) and (b01, b11), where
     b00, b11 > 0 and 0 ≤ b01 < b00.  A point x of Q(u) whose denominators
     divide d is the integer pair d·x, so questions mod Γ are integer
     arithmetic.  Equality and hash compare the lattice, not d."""
 
-    ring: str
-    d: int
-    b00: int
-    b01: int
-    b11: int
+    __slots__ = ("ring", "d", "b00", "b01", "b11")
 
     @classmethod
     def from_generators(cls, ring: str, generators: list[tuple[Fraction, Fraction]]) -> Lattice:
@@ -101,15 +95,9 @@ class Lattice:
         """The full ring Z[i] or Z[ω] (identity basis)."""
         return cls(ring, 1, 1, 0, 1)
 
-    def _least(self) -> tuple[str, int, int, int, int]:  # the fields over the least d
+    def _key(self) -> tuple[str, int, int, int, int]:  # the slots over the least d
         g = math.gcd(self.d, self.b00, self.b01, self.b11)
         return self.ring, self.d // g, self.b00 // g, self.b01 // g, self.b11 // g
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Lattice) and self._least() == other._least()
-
-    def __hash__(self) -> int:
-        return hash(self._least())
 
     def over(self, d: int) -> Lattice:
         """The same lattice written over d, a multiple of its denominator."""

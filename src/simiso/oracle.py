@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattices
 from .lattices import Lattice
 from .packings import PointPacking
-from .rings import FieldElem, GAUSSIAN, pair_norm
+from .rings import FieldElem, GAUSSIAN, Value, pair_norm
 from .similarity import Direction, Similarity
 
 # Most membership tests one call lets the oracle make, summed over its walks.
@@ -85,15 +84,12 @@ class NotContained(ValueError):
         self.point = point
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    """τ, the pairs (k, j) in order with c_kj > 0, and n, the values
+class Correspondence(Value):
+    """τ, the pairs (k, j) in order with c_kj > 0, and n, the set of values
     [sΓ : P] / c_kj: each meeting is a coset of Γ ∩ sΓ, so consistent counts
     give the one n = [sΓ : Γ ∩ sΓ].  index is det(sΓ)/det(Γ) = [L : s(L)]."""
 
-    index: Fraction
-    n: frozenset[Fraction]
-    tau: tuple[tuple[int, int], ...]
+    __slots__ = ("index", "n", "tau")
 
 
 def index_by_counting(packing: PointPacking, s: Similarity) -> Correspondence:
@@ -139,10 +135,8 @@ def scal_set_bruteforce(
     return out
 
 
-@dataclass(frozen=True)
-class RandomCase:
-    packing: PointPacking
-    similarity: Similarity
+class RandomCase(Value):
+    __slots__ = ("packing", "similarity")
 
 
 def random_case(

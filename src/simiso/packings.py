@@ -30,13 +30,12 @@ why.  check_corollaries and closure_check return plain dicts and tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattices, similarity as sim
 from .lattices import Lattice
-from .rings import FieldElem, format_pair, pair_norm
-from .similarity import Direction, ResidueClass, ScalSet, Similarity, Value
+from .rings import FieldElem, Value, format_pair, pair_norm
+from .similarity import Direction, ResidueClass, ScalSet, Similarity
 
 
 # Largest component count of a lifted packing; the Scal solve is quadratic in it.
@@ -59,7 +58,7 @@ class PointPacking(Value):
     from_pairs is the one constructor that canonicalises; PointPacking(Γ,
     shifts) puts FieldElem shifts over one denominator with Γ and calls it.
     shifts, the FieldElem of each residue, is built each time it is read.
-    As a similarity.Value a packing is immutable, equal when its lattice, d
+    As a rings.Value a packing is immutable, equal when its lattice, d
     and residues are, and copied, pickled and printed as its from_pairs call.
     """
 
@@ -89,7 +88,7 @@ class PointPacking(Value):
         if g > 1:
             lattice = Lattice(ring, d // g, b00 // g, b01 // g, b11 // g)
             residues = tuple((x // g, y // g) for x, y in residues)
-        return cls._made(lattice=lattice, residues=residues)
+        return Value.__new__(cls, lattice, residues)
 
     @property
     def shifts(self) -> tuple[FieldElem, ...]:
@@ -107,7 +106,7 @@ class PointPacking(Value):
         return self.lattice, self.lattice.d, self.residues
 
     def _made_by(self):
-        return "from_pairs", (self.lattice, list(self.residues))
+        return type(self).from_pairs, (self.lattice, list(self.residues))
 
     def __str__(self) -> str:
         ring, d = self.ring, self.lattice.d
@@ -115,19 +114,12 @@ class PointPacking(Value):
         return f"{comps} over Γ={self.lattice}"
 
 
-@dataclass(frozen=True)
-class SimilarityReport:
+class SimilarityReport(Value):
     """Outcome of the component-counting test for one similarity; a
     rejection names the first k with |J_k| < n and, in reached, its J_k.
     witness gives per τ pair a point of s(x_k + Γ) ∩ (x_j + Γ) over d."""
 
-    accepted: bool
-    n: int
-    tau: tuple[tuple[int, int], ...]
-    witness: tuple[tuple[int, int, tuple[int, int]], ...]
-    similarity: Similarity
-    failing_k: int | None = None
-    reached: tuple[int, ...] = ()
+    __slots__ = ("accepted", "n", "tau", "witness", "similarity", "failing_k", "reached")
 
 
 def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
@@ -169,7 +161,7 @@ def check_similarity(packing: PointPacking, s: Similarity) -> SimilarityReport:
         (ax, ay), (bx, by) = images[k], targets[j]
         x, y = sigma[fine.reduce(bx - ax, by - ay)]
         witness.append((k, j, ((ax + x) // e, (ay + y) // e)))
-    return SimilarityReport(True, n, tuple(tau), tuple(witness), s)
+    return SimilarityReport(True, n, tuple(tau), tuple(witness), s, None, ())
 
 
 def _frame(

@@ -19,12 +19,12 @@ between.  Documents are read straight to such integers, so a packing builds
 its shifts, and a Similarity its w, as FieldElems only when they are first
 read.  RingElem remains as a second name of FieldElem for code written
 against the former integer class, such as the benchmark's workloads.
+Value, the one base of every immutable value class of the package, is here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Rational
 
 GAUSSIAN = "gaussian"
@@ -48,16 +48,61 @@ def _same_ring(x, y) -> None:
         raise RingMismatchError(f"cannot mix {x.ring} and {y.ring} elements")
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """An element a + b·u of Q(i) or Q(ω); doubles as a point of the plane."""
+class Value:
+    """An immutable value: Value.__new__ sets its slots once, in order (the
+    base classes' first), and no slot is set or deleted after.  It is equal
+    and hashed on _key(), by default its slots, and copied, pickled and
+    printed as the call _made_by() names, by default Cls(slot, …)."""
 
-    ring: str
-    a: Rational
-    b: Rational
+    __slots__ = ()
+    _names: tuple[str, ...] = ()  # per class: the slots in order, with _setters
 
-    def __post_init__(self):
-        check_ring(self.ring)
+    def __init_subclass__(cls):
+        cls._names = (*cls._names, *vars(cls).get("__slots__", ()))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._names)
+
+    def __new__(cls, *values):
+        if len(values) != len(cls._setters):
+            raise TypeError(f"{cls.__name__} takes {len(cls._setters)} values, not {len(values)}")
+        value = object.__new__(cls)
+        for set_slot, slot in zip(cls._setters, values):
+            set_slot(value, slot)
+        return value
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._names])
+
+    def _made_by(self):
+        return type(self), Value._key(self)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self._made_by()
+
+    def __repr__(self) -> str:
+        maker, args = self._made_by()
+        return f"{maker.__qualname__}({', '.join(map(repr, args))})"
+
+
+class FieldElem(Value):
+    """An element a + b·u of Q(i) or Q(ω); doubles as a point of the plane.
+    The arithmetic takes checked operands' ring, so skips check_ring."""
+
+    __slots__ = ("ring", "a", "b")
+
+    def __new__(cls, ring: str, a: Rational, b: Rational) -> FieldElem:
+        check_ring(ring)
+        return Value.__new__(cls, ring, a, b)
 
     @classmethod
     def zero(cls, ring: str) -> FieldElem:
@@ -72,31 +117,31 @@ class FieldElem:
 
     def conj(self) -> FieldElem:
         if self.ring == GAUSSIAN:
-            return FieldElem(self.ring, self.a, -self.b)
+            return Value.__new__(FieldElem, self.ring, self.a, -self.b)
         # conj(ω) = ω² = -1-ω
-        return FieldElem(self.ring, self.a - self.b, -self.b)
+        return Value.__new__(FieldElem, self.ring, self.a - self.b, -self.b)
 
     def __neg__(self) -> FieldElem:
-        return FieldElem(self.ring, -self.a, -self.b)
+        return Value.__new__(FieldElem, self.ring, -self.a, -self.b)
 
     def __add__(self, other: FieldElem) -> FieldElem:
         _same_ring(self, other)
-        return FieldElem(self.ring, self.a + other.a, self.b + other.b)
+        return Value.__new__(FieldElem, self.ring, self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: FieldElem) -> FieldElem:
         _same_ring(self, other)
-        return FieldElem(self.ring, self.a - other.a, self.b - other.b)
+        return Value.__new__(FieldElem, self.ring, self.a - other.a, self.b - other.b)
 
     def __mul__(self, other: FieldElem) -> FieldElem:
         _same_ring(self, other)
         a, b, c, d = self.a, self.b, other.a, other.b
         if self.ring == GAUSSIAN:
-            return FieldElem(self.ring, a * c - b * d, a * d + b * c)
+            return Value.__new__(FieldElem, self.ring, a * c - b * d, a * d + b * c)
         # (a+bω)(c+dω) with ω² = -1-ω
-        return FieldElem(self.ring, a * c - b * d, a * d + b * c - b * d)
+        return Value.__new__(FieldElem, self.ring, a * c - b * d, a * d + b * c - b * d)
 
     def scale(self, r: Rational) -> FieldElem:
-        return FieldElem(self.ring, self.a * r, self.b * r)
+        return Value.__new__(FieldElem, self.ring, self.a * r, self.b * r)
 
     def __str__(self) -> str:
         """The text of format_pair, over the least common denominator."""

@@ -12,51 +12,19 @@ lattice sΓ, decompose, compose and β² read the same triple.  A Direction
 holds z = a + b·u as its integer pair, Direction.similarity(p/q) is the
 triple (q, p·a, p·b), and the Scal sweep maps by z's ints alone (_times),
 so neither builds a Fraction.
-den(Γ, R), the least β with βRΓ ⊆ Γ as the integer pair of its ratio to
-|z|, is read from the images of Γ's integer basis under z's ints.
-One printer, _class_text, writes a residue class against "den" or |z|.
+den(Γ, R), the least β with βRΓ ⊆ Γ, is read from Γ's integer basis under
+z's ints.  One printer, _class_text, writes a class against "den" or |z|.
+Every class here is a rings.Value; the two maps print as from_ints calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import (GAUSSIAN, FieldElem, RingMismatchError, check_ring, format_pair,
+from .rings import (GAUSSIAN, FieldElem, RingMismatchError, Value, check_ring, format_pair,
                     over_denominator, pair_norm, ring_coordinates)
 from .lattices import Lattice
-
-
-class Value:
-    """An immutable value, its slots set once by _made: equal and hashed on
-    _key(), and copied, pickled and printed as the call _made_by() names."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _made(cls, **slots):
-        value = object.__new__(cls)
-        for name, slot in slots.items():
-            object.__setattr__(value, name, slot)
-        return value
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, type(self)) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        name, args = self._made_by()
-        return getattr(type(self), name), args
-
-    def __repr__(self) -> str:
-        name, args = self._made_by()
-        return f"{type(self).__name__}.{name}({', '.join(map(repr, args))})"
 
 
 class _IntegerMap(Value):
@@ -64,11 +32,8 @@ class _IntegerMap(Value):
 
     __slots__ = ("ring", "ints", "conjugate")
 
-    def _key(self):
-        return self.ring, self.ints, self.conjugate
-
     def _made_by(self):
-        return "from_ints", (self.ring, *self.ints, self.conjugate)
+        return type(self).from_ints, (self.ring, *self.ints, self.conjugate)
 
 
 class Similarity(_IntegerMap):
@@ -96,7 +61,7 @@ class Similarity(_IntegerMap):
         if e == 0:
             raise ValueError("similarity denominator must be nonzero")
         g = math.gcd(e, a, b) if e > 0 else -math.gcd(e, a, b)
-        return cls._made(ring=ring, ints=(e // g, a // g, b // g), conjugate=conjugate)
+        return Value.__new__(cls, ring, (e // g, a // g, b // g), conjugate)
 
     @property
     def w(self) -> FieldElem:
@@ -147,7 +112,7 @@ class Direction(_IntegerMap):
             raise ValueError("direction element must be nonzero")
         if math.gcd(a, b) != 1:
             raise ValueError(f"direction element {format_pair(ring, a, b, 1)} is not primitive")
-        return cls._made(ring=ring, ints=(a, b), conjugate=conjugate)
+        return Value.__new__(cls, ring, (a, b), conjugate)
 
     def norm(self) -> int:
         return pair_norm(self.ring, *self.ints)
@@ -204,13 +169,10 @@ def denominator(lattice: Lattice, d: Direction) -> tuple[int, int]:
     return lattice.least_scale(_times(d.ring, *d.ints, d.conjugate, lattice.basis))
 
 
-@dataclass(frozen=True)
-class ResidueClass:
+class ResidueClass(Value):
     """The rationals {p/q : p ≡ r (mod modulus) for r ∈ residues, gcd(p,q)=1}."""
 
-    q: int
-    modulus: int
-    residues: frozenset[int]
+    __slots__ = ("q", "modulus", "residues")
 
     def contains_ratio(self, ratio: Fraction) -> bool:
         return (
@@ -232,17 +194,15 @@ class ResidueClass:
         return " ∪ ".join(_class_text(lead, unit, self.modulus, r) for r in sorted(self.residues))
 
 
-@dataclass(frozen=True)
-class ScalSet:
+class ScalSet(Value):
     """A scaling-factor set: rational multiples of the symbolic surd |z|.
 
-    classes describe which ratios p/q occur; an element of the set is
-    (p/q)·|z| for any admitted reduced fraction.  Empty classes mean the
-    direction admits no scaling factor at all.
+    classes, ResidueClasses, describe which ratios p/q occur along the
+    direction; an element of the set is (p/q)·|z| for any admitted reduced
+    fraction.  Empty classes mean the direction admits no scaling factor.
     """
 
-    direction: Direction
-    classes: tuple[ResidueClass, ...]
+    __slots__ = ("direction", "classes")
 
     def is_empty(self) -> bool:
         return not self.classes

@@ -316,6 +316,18 @@ class TestDivision:
 
 
 class TestFieldElem:
+    def test_only_checked_rings_reach_the_arithmetic(self):
+        # FieldElem(ring, a, b) refuses an unknown ring; the arithmetic
+        # builds its results without the check, from operands of one ring.
+        with pytest.raises(ValueError, match="^unknown ring tag 'quaternion'$"):
+            FieldElem("quaternion", 1, 0)
+        x = e(1, 2)
+        for got in (x + x, x - x, x * x, -x, x.conj(), x.scale(F(1, 2)), FieldElem.zero(EISENSTEIN)):
+            assert type(got) is FieldElem and got.ring == EISENSTEIN
+        for op in ("__add__", "__sub__", "__mul__"):
+            with pytest.raises(RingMismatchError):
+                getattr(x, op)(g(1, 2))
+
     def test_clear_denominators(self):
         # x = r/n with n the least denominator, read by over_denominator, and
         # decompose splits w = x as (1/n)·r with r primitive.

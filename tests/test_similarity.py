@@ -1,18 +1,23 @@
 """Similarity decomposition, denominators, lattice scaling-factor sets."""
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simiso import lattices as lat, similarity as sim
+import simiso
+from simiso import lattices as lat, oracle, similarity as sim
 from simiso.lattices import Lattice
-from simiso.packings import PointPacking
-from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem, RingMismatchError
+from simiso.packings import PointPacking, SimilarityReport, check_similarity
+from simiso.presets import preset
+from simiso.rings import EISENSTEIN, GAUSSIAN, FieldElem, RingElem, RingMismatchError, Value
 from simiso.similarity import (
     Direction,
     ResidueClass,
@@ -139,14 +144,71 @@ class TestIntegerConstructor:
                 setattr(obj, name, None)
 
     def test_repr_is_the_constructor_call(self):
-        names = {"Lattice": Lattice, "PointPacking": PointPacking,
-                 "Similarity": Similarity, "Direction": Direction}
-        values = (PointPacking.from_pairs(Lattice(GAUSSIAN, 2, 6, 2, 2), [(1, 0), (3, 1)]),
-                  Similarity.from_ints(EISENSTEIN, 3, -2, 1, True),
-                  Direction.from_ints(GAUSSIAN, 2, -1))
-        for v in values:
-            assert eval(repr(v), names) == v
-        assert repr(values[1]) == "Similarity.from_ints('eisenstein', 3, -2, 1, True)"
+        # Every value class of the package is a rings.Value, and each keeps
+        # one contract: its repr is its constructor call, it pickles and
+        # copies as that call, equal values hash alike, it is immutable, it
+        # is not the tuple of its slots, and a wrong count of values is a
+        # TypeError.  The table holds a value of every class with its slots
+        # in order.
+        hex_ = preset("hex")
+        w = Similarity.from_ints(EISENSTEIN, 1, 2, 2)
+        d = Direction.from_ints(GAUSSIAN, 2, -1)
+        rc = ResidueClass(3, 4, frozenset({3, 1}))
+        case = oracle.random_case(random.Random(5), GAUSSIAN)
+        table = [
+            (FieldElem(EISENSTEIN, F(1, 3), -2), ("ring", "a", "b")),
+            (Lattice(GAUSSIAN, 2, 6, 2, 2), ("ring", "d", "b00", "b01", "b11")),
+            (PointPacking.from_pairs(Lattice(GAUSSIAN, 2, 6, 2, 2), [(1, 0), (3, 1)]),
+             ("lattice", "residues")),
+            (Similarity.from_ints(EISENSTEIN, 3, -2, 1, True), ("ring", "ints", "conjugate")),
+            (d, ("ring", "ints", "conjugate")),
+            (rc, ("q", "modulus", "residues")),
+            (ScalSet(d, (rc, ResidueClass(1, 2, frozenset({0})))), ("direction", "classes")),
+            (check_similarity(hex_, w), ("accepted", "n", "tau", "witness", "similarity",
+                                         "failing_k", "reached")),
+            (check_similarity(hex_, Similarity.from_ints(EISENSTEIN, 2, 1, 0)),
+             ("accepted", "n", "tau", "witness", "similarity", "failing_k", "reached")),
+            (oracle.index_by_counting(hex_, w), ("index", "n", "tau")),
+            (case, ("packing", "similarity")),
+        ]
+        classes = {type(v) for v, _ in table}
+        names = {cls.__name__: cls for cls in classes} | {"Fraction": Fraction}
+        for v, slots in table:
+            values = tuple(getattr(v, name) for name in slots)
+            for again in (eval(repr(v), names), pickle.loads(pickle.dumps(v)), copy.deepcopy(v),
+                          copy.copy(v)):
+                assert type(again) is type(v) and again == v and hash(again) == hash(v)
+                assert tuple(getattr(again, name) for name in slots) == values
+            for name in (*slots, "other"):
+                with pytest.raises(AttributeError, match=f"^{type(v).__name__} is immutable: "
+                                                         f"cannot set '{name}'$"):
+                    setattr(v, name, None)
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(v, slots[0])
+            assert v != values and values != v and v != list(values)
+            with pytest.raises(TypeError):
+                type(v)(*values, None)
+            with pytest.raises(TypeError):
+                type(v)()
+            with pytest.raises(TypeError, match=f"takes {len(slots)} values, not {len(slots) - 1}"):
+                Value.__new__(type(v), *values[:-1])
+        assert {v.accepted for v, _ in table if type(v) is SimilarityReport} == {True, False}
+        assert repr(table[3][0]) == "Similarity.from_ints('eisenstein', 3, -2, 1, True)"
+        assert (repr(PointPacking.from_pairs(Lattice(EISENSTEIN, 3, 3, 0, 3), [(0, 0), (2, 1)]))
+                == "PointPacking.from_pairs(Lattice('eisenstein', 3, 3, 0, 3), [(0, 0), (2, 1)])")
+        assert repr(table[0][0]) == "FieldElem('eisenstein', Fraction(1, 3), -2)"
+        # Equality and hash of a lattice compare the lattice, not its d.
+        one, two = Lattice(GAUSSIAN, 1, 1, 0, 1), Lattice(GAUSSIAN, 2, 2, 0, 2)
+        assert one == two and hash(one) == hash(two) and repr(two) == "Lattice('gaussian', 2, 2, 0, 2)"
+        # The table covers every class of the package that is not an error
+        # or the command line's parser, and each is a Value.
+        modules = [importlib.import_module(f"simiso.{m.name}")
+                   for m in pkgutil.iter_modules(simiso.__path__)]
+        defined = {obj for mod in modules for obj in vars(mod).values()
+                   if isinstance(obj, type) and obj.__module__ == mod.__name__
+                   and not issubclass(obj, BaseException) and obj.__name__ != "_Parser"}
+        assert defined - {Value, sim._IntegerMap} == classes and len(classes) == 10
+        assert all(issubclass(cls, Value) for cls in classes)
 
     def test_refusals(self):
         with pytest.raises(ValueError, match="multiplier must be nonzero"):
@@ -301,7 +363,7 @@ class TestScalLattice:
 
     def test_min_positive_ratio_steps_up_past_common_factors(self):
         # The p ≡ 3 (mod 4) prime to q = 3 are 7, 11, ..., so the least is 7/3.
-        c = sim.ResidueClass(q=3, modulus=4, residues=frozenset({3}))
+        c = sim.ResidueClass(3, 4, frozenset({3}))
         assert ScalSet(Direction.from_ints(GAUSSIAN, 1, 0), (c,)).min_positive_ratio() == F(7, 3)
 
     @given(st.lists(st.integers(1, 30).flatmap(lambda m: st.builds(

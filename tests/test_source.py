@@ -3,7 +3,10 @@
 import argparse
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import simiso
@@ -198,19 +201,44 @@ def _scoped_nodes(skip=()):
 
 
 def test_values_are_set_only_by_made():
-    # A Value's slots are set once by Value._made; object.__setattr__
+    # A Value's slots are set once, by Value.__new__, through the setters
+    # that Value.__init_subclass__ reads from each slot's descriptor.  An
+    # object.__setattr__, a descriptor's __set__ or a use of those setters
     # anywhere else writes into a value after it was made, such as the
     # cached packing that preset(name) hands every caller.
     found = [
-        (f"{file}:{node.lineno}", scope)
+        (f"{file}:{node.lineno}", scope, node.attr)
         for file, scope, node in _scoped_nodes()
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "__setattr__"
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "object"
+        if isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__set__", "_setters")
     ]
-    assert [scope for _, scope in found] == ["Value._made"], found
+    assert {(scope, attr) for _, scope, attr in found} == {
+        ("Value.__init_subclass__", "__set__"),
+        ("Value.__init_subclass__", "_setters"),
+        ("Value.__new__", "_setters"),
+    }, found
+
+
+def test_no_module_imports_dataclasses():
+    # Every value class derives from rings.Value; dataclasses would bring
+    # back code generation (and inspect) at import.
+    found = [
+        f"{file}:{node.lineno}"
+        for file, _, node in _scoped_nodes()
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses"
+                                                for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    # A fresh interpreter, without site so that nothing but simiso loads,
+    # imports the command line and does not load dataclasses.
+    src = Path(simiso.__file__).parents[1]
+    code = "import sys, simiso.cli; print('dataclasses' in sys.modules)"
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
 def test_field_elems_are_built_only_for_the_oracle_walk():
